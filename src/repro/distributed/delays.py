@@ -6,7 +6,11 @@ heterogeneous workers whose gradients arrive *stale* — a worker's
 round-t proposal is the gradient it computed at ``x_{t−τ}``.  A
 :class:`DelaySchedule` is the reproducible model of that heterogeneity:
 a pure function ``staleness(worker_id, round_index) -> τ ≥ 0`` giving
-each worker's desired lag at each round.
+each worker's desired lag at each round, plus its block form
+``staleness_block(worker_ids, round_indices) -> (R, W)`` — the same
+values for a whole rounds × workers grid in one call, which the batched
+executor prefetches instead of issuing one scalar query per worker per
+round.
 
 The *effective* staleness a simulation applies is
 ``min(τ, round_index, max_staleness)`` — a worker cannot see parameters
@@ -35,7 +39,8 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.utils.rng import seed_sequence_state
 from repro.utils.validation import check_factory_kwargs
 
 __all__ = [
@@ -57,7 +62,10 @@ class DelaySchedule(ABC):
     Implementations must be *pure*: ``staleness(i, t)`` may depend only
     on the arguments and on state fixed at :meth:`bind` time, so the
     loop and batched executors (which query in different orders) see the
-    same delays.
+    same delays.  :meth:`staleness_block` is the vectorized form of the
+    same function; the default loops over :meth:`staleness`, so a custom
+    schedule only needs ``staleness`` and may override the block form
+    for speed.
     """
 
     #: Registry name; subclasses set this as a class attribute.
@@ -66,6 +74,24 @@ class DelaySchedule(ABC):
     @abstractmethod
     def staleness(self, worker_id: int, round_index: int) -> int:
         """Desired lag of ``worker_id``'s round-``round_index`` proposal."""
+
+    def staleness_block(
+        self, worker_ids: Sequence[int], round_indices: Sequence[int]
+    ) -> np.ndarray:
+        """Desired lags of a rounds × workers grid, as an ``(R, W)`` int64
+        array with ``block[r, w] == staleness(worker_ids[w],
+        round_indices[r])``.
+
+        Pure like :meth:`staleness`.  This default queries
+        :meth:`staleness` once per element; built-in schedules override
+        it with a vectorized equivalent.
+        """
+        workers, rounds = _block_axes(worker_ids, round_indices)
+        block = np.empty((rounds.size, workers.size), dtype=np.int64)
+        for r, round_index in enumerate(rounds.tolist()):
+            for w, worker_id in enumerate(workers.tolist()):
+                block[r, w] = int(self.staleness(worker_id, round_index))
+        return block
 
     def bind(self, rng: np.random.Generator) -> "DelaySchedule":
         """Fix any randomness from a simulation-derived stream.
@@ -81,6 +107,21 @@ class DelaySchedule(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _block_axes(
+    worker_ids: Sequence[int], round_indices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two axes of a :meth:`DelaySchedule.staleness_block` query as
+    1-D int64 arrays."""
+    workers = np.asarray(worker_ids, dtype=np.int64)
+    rounds = np.asarray(round_indices, dtype=np.int64)
+    if workers.ndim != 1 or rounds.ndim != 1:
+        raise DimensionMismatchError(
+            f"worker_ids and round_indices must be 1-D, got shapes "
+            f"{workers.shape} and {rounds.shape}"
+        )
+    return workers, rounds
+
+
 class ZeroDelay(DelaySchedule):
     """Every worker is always fresh — the synchronous degenerate case."""
 
@@ -88,6 +129,12 @@ class ZeroDelay(DelaySchedule):
 
     def staleness(self, worker_id: int, round_index: int) -> int:
         return 0
+
+    def staleness_block(
+        self, worker_ids: Sequence[int], round_indices: Sequence[int]
+    ) -> np.ndarray:
+        workers, rounds = _block_axes(worker_ids, round_indices)
+        return np.zeros((rounds.size, workers.size), dtype=np.int64)
 
 
 class ConstantDelay(DelaySchedule):
@@ -119,6 +166,17 @@ class ConstantDelay(DelaySchedule):
             return self.tau
         return 0
 
+    def staleness_block(
+        self, worker_ids: Sequence[int], round_indices: Sequence[int]
+    ) -> np.ndarray:
+        workers, rounds = _block_axes(worker_ids, round_indices)
+        if self._workers is None:
+            lagging = np.ones(workers.size, dtype=bool)
+        else:
+            lagging = np.isin(workers, sorted(self._workers))
+        row = np.where(lagging, self.tau, 0).astype(np.int64)
+        return np.repeat(row[None, :], rounds.size, axis=0)
+
 
 class PeriodicDelay(DelaySchedule):
     """Workers lag ``tau`` on a periodic round pattern.
@@ -147,6 +205,13 @@ class PeriodicDelay(DelaySchedule):
         if (round_index + worker_id * self.stagger) % self.period == 0:
             return self.tau
         return 0
+
+    def staleness_block(
+        self, worker_ids: Sequence[int], round_indices: Sequence[int]
+    ) -> np.ndarray:
+        workers, rounds = _block_axes(worker_ids, round_indices)
+        phase = (rounds[:, None] + workers[None, :] * self.stagger) % self.period
+        return np.where(phase == 0, self.tau, 0).astype(np.int64)
 
 
 class SeededRandomDelay(DelaySchedule):
@@ -192,18 +257,39 @@ class SeededRandomDelay(DelaySchedule):
             entropy=int(rng.integers(0, 2**63)),
         )
 
-    def staleness(self, worker_id: int, round_index: int) -> int:
+    def _bound_entropy(self) -> int:
         if self.entropy is None:
             raise ConfigurationError(
                 "unbound random delay schedule: pass it to a simulation "
                 "(which binds it from the root seed) or call bind() first"
             )
+        return self.entropy
+
+    def staleness(self, worker_id: int, round_index: int) -> int:
         words = np.random.SeedSequence(
-            entropy=(self.entropy, int(worker_id), int(round_index))
+            entropy=(self._bound_entropy(), int(worker_id), int(round_index))
         ).generate_state(2, dtype=np.uint64)
         if self.prob < 1.0 and float(words[0]) / 2.0**64 >= self.prob:
             return 0
         return int(words[1] % np.uint64(self.max_delay)) + 1
+
+    def staleness_block(
+        self, worker_ids: Sequence[int], round_indices: Sequence[int]
+    ) -> np.ndarray:
+        # The same draw as staleness(), hashed for every (worker, round)
+        # key at once by the exact vectorized SeedSequence in utils.rng.
+        entropy = self._bound_entropy()
+        workers, rounds = _block_axes(worker_ids, round_indices)
+        keys = np.empty((rounds.size, workers.size, 2), dtype=np.int64)
+        keys[..., 0] = workers[None, :]
+        keys[..., 1] = rounds[:, None]
+        words = seed_sequence_state(entropy, keys.reshape(-1, 2)).reshape(
+            rounds.size, workers.size, 2
+        )
+        block = (words[..., 1] % np.uint64(self.max_delay)).astype(np.int64) + 1
+        if self.prob < 1.0:
+            block[words[..., 0].astype(np.float64) / 2.0**64 >= self.prob] = 0
+        return block
 
 
 # ----------------------------------------------------------------------

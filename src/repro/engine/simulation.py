@@ -43,6 +43,11 @@ simulation) run in the same batch: the executor keeps the parameter
 matrices of the last ``max_staleness + 1`` rounds and fills each stale
 worker's proposal from the history row its delay schedule selects —
 exactly the parameters the loop executor's server would have served it.
+The per-worker effective staleness is prefetched, not queried per
+worker per round: each async cell keeps a table of
+``min(τ, t, max_staleness)`` for a chunk of upcoming rounds, filled by
+one :meth:`~repro.distributed.delays.DelaySchedule.staleness_block`
+call per cell per chunk.
 Staleness-aware rules (the Kardam-style filter) have no vectorized
 kernel yet, so their cells aggregate through the per-scenario loop
 fallback, which threads the per-proposal staleness and used-parameter
@@ -93,6 +98,10 @@ from repro.gradients.oracle import GaussianOracleEstimator
 
 __all__ = ["BatchedSimulation"]
 
+#: Rounds of effective staleness prefetched per async cell and block
+#: query; bounds each cell's staleness table at O(chunk · n).
+_STALENESS_CHUNK = 64
+
 
 @dataclass
 class _Scenario:
@@ -115,6 +124,10 @@ class _Scenario:
     # coordinate-median views, views[-1] being the current round's —
     # the executor's analogue of ReplicatedServerGroup._views.
     views: deque[np.ndarray] | None = None
+    # Prefetched effective staleness of an async scenario: row r is
+    # round staleness_start + r (see BatchedSimulation._prefetch_staleness).
+    staleness_start: int = 0
+    staleness_table: np.ndarray | None = None
 
 
 class _Group:
@@ -348,19 +361,67 @@ class BatchedSimulation:
         the batched analogue of ``ParameterServer.params_at``."""
         return self._history[-1 - staleness][slot]
 
+    def _prefetch_staleness(self, start: int, stop: int) -> None:
+        """Fill every async scenario's staleness table with rounds
+        ``[start, stop)``: one ``staleness_block`` call per scenario,
+        clipped to ``min(τ, t, max_staleness)`` exactly like
+        :meth:`TrainingSimulation.effective_staleness`.  Negative lags
+        survive the clip and are reported when their round runs."""
+        rounds = np.arange(start, stop, dtype=np.int64)
+        workers = np.arange(self.num_workers, dtype=np.int64)
+        for scenario in self._scenarios:
+            sim = scenario.simulation
+            if not sim.is_async:
+                continue
+            if sim.delay_schedule is None:
+                table = np.zeros((rounds.size, workers.size), dtype=np.int64)
+            else:
+                block = np.asarray(
+                    sim.delay_schedule.staleness_block(workers, rounds),
+                    dtype=np.int64,
+                )
+                if block.shape != (rounds.size, workers.size):
+                    raise SimulationError(
+                        f"delay schedule {sim.delay_schedule.name!r} "
+                        f"returned a staleness block of shape "
+                        f"{block.shape}, expected "
+                        f"{(rounds.size, workers.size)}"
+                    )
+                table = np.minimum(
+                    np.minimum(block, rounds[:, None]), sim.max_staleness
+                )
+            scenario.staleness_start = start
+            scenario.staleness_table = table
+
     def _staleness_row(self, slot: int, round_index: int) -> np.ndarray | None:
         """Per-worker effective staleness of one scenario this round, or
-        ``None`` for a synchronous scenario (nothing to look up)."""
-        sim = self._scenarios[slot].simulation
-        if not sim.is_async:
+        ``None`` for a synchronous scenario (nothing to look up).  A
+        round outside the prefetched tables (``run_round`` called
+        directly) prefetches the chunk starting at it."""
+        scenario = self._scenarios[slot]
+        if not scenario.simulation.is_async:
             return None
-        return np.asarray(
-            [
-                sim.effective_staleness(worker_id, round_index)
-                for worker_id in range(sim.num_workers)
-            ],
-            dtype=np.int64,
-        )
+        offset = round_index - scenario.staleness_start
+        table = scenario.staleness_table
+        if table is None or not 0 <= offset < len(table):
+            self._prefetch_staleness(
+                round_index, round_index + _STALENESS_CHUNK
+            )
+            offset, table = 0, scenario.staleness_table
+        row = table[offset]
+        if row.min() < 0:
+            # Report the worker the loop executor trips on first: honest
+            # workers in order, then the Byzantine ones.
+            order = np.concatenate(
+                [scenario.honest_ids, scenario.byzantine_ids]
+            )
+            worker_id = int(order[np.argmax(row[order] < 0)])
+            raise SimulationError(
+                f"delay schedule produced negative staleness "
+                f"{int(row[worker_id])} for worker {worker_id} at round "
+                f"{round_index}"
+            )
+        return row
 
     def _fill_proposals(
         self, slot: int, staleness_row: np.ndarray | None
@@ -475,17 +536,18 @@ class BatchedSimulation:
                 true_gradient = sim.true_gradient_fn(params)
         honest_params = None
         if staleness_row is not None:
+            # np.stack copies, so the rows need no defensive copy.
             if scenario.views is not None:
                 honest_params = np.stack(
                     [
-                        scenario.views[-1 - int(staleness_row[i])].copy()
+                        scenario.views[-1 - int(staleness_row[i])]
                         for i in scenario.honest_ids
                     ]
                 )
             else:
                 honest_params = np.stack(
                     [
-                        self._params_at(slot, int(staleness_row[i])).copy()
+                        self._params_at(slot, int(staleness_row[i]))
                         for i in scenario.honest_ids
                     ]
                 )
@@ -541,11 +603,11 @@ class BatchedSimulation:
                 )
                 continue
             staleness[offset] = row
-            for worker_id in range(self.num_workers):
-                used[offset, worker_id] = (
-                    views[-1 - int(row[worker_id])]
+            for tau in np.unique(row).tolist():
+                used[offset, row == tau] = (
+                    views[-1 - tau]
                     if views is not None
-                    else self._params_at(slot, int(row[worker_id]))
+                    else self._params_at(slot, tau)
                 )
         return staleness, used
 
@@ -660,7 +722,14 @@ class BatchedSimulation:
                 f"eval_every must be >= 1, got {eval_every}"
             )
         histories = [TrainingHistory() for _ in range(self.batch_size)]
+        start = self._round_index
         for t in range(num_rounds):
+            # Prefetch only rounds this call runs: no schedule is ever
+            # queried past the requested horizon.
+            if t % _STALENESS_CHUNK == 0:
+                self._prefetch_staleness(
+                    start + t, start + min(t + _STALENESS_CHUNK, num_rounds)
+                )
             records = self.run_round()
             evaluate_now = t % eval_every == 0 or t == num_rounds - 1
             for scenario in self._scenarios:

@@ -1,7 +1,8 @@
 """seeded-query-purity: bound queries stay pure, transitively.
 
 The loop and batched executors query ``Topology.neighbors`` and
-``DelaySchedule.staleness`` in *different orders*; the bit-for-bit
+``DelaySchedule.staleness`` in *different orders* (the batched executor
+prefetches delays through ``DelaySchedule.staleness_block``); the bit-for-bit
 differential guarantee therefore requires both to be pure functions of
 their arguments and bind-time state.  The contract is documented on the
 ABCs, but a violation hides easily one helper call deep: a memo cache
@@ -11,7 +12,8 @@ written from ``neighbors``, a module-level counter, a stray
 This rule walks the project call graph from every override of the
 configured query methods (across all subclasses, resolved through the
 whole-program class table) plus the configured pure helper functions
-(``counter_uniform`` and anything it calls), and flags in any reachable
+(``counter_uniform``, ``seed_sequence_state`` and anything they call),
+and flags in any reachable
 function:
 
 - assignment to ``self.*`` (instance mutation — queries may only read),
@@ -42,10 +44,11 @@ __all__ = ["SeededQueryPurityRule", "QUERY_ROOTS", "PURE_FUNCTIONS"]
 QUERY_ROOTS: tuple[tuple[str, str], ...] = (
     ("Topology", "neighbors"),
     ("DelaySchedule", "staleness"),
+    ("DelaySchedule", "staleness_block"),
 )
 
 #: Top-level functions that must be pure wherever they are defined.
-PURE_FUNCTIONS: tuple[str, ...] = ("counter_uniform",)
+PURE_FUNCTIONS: tuple[str, ...] = ("counter_uniform", "seed_sequence_state")
 
 #: ``numpy.random.Generator`` draw methods — any call spelled
 #: ``<receiver>.<draw>(...)`` in a pure region consumes stream state.
@@ -73,13 +76,15 @@ _DRAW_METHODS = frozenset(
 
 
 class SeededQueryPurityRule(ProjectRule):
-    """neighbors/staleness/counter_uniform are transitively pure."""
+    """neighbors/staleness/staleness_block and the counter hashes are
+    transitively pure."""
 
     name = "seeded-query-purity"
     description = (
-        "Topology.neighbors, DelaySchedule.staleness and counter_uniform "
-        "callees stay pure: no self/global mutation, no RNG draw outside "
-        "bind (walked through the call graph)"
+        "Topology.neighbors, DelaySchedule.staleness/staleness_block, "
+        "counter_uniform and seed_sequence_state callees stay pure: no "
+        "self/global mutation, no RNG draw outside bind (walked through "
+        "the call graph)"
     )
 
     def __init__(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.distributed.delays import (
     ConstantDelay,
@@ -14,7 +15,8 @@ from repro.distributed.delays import (
     make_delay_schedule,
     register_delay_schedule,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.utils.rng import seed_sequence_state
 
 
 class TestRegistry:
@@ -169,3 +171,146 @@ class TestSchedules:
             SeededRandomDelay(max_delay=0)
         with pytest.raises(ConfigurationError, match="prob"):
             SeededRandomDelay(max_delay=2, prob=1.5)
+
+
+# Word-boundary values: SeedSequence splits an integer into one uint32
+# word below 2**32 and two from 2**32 on, so these exercise every entropy
+# layout the vectorized hash groups by (one-word entropy occurs with
+# probability 2**-31 for a bound schedule, so it is pinned, not sampled).
+ENTROPY_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+KEY_EDGES = (0, 2**32 - 1, 2**32)
+
+
+def _reference_state(entropy, worker, round_index):
+    return np.random.SeedSequence(
+        entropy=(entropy, worker, round_index)
+    ).generate_state(2, np.uint64)
+
+
+class TestSeedSequenceState:
+    @pytest.mark.parametrize("entropy", ENTROPY_EDGES)
+    def test_word_boundaries_match_numpy(self, entropy):
+        keys = np.asarray(
+            [(w, t) for w in KEY_EDGES for t in KEY_EDGES], dtype=np.int64
+        )
+        got = seed_sequence_state(entropy, keys)
+        assert got.dtype == np.uint64
+        assert got.shape == (len(keys), 2)
+        for (worker, round_index), row in zip(keys.tolist(), got):
+            assert np.array_equal(
+                row, _reference_state(entropy, worker, round_index)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entropy=st.sampled_from(ENTROPY_EDGES) | st.integers(0, 2**63 - 1),
+        keys=st.lists(
+            st.tuples(
+                st.sampled_from(KEY_EDGES) | st.integers(0, 2**40),
+                st.sampled_from(KEY_EDGES) | st.integers(0, 2**40),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_numpy_seed_sequence(self, entropy, keys):
+        got = seed_sequence_state(entropy, np.asarray(keys, dtype=np.int64))
+        for (worker, round_index), row in zip(keys, got):
+            assert np.array_equal(
+                row, _reference_state(entropy, worker, round_index)
+            )
+
+    def test_empty_and_invalid_keys(self):
+        empty = seed_sequence_state(5, np.empty((0, 2), dtype=np.int64))
+        assert empty.shape == (0, 2)
+        with pytest.raises(DimensionMismatchError):
+            seed_sequence_state(5, np.arange(4))
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            seed_sequence_state(5, np.asarray([[1, -1]]))
+        with pytest.raises(ConfigurationError, match="integers"):
+            seed_sequence_state(5, np.asarray([[1.0, 2.0]]))
+
+
+class _EveryOther(DelaySchedule):
+    """A custom schedule that defines only the scalar query."""
+
+    name = "every-other"
+
+    def staleness(self, worker_id, round_index):
+        return (worker_id + round_index) % 2 * 3
+
+
+WORKERS = [0, 1, 2, 3, 5, 8, 13]
+ROUNDS = [0, 1, 2, 3, 4, 7, 11, 40, 63, 64, 65]
+
+
+def _assert_block_matches_scalar(schedule, workers=WORKERS, rounds=ROUNDS):
+    block = schedule.staleness_block(workers, rounds)
+    assert block.dtype == np.int64
+    assert block.shape == (len(rounds), len(workers))
+    expected = [[schedule.staleness(w, t) for w in workers] for t in rounds]
+    assert block.tolist() == expected
+
+
+class TestStalenessBlock:
+    @pytest.mark.parametrize("name", available_delay_schedules())
+    def test_registry_sweep_default_kwargs(self, name):
+        schedule = make_delay_schedule(name).bind(np.random.default_rng(3))
+        _assert_block_matches_scalar(schedule)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("random", {"max_delay": 4, "prob": 0.0}),
+            ("random", {"max_delay": 4, "prob": 0.3}),
+            ("random", {"max_delay": 4, "prob": 1.0}),
+            ("random", {"max_delay": 1}),
+            ("constant", {"tau": 2, "workers": [1, 5, 21]}),
+            ("constant", {"tau": 3}),
+            ("periodic", {"tau": 2, "period": 3, "stagger": 0}),
+            ("periodic", {"tau": 1, "period": 5, "stagger": 2}),
+        ],
+    )
+    def test_configured_schedules(self, name, kwargs):
+        schedule = make_delay_schedule(name, kwargs).bind(
+            np.random.default_rng(11)
+        )
+        _assert_block_matches_scalar(schedule)
+
+    @pytest.mark.parametrize("entropy", ENTROPY_EDGES)
+    def test_random_at_word_boundaries(self, entropy):
+        schedule = SeededRandomDelay(max_delay=5, prob=0.5, entropy=entropy)
+        _assert_block_matches_scalar(
+            schedule, workers=list(KEY_EDGES), rounds=list(KEY_EDGES)
+        )
+
+    def test_random_prob_interior_mixes_zero_and_lags(self):
+        schedule = SeededRandomDelay(max_delay=4, prob=0.3).bind(
+            np.random.default_rng(0)
+        )
+        block = schedule.staleness_block(range(15), range(60))
+        assert (block == 0).any() and (block > 0).any()
+
+    def test_custom_subclass_uses_abc_default(self):
+        schedule = _EveryOther()
+        assert "staleness_block" not in type(schedule).__dict__
+        _assert_block_matches_scalar(schedule)
+
+    def test_empty_axes(self):
+        for schedule in (
+            ZeroDelay(),
+            ConstantDelay(tau=2, workers=[1]),
+            PeriodicDelay(),
+            SeededRandomDelay().bind(np.random.default_rng(0)),
+            _EveryOther(),
+        ):
+            assert schedule.staleness_block([], [0, 1]).shape == (2, 0)
+            assert schedule.staleness_block([0, 1], []).shape == (0, 2)
+
+    def test_axes_must_be_one_dimensional(self):
+        with pytest.raises(DimensionMismatchError):
+            ZeroDelay().staleness_block([[0, 1]], [0])
+
+    def test_unbound_random_block_rejected(self):
+        with pytest.raises(ConfigurationError, match="unbound"):
+            SeededRandomDelay().staleness_block([0], [0])

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.distributed import delays
+from repro.distributed.delays import DelaySchedule, register_delay_schedule
 from repro.distributed.simulator import TrainingSimulation
 from repro.engine import BatchedSimulation, ScenarioGrid, run_grid
 from repro.engine.runner import build_scenario_simulation
@@ -287,3 +289,159 @@ class TestAsyncSimulation:
         BatchedSimulation(sims).run(3, eval_every=2)
         with pytest.raises(ConfigurationError, match="freshly built"):
             BatchedSimulation(sims)
+
+
+class _NegativeAt(DelaySchedule):
+    """Lags every worker by one, except ``workers`` at ``at_round``,
+    where it reports an invalid ``-1``."""
+
+    name = "test-negative"
+
+    def __init__(self, workers=(), at_round=0):
+        self.workers = frozenset(workers)
+        self.at_round = at_round
+
+    def staleness(self, worker_id, round_index):
+        if round_index == self.at_round and worker_id in self.workers:
+            return -1
+        return 1
+
+
+class _Rotating(DelaySchedule):
+    """A custom schedule that relies on the ABC's looping
+    ``staleness_block``."""
+
+    name = "test-rotating"
+
+    def staleness(self, worker_id, round_index):
+        return (worker_id + round_index) % 4
+
+
+class _FlatBlock(_Rotating):
+    """A broken override: one row for the whole rounds axis."""
+
+    name = "test-flat-block"
+
+    def staleness_block(self, worker_ids, round_indices):
+        return np.ones(len(worker_ids), dtype=np.int64)
+
+
+_CUSTOM_SCHEDULES = (_NegativeAt, _Rotating, _FlatBlock)
+
+
+@pytest.fixture
+def custom_schedules():
+    for schedule in _CUSTOM_SCHEDULES:
+        register_delay_schedule(schedule.name, schedule)
+    try:
+        yield
+    finally:
+        for schedule in _CUSTOM_SCHEDULES:
+            delays._REGISTRY.pop(schedule.name, None)
+
+
+def _async_sims(count=None, **overrides):
+    settings = dict(
+        max_staleness=3,
+        delay_schedule="random",
+        delay_kwargs={"max_delay": 4},
+    )
+    settings.update(overrides)
+    specs = _reference_grid(**settings).scenarios()[:count]
+    return [build_scenario_simulation(spec) for spec in specs]
+
+
+def _assert_same_runs(loop_sims, batched, loop_histories, batched_histories):
+    for index, sim in enumerate(loop_sims):
+        assert sim.params.tobytes() == batched.params[index].tobytes()
+        assert list(loop_histories[index]) == list(batched_histories[index])
+
+
+class TestStalenessPrefetch:
+    """The batched executor's prefetched staleness tables, checked
+    against the loop executor's scalar queries bit for bit."""
+
+    def test_split_runs_equal_loop_and_single_run(self):
+        loop_sims = _async_sims(6)
+        loop_histories = [
+            list(sim.run(7, eval_every=3)) + list(sim.run(5, eval_every=3))
+            for sim in loop_sims
+        ]
+        batched = BatchedSimulation(_async_sims(6))
+        first = batched.run(7, eval_every=3)
+        second = batched.run(5, eval_every=3)
+        batched_histories = [
+            list(a) + list(b) for a, b in zip(first, second)
+        ]
+        _assert_same_runs(loop_sims, batched, loop_histories, batched_histories)
+
+        single = BatchedSimulation(_async_sims(6))
+        single.run(12, eval_every=3)
+        assert single.params.tobytes() == batched.params.tobytes()
+
+    def test_run_across_several_chunks(self):
+        loop_sims = _async_sims(3)
+        loop_histories = [sim.run(200, eval_every=50) for sim in loop_sims]
+        batched = BatchedSimulation(_async_sims(3))
+        batched_histories = batched.run(200, eval_every=50)
+        _assert_same_runs(loop_sims, batched, loop_histories, batched_histories)
+
+    def test_bare_run_round_calls(self):
+        loop_sims = _async_sims(3)
+        batched = BatchedSimulation(_async_sims(3))
+        loop_records: list[list] = [[] for _ in loop_sims]
+        batched_records: list[list] = [[] for _ in loop_sims]
+        for _ in range(70):
+            for index, sim in enumerate(loop_sims):
+                loop_records[index].append(sim.run_round())
+            for index, record in enumerate(batched.run_round()):
+                batched_records[index].append(record)
+        _assert_same_runs(loop_sims, batched, loop_records, batched_records)
+
+    def test_custom_schedule_uses_block_default(self, custom_schedules):
+        loop_sims = _async_sims(3, delay_schedule="test-rotating", delay_kwargs={})
+        loop_histories = [sim.run(20, eval_every=5) for sim in loop_sims]
+        batched = BatchedSimulation(
+            _async_sims(3, delay_schedule="test-rotating", delay_kwargs={})
+        )
+        batched_histories = batched.run(20, eval_every=5)
+        _assert_same_runs(loop_sims, batched, loop_histories, batched_histories)
+
+    def test_negative_staleness_raises_when_round_is_reached(
+        self, custom_schedules
+    ):
+        # Byzantine workers take the first ids, so worker 0 is Byzantine
+        # and worker 6 honest: both executors must name the honest worker
+        # the loop executor queries first.
+        overrides = dict(
+            delay_schedule="test-negative",
+            delay_kwargs={"workers": (0, 6), "at_round": 5},
+            byzantine_slots="first",
+        )
+        loop_sim = _async_sims(1, **overrides)[0]
+        assert loop_sim.byzantine_ids == [0, 1]
+        message = (
+            "delay schedule produced negative staleness -1 for worker 6 "
+            "at round 5"
+        )
+        with pytest.raises(SimulationError) as loop_error:
+            loop_sim.run(8)
+        assert str(loop_error.value) == message
+
+        batched = BatchedSimulation(_async_sims(2, **overrides))
+        for _ in range(5):
+            batched.run_round()
+        with pytest.raises(SimulationError) as batched_error:
+            batched.run_round()
+        assert str(batched_error.value) == message
+
+        with pytest.raises(SimulationError) as run_error:
+            BatchedSimulation(_async_sims(2, **overrides)).run(8)
+        assert str(run_error.value) == message
+
+    def test_misshapen_block_override_rejected(self, custom_schedules):
+        batched = BatchedSimulation(
+            _async_sims(1, delay_schedule="test-flat-block", delay_kwargs={})
+        )
+        with pytest.raises(SimulationError, match="shape"):
+            batched.run(3)

@@ -65,5 +65,7 @@ def test_project_rules_are_not_vacuous_on_the_real_tree():
     assert len(roots) >= 8  # 5 topologies + 3 nontrivial schedules at least
     assert any("neighbors" in key[1] for key in roots)
     assert any("staleness" in key[1] for key in roots)
+    assert any(key[1].endswith(".staleness_block") for key in roots)
+    assert ("repro.utils.rng", "seed_sequence_state") in roots
     for suffix in FROZEN_STREAM_LAYOUTS:
         assert any(m.is_module(suffix) for m in modules), suffix

@@ -237,6 +237,38 @@ class TestSeededQueryPurity:
         assert "_record" in findings[0].message
         assert "'_hits'" in findings[0].message
 
+    def test_memoizing_staleness_block_fires(self, tmp_path):
+        # The batched executor prefetches delays through staleness_block;
+        # a block override that caches into self breaks purity exactly
+        # like a memoizing scalar query would.
+        source = """
+    class DelaySchedule:
+        def staleness(self, worker_id, round_index):
+            raise NotImplementedError
+
+        def staleness_block(self, worker_ids, round_indices):
+            return [
+                [self.staleness(w, t) for w in worker_ids]
+                for t in round_indices
+            ]
+
+    class Cached(DelaySchedule):
+        def staleness(self, worker_id, round_index):
+            return 1
+
+        def staleness_block(self, worker_ids, round_indices):
+            self._cache = [[1 for _ in worker_ids] for _ in round_indices]
+            return self._cache
+"""
+        root = make_project(
+            tmp_path, {"src/pkg/__init__.py": "", "src/pkg/delays.py": source}
+        )
+        findings = run(root, "seeded-query-purity")
+        assert len(findings) == 1
+        assert "Cached.staleness_block" in findings[0].message
+        assert "DelaySchedule.staleness_block" in findings[0].message
+        assert "instance state" in findings[0].message
+
     def test_pure_function_root_is_walked(self, tmp_path):
         source = """
     _seen = {}
