@@ -38,6 +38,7 @@ one model object.
 from __future__ import annotations
 
 import inspect
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping, Sequence
 
@@ -151,11 +152,13 @@ class QuadraticWorkload(Workload):
             raise ConfigurationError(
                 f"dimension must be >= 1, got {dimension}"
             )
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-        if curvature <= 0:
+        if not math.isfinite(sigma) or sigma < 0:
             raise ConfigurationError(
-                f"curvature must be positive, got {curvature}"
+                f"sigma must be finite and >= 0, got {sigma}"
+            )
+        if not math.isfinite(curvature) or curvature <= 0:
+            raise ConfigurationError(
+                f"curvature must be positive and finite, got {curvature}"
             )
         self._dimension = int(dimension)
         self.sigma = float(sigma)
@@ -168,8 +171,9 @@ class QuadraticWorkload(Workload):
 
     @property
     def bowl(self) -> QuadraticBowl:
-        """The shared cost object (lazily built; one d × d curvature
-        matrix for every cell of the grid)."""
+        """The shared cost object (lazily built once for every cell of
+        the grid; the isotropic curvature stays a scalar, so it costs
+        O(d) memory and work per gradient)."""
         if self._bowl is None:
             self._bowl = QuadraticBowl(
                 self._dimension, curvature=self.curvature

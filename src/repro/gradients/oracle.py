@@ -29,8 +29,10 @@ class GaussianOracleEstimator(GradientEstimator):
     ):
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
+        if not np.isfinite(sigma) or sigma < 0:
+            raise ConfigurationError(
+                f"sigma must be finite and non-negative, got {sigma}"
+            )
         self._gradient_fn = gradient_fn
         self._dimension = int(dimension)
         self.sigma = float(sigma)

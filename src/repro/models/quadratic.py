@@ -27,6 +27,15 @@ class QuadraticBowl(Model):
     models; the idiomatic way to add stochasticity is
     :meth:`as_estimator`, which wraps the exact gradient in the Gaussian
     oracle of the paper's analysis.
+
+    ``curvature`` keeps the form it was given: a scalar ``c`` is the
+    isotropic ``A = c·I`` held as a float (O(d) memory and work, results
+    equal to the dense ``c·I`` product for finite inputs), and a
+    symmetric ``(d, d)`` matrix is applied as a matvec.  Every knob must
+    be finite; parameters need not be.  With a scalar curvature an
+    infinite parameter coordinate stays in its own gradient coordinate,
+    where a dense matvec would spread NaN to all of them through
+    ``0 · inf``.
     """
 
     def __init__(
@@ -49,10 +58,16 @@ class QuadraticBowl(Model):
             raise ConfigurationError(
                 f"optimum must have shape ({dimension},), got {self.optimum.shape}"
             )
+        if not np.all(np.isfinite(self.optimum)):
+            raise ConfigurationError("optimum must be finite")
+        #: The scalar ``c`` of ``A = c·I`` (a float) or the ``(d, d)`` matrix.
+        self.curvature: np.ndarray | float
         if np.isscalar(curvature) or np.ndim(curvature) == 0:
-            if float(curvature) <= 0:
-                raise ConfigurationError("curvature must be positive definite")
-            self.curvature = float(curvature) * np.eye(dimension)
+            self.curvature = float(curvature)
+            if not np.isfinite(self.curvature) or self.curvature <= 0:
+                raise ConfigurationError(
+                    f"curvature must be positive and finite, got {self.curvature}"
+                )
         else:
             self.curvature = np.asarray(curvature, dtype=np.float64).copy()
             if self.curvature.shape != (dimension, dimension):
@@ -60,6 +75,8 @@ class QuadraticBowl(Model):
                     f"curvature must be ({dimension}, {dimension}), "
                     f"got {self.curvature.shape}"
                 )
+            if not np.all(np.isfinite(self.curvature)):
+                raise ConfigurationError("curvature matrix must be finite")
             if not np.allclose(self.curvature, self.curvature.T):
                 raise ConfigurationError("curvature matrix must be symmetric")
             eigenvalues = np.linalg.eigvalsh(self.curvature)
@@ -69,8 +86,11 @@ class QuadraticBowl(Model):
                     f"{eigenvalues.min():.3g}"
                 )
         self.offset = float(offset)
-        if self.offset < 0:
-            raise ConfigurationError("offset must be non-negative (Q >= 0 required)")
+        if not np.isfinite(self.offset) or self.offset < 0:
+            raise ConfigurationError(
+                f"offset must be finite and non-negative (Q >= 0 required), "
+                f"got {self.offset}"
+            )
 
     @property
     def dimension(self) -> int:
@@ -79,15 +99,21 @@ class QuadraticBowl(Model):
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return self.optimum + rng.normal(0.0, 1.0, size=self._dimension) * 5.0
 
+    def _apply(self, delta: np.ndarray) -> np.ndarray:
+        """``A · delta``: a scalar product or a dense matvec."""
+        if isinstance(self.curvature, float):
+            return self.curvature * delta
+        return self.curvature @ delta
+
     def value(self, params: np.ndarray) -> float:
         """Exact cost ``Q(params)``."""
         delta = np.asarray(params, dtype=np.float64) - self.optimum
-        return float(0.5 * delta @ self.curvature @ delta + self.offset)
+        return float(self._apply(0.5 * delta) @ delta + self.offset)
 
     def exact_gradient(self, params: np.ndarray) -> np.ndarray:
         """Exact gradient ``∇Q(params) = A (params − x*)``."""
         delta = np.asarray(params, dtype=np.float64) - self.optimum
-        return self.curvature @ delta
+        return self._apply(delta)
 
     def distance_to_optimum(self, params: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(params, dtype=np.float64) - self.optimum))

@@ -88,6 +88,20 @@ class TestQuadraticWorkload:
         with pytest.raises(ConfigurationError, match="curvature"):
             make_workload("quadratic", {"curvature": 0.0})
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"curvature": float("nan")},
+            {"curvature": float("inf")},
+            {"sigma": float("nan")},
+            {"sigma": float("inf")},
+        ],
+    )
+    def test_non_finite_knobs_rejected(self, kwargs):
+        (knob,) = kwargs
+        with pytest.raises(ConfigurationError, match=f"{knob} must be"):
+            make_workload("quadratic", kwargs)
+
     def test_matches_direct_builder(self):
         """The workload's simulation is trajectory-identical to the
         pre-redesign direct build_quadratic_simulation path."""

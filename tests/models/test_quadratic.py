@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ConfigurationError
+from repro.attacks.registry import make_attack
+from repro.baselines.average import Average
+from repro.engine import BatchedSimulation
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.experiments.builders import build_quadratic_simulation
 from repro.models.quadratic import QuadraticBowl
 from tests.helpers import assert_gradients_close, numerical_gradient
 
@@ -80,3 +85,124 @@ class TestQuadraticBowl:
         bowl = QuadraticBowl(8)
         x0 = bowl.init_params(rng)
         assert bowl.distance_to_optimum(x0) > 1.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"curvature": float("nan")},
+            {"curvature": float("inf")},
+            {"offset": float("nan")},
+            {"offset": float("inf")},
+            {"optimum": np.array([0.0, float("nan"), 0.0])},
+            {"optimum": np.array([float("-inf"), 0.0, 0.0])},
+        ],
+    )
+    def test_rejects_non_finite_knobs(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            QuadraticBowl(3, **kwargs)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_estimator_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma must be finite"):
+            QuadraticBowl(3).as_estimator(sigma=sigma)
+
+    def test_rejects_non_finite_curvature_matrix_as_such(self):
+        matrix = np.eye(2)
+        matrix[1, 0] = matrix[0, 1] = float("inf")
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            QuadraticBowl(2, curvature=matrix)
+
+
+def _dense_reference(bowl, c, params):
+    """The dense ``A = c·I`` formulas the scalar path must reproduce."""
+    dimension = bowl.dimension
+    delta = params - bowl.optimum
+    matrix = c * np.eye(dimension)
+    return matrix @ delta, float(0.5 * delta @ matrix @ delta + bowl.offset)
+
+
+# Bounded so that ``c·δ²`` summed over 64 coordinates cannot overflow.
+_COORDINATE = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+
+
+class TestScalarCurvatureMatchesDense:
+    """A scalar curvature is held as a float, never as ``c·I``; its
+    results must equal the dense product element for element."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        dimension=st.integers(1, 64),
+        c=st.floats(1e-50, 1e50, allow_nan=False, allow_infinity=False),
+        offset=st.floats(0.0, 1e100, allow_nan=False, allow_infinity=False),
+    )
+    def test_matches_dense_reference(self, data, dimension, c, offset):
+        vector = st.lists(_COORDINATE, min_size=dimension, max_size=dimension)
+        optimum = np.asarray(data.draw(vector), dtype=np.float64)
+        params = np.asarray(data.draw(vector), dtype=np.float64)
+        bowl = QuadraticBowl(dimension, curvature=c, optimum=optimum, offset=offset)
+        gradient, value = _dense_reference(bowl, c, params)
+        assert np.array_equal(bowl.exact_gradient(params), gradient)
+        assert bowl.value(params) == value
+
+    @pytest.mark.parametrize("c", [1.0, 0.37, 2.5e3])
+    def test_matches_dense_reference_at_d1000(self, c):
+        rng = np.random.default_rng(7)
+        bowl = QuadraticBowl(
+            1000, curvature=c, optimum=rng.normal(0.0, 3.0, 1000), offset=0.25
+        )
+        for _ in range(3):
+            params = rng.normal(0.0, 10.0, 1000)
+            gradient, value = _dense_reference(bowl, c, params)
+            assert np.array_equal(bowl.exact_gradient(params), gradient)
+            assert bowl.value(params) == value
+
+    def test_curvature_keeps_the_given_form(self):
+        assert QuadraticBowl(3, curvature=2).curvature == 2.0
+        assert isinstance(QuadraticBowl(3, curvature=2).curvature, float)
+        matrix = np.diag([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(
+            QuadraticBowl(3, curvature=matrix).curvature, matrix
+        )
+
+    def test_memory_is_linear_in_dimension(self):
+        """A dense ``c·I`` at d = 10⁶ would need 8 TB."""
+        dimension = 10**6
+        bowl = QuadraticBowl(dimension)
+        params = np.ones(dimension)
+        gradient = bowl.exact_gradient(params)
+        assert gradient.shape == (dimension,)
+        assert np.array_equal(gradient, params)
+        assert bowl.value(params) == 0.5 * dimension
+
+    def test_infinite_coordinate_stays_local(self):
+        """Documented change: the dense matvec turned every coordinate
+        into NaN through ``0 · inf``; the scalar path keeps the others."""
+        params = np.array([1.0, np.inf, -2.0, 0.0])
+        gradient = QuadraticBowl(4, curvature=3.0).exact_gradient(params)
+        np.testing.assert_array_equal(gradient, [3.0, np.inf, -6.0, 0.0])
+
+
+class TestNonFiniteHalt:
+    """The non-finite guard trips at the same round with the same
+    message in the loop and the batched executors."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_halt_identical_across_executors(self, value):
+        def build():
+            return build_quadratic_simulation(
+                QuadraticBowl(6),
+                aggregator=Average(),
+                num_workers=7,
+                num_byzantine=2,
+                sigma=0.1,
+                attack=make_attack("non-finite", {"value": value}),
+                halt_on_nonfinite=True,
+                seed=0,
+            )
+
+        with pytest.raises(SimulationError, match="non-finite") as loop_err:
+            build().run(5)
+        with pytest.raises(SimulationError, match="non-finite") as batched_err:
+            BatchedSimulation([build()]).run(5)
+        assert str(loop_err.value) == str(batched_err.value)
