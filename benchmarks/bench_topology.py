@@ -1,6 +1,6 @@
 """Topology bench — serverless gossip over communication graphs.
 
-Two measurements on the event-driven gossip engine:
+Two measurements on the serverless gossip engine:
 
 * **comparison grid** — ``complete`` / ``ring(degree=6)`` /
   ``erdos-renyi(edge_prob=0.8)`` × three gradient rules under the
@@ -10,8 +10,8 @@ Two measurements on the event-driven gossip engine:
   asserted:
 
   - the loop and batched executors produce bit-identical trajectories
-    (gossip cells are event-driven in both — the batched executor must
-    route them through the same engine);
+    (both executors must route gossip cells through the same gossip
+    engine);
   - the degenerate ``complete`` cell reproduces the axis-free grid —
     same labels, same trajectories, bit for bit (a serverless run over
     the complete graph with zero edge delay *is* the parameter server);
@@ -286,7 +286,7 @@ def _emit_summary(summary: dict) -> None:
                 ]
                 for row in summary["headline"]
             ],
-            title="Ring(degree=6) scaling — event-driven gossip",
+            title="Ring(degree=6) scaling — serverless gossip",
         )
     )
 

@@ -405,7 +405,7 @@ class ScenarioGrid:
     topology registry.  The ``"complete"`` default runs on the server
     path (bit-identical to the gossip engine's complete-graph cell —
     the degenerate-identity guarantee), non-complete topologies run the
-    event-driven :class:`~repro.topology.GossipSimulation`, and the
+    serverless :class:`~repro.topology.GossipSimulation`, and the
     degree axis expands only under graph families that take a degree,
     collapsing elsewhere so no duplicate labels arise.
 

@@ -259,12 +259,12 @@ def run_grid(
             wall_time += perf_counter() - start
             finals.append(sim.params)
     else:
-        # Gossip cells are event-driven and run per-scenario in both
+        # Gossip cells run per-scenario through their own engine in both
         # modes (identical trajectories by construction); only the
         # server-path cells stack into (B, n, d) tensors.  Gossip cells
         # count toward the native_fraction denominator with weight 0,
-        # so a grid silently routing everything through the event queue
-        # shows up in the benchmark's native fraction.
+        # so a grid silently routing everything through the gossip
+        # engine shows up in the benchmark's native fraction.
         simulations = {
             index: build_scenario_simulation(
                 spec, workload=cell_workload(spec)

@@ -202,7 +202,9 @@ class KRegularTopology(Topology):
     ``{1, ..., ⌊(n − 1) / 2⌋}`` (the range where every offset contributes
     two distinct neighbors), giving a seeded k-regular graph that keeps
     the circulant symmetry — node relabeling by rotation maps the graph
-    onto itself, which the permutation property tests exploit.
+    onto itself, which the permutation property tests exploit.  Explicit
+    ``offsets`` must be ``degree / 2`` distinct values from that range;
+    bind then keeps them instead of drawing.
     """
 
     name = "k-regular"
@@ -215,10 +217,32 @@ class KRegularTopology(Topology):
     ):
         self.degree = _check_degree(degree)
         self.num_nodes = self._check_num_nodes(num_nodes)
-        if offsets is None:
-            self._offsets: np.ndarray | None = None
-        else:
-            self._offsets = np.asarray(sorted(offsets), dtype=np.int64)
+        self._offsets: np.ndarray | None = (
+            None if offsets is None else self._check_offsets(offsets)
+        )
+
+    def _check_offsets(self, offsets) -> np.ndarray:
+        values = sorted(int(o) for o in offsets)
+        wanted = self.degree // 2
+        if len(values) != wanted or len(set(values)) != wanted:
+            raise ConfigurationError(
+                f"k-regular degree {self.degree} needs exactly {wanted} "
+                f"distinct offsets, got {list(offsets)}"
+            )
+        if values[0] < 1:
+            raise ConfigurationError(
+                f"k-regular offsets must be >= 1 (offset 0 is a self-loop), "
+                f"got {list(offsets)}"
+            )
+        if self.num_nodes is not None:
+            max_offset = (self.num_nodes - 1) // 2
+            if values[-1] > max_offset:
+                raise ConfigurationError(
+                    f"k-regular offsets must lie in [1, {max_offset}] for "
+                    f"{self.num_nodes} nodes (a larger offset repeats a "
+                    f"smaller one's neighbors), got {list(offsets)}"
+                )
+        return np.asarray(values, dtype=np.int64)
 
     def bind(self, num_nodes: int, rng: np.random.Generator) -> "KRegularTopology":
         num_nodes = int(num_nodes)
@@ -229,8 +253,11 @@ class KRegularTopology(Topology):
                 f"k-regular degree {self.degree} needs at least "
                 f"{2 * wanted + 1} nodes, got {num_nodes}"
             )
-        pool = np.arange(1, max_offset + 1, dtype=np.int64)
-        offsets = rng.permutation(pool)[:wanted]
+        if self._offsets is not None:
+            offsets = self._offsets
+        else:
+            pool = np.arange(1, max_offset + 1, dtype=np.int64)
+            offsets = rng.permutation(pool)[:wanted]
         return KRegularTopology(
             degree=self.degree,
             num_nodes=num_nodes,

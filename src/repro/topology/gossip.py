@@ -1,4 +1,4 @@
-"""Event-driven decentralized training over a communication graph.
+"""Decentralized training over a communication graph.
 
 ``GossipSimulation`` drops the parameter server entirely: every node
 keeps *local* parameters, trains on them, disseminates its proposal to
@@ -10,26 +10,38 @@ current in-neighborhood.  Byzantine nodes craft their proposals through
 the worker-attack registry, optionally equivocating (a different
 message per receiving edge).
 
-The core is a heap-ordered event queue: each round expands into
-per-node ``train`` / ``craft`` / ``gossip`` / ``aggregate`` events plus
-one ``record`` event that lazily schedules the next round — there is no
-per-round barrier object, which is what lets the engine run
-thousand-node graphs (``BENCH_topology.json``).  Phase order within a
-round is fixed (train < craft < gossip < aggregate < record), so a
-zero-delay edge delivers inside its own round while ``τ ≥ 1`` messages
+A round is a fixed sequence of phases, each over the nodes in id order:
+every node's neighborhood is queried once and shared by the phases;
+honest nodes train; the adversary crafts; every node gossips; honest
+nodes aggregate; the reference node's record is taken.  A zero-delay
+edge therefore delivers inside its own round, while ``τ ≥ 1`` messages
 park in a pending queue until their arrival round.
+
+The aggregate phase is one batched stage.  Each honest node's member
+stack goes into a bucket keyed by its rule's
+:func:`~repro.core.batched.batch_group_key` and its member count, and
+each bucket runs through one :mod:`repro.core.batched` kernel call
+(split so that a call never stages more than ``_STAGING_BYTES`` of
+proposals).  Rules without a native kernel — kardam and other
+staleness-aware or external rules — run one node per call through the
+loop fallback, so their per-node state advances exactly as before.
+Messages rebind parameter arrays and never mutate them, so a node's
+aggregate does not depend on other nodes' updates in the same round:
+the updates and the non-finite halt are then applied in node-id order,
+and every trajectory, record and error is the node-by-node one
+(``tests/topology/test_gossip_oracle.py`` pins this against a frozen
+per-node reference).
 
 Degenerate identity: on the ``complete`` graph with no edge delays,
 every node hears every proposal fresh, the local ``f`` equals the
 global ``f``, and each node's trajectory is bit for bit the server
-path's — ``tests/topology/test_differential.py`` pins this against
+path's — ``tests/topology/test_gossip_differential.py`` pins this against
 :class:`~repro.distributed.TrainingSimulation` and both grid executors.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 
@@ -37,11 +49,16 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackContext
 from repro.core.aggregator import Aggregator
+from repro.core.batched import (
+    batch_group_key,
+    has_batched_kernel,
+    make_batched_aggregator,
+)
 from repro.core.staleness import StalenessAwareAggregator
 from repro.distributed.delays import DelaySchedule, make_delay_schedule
 from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.schedules import LearningRateSchedule
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.gradients.base import GradientEstimator
 from repro.topology.base import Topology
 from repro.topology.registry import make_topology
@@ -51,20 +68,28 @@ from repro.utils.rng import SeedLike, spawn_generators
 __all__ = ["GossipSimulation"]
 
 Evaluator = Callable[[np.ndarray], dict[str, float]]
+#: One honest node's aggregation for a round: ``(node, rule, member ids
+#: in id order, one (computed_round, vector, used_params) per member)``.
+_Plan = tuple[int, Aggregator, list[int], list[tuple]]
+#: A node's aggregate ``(vector, selected)``, or the error its rule raised.
+_Outcome = tuple[np.ndarray, np.ndarray] | ReproError
 
-# Phase order inside one round of the event queue.  GOSSIP must precede
-# AGGREGATE so zero-delay edges deliver within their own round, and
-# CRAFT must follow TRAIN so the omniscient adversary sees this round's
-# honest proposals — the same information order as the server path.
-_TRAIN, _CRAFT, _GOSSIP, _AGGREGATE, _RECORD = range(5)
+# Most proposal bytes one aggregate kernel call stages.  Bounds the
+# (G, m, d) stack and the kernel's per-call intermediates: staging a
+# whole 200-node ring at d = 100 in one call measurably raised peak RSS,
+# and at MLP scale (d ≈ 25k) the cap degrades to one node per call.
+_STAGING_BYTES = 1 << 18
 
 
 def _max_pairwise_distance(stack: np.ndarray) -> float:
     """Largest pairwise euclidean distance between rows (chunked, so a
-    thousand-node stack never materializes an (n, n, d) tensor)."""
+    thousand-node stack never materializes an (n, n, d) tensor).  A NaN
+    distance propagates, so diverged nodes never read as consensus."""
     worst = 0.0
     for i in range(stack.shape[0] - 1):
         d = float(np.linalg.norm(stack[i + 1 :] - stack[i], axis=1).max())
+        if np.isnan(d):
+            return d
         if d > worst:
             worst = d
     return worst
@@ -219,10 +244,9 @@ class GossipSimulation:
         self.evaluate = evaluate
         self.halt_on_nonfinite = bool(halt_on_nonfinite)
 
-        # Event-queue state.  _inbox[v]: sender -> (computed_round,
-        # vector, params-at-computation); _pending[v]: not-yet-arrived
+        # Message state.  _inbox[v]: sender -> (computed_round, vector,
+        # params-at-computation); _pending[v]: not-yet-arrived
         # (arrival, computed_round, sender, vector, params) messages.
-        self._events: list[tuple[int, int, int]] = []
         self._inbox: list[dict[int, tuple[int, np.ndarray, np.ndarray]]] = [
             {} for _ in range(self.num_nodes)
         ]
@@ -386,27 +410,20 @@ class GossipSimulation:
         return min(tau, t)
 
     # ------------------------------------------------------------------
-    # Event handlers
+    # Round phases
 
-    def _push_round(self, t: int) -> None:
-        push = heapq.heappush
+    def _train(self) -> None:
         for v in self.honest_ids:
-            push(self._events, (t, _TRAIN, v))
-        if self.num_byzantine > 0:
-            push(self._events, (t, _CRAFT, 0))
-        for v in range(self.num_nodes):
-            push(self._events, (t, _GOSSIP, v))
-        for v in self.honest_ids:
-            push(self._events, (t, _AGGREGATE, v))
-        push(self._events, (t, _RECORD, 0))
+            self._gradients[v] = self._estimators[v].estimate(
+                self._node_params[v], self._node_rng[v]
+            )
 
-    def _handle_train(self, t: int, v: int) -> None:
-        estimator = self._estimators[v]
-        self._gradients[v] = estimator.estimate(
-            self._node_params[v], self._node_rng[v]
-        )
-
-    def _attack_context(self, t: int, receiver: int | None) -> AttackContext:
+    def _attack_context(
+        self,
+        t: int,
+        receiver: int | None,
+        neighbors: Sequence[np.ndarray],
+    ) -> AttackContext:
         ref_params = self._node_params[self.reference_node].copy()
         return AttackContext(
             round_index=t,
@@ -436,17 +453,15 @@ class GossipSimulation:
                 if self._selected_union is not None
                 else None
             ),
-            byzantine_neighbors=tuple(
-                self.topology.neighbors(b, t) for b in self.byzantine_ids
-            ),
+            byzantine_neighbors=tuple(neighbors[b] for b in self.byzantine_ids),
             receiver=receiver,
         )
 
-    def _handle_craft(self, t: int) -> None:
+    def _craft(self, t: int, neighbors: Sequence[np.ndarray]) -> None:
         assert self.attack is not None
         self._crafted_by_receiver = {}
         self._crafted = None
-        shared = self._attack_context(t, None)
+        shared = self._attack_context(t, None, neighbors)
         self._craft_params = shared.params
         if not self.equivocate:
             self._crafted = self.attack.craft(shared)
@@ -457,8 +472,8 @@ class GossipSimulation:
         receivers = sorted(
             {
                 int(u)
-                for neighbors in shared.byzantine_neighbors or ()
-                for u in neighbors
+                for adjacent in shared.byzantine_neighbors or ()
+                for u in adjacent
                 if int(u) in self._node_rng
             }
         )
@@ -479,18 +494,15 @@ class GossipSimulation:
         if current is None or computed > current[0]:
             self._inbox[receiver][sender] = (computed, vector, used_params)
 
-    def _handle_gossip(self, t: int, v: int) -> None:
+    def _gossip(self, t: int, v: int, neighbors: np.ndarray) -> None:
         is_byzantine = v not in self._node_rng
         if is_byzantine:
-            if self.num_byzantine == 0:
-                return
             row = self.byzantine_ids.index(v)
             used_params = self._craft_params
         else:
             vector = self._gradients[v]
             used_params = self._node_params[v]
-        for u in self.topology.neighbors(v, t):
-            u = int(u)
+        for u in neighbors.tolist():
             if u not in self._node_rng:
                 continue  # Byzantine nodes do not aggregate
             if is_byzantine:
@@ -508,64 +520,136 @@ class GossipSimulation:
             else:
                 self._pending[u].append((t + tau, t, v, vector, used_params))
 
-    def _handle_aggregate(self, t: int, v: int) -> None:
+    def _plan(self, t: int, v: int, neighbors: np.ndarray) -> _Plan:
+        """Deliver node ``v``'s due messages and fix its aggregation."""
         if self._pending[v]:
             still_pending = []
             for entry in self._pending[v]:
-                if entry[0] <= t:
-                    self._deliver(v, *entry[1:])
+                arrival, computed, sender, vector, used_params = entry
+                if arrival <= t:
+                    self._deliver(v, sender, computed, vector, used_params)
                 else:
                     still_pending.append(entry)
             self._pending[v] = still_pending
 
         inbox = self._inbox[v]
-        members = [v]
-        entries = [(t, self._gradients[v], self._node_params[v])]
-        for u in self.topology.neighbors(v, t):
-            entry = inbox.get(int(u))
+        members = {v: (t, self._gradients[v], self._node_params[v])}
+        for u in neighbors.tolist():
+            entry = inbox.get(u)
             if entry is not None:
-                members.append(int(u))
-                entries.append(entry)
-        order = np.argsort(members, kind="stable")
-        member_ids = [members[i] for i in order]
-        stack = stack_vectors([entries[i][1] for i in order])
+                members[u] = entry
+        member_ids = sorted(members)
         f_local = sum(1 for m in member_ids if m not in self._node_rng)
-
         rule = self._rule_for(v, f_local)
         rule.check_tolerance(len(member_ids))
-        if isinstance(rule, StalenessAwareAggregator):
-            staleness = np.asarray(
-                [t - entries[i][0] for i in order], dtype=np.int64
-            )
-            used_params = np.stack([entries[i][2] for i in order])
-            result = rule.aggregate_detailed_stale(
-                stack, staleness, used_params=used_params
-            )
-        else:
-            result = rule.aggregate_detailed(stack)
+        return v, rule, member_ids, [members[m] for m in member_ids]
 
-        rate = self.schedule(t)
-        self._node_params[v] = self._node_params[v] - rate * result.vector
-        if self.halt_on_nonfinite and not np.all(
-            np.isfinite(self._node_params[v])
-        ):
-            raise SimulationError(
-                f"parameters of node {v} became non-finite at round {t} "
-                f"(aggregator {rule.name}); a Byzantine proposal reached "
-                f"the update"
-            )
-        selected_ids = tuple(
-            int(member_ids[i]) for i in np.asarray(result.selected, dtype=np.int64)
+    def _aggregate_chunk(
+        self, t: int, chunk: list[_Plan], outcomes: dict[int, _Outcome]
+    ) -> None:
+        """Aggregate same-rule, same-size plans in one kernel call."""
+        rules = [rule for _, rule, _, _ in chunk]
+        stacks = np.asarray(
+            [[e[1] for e in entries] for *_, entries in chunk],
+            dtype=np.float64,
         )
-        self._round_results[v] = (result, selected_ids, rate)
+        kwargs: dict[str, np.ndarray] = {}
+        if isinstance(rules[0], StalenessAwareAggregator):
+            kwargs = {
+                "staleness": np.asarray(
+                    [[t - e[0] for e in entries] for *_, entries in chunk],
+                    dtype=np.int64,
+                ),
+                "used_params": np.asarray(
+                    [[e[2] for e in entries] for *_, entries in chunk]
+                ),
+            }
+        try:
+            result = make_batched_aggregator(rules).aggregate_batch(
+                stacks, **kwargs
+            )
+        except ReproError as exc:
+            if len(chunk) == 1:
+                outcomes[chunk[0][0]] = exc
+                return
+            # Only native (stateless) kernels batch several nodes.  Their
+            # errors describe the whole batch, so rerun node by node and
+            # keep each failure as the node's own rule reports it.
+            for g, (v, rule, _, _) in enumerate(chunk):
+                try:
+                    single = rule.aggregate_detailed(stacks[g])
+                except ReproError as node_exc:
+                    outcomes[v] = node_exc
+                    return
+                outcomes[v] = (single.vector, single.selected)
+            return
+        vectors = np.asarray(result.vectors)
+        for g, (v, _, _, _) in enumerate(chunk):
+            outcomes[v] = (vectors[g], result.selected[g])
+
+    def _aggregate(self, t: int, neighbors: Sequence[np.ndarray]) -> None:
+        plans: list[_Plan] = []
+        failure: ReproError | None = None
+        for v in self.honest_ids:
+            try:
+                plans.append(self._plan(t, v, neighbors[v]))
+            except ReproError as exc:
+                # Raised once the nodes before v are updated, as a
+                # node-by-node pass would.
+                failure = exc
+                break
+
+        # Rules without a native kernel run one node per call: the loop
+        # fallback may carry per-node state (kardam), and a one-node call
+        # keeps every error attributable to its node.
+        groups: dict[object, list[_Plan]] = {}
+        for plan in plans:
+            v, rule, member_ids, _ = plan
+            key = (
+                (batch_group_key(rule), len(member_ids))
+                if has_batched_kernel(rule)
+                else v
+            )
+            groups.setdefault(key, []).append(plan)
+        outcomes: dict[int, _Outcome] = {}
+        row_bytes = 8 * self.dimension  # one float64 proposal
+        for group in groups.values():
+            per_call = max(1, _STAGING_BYTES // (row_bytes * len(group[0][2])))
+            for start in range(0, len(group), per_call):
+                self._aggregate_chunk(
+                    t, group[start : start + per_call], outcomes
+                )
+
+        for v, rule, member_ids, _ in plans:
+            outcome = outcomes[v]
+            if isinstance(outcome, ReproError):
+                raise outcome
+            vector, selected = outcome
+            rate = self.schedule(t)
+            self._node_params[v] = self._node_params[v] - rate * vector
+            if self.halt_on_nonfinite and not np.all(
+                np.isfinite(self._node_params[v])
+            ):
+                raise SimulationError(
+                    f"parameters of node {v} became non-finite at round {t} "
+                    f"(aggregator {rule.name}); a Byzantine proposal reached "
+                    f"the update"
+                )
+            selected_ids = tuple(
+                member_ids[i]
+                for i in np.asarray(selected, dtype=np.int64).tolist()
+            )
+            self._round_results[v] = (vector, selected_ids, rate)
+        if failure is not None:
+            raise failure
 
     def _record(self, t: int) -> RoundRecord:
-        result, selected_ids, rate = self._round_results[self.reference_node]
+        vector, selected_ids, rate = self._round_results[self.reference_node]
         byzantine_set = set(self.byzantine_ids)
         record = RoundRecord(
             round_index=t,
             learning_rate=rate,
-            aggregate_norm=float(np.linalg.norm(result.vector)),
+            aggregate_norm=float(np.linalg.norm(vector)),
             params_norm=float(
                 np.linalg.norm(self._node_params[self.reference_node])
             ),
@@ -594,7 +678,7 @@ class GossipSimulation:
     # Driver
 
     def run(self, num_rounds: int, *, eval_every: int = 10) -> TrainingHistory:
-        """Drive the event queue for ``num_rounds`` rounds.
+        """Run ``num_rounds`` rounds.
 
         Returns the reference node's history; evaluated rounds also
         carry the cluster-wide ``consensus_error`` and ``disagreement``
@@ -611,25 +695,26 @@ class GossipSimulation:
         history = TrainingHistory()
         start = self._round
         stop = start + num_rounds
-        self._push_round(start)
-        while self._events:
-            t, phase, node = heapq.heappop(self._events)
-            if phase == _TRAIN:
-                self._handle_train(t, node)
-            elif phase == _CRAFT:
-                self._handle_craft(t)
-            elif phase == _GOSSIP:
-                self._handle_gossip(t, node)
-            elif phase == _AGGREGATE:
-                self._handle_aggregate(t, node)
-            else:
-                record = self._record(t)
-                if (t - start) % eval_every == 0 or t == stop - 1:
-                    record = self._evaluate_record(record)
-                history.append(record)
-                self._round = t + 1
-                if t + 1 < stop:
-                    self._push_round(t + 1)
+        for t in range(start, stop):
+            # One topology query per node per round, shared by the craft,
+            # gossip and aggregate phases.  Craft follows train so the
+            # omniscient adversary sees this round's honest proposals,
+            # and gossip precedes aggregate so zero-delay edges deliver
+            # within their own round.
+            neighbors = [
+                self.topology.neighbors(v, t) for v in range(self.num_nodes)
+            ]
+            self._train()
+            if self.num_byzantine > 0:
+                self._craft(t, neighbors)
+            for v in range(self.num_nodes):
+                self._gossip(t, v, neighbors[v])
+            self._aggregate(t, neighbors)
+            record = self._record(t)
+            if (t - start) % eval_every == 0 or t == stop - 1:
+                record = self._evaluate_record(record)
+            history.append(record)
+            self._round = t + 1
         return history
 
     def _evaluate_record(self, record: RoundRecord) -> RoundRecord:

@@ -16,6 +16,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.topology import (
     CompleteTopology,
+    KRegularTopology,
     RingTopology,
     Topology,
     available_topologies,
@@ -169,6 +170,31 @@ class TestFamilies:
             make_topology("k-regular", {"degree": 8}).bind(
                 8, np.random.default_rng(0)
             )
+
+    @pytest.mark.parametrize(
+        "offsets, num_nodes, match",
+        [
+            ((0, 1), None, "self-loop"),
+            ((1, 1), None, "distinct"),
+            ((1, 2, 3), None, "exactly 2"),
+            ((5, 1), 10, r"\[1, 4\]"),
+        ],
+    )
+    def test_k_regular_rejects_bad_offsets(self, offsets, num_nodes, match):
+        with pytest.raises(ConfigurationError, match=match):
+            KRegularTopology(degree=4, num_nodes=num_nodes, offsets=offsets)
+
+    def test_k_regular_bind_checks_offsets_against_node_count(self):
+        unbound = make_topology("k-regular", {"offsets": (5, 1)})
+        with pytest.raises(ConfigurationError, match=r"\[1, 4\]"):
+            unbound.bind(10, np.random.default_rng(0))
+
+    def test_k_regular_bind_keeps_explicit_offsets(self):
+        topo = make_topology("k-regular", {"offsets": [3, 1]}).bind(
+            11, np.random.default_rng(0)
+        )
+        assert np.array_equal(topo.neighbors(0, 0), [1, 3, 8, 10])
+        assert all(len(topo.neighbors(v, 0)) == 4 for v in range(11))
 
     def test_ring_degree_needs_enough_nodes(self):
         with pytest.raises(ConfigurationError, match="nodes"):
