@@ -35,6 +35,12 @@ class MinibatchEstimator(GradientEstimator):
         targets = np.asarray(targets)
         if inputs.ndim != 2:
             raise DimensionMismatchError(f"inputs must be (n, d), got {inputs.shape}")
+        num_features = getattr(model, "num_features", None)
+        if num_features is not None and inputs.shape[1] != num_features:
+            raise DimensionMismatchError(
+                f"shard has {inputs.shape[1]} features but the model expects "
+                f"{num_features}"
+            )
         if len(inputs) != len(targets):
             raise DimensionMismatchError(
                 f"{len(inputs)} inputs vs {len(targets)} targets"

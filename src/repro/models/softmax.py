@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.models.base import ClassifierMixin, Model
+from repro.utils.validation import check_class_labels
 
 __all__ = ["SoftmaxRegressionModel"]
 
@@ -68,7 +69,7 @@ class SoftmaxRegressionModel(ClassifierMixin, Model):
     def loss(self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float:
         weights, _bias = self._split(params)
         logits = self.logits(params, inputs)
-        targets = np.asarray(targets).astype(np.int64)
+        targets = check_class_labels(targets, self.num_classes)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(shifted).sum(axis=1))
         batch = len(logits)
@@ -80,7 +81,7 @@ class SoftmaxRegressionModel(ClassifierMixin, Model):
     ) -> np.ndarray:
         weights, _bias = self._split(params)
         inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets).astype(np.int64)
+        targets = check_class_labels(targets, self.num_classes)
         probs = self._probabilities(self.logits(params, inputs))
         batch = len(inputs)
         probs[np.arange(batch), targets] -= 1.0

@@ -3,7 +3,7 @@
 Each layer implements ``forward`` (caching whatever the backward pass
 needs) and ``backward`` (returning the gradient with respect to its input
 and writing parameter gradients into ``Parameter.grad``).  The contract is
-one ``backward`` per ``forward``.
+one ``backward`` (or ``backward_parameters``) per ``forward``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,16 @@ class Layer(ABC):
     @abstractmethod
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``dL/d(output)`` and return ``dL/d(input)``."""
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """Backpropagate into ``Parameter.grad`` only, without ``dL/d(input)``.
+
+        For the first layer of a network, whose input gradient nobody
+        reads.  The default runs :meth:`backward` and drops its result;
+        layers whose input gradient is a separate computation (``Dense``)
+        skip it.
+        """
+        self.backward(grad_output)
 
     @property
     def parameters(self) -> list[Parameter]:
@@ -75,17 +85,20 @@ class Dense(Layer):
         self._inputs = inputs
         out = inputs @ self.weight.value
         if self.bias is not None:
-            out = out + self.bias.value
+            out += self.bias.value
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
         if self._inputs is None:
             raise LifecycleError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         self.weight.grad = self._inputs.T @ grad_output
         if self.bias is not None:
             self.bias.grad = grad_output.sum(axis=0)
-        return grad_output @ self.weight.value.T
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_parameters(grad_output)
+        return np.asarray(grad_output, dtype=np.float64) @ self.weight.value.T
 
     @property
     def parameters(self) -> list[Parameter]:

@@ -12,6 +12,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, LifecycleError
+from repro.utils.validation import check_class_labels
 
 __all__ = [
     "Loss",
@@ -77,12 +78,7 @@ class SoftmaxCrossEntropy(Loss):
             raise DimensionMismatchError(
                 f"targets must be (B,) integer labels, got shape {targets.shape}"
             )
-        targets = targets.astype(np.int64)
-        if targets.min(initial=0) < 0 or targets.max(initial=0) >= logits.shape[1]:
-            raise DimensionMismatchError(
-                f"labels must lie in [0, {logits.shape[1]}), got range "
-                f"[{targets.min()}, {targets.max()}]"
-            )
+        targets = check_class_labels(targets, logits.shape[1])
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         self._probs = exp / exp.sum(axis=1, keepdims=True)

@@ -94,10 +94,16 @@ class Sequential:
 
         This is the worker-side computation of the paper's model: given
         the broadcast parameters (already loaded), estimate the gradient
-        on a mini-batch.
+        on a mini-batch.  Only parameter gradients are needed, so the
+        first layer runs :meth:`Layer.backward_parameters` and the
+        gradient with respect to the network input is never computed.
         """
         self.zero_grad()
         predictions = self.forward(inputs, training=training)
         value = loss.forward(predictions, targets)
-        self.backward(loss.backward())
+        grad = np.asarray(loss.backward(), dtype=np.float64)
+        first, *rest = self.layers
+        for layer in reversed(rest):
+            grad = layer.backward(grad)
+        first.backward_parameters(grad)
         return value, self.get_flat_gradient()

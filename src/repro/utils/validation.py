@@ -19,6 +19,7 @@ __all__ = [
     "check_probability",
     "check_finite",
     "check_vector_stack",
+    "check_class_labels",
     "check_factory_kwargs",
 ]
 
@@ -76,6 +77,31 @@ def check_vector_stack(
     if require_finite:
         check_finite(array, name)
     return array
+
+
+def check_class_labels(targets: np.ndarray, num_classes: int) -> np.ndarray:
+    """Validate class labels in ``[0, num_classes)`` and return them as int64.
+
+    Integer (and boolean) labels skip the integrality scan.  Float labels
+    must be finite whole numbers: ``1.7`` or NaN raises instead of being
+    truncated by the int64 cast.
+    """
+    targets = np.asarray(targets)
+    if targets.dtype.kind not in "biu":
+        values = targets.astype(np.float64)
+        bad = ~(np.isfinite(values) & (np.floor(values) == values))
+        if bad.any():
+            raise DimensionMismatchError(
+                f"labels must be finite integral class indices, got "
+                f"{int(bad.sum())} other value(s), e.g. {values[bad][0]}"
+            )
+    targets = targets.astype(np.int64)
+    if targets.min(initial=0) < 0 or targets.max(initial=0) >= num_classes:
+        raise DimensionMismatchError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{targets.min()}, {targets.max()}]"
+        )
+    return targets
 
 
 def check_factory_kwargs(

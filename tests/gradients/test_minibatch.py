@@ -7,6 +7,7 @@ from repro.data.synthetic import make_linear_regression
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.gradients.minibatch import MinibatchEstimator
 from repro.models.linear import LinearRegressionModel
+from repro.models.mlp import MLPClassifier
 
 
 @pytest.fixture
@@ -73,6 +74,20 @@ class TestMinibatchEstimator:
         with pytest.raises(DimensionMismatchError):
             MinibatchEstimator(
                 model, dataset.inputs, dataset.targets[:-1], batch_size=4
+            )
+
+    def test_rejects_shard_width_mismatch(self, setup):
+        model, dataset = setup
+        with pytest.raises(DimensionMismatchError, match="3 features.*expects 4"):
+            MinibatchEstimator(
+                model, dataset.inputs[:, :3], dataset.targets, batch_size=4
+            )
+
+    def test_rejects_shard_width_mismatch_for_mlp(self, rng):
+        model = MLPClassifier(5, 3, (4,))
+        with pytest.raises(DimensionMismatchError):
+            MinibatchEstimator(
+                model, rng.standard_normal((10, 6)), np.zeros(10, int), batch_size=4
             )
 
     def test_rejects_bad_batch_size(self, setup):

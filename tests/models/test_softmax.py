@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_blobs
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.models.softmax import SoftmaxRegressionModel
 from tests.helpers import assert_gradients_close, numerical_gradient
 
@@ -59,3 +59,35 @@ class TestSoftmaxRegression:
             SoftmaxRegressionModel(3, 1)
         with pytest.raises(ConfigurationError):
             SoftmaxRegressionModel(3, 3, l2=-0.1)
+
+
+class TestSoftmaxRegressionLabels:
+    """Labels are checked like ``SoftmaxCrossEntropy`` checks them."""
+
+    @pytest.fixture
+    def batch(self, rng):
+        model = SoftmaxRegressionModel(3, 4)
+        return model, rng.standard_normal(model.dimension), rng.standard_normal((3, 3))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, -1, 2], [0, 4, 2], [0, 1.7, 2], [0, np.nan, 2], [0, np.inf, 2]],
+        ids=["negative", "too-large", "fractional", "nan", "inf"],
+    )
+    def test_rejects_invalid_labels(self, batch, labels):
+        model, params, inputs = batch
+        with pytest.raises(DimensionMismatchError, match="labels"):
+            model.gradient(params, inputs, np.array(labels))
+        with pytest.raises(DimensionMismatchError, match="labels"):
+            model.loss(params, inputs, np.array(labels))
+
+    def test_integral_float_labels_match_int_labels(self, batch):
+        model, params, inputs = batch
+        ints = np.array([0, 3, 2])
+        np.testing.assert_array_equal(
+            model.gradient(params, inputs, ints.astype(np.float64)),
+            model.gradient(params, inputs, ints),
+        )
+        assert model.loss(params, inputs, ints.astype(np.float64)) == model.loss(
+            params, inputs, ints
+        )

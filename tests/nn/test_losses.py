@@ -82,9 +82,26 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DimensionMismatchError):
             SoftmaxCrossEntropy().forward(np.zeros((2, 3)), np.array([0, 3]))
 
+    def test_rejects_negative_labels(self):
+        with pytest.raises(DimensionMismatchError):
+            SoftmaxCrossEntropy().forward(np.zeros((2, 3)), np.array([0, -1]))
+
     def test_rejects_wrong_target_shape(self):
         with pytest.raises(DimensionMismatchError):
             SoftmaxCrossEntropy().forward(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [1.7, np.nan, -np.inf])
+    def test_rejects_non_integral_labels(self, bad):
+        with pytest.raises(DimensionMismatchError, match="integral"):
+            SoftmaxCrossEntropy().forward(np.zeros((2, 3)), np.array([0.0, bad]))
+
+    def test_accepts_integral_float_labels(self, rng):
+        logits = rng.standard_normal((3, 4))
+        as_int, as_float = SoftmaxCrossEntropy(), SoftmaxCrossEntropy()
+        assert as_int.forward(logits, np.array([0, 3, 1])) == as_float.forward(
+            logits, np.array([0.0, 3.0, 1.0])
+        )
+        np.testing.assert_array_equal(as_int.backward(), as_float.backward())
 
 
 class TestBinaryCrossEntropyWithLogits:

@@ -9,6 +9,7 @@ from repro.exceptions import (
     InvalidVectorError,
 )
 from repro.utils.validation import (
+    check_class_labels,
     check_finite,
     check_positive_int,
     check_probability,
@@ -99,3 +100,21 @@ class TestCheckVectorStack:
     def test_allows_nan_when_requested(self):
         stack = check_vector_stack([[1.0, np.nan]], require_finite=False)
         assert np.isnan(stack[0, 1])
+
+
+class TestCheckClassLabels:
+    @pytest.mark.parametrize(
+        "labels", [[0, 2, 1], [0.0, 2.0, 1.0], [True, False, True]], ids=str
+    )
+    def test_returns_int64(self, labels):
+        out = check_class_labels(np.array(labels), 3)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, np.array(labels).astype(np.int64))
+
+    def test_accepts_empty(self):
+        assert check_class_labels(np.zeros(0), 3).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0000001, np.nan, np.inf])
+    def test_rejects_non_integral(self, bad):
+        with pytest.raises(DimensionMismatchError, match="1 other value"):
+            check_class_labels(np.array([1.0, bad]), 3)
