@@ -1,74 +1,36 @@
 """Name-based attack factory shared by configs, the CLI and the engine.
 
-Mirrors :mod:`repro.core.registry` for attacks: a scenario names a
-strategy ("gaussian", "omniscient", ...) plus keyword arguments, and the
-registry builds the :class:`~repro.attacks.base.Attack`.  Only attacks
-expressible from plain data are registered — scalars, or for
-``"composite"`` a sequence of ``(name, kwargs, count)`` triples resolved
-recursively — while strategies that need runtime objects (models, data
-shards) are built directly by the benches that use them.
+A scenario names a strategy ("gaussian", "omniscient", ...) plus
+keyword arguments, and the registry builds the
+:class:`~repro.attacks.base.Attack`; ``None`` is the attack-free arm.
+Only attacks expressible from plain data are registered — scalars, or
+for ``"composite"`` a sequence of ``(name, kwargs, count)`` triples
+resolved recursively — while strategies that need runtime objects
+(models, data shards) are built directly by the benches that use them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 from repro.attacks.base import Attack
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
+    "ATTACKS",
     "register_attack",
     "available_attacks",
     "attack_factory",
     "make_attack",
 ]
 
-_REGISTRY: dict[str, Callable[..., Attack]] = {}
+ATTACKS: Registry[Attack] = Registry("attack")
 
-
-def register_attack(name: str, factory: Callable[..., Attack]) -> None:
-    """Register a strategy under ``name``; later registrations override."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"attack name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_attacks() -> list[str]:
-    """Sorted list of registered strategy names."""
-    return sorted(_REGISTRY)
-
-
-def attack_factory(name: str) -> Callable[..., Attack]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown attack {name!r}; available: {available_attacks()}"
-        )
-    return _REGISTRY[name]
-
-
-def make_attack(
-    name: str | None, kwargs: Mapping[str, object] | None = None
-) -> Attack | None:
-    """Build a strategy by name, e.g. ``make_attack("gaussian", {"sigma": 50})``.
-
-    ``name=None`` returns ``None`` (the attack-free arm), so callers can
-    thread an optional attack spec straight through.  Keyword arguments
-    that do not fit the factory's signature (unknown names, missing
-    required parameters) raise :class:`ConfigurationError` naming the
-    attack and the parameters it accepts, instead of leaking the
-    factory's raw ``TypeError`` — a bad scenario spec is a configuration
-    mistake, and callers catching library errors should see it as one.
-    """
-    if name is None:
-        return None
-    factory = attack_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("attack", name, factory, resolved)
-    return factory(**resolved)
+register_attack = ATTACKS.register
+available_attacks = ATTACKS.names
+attack_factory = ATTACKS.factory
+make_attack = ATTACKS.make_optional
 
 
 def _composite_attack(parts) -> Attack:
@@ -99,11 +61,7 @@ def _composite_attack(parts) -> Attack:
                 f"composite parts must be (name, kwargs, count) triples, "
                 f"got {part!r}"
             ) from error
-        attack = make_attack(part_name, part_kwargs)
-        if attack is None:
-            raise ConfigurationError(
-                "composite parts cannot use the attack-free arm (None)"
-            )
+        attack = ATTACKS.make(part_name, part_kwargs)
         if not isinstance(count, int) or isinstance(count, bool):
             raise ConfigurationError(
                 f"composite part counts must be integers, got {count!r} "
@@ -129,13 +87,8 @@ def _probe_attack(
     ``("probe", {"inner": "little-is-enough"})``."""
     from repro.attacks.adaptive import DefenseProbingAttack
 
-    wrapped = make_attack(inner, inner_kwargs)
-    if wrapped is None:
-        raise ConfigurationError(
-            "probe cannot wrap the attack-free arm (inner=None)"
-        )
     return DefenseProbingAttack(
-        wrapped,
+        ATTACKS.make(inner, inner_kwargs),
         grow=grow,
         shrink=shrink,
         initial_scale=initial_scale,
@@ -157,12 +110,9 @@ def _probe_bandit_attack(
     ``("probe-bandit", {"inner": "little-is-enough"})``."""
     from repro.attacks.adaptive import BanditProbingAttack
 
-    wrapped = make_attack(inner, inner_kwargs)
-    if wrapped is None:
-        raise ConfigurationError(
-            "probe-bandit cannot wrap the attack-free arm (inner=None)"
-        )
-    return BanditProbingAttack(wrapped, arms=arms, exploration=exploration)
+    return BanditProbingAttack(
+        ATTACKS.make(inner, inner_kwargs), arms=arms, exploration=exploration
+    )
 
 
 def _register_builtins() -> None:

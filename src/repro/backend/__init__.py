@@ -13,9 +13,8 @@ seam that lets them run on more than one array library:
 * ``"torch"`` — an import-guarded accelerator backend, parity-tested
   against numpy at float64 tolerance (requires the optional ``[torch]``
   dependency extra);
-* a name-based registry mirroring the aggregator/attack/workload
-  registries (``register_backend`` / ``available_backends`` /
-  ``make_backend``) with the shared ``ConfigurationError`` taxonomy.
+* a name-based :class:`~repro.utils.registry.Registry`
+  (``register_backend`` / ``available_backends`` / ``make_backend``).
 
 Selection is threaded end to end: ``run_grid(grid, backend="torch")``,
 ``BatchedSimulation(sims, backend=...)``,

@@ -1,13 +1,8 @@
-"""Name-based backend factory — the library's fourth registry.
+"""Name-based backend factory.
 
-Mirrors the aggregator (:mod:`repro.core.registry`), attack
-(:mod:`repro.attacks.registry`) and workload
-(:mod:`repro.engine.workloads`) registries: a caller names a backend
-("numpy", "torch") plus keyword arguments and gets an
-:class:`~repro.backend.base.ArrayBackend`, with the shared
-:class:`ConfigurationError` contract — unknown names list the available
-backends, and kwargs that do not fit the factory's signature raise a
-readable error naming the backend and its accepted parameters.
+A caller names a backend ("numpy", "torch") plus keyword arguments and
+gets an :class:`~repro.backend.base.ArrayBackend`, with the shared
+:class:`~repro.utils.registry.Registry` contract.
 
 ``"torch"`` is always *registered*; whether it is *installed* is a
 property of the environment, surfaced by :func:`backend_installed` (the
@@ -18,14 +13,13 @@ install.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-
 from repro.backend.base import ArrayBackend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
+    "BACKENDS",
     "register_backend",
     "available_backends",
     "backend_factory",
@@ -35,32 +29,12 @@ __all__ = [
     "default_backend",
 ]
 
-_REGISTRY: dict[str, Callable[..., ArrayBackend]] = {}
+BACKENDS: Registry[ArrayBackend] = Registry("backend")
 
-
-def register_backend(name: str, factory: Callable[..., ArrayBackend]) -> None:
-    """Register an array backend under ``name``; later registrations
-    override (so a deployment can swap in its own tuned backend)."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"backend name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Sorted list of registered backend names (registered, not
-    necessarily importable — see :func:`backend_installed`)."""
-    return sorted(_REGISTRY)
-
-
-def backend_factory(name: str) -> Callable[..., ArrayBackend]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: {available_backends()}"
-        )
-    return _REGISTRY[name]
+register_backend = BACKENDS.register
+available_backends = BACKENDS.names
+backend_factory = BACKENDS.factory
+make_backend = BACKENDS.make
 
 
 def backend_installed(name: str) -> bool:
@@ -75,24 +49,6 @@ def backend_installed(name: str) -> bool:
     except ConfigurationError:
         return False
     return True
-
-
-def make_backend(
-    name: str, kwargs: Mapping[str, object] | None = None
-) -> ArrayBackend:
-    """Build a backend by name, e.g. ``make_backend("torch", {"device": "cuda"})``.
-
-    Keyword arguments that do not fit the factory's signature (unknown
-    names, missing required parameters) raise
-    :class:`ConfigurationError` naming the backend and the parameters it
-    accepts — the same contract as
-    :func:`~repro.attacks.registry.make_attack` and
-    :func:`~repro.engine.workloads.make_workload`.
-    """
-    factory = backend_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("backend", name, factory, resolved)
-    return factory(**resolved)
 
 
 # The engine's default: the reference numpy backend at float64 — the

@@ -7,53 +7,27 @@ the :class:`~repro.core.aggregator.Aggregator`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.core.aggregator import Aggregator
-from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
+    "AGGREGATORS",
     "make_aggregator",
     "available_aggregators",
     "register_aggregator",
     "aggregator_factory",
 ]
 
-_REGISTRY: dict[str, Callable[..., Aggregator]] = {}
+AGGREGATORS: Registry[Aggregator] = Registry("aggregator")
 
-
-def register_aggregator(name: str, factory: Callable[..., Aggregator]) -> None:
-    """Register a rule under ``name``; later registrations override."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"aggregator name must be a non-empty string, got {name!r}")
-    _REGISTRY[name] = factory
-
-
-def available_aggregators() -> list[str]:
-    """Sorted list of registered rule names."""
-    return sorted(_REGISTRY)
-
-
-def aggregator_factory(name: str) -> Callable[..., Aggregator]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown aggregator {name!r}; available: {available_aggregators()}"
-        )
-    return _REGISTRY[name]
+register_aggregator = AGGREGATORS.register
+available_aggregators = AGGREGATORS.names
+aggregator_factory = AGGREGATORS.factory
 
 
 def make_aggregator(name: str, **kwargs: object) -> Aggregator:
-    """Build a rule by registry name, e.g. ``make_aggregator("krum", f=2)``.
-
-    Keyword arguments that do not fit the factory's signature raise
-    :class:`ConfigurationError` naming the rule and the parameters it
-    accepts — the shared registry contract.
-    """
-    factory = aggregator_factory(name)
-    check_factory_kwargs("aggregator", name, factory, kwargs)
-    return factory(**kwargs)
+    """Build a rule by registry name, e.g. ``make_aggregator("krum", f=2)``."""
+    return AGGREGATORS.make(name, kwargs)
 
 
 def _kardam_factory(
@@ -80,17 +54,10 @@ def _kardam_factory(
     (preserving the cell's other inner kwargs); ``strict=True`` disables
     the degradation.
     """
-    import inspect
-
     from repro.core.staleness import KardamFilter
 
     kwargs = dict(inner_kwargs or {})
-    try:
-        accepts_f = "f" in inspect.signature(
-            aggregator_factory(inner)
-        ).parameters
-    except (TypeError, ValueError):
-        accepts_f = False
+    accepts_f = AGGREGATORS.accepts(inner, "f")
     if f is not None and "f" not in kwargs and accepts_f:
         kwargs["f"] = f
     inner_builder = None

@@ -25,23 +25,21 @@ Randomized schedules are seeded from the simulation: the simulator calls
 root seed, so the full delay pattern is reproducible from one integer
 and identical across the loop and batched executors.
 
-The registry mirrors the aggregator/attack/workload/backend registries —
-``register_delay_schedule`` / ``available_delay_schedules`` /
-``make_delay_schedule`` — with the same :class:`ConfigurationError`
-contract (unknown names list the alternatives; bad kwargs name the
-schedule and the parameters it accepts).
+The schedules are a :class:`~repro.utils.registry.Registry`
+(``register_delay_schedule`` / ``available_delay_schedules`` /
+``make_delay_schedule``) whose ``None`` arm is the synchronous model.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.utils.rng import seed_sequence_state
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
     "DelaySchedule",
@@ -49,6 +47,7 @@ __all__ = [
     "ConstantDelay",
     "PeriodicDelay",
     "SeededRandomDelay",
+    "DELAY_SCHEDULES",
     "register_delay_schedule",
     "available_delay_schedules",
     "delay_schedule_factory",
@@ -295,59 +294,12 @@ class SeededRandomDelay(DelaySchedule):
 # ----------------------------------------------------------------------
 # Registry
 
-_REGISTRY: dict[str, Callable[..., DelaySchedule]] = {}
+DELAY_SCHEDULES: Registry[DelaySchedule] = Registry("delay schedule")
 
-
-def register_delay_schedule(
-    name: str, factory: Callable[..., DelaySchedule]
-) -> None:
-    """Register a schedule under ``name``; later registrations override."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"delay schedule name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_delay_schedules() -> list[str]:
-    """Sorted list of registered schedule names."""
-    return sorted(_REGISTRY)
-
-
-def delay_schedule_factory(name: str) -> Callable[..., DelaySchedule]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown delay schedule {name!r}; available: "
-            f"{available_delay_schedules()}"
-        )
-    return _REGISTRY[name]
-
-
-def make_delay_schedule(
-    name: str | None, kwargs: Mapping[str, object] | None = None
-) -> DelaySchedule | None:
-    """Build a schedule by name, e.g. ``make_delay_schedule("constant", {"tau": 2})``.
-
-    ``name=None`` returns ``None`` (the synchronous arm), so callers can
-    thread an optional delay spec straight through — the same contract
-    as :func:`~repro.attacks.registry.make_attack`.  Keyword arguments
-    that do not fit the factory's signature raise
-    :class:`ConfigurationError` naming the schedule and the parameters
-    it accepts.
-    """
-    if name is None:
-        if kwargs:
-            raise ConfigurationError(
-                f"delay kwargs {dict(kwargs)!r} were given without a "
-                f"delay schedule name"
-            )
-        return None
-    factory = delay_schedule_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("delay schedule", name, factory, resolved)
-    return factory(**resolved)
-
+register_delay_schedule = DELAY_SCHEDULES.register
+available_delay_schedules = DELAY_SCHEDULES.names
+delay_schedule_factory = DELAY_SCHEDULES.factory
+make_delay_schedule = DELAY_SCHEDULES.make_optional
 
 register_delay_schedule("none", ZeroDelay)
 register_delay_schedule("constant", ConstantDelay)

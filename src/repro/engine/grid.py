@@ -28,12 +28,12 @@ call sites construct the equivalent grid unchanged.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
-from repro.core.registry import aggregator_factory, make_aggregator
+from repro.attacks.registry import ATTACKS
+from repro.core.registry import AGGREGATORS, make_aggregator
 from repro.distributed.delays import make_delay_schedule
 from repro.engine.workloads import (
     QUADRATIC_DEFAULTS,
@@ -41,8 +41,8 @@ from repro.engine.workloads import (
     workload_key,
 )
 from repro.exceptions import ConfigurationError
-from repro.servers.registry import make_server_attack
-from repro.topology.registry import make_topology, topology_factory
+from repro.servers.registry import SERVER_ATTACKS, make_server_attack
+from repro.topology.registry import TOPOLOGIES, make_topology
 
 __all__ = ["ScenarioSpec", "ScenarioGrid"]
 
@@ -160,12 +160,22 @@ class ScenarioSpec:
         if self.workload == "quadratic":
             for name in _QUADRATIC_SHIM_FIELDS:
                 object.__setattr__(self, name, resolved[name])
+        if self.num_byzantine > 0 and self.attack is None:
+            raise ConfigurationError(
+                f"num_byzantine={self.num_byzantine} requires an attack"
+            )
+        if self.num_byzantine == 0 and self.attack is not None:
+            raise ConfigurationError(
+                "an attack was supplied but num_byzantine=0"
+            )
+        # Every (name, kwargs) pair is validated at declaration time;
+        # the None arms reject kwargs given without a name.
+        AGGREGATORS.check(self.aggregator, self.aggregator_kwargs)
+        ATTACKS.check_optional(self.attack, self.attack_kwargs)
         if self.max_staleness < 0:
             raise ConfigurationError(
                 f"max_staleness must be >= 0, got {self.max_staleness}"
             )
-        # Validates the (name, kwargs) pair at declaration time; also
-        # rejects delay kwargs without a schedule name.
         make_delay_schedule(self.delay_schedule, self.delay_kwargs)
         # Server-tier knobs: same pairing discipline as the worker-side
         # num_byzantine/attack pair, validated at declaration time.
@@ -192,15 +202,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 "a server_attack was supplied but byzantine_servers=0"
             )
-        # Validates the (name, kwargs) pair at declaration time; also
-        # rejects server-attack kwargs without an attack name.
         make_server_attack(self.server_attack, self.server_attack_kwargs)
         # Topology: unknown names and knobs the named graph family does
         # not take both fail here, at declaration time.
-        factory = topology_factory(self.topology)
         for knob in _TOPOLOGY_KNOBS:
-            if getattr(self, knob) is not None and not _accepts(
-                factory, knob
+            if getattr(self, knob) is not None and not TOPOLOGIES.accepts(
+                self.topology, knob
             ):
                 raise ConfigurationError(
                     f"topology {self.topology!r} does not take a "
@@ -354,21 +361,6 @@ class ScenarioSpec:
         return base
 
 
-def _accepts(factory: object, param: str) -> bool:
-    """Whether a registry factory takes keyword ``param``."""
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins without introspectable sigs
-        return False
-    return param in signature.parameters
-
-
-def _accepts_f(factory: object) -> bool:
-    """Whether a registry factory takes an ``f`` keyword (Krum does,
-    plain averaging does not)."""
-    return _accepts(factory, "f")
-
-
 @dataclass(frozen=True)
 class ScenarioGrid:
     """Cartesian product of seeds × workloads × attacks × aggregators × f.
@@ -486,6 +478,14 @@ class ScenarioGrid:
             raise ConfigurationError(
                 "grid sweeps f > 0 but declares no attacks"
             )
+        # Validate each rule and attack spec once, at declaration time
+        # (the cell's f reaches every rule whose factory takes one).
+        for name, kwargs in self.aggregators:
+            AGGREGATORS.check(
+                name, self._aggregator_kwargs(name, kwargs, self.f_values[0])
+            )
+        for name, kwargs in self.attacks:
+            ATTACKS.check(name, kwargs)
         # Resolve the workload axis once.  The deprecated scalar knobs
         # apply to the singular quadratic pair only; combining them (or
         # the singular pair) with an explicit `workloads` axis would be
@@ -610,12 +610,7 @@ class ScenarioGrid:
                 (self.server_attack, dict(self.server_attack_kwargs)),
             )
         else:
-            if self.server_attack_kwargs:
-                raise ConfigurationError(
-                    f"server-attack kwargs "
-                    f"{dict(self.server_attack_kwargs)!r} were given "
-                    f"without a server attack name"
-                )
+            SERVER_ATTACKS.check_optional(None, self.server_attack_kwargs)
             server_attack_axis = ()
         for name, kwargs in server_attack_axis:
             make_server_attack(name, kwargs)
@@ -670,8 +665,7 @@ class ScenarioGrid:
             ("rewire_period", self.rewire_period is not None),
         ):
             if supplied and not any(
-                _accepts(topology_factory(name), knob)
-                for name in topology_axis
+                TOPOLOGIES.accepts(name, knob) for name in topology_axis
             ):
                 raise ConfigurationError(
                     f"{knob} was given but no swept topology "
@@ -743,13 +737,12 @@ class ScenarioGrid:
         """
         cells: list[tuple[str, dict]] = []
         for name in self.topology_values:
-            factory = topology_factory(name)
             base: dict = {}
             for knob in ("edge_prob", "rewire_period"):
                 value = getattr(self, knob)
-                if value is not None and _accepts(factory, knob):
+                if value is not None and TOPOLOGIES.accepts(name, knob):
                     base[knob] = value
-            if _accepts(factory, "degree"):
+            if TOPOLOGIES.accepts(name, "degree"):
                 for degree in self.degree_values:
                     kwargs = dict(base)
                     if degree is not None:
@@ -763,7 +756,7 @@ class ScenarioGrid:
         """Resolve a rule's kwargs for a cell, injecting the cell's f
         where the rule's factory accepts it."""
         resolved = dict(kwargs)
-        if "f" not in resolved and _accepts_f(aggregator_factory(name)):
+        if "f" not in resolved and AGGREGATORS.accepts(name, "f"):
             resolved["f"] = f
         return resolved
 

@@ -29,11 +29,11 @@ import numpy as np
 from repro.attacks.registry import make_attack
 from repro.backend import ArrayBackend, resolve_backend
 from repro.core.aggregator import Aggregator
-from repro.core.registry import aggregator_factory, make_aggregator
+from repro.core.registry import AGGREGATORS, make_aggregator
 from repro.distributed.delays import make_delay_schedule
 from repro.distributed.metrics import TrainingHistory
 from repro.distributed.simulator import TrainingSimulation
-from repro.engine.grid import ScenarioGrid, ScenarioSpec, _accepts_f
+from repro.engine.grid import ScenarioGrid, ScenarioSpec
 from repro.engine.simulation import BatchedSimulation
 from repro.engine.workloads import Workload, make_workload, workload_key
 from repro.exceptions import ConfigurationError
@@ -126,7 +126,7 @@ def _gossip_rule_builder(spec: ScenarioSpec):
     not against the global ``f``.  F-free rules return ``None`` and the
     engine copies the fixed rule per node instead.
     """
-    if not _accepts_f(aggregator_factory(spec.aggregator)):
+    if not AGGREGATORS.accepts(spec.aggregator, "f"):
         return None
 
     def build(f_local: int) -> Aggregator:

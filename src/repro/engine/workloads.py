@@ -9,12 +9,8 @@ parameter dimension up front and materializes one cell's
 a cell names its workload ("quadratic", "mlp-mnist", ...) plus keyword
 arguments, exactly like it names its aggregator and attack.
 
-The registry mirrors :mod:`repro.core.registry` (aggregators) and
-:mod:`repro.attacks.registry` (attacks) — ``register_workload`` /
-``available_workloads`` / ``make_workload`` — with the same
-:class:`ConfigurationError` contract: an unknown name or keyword
-arguments that do not fit the factory's signature raise a readable
-error naming the workload and the parameters it accepts.
+The workloads are a :class:`~repro.utils.registry.Registry`
+(``register_workload`` / ``available_workloads`` / ``make_workload``).
 
 Built-in workloads:
 
@@ -40,7 +36,7 @@ from __future__ import annotations
 import inspect
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.attacks.base import Attack
 from repro.core.aggregator import Aggregator
@@ -61,7 +57,7 @@ from repro.models.mlp import MLPClassifier
 from repro.models.quadratic import QuadraticBowl
 from repro.models.softmax import SoftmaxRegressionModel
 from repro.servers.attacks import ServerAttack
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
     "Workload",
@@ -70,6 +66,7 @@ __all__ = [
     "LogisticSpambaseWorkload",
     "SoftmaxMnistWorkload",
     "MlpMnistWorkload",
+    "WORKLOADS",
     "register_workload",
     "available_workloads",
     "workload_factory",
@@ -486,46 +483,12 @@ class MlpMnistWorkload(DatasetWorkload):
 # ----------------------------------------------------------------------
 # Registry
 
-_REGISTRY: dict[str, Callable[..., Workload]] = {}
+WORKLOADS: Registry[Workload] = Registry("workload")
 
-
-def register_workload(name: str, factory: Callable[..., Workload]) -> None:
-    """Register a workload under ``name``; later registrations override."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"workload name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_workloads() -> list[str]:
-    """Sorted list of registered workload names."""
-    return sorted(_REGISTRY)
-
-
-def workload_factory(name: str) -> Callable[..., Workload]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; available: {available_workloads()}"
-        )
-    return _REGISTRY[name]
-
-
-def make_workload(
-    name: str, kwargs: Mapping[str, object] | None = None
-) -> Workload:
-    """Build a workload by name, e.g. ``make_workload("quadratic", {"dimension": 50})``.
-
-    Keyword arguments that do not fit the factory's signature (unknown
-    names, missing required parameters) raise
-    :class:`ConfigurationError` naming the workload and the parameters
-    it accepts — the same contract as :func:`~repro.attacks.registry.make_attack`.
-    """
-    factory = workload_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("workload", name, factory, resolved)
-    return factory(**resolved)
+register_workload = WORKLOADS.register
+available_workloads = WORKLOADS.names
+workload_factory = WORKLOADS.factory
+make_workload = WORKLOADS.make
 
 
 def workload_key(

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
-from repro.backend import backend_factory
+from repro.attacks.registry import ATTACKS
+from repro.backend.registry import BACKENDS
+from repro.core.registry import AGGREGATORS
 from repro.data.partition import PARTITION_PROTOCOLS
-from repro.distributed.delays import delay_schedule_factory
+from repro.distributed.delays import DELAY_SCHEDULES
 from repro.exceptions import ConfigurationError
-from repro.servers.registry import server_attack_factory
-from repro.topology.registry import make_topology, topology_factory
-from repro.utils.validation import check_factory_kwargs
+from repro.servers.registry import SERVER_ATTACKS
+from repro.topology.registry import TOPOLOGIES, make_topology
 
 __all__ = ["SGDExperimentConfig"]
 
@@ -22,8 +22,9 @@ class SGDExperimentConfig:
 
     ``aggregator``/``attack``/``backend`` are registry names plus
     keyword-argument dicts so configs stay serializable; the builders
-    turn them into objects.  ``num_byzantine`` must satisfy the chosen
-    rule's precondition (checked at build time, not here).
+    turn them into objects.  Names and kwargs are validated here;
+    ``num_byzantine`` must also satisfy the chosen rule's precondition
+    (checked at build time).
     ``backend=None`` (the default) runs the loop executor's numpy path;
     naming a backend routes batched execution (e.g.
     :func:`~repro.experiments.runner.compare_aggregators`) through that
@@ -86,6 +87,21 @@ class SGDExperimentConfig:
             )
         if self.num_byzantine > 0 and self.attack is None:
             raise ConfigurationError("num_byzantine > 0 requires an attack name")
+        if self.num_byzantine == 0 and self.attack is not None:
+            raise ConfigurationError(
+                "an attack was supplied but num_byzantine=0"
+            )
+        # Every (name, kwargs) pair is validated at declaration time
+        # without building anything (so an uninstalled backend stays a
+        # build-time concern); the None arms reject kwargs given without
+        # a name.
+        AGGREGATORS.check(self.aggregator, self.aggregator_kwargs)
+        ATTACKS.check_optional(self.attack, self.attack_kwargs)
+        DELAY_SCHEDULES.check_optional(self.delay_schedule, self.delay_kwargs)
+        SERVER_ATTACKS.check_optional(
+            self.server_attack, self.server_attack_kwargs
+        )
+        BACKENDS.check_optional(self.backend, self.backend_kwargs)
         if self.learning_rate <= 0:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
@@ -106,19 +122,6 @@ class SGDExperimentConfig:
         if self.max_staleness < 0:
             raise ConfigurationError(
                 f"max_staleness must be >= 0, got {self.max_staleness}"
-            )
-        if self.delay_schedule is None:
-            if self.delay_kwargs:
-                raise ConfigurationError(
-                    "delay_kwargs requires a delay_schedule name; got "
-                    f"kwargs {self.delay_kwargs!r} with delay_schedule=None"
-                )
-        else:
-            check_factory_kwargs(
-                "delay schedule",
-                self.delay_schedule,
-                delay_schedule_factory(self.delay_schedule),
-                dict(self.delay_kwargs),
             )
         if self.num_servers < 1:
             raise ConfigurationError(
@@ -142,45 +145,13 @@ class SGDExperimentConfig:
             raise ConfigurationError(
                 "a server_attack was supplied but byzantine_servers=0"
             )
-        if self.server_attack is None:
-            if self.server_attack_kwargs:
-                raise ConfigurationError(
-                    "server_attack_kwargs requires a server_attack name; "
-                    f"got kwargs {self.server_attack_kwargs!r} with "
-                    f"server_attack=None"
-                )
-        else:
-            check_factory_kwargs(
-                "server attack",
-                self.server_attack,
-                server_attack_factory(self.server_attack),
-                dict(self.server_attack_kwargs),
-            )
-        if self.backend is None:
-            if self.backend_kwargs:
-                raise ConfigurationError(
-                    "backend_kwargs requires a backend name; got kwargs "
-                    f"{self.backend_kwargs!r} with backend=None"
-                )
-        else:
-            # backend_factory raises the registry's unknown-name error;
-            # the kwargs check validates against the factory signature
-            # without constructing (or importing) the backend — a bad
-            # config fails at declaration time, while dependency
-            # availability stays a build-time concern.
-            check_factory_kwargs(
-                "backend",
-                self.backend,
-                backend_factory(self.backend),
-                dict(self.backend_kwargs),
-            )
         # Topology: unknown names and knobs the named graph family does
-        # not take both fail at declaration time, like the delay and
-        # server-attack specs above.
-        factory = topology_factory(self.topology)
+        # not take both fail at declaration time.
         for knob in ("degree", "edge_prob", "rewire_period"):
             value = getattr(self, knob)
-            if value is not None and knob not in _factory_params(factory):
+            if value is not None and not TOPOLOGIES.accepts(
+                self.topology, knob
+            ):
                 raise ConfigurationError(
                     f"topology {self.topology!r} does not take a "
                     f"{knob} parameter"
@@ -222,13 +193,3 @@ class SGDExperimentConfig:
     @property
     def num_honest(self) -> int:
         return self.num_workers - self.num_byzantine
-
-
-def _factory_params(factory: object) -> frozenset[str]:
-    """The keyword names a topology factory accepts (empty when the
-    signature is not introspectable)."""
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):
-        return frozenset()
-    return frozenset(signature.parameters)

@@ -4,10 +4,10 @@ The invariants the codebase rests on — kernels speak the
 :class:`~repro.backend.ArrayBackend` namespace, randomness flows through
 seeded :mod:`repro.utils.rng` streams, errors use the
 :class:`~repro.exceptions.ReproError` taxonomy, stateful attacks declare
-themselves, registry factories validate kwargs — were each born from a
-real bug and enforced only by convention.  This package makes them
-machine-checked: a pluggable rule registry (mirroring the
-aggregator/attack/workload/backend/delay registries), a
+themselves, registries stay in sync with their consumers — were each
+born from a real bug and enforced only by convention.  This package
+makes them machine-checked: a pluggable rule registry (a
+:class:`~repro.utils.registry.Registry` like every other family), a
 ``python -m repro.lint`` CLI, and per-line
 ``# repro-lint: ignore[rule]`` suppressions with an unused-suppression
 audit.  ``tests/lint/test_codebase_clean.py`` runs it over ``src/`` as a

@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based linter enforcing the repro library's code "
             "invariants (backend purity, RNG discipline, the error "
-            "taxonomy, stateful-attack declarations, registry factory "
-            "contracts)."
+            "taxonomy, stateful-attack declarations, registry drift)."
         ),
         epilog=(
             "Suppress a single line with '# repro-lint: ignore[rule]'; "

@@ -1,23 +1,17 @@
-"""Name-based lint-rule factory — the library's sixth registry.
+"""Name-based lint-rule factory.
 
-Mirrors the aggregator, attack, workload, backend and delay-schedule
-registries: a caller names a rule ("backend-purity", "rng-discipline",
-...) plus keyword arguments and gets a
-:class:`~repro.lint.base.LintRule`, with the shared
-:class:`ConfigurationError` contract — unknown names list the available
-rules, and kwargs that do not fit the factory's signature raise a
-readable error naming the rule and its accepted parameters.
+A caller names a rule ("backend-purity", "rng-discipline", ...) plus
+keyword arguments and gets a :class:`~repro.lint.base.LintRule`, with
+the shared :class:`~repro.utils.registry.Registry` contract.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-
-from repro.exceptions import ConfigurationError
 from repro.lint.base import LintRule
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
+    "RULES",
     "register_rule",
     "available_rules",
     "rule_factory",
@@ -25,54 +19,17 @@ __all__ = [
     "rule_descriptions",
 ]
 
-_REGISTRY: dict[str, Callable[..., LintRule]] = {}
+RULES: Registry[LintRule] = Registry("lint rule")
 
-
-def register_rule(name: str, factory: Callable[..., LintRule]) -> None:
-    """Register a lint rule under ``name``; later registrations override
-    (so a project can swap in a stricter variant of a built-in rule)."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"lint rule name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_rules() -> list[str]:
-    """Sorted list of registered rule names."""
-    return sorted(_REGISTRY)
-
-
-def rule_factory(name: str) -> Callable[..., LintRule]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown lint rule {name!r}; available: {available_rules()}"
-        )
-    return _REGISTRY[name]
-
-
-def make_rule(
-    name: str, kwargs: Mapping[str, object] | None = None
-) -> LintRule:
-    """Build a rule by name, e.g. ``make_rule("error-taxonomy")``.
-
-    Keyword arguments that do not fit the factory's signature (unknown
-    names, missing required parameters) raise
-    :class:`ConfigurationError` naming the rule and the parameters it
-    accepts — the same contract as
-    :func:`~repro.attacks.registry.make_attack`.
-    """
-    factory = rule_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("lint rule", name, factory, resolved)
-    return factory(**resolved)
+register_rule = RULES.register
+available_rules = RULES.names
+rule_factory = RULES.factory
+make_rule = RULES.make
 
 
 def rule_descriptions() -> dict[str, str]:
     """``name -> one-line description`` for every registered rule."""
-    out = {}
-    for name in available_rules():
-        rule = _REGISTRY[name]
-        out[name] = getattr(rule, "description", "") or ""
-    return out
+    return {
+        name: getattr(rule_factory(name), "description", "") or ""
+        for name in available_rules()
+    }

@@ -1,29 +1,36 @@
-"""registry-drift: the eight registries stay in sync with their consumers.
+"""registry-drift: every registry stays in sync with its consumers.
 
-The library's extension surface is eight name-based registries
-(aggregators, attacks, workloads, backends, delay schedules, server
-attacks, topologies, lint rules).  Each has three consumers that must
-track the registered names: a contract-test sweep (a test that iterates
-the matching ``available_*()`` list), the CLI choice source (choices
+The library's extension surface is a set of name-based registries, each
+a :class:`~repro.utils.registry.Registry` instance.  Each has three
+consumers that must track the registered names: a contract-test sweep
+(a test that lists the family's names), the CLI choice source (choices
 derived from the registry, not a hard-coded list), and the README's
 ``Registry name`` tables.  Drift in either direction is a real bug
-shape: PR 8 registered ``probe-bandit`` without its README row; a
+shape: ``probe-bandit`` was once registered without its README row; a
 hard-coded CLI choices list silently hides new registrations.
+
+Families are discovered, not configured: every module-level
+``NAME = Registry("kind")`` declaration (annotated or not) is one
+family.  Its *aliases* are the module-level bindings of its methods
+anywhere in the project: ``register_x = NAME.register``, or a function
+whose body is ``return NAME.make(...)``.
 
 Checks, per family:
 
-- every literal name passed to the family's ``register_*`` call is
-  collected (``ClassName.name`` registrations resolve through the
-  project symbol table);
-- some test module must reference the family's ``available_*()`` sweep
-  — otherwise registered names are unreachable from the contract tests;
+- every literal name passed to the family's ``register`` (on the
+  instance or through an alias) is collected (``ClassName.name``
+  registrations resolve through the project symbol table);
+- some test module must reference the family's ``names`` sweep
+  (``NAME.names`` or an alias of it) — otherwise registered names are
+  unreachable from the contract tests;
 - a CLI module (``*/cli.py``) exposing the family must derive its
-  choices dynamically (reference ``available_*``/``make_*``/factory
-  accessors); a literal ``choices=[...]`` list claimed by a family must
-  cover every registered name;
-- every literal name passed to the family's ``make_*`` entry point in
-  linted code must be registered (typo'd names fail at runtime — this
-  catches them statically);
+  choices dynamically (reference the instance or an alias);
+  a literal ``choices=[...]`` list claimed by a family must cover every
+  registered name;
+- every literal name passed to the family's lookups (``make``,
+  ``make_optional``, ``factory``, ``check``, ``check_optional``,
+  ``accepts``, or an alias of one) in linted code must be registered
+  (typo'd names fail at runtime — this catches them statically);
 - every README table whose first column is ``Registry name`` is claimed
   by the family with the largest overlap and diffed both ways.
 """
@@ -33,78 +40,39 @@ from __future__ import annotations
 import ast
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.lint.base import ModuleContext, ProjectRule
 from repro.lint.findings import Finding
 from repro.lint.project import ProjectContext
 
-__all__ = ["RegistryDriftRule", "FAMILY_SPECS"]
+__all__ = ["RegistryDriftRule"]
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """One registry family and the accessor names that consume it."""
-
-    label: str
-    register: str
-    available: str
-    #: Dynamic choice-source accessors: referencing any of these counts
-    #: as deriving the CLI surface from the registry (their error paths
-    #: list the available names).
-    accessors: tuple[str, ...]
-
-
-FAMILY_SPECS: tuple[FamilySpec, ...] = (
-    FamilySpec(
-        "aggregator",
-        "register_aggregator",
-        "available_aggregators",
-        ("make_aggregator", "aggregator_factory"),
-    ),
-    FamilySpec(
-        "attack",
-        "register_attack",
-        "available_attacks",
-        ("make_attack", "attack_factory"),
-    ),
-    FamilySpec(
-        "workload",
-        "register_workload",
-        "available_workloads",
-        ("make_workload", "workload_factory"),
-    ),
-    FamilySpec(
-        "backend",
-        "register_backend",
-        "available_backends",
-        ("make_backend", "backend_factory", "resolve_backend"),
-    ),
-    FamilySpec(
-        "delay schedule",
-        "register_delay_schedule",
-        "available_delay_schedules",
-        ("make_delay_schedule", "delay_schedule_factory"),
-    ),
-    FamilySpec(
-        "server attack",
-        "register_server_attack",
-        "available_server_attacks",
-        ("make_server_attack", "server_attack_factory"),
-    ),
-    FamilySpec(
-        "topology",
-        "register_topology",
-        "available_topologies",
-        ("make_topology", "topology_factory"),
-    ),
-    FamilySpec(
-        "lint rule",
-        "register_rule",
-        "available_rules",
-        ("make_rule", "rule_factory", "rule_descriptions", "resolve_rules"),
-    ),
+#: Registry methods whose first argument is a registered name.
+_LOOKUPS = frozenset(
+    {"make", "make_optional", "factory", "check", "check_optional", "accepts"}
 )
+
+
+@dataclass
+class _Family:
+    """One discovered ``Registry(kind)`` declaration and its bindings."""
+
+    kind: str
+    instance: str
+    #: alias name -> the registry method it binds
+    aliases: dict[str, str] = field(default_factory=dict)
+
+    def names_for(self, *methods: str) -> set[str]:
+        """The instance-qualified and alias spellings of ``methods``."""
+        return {f"{self.instance}.{m}" for m in methods} | {
+            alias for alias, m in self.aliases.items() if m in methods
+        }
+
+    def label_for(self, method: str) -> str:
+        """The spelling messages use: an alias if one exists."""
+        aliases = sorted(a for a, m in self.aliases.items() if m == method)
+        return aliases[0] if aliases else f"{self.instance}.{method}"
 
 
 @dataclass(frozen=True)
@@ -122,16 +90,106 @@ def _call_name(func: ast.expr) -> str | None:
     return None
 
 
+def _dotted(node: ast.expr) -> str | None:
+    """``"NAME.attr"`` for an ``Attribute`` on a bare ``Name``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
 def _referenced_names(tree: ast.Module) -> set[str]:
-    """Every ``Name`` id and ``Attribute`` attr in the tree — the cheap
-    "does this module mention accessor X at all" predicate."""
+    """Every ``Name`` id, ``Attribute`` attr and ``NAME.attr`` pair in
+    the tree — the cheap "does this module mention accessor X at all"
+    predicate."""
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            dotted = _dotted(node)
+            if dotted is not None:
+                names.add(dotted)
     return names
+
+
+def _registry_kind(value: ast.expr) -> str | None:
+    """The kind of a ``Registry("kind")`` call."""
+    if not isinstance(value, ast.Call) or not value.args:
+        return None
+    kind = value.args[0]
+    if (
+        _call_name(value.func) == "Registry"
+        and isinstance(kind, ast.Constant)
+        and isinstance(kind.value, str)
+    ):
+        return kind.value
+    return None
+
+
+def _assignments(tree: ast.Module) -> Iterable[tuple[str, ast.expr]]:
+    """``(target, value)`` for every module-level single-name binding."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+        ):
+            yield stmt.targets[0].id, stmt.value
+        elif (
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.value is not None
+        ):
+            yield stmt.target.id, stmt.value
+
+
+def _wrapped_method(func: ast.FunctionDef) -> ast.Attribute | None:
+    """The ``NAME.method`` a one-statement ``return NAME.method(...)``
+    wrapper (docstring allowed) delegates to."""
+    statements = [
+        stmt
+        for stmt in func.body
+        if not (
+            isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+        )
+    ]
+    if len(statements) != 1:
+        return None
+    (only,) = statements
+    if (
+        isinstance(only, ast.Return)
+        and isinstance(only.value, ast.Call)
+        and isinstance(only.value.func, ast.Attribute)
+    ):
+        return only.value.func
+    return None
+
+
+def _discover_families(project: ProjectContext) -> list[_Family]:
+    families: dict[str, _Family] = {}
+    for module in project.modules:
+        for target, value in _assignments(module.tree):
+            kind = _registry_kind(value)
+            if kind is not None:
+                families[target] = _Family(kind=kind, instance=target)
+    for module in project.modules:
+        bindings: list[tuple[str, ast.expr | None]] = list(
+            _assignments(module.tree)
+        )
+        bindings.extend(
+            (stmt.name, _wrapped_method(stmt))
+            for stmt in module.tree.body
+            if isinstance(stmt, ast.FunctionDef)
+        )
+        for alias, value in bindings:
+            if (
+                isinstance(value, ast.Attribute)
+                and isinstance(value.value, ast.Name)
+                and value.value.id in families
+            ):
+                families[value.value.id].aliases[alias] = value.attr
+    return sorted(families.values(), key=lambda f: f.instance)
 
 
 #: A README table row; the first cell's backticked name is captured.
@@ -173,32 +231,40 @@ class RegistryDriftRule(ProjectRule):
         "exists in a registry"
     )
 
-    def __init__(
-        self,
-        families: tuple[FamilySpec, ...] = FAMILY_SPECS,
-        cli_suffixes: tuple[str, ...] = ("/cli.py", "cli.py"),
-    ):
-        self.families = tuple(families)
+    def __init__(self, cli_suffixes: tuple[str, ...] = ("/cli.py", "cli.py")):
         self.cli_suffixes = tuple(cli_suffixes)
 
     # -- collection ----------------------------------------------------
 
+    @staticmethod
+    def _family_of(
+        func: ast.expr, families: list[_Family], methods: Iterable[str]
+    ) -> _Family | None:
+        """The family whose ``methods`` (on the instance or an alias)
+        ``func`` calls."""
+        spelled = {_dotted(func), _call_name(func)} - {None}
+        for family in families:
+            if spelled & family.names_for(*methods):
+                return family
+        return None
+
     def _collect_registrations(
-        self, project: ProjectContext, spec: FamilySpec
-    ) -> list[_Registration]:
-        registrations: list[_Registration] = []
+        self, project: ProjectContext, families: list[_Family]
+    ) -> dict[str, list[_Registration]]:
+        registrations: dict[str, list[_Registration]] = {
+            family.instance: [] for family in families
+        }
         for module in project.modules:
             module_name = project.module_name(module)
             for node in ast.walk(module.tree):
-                if (
-                    not isinstance(node, ast.Call)
-                    or _call_name(node.func) != spec.register
-                    or not node.args
-                ):
+                if not isinstance(node, ast.Call) or not node.args:
+                    continue
+                family = self._family_of(node.func, families, ("register",))
+                if family is None:
                     continue
                 literal = self._literal_name(project, module_name, node.args[0])
                 if literal is not None:
-                    registrations.append(
+                    registrations[family.instance].append(
                         _Registration(name=literal, module=module, node=node)
                     )
         return registrations
@@ -226,6 +292,7 @@ class RegistryDriftRule(ProjectRule):
     # -- the checks ----------------------------------------------------
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
+        families = _discover_families(project)
         aux_names: set[str] = set()
         for module in project.auxiliary:
             aux_names |= _referenced_names(module.tree)
@@ -239,44 +306,48 @@ class RegistryDriftRule(ProjectRule):
         for module in cli_modules:
             cli_names |= _referenced_names(module.tree)
 
+        all_registrations = self._collect_registrations(project, families)
         registered: dict[str, set[str]] = {}
         findings: list[Finding] = []
-        for spec in self.families:
-            registrations = self._collect_registrations(project, spec)
-            registered[spec.label] = {r.name for r in registrations}
+        for family in families:
+            registrations = all_registrations[family.instance]
+            registered.setdefault(family.kind, set()).update(
+                r.name for r in registrations
+            )
             if not registrations:
                 continue
             anchor = min(
                 registrations, key=lambda r: (r.module.path, r.node.lineno)
             )
-            if project.auxiliary and spec.available not in aux_names:
+            if project.auxiliary and not aux_names & family.names_for("names"):
                 findings.append(
                     self.project_finding(
                         anchor.module.path,
                         anchor.node,
-                        f"{spec.label} names registered via "
-                        f"{spec.register}() are not swept by any contract "
-                        f"test — no test references {spec.available}(), so "
-                        f"registered names are unreachable from the sweep",
+                        f"{family.kind} names registered via "
+                        f"{family.label_for('register')}() are not swept by "
+                        f"any contract test — no test references "
+                        f"{family.label_for('names')}(), so registered "
+                        f"names are unreachable from the sweep",
                     )
                 )
             findings.extend(
-                self._check_cli(spec, registrations, cli_modules, cli_names)
+                self._check_cli(family, registrations, cli_modules, cli_names)
             )
-        findings.extend(self._check_references(project, registered))
+        findings.extend(self._check_references(project, families, registered))
         findings.extend(self._check_readme(project, registered))
         return sorted(findings, key=Finding.sort_key)
 
     def _check_cli(
         self,
-        spec: FamilySpec,
+        family: _Family,
         registrations: list[_Registration],
         cli_modules: list[ModuleContext],
         cli_names: set[str],
     ) -> list[Finding]:
         if not cli_modules:
             return []
-        dynamic = {spec.available, *spec.accessors}
+        dynamic = {family.instance, *family.aliases}
         if cli_names & dynamic:
             return []
         # No dynamic accessor anywhere in a CLI module: the family is
@@ -300,47 +371,45 @@ class RegistryDriftRule(ProjectRule):
                     self.project_finding(
                         registration.module.path,
                         registration.node,
-                        f"{spec.label} {registration.name!r} is registered "
+                        f"{family.kind} {registration.name!r} is registered "
                         f"but unreachable from the CLI choice source — the "
                         f"CLI hard-codes {sorted(mentioned)} instead of "
-                        f"deriving choices from {spec.available}()",
+                        f"deriving choices from "
+                        f"{family.label_for('names')}()",
                     )
                 )
         return findings
 
     def _check_references(
-        self, project: ProjectContext, registered: dict[str, set[str]]
+        self,
+        project: ProjectContext,
+        families: list[_Family],
+        registered: dict[str, set[str]],
     ) -> list[Finding]:
-        """Literal names passed to ``make_*`` entry points (and literal
+        """Literal names passed to a family's lookups (and literal
         argparse ``choices=`` lists) must exist in the claimed registry."""
-        make_to_spec = {
-            accessor: spec
-            for spec in self.families
-            for accessor in spec.accessors
-            if accessor.startswith("make_")
-        }
         findings = []
         for module in project.modules:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                called = _call_name(node.func)
-                spec = make_to_spec.get(called or "")
+                family = self._family_of(node.func, families, _LOOKUPS)
                 if (
-                    spec is not None
-                    and registered.get(spec.label)
+                    family is not None
+                    and registered.get(family.kind)
                     and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, str)
-                    and node.args[0].value not in registered[spec.label]
+                    and node.args[0].value not in registered[family.kind]
                 ):
                     findings.append(
                         self.project_finding(
                             module.path,
                             node.args[0],
-                            f"{called}({node.args[0].value!r}) names an "
-                            f"unregistered {spec.label}; registered: "
-                            f"{sorted(registered[spec.label])}",
+                            f"{_dotted(node.func) or _call_name(node.func)}"
+                            f"({node.args[0].value!r}) names an "
+                            f"unregistered {family.kind}; registered: "
+                            f"{sorted(registered[family.kind])}",
                         )
                     )
                 for keyword in node.keywords:

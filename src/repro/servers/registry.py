@@ -1,81 +1,31 @@
-"""Name-based server-attack factory — the tier's seventh registry.
+"""Name-based server-attack factory.
 
-Mirrors :mod:`repro.attacks.registry` for server-side broadcast
-corruption: a scenario names a strategy ("sign-flip-broadcast",
-"stale-replay-broadcast", ...) plus keyword arguments, and the registry
-builds the :class:`~repro.servers.attacks.ServerAttack`, with the shared
-:class:`ConfigurationError` contract — an unknown name or keyword
-arguments that do not fit the factory's signature raise a readable error
-naming the attack and the parameters it accepts.
+A scenario names a server-side broadcast corruption
+("sign-flip-broadcast", "stale-replay-broadcast", ...) plus keyword
+arguments, and the registry builds the
+:class:`~repro.servers.attacks.ServerAttack`; ``None`` is the
+attack-free tier.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-
-from repro.exceptions import ConfigurationError
 from repro.servers.attacks import ServerAttack
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
+    "SERVER_ATTACKS",
     "register_server_attack",
     "available_server_attacks",
     "server_attack_factory",
     "make_server_attack",
 ]
 
-_REGISTRY: dict[str, Callable[..., ServerAttack]] = {}
+SERVER_ATTACKS: Registry[ServerAttack] = Registry("server attack")
 
-
-def register_server_attack(
-    name: str, factory: Callable[..., ServerAttack]
-) -> None:
-    """Register a strategy under ``name``; later registrations override."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"server attack name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_server_attacks() -> list[str]:
-    """Sorted list of registered strategy names."""
-    return sorted(_REGISTRY)
-
-
-def server_attack_factory(name: str) -> Callable[..., ServerAttack]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown server attack {name!r}; available: "
-            f"{available_server_attacks()}"
-        )
-    return _REGISTRY[name]
-
-
-def make_server_attack(
-    name: str | None, kwargs: Mapping[str, object] | None = None
-) -> ServerAttack | None:
-    """Build a strategy by name, e.g.
-    ``make_server_attack("sign-flip-broadcast", {"scale": 2.0})``.
-
-    ``name=None`` returns ``None`` (the attack-free tier), so callers
-    can thread an optional spec straight through.  Keyword arguments
-    that do not fit the factory's signature raise
-    :class:`ConfigurationError` naming the attack and the parameters it
-    accepts — the shared registry contract.
-    """
-    if name is None:
-        if kwargs:
-            raise ConfigurationError(
-                f"server-attack kwargs {dict(kwargs)!r} were given without "
-                f"a server attack name"
-            )
-        return None
-    factory = server_attack_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("server attack", name, factory, resolved)
-    return factory(**resolved)
+register_server_attack = SERVER_ATTACKS.register
+available_server_attacks = SERVER_ATTACKS.names
+server_attack_factory = SERVER_ATTACKS.factory
+make_server_attack = SERVER_ATTACKS.make_optional
 
 
 def _register_builtins() -> None:

@@ -1,73 +1,33 @@
-"""Name-based topology factory — the eighth registry.
+"""Name-based topology factory.
 
-Mirrors :mod:`repro.distributed.delays` for communication graphs: a
-scenario names a topology ("ring", "erdos-renyi", ...) plus keyword
-arguments, and the registry builds the unbound
-:class:`~repro.topology.base.Topology`, with the shared
-:class:`ConfigurationError` contract — an unknown name or keyword
-arguments that do not fit the factory's signature raise a readable
-error naming the topology and the parameters it accepts.
+A scenario names a communication graph ("ring", "erdos-renyi", ...)
+plus keyword arguments, and the registry builds the unbound
+:class:`~repro.topology.base.Topology`.
 
-Unlike the optional attack/delay registries there is no ``None`` arm:
-every decentralized cell has *some* graph, and the ``"complete"``
-default is the degenerate cell the server path realizes bit for bit.
+Unlike the attack and delay registries there is no ``None`` arm: every
+decentralized cell has *some* graph, and the ``"complete"`` default is
+the degenerate cell the server path realizes bit for bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-
-from repro.exceptions import ConfigurationError
 from repro.topology.base import Topology
-from repro.utils.validation import check_factory_kwargs
+from repro.utils.registry import Registry
 
 __all__ = [
+    "TOPOLOGIES",
     "register_topology",
     "available_topologies",
     "topology_factory",
     "make_topology",
 ]
 
-_REGISTRY: dict[str, Callable[..., Topology]] = {}
+TOPOLOGIES: Registry[Topology] = Registry("topology")
 
-
-def register_topology(name: str, factory: Callable[..., Topology]) -> None:
-    """Register a topology under ``name``; later registrations override."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(
-            f"topology name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def available_topologies() -> list[str]:
-    """Sorted list of registered topology names."""
-    return sorted(_REGISTRY)
-
-
-def topology_factory(name: str) -> Callable[..., Topology]:
-    """The registered factory for ``name`` (for signature introspection)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown topology {name!r}; available: {available_topologies()}"
-        )
-    return _REGISTRY[name]
-
-
-def make_topology(
-    name: str, kwargs: Mapping[str, object] | None = None
-) -> Topology:
-    """Build a topology by name, e.g. ``make_topology("ring", {"degree": 4})``.
-
-    Keyword arguments that do not fit the factory's signature (unknown
-    names, missing required parameters) raise
-    :class:`ConfigurationError` naming the topology and the parameters
-    it accepts — the shared registry contract.
-    """
-    factory = topology_factory(name)
-    resolved = dict(kwargs or {})
-    check_factory_kwargs("topology", name, factory, resolved)
-    return factory(**resolved)
+register_topology = TOPOLOGIES.register
+available_topologies = TOPOLOGIES.names
+topology_factory = TOPOLOGIES.factory
+make_topology = TOPOLOGIES.make
 
 
 def _register_builtins() -> None:

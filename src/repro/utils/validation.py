@@ -109,7 +109,7 @@ def check_factory_kwargs(
 ) -> None:
     """Validate ``kwargs`` against ``factory``'s signature before calling.
 
-    Shared by the name-based registries (attacks, workloads): arguments
+    Used by :class:`~repro.utils.registry.Registry`: arguments
     that do not bind — unknown names, missing required parameters —
     raise :class:`ConfigurationError` naming the entry and the
     parameters its factory accepts, instead of leaking the factory's raw

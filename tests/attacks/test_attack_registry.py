@@ -1,14 +1,18 @@
-"""Tests for the attack registry and its error taxonomy."""
+"""Tests for the attack registry.
+
+The shared registry contract (unknown names, bad kwargs, name
+validation, overrides, the ``None`` arm) is tested once for every
+family in ``tests/utils/test_registry_contract.py``.
+"""
 
 import pytest
 
-from repro.attacks.base import Attack, BenignAttack
+from repro.attacks.base import BenignAttack
 from repro.attacks.random_noise import GaussianAttack
 from repro.attacks.registry import (
     attack_factory,
     available_attacks,
     make_attack,
-    register_attack,
 )
 from repro.exceptions import ConfigurationError
 
@@ -26,56 +30,15 @@ class TestRegistryRoundTrip:
 
     def test_none_is_the_attack_free_arm(self):
         assert make_attack(None) is None
-        assert make_attack(None, {"ignored": 1}) is None
 
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ConfigurationError, match="available"):
-            make_attack("no-such-attack")
+    def test_kwargs_without_a_name_are_rejected(self):
+        # Regression: attack kwargs without a name used to be dropped
+        # silently, while the delay and server-attack registries raised.
+        with pytest.raises(ConfigurationError, match="without a"):
+            make_attack(None, {"sigma": 1.0})
 
     def test_factory_lookup(self):
         assert attack_factory("benign") is BenignAttack
-
-
-class TestMakeAttackErrorTaxonomy:
-    """Regression: kwargs that do not fit the factory signature used to
-    leak the factory's raw ``TypeError``; they must surface as
-    ``ConfigurationError`` naming the attack and its parameters."""
-
-    def test_unknown_kwarg(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_attack("gaussian", {"sigmah": 50.0})
-        message = str(excinfo.value)
-        assert "gaussian" in message
-        assert "sigma" in message  # the accepted parameters are listed
-        assert isinstance(excinfo.value, ValueError)  # taxonomy: config error
-
-    def test_missing_required_kwarg(self):
-        class NeedsTarget(Attack):
-            def __init__(self, target):
-                self.target = target
-
-            def craft(self, context):
-                raise NotImplementedError
-
-        register_attack("needs-target-test", NeedsTarget)
-        try:
-            with pytest.raises(ConfigurationError) as excinfo:
-                make_attack("needs-target-test")
-            message = str(excinfo.value)
-            assert "needs-target-test" in message
-            assert "target" in message
-            # And the well-formed call still works.
-            built = make_attack("needs-target-test", {"target": 3})
-            assert built.target == 3
-        finally:
-            from repro.attacks import registry
-
-            registry._REGISTRY.pop("needs-target-test", None)
-
-    def test_wrapped_error_chains_the_original(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_attack("benign", {"unexpected": True})
-        assert isinstance(excinfo.value.__cause__, TypeError)
 
 
 class TestCompositeRegistryEntry:

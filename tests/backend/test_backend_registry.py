@@ -1,10 +1,8 @@
-"""Backend-registry round trips and the ConfigurationError taxonomy.
+"""Backend-registry round trips, installation probing and resolution.
 
-The fourth registry must behave exactly like the aggregator/attack/
-workload registries: unknown names raise ``ConfigurationError`` listing
-the available entries, kwargs that do not bind raise a readable error
-naming the backend and its accepted parameters, and registration
-round-trips.
+The shared registry contract (unknown names, bad kwargs, name
+validation, overrides) is tested once for every family in
+``tests/utils/test_registry_contract.py``.
 """
 
 from __future__ import annotations
@@ -25,21 +23,16 @@ from repro.backend import (
     register_backend,
     resolve_backend,
 )
-from repro.backend.registry import _REGISTRY
+from repro.backend.registry import BACKENDS
 from repro.exceptions import ConfigurationError
 
 TORCH_PRESENT = importlib.util.find_spec("torch") is not None
 
 
 @pytest.fixture
-def scratch_registry():
-    """Snapshot/restore the registry so tests can register freely."""
-    saved = dict(_REGISTRY)
-    try:
-        yield
-    finally:
-        _REGISTRY.clear()
-        _REGISTRY.update(saved)
+def scratch_registry(monkeypatch):
+    """A private copy of the registry so tests can register freely."""
+    monkeypatch.setattr(BACKENDS, "_factories", dict(BACKENDS._factories))
 
 
 class TestBuiltins:
@@ -75,33 +68,13 @@ class TestBuiltins:
 
 
 class TestErrorTaxonomy:
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_backend("jax")
-        message = str(excinfo.value)
-        assert "unknown backend 'jax'" in message
-        assert "numpy" in message and "torch" in message
-
     def test_unknown_name_in_backend_installed(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             backend_installed("jax")
 
-    def test_bad_kwargs_name_backend_and_accepted_params(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            make_backend("numpy", {"precision": "double"})
-        message = str(excinfo.value)
-        assert "backend 'numpy'" in message
-        assert "accepted parameters" in message
-        assert "dtype" in message
-
     def test_bad_dtype_value_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="dtype"):
             make_backend("numpy", {"dtype": "float16"})
-
-    def test_register_rejects_bad_names(self):
-        for bad in ("", None, 42):
-            with pytest.raises(ConfigurationError, match="name"):
-                register_backend(bad, NumpyBackend)
 
     @pytest.mark.skipif(
         TORCH_PRESENT, reason="only meaningful without torch installed"
@@ -137,10 +110,6 @@ class TestRoundTrip:
         # And the shared kwargs contract applies to registered entries.
         with pytest.raises(ConfigurationError, match="tracing"):
             make_backend("tracing", {"nope": 1})
-
-    def test_later_registration_overrides(self, scratch_registry):
-        register_backend("numpy", lambda: NumpyBackend(dtype="float32"))
-        assert make_backend("numpy").describe() == "numpy[float32]"
 
 
 class TestResolve:

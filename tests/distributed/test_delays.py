@@ -1,17 +1,22 @@
-"""Tests for the delay-schedule registry and built-in schedules."""
+"""Tests for the delay-schedule registry and built-in schedules.
+
+The shared registry contract (unknown names, bad kwargs, name
+validation, overrides, the ``None`` arm) is tested once for every
+family in ``tests/utils/test_registry_contract.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed.delays import (
+    DELAY_SCHEDULES,
     ConstantDelay,
     DelaySchedule,
     PeriodicDelay,
     SeededRandomDelay,
     ZeroDelay,
     available_delay_schedules,
-    delay_schedule_factory,
     make_delay_schedule,
     register_delay_schedule,
 )
@@ -30,44 +35,21 @@ class TestRegistry:
         assert isinstance(schedule, ConstantDelay)
         assert schedule.tau == 2
 
-    def test_none_passthrough(self):
-        assert make_delay_schedule(None) is None
-
-    def test_kwargs_without_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="without a"):
-            make_delay_schedule(None, {"tau": 2})
-
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ConfigurationError, match="available"):
-            make_delay_schedule("no-such-schedule")
-        with pytest.raises(ConfigurationError, match="available"):
-            delay_schedule_factory("no-such-schedule")
-
-    def test_bad_kwargs_name_schedule_and_params(self):
-        with pytest.raises(
-            ConfigurationError, match="delay schedule 'constant'"
-        ):
-            make_delay_schedule("constant", {"nope": 1})
-
-    def test_register_rejects_empty_name(self):
-        with pytest.raises(ConfigurationError):
-            register_delay_schedule("", ZeroDelay)
-
-    def test_register_custom(self):
+    def test_register_custom(self, monkeypatch):
+        # A custom schedule gets the default block form for free.
         class EveryOther(DelaySchedule):
             name = "every-other"
 
             def staleness(self, worker_id, round_index):
                 return worker_id % 2
 
+        monkeypatch.setattr(
+            DELAY_SCHEDULES, "_factories", dict(DELAY_SCHEDULES._factories)
+        )
         register_delay_schedule("every-other-test", EveryOther)
-        try:
-            schedule = make_delay_schedule("every-other-test")
-            assert schedule.staleness(3, 0) == 1
-        finally:
-            from repro.distributed import delays
-
-            delays._REGISTRY.pop("every-other-test", None)
+        schedule = make_delay_schedule("every-other-test")
+        assert schedule.staleness(3, 0) == 1
+        assert schedule.staleness_block([2, 3], [0]).tolist() == [[0, 1]]
 
 
 class TestSchedules:

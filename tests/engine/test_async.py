@@ -16,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed import delays
-from repro.distributed.delays import DelaySchedule, register_delay_schedule
-from repro.distributed.simulator import TrainingSimulation
+from repro.distributed.delays import (
+    DELAY_SCHEDULES,
+    DelaySchedule,
+    register_delay_schedule,
+)
 from repro.engine import BatchedSimulation, ScenarioGrid, run_grid
 from repro.engine.runner import build_scenario_simulation
 from repro.exceptions import ConfigurationError, SimulationError
@@ -330,14 +332,12 @@ _CUSTOM_SCHEDULES = (_NegativeAt, _Rotating, _FlatBlock)
 
 
 @pytest.fixture
-def custom_schedules():
+def custom_schedules(monkeypatch):
+    monkeypatch.setattr(
+        DELAY_SCHEDULES, "_factories", dict(DELAY_SCHEDULES._factories)
+    )
     for schedule in _CUSTOM_SCHEDULES:
         register_delay_schedule(schedule.name, schedule)
-    try:
-        yield
-    finally:
-        for schedule in _CUSTOM_SCHEDULES:
-            delays._REGISTRY.pop(schedule.name, None)
 
 
 def _async_sims(count=None, **overrides):

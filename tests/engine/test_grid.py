@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.attacks.base import BenignAttack
+from repro.attacks.registry import ATTACKS, register_attack
 from repro.baselines.average import Average
 from repro.core.krum import Krum
 from repro.engine import (
@@ -88,11 +90,15 @@ class TestScenarioGrid:
         result = run_grid(grid, mode="batched", eval_every=3)
         assert len(result.histories) == len(grid)
 
-    def test_structural_character_kwargs_labels_distinct(self):
+    def test_structural_character_kwargs_labels_distinct(self, monkeypatch):
         """Regression: kwargs values containing the label's structural
         characters (',', '=', '|') used to be able to collide — e.g.
         {"a": "1,b=2"} and {"a": 1, "b": 2} both encoded as "a=1,b=2".
         The repr-based encoding keeps them distinct."""
+        # Specs validate their kwargs at declaration, so the arbitrary
+        # kwargs below need an attack whose factory takes any keyword.
+        monkeypatch.setattr(ATTACKS, "_factories", dict(ATTACKS._factories))
+        register_attack("any-kwargs", lambda **kwargs: BenignAttack())
         colliding_pairs = [
             ({"a": "1,b=2"}, {"a": 1, "b": 2}),
             ({"a": "x|f=3"}, {"a": "x", "f": 3}),
@@ -101,11 +107,11 @@ class TestScenarioGrid:
         ]
         for kwargs_a, kwargs_b in colliding_pairs:
             spec_a = ScenarioSpec(
-                seed=0, aggregator="average", attack="gaussian",
+                seed=0, aggregator="average", attack="any-kwargs",
                 attack_kwargs=kwargs_a, num_byzantine=2,
             )
             spec_b = ScenarioSpec(
-                seed=0, aggregator="average", attack="gaussian",
+                seed=0, aggregator="average", attack="any-kwargs",
                 attack_kwargs=kwargs_b, num_byzantine=2,
             )
             assert spec_a.label != spec_b.label, (kwargs_a, kwargs_b)
@@ -150,6 +156,22 @@ class TestScenarioGrid:
     def test_positive_f_requires_attacks(self):
         with pytest.raises(ConfigurationError, match="no attacks"):
             small_grid(attacks=(), f_values=(2,))
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"aggregators": (("krun", {}),)}, "unknown aggregator 'krun'"),
+            ({"aggregators": (("krum", {"m": 3}),)}, "aggregator 'krum'"),
+            ({"attacks": (("gausian", {}),)}, "unknown attack 'gausian'"),
+            ({"attacks": (("gaussian", {"sigm": 1.0}),)}, "attack 'gaussian'"),
+        ],
+    )
+    def test_bad_rule_and_attack_specs_fail_at_declaration(
+        self, overrides, match
+    ):
+        # Regression: these used to surface only in run_grid.
+        with pytest.raises(ConfigurationError, match=match):
+            small_grid(**overrides)
 
     def test_validate_surfaces_preconditions(self):
         # f = 4 violates Krum's 2f + 2 < n for n = 9.
@@ -358,3 +380,34 @@ class TestTopologyAxis:
         spec = small_grid().scenarios()[0]
         with pytest.raises(ConfigurationError):
             build_gossip_simulation(spec)
+
+
+class TestScenarioSpecValidation:
+    """Regression: a spec used to accept these and fail only when its
+    simulation was built."""
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"attack_kwargs": {"sigma": 1.0}}, "without a"),
+            ({"num_byzantine": 2}, "requires an attack"),
+            ({"attack": "gaussian"}, "num_byzantine=0"),
+            ({"aggregator": "krun"}, "unknown aggregator 'krun'"),
+            ({"aggregator_kwargs": {"f": 1}}, "aggregator 'average'"),
+            (
+                {"attack": "gausian", "num_byzantine": 2},
+                "unknown attack 'gausian'",
+            ),
+            (
+                {
+                    "attack": "gaussian",
+                    "attack_kwargs": {"sigm": 1.0},
+                    "num_byzantine": 2,
+                },
+                "attack 'gaussian'",
+            ),
+        ],
+    )
+    def test_bad_specs_fail_at_declaration(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec(**{"seed": 0, "aggregator": "average", **overrides})

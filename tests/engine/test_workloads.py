@@ -1,4 +1,9 @@
-"""Tests for the workload registry and the workload-parametric grid API."""
+"""Tests for the workload registry and the workload-parametric grid API.
+
+The shared registry contract (unknown names, bad kwargs, name
+validation) is tested once for every family in
+``tests/utils/test_registry_contract.py``.
+"""
 
 import numpy as np
 import pytest
@@ -10,7 +15,6 @@ from repro.engine import (
     available_workloads,
     build_scenario_simulation,
     make_workload,
-    register_workload,
     run_grid,
     workload_factory,
 )
@@ -51,26 +55,8 @@ class TestRegistry:
             assert workload.name == name
             assert workload.dimension >= 1
 
-    def test_unknown_workload_names_available(self):
-        with pytest.raises(ConfigurationError, match="unknown workload") as err:
-            make_workload("imagenet")
-        assert "quadratic" in str(err.value)
-
-    def test_bad_kwargs_name_workload_and_parameters(self):
-        """Same contract make_attack got in PR 2: the error names the
-        workload and the parameters its factory accepts."""
-        with pytest.raises(ConfigurationError, match="logistic-spambase") as err:
-            make_workload("logistic-spambase", {"num_sampels": 100})
-        message = str(err.value)
-        assert "accepted parameters" in message
-        assert "num_train" in message
-
     def test_factory_introspection(self):
         assert workload_factory("quadratic") is QuadraticWorkload
-
-    def test_registration_requires_name(self):
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_workload("", QuadraticWorkload)
 
     def test_workload_key_handles_unhashable_kwargs(self):
         key = workload_key("quadratic", {"dimension": [1, 2]})

@@ -36,6 +36,24 @@ class TestSGDExperimentConfig:
         config = _config(num_byzantine=0, attack=None)
         assert config.num_honest == 11
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"num_byzantine": 0}, "num_byzantine=0"),
+            ({"num_byzantine": 0, "attack": None, "attack_kwargs": {"a": 1}},
+             "without a"),
+            ({"aggregator": "krun"}, "unknown aggregator 'krun'"),
+            ({"aggregator_kwargs": {"f": 2, "m": 3}}, "aggregator 'krum'"),
+            ({"attack": "gausian"}, "unknown attack 'gausian'"),
+            ({"attack_kwargs": {"sigm": 1.0}}, "attack 'gaussian'"),
+        ],
+    )
+    def test_bad_specs_fail_at_declaration(self, overrides, match):
+        # Regression: these used to be accepted and fail only when the
+        # experiment was built.
+        with pytest.raises(ConfigurationError, match=match):
+            _config(**overrides)
+
     def test_rejects_bad_learning_rate(self):
         with pytest.raises(ConfigurationError):
             _config(learning_rate=0.0)
@@ -72,7 +90,7 @@ class TestPartitionKnobs:
 class TestAsyncConfigFields:
     def test_defaults_are_synchronous(self):
         config = SGDExperimentConfig(
-            num_workers=10, num_byzantine=0, num_rounds=5, aggregator="krum"
+            num_workers=10, num_byzantine=0, num_rounds=5, aggregator="average"
         )
         assert config.max_staleness == 0
         assert config.delay_schedule is None
@@ -82,33 +100,33 @@ class TestAsyncConfigFields:
         with pytest.raises(ConfigurationError, match="max_staleness"):
             SGDExperimentConfig(
                 num_workers=10, num_byzantine=0, num_rounds=5,
-                aggregator="krum", max_staleness=-1,
+                aggregator="average", max_staleness=-1,
             )
 
     def test_delay_kwargs_require_schedule(self):
-        with pytest.raises(ConfigurationError, match="delay_kwargs"):
+        with pytest.raises(ConfigurationError, match="without a"):
             SGDExperimentConfig(
                 num_workers=10, num_byzantine=0, num_rounds=5,
-                aggregator="krum", delay_kwargs={"tau": 1},
+                aggregator="average", delay_kwargs={"tau": 1},
             )
 
     def test_bad_delay_schedule_fails_at_declaration(self):
         with pytest.raises(ConfigurationError, match="available"):
             SGDExperimentConfig(
                 num_workers=10, num_byzantine=0, num_rounds=5,
-                aggregator="krum", delay_schedule="no-such-schedule",
+                aggregator="average", delay_schedule="no-such-schedule",
             )
         with pytest.raises(ConfigurationError, match="delay schedule"):
             SGDExperimentConfig(
                 num_workers=10, num_byzantine=0, num_rounds=5,
-                aggregator="krum", delay_schedule="constant",
+                aggregator="average", delay_schedule="constant",
                 delay_kwargs={"bogus": 1},
             )
 
     def test_valid_async_config_accepted(self):
         config = SGDExperimentConfig(
             num_workers=10, num_byzantine=0, num_rounds=5,
-            aggregator="krum", max_staleness=3,
+            aggregator="average", max_staleness=3,
             delay_schedule="random", delay_kwargs={"max_delay": 3},
             halt_on_nonfinite=True,
         )
@@ -119,7 +137,7 @@ class TestTopologyConfigFields:
     def _config(self, **overrides):
         kwargs = dict(
             num_workers=10, num_byzantine=0, num_rounds=5,
-            aggregator="krum",
+            aggregator="average",
         )
         kwargs.update(overrides)
         return SGDExperimentConfig(**kwargs)

@@ -32,7 +32,6 @@ def test_gate_actually_scanned_the_library():
     assert "rng-discipline" in report.rule_names
     assert "error-taxonomy" in report.rule_names
     assert "stateful-attack-declaration" in report.rule_names
-    assert "registry-factory-contract" in report.rule_names
     # The whole-program rules run in the same gate; their own
     # anti-vacuity guards (bad fixtures that must fire) live in
     # tests/lint/test_project_rules.py.

@@ -114,7 +114,7 @@ def test_list_rules_names_every_builtin(capsys):
         "rng-discipline",
         "error-taxonomy",
         "stateful-attack-declaration",
-        "registry-factory-contract",
+        "registry-drift",
         "syntax-error",
         "unused-suppression",
     ):

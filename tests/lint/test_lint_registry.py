@@ -1,21 +1,22 @@
-"""The lint-rule registry follows the shared registry contract."""
+"""The lint-rule registry: built-ins, round trips and descriptions.
+
+The shared registry contract (unknown names, bad kwargs, name
+validation, overrides) is tested once for every family in
+``tests/utils/test_registry_contract.py``.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-import pytest
-
-from repro.exceptions import ConfigurationError
 from repro.lint import (
     Finding,
     LintRule,
     available_rules,
     make_rule,
     register_rule,
-    rule_factory,
 )
-from repro.lint.registry import rule_descriptions
+from repro.lint.registry import RULES, rule_descriptions
 
 
 def test_builtin_rules_are_registered():
@@ -25,11 +26,12 @@ def test_builtin_rules_are_registered():
         "rng-discipline",
         "error-taxonomy",
         "stateful-attack-declaration",
-        "registry-factory-contract",
+        "registry-drift",
         "syntax-error",
         "unused-suppression",
     ):
         assert expected in names
+    assert "registry-factory-contract" not in names
 
 
 def test_make_rule_round_trip():
@@ -38,31 +40,7 @@ def test_make_rule_round_trip():
     assert rule.name == "error-taxonomy"
 
 
-def test_unknown_rule_raises_configuration_error():
-    with pytest.raises(ConfigurationError, match="unknown lint rule"):
-        make_rule("no-such-rule")
-    with pytest.raises(ConfigurationError, match="unknown lint rule"):
-        rule_factory("no-such-rule")
-
-
-def test_bad_kwargs_raise_configuration_error():
-    with pytest.raises(ConfigurationError, match="error-taxonomy"):
-        make_rule("error-taxonomy", kwargs={"bogus_option": 1})
-
-
-def test_register_rule_rejects_empty_name():
-    class Dummy(LintRule):
-        name = "dummy"
-        description = "dummy"
-
-        def check(self, module) -> Iterable[Finding]:
-            return ()
-
-    with pytest.raises(ConfigurationError, match="non-empty string"):
-        register_rule("", Dummy)
-
-
-def test_custom_rule_registration_and_kwargs():
+def test_custom_rule_registration_and_kwargs(monkeypatch):
     class ShoutRule(LintRule):
         name = "test-shout"
         description = "test-only rule"
@@ -73,16 +51,11 @@ def test_custom_rule_registration_and_kwargs():
         def check(self, module) -> Iterable[Finding]:
             return ()
 
+    # A private copy of the table: the codebase-clean gate runs "all
+    # registered rules", so the test rule must not outlive the test.
+    monkeypatch.setattr(RULES, "_factories", dict(RULES._factories))
     register_rule("test-shout", ShoutRule)
-    try:
-        assert "test-shout" in available_rules()
-        rule = make_rule("test-shout", kwargs={"loudness": 3})
-        assert rule.loudness == 3
-        assert rule_descriptions()["test-shout"] == "test-only rule"
-    finally:
-        # Keep the global registry pristine for the other tests (the
-        # codebase-clean gate runs "all registered rules").
-        from repro.lint import registry as registry_module
-
-        registry_module._REGISTRY.pop("test-shout", None)
-    assert "test-shout" not in available_rules()
+    assert "test-shout" in available_rules()
+    rule = make_rule("test-shout", kwargs={"loudness": 3})
+    assert rule.loudness == 3
+    assert rule_descriptions()["test-shout"] == "test-only rule"

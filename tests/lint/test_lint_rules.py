@@ -4,9 +4,8 @@ stays quiet on the matching good one.
 The bad fixtures reproduce the historical bug shapes the rules exist
 for: the PR 4 float64-literal/np-in-kernel shape (backend-purity), the
 unseeded ``default_rng`` shape (rng-discipline), the PR 2 bare
-``ValueError`` shape (error-taxonomy), the PR 6 stateful-attack reuse
-shape (stateful-attack-declaration), and the raw-TypeError factory
-shape (registry-factory-contract).
+``ValueError`` shape (error-taxonomy) and the stateful-attack reuse
+shape (stateful-attack-declaration).
 """
 
 from __future__ import annotations
@@ -473,122 +472,3 @@ class TestStatefulAttackDeclaration:
             """,
         )
         assert findings == []
-
-
-# ----------------------------------------------------------------------
-# registry-factory-contract
-# ----------------------------------------------------------------------
-
-
-class TestRegistryFactoryContract:
-    def test_raw_splat_fires(self):
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            def make_widget(name, **kwargs):
-                return _REGISTRY[name](**kwargs)
-            """,
-        )
-        assert [f.rule for f in findings] == ["registry-factory-contract"]
-        assert "make_widget" in findings[0].message
-
-    def test_check_factory_kwargs_satisfies(self):
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            from repro.utils.validation import check_factory_kwargs
-
-            def make_widget(name, kwargs=None):
-                factory = _REGISTRY[name]
-                resolved = dict(kwargs or {})
-                check_factory_kwargs("widget", name, factory, resolved)
-                return factory(**resolved)
-            """,
-        )
-        assert findings == []
-
-    def test_typeerror_wrapper_satisfies(self):
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            from repro.exceptions import ConfigurationError
-
-            def make_widget(name, **kwargs):
-                try:
-                    return _REGISTRY[name](**kwargs)
-                except TypeError as error:
-                    raise ConfigurationError(
-                        f"invalid arguments for widget {name!r}: {error}"
-                    ) from error
-            """,
-        )
-        assert findings == []
-
-    def test_non_make_functions_are_ignored(self):
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            def build_widget(name, **kwargs):
-                return _REGISTRY[name](**kwargs)
-            """,
-        )
-        assert findings == []
-
-    def test_make_without_splat_is_ignored(self):
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            def make_widget(name):
-                return _REGISTRY[name]()
-            """,
-        )
-        assert findings == []
-
-    def test_topology_registry_shape_satisfies(self):
-        """The topology registry's make function — look up, resolve,
-        validate against the factory signature, then splat — is the
-        contract the rule enforces."""
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            from repro.utils.validation import check_factory_kwargs
-
-            _REGISTRY = {}
-
-            def topology_factory(name):
-                if name not in _REGISTRY:
-                    raise ConfigurationError(
-                        f"unknown topology {name!r}; "
-                        f"available: {sorted(_REGISTRY)}"
-                    )
-                return _REGISTRY[name]
-
-            def make_topology(name, kwargs=None):
-                factory = topology_factory(name)
-                resolved = dict(kwargs or {})
-                check_factory_kwargs("topology", name, factory, resolved)
-                return factory(**resolved)
-            """,
-        )
-        assert findings == []
-
-    def test_topology_registry_without_kwargs_check_fires(self):
-        """The same shape minus the signature validation splats raw
-        user kwargs into the factory — a TypeError instead of the
-        registry taxonomy's ConfigurationError."""
-        findings = run_rule(
-            "registry-factory-contract",
-            """
-            _REGISTRY = {}
-
-            def topology_factory(name):
-                return _REGISTRY[name]
-
-            def make_topology(name, kwargs=None):
-                factory = topology_factory(name)
-                resolved = dict(kwargs or {})
-                return factory(**resolved)
-            """,
-        )
-        assert [f.rule for f in findings] == ["registry-factory-contract"]
-        assert "make_topology" in findings[0].message

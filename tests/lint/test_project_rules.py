@@ -37,20 +37,22 @@ def run(root: Path, rule: str):
 # -- registry-drift ----------------------------------------------------
 
 REGISTRY_MODULE = """
-    def register_aggregator(name, factory):
-        pass
+    from repro.utils.registry import Registry
 
-    def available_aggregators():
-        return ["krum", "median"]
+    AGGREGATORS = Registry("aggregator")
 
-    def make_aggregator(name):
-        return name
+    register_aggregator = AGGREGATORS.register
+    available_aggregators = AGGREGATORS.names
+
+    def make_aggregator(name, **kwargs):
+        \"\"\"A keyword-spelling wrapper is an alias too.\"\"\"
+        return AGGREGATORS.make(name, kwargs)
 
     class Krum:
         name = "krum"
 
     register_aggregator(Krum.name, Krum)
-    register_aggregator("median", object)
+    AGGREGATORS.register("median", object)
 """
 
 SWEEP_TEST = """
@@ -97,6 +99,17 @@ class TestRegistryDrift:
         assert "not swept by any contract test" in findings[0].message
         assert "available_aggregators" in findings[0].message
 
+    def test_instance_names_call_is_a_sweep(self, tmp_path):
+        files = dict(REGISTRY_FILES)
+        files["tests/test_contract.py"] = """
+            from pkg.registry import AGGREGATORS
+
+            def test_sweep():
+                assert AGGREGATORS.names()
+        """
+        root = make_project(tmp_path, files)
+        assert run(root, "registry-drift") == ()
+
     def test_readme_row_for_unregistered_name(self, tmp_path):
         files = dict(REGISTRY_FILES)
         files["README.md"] = README_TABLE + "| `zapp`        | c    |\n"
@@ -120,16 +133,20 @@ class TestRegistryDrift:
     def test_make_call_with_unregistered_literal(self, tmp_path):
         files = dict(REGISTRY_FILES)
         files["src/pkg/use.py"] = """
-            from pkg.registry import make_aggregator
+            from pkg.registry import AGGREGATORS, make_aggregator
 
             def build():
                 return make_aggregator("kurm")
+
+            def check():
+                AGGREGATORS.check("medain", {})
         """
         root = make_project(tmp_path, files)
         findings = run(root, "registry-drift")
-        assert len(findings) == 1
+        assert len(findings) == 2
         assert "'kurm'" in findings[0].message
-        assert "unregistered" in findings[0].message
+        assert "'medain'" in findings[1].message
+        assert all("unregistered" in f.message for f in findings)
 
     def test_hardcoded_cli_strings_flag_unlisted_names(self, tmp_path):
         files = dict(REGISTRY_FILES)
@@ -144,6 +161,24 @@ class TestRegistryDrift:
         assert len(findings) == 1
         assert "'median'" in findings[0].message
         assert "choice source" in findings[0].message
+
+    def test_literal_choices_list_is_diffed(self, tmp_path):
+        files = dict(REGISTRY_FILES)
+        files["src/pkg/cli.py"] = """
+            import argparse
+
+            from pkg.registry import available_aggregators
+
+            def build_parser():
+                parser = argparse.ArgumentParser()
+                parser.add_argument("--rule", choices=["krum", "zapp"])
+                return parser, available_aggregators
+        """
+        root = make_project(tmp_path, files)
+        messages = [f.message for f in run(root, "registry-drift")]
+        assert len(messages) == 2
+        assert any("missing ['median']" in m for m in messages)
+        assert any("unregistered aggregator(s) ['zapp']" in m for m in messages)
 
     def test_dynamic_cli_is_clean(self, tmp_path):
         files = dict(REGISTRY_FILES)
@@ -163,6 +198,30 @@ class TestRegistryDrift:
         root = make_project(tmp_path, REGISTRY_FILES)
         findings = run(root, "registry-drift")
         assert not any("krum" in f.message for f in findings)
+
+    def test_a_new_registry_needs_no_rule_edit(self, tmp_path):
+        # A ninth family is discovered from its declaration alone: its
+        # README table and its sweep are checked like the others'.
+        files = dict(REGISTRY_FILES)
+        files["src/pkg/optimizers.py"] = """
+            from repro.utils.registry import Registry
+
+            OPTIMIZERS: Registry[object] = Registry("optimizer")
+            OPTIMIZERS.register("sgd", object)
+            OPTIMIZERS.register("adam", object)
+        """
+        files["README.md"] = README_TABLE + (
+            "\n| Registry name | Optimizer |\n"
+            "|---------------|-----------|\n"
+            "| `sgd`         | plain     |\n"
+        )
+        root = make_project(tmp_path, files)
+        messages = sorted(f.message for f in run(root, "registry-drift"))
+        assert len(messages) == 2
+        sweep, readme = messages
+        assert "optimizer names registered via OPTIMIZERS.register()" in sweep
+        assert "OPTIMIZERS.names()" in sweep
+        assert "registered optimizer 'adam' is missing" in readme
 
 
 # -- seeded-query-purity -----------------------------------------------

@@ -1,4 +1,9 @@
-"""The server-attack registry: round-trips and the error contract."""
+"""The server-attack registry: round-trips and parameter validation.
+
+The shared registry contract (unknown names, bad kwargs, name
+validation, overrides, the ``None`` arm) is tested once for every
+family in ``tests/utils/test_registry_contract.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +12,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.servers.attacks import ServerAttack, SignFlipBroadcastAttack
 from repro.servers.registry import (
-    _REGISTRY,
     available_server_attacks,
     make_server_attack,
-    register_server_attack,
-    server_attack_factory,
 )
 
 
@@ -37,48 +39,8 @@ class TestRegistryRoundTrip:
         assert attack.scale == 2.0
         assert attack.name == "sign-flip-broadcast(scale=2.0)"
 
-    def test_none_builds_the_attack_free_tier(self):
-        assert make_server_attack(None) is None
-        assert make_server_attack(None, {}) is None
 
-    def test_registration_overrides_and_restores(self):
-        class Probe(ServerAttack):
-            name = "probe"
-
-            def corrupt(self, context):
-                raise NotImplementedError
-
-        original = dict(_REGISTRY)
-        try:
-            register_server_attack("probe", Probe)
-            assert "probe" in available_server_attacks()
-            assert isinstance(make_server_attack("probe"), Probe)
-        finally:
-            _REGISTRY.clear()
-            _REGISTRY.update(original)
-
-
-class TestErrorContract:
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ConfigurationError, match="sign-flip-broadcast"):
-            make_server_attack("no-such-attack")
-
-    def test_kwargs_without_name(self):
-        with pytest.raises(ConfigurationError, match="without"):
-            make_server_attack(None, {"scale": 2.0})
-
-    def test_bad_kwargs_name_the_attack_and_parameters(self):
-        with pytest.raises(ConfigurationError, match="scale"):
-            make_server_attack("sign-flip-broadcast", {"sigma": 2.0})
-
-    def test_factory_lookup_of_unknown_name(self):
-        with pytest.raises(ConfigurationError, match="unknown server attack"):
-            server_attack_factory("no-such-attack")
-
-    def test_register_rejects_empty_name(self):
-        with pytest.raises(ConfigurationError):
-            register_server_attack("", SignFlipBroadcastAttack)
-
+class TestParameterValidation:
     @pytest.mark.parametrize(
         "name, kwargs",
         [

@@ -5,7 +5,9 @@ neighborhoods; seeded families must round-trip deterministically across
 fresh binds; and the structured families must satisfy their defining
 properties (circulant shift-invariance for the ring, exact degree for
 k-regular, the p = 0 / p = 1 extremes for Erdős–Rényi, block constancy
-for the time-varying graph).
+for the time-varying graph).  The shared registry contract (unknown
+names, bad kwargs, name validation) is tested once for every family in
+``tests/utils/test_registry_contract.py``.
 """
 
 from __future__ import annotations
@@ -15,15 +17,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.topology import (
-    CompleteTopology,
     KRegularTopology,
     RingTopology,
     Topology,
     available_topologies,
     counter_uniform,
     make_topology,
-    register_topology,
-    topology_factory,
 )
 
 ALL_TOPOLOGIES = [
@@ -51,21 +50,6 @@ class TestRegistry:
             "ring",
             "time-varying",
         ]
-
-    def test_unknown_name_lists_alternatives(self):
-        with pytest.raises(ConfigurationError, match="available"):
-            make_topology("torus")
-        with pytest.raises(ConfigurationError, match="available"):
-            topology_factory("torus")
-
-    def test_bad_kwargs_name_the_factory_parameters(self):
-        with pytest.raises(ConfigurationError, match="degree"):
-            make_topology("complete", {"degree": 4})
-
-    def test_register_rejects_bad_names(self):
-        for bad in ("", None, 3):
-            with pytest.raises(ConfigurationError):
-                register_topology(bad, CompleteTopology)
 
     def test_factory_round_trip(self):
         topo = make_topology("ring", {"degree": 4})
