@@ -17,9 +17,8 @@ seam that lets them run on more than one array library:
   (``register_backend`` / ``available_backends`` / ``make_backend``).
 
 Selection is threaded end to end: ``run_grid(grid, backend="torch")``,
-``BatchedSimulation(sims, backend=...)``,
-``SGDExperimentConfig(backend=...)`` and the CLI's ``--backend`` flag
-all resolve through :func:`resolve_backend`.
+``BatchedSimulation(sims, backend=...)`` and the CLI's ``--backend``
+flag all resolve through :func:`resolve_backend`.
 """
 
 from repro.backend.base import ArrayBackend

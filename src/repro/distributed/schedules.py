@@ -9,6 +9,7 @@ fixed-horizon MLP experiments.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 from repro.exceptions import ConfigurationError
@@ -19,6 +20,10 @@ __all__ = [
     "InverseTimeSchedule",
     "StepDecaySchedule",
 ]
+
+
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 class LearningRateSchedule(ABC):
@@ -43,8 +48,10 @@ class ConstantSchedule(LearningRateSchedule):
     """γ_t = γ₀ for every round."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate}")
+        if not _positive_finite(rate):
+            raise ConfigurationError(
+                f"rate must be positive and finite, got {rate}"
+            )
         self._rate = float(rate)
 
     def rate(self, round_index: int) -> float:
@@ -55,9 +62,9 @@ class InverseTimeSchedule(LearningRateSchedule):
     """γ_t = γ₀ / (1 + t/τ): satisfies Prop. 4.3's conditions (ii)."""
 
     def __init__(self, initial: float, timescale: float = 100.0):
-        if initial <= 0 or timescale <= 0:
+        if not (_positive_finite(initial) and _positive_finite(timescale)):
             raise ConfigurationError(
-                f"initial and timescale must be positive, got "
+                f"initial and timescale must be positive and finite, got "
                 f"({initial}, {timescale})"
             )
         self.initial = float(initial)
@@ -71,8 +78,10 @@ class StepDecaySchedule(LearningRateSchedule):
     """γ halves every ``period`` rounds (common deep-learning practice)."""
 
     def __init__(self, initial: float, period: int, factor: float = 0.5):
-        if initial <= 0:
-            raise ConfigurationError(f"initial must be positive, got {initial}")
+        if not _positive_finite(initial):
+            raise ConfigurationError(
+                f"initial must be positive and finite, got {initial}"
+            )
         if period < 1:
             raise ConfigurationError(f"period must be >= 1, got {period}")
         if not 0.0 < factor < 1.0:

@@ -45,9 +45,76 @@ from repro.servers.replication import ReplicatedServerGroup
 from repro.utils.linalg import stack_vectors
 from repro.utils.rng import SeedLike, spawn_generators
 
-__all__ = ["TrainingSimulation"]
+__all__ = ["TrainingSimulation", "resolve_byzantine_slots", "evaluated_record"]
 
 Evaluator = Callable[[np.ndarray], dict[str, float]]
+
+
+def resolve_byzantine_slots(
+    spec: str | Sequence[int], num_workers: int, num_byzantine: int
+) -> list[int]:
+    """The sorted ids the adversary controls among ``num_workers``:
+    ``"last"``, ``"first"`` or an explicit sequence of ``num_byzantine``
+    distinct ids in ``[0, num_workers)``."""
+    n, f = num_workers, num_byzantine
+    if isinstance(spec, str):
+        if spec == "last":
+            return list(range(n - f, n))
+        if spec == "first":
+            return list(range(f))
+        raise ConfigurationError(
+            f"byzantine_slots must be 'first', 'last' or explicit ids, "
+            f"got {spec!r}"
+        )
+    slots = sorted(int(s) for s in spec)
+    if len(slots) != f:
+        raise ConfigurationError(
+            f"expected {f} byzantine slots, got {len(slots)}"
+        )
+    if len(set(slots)) != len(slots) or any(s < 0 or s >= n for s in slots):
+        raise ConfigurationError(
+            f"byzantine slots must be distinct ids in [0, {n}), got {slots}"
+        )
+    return slots
+
+
+def evaluated_record(
+    record: RoundRecord,
+    params: np.ndarray,
+    evaluate: Evaluator | None,
+    true_gradient_fn: Callable[[np.ndarray], np.ndarray] | None,
+    extras: dict[str, float] | None = None,
+) -> RoundRecord:
+    """``record`` with the evaluation of ``params`` attached.
+
+    The evaluator's ``loss``/``accuracy``/``grad_norm`` keys land in the
+    record fields and every other metric in ``extras``, followed by the
+    caller's ``extras``.  Without an evaluated ``grad_norm`` the norm of
+    ``true_gradient_fn(params)`` stands in.
+    """
+    loss = accuracy = grad_norm = None
+    merged: dict[str, float] = {}
+    if evaluate is not None:
+        metrics = dict(evaluate(params))
+        loss = metrics.pop("loss", None)
+        accuracy = metrics.pop("accuracy", None)
+        grad_norm = metrics.pop("grad_norm", None)
+        merged = {k: float(v) for k, v in metrics.items()}
+    if grad_norm is None and true_gradient_fn is not None:
+        grad_norm = float(np.linalg.norm(true_gradient_fn(params)))
+    merged.update(extras or {})
+    return RoundRecord(
+        round_index=record.round_index,
+        learning_rate=record.learning_rate,
+        aggregate_norm=record.aggregate_norm,
+        params_norm=record.params_norm,
+        selected=record.selected,
+        byzantine_selected=record.byzantine_selected,
+        loss=None if loss is None else float(loss),
+        accuracy=None if accuracy is None else float(accuracy),
+        grad_norm=None if grad_norm is None else float(grad_norm),
+        extras=merged,
+    )
 
 
 class TrainingSimulation:
@@ -147,7 +214,9 @@ class TrainingSimulation:
         self.num_workers = self.num_honest + self.num_byzantine
         aggregator.check_tolerance(self.num_workers)
 
-        self.byzantine_ids = self._resolve_slots(byzantine_slots)
+        self.byzantine_ids = resolve_byzantine_slots(
+            byzantine_slots, self.num_workers, self.num_byzantine
+        )
         honest_ids = [
             i for i in range(self.num_workers) if i not in set(self.byzantine_ids)
         ]
@@ -209,28 +278,6 @@ class TrainingSimulation:
             self.attack.reset()
         self.true_gradient_fn = true_gradient_fn
         self.evaluate = evaluate
-
-    def _resolve_slots(self, spec: str | Sequence[int]) -> list[int]:
-        n, f = self.num_workers, self.num_byzantine
-        if isinstance(spec, str):
-            if spec == "last":
-                return list(range(n - f, n))
-            if spec == "first":
-                return list(range(f))
-            raise ConfigurationError(
-                f"byzantine_slots must be 'first', 'last' or explicit ids, "
-                f"got {spec!r}"
-            )
-        slots = sorted(int(s) for s in spec)
-        if len(slots) != f:
-            raise ConfigurationError(
-                f"expected {f} byzantine slots, got {len(slots)}"
-            )
-        if len(set(slots)) != len(slots) or any(s < 0 or s >= n for s in slots):
-            raise ConfigurationError(
-                f"byzantine slots must be distinct ids in [0, {n}), got {slots}"
-            )
-        return slots
 
     @property
     def params(self) -> np.ndarray:
@@ -387,25 +434,6 @@ class TrainingSimulation:
         """
         if params is None:
             params = self.server.params
-        loss = accuracy = grad_norm = None
-        extras: dict[str, float] = {}
-        if self.evaluate is not None:
-            metrics = dict(self.evaluate(params))
-            loss = metrics.pop("loss", None)
-            accuracy = metrics.pop("accuracy", None)
-            grad_norm = metrics.pop("grad_norm", None)
-            extras = {k: float(v) for k, v in metrics.items()}
-        if grad_norm is None and self.true_gradient_fn is not None:
-            grad_norm = float(np.linalg.norm(self.true_gradient_fn(params)))
-        return RoundRecord(
-            round_index=record.round_index,
-            learning_rate=record.learning_rate,
-            aggregate_norm=record.aggregate_norm,
-            params_norm=record.params_norm,
-            selected=record.selected,
-            byzantine_selected=record.byzantine_selected,
-            loss=None if loss is None else float(loss),
-            accuracy=None if accuracy is None else float(accuracy),
-            grad_norm=None if grad_norm is None else float(grad_norm),
-            extras=extras,
+        return evaluated_record(
+            record, params, self.evaluate, self.true_gradient_fn
         )

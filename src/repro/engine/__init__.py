@@ -13,7 +13,10 @@ aggregators and attacks.  ``"quadratic"`` (the paper's Section-4
 analytic setting) is the default; dataset-backed workloads
 (``"logistic-spambase"``, ``"softmax-mnist"``, ``"mlp-mnist"``) train
 real models on sharded data, and a grid may sweep several workloads at
-once — the executor batches cells per parameter dimension.
+once — the executor batches cells per parameter dimension.  Every cell
+is a :class:`ScenarioSpec`, and ``Workload.build(spec)`` is the one
+place it becomes a simulation; a custom task is a registered workload
+implementing ``task(num_honest, seed)``.
 
 Quickstart::
 
@@ -55,6 +58,7 @@ from repro.engine.workloads import (
     MlpMnistWorkload,
     QuadraticWorkload,
     SoftmaxMnistWorkload,
+    Task,
     Workload,
     available_workloads,
     make_workload,
@@ -69,6 +73,7 @@ __all__ = [
     "GridResult",
     "build_scenario_simulation",
     "run_grid",
+    "Task",
     "Workload",
     "QuadraticWorkload",
     "DatasetWorkload",

@@ -28,6 +28,7 @@ call sites construct the equivalent grid unchanged.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
@@ -87,6 +88,21 @@ def _resolve_quadratic_shim(
     for key, default in QUADRATIC_DEFAULTS.items():
         resolved.setdefault(key, default)
     return resolved
+
+
+def _check_learning_rate(
+    learning_rate: float, lr_timescale: float | None
+) -> None:
+    """Both step-size knobs must be positive and finite (``lr_timescale``
+    may be ``None``: a constant schedule)."""
+    for knob, value in (
+        ("learning_rate", learning_rate),
+        ("lr_timescale", lr_timescale),
+    ):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(
+                f"{knob} must be positive and finite, got {value}"
+            )
 
 
 def _encode_kwargs(name: str, kwargs: Mapping) -> str:
@@ -160,6 +176,12 @@ class ScenarioSpec:
         if self.workload == "quadratic":
             for name in _QUADRATIC_SHIM_FIELDS:
                 object.__setattr__(self, name, resolved[name])
+        if not 0 <= self.num_byzantine < self.num_workers:
+            raise ConfigurationError(
+                f"need 0 <= num_byzantine < num_workers, got "
+                f"num_byzantine={self.num_byzantine} with "
+                f"num_workers={self.num_workers}"
+            )
         if self.num_byzantine > 0 and self.attack is None:
             raise ConfigurationError(
                 f"num_byzantine={self.num_byzantine} requires an attack"
@@ -172,6 +194,7 @@ class ScenarioSpec:
         # the None arms reject kwargs given without a name.
         AGGREGATORS.check(self.aggregator, self.aggregator_kwargs)
         ATTACKS.check_optional(self.attack, self.attack_kwargs)
+        _check_learning_rate(self.learning_rate, self.lr_timescale)
         if self.max_staleness < 0:
             raise ConfigurationError(
                 f"max_staleness must be >= 0, got {self.max_staleness}"
@@ -478,6 +501,7 @@ class ScenarioGrid:
             raise ConfigurationError(
                 "grid sweeps f > 0 but declares no attacks"
             )
+        _check_learning_rate(self.learning_rate, self.lr_timescale)
         # Validate each rule and attack spec once, at declaration time
         # (the cell's f reaches every rule whose factory takes one).
         for name, kwargs in self.aggregators:

@@ -1,9 +1,11 @@
 """Materialize and execute scenario grids.
 
 ``run_grid(grid, mode="batched")`` expands a
-:class:`~repro.engine.grid.ScenarioGrid` into simulations — each cell's
-workload is resolved through the registry of
-:mod:`repro.engine.workloads` — and executes them either
+:class:`~repro.engine.grid.ScenarioGrid` into
+:class:`~repro.engine.grid.ScenarioSpec` cells, builds each through its
+workload's :meth:`~repro.engine.workloads.Workload.build` (the workload
+is resolved through the registry of :mod:`repro.engine.workloads`), and
+executes them either
 
 * ``mode="loop"`` — each cell through its own
   :class:`~repro.distributed.TrainingSimulation` round loop (the seed
@@ -13,10 +15,17 @@ workload is resolved through the registry of
   parameter dimension (so a grid mixing, say, the quadratic bowl with
   an MNIST MLP still batches — per workload dimension).
 
-Both modes produce identical :class:`~repro.distributed.TrainingHistory`
-objects (bit-for-bit — see ``tests/engine/test_differential.py``); the
-batched mode is simply faster, which ``BENCH_engine.json`` and
-``BENCH_engine_workloads.json`` record.
+Gossip cells run on their own :class:`~repro.topology.GossipSimulation`
+in both modes.  Both modes produce identical
+:class:`~repro.distributed.TrainingHistory` objects (bit-for-bit — see
+``tests/engine/test_differential.py``); the batched mode is simply
+faster, which ``BENCH_engine.json`` and ``BENCH_engine_workloads.json``
+record.
+
+A dataset experiment is a grid on a dataset workload: the aggregator
+axis compares rules on the same honest gradients (every cell of a seed
+shares them), ``eval_every`` sets the evaluation cadence and
+``backend`` the array library of the batched kernels.
 """
 
 from __future__ import annotations
@@ -26,25 +35,18 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.attacks.registry import make_attack
 from repro.backend import ArrayBackend, resolve_backend
-from repro.core.aggregator import Aggregator
-from repro.core.registry import AGGREGATORS, make_aggregator
-from repro.distributed.delays import make_delay_schedule
 from repro.distributed.metrics import TrainingHistory
 from repro.distributed.simulator import TrainingSimulation
 from repro.engine.grid import ScenarioGrid, ScenarioSpec
 from repro.engine.simulation import BatchedSimulation
 from repro.engine.workloads import Workload, make_workload, workload_key
 from repro.exceptions import ConfigurationError
-from repro.servers.registry import make_server_attack
 from repro.topology.gossip import GossipSimulation
-from repro.topology.registry import make_topology
 
 __all__ = [
     "GridResult",
     "build_scenario_simulation",
-    "build_gossip_simulation",
     "run_grid",
 ]
 
@@ -84,103 +86,15 @@ class GridResult:
 
 def build_scenario_simulation(
     spec: ScenarioSpec, *, workload: Workload | None = None
-) -> TrainingSimulation:
-    """Build one cell's simulation on its workload.
+) -> TrainingSimulation | GossipSimulation:
+    """Build one cell's simulation on its workload (see
+    :meth:`~repro.engine.workloads.Workload.build`).
 
     ``workload`` lets callers share one workload object across cells
     (datasets and models are materialized once per workload instance);
     when omitted, the spec's workload is resolved through the registry.
     """
-    if workload is None:
-        workload = make_workload(spec.workload, spec.workload_kwargs)
-    aggregator = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
-    attack = make_attack(spec.attack, spec.attack_kwargs)
-    delay_schedule = make_delay_schedule(spec.delay_schedule, spec.delay_kwargs)
-    return workload.build(
-        aggregator=aggregator,
-        num_workers=spec.num_workers,
-        num_byzantine=spec.num_byzantine,
-        attack=attack,
-        learning_rate=spec.learning_rate,
-        lr_timescale=spec.lr_timescale,
-        byzantine_slots=spec.byzantine_slots,
-        max_staleness=spec.max_staleness,
-        delay_schedule=delay_schedule,
-        num_servers=spec.num_servers,
-        byzantine_servers=spec.byzantine_servers,
-        num_shards=spec.num_shards,
-        server_attack=make_server_attack(
-            spec.server_attack, spec.server_attack_kwargs
-        ),
-        halt_on_nonfinite=spec.halt_on_nonfinite,
-        seed=spec.seed,
-    )
-
-
-def _gossip_rule_builder(spec: ScenarioSpec):
-    """Per-neighborhood rule factory for a gossip cell.
-
-    When the cell's aggregator factory takes an ``f`` parameter the
-    returned closure rebuilds the rule at each node's *local* Byzantine
-    bound — a Krum node surrounded by one adversary defends against one,
-    not against the global ``f``.  F-free rules return ``None`` and the
-    engine copies the fixed rule per node instead.
-    """
-    if not AGGREGATORS.accepts(spec.aggregator, "f"):
-        return None
-
-    def build(f_local: int) -> Aggregator:
-        kwargs = dict(spec.aggregator_kwargs)
-        kwargs["f"] = int(f_local)
-        return make_aggregator(spec.aggregator, **kwargs)
-
-    return build
-
-
-def build_gossip_simulation(
-    spec: ScenarioSpec, *, workload: Workload | None = None
-) -> GossipSimulation:
-    """Build one gossip cell's simulation on its workload.
-
-    The workload builds a degenerate server-path template (same
-    estimators, cast, schedule, initial parameters and seed), and the
-    gossip engine takes over from it — so a gossip cell differs from its
-    server-path sibling *only* in the communication structure.  The
-    cell's delay schedule, if any, becomes the per-edge delay.
-    """
-    if not spec.is_gossip:
-        raise ConfigurationError(
-            f"spec {spec.label!r} is a complete-graph cell; it runs on "
-            f"the server path via build_scenario_simulation"
-        )
-    if workload is None:
-        workload = make_workload(spec.workload, spec.workload_kwargs)
-    aggregator = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
-    attack = make_attack(spec.attack, spec.attack_kwargs)
-    template = workload.build(
-        aggregator=aggregator,
-        num_workers=spec.num_workers,
-        num_byzantine=spec.num_byzantine,
-        attack=attack,
-        learning_rate=spec.learning_rate,
-        lr_timescale=spec.lr_timescale,
-        byzantine_slots=spec.byzantine_slots,
-        max_staleness=0,
-        delay_schedule=None,
-        num_servers=1,
-        byzantine_servers=0,
-        num_shards=1,
-        server_attack=None,
-        halt_on_nonfinite=spec.halt_on_nonfinite,
-        seed=spec.seed,
-    )
-    return GossipSimulation.from_template(
-        template,
-        topology=make_topology(spec.topology, spec.topology_kwargs),
-        aggregator_builder=_gossip_rule_builder(spec),
-        edge_delay=make_delay_schedule(spec.delay_schedule, spec.delay_kwargs),
-        seed=spec.seed,
-    )
+    return (workload or make_workload(spec.workload, spec.workload_kwargs)).build(spec)
 
 
 def run_grid(
@@ -246,14 +160,7 @@ def run_grid(
         finals = []
         wall_time = 0.0
         for spec in specs:
-            if spec.is_gossip:
-                sim: TrainingSimulation | GossipSimulation = (
-                    build_gossip_simulation(spec, workload=cell_workload(spec))
-                )
-            else:
-                sim = build_scenario_simulation(
-                    spec, workload=cell_workload(spec)
-                )
+            sim = cell_workload(spec).build(spec)
             start = perf_counter()
             histories.append(sim.run(grid.num_rounds, eval_every=eval_every))
             wall_time += perf_counter() - start
@@ -266,26 +173,17 @@ def run_grid(
         # so a grid silently routing everything through the gossip
         # engine shows up in the benchmark's native fraction.
         simulations = {
-            index: build_scenario_simulation(
-                spec, workload=cell_workload(spec)
-            )
+            index: cell_workload(spec).build(spec)
             for index, spec in enumerate(specs)
-            if not spec.is_gossip
-        }
-        gossip_sims = {
-            index: build_gossip_simulation(
-                spec, workload=cell_workload(spec)
-            )
-            for index, spec in enumerate(specs)
-            if spec.is_gossip
         }
         # Cells sharing a parameter dimension batch together (the
         # executor requires a rectangular (B, n, d) tensor); a
         # mixed-workload grid runs one batch per dimension group.
         groups: dict[int, list[int]] = {}
-        for index in simulations:
-            dim = cell_workload(specs[index]).dimension
-            groups.setdefault(dim, []).append(index)
+        for index, spec in enumerate(specs):
+            if not spec.is_gossip:
+                dim = cell_workload(spec).dimension
+                groups.setdefault(dim, []).append(index)
         histories = [None] * len(specs)  # type: ignore[list-item]
         finals = [None] * len(specs)  # type: ignore[list-item]
         native_cells = 0.0
@@ -304,11 +202,13 @@ def run_grid(
             for offset, index in enumerate(indices):
                 histories[index] = group_histories[offset]
                 finals[index] = group_params[offset]
-        for index, gossip_sim in gossip_sims.items():
-            histories[index] = gossip_sim.run(
-                grid.num_rounds, eval_every=eval_every
-            )
-            finals[index] = gossip_sim.params
+        for index, spec in enumerate(specs):
+            if spec.is_gossip:
+                gossip_sim = simulations[index]
+                histories[index] = gossip_sim.run(
+                    grid.num_rounds, eval_every=eval_every
+                )
+                finals[index] = gossip_sim.params
         native_fraction = native_cells / len(specs)
         wall_time = perf_counter() - start
 

@@ -3,11 +3,20 @@
 A :class:`Workload` owns everything about the learning task of a grid
 cell: the model, the data (and how it is partitioned across honest
 workers), the gradient estimator and the evaluator.  It knows its
-parameter dimension up front and materializes one cell's
-:class:`~repro.distributed.simulator.TrainingSimulation` on demand, so
-:class:`~repro.engine.grid.ScenarioGrid` stays a declarative spec:
-a cell names its workload ("quadratic", "mlp-mnist", ...) plus keyword
+parameter dimension up front and returns one cell's
+:class:`~repro.experiments.builders.Task` on demand —
+``task(num_honest, seed)``: the honest estimators, ``x_0``, the
+true-gradient oracle and the evaluator.  The concrete
+:meth:`Workload.build` is the only code that turns a
+:class:`~repro.engine.grid.ScenarioSpec` into a simulation, so
+:class:`~repro.engine.grid.ScenarioGrid` stays a declarative spec: a
+cell names its workload ("quadratic", "mlp-mnist", ...) plus keyword
 arguments, exactly like it names its aggregator and attack.
+
+A custom model or dataset is a :class:`DatasetWorkload` subclass that
+implements ``_build_model`` and ``_build_data``, registered with
+``register_workload``; a task that is not a sharded dataset subclasses
+:class:`Workload` and implements ``dimension`` and ``task``.
 
 The workloads are a :class:`~repro.utils.registry.Registry`
 (``register_workload`` / ``available_workloads`` / ``make_workload``).
@@ -26,7 +35,7 @@ Built-in workloads:
 
 The dataset-backed workloads materialize lazily: constructing one (as
 ``ScenarioGrid.validate()`` does to check names and kwargs) costs
-nothing; data generation happens on the first ``build``/``dimension``
+nothing; data generation happens on the first ``task``/``dimension``
 access and is cached, so every cell of a grid shares one dataset and
 one model object.
 """
@@ -36,30 +45,40 @@ from __future__ import annotations
 import inspect
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from repro.attacks.base import Attack
+from repro.attacks.registry import make_attack
 from repro.core.aggregator import Aggregator
+from repro.core.registry import AGGREGATORS, make_aggregator
 from repro.data.dataset import Dataset
 from repro.data.mnist_like import IMAGE_SIDE, make_mnist_like
 from repro.data.partition import PARTITION_PROTOCOLS
 from repro.data.spambase_like import NUM_FEATURES, make_spambase_like
-from repro.distributed.delays import DelaySchedule
+from repro.distributed.delays import make_delay_schedule
 from repro.distributed.simulator import TrainingSimulation
 from repro.exceptions import ConfigurationError
 from repro.experiments.builders import (
-    build_dataset_simulation,
-    build_quadratic_simulation,
+    Task,
+    dataset_task,
+    learning_rate_schedule,
+    quadratic_task,
 )
 from repro.models.base import Model
 from repro.models.logistic import LogisticRegressionModel
 from repro.models.mlp import MLPClassifier
 from repro.models.quadratic import QuadraticBowl
 from repro.models.softmax import SoftmaxRegressionModel
-from repro.servers.attacks import ServerAttack
+from repro.servers.registry import make_server_attack
+from repro.topology.gossip import GossipSimulation
+from repro.topology.registry import make_topology
 from repro.utils.registry import Registry
 
+if TYPE_CHECKING:
+    from repro.engine.grid import ScenarioSpec
+
 __all__ = [
+    "Task",
     "Workload",
     "QuadraticWorkload",
     "DatasetWorkload",
@@ -83,7 +102,10 @@ class Workload(ABC):
     (with the same kwargs), so expensive state — datasets, models —
     is built once and reused.  Per-cell randomness (parameter init,
     data partitioning, worker RNG streams) comes from the cell's
-    ``seed``, threaded through :meth:`build`.
+    ``seed``.
+
+    A subclass implements :attr:`dimension` and :meth:`task`; the
+    concrete :meth:`build` turns any cell spec into its simulation.
     """
 
     #: Registry name; subclasses set this as a class attribute.
@@ -96,36 +118,77 @@ class Workload(ABC):
         trains in (the batched executor groups cells by it)."""
 
     @abstractmethod
-    def build(
-        self,
-        *,
-        aggregator: Aggregator,
-        num_workers: int,
-        num_byzantine: int,
-        attack: Attack | None,
-        learning_rate: float,
-        lr_timescale: float | None,
-        byzantine_slots: str | Sequence[int],
-        seed: int,
-        max_staleness: int = 0,
-        delay_schedule: DelaySchedule | str | None = None,
-        num_servers: int = 1,
-        byzantine_servers: int = 0,
-        num_shards: int = 1,
-        server_attack: ServerAttack | str | None = None,
-        halt_on_nonfinite: bool = False,
-    ) -> TrainingSimulation:
-        """Materialize one cell's simulation on this workload.
+    def task(self, num_honest: int, seed: int) -> Task:
+        """The cell's learning problem: ``num_honest`` honest gradient
+        estimators, ``x_0``, the true-gradient oracle and the evaluator,
+        with every random choice drawn from ``seed``."""
 
-        ``max_staleness``/``delay_schedule`` select the asynchronous
-        round model (both default to the synchronous loop),
-        ``num_servers``/``byzantine_servers``/``num_shards``/
-        ``server_attack`` configure the parameter-server tier (defaults
-        are the paper's single reliable server) and
-        ``halt_on_nonfinite`` arms the server's non-finite guard; all of
-        them thread straight through to
-        :class:`~repro.distributed.simulator.TrainingSimulation`.
+    def build(self, spec: ScenarioSpec) -> TrainingSimulation | GossipSimulation:
+        """Materialize cell ``spec`` on this workload.
+
+        Server-path cells become a
+        :class:`~repro.distributed.simulator.TrainingSimulation`; gossip
+        cells (``spec.is_gossip``) a
+        :class:`~repro.topology.GossipSimulation` that starts from the
+        same :meth:`task`, so the two differ only in the communication
+        structure.  A gossip cell's delay schedule is its per-edge
+        delay, and rules taking ``f`` are rebuilt at each node's local
+        Byzantine bound.
         """
+        task = self.task(spec.num_workers - spec.num_byzantine, spec.seed)
+        delay = make_delay_schedule(spec.delay_schedule, spec.delay_kwargs)
+        common = dict(
+            aggregator=make_aggregator(spec.aggregator, **spec.aggregator_kwargs),
+            schedule=learning_rate_schedule(
+                spec.learning_rate, spec.lr_timescale
+            ),
+            num_byzantine=spec.num_byzantine,
+            attack=make_attack(spec.attack, spec.attack_kwargs),
+            byzantine_slots=spec.byzantine_slots,
+            halt_on_nonfinite=spec.halt_on_nonfinite,
+            seed=spec.seed,
+            **task.simulation_kwargs(),
+        )
+        if spec.is_gossip:
+            return GossipSimulation(
+                topology=make_topology(spec.topology, spec.topology_kwargs),
+                aggregator_builder=_local_rule_builder(spec),
+                edge_delay=delay,
+                **common,
+            )
+        return TrainingSimulation(
+            max_staleness=spec.max_staleness,
+            delay_schedule=delay,
+            num_servers=spec.num_servers,
+            byzantine_servers=spec.byzantine_servers,
+            num_shards=spec.num_shards,
+            server_attack=make_server_attack(
+                spec.server_attack, spec.server_attack_kwargs
+            ),
+            **common,
+        )
+
+
+def _local_rule_builder(
+    spec: ScenarioSpec,
+) -> Callable[[int], Aggregator] | None:
+    """Per-neighborhood rule factory for a gossip cell.
+
+    When the cell's aggregator factory takes an ``f`` parameter the
+    returned closure rebuilds the rule at each node's *local* Byzantine
+    bound — a Krum node surrounded by one adversary defends against one,
+    not against the global ``f``.  F-free rules return ``None`` and the
+    engine copies the fixed rule per node instead.
+    """
+    if not AGGREGATORS.accepts(spec.aggregator, "f"):
+        return None
+
+    def build(f_local: int) -> Aggregator:
+        kwargs = dict(spec.aggregator_kwargs)
+        kwargs["f"] = int(f_local)
+        return make_aggregator(spec.aggregator, **kwargs)
+
+    return build
 
 
 class QuadraticWorkload(Workload):
@@ -177,44 +240,8 @@ class QuadraticWorkload(Workload):
             )
         return self._bowl
 
-    def build(
-        self,
-        *,
-        aggregator,
-        num_workers,
-        num_byzantine,
-        attack,
-        learning_rate,
-        lr_timescale,
-        byzantine_slots,
-        seed,
-        max_staleness=0,
-        delay_schedule=None,
-        num_servers=1,
-        byzantine_servers=0,
-        num_shards=1,
-        server_attack=None,
-        halt_on_nonfinite=False,
-    ) -> TrainingSimulation:
-        return build_quadratic_simulation(
-            self.bowl,
-            aggregator=aggregator,
-            num_workers=num_workers,
-            num_byzantine=num_byzantine,
-            sigma=self.sigma,
-            attack=attack,
-            learning_rate=learning_rate,
-            lr_timescale=lr_timescale,
-            byzantine_slots=byzantine_slots,
-            max_staleness=max_staleness,
-            delay_schedule=delay_schedule,
-            num_servers=num_servers,
-            byzantine_servers=byzantine_servers,
-            num_shards=num_shards,
-            server_attack=server_attack,
-            halt_on_nonfinite=halt_on_nonfinite,
-            seed=seed,
-        )
+    def task(self, num_honest: int, seed: int) -> Task:
+        return quadratic_task(self.bowl, num_honest, sigma=self.sigma, seed=seed)
 
 
 #: The quadratic workload's default knobs — shared with the grid's
@@ -303,47 +330,16 @@ class DatasetWorkload(Workload):
     def dimension(self) -> int:
         return self.model.dimension
 
-    def build(
-        self,
-        *,
-        aggregator,
-        num_workers,
-        num_byzantine,
-        attack,
-        learning_rate,
-        lr_timescale,
-        byzantine_slots,
-        seed,
-        max_staleness=0,
-        delay_schedule=None,
-        num_servers=1,
-        byzantine_servers=0,
-        num_shards=1,
-        server_attack=None,
-        halt_on_nonfinite=False,
-    ) -> TrainingSimulation:
+    def task(self, num_honest: int, seed: int) -> Task:
         train, evaluation = self.datasets
-        return build_dataset_simulation(
+        return dataset_task(
             self.model,
             train,
-            aggregator=aggregator,
-            num_workers=num_workers,
-            num_byzantine=num_byzantine,
-            attack=attack,
+            num_honest,
             batch_size=self.batch_size,
-            learning_rate=learning_rate,
-            lr_timescale=lr_timescale,
-            eval_dataset=evaluation,
-            byzantine_slots=byzantine_slots,
             partition=self.partition,
             dirichlet_alpha=self.dirichlet_alpha,
-            max_staleness=max_staleness,
-            delay_schedule=delay_schedule,
-            num_servers=num_servers,
-            byzantine_servers=byzantine_servers,
-            num_shards=num_shards,
-            server_attack=server_attack,
-            halt_on_nonfinite=halt_on_nonfinite,
+            eval_dataset=evaluation,
             seed=seed,
         )
 

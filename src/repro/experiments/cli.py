@@ -12,12 +12,14 @@ Usage examples::
     python -m repro.experiments.cli --tournament --workers 15 \
         --byzantine 3 --rounds 40 --eval-every 5
 
-The named datasets resolve through the engine's workload registry
-(``mnist-like`` → the ``mlp-mnist`` workload, ``spambase-like`` →
-``logistic-spambase``; ``blobs`` is a CLI-local softmax task), so the
-CLI runs exactly the simulations a :class:`~repro.engine.ScenarioGrid`
-cell would.  Prints the error/loss series and a summary table; exits
-non-zero on configuration errors with a readable message.
+The flags describe one :class:`~repro.engine.ScenarioSpec` cell, built
+through :meth:`~repro.engine.workloads.Workload.build` exactly as a
+:class:`~repro.engine.ScenarioGrid` cell would be.  The named datasets
+resolve through the engine's workload registry (``mnist-like`` → the
+``mlp-mnist`` workload, ``spambase-like`` → ``logistic-spambase``;
+``blobs`` is a CLI-local softmax workload).  Prints the error/loss
+series and a summary table; exits non-zero on configuration errors with
+a readable message.
 """
 
 from __future__ import annotations
@@ -26,31 +28,30 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.attacks.registry import available_attacks, make_attack
+from repro.attacks.registry import available_attacks
 from repro.backend import available_backends, resolve_backend
-from repro.core.registry import available_aggregators, make_aggregator
+from repro.core.registry import (
+    AGGREGATORS,
+    available_aggregators,
+    make_aggregator,
+)
+from repro.data.dataset import Dataset
 from repro.data.partition import PARTITION_PROTOCOLS
 from repro.data.synthetic import make_blobs
-from repro.distributed.delays import (
-    available_delay_schedules,
-    make_delay_schedule,
-)
+from repro.distributed.delays import available_delay_schedules
+from repro.engine.grid import ScenarioSpec
 from repro.engine.simulation import BatchedSimulation
-from repro.engine.workloads import make_workload
+from repro.engine.workloads import DatasetWorkload, Workload, make_workload
 from repro.exceptions import ConfigurationError, ReproError
-from repro.experiments.builders import build_dataset_simulation
 from repro.experiments.reporting import (
     format_league_table,
     format_series,
     format_table,
 )
+from repro.models.base import Model
 from repro.models.softmax import SoftmaxRegressionModel
 from repro.servers.registry import available_server_attacks
-from repro.topology import (
-    GossipSimulation,
-    available_topologies,
-    make_topology,
-)
+from repro.topology import available_topologies
 from repro.tournament import TournamentRunner
 
 __all__ = ["main", "build_parser"]
@@ -259,15 +260,13 @@ def _run_tournament(args: argparse.Namespace) -> int:
     return 0
 
 
-def _delay_schedule(args: argparse.Namespace):
-    """Resolve the CLI's delay flags into a DelaySchedule (or None).
+def _delay_kwargs(args: argparse.Namespace) -> dict[str, object]:
+    """The CLI's delay flags as the chosen schedule's kwargs.
 
     The flag surface maps onto each schedule's primary knobs:
     ``--delay-tau`` is the constant/periodic lag and the random
     schedule's maximum draw; ``--delay-period`` the periodic cadence.
     """
-    if args.delay_schedule is None:
-        return None
     kwargs: dict[str, object] = {}
     if args.delay_schedule in ("constant", "periodic"):
         kwargs["tau"] = args.delay_tau
@@ -275,168 +274,87 @@ def _delay_schedule(args: argparse.Namespace):
         kwargs["period"] = args.delay_period
     if args.delay_schedule == "random":
         kwargs["max_delay"] = args.delay_tau
-    return make_delay_schedule(args.delay_schedule, kwargs)
+    return kwargs
 
 
-def _cli_topology(args: argparse.Namespace):
-    """Resolve the CLI's topology flags through the registry.
+class _BlobsWorkload(DatasetWorkload):
+    """Softmax regression on three Gaussian blobs in 8 features — the
+    CLI's small synthetic task, not part of the workload registry."""
 
-    Unknown names and knobs the named graph family does not take both
-    raise :class:`ConfigurationError` (caught in :func:`main` and
-    reported with exit code 2), never an argparse crash.
+    name = "blobs"
+
+    def _build_model(self) -> Model:
+        return SoftmaxRegressionModel(8, 3)
+
+    def _build_data(self) -> tuple[Dataset, Dataset]:
+        train = make_blobs(
+            self.num_train, num_classes=3, num_features=8, seed=self.data_seed
+        )
+        evaluation = make_blobs(
+            self.num_eval, num_classes=3, num_features=8,
+            seed=self.data_seed + 1,
+        )
+        return train, evaluation
+
+
+def _scenario(args: argparse.Namespace) -> tuple[ScenarioSpec, Workload]:
+    """The one cell the flags describe, and the workload it trains on.
+
+    Every flag is validated where a grid cell's would be: unknown names
+    and bad knobs raise :class:`ConfigurationError` (reported by
+    :func:`main` with exit code 2), never an argparse crash.
     """
-    kwargs: dict[str, object] = {}
-    if args.degree is not None:
-        kwargs["degree"] = args.degree
-    if args.edge_prob is not None:
-        kwargs["edge_prob"] = args.edge_prob
-    if args.rewire_period is not None:
-        kwargs["rewire_period"] = args.rewire_period
-    return make_topology(args.topology, kwargs)
-
-
-def _gossip_rule_builder(args: argparse.Namespace):
-    """Local-f rule factory for gossip runs: rebuild the CLI's rule at
-    each node's neighborhood bound (f-free rules return None and the
-    fixed rule is copied per node)."""
-    if args.aggregator not in ("krum", "multi-krum", "trimmed-mean",
-                               "minimal-diameter", "bulyan", "kardam"):
-        return None
-    pinned_m = None
+    workload_kwargs = {
+        "num_train": args.train_size,
+        "num_eval": args.test_size,
+        "batch_size": args.batch_size,
+        "partition": args.partition,
+        "dirichlet_alpha": args.dirichlet_alpha,
+        "data_seed": args.seed,
+    }
+    workload = (
+        _BlobsWorkload(**workload_kwargs)
+        if args.dataset == "blobs"
+        else make_workload(_DATASET_WORKLOADS[args.dataset], workload_kwargs)
+    )
+    aggregator_kwargs: dict[str, object] = {}
+    if AGGREGATORS.accepts(args.aggregator, "f"):
+        aggregator_kwargs["f"] = args.byzantine
     if args.aggregator == "multi-krum":
-        pinned_m = args.m if args.m is not None else max(
+        aggregator_kwargs["m"] = args.m if args.m is not None else max(
             1, args.workers - args.byzantine - 2
         )
-
-    def build(f_local: int):
-        kwargs: dict[str, object] = {"f": int(f_local)}
-        if pinned_m is not None:
-            kwargs["m"] = pinned_m
-        return make_aggregator(args.aggregator, **kwargs)
-
-    return build
-
-
-def _build_simulation(args: argparse.Namespace, aggregator, attack):
-    delay_schedule = _delay_schedule(args)
-    gossip = args.topology != "complete"
-    if gossip:
-        # Validate the flags before building anything, so a bad name or
-        # knob fails fast with the registry's error message.
-        topology = _cli_topology(args)
-        if (
-            args.max_staleness
-            or args.num_servers != 1
-            or args.byzantine_servers
-            or args.num_shards != 1
-            or args.server_attack is not None
-        ):
-            raise ConfigurationError(
-                "--topology is exclusive with the server-tier and "
-                "staleness flags — a gossip run has no server, and edge "
-                "lag comes from --delay-schedule"
-            )
-        if args.backend is not None:
-            raise ConfigurationError(
-                "--backend routes through the batched server-path "
-                "executor; gossip runs are event-driven and always "
-                "execute on numpy"
-            )
-    else:
-        topology = None
-        _cli_topology(args)  # still validates --degree etc. against it
-    template = _build_server_simulation(
-        args,
-        aggregator,
-        attack,
-        # The gossip engine takes over the template unstepped and
-        # synchronous; the CLI's delay flags become per-edge delays.
-        delay_schedule=None if gossip else delay_schedule,
-        max_staleness=0 if gossip else args.max_staleness,
-    )
-    if not gossip:
-        return template
-    return GossipSimulation.from_template(
-        template,
-        topology=topology,
-        aggregator_builder=_gossip_rule_builder(args),
-        edge_delay=delay_schedule,
+    spec = ScenarioSpec(
         seed=args.seed,
-    )
-
-
-def _build_server_simulation(
-    args: argparse.Namespace, aggregator, attack, *, delay_schedule,
-    max_staleness,
-):
-    if args.dataset in _DATASET_WORKLOADS:
-        workload = make_workload(
-            _DATASET_WORKLOADS[args.dataset],
-            {
-                "num_train": args.train_size,
-                "num_eval": args.test_size,
-                "batch_size": args.batch_size,
-                "partition": args.partition,
-                "dirichlet_alpha": args.dirichlet_alpha,
-                "data_seed": args.seed,
-            },
-        )
-        return workload.build(
-            aggregator=aggregator,
-            num_workers=args.workers,
-            num_byzantine=args.byzantine,
-            attack=attack,
-            learning_rate=args.learning_rate,
-            lr_timescale=None,
-            byzantine_slots="last",
-            max_staleness=max_staleness,
-            delay_schedule=delay_schedule,
-            num_servers=args.num_servers,
-            byzantine_servers=args.byzantine_servers,
-            num_shards=args.num_shards,
-            server_attack=args.server_attack,
-            halt_on_nonfinite=args.halt_on_nonfinite,
-            seed=args.seed,
-        )
-    train = make_blobs(
-        args.train_size, num_classes=3, num_features=8, seed=args.seed
-    )
-    test = make_blobs(
-        args.test_size, num_classes=3, num_features=8, seed=args.seed + 1
-    )
-    return build_dataset_simulation(
-        SoftmaxRegressionModel(8, 3),
-        train,
-        aggregator=aggregator,
+        aggregator=args.aggregator,
+        aggregator_kwargs=aggregator_kwargs,
+        attack=args.attack,
         num_workers=args.workers,
         num_byzantine=args.byzantine,
-        attack=attack,
-        batch_size=args.batch_size,
+        workload=workload.name,
+        workload_kwargs=workload_kwargs,
         learning_rate=args.learning_rate,
-        eval_dataset=test,
-        partition=args.partition,
-        dirichlet_alpha=args.dirichlet_alpha,
-        max_staleness=max_staleness,
-        delay_schedule=delay_schedule,
+        lr_timescale=None,
+        max_staleness=args.max_staleness,
+        delay_schedule=args.delay_schedule,
+        delay_kwargs=_delay_kwargs(args),
         num_servers=args.num_servers,
         byzantine_servers=args.byzantine_servers,
         num_shards=args.num_shards,
         server_attack=args.server_attack,
         halt_on_nonfinite=args.halt_on_nonfinite,
-        seed=args.seed,
+        topology=args.topology,
+        degree=args.degree,
+        edge_prob=args.edge_prob,
+        rewire_period=args.rewire_period,
     )
-
-
-def _build_aggregator(args: argparse.Namespace):
-    kwargs: dict[str, object] = {}
-    if args.aggregator in ("krum", "multi-krum", "trimmed-mean",
-                           "minimal-diameter", "bulyan", "kardam"):
-        kwargs["f"] = args.byzantine
-    if args.aggregator == "multi-krum":
-        kwargs["m"] = args.m if args.m is not None else max(
-            1, args.workers - args.byzantine - 2
+    if spec.is_gossip and args.backend is not None:
+        raise ConfigurationError(
+            "--backend routes through the batched server-path "
+            "executor; gossip runs are event-driven and always "
+            "execute on numpy"
         )
-    return make_aggregator(args.aggregator, **kwargs)
+    return spec, workload
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -445,14 +363,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.tournament:
             return _run_tournament(args)
-        aggregator = _build_aggregator(args)
-        attack = make_attack(args.attack, {})
-        if args.byzantine > 0 and attack is None:
+        if args.byzantine > 0 and args.attack is None:
             print(
                 "error: --byzantine > 0 requires --attack", file=sys.stderr
             )
             return 2
-        simulation = _build_simulation(args, aggregator, attack)
+        spec, workload = _scenario(args)
+        simulation = workload.build(spec)
+        aggregator = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
+        attack = simulation.attack
         if args.backend is not None:
             # An explicit backend routes the run through the batched
             # executor (a batch of one) so the aggregation kernels run

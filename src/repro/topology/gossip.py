@@ -58,6 +58,10 @@ from repro.core.staleness import StalenessAwareAggregator
 from repro.distributed.delays import DelaySchedule, make_delay_schedule
 from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.schedules import LearningRateSchedule
+from repro.distributed.simulator import (
+    evaluated_record,
+    resolve_byzantine_slots,
+)
 from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.gradients.base import GradientEstimator
 from repro.topology.base import Topology
@@ -171,7 +175,9 @@ class GossipSimulation:
         self.num_byzantine = int(num_byzantine)
         self.num_nodes = self.num_honest + self.num_byzantine
 
-        self.byzantine_ids = self._resolve_slots(byzantine_slots)
+        self.byzantine_ids = resolve_byzantine_slots(
+            byzantine_slots, self.num_nodes, self.num_byzantine
+        )
         byzantine_set = set(self.byzantine_ids)
         self.honest_ids = [
             i for i in range(self.num_nodes) if i not in byzantine_set
@@ -262,89 +268,8 @@ class GossipSimulation:
         self._selected_union: np.ndarray | None = None
         self._round = 0
 
-    @classmethod
-    def from_template(
-        cls,
-        simulation,
-        *,
-        topology: Topology | str,
-        aggregator_builder: Callable[[int], Aggregator] | None = None,
-        edge_delay: DelaySchedule | str | None = None,
-        equivocate: bool = False,
-        seed: SeedLike = 0,
-    ) -> "GossipSimulation":
-        """Build a gossip simulation from an unstepped server-path one.
-
-        ``simulation`` is a freshly built
-        :class:`~repro.distributed.TrainingSimulation` on the degenerate
-        tier — its estimators, cast, schedule, initial parameters,
-        attack and evaluators are reused verbatim, so the two engines
-        start from the same ``x_0`` and draw the same gradient noise.
-        ``seed`` must repeat the template's root seed for that parity.
-        """
-        server = simulation.server
-        if server.round_index != 0:
-            raise ConfigurationError(
-                "from_template needs an unstepped simulation (its current "
-                f"round is {server.round_index}); build a fresh template"
-            )
-        if server.tier_active or server.num_shards > 1:
-            raise ConfigurationError(
-                "the replicated/sharded server tier and gossip topologies "
-                "are mutually exclusive — build the template on the "
-                "degenerate tier"
-            )
-        if simulation.is_async:
-            raise ConfigurationError(
-                "gossip models lag per edge (edge_delay), not per worker; "
-                "build the template synchronously"
-            )
-        return cls(
-            topology=topology,
-            aggregator=server.aggregator,
-            schedule=server.schedule,
-            honest_estimators=[w.estimator for w in simulation.honest_workers],
-            initial_params=server.params,
-            num_byzantine=simulation.num_byzantine,
-            attack=simulation.attack,
-            byzantine_slots=(
-                list(simulation.byzantine_ids)
-                if simulation.byzantine_ids
-                else "last"
-            ),
-            aggregator_builder=aggregator_builder,
-            edge_delay=edge_delay,
-            equivocate=equivocate,
-            true_gradient_fn=simulation.true_gradient_fn,
-            evaluate=simulation.evaluate,
-            halt_on_nonfinite=server.halt_on_nonfinite,
-            seed=seed,
-        )
-
     # ------------------------------------------------------------------
     # Cast and state accessors
-
-    def _resolve_slots(self, spec: str | Sequence[int]) -> list[int]:
-        n, f = self.num_nodes, self.num_byzantine
-        if isinstance(spec, str):
-            if spec == "last":
-                return list(range(n - f, n))
-            if spec == "first":
-                return list(range(f))
-            raise ConfigurationError(
-                f"byzantine_slots must be 'first', 'last' or explicit ids, "
-                f"got {spec!r}"
-            )
-        slots = sorted(int(s) for s in spec)
-        if len(slots) != f:
-            raise ConfigurationError(
-                f"expected {f} byzantine slots, got {len(slots)}"
-            )
-        if len(set(slots)) != len(slots) or any(s < 0 or s >= n for s in slots):
-            raise ConfigurationError(
-                f"byzantine slots must be distinct ids in [0, {n}), got {slots}"
-            )
-        return slots
 
     @property
     def params(self) -> np.ndarray:
@@ -718,27 +643,10 @@ class GossipSimulation:
         return history
 
     def _evaluate_record(self, record: RoundRecord) -> RoundRecord:
-        params = self._node_params[self.reference_node]
-        loss = accuracy = grad_norm = None
-        extras: dict[str, float] = {}
-        if self.evaluate is not None:
-            metrics = dict(self.evaluate(params.copy()))
-            loss = metrics.pop("loss", None)
-            accuracy = metrics.pop("accuracy", None)
-            grad_norm = metrics.pop("grad_norm", None)
-            extras = {k: float(v) for k, v in metrics.items()}
-        if grad_norm is None and self.true_gradient_fn is not None:
-            grad_norm = float(np.linalg.norm(self.true_gradient_fn(params)))
-        extras.update(self.consensus_metrics())
-        return RoundRecord(
-            round_index=record.round_index,
-            learning_rate=record.learning_rate,
-            aggregate_norm=record.aggregate_norm,
-            params_norm=record.params_norm,
-            selected=record.selected,
-            byzantine_selected=record.byzantine_selected,
-            loss=None if loss is None else float(loss),
-            accuracy=None if accuracy is None else float(accuracy),
-            grad_norm=None if grad_norm is None else float(grad_norm),
-            extras=extras,
+        return evaluated_record(
+            record,
+            self.params,
+            self.evaluate,
+            self.true_gradient_fn,
+            extras=self.consensus_metrics(),
         )

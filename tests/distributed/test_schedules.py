@@ -64,3 +64,31 @@ class TestScheduleCall:
     def test_rejects_negative_round(self):
         with pytest.raises(ConfigurationError):
             ConstantSchedule(0.1)(-1)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRejected:
+    """Regression: a NaN rate passed the ``rate <= 0`` checks and trained
+    to non-finite parameters without any error."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_constant(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ConstantSchedule(value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_inverse_time_initial(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            InverseTimeSchedule(value, timescale=10.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_inverse_time_timescale(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            InverseTimeSchedule(0.1, timescale=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_step_decay_initial(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            StepDecaySchedule(value, period=5)

@@ -471,37 +471,30 @@ class TestGridTrajectories:
         self._assert_identical(grid, chunk_size=4)
 
 
-class TestCompareAggregatorsEngine:
-    """The rewired compare_aggregators: batched == loop on dataset SGD."""
+class TestDatasetRuleComparison:
+    """Comparing rules on a dataset task is one grid over the aggregator
+    axis: batched == loop on dataset SGD."""
 
     def test_engines_agree(self):
-        from repro.data.synthetic import make_blobs
-        from repro.experiments.config import SGDExperimentConfig
-        from repro.experiments.runner import compare_aggregators
-        from repro.models.softmax import SoftmaxRegressionModel
-
-        blobs = make_blobs(120, num_classes=3, num_features=4, spread=0.5, seed=0)
-        base = SGDExperimentConfig(
+        grid = ScenarioGrid(
+            seeds=(0,),
+            workload="softmax-mnist",
+            workload_kwargs={"num_train": 120, "num_eval": 40, "batch_size": 16},
+            attacks=(("gaussian", {"sigma": 50.0}),),
+            aggregators=(
+                ("krum", {}),
+                ("average", {}),
+                ("geometric-median", {}),
+            ),
+            f_values=(2,),
             num_workers=9,
-            num_byzantine=2,
             num_rounds=15,
-            aggregator="krum",
-            aggregator_kwargs={"f": 2},
-            attack="gaussian",
-            attack_kwargs={"sigma": 50.0},
             learning_rate=0.3,
-            batch_size=16,
-            eval_every=5,
-            seed=0,
+            lr_timescale=None,
         )
-        specs = {
-            "krum": ("krum", {"f": 2}),
-            "average": ("average", {}),
-            "geom-median": ("geometric-median", {}),
-        }
-        factory = lambda: SoftmaxRegressionModel(4, 3)  # noqa: E731
-        batched = compare_aggregators(base, specs, factory, blobs, engine="batched")
-        loop = compare_aggregators(base, specs, factory, blobs, engine="loop")
-        assert set(batched) == set(loop)
-        for label in specs:
-            assert batched[label].records == loop[label].records, label
+        batched = run_grid(grid, mode="batched", eval_every=5)
+        loop = run_grid(grid, mode="loop", eval_every=5)
+        assert len(batched.histories) == 3
+        assert set(batched.histories) == set(loop.histories)
+        for label, history in loop.histories.items():
+            assert batched.histories[label].records == history.records, label

@@ -14,9 +14,11 @@ from repro.engine import (
     build_scenario_simulation,
     run_grid,
 )
+from repro.distributed.simulator import TrainingSimulation
 from repro.exceptions import ConfigurationError
 from repro.experiments.builders import build_quadratic_simulation
 from repro.models.quadratic import QuadraticBowl
+from repro.topology import GossipSimulation
 
 
 def small_grid(**overrides):
@@ -152,6 +154,11 @@ class TestScenarioGrid:
     def test_invalid_f_rejected(self):
         with pytest.raises(ConfigurationError, match="0 <= f < n"):
             small_grid(f_values=(9,))
+
+    @pytest.mark.parametrize("knob", ["num_rounds", "num_workers"])
+    def test_non_positive_counts_rejected(self, knob):
+        with pytest.raises(ConfigurationError, match=knob):
+            small_grid(**{knob: 0})
 
     def test_positive_f_requires_attacks(self):
         with pytest.raises(ConfigurationError, match="no attacks"):
@@ -365,21 +372,32 @@ class TestTopologyAxis:
         with pytest.raises(ConfigurationError):
             small_grid(topology="ring", degree=4, num_servers=3)
 
-    def test_gossip_spec_routes_to_gossip_simulation(self):
-        from repro.engine.runner import build_gossip_simulation
-        from repro.topology import GossipSimulation
-
-        spec = small_grid(topology="ring", degree=4).scenarios()[0]
-        assert spec.is_gossip
-        simulation = build_gossip_simulation(spec)
+    def test_gossip_spec_builds_its_gossip_cell(self):
+        """Regression: build_scenario_simulation used to build a gossip
+        spec on the server path, ignoring its topology."""
+        grid = ScenarioGrid(
+            seeds=(0,),
+            aggregators=(("average", {}),),
+            f_values=(0,),
+            num_workers=12,
+            dimension=5,
+            num_rounds=8,
+            topology="ring",
+            degree=2,
+        )
+        (spec,) = grid.scenarios()
+        simulation = build_scenario_simulation(spec)
         assert isinstance(simulation, GossipSimulation)
+        history = simulation.run(grid.num_rounds, eval_every=3)
+        loop = run_grid(grid, mode="loop", eval_every=3)
+        assert history.records == loop.histories[spec.label].records
+        assert np.array_equal(simulation.params, loop.final_params[spec.label])
 
-    def test_build_gossip_rejects_degenerate_spec(self):
-        from repro.engine.runner import build_gossip_simulation
-
-        spec = small_grid().scenarios()[0]
-        with pytest.raises(ConfigurationError):
-            build_gossip_simulation(spec)
+    def test_complete_spec_builds_the_server_cell(self):
+        spec = small_grid(topology="complete").scenarios()[0]
+        assert not spec.is_gossip
+        simulation = build_scenario_simulation(spec)
+        assert isinstance(simulation, TrainingSimulation)
 
 
 class TestScenarioSpecValidation:
@@ -406,8 +424,78 @@ class TestScenarioSpecValidation:
                 },
                 "attack 'gaussian'",
             ),
+            (
+                {"num_workers": 3, "num_byzantine": 3, "attack": "gaussian"},
+                "num_byzantine < num_workers",
+            ),
+            ({"num_byzantine": -1}, "num_byzantine < num_workers"),
+            ({"max_staleness": -1}, "max_staleness"),
+            ({"delay_kwargs": {"tau": 1}}, "without a"),
+            ({"delay_schedule": "no-such-schedule"}, "available"),
+            (
+                {"delay_schedule": "constant", "delay_kwargs": {"bogus": 1}},
+                "delay schedule",
+            ),
+            ({"num_servers": 0}, "num_servers"),
+            ({"byzantine_servers": 1}, "byzantine_servers"),
+            ({"server_attack": "sign-flip-broadcast"}, "byzantine_servers=0"),
+            ({"topology": "torus"}, "available"),
+            ({"topology": "ring", "edge_prob": 0.5}, "edge_prob"),
+            ({"topology": "erdos-renyi", "degree": 4}, "degree"),
+            ({"topology": "ring", "degree": 3}, "degree"),
+            ({"topology": "ring", "num_servers": 3}, "exclusive"),
+            ({"topology": "ring", "max_staleness": 2}, "max_staleness"),
         ],
     )
     def test_bad_specs_fail_at_declaration(self, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             ScenarioSpec(**{"seed": 0, "aggregator": "average", **overrides})
+
+    def test_defaults_are_the_synchronous_complete_cell(self):
+        spec = ScenarioSpec(seed=0, aggregator="average")
+        assert spec.max_staleness == 0 and spec.delay_schedule is None
+        assert not spec.halt_on_nonfinite
+        assert not spec.is_gossip and spec.topology_kwargs == {}
+        assert spec.async_label is None and spec.topology_label is None
+
+    def test_valid_async_and_gossip_specs_accepted(self):
+        stale = ScenarioSpec(
+            seed=0, aggregator="average", max_staleness=3,
+            delay_schedule="random", delay_kwargs={"max_delay": 3},
+            halt_on_nonfinite=True,
+        )
+        assert stale.async_label == "stale<=3|random(max_delay=3)"
+        ring = ScenarioSpec(
+            seed=0, aggregator="average", topology="ring", degree=6
+        )
+        assert ring.is_gossip and ring.topology_kwargs == {"degree": 6}
+
+    def test_frozen(self):
+        spec = ScenarioSpec(seed=0, aggregator="average")
+        with pytest.raises(AttributeError):
+            spec.num_workers = 5
+
+
+NON_POSITIVE_OR_NON_FINITE = [0.0, -0.1, float("nan"), float("inf")]
+
+
+class TestLearningRateValidation:
+    """Regression: bad step sizes used to be accepted at declaration —
+    negative ones failed inside run_grid, and NaN trained to non-finite
+    parameters without any error."""
+
+    @pytest.mark.parametrize("knob", ["learning_rate", "lr_timescale"])
+    @pytest.mark.parametrize("value", NON_POSITIVE_OR_NON_FINITE)
+    def test_spec_rejects(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            ScenarioSpec(seed=0, aggregator="average", **{knob: value})
+
+    @pytest.mark.parametrize("knob", ["learning_rate", "lr_timescale"])
+    @pytest.mark.parametrize("value", NON_POSITIVE_OR_NON_FINITE)
+    def test_grid_rejects_at_declaration(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            small_grid(**{knob: value})
+
+    def test_constant_schedule_is_accepted(self):
+        spec = ScenarioSpec(seed=0, aggregator="average", lr_timescale=None)
+        assert spec.lr_timescale is None

@@ -20,13 +20,18 @@ from repro.engine import (
 )
 from repro.engine.workloads import (
     QUADRATIC_DEFAULTS,
+    WORKLOADS,
     DatasetWorkload,
     QuadraticWorkload,
+    Task,
+    Workload,
+    register_workload,
     workload_key,
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments.builders import build_quadratic_simulation
 from repro.gradients.minibatch import MinibatchEstimator
+from repro.gradients.oracle import GaussianOracleEstimator
 from repro.models.quadratic import QuadraticBowl
 
 EXPECTED_BUILTINS = {
@@ -90,20 +95,20 @@ class TestQuadraticWorkload:
 
     def test_matches_direct_builder(self):
         """The workload's simulation is trajectory-identical to the
-        pre-redesign direct build_quadratic_simulation path."""
+        direct build_quadratic_simulation path."""
         workload = make_workload(
             "quadratic", {"dimension": 6, "sigma": 0.3, "curvature": 2.0}
         )
-        via_workload = workload.build(
-            aggregator=Krum(f=0, strict=False),
+        spec = ScenarioSpec(
+            seed=3,
+            aggregator="krum",
+            aggregator_kwargs={"f": 0, "strict": False},
             num_workers=5,
-            num_byzantine=0,
-            attack=None,
+            workload_kwargs={"dimension": 6, "sigma": 0.3, "curvature": 2.0},
             learning_rate=0.1,
             lr_timescale=100.0,
-            byzantine_slots="last",
-            seed=3,
         )
+        via_workload = workload.build(spec)
         direct = build_quadratic_simulation(
             QuadraticBowl(6, curvature=2.0),
             aggregator=Krum(f=0, strict=False),
@@ -118,27 +123,21 @@ class TestQuadraticWorkload:
         b = direct.run(5, eval_every=2)
         assert a.records == b.records
 
-    def test_bowl_is_shared_across_builds(self):
+    def test_bowl_is_shared_across_tasks(self):
         workload = make_workload("quadratic", {"dimension": 4})
-        sims = [
-            workload.build(
-                aggregator=Krum(f=0, strict=False),
-                num_workers=5,
-                num_byzantine=0,
-                attack=None,
-                learning_rate=0.1,
-                lr_timescale=None,
-                byzantine_slots="last",
-                seed=s,
-            )
-            for s in (0, 1)
-        ]
         fns = {
-            w.estimator.gradient_fn
-            for sim in sims
-            for w in sim.honest_workers
+            estimator.gradient_fn
+            for seed in (0, 1)
+            for estimator in workload.task(5, seed).honest_estimators
         }
         assert len(fns) == 1  # one bowl serves every cell
+
+    def test_task_draws_x0_from_the_seed(self):
+        workload = make_workload("quadratic", {"dimension": 4})
+        first, again, other = (workload.task(3, s) for s in (0, 0, 1))
+        assert len(first.honest_estimators) == 3
+        assert np.array_equal(first.initial_params, again.initial_params)
+        assert not np.array_equal(first.initial_params, other.initial_params)
 
 
 class TestDatasetWorkloads:
@@ -165,16 +164,7 @@ class TestDatasetWorkloads:
         workload = make_workload("softmax-mnist", SMALL_DATASET_KWARGS)
         assert isinstance(workload, DatasetWorkload)
         assert workload._data is None
-        workload.build(
-            aggregator=Krum(f=0, strict=False),
-            num_workers=4,
-            num_byzantine=0,
-            attack=None,
-            learning_rate=0.1,
-            lr_timescale=None,
-            byzantine_slots="last",
-            seed=0,
-        )
+        workload.task(4, 0)
         assert workload._data is not None
 
     def test_datasets_cached_across_builds(self):
@@ -182,29 +172,34 @@ class TestDatasetWorkloads:
         first = workload.datasets
         assert workload.datasets is first
 
-    def test_build_uses_minibatch_estimators(self):
+    def test_task_uses_minibatch_estimators(self):
         workload = make_workload("logistic-spambase", SMALL_DATASET_KWARGS)
-        sim = workload.build(
-            aggregator=Krum(f=0, strict=False),
-            num_workers=4,
-            num_byzantine=0,
-            attack=None,
-            learning_rate=0.1,
-            lr_timescale=None,
-            byzantine_slots="last",
-            seed=0,
-        )
+        task = workload.task(4, 0)
+        assert len(task.honest_estimators) == 4
         assert all(
-            isinstance(w.estimator, MinibatchEstimator)
-            for w in sim.honest_workers
+            isinstance(estimator, MinibatchEstimator)
+            for estimator in task.honest_estimators
         )
 
-    def test_invalid_partition_rejected(self):
-        with pytest.raises(ConfigurationError, match="partition"):
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"partition": "striped"}, "partition"),
+            ({"dirichlet_alpha": 0.0}, "dirichlet_alpha"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"num_train": 0}, "num_train"),
+        ],
+    )
+    def test_invalid_knobs_rejected(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
             make_workload(
-                "logistic-spambase",
-                dict(SMALL_DATASET_KWARGS, partition="striped"),
+                "logistic-spambase", dict(SMALL_DATASET_KWARGS, **overrides)
             )
+
+    def test_default_partition_is_iid(self):
+        workload = make_workload("logistic-spambase", SMALL_DATASET_KWARGS)
+        assert workload.partition == "iid"
+        assert workload.dirichlet_alpha == 0.5
 
     @pytest.mark.parametrize("partition", ["iid", "dirichlet", "label-shard"])
     def test_partitions_materialize(self, partition):
@@ -217,14 +212,16 @@ class TestDatasetWorkloads:
             ),
         )
         sim = workload.build(
-            aggregator=Krum(f=0, strict=False),
-            num_workers=4,
-            num_byzantine=0,
-            attack=None,
-            learning_rate=0.1,
-            lr_timescale=None,
-            byzantine_slots="last",
-            seed=0,
+            ScenarioSpec(
+                seed=0,
+                aggregator="average",
+                num_workers=4,
+                workload="softmax-mnist",
+                workload_kwargs=dict(
+                    SMALL_DATASET_KWARGS, num_train=128, partition=partition
+                ),
+                lr_timescale=None,
+            )
         )
         history = sim.run(2, eval_every=1)
         assert history.final_loss is not None
@@ -509,3 +506,154 @@ class TestRunGridDatasetWorkloads:
         )
         run_grid(grid, mode="batched", eval_every=1)
         assert calls == ["logistic-spambase"]
+
+
+class BlobsWorkload(DatasetWorkload):
+    """A custom model + dataset, registered the way a user would."""
+
+    name = "blobs-test"
+
+    def __init__(
+        self,
+        num_train: int = 150,
+        num_eval: int = 90,
+        batch_size: int = 16,
+        partition: str = "iid",
+        dirichlet_alpha: float = 0.5,
+        data_seed: int = 0,
+    ):
+        super().__init__(
+            num_train=num_train,
+            num_eval=num_eval,
+            batch_size=batch_size,
+            partition=partition,
+            dirichlet_alpha=dirichlet_alpha,
+            data_seed=data_seed,
+        )
+
+    def _build_model(self):
+        from repro.models.softmax import SoftmaxRegressionModel
+
+        return SoftmaxRegressionModel(4, 3)
+
+    def _build_data(self):
+        from repro.data.synthetic import make_blobs
+
+        def blobs(size, seed):
+            return make_blobs(
+                size, num_classes=3, num_features=4, spread=0.5, seed=seed
+            )
+
+        return (
+            blobs(self.num_train, self.data_seed),
+            blobs(self.num_eval, self.data_seed + 1),
+        )
+
+
+class LineWorkload(Workload):
+    """A task that is not a sharded dataset: only ``dimension`` and
+    ``task`` are implemented, ``build`` is inherited."""
+
+    name = "line-test"
+
+    def __init__(self, dimension: int = 3):
+        self._dimension = dimension
+
+    @property
+    def dimension(self) -> int:
+        return self._dimension
+
+    def task(self, num_honest: int, seed: int) -> Task:
+        def gradient(x):
+            return x
+
+        return Task(
+            honest_estimators=[
+                GaussianOracleEstimator(gradient, self._dimension, 0.1)
+                for _ in range(num_honest)
+            ],
+            initial_params=np.full(self._dimension, float(seed + 1)),
+            true_gradient_fn=gradient,
+        )
+
+
+@pytest.fixture
+def custom_workloads(monkeypatch):
+    monkeypatch.setattr(WORKLOADS, "_factories", dict(WORKLOADS._factories))
+    register_workload(BlobsWorkload.name, BlobsWorkload)
+    register_workload(LineWorkload.name, LineWorkload)
+
+
+def blobs_grid(**overrides):
+    kwargs = dict(
+        workload=BlobsWorkload.name,
+        seeds=(0,),
+        attacks=(("gaussian", {"sigma": 50.0}),),
+        aggregators=(
+            ("krum", {}),
+            ("average", {}),
+            ("coordinate-median", {}),
+            ("geometric-median", {}),
+        ),
+        f_values=(2,),
+        num_workers=9,
+        num_rounds=30,
+        learning_rate=0.3,
+        lr_timescale=None,
+    )
+    kwargs.update(overrides)
+    return ScenarioGrid(**kwargs)
+
+
+class TestCustomWorkloads:
+    """A custom model or dataset is a registered workload; comparing
+    rules on it is one grid over the aggregator axis."""
+
+    def test_several_rules_loop_equals_batched(self, custom_workloads):
+        grid = blobs_grid(num_rounds=15)
+        loop = run_grid(grid, mode="loop", eval_every=5)
+        batched = run_grid(grid, mode="batched", eval_every=5)
+        assert len(loop.histories) == 4
+        for label, history in loop.histories.items():
+            assert len(history) == 15
+            assert history.final_accuracy is not None
+            assert history.records == batched.histories[label].records, label
+
+    def test_attack_free_cell_learns(self, custom_workloads):
+        grid = blobs_grid(f_values=(0,), aggregators=(("krum", {}),))
+        (history,) = run_grid(grid, eval_every=10).histories.values()
+        assert history.final_accuracy > 0.5
+
+    def test_krum_beats_average_under_attack(self, custom_workloads):
+        grid = blobs_grid(
+            num_rounds=60,
+            attacks=(("omniscient", {"scale": 20.0}),),
+            aggregators=(("krum", {}), ("average", {})),
+        )
+        result = run_grid(grid, eval_every=10)
+        krum, average = (
+            result.history(spec.label).final_loss for spec in result.specs
+        )
+        assert krum < average
+
+    def test_task_only_workload_builds_both_engines(self, custom_workloads):
+        from repro.distributed.simulator import TrainingSimulation
+        from repro.topology import GossipSimulation
+
+        def spec(**overrides):
+            return ScenarioSpec(
+                seed=2,
+                aggregator="coordinate-median",
+                num_workers=6,
+                workload=LineWorkload.name,
+                **overrides,
+            )
+
+        server = build_scenario_simulation(spec())
+        gossip = build_scenario_simulation(spec(topology="ring", degree=2))
+        assert isinstance(server, TrainingSimulation)
+        assert isinstance(gossip, GossipSimulation)
+        for simulation in (server, gossip):
+            assert np.array_equal(simulation.params, np.full(3, 3.0))
+            history = simulation.run(4, eval_every=2)
+            assert history.records[-1].grad_norm is not None

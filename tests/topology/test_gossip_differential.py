@@ -6,9 +6,9 @@ the local ``f`` equals the global ``f``, so the gossip engine must
 reproduce the server-path trajectory **bit for bit** — not
 approximately.  Pinned three ways:
 
-* engine-level: ``GossipSimulation.from_template`` vs
-  ``TrainingSimulation`` per round, across rules × attacks (including
-  the stateful kardam and the feedback-driven probes);
+* engine-level: ``GossipSimulation`` vs ``TrainingSimulation`` built
+  from the same keyword arguments, per round, across rules × attacks
+  (including the stateful kardam and the feedback-driven probes);
 * grid-level: a grid pinning ``topology="complete"`` must produce the
   same labels, histories and final parameters as the identical grid
   with no topology axis at all, in **both** executors;
@@ -24,8 +24,8 @@ from repro.attacks.registry import make_attack
 from repro.core.registry import make_aggregator
 from repro.distributed.schedules import ConstantSchedule
 from repro.distributed.simulator import TrainingSimulation
-from repro.engine.grid import ScenarioGrid
-from repro.engine.runner import run_grid
+from repro.engine.grid import ScenarioGrid, ScenarioSpec
+from repro.engine.runner import build_scenario_simulation, run_grid
 from repro.gradients.oracle import GaussianOracleEstimator
 from repro.topology import GossipSimulation
 
@@ -38,8 +38,9 @@ def gradient_fn(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def server_simulation(aggregator, attack, seed=17) -> TrainingSimulation:
-    return TrainingSimulation(
+def engine_kwargs(aggregator, attack, seed=17) -> dict:
+    """The keyword arguments both engines take, freshly built."""
+    return dict(
         aggregator=make_aggregator(**aggregator),
         schedule=ConstantSchedule(0.05),
         honest_estimators=[
@@ -51,6 +52,16 @@ def server_simulation(aggregator, attack, seed=17) -> TrainingSimulation:
         attack=make_attack(attack, {}),
         true_gradient_fn=gradient_fn,
         seed=seed,
+    )
+
+
+def engine_pair(aggregator, attack):
+    """A server-path simulation and its complete-graph gossip twin."""
+    return (
+        TrainingSimulation(**engine_kwargs(aggregator, attack)),
+        GossipSimulation(
+            topology="complete", **engine_kwargs(aggregator, attack)
+        ),
     )
 
 
@@ -82,11 +93,7 @@ class TestEngineIdentity:
     def test_complete_graph_matches_server_path_per_round(
         self, aggregator, attack
     ):
-        reference = server_simulation(aggregator, attack)
-        gossip = GossipSimulation.from_template(
-            server_simulation(aggregator, attack), topology="complete",
-            seed=17,
-        )
+        reference, gossip = engine_pair(aggregator, attack)
         # Round-by-round, so a divergence pins the exact round.
         for _ in range(12):
             ref_history = reference.run(1, eval_every=1)
@@ -100,23 +107,38 @@ class TestEngineIdentity:
 
     def test_all_honest_nodes_track_the_server_trajectory(self):
         aggregator = {"name": "krum", "f": NUM_BYZANTINE}
-        reference = server_simulation(aggregator, "gaussian")
-        gossip = GossipSimulation.from_template(
-            server_simulation(aggregator, "gaussian"), topology="complete",
-            seed=17,
-        )
+        reference, gossip = engine_pair(aggregator, "gaussian")
         reference.run(10)
         gossip.run(10)
         for node in gossip.honest_ids:
             assert np.array_equal(reference.params, gossip.node_params(node))
 
-    def test_from_template_rejects_non_degenerate_templates(self):
-        from repro.exceptions import ConfigurationError
-
-        stepped = server_simulation({"name": "average"}, "gaussian")
-        stepped.run(1)
-        with pytest.raises(ConfigurationError, match="unstepped"):
-            GossipSimulation.from_template(stepped, topology="complete")
+    def test_gossip_cell_starts_from_its_server_cell_task(self):
+        """A gossip cell and its server-path sibling are built from the
+        same workload task: same x_0, same estimator streams."""
+        common = dict(
+            seed=4,
+            aggregator="coordinate-median",
+            num_workers=NUM_WORKERS,
+            dimension=DIMENSION,
+            sigma=0.5,
+        )
+        server = build_scenario_simulation(ScenarioSpec(**common))
+        gossip = build_scenario_simulation(
+            ScenarioSpec(topology="ring", degree=4, **common)
+        )
+        assert isinstance(gossip, GossipSimulation)
+        assert np.array_equal(server.params, gossip.params)
+        for node, worker in zip(gossip.honest_ids, server.honest_workers):
+            assert worker.worker_id == node
+            draws = [
+                estimator.estimate(server.params, rng)
+                for estimator, rng in (
+                    (worker.estimator, worker.rng),
+                    (gossip._estimators[node], gossip._node_rng[node]),
+                )
+            ]
+            assert np.array_equal(*draws)
 
 
 def grid_kwargs(**overrides):
