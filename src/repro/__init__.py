@@ -75,11 +75,7 @@ from repro.core import (
     max_tolerable_f,
     resilience_angle,
 )
-from repro.distributed import (
-    ParameterServer,
-    TrainingHistory,
-    TrainingSimulation,
-)
+from repro.distributed import TrainingHistory, TrainingSimulation
 from repro.exceptions import (
     ByzantineToleranceError,
     ConfigurationError,
@@ -95,7 +91,6 @@ from repro.servers import (
     ServerAttack,
     ServerAttackContext,
     ShardedAggregator,
-    ShardedParameterState,
     SignFlipBroadcastAttack,
     StaleReplayBroadcastAttack,
     available_server_attacks,
@@ -150,12 +145,10 @@ __all__ = [
     "LipschitzMimicryAttack",
     "DefenseProbingAttack",
     # distributed
-    "ParameterServer",
     "TrainingSimulation",
     "TrainingHistory",
     # server tier
     "ReplicatedServerGroup",
-    "ShardedParameterState",
     "ShardedAggregator",
     "shard_bounds",
     "replica_view",

@@ -307,8 +307,7 @@ class LoopBatchedAggregator(BatchedAggregator):
 
         ``staleness`` (``(B, n)`` ints) and ``used_params`` (``(B, n,
         d)``) route through the staleness-aware interface when every
-        instance implements it — exactly the call the loop executor's
-        :class:`~repro.distributed.server.ParameterServer` makes, so the
+        instance implements it (``aggregate_detailed_stale``), so the
         loop/batched differential identity extends to async cells.
         """
         stacks = _as_batch(self.backend.to_numpy(stacks), self.backend)

@@ -4,10 +4,12 @@ Each round: the server broadcasts ``x_t``; every correct worker returns
 ``G(x_t, ξ)``; the Byzantine workers — given full knowledge of the honest
 proposals — return whatever their :class:`~repro.attacks.Attack` crafts;
 the server applies ``x_{t+1} = x_t − γ_t · F(V_1, ..., V_n)``.
+:class:`TrainingSimulation` holds that cast and runs the round as the
+engine's stage pipeline at batch size one (:mod:`repro.engine.simulation`).
 
 The asynchronous extension (:mod:`repro.distributed.delays`) relaxes the
 synchronous barrier: a :class:`DelaySchedule` models per-worker lag, the
-server accepts bounded-stale messages (``max_staleness``), and the
+server accepts bounded-stale proposals (``max_staleness``), and the
 round-t proposal of a worker lagging τ is the gradient it computed at
 ``x_{t−τ}``.
 """
@@ -23,7 +25,6 @@ from repro.distributed.delays import (
     make_delay_schedule,
     register_delay_schedule,
 )
-from repro.distributed.messages import GradientMessage, ParameterBroadcast
 from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.schedules import (
     ConstantSchedule,
@@ -31,13 +32,9 @@ from repro.distributed.schedules import (
     LearningRateSchedule,
     StepDecaySchedule,
 )
-from repro.distributed.server import ParameterServer
-from repro.distributed.simulator import TrainingSimulation
-from repro.distributed.worker import ByzantineWorker, HonestWorker, Worker
+from repro.distributed.simulator import HonestWorker, TrainingSimulation
 
 __all__ = [
-    "ParameterBroadcast",
-    "GradientMessage",
     "DelaySchedule",
     "ZeroDelay",
     "ConstantDelay",
@@ -51,10 +48,7 @@ __all__ = [
     "ConstantSchedule",
     "InverseTimeSchedule",
     "StepDecaySchedule",
-    "ParameterServer",
-    "Worker",
     "HonestWorker",
-    "ByzantineWorker",
     "TrainingSimulation",
     "RoundRecord",
     "TrainingHistory",

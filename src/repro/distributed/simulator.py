@@ -1,25 +1,32 @@
 """The round-based training simulation.
 
-``TrainingSimulation`` wires together the paper's cast: one reliable
-parameter server, ``n − f`` correct workers with private i.i.d. gradient
-estimators, ``f`` Byzantine slots whose proposals an omniscient
+``TrainingSimulation`` wires together the paper's cast: the parameter
+server (a :class:`~repro.servers.ReplicatedServerGroup`), ``n − f``
+correct workers with private i.i.d. gradient estimators, ``f``
+Byzantine slots whose proposals an omniscient
 :class:`~repro.attacks.Attack` crafts after seeing everything, and a
 choice function ``F``.  ``run`` executes rounds and records metrics.
+
+A round is the engine's stage pipeline at batch size one (see
+:mod:`repro.engine.simulation`): the workers read the broadcast
+``x_t``, the honest ones propose ``G(x_t, ξ)``, the adversary crafts,
+the cell's own rule aggregates, and the server applies
+``x_{t+1} = x_t − γ_t · F(V_1, ..., V_n)``.  The executor that runs the
+rounds owns the cell's state, so a simulation a
+:class:`~repro.engine.BatchedSimulation` consumed cannot run again.
 
 Rounds are synchronous by default.  The asynchronous mode —
 ``max_staleness > 0`` and/or a ``delay_schedule`` — relaxes the barrier:
 a worker whose schedule says it lags ``τ`` at round ``t`` submits the
-gradient it computed at ``x_{t−τ}``, tagged with round ``t − τ``, and
-the server accepts it inside its bounded-staleness window.  Effective
-staleness is ``min(τ, t, max_staleness)`` (a worker cannot predate
-round 0, and the bounded-staleness protocol caps the lag — the
-stale-synchronous-parallel contract), so ``max_staleness = 0`` is the
-synchronous loop bit for bit, whatever schedule is configured.
+gradient it computed at ``x_{t−τ}``.  Effective staleness is
+``min(τ, t, max_staleness)`` (a worker cannot predate round 0, and the
+bounded-staleness protocol caps the lag — the stale-synchronous-parallel
+contract), so ``max_staleness = 0`` is the synchronous loop bit for bit,
+whatever schedule is configured.
 
-The server side is a :class:`~repro.servers.ReplicatedServerGroup`:
-``num_servers`` replicas of which up to ``byzantine_servers`` broadcast
-corrupted parameters (crafted by a registered server attack), defended
-by a worker-side coordinate median over the replica broadcasts, with
+The server side is ``num_servers`` replicas of which up to
+``byzantine_servers`` broadcast corrupted parameters, defended by a
+worker-side coordinate median over the replica broadcasts, with
 ``num_shards`` splitting aggregation across coordinate slices.  The
 degenerate tier ``num_servers=1, byzantine_servers=0, num_shards=1`` is
 the paper's single reliable server, bit for bit.
@@ -27,25 +34,31 @@ the paper's single reliable server, bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack
 from repro.core.aggregator import Aggregator
 from repro.distributed.delays import DelaySchedule, make_delay_schedule
-from repro.distributed.messages import GradientMessage, ParameterBroadcast
 from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.schedules import LearningRateSchedule
-from repro.distributed.worker import ByzantineWorker, HonestWorker
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.gradients.base import GradientEstimator
 from repro.servers.attacks import ServerAttack
 from repro.servers.replication import ReplicatedServerGroup
-from repro.utils.linalg import stack_vectors
 from repro.utils.rng import SeedLike, spawn_generators
 
-__all__ = ["TrainingSimulation", "resolve_byzantine_slots", "evaluated_record"]
+__all__ = [
+    "TrainingSimulation",
+    "HonestWorker",
+    "resolve_byzantine_slots",
+    "evaluated_record",
+    "round_record",
+    "halt_if_nonfinite",
+    "selected_last_round",
+]
 
 Evaluator = Callable[[np.ndarray], dict[str, float]]
 
@@ -117,6 +130,66 @@ def evaluated_record(
     )
 
 
+def round_record(
+    round_index: int,
+    learning_rate: float,
+    aggregate: np.ndarray,
+    params: np.ndarray,
+    selected: Sequence[int],
+    byzantine_ids: Collection[int],
+) -> RoundRecord:
+    """One round's record: the norms of the aggregate and of the updated
+    ``params``, and the selected ids of which the Byzantine ones are
+    counted."""
+    chosen = tuple(int(i) for i in selected)
+    return RoundRecord(
+        round_index=round_index,
+        learning_rate=float(learning_rate),
+        aggregate_norm=float(np.linalg.norm(aggregate)),
+        params_norm=float(np.linalg.norm(params)),
+        selected=chosen,
+        byzantine_selected=sum(1 for i in chosen if i in byzantine_ids),
+    )
+
+
+def halt_if_nonfinite(
+    params: np.ndarray,
+    round_index: int,
+    aggregator: Aggregator,
+    node: int | None = None,
+) -> None:
+    """The ``halt_on_nonfinite`` guard: raise ``SimulationError`` when an
+    update left ``params`` (of gossip ``node``, if given) non-finite."""
+    if np.all(np.isfinite(params)):
+        return
+    owner = "parameters" if node is None else f"parameters of node {node}"
+    raise SimulationError(
+        f"{owner} became non-finite at round {round_index} (aggregator "
+        f"{aggregator.name}); a Byzantine proposal reached the update"
+    )
+
+
+def selected_last_round(
+    byzantine_ids: np.ndarray, last_selected: np.ndarray | None
+) -> np.ndarray | None:
+    """Selection feedback for defense-probing attacks: per Byzantine id,
+    whether the rule selected it last round (``None`` before the first
+    round)."""
+    if last_selected is None:
+        return None
+    return np.isin(byzantine_ids, last_selected)
+
+
+@dataclass(frozen=True)
+class HonestWorker:
+    """A correct worker: its id, private gradient estimator and RNG
+    stream."""
+
+    worker_id: int
+    estimator: GradientEstimator
+    rng: np.random.Generator
+
+
 class TrainingSimulation:
     """Distributed SGD under Byzantine attack, as one reproducible object.
 
@@ -147,9 +220,9 @@ class TrainingSimulation:
         ``loss``/``accuracy`` land in the record fields, everything else
         goes into ``extras``.
     halt_on_nonfinite:
-        Threaded to the :class:`~repro.distributed.server.ParameterServer`:
-        when true, a non-finite parameter vector after an update raises
-        ``SimulationError`` instead of silently training on NaN.
+        Held by the server group: when true, a non-finite parameter
+        vector after an update raises ``SimulationError`` instead of
+        silently training on NaN.
     max_staleness:
         The server's bounded-staleness window (0 = synchronous).
     delay_schedule:
@@ -234,7 +307,6 @@ class TrainingSimulation:
                 honest_ids, honest_estimators, streams[: self.num_honest]
             )
         ]
-        self.byzantine_workers = [ByzantineWorker(i) for i in self.byzantine_ids]
 
         self.max_staleness = int(max_staleness)
         if isinstance(delay_schedule, str):
@@ -262,7 +334,6 @@ class TrainingSimulation:
             server_attack=server_attack,
             rng=streams[self.num_honest + 2],
             halt_on_nonfinite=halt_on_nonfinite,
-            max_staleness=self.max_staleness,
         )
         dims = {est.dimension for est in honest_estimators}
         if dims != {self.server.dimension}:
@@ -278,10 +349,18 @@ class TrainingSimulation:
             self.attack.reset()
         self.true_gradient_fn = true_gradient_fn
         self.evaluate = evaluate
+        self._initial_params = np.array(initial_params, dtype=np.float64)
+        # The executor that owns the round state once the cell runs:
+        # this simulation's own loop executor, or a BatchedSimulation
+        # that consumed it (the engine sets it).
+        self._executor = None
 
     @property
     def params(self) -> np.ndarray:
-        return self.server.params
+        """The current parameter vector x_t (a defensive copy)."""
+        if self._executor is None:
+            return self._initial_params.copy()
+        return self._loop().params[0]
 
     @property
     def is_async(self) -> bool:
@@ -289,120 +368,26 @@ class TrainingSimulation:
         (a delay schedule and/or a positive staleness window)."""
         return self.delay_schedule is not None or self.max_staleness > 0
 
-    def effective_staleness(self, worker_id: int, round_index: int) -> int:
-        """The lag actually applied to a worker's round-t proposal:
-        the schedule's desired τ, clipped by the start of time and by
-        the bounded-staleness window (SSP semantics — a worker cannot
-        fall further behind than the server's bound)."""
-        if self.delay_schedule is None:
-            return 0
-        tau = int(self.delay_schedule.staleness(worker_id, round_index))
-        if tau < 0:
-            raise SimulationError(
-                f"delay schedule produced negative staleness {tau} for "
-                f"worker {worker_id} at round {round_index}"
+    def _loop(self):
+        """This cell's own executor: the engine's round stages at B = 1,
+        aggregating through the cell's rule.  Built on first use; a cell
+        another executor consumed refuses to run again."""
+        # Imported here: the engine imports this module.
+        from repro.engine.simulation import LoopExecutor
+
+        if self._executor is None:
+            LoopExecutor([self])
+        if not isinstance(self._executor, LoopExecutor):
+            raise ConfigurationError(
+                f"this simulation was consumed by "
+                f"{type(self._executor).__name__}; build a fresh one"
             )
-        return min(tau, round_index, self.max_staleness)
+        return self._executor
 
     def run_round(self) -> RoundRecord:
         """Execute one round (synchronous or bounded-stale) and return
         its record."""
-        broadcast = self.server.broadcast()
-        t = broadcast.round_index
-        rate = self.server.schedule(t)
-        is_async = self.is_async
-
-        honest_messages = []
-        honest_staleness = []
-        for worker in self.honest_workers:
-            tau = self.effective_staleness(worker.worker_id, t)
-            if tau == 0:
-                honest_messages.append(worker.compute(broadcast))
-            else:
-                stale = ParameterBroadcast(
-                    round_index=t - tau,
-                    params=self.server.params_at(t - tau),
-                )
-                honest_messages.append(worker.compute(stale))
-            honest_staleness.append(tau)
-        messages = list(honest_messages)
-
-        if self.num_byzantine > 0:
-            assert self.attack is not None
-            byzantine_staleness = [
-                self.effective_staleness(worker.worker_id, t)
-                for worker in self.byzantine_workers
-            ]
-            context = AttackContext(
-                round_index=t,
-                params=broadcast.params,
-                honest_gradients=stack_vectors(
-                    [m.vector for m in honest_messages]
-                ),
-                byzantine_indices=np.asarray(self.byzantine_ids, dtype=np.int64),
-                honest_indices=np.asarray(
-                    [w.worker_id for w in self.honest_workers], dtype=np.int64
-                ),
-                num_workers=self.num_workers,
-                rng=self.attack_rng,
-                aggregator=self.server.aggregator,
-                true_gradient=(
-                    self.true_gradient_fn(broadcast.params)
-                    if self.true_gradient_fn is not None
-                    else None
-                ),
-                honest_staleness=(
-                    np.asarray(honest_staleness, dtype=np.int64)
-                    if is_async
-                    else None
-                ),
-                byzantine_staleness=(
-                    np.asarray(byzantine_staleness, dtype=np.int64)
-                    if is_async
-                    else None
-                ),
-                honest_params=(
-                    np.stack(
-                        [
-                            self.server.params_at(t - tau)
-                            for tau in honest_staleness
-                        ]
-                    )
-                    if is_async
-                    else None
-                ),
-                selected_last_round=(
-                    np.isin(
-                        np.asarray(self.byzantine_ids, dtype=np.int64),
-                        self.server.last_selected,
-                    )
-                    if self.server.last_selected is not None
-                    else None
-                ),
-            )
-            crafted = self.attack.craft(context)
-            for worker, vector, tau in zip(
-                self.byzantine_workers, crafted, byzantine_staleness
-            ):
-                messages.append(
-                    GradientMessage(
-                        round_index=t - tau,
-                        worker_id=worker.worker_id,
-                        vector=vector,
-                    )
-                )
-
-        result = self.server.step(messages)
-        byzantine_set = set(self.byzantine_ids)
-        selected = tuple(int(i) for i in result.selected)
-        return RoundRecord(
-            round_index=t,
-            learning_rate=rate,
-            aggregate_norm=float(np.linalg.norm(result.vector)),
-            params_norm=float(np.linalg.norm(self.server.params)),
-            selected=selected,
-            byzantine_selected=sum(1 for i in selected if i in byzantine_set),
-        )
+        return self._loop().run_round()[0]
 
     def run(self, num_rounds: int, *, eval_every: int = 10) -> TrainingHistory:
         """Run ``num_rounds`` rounds, evaluating every ``eval_every``-th.
@@ -410,30 +395,18 @@ class TrainingSimulation:
         The final round is always evaluated so ``history.final_loss`` is
         well defined when an evaluator is configured.
         """
-        if num_rounds < 1:
-            raise ConfigurationError(f"num_rounds must be >= 1, got {num_rounds}")
-        if eval_every < 1:
-            raise ConfigurationError(f"eval_every must be >= 1, got {eval_every}")
-        history = TrainingHistory()
-        for t in range(num_rounds):
-            record = self.run_round()
-            if t % eval_every == 0 or t == num_rounds - 1:
-                record = self.evaluate_record(record)
-            history.append(record)
-        return history
+        return self._loop().run(num_rounds, eval_every=eval_every)[0]
 
     def evaluate_record(
         self, record: RoundRecord, params: np.ndarray | None = None
     ) -> RoundRecord:
         """Attach this simulation's evaluation metrics to a round record.
 
-        ``params`` defaults to the server's current parameters; the
-        batched engine executor passes the scenario's externally-tracked
-        parameter vector instead (it advances parameters outside the
-        server).
+        ``params`` defaults to the current parameters; the executors
+        pass the row they advance.
         """
         if params is None:
-            params = self.server.params
+            params = self.params
         return evaluated_record(
             record, params, self.evaluate, self.true_gradient_fn
         )

@@ -37,8 +37,8 @@ Quickstart::
     for label, history in result.histories.items():
         print(label, history.final_loss)
 
-``run_grid(grid, mode="loop")`` executes the same cells through the
-classic one-simulation-at-a-time path — same histories, more wall time —
+``run_grid(grid, mode="loop")`` executes the same cells one simulation
+at a time, each through its own rule — same histories, more wall time —
 which is what the engine benchmarks (``benchmarks/bench_engine_grid.py``
 and ``benchmarks/bench_engine_workloads.py``) measure and the
 ``BENCH_engine*.json`` files record.

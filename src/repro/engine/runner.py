@@ -8,19 +8,20 @@ is resolved through the registry of :mod:`repro.engine.workloads`), and
 executes them either
 
 * ``mode="loop"`` — each cell through its own
-  :class:`~repro.distributed.TrainingSimulation` round loop (the seed
-  code's execution model), or
+  :meth:`~repro.distributed.TrainingSimulation.run`: the round stages
+  at batch size one, aggregating through the cell's own rule, or
 * ``mode="batched"`` — cells stacked into ``(B, n, d)`` tensors by
   :class:`~repro.engine.simulation.BatchedSimulation`, one batch per
   parameter dimension (so a grid mixing, say, the quadratic bowl with
-  an MNIST MLP still batches — per workload dimension).
+  an MNIST MLP still batches — per workload dimension), aggregating
+  rule groups through native kernels.
 
 Gossip cells run on their own :class:`~repro.topology.GossipSimulation`
-in both modes.  Both modes produce identical
-:class:`~repro.distributed.TrainingHistory` objects (bit-for-bit — see
-``tests/engine/test_differential.py``); the batched mode is simply
-faster, which ``BENCH_engine.json`` and ``BENCH_engine_workloads.json``
-record.
+in both modes.  The modes differ only in the aggregate stage, so they
+produce identical :class:`~repro.distributed.TrainingHistory` objects
+(bit-for-bit — see ``tests/engine/test_differential.py``); the batched
+mode is simply faster, which ``BENCH_engine.json`` and
+``BENCH_engine_workloads.json`` record.
 
 A dataset experiment is a grid on a dataset workload: the aggregator
 axis compares rules on the same honest gradients (every cell of a seed

@@ -1,78 +1,65 @@
-"""The batched round-loop executor.
+"""The round stages, and the two executors that run them.
 
-``BatchedSimulation`` takes B freshly-built
-:class:`~repro.distributed.simulator.TrainingSimulation` objects — B
-replica scenarios over the same cluster shape ``(n, d)`` — and executes
-all of them together, carrying one ``(B, n, d)`` proposal tensor through
-the synchronous round loop.  Aggregation runs through the batched
-kernels of :mod:`repro.core.batched` (grouped by rule configuration,
-with a per-scenario loop fallback for rules without a kernel), and the
-SGD update is one ``(B, d)`` tensor operation.
+A training round is one pipeline of stages over a ``(B, n, d)`` batch of
+B same-shaped cells: *view* (the server tier's worker view), *propose*
+(honest proposals, fresh or from the staleness window), *craft* (the
+attack), *aggregate*, *update* (one ``(B, d)`` SGD step plus the
+non-finite halt) and *record*.  The stage code owns each cell's state —
+its parameter row, history and view windows and last selection — and
+takes the :class:`~repro.distributed.simulator.TrainingSimulation` it
+runs: a consumed simulation refuses to run again.
 
-The executor is **trajectory-identical** to running each simulation on
-its own: it consumes the same per-worker RNG streams in the same order,
-crafts attacks from the same :class:`~repro.attacks.base.AttackContext`,
-and the batched kernels are bit-for-bit equal to the per-scenario rules
-— so every ``TrainingHistory`` it returns matches the loop executor's
-record for record, float for float.  ``tests/engine/test_differential.py``
-enforces exactly that.
+The two executors differ only in the aggregate stage:
 
-What makes it faster than B independent loops:
+* :class:`BatchedSimulation` groups cells by rule configuration and
+  aggregates each group through one kernel of :mod:`repro.core.batched`
+  (with a per-cell loop fallback for rules without a kernel);
+* :class:`LoopExecutor` is one cell aggregated by its own rule through
+  :class:`~repro.core.batched.LoopBatchedAggregator` — the executor
+  behind ``TrainingSimulation.run``.
+
+The native kernels are bit-for-bit equal to the per-cell rules, so every
+``TrainingHistory`` matches across executors record for record, float
+for float.  ``tests/engine/test_differential.py`` enforces that, and
+``tests/distributed/server_reference.py`` pins the stages against a
+frozen message-passing round.
+
+What makes the batched executor faster than B loops:
 
 * one batched aggregation kernel call per rule group per round instead
   of B Python dispatches (the O(n²·d) GEMM of Lemma 4.1 amortizes);
 * one parameter update for the whole batch;
-* gradient sharing: when a scenario's honest workers all wrap the same
+* gradient sharing: when a cell's honest workers all wrap the same
   deterministic gradient function (the Gaussian-oracle workload), the
-  gradient is evaluated once per scenario-round instead of once per
+  gradient is evaluated once per cell-round instead of once per
   worker-round — bit-identical because the oracle adds its noise to the
-  same expected vector either way;
-* no per-round message objects or server bookkeeping.
+  same expected vector either way.
 
-Minibatch (dataset-backed) workloads take a per-worker batched path
-instead of the shared-gradient fast path: each round, the engine first
-draws every worker's mini-batch indices in worker loop order — consuming
-each private RNG stream exactly as the loop executor's interleaved
-``estimate`` calls would — and then computes the per-worker model
-gradients.  The index draw is the only stream-consuming step, so the
-differential bit-for-bit guarantee extends to every registered workload
-(see ``tests/engine/test_workloads.py``).
+Minibatch (dataset-backed) workloads take a per-worker path instead:
+each round the propose stage first draws every worker's mini-batch
+indices in worker order — the only RNG-consuming step, so each private
+stream advances exactly as interleaved ``estimate`` calls would — and
+then computes the per-worker model gradients.
 
-Asynchronous scenarios (``max_staleness``/``delay_schedule`` on the
-simulation) run in the same batch: the executor keeps the parameter
-matrices of the last ``max_staleness + 1`` rounds and fills each stale
-worker's proposal from the history row its delay schedule selects —
-exactly the parameters the loop executor's server would have served it.
-The per-worker effective staleness is prefetched, not queried per
-worker per round: each async cell keeps a table of
-``min(τ, t, max_staleness)`` for a chunk of upcoming rounds, filled by
-one :meth:`~repro.distributed.delays.DelaySchedule.staleness_block`
-call per cell per chunk.
+Asynchronous cells (``max_staleness``/``delay_schedule``) fill each
+stale worker's proposal from the history row its delay schedule
+selects.  The effective staleness ``min(τ, t, max_staleness)`` is
+prefetched: each async cell keeps a table for a chunk of upcoming
+rounds, filled by one
+:meth:`~repro.distributed.delays.DelaySchedule.staleness_block` call.
 Staleness-aware rules (the Kardam-style filter) have no vectorized
-kernel yet, so their cells aggregate through the per-scenario loop
-fallback, which threads the per-proposal staleness and used-parameter
-blocks through the same staleness-aware interface the
-:class:`~repro.distributed.server.ParameterServer` calls; plain rules
-under staleness keep their native kernels.  ``native_fraction`` reports
-the split.
+kernel, so their cells take the loop fallback, which receives the
+per-proposal staleness and used-parameter blocks; plain rules under
+staleness keep their native kernels.  ``native_fraction`` reports the
+split.
 
-Server-tier scenarios (``num_servers``/``byzantine_servers`` on the
-simulation) batch the same way: each round the executor asks the
-scenario's :class:`~repro.servers.ReplicatedServerGroup` for the
-round's *worker view* — the coordinate median over replica broadcasts,
-computed from the executor's own parameter row — exactly once, and
-routes every worker read (fresh proposals, stale history reads, the
-worker attack's omniscient context and the used-parameter blocks of
-staleness-aware rules) through the per-scenario view window instead of
-the raw parameter history.  The canonical SGD update, records and
-evaluation stay on the raw row, mirroring the loop executor's canonical
-server state, and the server-attack RNG stream advances once per
-scenario-round in both executors — so the differential guarantee covers
-tier cells too.
-
-The input simulations are *consumed*: their worker and attack RNG
-streams advance exactly as if each had run individually, so do not reuse
-them afterwards.
+Server-tier cells (``num_servers``/``byzantine_servers``) materialize
+the round's worker view — the coordinate median over replica
+broadcasts of the cell's canonical row — exactly once per round, and
+route every worker read (fresh and stale proposals, the attack's
+omniscient context, the used-parameter blocks) through a per-cell view
+window.  The SGD update, records and evaluation stay on the canonical
+row, and the server-attack RNG stream advances once per cell-round.
 """
 
 from __future__ import annotations
@@ -85,18 +72,25 @@ import numpy as np
 
 from repro.attacks.base import AttackContext
 from repro.backend import ArrayBackend, resolve_backend
+from repro.core.aggregator import Aggregator
 from repro.core.batched import (
     BatchedAggregator,
+    LoopBatchedAggregator,
     batch_group_key,
     make_batched_aggregator,
 )
 from repro.distributed.metrics import RoundRecord, TrainingHistory
-from repro.distributed.simulator import TrainingSimulation
+from repro.distributed.simulator import (
+    TrainingSimulation,
+    halt_if_nonfinite,
+    round_record,
+    selected_last_round,
+)
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.gradients.minibatch import MinibatchEstimator
 from repro.gradients.oracle import GaussianOracleEstimator
 
-__all__ = ["BatchedSimulation"]
+__all__ = ["BatchedSimulation", "LoopExecutor"]
 
 #: Rounds of effective staleness prefetched per async cell and block
 #: query; bounds each cell's staleness table at O(chunk · n).
@@ -116,13 +110,11 @@ class _Scenario:
     byzantine_ids: np.ndarray  # ascending Byzantine worker ids
     byzantine_set: frozenset[int]
     # Worker indices the scenario's rule selected in the previous round
-    # (None before the first) — the executor's analogue of
-    # ``ParameterServer.last_selected``, feeding defense-probing attacks.
+    # (None before the first), feeding defense-probing attacks.
     last_selected: np.ndarray | None = None
     # Worker-view window of an active server tier (None for the
     # degenerate single reliable server): the last max_staleness + 1
-    # coordinate-median views, views[-1] being the current round's —
-    # the executor's analogue of ReplicatedServerGroup._views.
+    # coordinate-median views, views[-1] being the current round's.
     views: deque[np.ndarray] | None = None
     # Prefetched effective staleness of an async scenario: row r is
     # round staleness_start + r (see BatchedSimulation._prefetch_staleness).
@@ -201,13 +193,13 @@ class BatchedSimulation:
                     f"all scenarios must share d; got {sim.server.dimension} "
                     f"and {self.dimension}"
                 )
-            if sim.server.round_index != 0:
+            if sim._executor is not None:
                 # A partially-run simulation would restart schedules and
-                # attack round counters at t = 0 while carrying advanced
-                # parameters — a silently wrong trajectory.
+                # attack round counters at t = 0 on advanced RNG streams
+                # — a silently wrong trajectory.
                 raise ConfigurationError(
-                    f"simulations must be freshly built; one already ran "
-                    f"{sim.server.round_index} round(s)"
+                    f"simulations must be freshly built; one was already "
+                    f"run by {type(sim._executor).__name__}"
                 )
         # A stateful attack instance interleaves its per-round state
         # across every scenario that shares it, silently diverging from
@@ -228,7 +220,7 @@ class BatchedSimulation:
         # across scenarios would replay the wrong scenario's parameters.
         seen_server_stateful: dict[int, int] = {}
         for slot, sim in enumerate(sims):
-            server_attack = getattr(sim.server, "server_attack", None)
+            server_attack = sim.server.server_attack
             if server_attack is None or not server_attack.stateful:
                 continue
             other = seen_server_stateful.setdefault(id(server_attack), slot)
@@ -259,7 +251,7 @@ class BatchedSimulation:
         self._scenarios: list[_Scenario] = []
         for slot, original_index in enumerate(keyed):
             sim = sims[original_index]
-            self._params[slot] = sim.server.params
+            self._params[slot] = sim.params
             self._scenarios.append(
                 _Scenario(
                     index=original_index,
@@ -287,7 +279,7 @@ class BatchedSimulation:
                     byzantine_set=frozenset(sim.byzantine_ids),
                     views=(
                         deque(maxlen=sim.max_staleness + 1)
-                        if getattr(sim.server, "tier_active", False)
+                        if sim.server.tier_active
                         else None
                     ),
                 )
@@ -308,13 +300,11 @@ class BatchedSimulation:
                 == key
             ):
                 stop += 1
-            adapter = make_batched_aggregator(
+            adapter = self._adapter(
                 [
                     s.simulation.server.aggregator
                     for s in self._scenarios[start:stop]
-                ],
-                chunk_size=chunk_size,
-                backend=self.backend,
+                ]
             )
             self._groups.append(_Group(start, stop, adapter))
             start = stop
@@ -333,6 +323,15 @@ class BatchedSimulation:
         window = 1 + max(sim.max_staleness for sim in sims)
         self._history: deque[np.ndarray] = deque(maxlen=window)
         self._history.append(self._params)
+        for sim in sims:
+            sim._executor = self
+
+    def _adapter(self, rules: list[Aggregator]) -> BatchedAggregator:
+        """The aggregate stage of one rule group: its native kernel, or
+        the loop fallback for a rule without one."""
+        return make_batched_aggregator(
+            rules, chunk_size=self.chunk_size, backend=self.backend
+        )
 
     # ------------------------------------------------------------------
 
@@ -357,16 +356,14 @@ class BatchedSimulation:
     # ------------------------------------------------------------------
 
     def _params_at(self, slot: int, staleness: int) -> np.ndarray:
-        """One scenario's parameter row as of ``staleness`` rounds ago —
-        the batched analogue of ``ParameterServer.params_at``."""
+        """One scenario's parameter row as of ``staleness`` rounds ago."""
         return self._history[-1 - staleness][slot]
 
     def _prefetch_staleness(self, start: int, stop: int) -> None:
         """Fill every async scenario's staleness table with rounds
         ``[start, stop)``: one ``staleness_block`` call per scenario,
-        clipped to ``min(τ, t, max_staleness)`` exactly like
-        :meth:`TrainingSimulation.effective_staleness`.  Negative lags
-        survive the clip and are reported when their round runs."""
+        clipped to ``min(τ, t, max_staleness)``.  Negative lags survive
+        the clip and are reported when their round runs."""
         rounds = np.arange(start, stop, dtype=np.int64)
         workers = np.arange(self.num_workers, dtype=np.int64)
         for scenario in self._scenarios:
@@ -410,7 +407,7 @@ class BatchedSimulation:
             offset, table = 0, scenario.staleness_table
         row = table[offset]
         if row.min() < 0:
-            # Report the worker the loop executor trips on first: honest
+            # Report the first offender in worker query order: honest
             # workers in order, then the Byzantine ones.
             order = np.concatenate(
                 [scenario.honest_ids, scenario.byzantine_ids]
@@ -438,9 +435,8 @@ class BatchedSimulation:
         sim = scenario.simulation
 
         # One defensive copy per *distinct staleness* this round (one
-        # total in the synchronous case, like the pre-async executor) —
-        # workers sharing a staleness read the same snapshot, exactly as
-        # the loop executor's workers share one broadcast per round.
+        # total in the synchronous case): workers sharing a staleness
+        # read the same snapshot, as they would share one broadcast.
         params_cache: dict[int, np.ndarray] = {}
 
         def worker_params(worker_id: int) -> np.ndarray:
@@ -452,9 +448,7 @@ class BatchedSimulation:
             if tau not in params_cache:
                 if scenario.views is not None:
                     # Tier scenario: workers read the replica-median
-                    # view window, never the raw parameter rows —
-                    # exactly what the group's broadcast()/params_at()
-                    # serve in the loop executor.
+                    # view window, never the raw parameter rows.
                     source = scenario.views[-1 - tau]
                 elif tau == 0:
                     source = scenario.params
@@ -488,10 +482,10 @@ class BatchedSimulation:
             return expected_at.get(0)
         if scenario.minibatch:
             # Per-worker batched path for dataset workloads: draw every
-            # worker's mini-batch indices first, in worker loop order —
-            # the only RNG-consuming step, so the streams advance exactly
-            # as the loop executor's interleaved estimate() calls — then
-            # compute the per-worker model gradients.
+            # worker's mini-batch indices first, in worker order — the
+            # only RNG-consuming step, so the streams advance exactly as
+            # interleaved estimate() calls would — then compute the
+            # per-worker model gradients.
             draws = [
                 (worker, worker.estimator.draw_indices(worker.rng))
                 for worker in sim.honest_workers
@@ -572,10 +566,8 @@ class BatchedSimulation:
                 else staleness_row[scenario.byzantine_ids]
             ),
             honest_params=honest_params,
-            selected_last_round=(
-                np.isin(scenario.byzantine_ids, scenario.last_selected)
-                if scenario.last_selected is not None
-                else None
+            selected_last_round=selected_last_round(
+                scenario.byzantine_ids, scenario.last_selected
             ),
         )
         crafted = sim.attack.craft(context)
@@ -585,9 +577,9 @@ class BatchedSimulation:
         self, group: _Group, rows: list[np.ndarray | None]
     ) -> tuple[np.ndarray, np.ndarray]:
         """The per-proposal staleness and used-parameter blocks of one
-        staleness-aware rule group — the same arrays the loop executor's
-        server hands ``aggregate_detailed_stale`` (zeros and the current
-        parameters for synchronous scenarios in the group)."""
+        staleness-aware rule group for ``aggregate_detailed_stale``
+        (zeros and the current parameters for synchronous scenarios in
+        the group)."""
         size = group.stop - group.start
         staleness = np.zeros((size, self.num_workers), dtype=np.int64)
         used = np.empty(
@@ -625,9 +617,8 @@ class BatchedSimulation:
             rates[slot] = server.schedule(t)
             if scenario.views is not None:
                 # Materialize the round's worker view exactly once per
-                # scenario, from the executor's canonical row — the
-                # same call (and the same one server-attack RNG draw)
-                # the loop executor's broadcast() makes.
+                # scenario, from the canonical row: one server-attack
+                # RNG draw per round.
                 scenario.views.append(
                     server.corrupted_view(scenario.params, t)
                 )
@@ -670,37 +661,19 @@ class BatchedSimulation:
         for slot, scenario in enumerate(self._scenarios):
             scenario.params = self._params[slot]
             server = scenario.simulation.server
-            if server.halt_on_nonfinite and not np.all(
-                np.isfinite(scenario.params)
-            ):
-                # Mirror ParameterServer.step's operational guard — the
-                # batched executor advances parameters outside the
-                # server, so it must enforce the halt itself.
-                raise SimulationError(
-                    f"parameters became non-finite at round {t} "
-                    f"(aggregator {server.aggregator.name}); a Byzantine "
-                    f"proposal reached the update"
-                )
-            chosen = tuple(int(i) for i in selected[slot])
+            if server.halt_on_nonfinite:
+                halt_if_nonfinite(scenario.params, t, server.aggregator)
             scenario.last_selected = np.asarray(
                 selected[slot], dtype=np.int64
             ).copy()
-            records[scenario.index] = RoundRecord(
-                round_index=t,
-                learning_rate=float(rates[slot]),
-                aggregate_norm=float(np.linalg.norm(aggregate[slot])),
-                params_norm=float(np.linalg.norm(scenario.params)),
-                selected=chosen,
-                byzantine_selected=sum(
-                    1 for i in chosen if i in scenario.byzantine_set
-                ),
+            records[scenario.index] = round_record(
+                t,
+                rates[slot],
+                aggregate[slot],
+                scenario.params,
+                selected[slot],
+                scenario.byzantine_set,
             )
-            # Mark the round as consumed on the underlying server so a
-            # second BatchedSimulation (or a direct sim.run) over these
-            # simulations trips the freshness guard instead of silently
-            # re-running with advanced RNG streams.  The server's params
-            # are intentionally NOT synced — the batch matrix owns them.
-            server.round_index += 1
         self._round_index += 1
         return records
 
@@ -709,9 +682,9 @@ class BatchedSimulation:
     ) -> list[TrainingHistory]:
         """Run all scenarios for ``num_rounds`` rounds.
 
-        Mirrors :meth:`TrainingSimulation.run`: every ``eval_every``-th
-        round and the final round are evaluated.  Returns one history
-        per scenario, in the order the simulations were passed in.
+        Every ``eval_every``-th round and the final round are evaluated.
+        Returns one history per scenario, in the order the simulations
+        were passed in.
         """
         if num_rounds < 1:
             raise ConfigurationError(
@@ -740,3 +713,13 @@ class BatchedSimulation:
                     )
                 histories[scenario.index].append(record)
         return histories
+
+
+class LoopExecutor(BatchedSimulation):
+    """The loop executor: the same stages over one cell, aggregated by
+    the cell's own rule instead of a native kernel.
+    ``TrainingSimulation.run`` drives one, so loop/batched comparisons
+    check the kernels against the rules."""
+
+    def _adapter(self, rules: list[Aggregator]) -> BatchedAggregator:
+        return LoopBatchedAggregator(rules)

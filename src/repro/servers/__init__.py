@@ -25,11 +25,7 @@ from repro.servers.registry import (
     server_attack_factory,
 )
 from repro.servers.replication import ReplicatedServerGroup, replica_view
-from repro.servers.sharding import (
-    ShardedAggregator,
-    ShardedParameterState,
-    shard_bounds,
-)
+from repro.servers.sharding import ShardedAggregator, shard_bounds
 
 __all__ = [
     "ServerAttack",
@@ -43,7 +39,6 @@ __all__ = [
     "make_server_attack",
     "ReplicatedServerGroup",
     "replica_view",
-    "ShardedParameterState",
     "ShardedAggregator",
     "shard_bounds",
 ]

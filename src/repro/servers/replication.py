@@ -1,13 +1,12 @@
 """The replicated parameter-server group — Byzantine servers in the model.
 
-:class:`ReplicatedServerGroup` promotes the single
-:class:`~repro.distributed.server.ParameterServer` to a server *tier* in
-the ByzSGD/Garfield mold:
+:class:`ReplicatedServerGroup` turns the paper's single reliable server
+into a server *tier* in the ByzSGD/Garfield mold:
 
 * ``num_servers`` replicas hold the parameter state.  Honest replicas
   stay lock-step on one canonical vector ``x_t`` (they aggregate the
   same proposals with the same deterministic rule), so the canonical
-  state is represented once.
+  state is represented once — by the executor running the rounds.
 * up to ``byzantine_servers`` replicas are Byzantine: each round they
   broadcast whatever their :class:`~repro.servers.attacks.ServerAttack`
   crafts instead of ``x_t``.  Corruption perturbs only what workers
@@ -15,18 +14,17 @@ the ByzSGD/Garfield mold:
   honest state.
 * workers defend with a ByzSGD-style **coordinate-wise median** over the
   ``num_servers`` replica broadcasts before computing gradients.  The
-  resulting *worker view* ``x̃_t`` is what this group broadcasts, what
-  stale workers read back (:meth:`params_at`), and what staleness-aware
-  filters receive as used parameters — exactly what the workers acted
-  on.
+  resulting *worker view* ``x̃_t`` (:meth:`corrupted_view`) is what
+  fresh and stale workers read and what staleness-aware filters receive
+  as used parameters; the executors keep its window.
 * ``num_shards > 1`` additionally routes aggregation through
   :class:`~repro.servers.sharding.ShardedAggregator`: each shard
   aggregates only its coordinate slice of the proposal stack.
 
 The degenerate configuration ``num_servers=1, byzantine_servers=0,
 num_shards=1`` takes none of these paths: no view is computed, no RNG is
-consumed, no wrapper is installed — the group *is* the single-server
-engine bit for bit, the same guarantee discipline as ``max_staleness=0``
+consumed, no wrapper is installed — the group *is* the single reliable
+server bit for bit, the same guarantee discipline as ``max_staleness=0``
 (``tests/servers/test_server_differential.py`` pins it).
 
 With ``byzantine_servers = 0`` the view is exact for *any* replica
@@ -37,18 +35,14 @@ two equal values), so honest replication alone never forks a trajectory.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.core.aggregator import AggregationResult, Aggregator
-from repro.distributed.messages import GradientMessage, ParameterBroadcast
+from repro.core.aggregator import Aggregator
 from repro.distributed.schedules import LearningRateSchedule
-from repro.distributed.server import ParameterServer
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.servers.attacks import ServerAttack, ServerAttackContext
 from repro.servers.registry import make_server_attack
-from repro.servers.sharding import ShardedAggregator, ShardedParameterState
+from repro.servers.sharding import ShardedAggregator, shard_bounds
 
 __all__ = ["ReplicatedServerGroup", "replica_view"]
 
@@ -72,11 +66,18 @@ def replica_view(broadcasts: np.ndarray) -> np.ndarray:
     return np.median(broadcasts, axis=0)
 
 
-class ReplicatedServerGroup(ParameterServer):
+class ReplicatedServerGroup:
     """A parameter-server tier: replicas, Byzantine broadcasts, shards.
 
     Parameters
     ----------
+    initial_params:
+        The ``x_0`` vector; the group keeps its dimension (the executor
+        running the rounds owns the parameter state).
+    aggregator:
+        The choice function F (wrapped per shard when ``num_shards > 1``).
+    schedule:
+        Learning-rate schedule γ_t.
     num_servers:
         Replica count (>= 1).
     byzantine_servers:
@@ -95,8 +96,11 @@ class ReplicatedServerGroup(ParameterServer):
         The attack's dedicated RNG stream (required when
         ``byzantine_servers > 0``); simulations spawn it from the cell's
         root seed alongside the worker and worker-attack streams.
-
-    The remaining parameters match :class:`ParameterServer`.
+    halt_on_nonfinite:
+        When true, a non-finite parameter vector after an update raises
+        ``SimulationError`` instead of silently training on NaN — the
+        operational guard a production server would run with.  Off by
+        default so divergence experiments can observe the blow-up.
     """
 
     def __init__(
@@ -111,8 +115,12 @@ class ReplicatedServerGroup(ParameterServer):
         server_attack: ServerAttack | str | None = None,
         rng: np.random.Generator | None = None,
         halt_on_nonfinite: bool = False,
-        max_staleness: int = 0,
     ):
+        params = np.asarray(initial_params, dtype=np.float64)
+        if params.ndim != 1:
+            raise DimensionMismatchError(
+                f"initial_params must be 1-d, got shape {params.shape}"
+            )
         if int(num_servers) < 1:
             raise ConfigurationError(
                 f"num_servers must be >= 1, got {num_servers}"
@@ -159,32 +167,19 @@ class ReplicatedServerGroup(ParameterServer):
             self.num_servers,
             dtype=np.int64,
         )
+        self.dimension = int(params.shape[0])
+        # Every shard must own at least one coordinate.
+        shard_bounds(self.dimension, self.num_shards)
         if self.num_shards > 1:
             aggregator = ShardedAggregator(aggregator, self.num_shards)
-        super().__init__(
-            initial_params,
-            aggregator,
-            schedule,
-            halt_on_nonfinite=halt_on_nonfinite,
-            max_staleness=max_staleness,
-        )
-        # shard_bounds validates num_shards against the now-known
-        # dimension (every shard must own at least one coordinate).
-        self._sharded_state = (
-            ShardedParameterState(self._params, self.num_shards)
-            if self.num_shards > 1
-            else None
-        )
+        self.aggregator = aggregator
+        self.schedule = schedule
+        self.halt_on_nonfinite = bool(halt_on_nonfinite)
         if self.server_attack is not None:
             # Fresh run: discard any state a reused attack instance may
             # carry from a previous simulation (replay histories, ...),
             # mirroring the simulator's worker-attack reset.
             self.server_attack.reset()
-        # Worker views of the last max_staleness + 1 rounds (only
-        # maintained while the tier is active); views[-1] is x̃_t once
-        # the current round's view is materialized.
-        self._views: deque[np.ndarray] = deque(maxlen=self.max_staleness + 1)
-        self._view_round = -1
 
     # ------------------------------------------------------------------
 
@@ -196,18 +191,6 @@ class ReplicatedServerGroup(ParameterServer):
         aggregation, not what workers receive.
         """
         return self.num_servers > 1 or self.byzantine_servers > 0
-
-    @property
-    def sharded_state(self) -> ShardedParameterState | None:
-        """The canonical state decomposed into shard views (``None``
-        for the unsharded server)."""
-        if self._sharded_state is not None:
-            # Keep the decomposition in lock-step with the canonical
-            # vector (the base server replaces ``_params`` each step).
-            self._sharded_state = ShardedParameterState(
-                self._params, self.num_shards
-            )
-        return self._sharded_state
 
     def replica_broadcasts(
         self, params: np.ndarray, round_index: int
@@ -243,67 +226,8 @@ class ReplicatedServerGroup(ParameterServer):
         """One round's worker view ``x̃_t``: the coordinate median over
         the replica broadcasts of ``params`` at ``round_index``.
 
-        The batched executor calls this with its externally-tracked
-        parameter row; the loop path calls it through
-        :meth:`_ensure_view` with the canonical state.  Either way the
-        attack sees the same canonical ``x_t`` and the RNG stream
-        advances identically — the loop/batched differential guarantee.
+        The executors call it once per round with the canonical row they
+        advance, so the attack sees the canonical ``x_t`` and its RNG
+        stream advances once per round in every executor.
         """
         return replica_view(self.replica_broadcasts(params, round_index))
-
-    def _ensure_view(self) -> None:
-        """Materialize the current round's worker view exactly once."""
-        if self._view_round == self.round_index:
-            return
-        if self._view_round not in (self.round_index - 1, -1):
-            raise SimulationError(
-                f"view history skipped from round {self._view_round} to "
-                f"{self.round_index}; broadcast() or step() must run "
-                f"every round"
-            )
-        self._views.append(
-            self.corrupted_view(self._params, self.round_index)
-        )
-        self._view_round = self.round_index
-
-    # ------------------------------------------------------------------
-
-    def params_at(self, round_index: int) -> np.ndarray:
-        """The *worker view* broadcast at the start of ``round_index``.
-
-        Under an active tier this is the coordinate-median view (what
-        stale workers actually computed against); the degenerate tier
-        serves the canonical history unchanged.
-        """
-        if not self.tier_active:
-            return super().params_at(round_index)
-        self._ensure_view()
-        offset = self.round_index - int(round_index)
-        if offset < 0 or offset >= len(self._views):
-            raise SimulationError(
-                f"round {round_index} is outside the retained window "
-                f"[{self.round_index - len(self._views) + 1}, "
-                f"{self.round_index}] (max_staleness={self.max_staleness})"
-            )
-        return self._views[-1 - offset].copy()
-
-    def broadcast(self) -> ParameterBroadcast:
-        """Start a round: publish the worker view ``x̃_t``."""
-        if not self.tier_active:
-            return super().broadcast()
-        self._ensure_view()
-        return ParameterBroadcast(
-            round_index=self.round_index, params=self._views[-1].copy()
-        )
-
-    def step(self, messages: list[GradientMessage]) -> AggregationResult:
-        """Finish a round on the canonical state.
-
-        Honest replicas aggregate the same proposals with the same
-        deterministic rule, so one canonical update stands for all of
-        them.  The view is materialized first so a caller that skipped
-        ``broadcast()`` still consumes the attack stream once per round.
-        """
-        if self.tier_active:
-            self._ensure_view()
-        return super().step(messages)

@@ -14,9 +14,9 @@ distances on its own coordinates), so a sharded cell is a distinct grid
 point, never silently substituted — ``num_shards = 1`` skips the wrapper
 entirely and the degenerate cell stays bit-for-bit the plain rule.
 
-:class:`ShardedParameterState` is the bookkeeping object: the canonical
-vector plus its shard views.  :class:`ShardedAggregator` is the
-composable rule wrapper (the same pattern as
+:func:`shard_bounds` lays the slices out (the server group checks it at
+construction).  :class:`ShardedAggregator` is the composable rule
+wrapper (the same pattern as
 :class:`~repro.core.staleness.KardamFilter`): it implements the
 staleness-aware interface, slicing the proposal stack — and, for
 staleness-aware inner rules, the used-parameter block — per shard and
@@ -31,7 +31,7 @@ from repro.core.aggregator import AggregationResult, Aggregator
 from repro.core.staleness import StalenessAwareAggregator
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 
-__all__ = ["shard_bounds", "ShardedParameterState", "ShardedAggregator"]
+__all__ = ["shard_bounds", "ShardedAggregator"]
 
 
 def shard_bounds(dimension: int, num_shards: int) -> list[tuple[int, int]]:
@@ -58,60 +58,6 @@ def shard_bounds(dimension: int, num_shards: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-class ShardedParameterState:
-    """The parameter vector of a sharded server, plus its shard views.
-
-    Holds the canonical ``(d,)`` state and exposes each shard's slice as
-    a writable view — mutating a shard mutates the canonical vector, as
-    shard servers owning disjoint coordinate ranges would.
-    """
-
-    def __init__(self, params: np.ndarray, num_shards: int):
-        params = np.asarray(params, dtype=np.float64)
-        if params.ndim != 1:
-            raise DimensionMismatchError(
-                f"params must be 1-d, got shape {params.shape}"
-            )
-        self._params = params.copy()
-        self.bounds = shard_bounds(self._params.shape[0], num_shards)
-        self.num_shards = len(self.bounds)
-
-    @property
-    def dimension(self) -> int:
-        return int(self._params.shape[0])
-
-    @property
-    def params(self) -> np.ndarray:
-        """The canonical full vector (a defensive copy)."""
-        return self._params.copy()
-
-    def shard(self, index: int) -> np.ndarray:
-        """Shard ``index``'s coordinate slice — a writable view."""
-        if not 0 <= int(index) < self.num_shards:
-            raise ConfigurationError(
-                f"shard index must lie in [0, {self.num_shards}), got {index}"
-            )
-        lo, hi = self.bounds[int(index)]
-        return self._params[lo:hi]
-
-    def shards(self) -> list[np.ndarray]:
-        """All shard views, in coordinate order."""
-        return [self.shard(i) for i in range(self.num_shards)]
-
-    def update(self, aggregate: np.ndarray, rate: float) -> np.ndarray:
-        """Apply ``x ← x − rate · aggregate`` across every shard and
-        return the new canonical vector (a copy)."""
-        aggregate = np.asarray(aggregate, dtype=np.float64)
-        if aggregate.shape != self._params.shape:
-            raise DimensionMismatchError(
-                f"aggregate shape {aggregate.shape} does not match "
-                f"parameters {self._params.shape}"
-            )
-        for lo, hi in self.bounds:
-            self._params[lo:hi] -= rate * aggregate[lo:hi]
-        return self.params
 
 
 class ShardedAggregator(StalenessAwareAggregator):

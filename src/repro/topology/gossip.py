@@ -60,7 +60,10 @@ from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.schedules import LearningRateSchedule
 from repro.distributed.simulator import (
     evaluated_record,
+    halt_if_nonfinite,
     resolve_byzantine_slots,
+    round_record,
+    selected_last_round,
 )
 from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.gradients.base import GradientEstimator
@@ -370,13 +373,9 @@ class GossipSimulation:
             # (on the complete zero-delay graph these coincide with
             # ``params``, so server-path attacks behave identically).
             honest_params=self.honest_params,
-            selected_last_round=(
-                np.isin(
-                    np.asarray(self.byzantine_ids, dtype=np.int64),
-                    self._selected_union,
-                )
-                if self._selected_union is not None
-                else None
+            selected_last_round=selected_last_round(
+                np.asarray(self.byzantine_ids, dtype=np.int64),
+                self._selected_union,
             ),
             byzantine_neighbors=tuple(neighbors[b] for b in self.byzantine_ids),
             receiver=receiver,
@@ -552,14 +551,8 @@ class GossipSimulation:
             vector, selected = outcome
             rate = self.schedule(t)
             self._node_params[v] = self._node_params[v] - rate * vector
-            if self.halt_on_nonfinite and not np.all(
-                np.isfinite(self._node_params[v])
-            ):
-                raise SimulationError(
-                    f"parameters of node {v} became non-finite at round {t} "
-                    f"(aggregator {rule.name}); a Byzantine proposal reached "
-                    f"the update"
-                )
+            if self.halt_on_nonfinite:
+                halt_if_nonfinite(self._node_params[v], t, rule, node=v)
             selected_ids = tuple(
                 member_ids[i]
                 for i in np.asarray(selected, dtype=np.int64).tolist()
@@ -570,18 +563,13 @@ class GossipSimulation:
 
     def _record(self, t: int) -> RoundRecord:
         vector, selected_ids, rate = self._round_results[self.reference_node]
-        byzantine_set = set(self.byzantine_ids)
-        record = RoundRecord(
-            round_index=t,
-            learning_rate=rate,
-            aggregate_norm=float(np.linalg.norm(vector)),
-            params_norm=float(
-                np.linalg.norm(self._node_params[self.reference_node])
-            ),
-            selected=selected_ids,
-            byzantine_selected=sum(
-                1 for i in selected_ids if i in byzantine_set
-            ),
+        record = round_record(
+            t,
+            rate,
+            vector,
+            self._node_params[self.reference_node],
+            selected_ids,
+            set(self.byzantine_ids),
         )
         # Feed next round's selection feedback: a Byzantine id counts as
         # selected if *any* honest node selected it (on the complete

@@ -1,5 +1,7 @@
 """Tests for the synchronous training simulation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ class TestConstruction:
         _bowl, sim = _simulation(num_workers=11, num_byzantine=3, attack=GaussianAttack())
         assert sim.num_workers == 11
         assert len(sim.honest_workers) == 8
-        assert len(sim.byzantine_workers) == 3
+        assert len(sim.byzantine_ids) == 3
 
     def test_byzantine_requires_attack(self):
         with pytest.raises(ConfigurationError, match="requires an attack"):
@@ -102,6 +104,17 @@ class TestConstruction:
                 num_byzantine=2,
                 attack=GaussianAttack(),
                 byzantine_slots="middle",
+            )
+
+    def test_needs_an_honest_worker(self):
+        """No round can aggregate an empty stack: a cluster without a
+        correct worker is rejected at construction."""
+        with pytest.raises(ConfigurationError, match="honest estimator"):
+            TrainingSimulation(
+                aggregator=Average(),
+                schedule=ConstantSchedule(0.1),
+                honest_estimators=[],
+                initial_params=np.zeros(3),
             )
 
     def test_dimension_mismatch_detected(self):
@@ -188,6 +201,50 @@ class TestRunning:
         krum_dist = bowl2.distance_to_optimum(krum_sim.params)
         assert krum_dist < 1.0
         assert avg_dist > 2 * krum_dist
+
+    def test_one_round_is_one_sgd_step_of_the_rule(self):
+        """x₁ = x₀ − γ₀ · F(V₁, ..., Vₙ), with the proposals the workers
+        draw from their own streams."""
+        _bowl, sim = _simulation(aggregator=Average(), num_workers=5)
+        x0 = sim.params
+        proposals = np.stack(
+            [
+                worker.estimator.estimate(x0, copy.deepcopy(worker.rng))
+                for worker in sim.honest_workers
+            ]
+        )
+        record = sim.run_round()
+        np.testing.assert_array_equal(
+            sim.params, x0 - 0.1 * Average().aggregate(proposals)
+        )
+        assert record.round_index == 0
+        assert record.learning_rate == 0.1
+
+    def test_params_is_a_defensive_copy(self):
+        _bowl, sim = _simulation()
+        sim.params[:] = 99.0
+        np.testing.assert_array_equal(sim.params, np.full(6, 10.0))
+        sim.run(2)
+        before = sim.params
+        sim.params[:] = 99.0
+        assert sim.params.tobytes() == before.tobytes()
+
+    def test_schedule_applied_per_round(self):
+        from repro.distributed.schedules import StepDecaySchedule
+        from repro.gradients.oracle import GaussianOracleEstimator
+
+        sim = TrainingSimulation(
+            aggregator=Average(),
+            schedule=StepDecaySchedule(1.0, period=1, factor=0.5),
+            honest_estimators=[
+                GaussianOracleEstimator(lambda x: np.ones(1), 1, sigma=0.0)
+            ],
+            initial_params=np.zeros(1),
+        )
+        history = sim.run(2)
+        # x = 0 - 1.0*1 - 0.5*1
+        np.testing.assert_array_equal(sim.params, [-1.5])
+        assert [r.learning_rate for r in history] == [1.0, 0.5]
 
     def test_rejects_bad_run_args(self):
         _bowl, sim = _simulation()
@@ -278,6 +335,26 @@ class TestAsyncRounds:
         sync.run(12)
         stale.run(12)
         assert sync.params.tobytes() != stale.params.tobytes()
+
+    def test_staleness_aware_rule_receives_staleness(self):
+        from repro.core.staleness import KardamFilter
+        from repro.distributed.delays import ConstantDelay
+        from repro.gradients.oracle import GaussianOracleEstimator
+
+        sim = TrainingSimulation(
+            aggregator=KardamFilter(Average(), dampening="inverse"),
+            schedule=ConstantSchedule(1.0),
+            honest_estimators=[
+                GaussianOracleEstimator(lambda x: np.ones(1), 1, sigma=0.0)
+            ],
+            initial_params=np.zeros(1),
+            max_staleness=1,
+            delay_schedule=ConstantDelay(tau=1),
+        )
+        sim.run(2)
+        # Round 0 is fresh; round 1's one-round-stale proposal is
+        # dampened by 1/(1+1).
+        np.testing.assert_array_equal(sim.params, [-1.5])
 
     def test_attack_context_sees_staleness(self):
         from repro.attacks.base import Attack

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks.base import Attack
 from repro.distributed.delays import (
     DELAY_SCHEDULES,
     DelaySchedule,
@@ -24,6 +25,7 @@ from repro.distributed.delays import (
 from repro.engine import BatchedSimulation, ScenarioGrid, run_grid
 from repro.engine.runner import build_scenario_simulation
 from repro.exceptions import ConfigurationError, SimulationError
+from tests.distributed.server_reference import assert_matches_reference, reference_run
 
 
 def _reference_grid(**overrides) -> ScenarioGrid:
@@ -189,6 +191,7 @@ class TestAsyncDifferential:
         loop = run_grid(grid, mode="loop", eval_every=4)
         batched = run_grid(grid, mode="batched", eval_every=4)
         assert _identical(loop, batched)
+        assert_matches_reference(loop, grid, eval_every=4)
 
     def test_staleness_sweep_loop_equals_batched(self):
         grid = _reference_grid(
@@ -199,6 +202,7 @@ class TestAsyncDifferential:
         loop = run_grid(grid, mode="loop", eval_every=4)
         batched = run_grid(grid, mode="batched", eval_every=4)
         assert _identical(loop, batched)
+        assert_matches_reference(loop, grid, eval_every=4)
 
     def test_kardam_cells_fall_back_native_cells_stay(self):
         grid = _reference_grid(
@@ -230,6 +234,7 @@ class TestAsyncDifferential:
         loop = run_grid(grid, mode="loop", eval_every=4)
         batched = run_grid(grid, mode="batched", eval_every=4)
         assert _identical(loop, batched)
+        assert_matches_reference(loop, grid, eval_every=4)
 
     def test_staleness_actually_changes_trajectories(self):
         sync = run_grid(_reference_grid(), mode="batched", eval_every=4)
@@ -260,15 +265,32 @@ class TestAsyncSimulation:
         history = sim.run(6, eval_every=3)
         assert len(history) == 6
 
-    def test_effective_staleness_clips_to_window_and_time(self):
-        spec = _reference_grid(
+    def test_staleness_clips_to_window_and_time(self):
+        """A lag of 5 under a window of 1: round 0 has no history, every
+        later round reads one round back — in the shared stages and in
+        the reference's scalar ``staleness`` queries alike."""
+        grid = _reference_grid(
             max_staleness=1,
             delay_schedule="constant",
             delay_kwargs={"tau": 5},
-        ).scenarios()[0]
+        )
+        seen = []
+
+        class Recorder(Attack):
+            name = "recorder"
+
+            def craft(self, context):
+                seen.append(context.honest_staleness.tolist())
+                return np.zeros((context.num_byzantine, context.dimension))
+
+        spec = grid.scenarios()[0]
         sim = build_scenario_simulation(spec)
-        assert sim.effective_staleness(0, 0) == 0  # no history yet
-        assert sim.effective_staleness(0, 10) == 1  # clipped to window
+        sim.attack = Recorder()
+        sim.run(4)
+        assert seen == [[0] * 9] + [[1] * 9] * 3
+
+        loop = run_grid(grid, mode="loop", eval_every=4)
+        assert_matches_reference(loop, grid, eval_every=4)
 
     def test_batched_history_window_is_bounded(self):
         grid = _reference_grid(
@@ -357,9 +379,18 @@ def _assert_same_runs(loop_sims, batched, loop_histories, batched_histories):
         assert list(loop_histories[index]) == list(batched_histories[index])
 
 
+def _assert_matches_scalar_queries(histories, num_rounds, eval_every, **overrides):
+    """The frozen reference, which queries ``staleness`` one worker and
+    round at a time, agrees with the prefetched tables."""
+    for sim, history in zip(_async_sims(len(histories), **overrides), histories):
+        reference, _ = reference_run(sim, num_rounds, eval_every=eval_every)
+        assert list(reference) == list(history)
+
+
 class TestStalenessPrefetch:
-    """The batched executor's prefetched staleness tables, checked
-    against the loop executor's scalar queries bit for bit."""
+    """The stages' prefetched staleness tables, checked across run
+    splits, chunk boundaries and executors, and against the reference's
+    scalar queries bit for bit."""
 
     def test_split_runs_equal_loop_and_single_run(self):
         loop_sims = _async_sims(6)
@@ -385,6 +416,7 @@ class TestStalenessPrefetch:
         batched = BatchedSimulation(_async_sims(3))
         batched_histories = batched.run(200, eval_every=50)
         _assert_same_runs(loop_sims, batched, loop_histories, batched_histories)
+        _assert_matches_scalar_queries(loop_histories, 200, 50)
 
     def test_bare_run_round_calls(self):
         loop_sims = _async_sims(3)
@@ -406,13 +438,20 @@ class TestStalenessPrefetch:
         )
         batched_histories = batched.run(20, eval_every=5)
         _assert_same_runs(loop_sims, batched, loop_histories, batched_histories)
+        _assert_matches_scalar_queries(
+            loop_histories,
+            20,
+            5,
+            delay_schedule="test-rotating",
+            delay_kwargs={},
+        )
 
     def test_negative_staleness_raises_when_round_is_reached(
         self, custom_schedules
     ):
         # Byzantine workers take the first ids, so worker 0 is Byzantine
-        # and worker 6 honest: both executors must name the honest worker
-        # the loop executor queries first.
+        # and worker 6 honest: every executor must name the honest worker
+        # the reference queries first.
         overrides = dict(
             delay_schedule="test-negative",
             delay_kwargs={"workers": (0, 6), "at_round": 5},
@@ -438,6 +477,10 @@ class TestStalenessPrefetch:
         with pytest.raises(SimulationError) as run_error:
             BatchedSimulation(_async_sims(2, **overrides)).run(8)
         assert str(run_error.value) == message
+
+        with pytest.raises(SimulationError) as reference_error:
+            reference_run(_async_sims(1, **overrides)[0], 8)
+        assert str(reference_error.value) == message
 
     def test_misshapen_block_override_rejected(self, custom_schedules):
         batched = BatchedSimulation(

@@ -3,8 +3,9 @@
 Every batched kernel must match the existing per-scenario implementation
 **bit-for-bit** — not approximately — on randomized grids, including the
 adversarial corners: f = 0, tie-heavy duplicate proposals, and NaN/Inf
-Byzantine inputs.  This identity is what makes the engine a safe
-substitute for the seed code's loop execution.
+Byzantine inputs.  Full trajectories are also pinned against the frozen
+message-passing round of ``tests/distributed/server_reference.py``, so
+the shared round stages cannot drift under both executors at once.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.utils.linalg import (
     batched_pairwise_sq_distances,
     pairwise_sq_distances,
 )
+from tests.distributed.server_reference import assert_matches_reference
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -319,11 +321,13 @@ class TestBatchedGeometricMedian:
 
 
 class TestGridTrajectories:
-    """Full-trajectory identity: run_grid(loop) vs run_grid(batched)."""
+    """Full-trajectory identity: run_grid(loop) vs run_grid(batched),
+    and both against the frozen reference round."""
 
     @staticmethod
     def _assert_identical(grid: ScenarioGrid, **kwargs) -> None:
         loop = run_grid(grid, mode="loop", eval_every=5)
+        assert_matches_reference(loop, grid, eval_every=5)
         batched = run_grid(grid, mode="batched", eval_every=5, **kwargs)
         assert set(loop.histories) == set(batched.histories)
         for label in loop.histories:
@@ -498,3 +502,4 @@ class TestDatasetRuleComparison:
         assert set(batched.histories) == set(loop.histories)
         for label, history in loop.histories.items():
             assert batched.histories[label].records == history.records, label
+        assert_matches_reference(loop, grid, eval_every=5)

@@ -280,10 +280,22 @@ class TestBatchedSimulation:
         with pytest.raises(ConfigurationError, match="freshly built"):
             BatchedSimulation(sims)
 
+    def test_consumed_simulation_refuses_a_direct_run(self):
+        """Regression: after a batched run, ``sim.params`` still returned
+        x₀ and ``sim.run`` silently restarted from x₀ at round 5 on the
+        advanced RNG streams.  Every direct use now names the executor
+        that consumed the simulation."""
+        sim = self._sims(count=1)[0]
+        BatchedSimulation([sim]).run(5)
+        for use in (lambda: sim.params, lambda: sim.run(2), sim.run_round):
+            with pytest.raises(
+                ConfigurationError, match="consumed by BatchedSimulation"
+            ):
+                use()
+
     def test_halt_on_nonfinite_guard_enforced(self):
-        """Regression: the batched executor advances parameters outside
-        ParameterServer.step, so it must enforce the server's
-        halt_on_nonfinite guard itself — same error as the loop path."""
+        """Both executors enforce the server group's halt_on_nonfinite
+        guard, with the same error."""
         from repro.attacks.simple import NonFiniteAttack
         from repro.exceptions import SimulationError
 

@@ -13,13 +13,17 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.attacks.base import Attack
+from repro.attacks.simple import SignFlipAttack
 from repro.baselines.average import Average
-from repro.distributed.messages import GradientMessage
+from repro.distributed.delays import ConstantDelay, SeededRandomDelay
 from repro.distributed.schedules import ConstantSchedule
-from repro.distributed.server import ParameterServer
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.experiments.builders import build_quadratic_simulation
+from repro.models.quadratic import QuadraticBowl
 from repro.servers.attacks import SignFlipBroadcastAttack
 from repro.servers.replication import ReplicatedServerGroup, replica_view
+from tests.distributed.server_reference import reference_run
 
 DIMENSION = 6
 
@@ -39,18 +43,6 @@ def build_group(**kwargs):
         ConstantSchedule(0.1),
         **defaults,
     )
-
-
-def messages(server, seed=0):
-    rng = np.random.default_rng(seed + server.round_index)
-    return [
-        GradientMessage(
-            round_index=server.round_index,
-            worker_id=i,
-            vector=rng.standard_normal(DIMENSION),
-        )
-        for i in range(5)
-    ]
 
 
 class TestReplicaView:
@@ -144,125 +136,161 @@ class TestConstruction:
         )
         assert group.byzantine_server_ids.tolist() == [3, 4]
 
+    def test_more_shards_than_coordinates_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="num_shards"):
+            build_group(num_shards=DIMENSION + 1)
 
-class TestDegenerateTier:
-    def test_degenerate_group_matches_plain_server_bitwise(self):
-        """num_servers=1, byzantine_servers=0, num_shards=1 runs the
-        exact single-server engine: same broadcasts, same updates."""
-        group = build_group()
-        plain = ParameterServer(
-            np.arange(float(DIMENSION)), Average(), ConstantSchedule(0.1)
-        )
+    def test_initial_params_must_be_a_vector(self):
+        with pytest.raises(DimensionMismatchError):
+            ReplicatedServerGroup(
+                np.zeros((2, 3)), Average(), ConstantSchedule(0.1)
+            )
+
+    def test_group_holds_the_rule_schedule_and_guard(self):
+        group = build_group(num_shards=2, halt_on_nonfinite=True)
+        assert group.dimension == DIMENSION
+        assert group.aggregator.name == "sharded(average,shards=2)"
+        assert group.schedule(0) == 0.1
+        assert group.halt_on_nonfinite is True
         assert not group.tier_active
-        assert group.sharded_state is None
-        for _ in range(5):
-            assert (
-                group.broadcast().params.tobytes()
-                == plain.broadcast().params.tobytes()
-            )
-            group.step(messages(group))
-            plain.step(messages(plain))
-        assert group.params.tobytes() == plain.params.tobytes()
-
-    def test_honest_replication_alone_never_forks(self):
-        """byzantine_servers=0 with any replica count: the view is the
-        canonical state bitwise, so the trajectory is the plain one."""
-        group = build_group(num_servers=4)
-        plain = ParameterServer(
-            np.arange(float(DIMENSION)), Average(), ConstantSchedule(0.1)
-        )
-        assert group.tier_active
-        for _ in range(5):
-            assert (
-                group.broadcast().params.tobytes()
-                == plain.broadcast().params.tobytes()
-            )
-            group.step(messages(group))
-            plain.step(messages(plain))
-        assert group.params.tobytes() == plain.params.tobytes()
 
 
-class TestActiveTier:
-    def build_attacked(self, num_servers=3, byzantine_servers=1, **kwargs):
+class TestWorkerView:
+    def build_attacked(self, num_servers=3, byzantine_servers=1):
         return build_group(
             num_servers=num_servers,
             byzantine_servers=byzantine_servers,
             server_attack=SignFlipBroadcastAttack(),
             rng=np.random.default_rng(0),
-            **kwargs,
         )
 
-    def test_single_corrupted_server_broadcasts_the_attack(self):
+    def test_single_corrupted_server_serves_the_attack(self):
         group = self.build_attacked(num_servers=1, byzantine_servers=1)
-        view = group.broadcast().params
+        params = np.arange(float(DIMENSION))
         # Equality, not tobytes: np.median normalizes -0.0 to +0.0 at
         # the zero coordinate of the flipped broadcast.
-        np.testing.assert_array_equal(
-            view, -np.arange(float(DIMENSION))
-        )
+        np.testing.assert_array_equal(group.corrupted_view(params, 0), -params)
 
     def test_three_replicas_recover_the_canonical_broadcast(self):
         group = self.build_attacked()
-        view = group.broadcast().params
-        assert view.tobytes() == np.arange(float(DIMENSION)).tobytes()
+        params = np.arange(float(DIMENSION))
+        assert group.corrupted_view(params, 0).tobytes() == params.tobytes()
+
+
+def tier_simulation(*, attack=None, num_byzantine=0, **tier):
+    """A quadratic cell whose honest workers return their read exactly
+    (sigma 0), so every proposal shows which parameters it was computed
+    at."""
+    return build_quadratic_simulation(
+        QuadraticBowl(DIMENSION),
+        aggregator=Average(),
+        num_workers=5,
+        num_byzantine=num_byzantine,
+        attack=attack,
+        sigma=0.0,
+        learning_rate=0.1,
+        lr_timescale=None,
+        **tier,
+    )
+
+
+class _Recorder(Attack):
+    """Sends zeros and keeps what each round's context showed."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.contexts = []
+
+    def craft(self, context):
+        self.contexts.append(context)
+        return np.zeros((context.num_byzantine, context.dimension))
+
+
+class TestTierRounds:
+    """The server tier inside the shared round stages, each case also
+    checked against the frozen reference round."""
+
+    @pytest.mark.parametrize("num_servers", [1, 4])
+    def test_honest_replication_never_forks(self, num_servers):
+        """byzantine_servers=0 with any replica count: the view is the
+        canonical state bitwise, so the trajectory is the single
+        server's."""
+        plain = tier_simulation()
+        replicated = tier_simulation(num_servers=num_servers)
+        assert replicated.server.tier_active == (num_servers > 1)
+        plain_history = plain.run(6, eval_every=2)
+        replicated_history = replicated.run(6, eval_every=2)
+        assert replicated.params.tobytes() == plain.params.tobytes()
+        assert list(replicated_history) == list(plain_history)
 
     def test_update_applies_to_canonical_state_not_the_view(self):
-        group = self.build_attacked(num_servers=1, byzantine_servers=1)
-        before = group.params
-        group.broadcast()
-        batch = messages(group)
-        group.step(batch)
-        stack = np.stack([m.vector for m in batch])
-        expected = before - 0.1 * stack.mean(axis=0)
-        assert group.params.tobytes() == expected.tobytes()
+        """Workers read the flipped broadcast −x₀ and propose ∇Q(−x₀);
+        the step moves the canonical x₀, not the view."""
+        sim = tier_simulation(
+            num_servers=1,
+            byzantine_servers=1,
+            server_attack=SignFlipBroadcastAttack(),
+        )
+        x0 = sim.params
+        proposal = sim.true_gradient_fn(-x0)
+        assert not np.allclose(proposal, sim.true_gradient_fn(x0))
+        sim.run_round()
+        np.testing.assert_allclose(sim.params, x0 - 0.1 * proposal)
 
-    def test_view_is_computed_once_per_round(self):
-        """broadcast() twice in one round returns the same view and the
-        attack RNG advances once — the replay protocol the executors
-        rely on."""
-        group = build_group(
+    def test_view_is_materialized_once_per_round(self, monkeypatch):
+        sim = tier_simulation(
             num_servers=3,
             byzantine_servers=1,
             server_attack="random-noise-broadcast",
-            rng=np.random.default_rng(7),
         )
-        first = group.broadcast().params
-        second = group.broadcast().params
-        assert first.tobytes() == second.tobytes()
+        calls = []
+        original = sim.server.corrupted_view
 
-    def test_params_at_serves_the_view_window(self):
-        group = self.build_attacked(
-            num_servers=1, byzantine_servers=1, max_staleness=2
-        )
-        views = []
-        for _ in range(3):
-            views.append(group.broadcast().params)
-            group.step(messages(group))
-        group.broadcast()
-        for offset in (1, 2):
-            stored = group.params_at(group.round_index - offset)
-            assert stored.tobytes() == views[-offset].tobytes()
-        # round 3's window holds rounds [1, 3]; round 0 has been evicted
-        with pytest.raises(SimulationError):
-            group.params_at(0)
+        def counted(params, round_index):
+            calls.append(round_index)
+            return original(params, round_index)
 
-    def test_step_without_broadcast_still_consumes_the_attack_stream(self):
-        """A caller that skips broadcast() must not desync the RNG
-        stream: step() materializes the round's view itself."""
-        stepped = build_group(
-            num_servers=3,
+        monkeypatch.setattr(sim.server, "corrupted_view", counted)
+        sim.run(5, eval_every=2)
+        assert calls == [0, 1, 2, 3, 4]
+
+    def test_stale_workers_read_the_view_window(self):
+        """Under a constant lag of two rounds, the honest workers of
+        round t computed at the view served at round t − 2."""
+        recorder = _Recorder()
+        sim = tier_simulation(
+            attack=recorder,
+            num_byzantine=1,
+            num_servers=1,
             byzantine_servers=1,
-            server_attack="random-noise-broadcast",
-            rng=np.random.default_rng(3),
+            server_attack=SignFlipBroadcastAttack(),
+            max_staleness=2,
+            delay_schedule=ConstantDelay(tau=2),
         )
-        broadcast_first = build_group(
-            num_servers=3,
-            byzantine_servers=1,
-            server_attack="random-noise-broadcast",
-            rng=np.random.default_rng(3),
-        )
-        for _ in range(4):
-            stepped.step(messages(stepped))
-            broadcast_first.broadcast()
-            broadcast_first.step(messages(broadcast_first))
-        assert stepped.params.tobytes() == broadcast_first.params.tobytes()
+        sim.run(5, eval_every=5)
+        views = [context.params for context in recorder.contexts]
+        for t in range(2, 5):
+            for row in recorder.contexts[t].honest_params:
+                assert row.tobytes() == views[t - 2].tobytes()
+
+    @pytest.mark.parametrize(
+        "server_attack", ["sign-flip-broadcast", "random-noise-broadcast"]
+    )
+    def test_tier_rounds_match_the_reference(self, server_attack):
+        def build():
+            return tier_simulation(
+                attack=SignFlipAttack(),
+                num_byzantine=1,
+                num_servers=3,
+                byzantine_servers=1,
+                server_attack=server_attack,
+                max_staleness=2,
+                delay_schedule=SeededRandomDelay(max_delay=3),
+            )
+
+        sim = build()
+        history = sim.run(8, eval_every=3)
+        reference, params = reference_run(build(), 8, eval_every=3)
+        assert sim.params.tobytes() == params.tobytes()
+        assert [repr(r) for r in history] == [repr(r) for r in reference]

@@ -4,8 +4,10 @@ The load-bearing invariant: the degenerate configuration
 ``num_servers=1, byzantine_servers=0, num_shards=1`` is bit-for-bit the
 pre-tier engine — same labels, same trajectories, in both executors —
 and every active-tier grid still satisfies the loop/batched differential
-identity.  ``benchmarks/bench_server_tier.py`` re-checks the same claims
-at bench scale.
+identity and matches the frozen reference round of
+``tests/distributed/server_reference.py``.
+``benchmarks/bench_server_tier.py`` re-checks the same claims at bench
+scale.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.builders import build_quadratic_simulation
 from repro.models.quadratic import QuadraticBowl
 from repro.servers.attacks import StaleReplayBroadcastAttack
+from tests.distributed.server_reference import assert_matches_reference
 
 AGGREGATORS = (("krum", {}), ("average", {}))
 
@@ -107,10 +110,9 @@ class TestLoopBatchedIdentity:
             num_shards_values=(1, 2),
             server_attacks=((server_attack, {}),),
         )
-        _same(
-            run_grid(grid, mode="loop", eval_every=4),
-            run_grid(grid, mode="batched", eval_every=4),
-        )
+        loop = run_grid(grid, mode="loop", eval_every=4)
+        _same(loop, run_grid(grid, mode="batched", eval_every=4))
+        assert_matches_reference(loop, grid, eval_every=4)
 
     def test_async_tier_grid_is_executor_invariant(self):
         """Staleness window + delay schedule + Byzantine servers: stale
@@ -125,10 +127,9 @@ class TestLoopBatchedIdentity:
             byzantine_servers_values=(1,),
             server_attacks=(("stale-replay-broadcast", {"delay": 2}),),
         )
-        _same(
-            run_grid(grid, mode="loop", eval_every=4),
-            run_grid(grid, mode="batched", eval_every=4),
-        )
+        loop = run_grid(grid, mode="loop", eval_every=4)
+        _same(loop, run_grid(grid, mode="batched", eval_every=4))
+        assert_matches_reference(loop, grid, eval_every=4)
 
     def test_grid_len_matches_materialized_cells(self):
         grid = _grid(

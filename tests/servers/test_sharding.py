@@ -1,4 +1,4 @@
-"""Sharded parameter state and per-shard aggregation."""
+"""Shard layout and per-shard aggregation."""
 
 from __future__ import annotations
 
@@ -8,12 +8,8 @@ import pytest
 from repro.baselines.average import Average
 from repro.core.krum import Krum
 from repro.core.staleness import KardamFilter
-from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.servers.sharding import (
-    ShardedAggregator,
-    ShardedParameterState,
-    shard_bounds,
-)
+from repro.exceptions import ConfigurationError
+from repro.servers.sharding import ShardedAggregator, shard_bounds
 
 
 class TestShardBounds:
@@ -44,37 +40,6 @@ class TestShardBounds:
             shard_bounds(5, 0)
         with pytest.raises(ConfigurationError):
             shard_bounds(3, 4)  # a shard would own no coordinate
-
-
-class TestShardedParameterState:
-    def test_shards_are_writable_views_of_the_canonical_vector(self):
-        state = ShardedParameterState(np.arange(5.0), 2)
-        state.shard(0)[:] = 0.0
-        assert state.params.tolist() == [0.0, 0.0, 0.0, 3.0, 4.0]
-
-    def test_constructor_copies_the_input(self):
-        params = np.arange(4.0)
-        state = ShardedParameterState(params, 2)
-        params[:] = 99.0
-        assert state.params.tolist() == [0.0, 1.0, 2.0, 3.0]
-
-    def test_update_matches_dense_sgd_step(self):
-        rng = np.random.default_rng(0)
-        params = rng.standard_normal(11)
-        aggregate = rng.standard_normal(11)
-        state = ShardedParameterState(params, 3)
-        updated = state.update(aggregate, 0.1)
-        np.testing.assert_array_equal(updated, params - 0.1 * aggregate)
-
-    def test_update_rejects_shape_mismatch(self):
-        state = ShardedParameterState(np.zeros(5), 2)
-        with pytest.raises(DimensionMismatchError):
-            state.update(np.zeros(4), 0.1)
-
-    def test_shard_index_bounds(self):
-        state = ShardedParameterState(np.zeros(5), 2)
-        with pytest.raises(ConfigurationError):
-            state.shard(2)
 
 
 class TestShardedAggregator:

@@ -7,8 +7,10 @@ reproduce the server-path trajectory **bit for bit** — not
 approximately.  Pinned three ways:
 
 * engine-level: ``GossipSimulation`` vs ``TrainingSimulation`` built
-  from the same keyword arguments, per round, across rules × attacks
-  (including the stateful kardam and the feedback-driven probes);
+  from the same keyword arguments, and vs the frozen server round of
+  ``tests/distributed/server_reference.py``, per round, across rules ×
+  attacks (including the stateful kardam and the feedback-driven
+  probes);
 * grid-level: a grid pinning ``topology="complete"`` must produce the
   same labels, histories and final parameters as the identical grid
   with no topology axis at all, in **both** executors;
@@ -28,6 +30,10 @@ from repro.engine.grid import ScenarioGrid, ScenarioSpec
 from repro.engine.runner import build_scenario_simulation, run_grid
 from repro.gradients.oracle import GaussianOracleEstimator
 from repro.topology import GossipSimulation
+from tests.distributed.server_reference import (
+    assert_matches_reference,
+    reference_run,
+)
 
 DIMENSION = 6
 NUM_WORKERS = 10
@@ -94,16 +100,23 @@ class TestEngineIdentity:
         self, aggregator, attack
     ):
         reference, gossip = engine_pair(aggregator, attack)
+        frozen, frozen_params = reference_run(
+            TrainingSimulation(**engine_kwargs(aggregator, attack)),
+            12,
+            eval_every=1,
+        )
         # Round-by-round, so a divergence pins the exact round.
-        for _ in range(12):
+        for t in range(12):
             ref_history = reference.run(1, eval_every=1)
             gossip_history = gossip.run(1, eval_every=1)
             assert np.array_equal(reference.params, gossip.params)
             ra, rg = ref_history.records[0], gossip_history.records[0]
-            assert ra.aggregate_norm == rg.aggregate_norm
-            assert ra.params_norm == rg.params_norm
-            assert ra.selected == rg.selected
-            assert ra.byzantine_selected == rg.byzantine_selected
+            for record in (ra, frozen[t]):
+                assert record.aggregate_norm == rg.aggregate_norm
+                assert record.params_norm == rg.params_norm
+                assert record.selected == rg.selected
+                assert record.byzantine_selected == rg.byzantine_selected
+        assert frozen_params.tobytes() == gossip.params.tobytes()
 
     def test_all_honest_nodes_track_the_server_trajectory(self):
         aggregator = {"name": "krum", "f": NUM_BYZANTINE}
@@ -178,6 +191,9 @@ class TestGridIdentity:
             assert np.array_equal(
                 axis_free.final_params[label], pinned.final_params[label]
             ), (mode, label)
+        assert_matches_reference(
+            pinned, ScenarioGrid(**grid_kwargs(topology="complete")), eval_every=5
+        )
 
     def test_gossip_cells_loop_equals_batched(self):
         grid = ScenarioGrid(
