@@ -1,58 +1,92 @@
-"""Engine bench — batched scenario-grid vs per-scenario loop.
+"""Engine bench — batched executor vs per-scenario loop at full scale.
 
-Runs the same 128-cell grid (4 seeds × 2 attacks × 8 aggregators × 2 f
-values; n = 20 workers, d = 1000, 100 rounds — the scale of the paper's
-figure grids) through both executors:
+Each bench pushes full-scale grids through both executors of
+:func:`~repro.engine.run_grid`: ``mode="loop"`` runs one simulation per
+cell through the cell's own rule, ``mode="batched"`` stacks the cells
+into ``(B, n, d)`` tensors and aggregates through vectorized kernels.
+Every bench first asserts the two executors' trajectories are identical
+bit for bit (final parameters and every round record), then its own
+checks:
 
-* ``loop``    — one :class:`~repro.distributed.TrainingSimulation` per
-  cell, the seed code's execution model;
-* ``batched`` — all cells stacked into ``(B, n, d)`` tensors by
-  :class:`~repro.engine.BatchedSimulation`.
+* ``bench_engine_batched_vs_loop`` — the 128-cell grid (4 seeds × 2
+  attacks × 8 rules × f ∈ {3, 4}; n = 20, d = 1000, 100 rounds, the
+  scale of the paper's figure grids).  Every rule aggregates natively
+  and the batched executor is at least ``MIN_SPEEDUP`` times faster.
+  f stops at 4 because Bulyan needs n ≥ 4f + 3.
+* ``bench_workload_grids`` — one grid per registered workload plus a
+  mixed-dimension grid.  Only the quadratic grid carries a floor
+  (``MIN_QUADRATIC_SPEEDUP``): dataset workloads spend their rounds in
+  per-worker model gradients, which both executors compute the same
+  way, so their gain is bounded by the aggregation share of a round.
+* ``bench_staleness_sweep`` — ``max_staleness ∈ {0, 1, 4}``
+  under random delays (``max_delay = 4``), three rules each with and
+  without the kardam staleness filter.  The ``max_staleness = 0`` arm
+  equals the synchronous grid, and exactly the kardam half of the
+  cells aggregates through the loop fallback (``native_fraction`` 0.5).
 
-The aggregator axis covers every rule with a vectorized kernel,
-including the two that used to take the per-scenario loop fallback
-inside the engine: Bulyan (iterated committee selection) and the
-geometric median (batched Weiszfeld).  The f sweep is (3, 4) because
-Bulyan requires ``n >= 4f + 3`` and the grid runs n = 20.
+The same checks at small scale are tier-1 tests
+(``tests/engine/test_differential.py``, ``test_workloads.py`` and
+``test_async.py``).  The benches print their timings and write no
+file::
 
-Asserts the batched engine is ≥ 3× faster, trajectory-identical
-(bit-for-bit final parameters and per-round records for every cell),
-and fully native (no cell silently regressed to the loop fallback),
-then writes the measurement to ``BENCH_engine.json`` at the repo root.
-
-Standalone usage (CI smoke / regenerating the JSON)::
-
-    PYTHONPATH=src python benchmarks/bench_engine_grid.py          # full grid
-    PYTHONPATH=src python benchmarks/bench_engine_grid.py --smoke  # tiny grid
-    PYTHONPATH=src python benchmarks/bench_engine_grid.py --smoke \\
-        --output BENCH_engine.smoke.json   # CI artifact
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_engine_grid.py \\
+        -o python_files='bench_*.py' -o python_functions='bench_*'
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
-from pathlib import Path
-
+from benchmarks.conftest import emit, run_once
+from repro.core.batched import make_batched_aggregator
+from repro.core.registry import make_aggregator
 from repro.engine import ScenarioGrid, run_grid
 from repro.experiments.reporting import format_table
 
-try:
-    from benchmarks.conftest import emit, run_once
-except ImportError:  # executed as a script: python benchmarks/bench_engine_grid.py
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.conftest import emit, run_once
-
 MIN_SPEEDUP = 3.0
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+MIN_QUADRATIC_SPEEDUP = 2.0
+
+_TIMING_COLUMNS = ["grid", "cells", "rounds", "loop s", "batched s", "speedup"]
 
 
-def _grid(
-    *, seeds=(0, 1, 2, 3), num_rounds=100, dimension=1000
-) -> ScenarioGrid:
+def _assert_identical(result_a, result_b, *, by_position=False) -> None:
+    """Bit-for-bit equal final parameters and round records, cell by
+    cell.  ``by_position`` pairs the cells in grid order, for two grids
+    whose labels differ."""
+    labels_a = [spec.label for spec in result_a.specs]
+    labels_b = (
+        [spec.label for spec in result_b.specs] if by_position else labels_a
+    )
+    assert len(labels_a) == len(labels_b)
+    for label_a, label_b in zip(labels_a, labels_b):
+        assert (
+            result_a.final_params[label_a].tobytes()
+            == result_b.final_params[label_b].tobytes()
+        ), f"final parameters diverged for {label_a}"
+        assert list(result_a.histories[label_a]) == list(
+            result_b.histories[label_b]
+        ), f"round records diverged for {label_a}"
+
+
+def _loop_vs_batched(name: str, grid: ScenarioGrid, *, eval_every: int):
+    """Run ``grid`` through both executors, assert they agree, and
+    return the batched result plus a timing-table row."""
+    loop = run_grid(grid, mode="loop", eval_every=eval_every)
+    batched = run_grid(grid, mode="batched", eval_every=eval_every)
+    _assert_identical(loop, batched)
+    speedup = loop.wall_time / max(batched.wall_time, 1e-12)
+    row = [
+        name,
+        len(grid),
+        grid.num_rounds,
+        round(loop.wall_time, 3),
+        round(batched.wall_time, 3),
+        f"{speedup:.2f}x",
+    ]
+    return batched, speedup, row
+
+
+def _paper_grid() -> ScenarioGrid:
     return ScenarioGrid(
-        seeds=seeds,
+        seeds=(0, 1, 2, 3),
         attacks=(
             ("gaussian", {"sigma": 200.0}),
             ("omniscient", {"scale": 10.0}),
@@ -67,206 +101,154 @@ def _grid(
             ("bulyan", {}),
             ("geometric-median", {}),
         ),
-        f_values=(3, 4),  # bulyan needs n >= 4f + 3 with n = 20
+        f_values=(3, 4),
         num_workers=20,
-        dimension=dimension,
-        sigma=0.5,
-        num_rounds=num_rounds,
+        workload_kwargs={"dimension": 1000, "sigma": 0.5},
+        num_rounds=100,
         learning_rate=0.1,
         lr_timescale=100.0,
     )
 
 
-def _identical_trajectories(loop_result, batched_result) -> bool:
-    for label in loop_result.histories:
-        if (
-            loop_result.final_params[label].tobytes()
-            != batched_result.final_params[label].tobytes()
-        ):
-            return False
-        loop_history = loop_result.histories[label]
-        batched_history = batched_result.histories[label]
-        if len(loop_history) != len(batched_history):
-            return False
-        if any(a != b for a, b in zip(loop_history, batched_history)):
-            return False
-    return True
-
-
-def _native_kernels(grid: ScenarioGrid) -> dict[str, bool]:
-    """Whether each aggregator axis entry runs through a vectorized
-    kernel — the reference grid is expected to be fully native, so any
-    ``False`` here is a batched-path regression.  Rules are rebuilt from
-    the grid's resolved cells, so every (rule, f) configuration the grid
-    actually runs is checked."""
-    from repro.core.batched import make_batched_aggregator
-    from repro.core.registry import make_aggregator
-
-    out: dict[str, bool] = {}
-    for spec in grid.scenarios():
-        rule = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
-        native = make_batched_aggregator(rule).is_native
-        out[spec.aggregator] = out.get(spec.aggregator, True) and native
-    return out
-
-
-def _torch_column(grid: ScenarioGrid, loop_result) -> dict | None:
-    """Run the batched grid on the torch backend when it is importable.
-
-    Returns ``None`` on a torch-less install — the JSON then simply has
-    no torch column.  Parity is reported as the max final-parameter
-    deviation from the loop trajectories (the torch backend promises
-    float64-tolerance agreement, not bit-for-bit identity).
-    """
-    from repro.backend import backend_installed
-
-    if not backend_installed("torch"):
-        return None
-    torch_result = run_grid(grid, mode="batched", eval_every=25, backend="torch")
-    deviation = max(
-        float(
-            abs(
-                loop_result.final_params[label]
-                - torch_result.final_params[label]
-            ).max()
-        )
-        for label in loop_result.histories
+def bench_engine_batched_vs_loop(benchmark):
+    grid = _paper_grid()
+    batched, speedup, row = run_once(
+        benchmark, lambda: _loop_vs_batched("paper", grid, eval_every=25)
     )
-    return {
-        "backend": torch_result.backend,
-        "batched_seconds": round(torch_result.wall_time, 4),
-        "speedup_vs_loop": round(
-            loop_result.wall_time / max(torch_result.wall_time, 1e-12), 2
-        ),
-        "native_fraction": torch_result.native_fraction,
-        "max_final_param_deviation": deviation,
-    }
-
-
-def run_comparison(grid: ScenarioGrid) -> dict:
-    """Execute the grid in both modes and summarize the comparison."""
-    loop_result = run_grid(grid, mode="loop", eval_every=25)
-    batched_result = run_grid(grid, mode="batched", eval_every=25)
-    speedup = loop_result.wall_time / max(batched_result.wall_time, 1e-12)
-    torch_column = _torch_column(grid, loop_result)
-    return {
-        "grid": {
-            "cells": len(grid),
-            "num_workers": grid.num_workers,
-            "dimension": grid.dimension,
-            "num_rounds": grid.num_rounds,
-            "seeds": list(grid.seeds),
-            "f_values": list(grid.f_values),
-            "attacks": [name for name, _ in grid.attacks],
-            "aggregators": [name for name, _ in grid.aggregators],
-        },
-        # The resolved array backend (name[dtype]) the batched kernels
-        # computed through — "numpy[float64]" is the bit-for-bit
-        # reference configuration.
-        "backend": batched_result.backend,
-        "loop_seconds": round(loop_result.wall_time, 4),
-        "batched_seconds": round(batched_result.wall_time, 4),
-        "speedup": round(speedup, 2),
-        "trajectories_identical": _identical_trajectories(
-            loop_result, batched_result
-        ),
-        "native_fraction": batched_result.native_fraction,
-        "native_kernels": _native_kernels(grid),
-        # Present only when torch is importable in the benchmarking
-        # environment; absent otherwise.
-        **({"torch": torch_column} if torch_column is not None else {}),
-        "python": platform.python_version(),
-    }
-
-
-def _emit_summary(summary: dict) -> None:
     emit(
         format_table(
-            [
-                "cells", "n", "d", "rounds", "backend", "loop s",
-                "batched s", "speedup", "identical", "native",
-            ],
-            [
-                [
-                    summary["grid"]["cells"],
-                    summary["grid"]["num_workers"],
-                    summary["grid"]["dimension"],
-                    summary["grid"]["num_rounds"],
-                    summary["backend"],
-                    summary["loop_seconds"],
-                    summary["batched_seconds"],
-                    f"{summary['speedup']}x",
-                    summary["trajectories_identical"],
-                    summary["native_fraction"],
-                ]
-            ],
+            _TIMING_COLUMNS + ["native"],
+            [row + [batched.native_fraction]],
             title="Engine — batched grid vs per-scenario loop",
         )
     )
-
-
-def bench_engine_batched_vs_loop(benchmark):
-    summary = run_once(benchmark, lambda: run_comparison(_grid()))
-    _emit_summary(summary)
-    RESULT_PATH.write_text(json.dumps(summary, indent=1) + "\n")
-
-    assert summary["trajectories_identical"], (
-        "batched engine diverged from the per-scenario loop"
-    )
-    assert summary["native_fraction"] == 1.0, (
-        f"reference grid regressed to the loop fallback: "
-        f"{summary['native_kernels']}"
-    )
-    assert summary["speedup"] >= MIN_SPEEDUP, (
-        f"expected >= {MIN_SPEEDUP}x speedup, got {summary['speedup']}x"
+    fallback = {
+        spec.aggregator
+        for spec in grid.scenarios()
+        if not make_batched_aggregator(
+            make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
+        ).is_native
+    }
+    assert not fallback, f"rules regressed to the loop fallback: {fallback}"
+    assert batched.native_fraction == 1.0
+    assert speedup >= MIN_SPEEDUP, (
+        f"expected >= {MIN_SPEEDUP}x speedup, got {speedup:.2f}x"
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run a small grid (32 cells, 10 rounds, d=50) without "
-        "writing BENCH_engine.json — the CI sanity check",
+def _workload_grids() -> dict[str, ScenarioGrid]:
+    common = dict(
+        seeds=(0, 1),
+        attacks=(("sign-flip", {"scale": 5.0}),),
+        aggregators=(
+            ("krum", {}),
+            ("average", {}),
+            ("coordinate-median", {}),
+        ),
+        f_values=(0, 3),
+        num_workers=15,
+        learning_rate=0.05,
+        lr_timescale=None,
     )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the summary JSON to this path (used by CI to "
-        "upload the smoke measurement as a workflow artifact)",
-    )
-    args = parser.parse_args(argv)
+    quadratic = {"dimension": 1000, "sigma": 0.5}
+    spambase = {"num_train": 1024, "num_eval": 256, "batch_size": 16}
+    mnist = {"num_train": 512, "num_eval": 128, "batch_size": 16}
+    return {
+        "quadratic": ScenarioGrid(
+            workload_kwargs=quadratic, num_rounds=60, **common
+        ),
+        "logistic-spambase": ScenarioGrid(
+            workload="logistic-spambase", workload_kwargs=spambase,
+            num_rounds=60, **common,
+        ),
+        "softmax-mnist": ScenarioGrid(
+            workload="softmax-mnist", workload_kwargs=mnist,
+            num_rounds=40, **common,
+        ),
+        "mlp-mnist": ScenarioGrid(
+            workload="mlp-mnist",
+            workload_kwargs=dict(mnist, hidden_sizes=(32,)),
+            num_rounds=30, **common,
+        ),
+        "mixed": ScenarioGrid(
+            workloads=(
+                ("quadratic", quadratic),
+                ("logistic-spambase", spambase),
+                ("softmax-mnist", mnist),
+            ),
+            num_rounds=30, **common,
+        ),
+    }
 
-    if args.smoke:
-        grid = _grid(seeds=(0,), num_rounds=10, dimension=50)
-    else:
-        grid = _grid()
-    summary = run_comparison(grid)
-    print(json.dumps(summary, indent=1))
-    if args.output is not None:
-        args.output.write_text(json.dumps(summary, indent=1) + "\n")
-        print(f"wrote {args.output}")
-    if not summary["trajectories_identical"]:
-        print("FAIL: batched engine diverged from the per-scenario loop")
-        return 1
-    if summary["native_fraction"] != 1.0:
-        print(
-            "FAIL: a reference-grid rule regressed to the loop fallback: "
-            f"{summary['native_kernels']}"
+
+def bench_workload_grids(benchmark):
+    def run():
+        return {
+            name: _loop_vs_batched(name, grid, eval_every=10)[1:]
+            for name, grid in _workload_grids().items()
+        }
+
+    runs = run_once(benchmark, run)
+    emit(
+        format_table(
+            _TIMING_COLUMNS,
+            [row for _speedup, row in runs.values()],
+            title="Engine workloads — batched vs loop",
         )
-        return 1
-    if not args.smoke:
-        if summary["speedup"] < MIN_SPEEDUP:
-            print(f"FAIL: speedup {summary['speedup']}x < {MIN_SPEEDUP}x")
-            return 1
-        RESULT_PATH.write_text(json.dumps(summary, indent=1) + "\n")
-        print(f"wrote {RESULT_PATH}")
-    return 0
+    )
+    speedup = runs["quadratic"][0]
+    assert speedup >= MIN_QUADRATIC_SPEEDUP, (
+        f"quadratic speedup {speedup:.2f}x < {MIN_QUADRATIC_SPEEDUP}x"
+    )
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+_KARDAM_PAIRS = (
+    ("krum", {}),
+    ("kardam", {"inner": "krum"}),
+    ("coordinate-median", {}),
+    ("kardam", {"inner": "coordinate-median"}),
+    ("trimmed-mean", {}),
+    ("kardam", {"inner": "trimmed-mean"}),
+)
+
+
+def _async_grid(**axes) -> ScenarioGrid:
+    return ScenarioGrid(
+        seeds=(0, 1, 2),
+        attacks=(
+            ("gaussian", {"sigma": 200.0}),
+            ("omniscient", {"scale": 10.0}),
+        ),
+        aggregators=_KARDAM_PAIRS,
+        f_values=(3,),
+        num_workers=15,
+        workload_kwargs={"dimension": 200, "sigma": 0.5},
+        num_rounds=100,
+        learning_rate=0.1,
+        lr_timescale=100.0,
+        **axes,
+    )
+
+
+def bench_staleness_sweep(benchmark):
+    delays = dict(delay_schedule="random", delay_kwargs={"max_delay": 4})
+    grid = _async_grid(max_staleness_values=(0, 1, 4), **delays)
+    batched, _speedup, row = run_once(
+        benchmark, lambda: _loop_vs_batched("async", grid, eval_every=25)
+    )
+    emit(
+        format_table(
+            _TIMING_COLUMNS + ["native"],
+            [row + [round(batched.native_fraction, 3)]],
+            title="Engine — async rounds (staleness sweep)",
+        )
+    )
+    _assert_identical(
+        run_grid(_async_grid(), mode="batched", eval_every=25),
+        run_grid(_async_grid(**delays), mode="batched", eval_every=25),
+        by_position=True,
+    )
+    assert batched.native_fraction == 0.5, (
+        "expected exactly the kardam half of the cells on the loop "
+        f"fallback, got native_fraction={batched.native_fraction}"
+    )

@@ -1,9 +1,17 @@
 """Shared infrastructure for the reproduction benches.
 
-Each ``bench_*`` module regenerates one figure/lemma/proposition of the
-paper (see DESIGN.md §3).  Benches print the reproduced series/tables —
-run ``pytest benchmarks/ --benchmark-only -s`` to see them — and assert
-the qualitative claim (who wins, and roughly by how much).
+Each ``bench_{lemma,prop,fig}*`` module regenerates one figure, lemma
+or proposition of the paper, and ``bench_ablation_*`` varies one design
+choice.  Benches print the reproduced series/tables and assert the
+qualitative claim (who wins, and roughly by how much).  The file names
+do not match pytest's defaults, so run them with::
+
+    PYTHONPATH=src python -m pytest -q -s benchmarks/ \\
+        -o python_files='bench_*.py' -o python_functions='bench_*'
+
+``bench_engine_grid.py`` times the batched executor against the loop
+executor with the same helpers, and ``bench_tournament.py`` also runs as
+a script that regenerates ``BENCH_tournament.json``.
 """
 
 from __future__ import annotations

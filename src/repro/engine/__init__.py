@@ -39,9 +39,8 @@ Quickstart::
 
 ``run_grid(grid, mode="loop")`` executes the same cells one simulation
 at a time, each through its own rule — same histories, more wall time —
-which is what the engine benchmarks (``benchmarks/bench_engine_grid.py``
-and ``benchmarks/bench_engine_workloads.py``) measure and the
-``BENCH_engine*.json`` files record.
+which is what ``benchmarks/bench_engine_grid.py`` times against the
+batched mode.
 
 ``run_grid(grid, backend="torch")`` routes the batched aggregation
 kernels through a registered array backend (:mod:`repro.backend`); the

@@ -18,12 +18,6 @@ any rule whose factory accepts an ``f`` parameter (Krum, trimmed mean,
 unchanged.  Cells with ``f = 0`` are attack-free by definition, so the
 grid collapses the attack axis there to a single ``attack=None`` cell
 instead of emitting one duplicate per attack.
-
-Backwards compatibility: the pre-workload API spelled the quadratic
-knobs as scalar grid/spec fields (``dimension``, ``sigma``,
-``curvature``).  Those fields survive as a deprecation shim — when
-given, they are folded into the quadratic workload's kwargs, so old
-call sites construct the equivalent grid unchanged.
 """
 
 from __future__ import annotations
@@ -47,46 +41,18 @@ from repro.topology.registry import TOPOLOGIES, make_topology
 
 __all__ = ["ScenarioSpec", "ScenarioGrid"]
 
-# The deprecated scalar knobs and the quadratic workload kwargs they
-# map onto (the shim below).
-_QUADRATIC_SHIM_FIELDS = ("dimension", "sigma", "curvature")
-
 # Spec/grid fields forwarded as topology factory kwargs when non-None.
 _TOPOLOGY_KNOBS = ("degree", "edge_prob", "rewire_period")
 
 
-def _resolve_quadratic_shim(
-    owner: str,
-    workload: str,
-    workload_kwargs: Mapping,
-    scalars: Mapping[str, object],
-) -> dict:
-    """Fold deprecated scalar quadratic knobs into workload kwargs.
-
-    Returns the resolved kwargs dict (with quadratic defaults filled in
-    so equal configurations compare equal however they were spelled).
-    Raises when a scalar knob is combined with a non-quadratic workload
-    or contradicts an explicit workload kwarg.
-    """
-    given = {k: v for k, v in scalars.items() if v is not None}
-    if workload != "quadratic":
-        if given:
-            raise ConfigurationError(
-                f"{owner} fields {sorted(given)} are quadratic-workload "
-                f"knobs; move them into workload_kwargs of workload "
-                f"{workload!r} (or drop them)"
-            )
-        return dict(workload_kwargs)
+def _with_quadratic_defaults(workload: str, workload_kwargs: Mapping) -> dict:
+    """Copy ``workload_kwargs``, completing a quadratic workload's knobs
+    from :data:`QUADRATIC_DEFAULTS`, so equal configurations compare
+    equal however many defaults they spell out."""
     resolved = dict(workload_kwargs)
-    for key, value in given.items():
-        if key in resolved and resolved[key] != value:
-            raise ConfigurationError(
-                f"{owner} got {key}={value!r} and "
-                f"workload_kwargs[{key!r}]={resolved[key]!r}; pick one"
-            )
-        resolved[key] = value
-    for key, default in QUADRATIC_DEFAULTS.items():
-        resolved.setdefault(key, default)
+    if workload == "quadratic":
+        for key, default in QUADRATIC_DEFAULTS.items():
+            resolved.setdefault(key, default)
     return resolved
 
 
@@ -129,11 +95,6 @@ class ScenarioSpec:
     slot placement), the learning-rate schedule knobs, and the registry
     names + kwargs of the choice function and the attack.  ``attack`` is
     ``None`` for attack-free (f = 0) cells.
-
-    The ``dimension``/``sigma``/``curvature`` fields are a deprecation
-    shim for the pre-workload API: when given they configure the
-    ``quadratic`` workload, and for quadratic cells they read back as
-    the resolved knob values.
     """
 
     seed: int
@@ -145,9 +106,6 @@ class ScenarioSpec:
     num_byzantine: int = 0
     workload: str = "quadratic"
     workload_kwargs: dict = field(default_factory=dict)
-    dimension: int | None = None
-    sigma: float | None = None
-    curvature: float | None = None
     learning_rate: float = 0.1
     lr_timescale: float | None = 100.0
     byzantine_slots: str = "last"
@@ -166,16 +124,11 @@ class ScenarioSpec:
     rewire_period: int | None = None
 
     def __post_init__(self) -> None:
-        resolved = _resolve_quadratic_shim(
-            "ScenarioSpec",
-            self.workload,
-            self.workload_kwargs,
-            {name: getattr(self, name) for name in _QUADRATIC_SHIM_FIELDS},
+        object.__setattr__(
+            self,
+            "workload_kwargs",
+            _with_quadratic_defaults(self.workload, self.workload_kwargs),
         )
-        object.__setattr__(self, "workload_kwargs", resolved)
-        if self.workload == "quadratic":
-            for name in _QUADRATIC_SHIM_FIELDS:
-                object.__setattr__(self, name, resolved[name])
         if not 0 <= self.num_byzantine < self.num_workers:
             raise ConfigurationError(
                 f"need 0 <= num_byzantine < num_workers, got "
@@ -448,9 +401,6 @@ class ScenarioGrid:
     workload: str = "quadratic"
     workload_kwargs: Mapping = field(default_factory=dict)
     workloads: Sequence[tuple[str, Mapping]] | None = None
-    dimension: int | None = None
-    sigma: float | None = None
-    curvature: float | None = None
     learning_rate: float = 0.1
     lr_timescale: float | None = 100.0
     byzantine_slots: str = "last"
@@ -510,24 +460,13 @@ class ScenarioGrid:
             )
         for name, kwargs in self.attacks:
             ATTACKS.check(name, kwargs)
-        # Resolve the workload axis once.  The deprecated scalar knobs
-        # apply to the singular quadratic pair only; combining them (or
-        # the singular pair) with an explicit `workloads` axis would be
-        # ambiguous.
+        # Resolve the workload axis once: either the singular pair or
+        # an explicit `workloads` axis.
         if self.workloads is not None:
             if self.workload != "quadratic" or self.workload_kwargs:
                 raise ConfigurationError(
                     "pass either workload/workload_kwargs or a workloads "
                     "axis, not both"
-                )
-            if any(
-                getattr(self, name) is not None
-                for name in _QUADRATIC_SHIM_FIELDS
-            ):
-                raise ConfigurationError(
-                    "deprecated quadratic knobs (dimension/sigma/curvature) "
-                    "cannot be combined with a workloads axis; put them in "
-                    "the quadratic entry's kwargs"
                 )
             if not self.workloads:
                 raise ConfigurationError(
@@ -537,25 +476,15 @@ class ScenarioGrid:
                 (name, dict(kwargs)) for name, kwargs in self.workloads
             )
         else:
-            resolved = _resolve_quadratic_shim(
-                "ScenarioGrid",
-                self.workload,
-                self.workload_kwargs,
-                {
-                    name: getattr(self, name)
-                    for name in _QUADRATIC_SHIM_FIELDS
-                },
+            resolved = _with_quadratic_defaults(
+                self.workload, self.workload_kwargs
             )
             object.__setattr__(self, "workload_kwargs", resolved)
-            if self.workload == "quadratic":
-                for name in _QUADRATIC_SHIM_FIELDS:
-                    object.__setattr__(self, name, resolved[name])
             axis = ((self.workload, dict(resolved)),)
         object.__setattr__(self, "workloads", axis)
         # Eagerly validate every workload spec (cheap — workloads
         # materialize datasets lazily), so a typo'd name or a bad knob
-        # (e.g. dimension=0) fails at declaration time, as the
-        # pre-workload scalar fields did.
+        # (e.g. dimension=0) fails at declaration time.
         for name, kwargs in axis:
             make_workload(name, kwargs)
         # Resolve the asynchrony axes the same way the workload axis

@@ -20,8 +20,8 @@ Gossip cells run on their own :class:`~repro.topology.GossipSimulation`
 in both modes.  The modes differ only in the aggregate stage, so they
 produce identical :class:`~repro.distributed.TrainingHistory` objects
 (bit-for-bit — see ``tests/engine/test_differential.py``); the batched
-mode is simply faster, which ``BENCH_engine.json`` and
-``BENCH_engine_workloads.json`` record.
+mode is meant to be faster, which ``benchmarks/bench_engine_grid.py``
+times.
 
 A dataset experiment is a grid on a dataset workload: the aggregator
 axis compares rules on the same honest gradients (every cell of a seed
@@ -62,8 +62,8 @@ class GridResult:
     which is what the engine benchmark compares across modes.
     ``native_fraction`` is the fraction of cells aggregated by vectorized
     kernels (``None`` in loop mode, where the question does not arise) —
-    the engine benchmark records it so a rule silently regressing to the
-    per-scenario fallback shows up in ``BENCH_engine.json``.
+    the engine tests and benchmark check it, so a rule silently
+    regressing to the per-scenario fallback fails them.
     ``backend`` reports the resolved array backend the aggregation
     kernels computed through (e.g. ``"numpy[float64]"``,
     ``"torch[float32,cuda:0]"``); loop mode always executes the numpy

@@ -244,8 +244,8 @@ class QuadraticWorkload(Workload):
         return quadratic_task(self.bowl, num_honest, sigma=self.sigma, seed=seed)
 
 
-#: The quadratic workload's default knobs — shared with the grid's
-#: deprecation shim (old scalar fields) and its label encoding.
+#: The quadratic workload's default knobs — the grid completes quadratic
+#: kwargs from them and omits them from cell labels.
 #: Derived from the factory signature so it cannot drift from
 #: ``QuadraticWorkload.__init__``.
 QUADRATIC_DEFAULTS: dict[str, object] = {

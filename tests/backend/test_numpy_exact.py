@@ -154,8 +154,7 @@ class TestEngineThreading:
             aggregators=(("krum", {}), ("geometric-median", {})),
             f_values=(2,),
             num_workers=11,
-            dimension=6,
-            sigma=0.3,
+            workload_kwargs={"dimension": 6, "sigma": 0.3},
             num_rounds=6,
             learning_rate=0.1,
         )
@@ -219,8 +218,7 @@ class TestDtypeAudit:
             aggregators=(("krum", {}),),
             f_values=(2,),
             num_workers=9,
-            dimension=5,
-            sigma=0.2,
+            workload_kwargs={"dimension": 5, "sigma": 0.2},
             num_rounds=3,
             learning_rate=0.1,
         )

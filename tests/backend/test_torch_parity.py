@@ -230,8 +230,7 @@ class TestEngineParity:
             ),
             f_values=(2,),
             num_workers=11,
-            dimension=8,
-            sigma=0.4,
+            workload_kwargs={"dimension": 8, "sigma": 0.4},
             num_rounds=10,
             learning_rate=0.1,
         )

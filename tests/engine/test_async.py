@@ -44,14 +44,31 @@ def _reference_grid(**overrides) -> ScenarioGrid:
         ),
         f_values=(2,),
         num_workers=11,
-        dimension=12,
-        sigma=0.4,
+        workload_kwargs={"dimension": 12, "sigma": 0.4},
         num_rounds=12,
         learning_rate=0.1,
         lr_timescale=100.0,
     )
     settings.update(overrides)
     return ScenarioGrid(**settings)
+
+
+# Each rule bare and behind the kardam filter, the rule axis of the
+# staleness bench in ``bench_engine_grid.py``: exactly the kardam half of
+# its cells aggregates through the loop fallback.
+KARDAM_PAIRS = (
+    ("krum", {}),
+    ("kardam", {"inner": "krum"}),
+    ("coordinate-median", {}),
+    ("kardam", {"inner": "coordinate-median"}),
+    ("trimmed-mean", {}),
+    ("kardam", {"inner": "trimmed-mean"}),
+)
+RULE_AXES = pytest.mark.parametrize(
+    "rules",
+    [{}, {"aggregators": KARDAM_PAIRS}],
+    ids=["reference", "kardam-pairs"],
+)
 
 
 def _identical(result_a, result_b, *, by_position=False) -> bool:
@@ -157,13 +174,15 @@ class TestDegenerateIdentity:
         )
         assert _identical(sync, degenerate, by_position=True)
 
-    def test_zero_staleness_matches_sync_batched(self):
-        sync = run_grid(_reference_grid(), mode="batched", eval_every=4)
+    @RULE_AXES
+    def test_zero_staleness_matches_sync_batched(self, rules):
+        sync = run_grid(_reference_grid(**rules), mode="batched", eval_every=4)
         degenerate = run_grid(
             _reference_grid(
                 max_staleness=0,
                 delay_schedule="random",
                 delay_kwargs={"max_delay": 4},
+                **rules,
             ),
             mode="batched",
             eval_every=4,
@@ -193,27 +212,37 @@ class TestAsyncDifferential:
         assert _identical(loop, batched)
         assert_matches_reference(loop, grid, eval_every=4)
 
-    def test_staleness_sweep_loop_equals_batched(self):
+    @RULE_AXES
+    def test_staleness_sweep_loop_equals_batched(self, rules):
         grid = _reference_grid(
             max_staleness_values=(0, 1, 4),
             delay_schedule="random",
             delay_kwargs={"max_delay": 4},
+            **rules,
         )
         loop = run_grid(grid, mode="loop", eval_every=4)
         batched = run_grid(grid, mode="batched", eval_every=4)
         assert _identical(loop, batched)
         assert_matches_reference(loop, grid, eval_every=4)
 
-    def test_kardam_cells_fall_back_native_cells_stay(self):
+    @pytest.mark.parametrize(
+        "rules, native_fraction",
+        [({}, 2.0 / 3.0), ({"aggregators": KARDAM_PAIRS}, 0.5)],
+        ids=["reference", "kardam-pairs"],
+    )
+    def test_kardam_cells_fall_back_native_cells_stay(
+        self, rules, native_fraction
+    ):
         grid = _reference_grid(
             max_staleness=2,
             delay_schedule="constant",
             delay_kwargs={"tau": 2},
+            **rules,
         )
         batched = run_grid(grid, mode="batched", eval_every=4)
-        # 2 of 3 aggregator entries have native kernels; kardam rides
-        # the loop fallback.
-        assert batched.native_fraction == pytest.approx(2.0 / 3.0)
+        # Plain rules keep their native kernels; kardam rides the loop
+        # fallback.
+        assert batched.native_fraction == pytest.approx(native_fraction)
 
     def test_minibatch_workload_async_differential(self):
         grid = ScenarioGrid(

@@ -22,15 +22,13 @@ from repro.baselines.medians import (
     TrimmedMean,
 )
 from repro.core.batched import (
-    batched_average,
-    batched_coordinate_median,
     batched_krum_scores,
-    batched_trimmed_mean,
     has_batched_kernel,
     make_batched_aggregator,
 )
 from repro.core.bulyan import Bulyan
 from repro.core.krum import Krum, MultiKrum, krum_scores, krum_scores_reference
+from repro.core.registry import make_aggregator
 from repro.engine import ScenarioGrid, run_grid
 from repro.exceptions import ConvergenceError
 from repro.utils.linalg import (
@@ -325,7 +323,8 @@ class TestGridTrajectories:
     and both against the frozen reference round."""
 
     @staticmethod
-    def _assert_identical(grid: ScenarioGrid, **kwargs) -> None:
+    def _assert_identical(grid: ScenarioGrid, **kwargs):
+        """Assert loop == batched == reference; return the batched run."""
         loop = run_grid(grid, mode="loop", eval_every=5)
         assert_matches_reference(loop, grid, eval_every=5)
         batched = run_grid(grid, mode="batched", eval_every=5, **kwargs)
@@ -341,6 +340,7 @@ class TestGridTrajectories:
                 records_equal(a, b)
                 for a, b in zip(loop_records, batched_records)
             ), f"history diverged for {label}"
+        return batched
 
     @pytest.mark.parametrize("seed", [0, 17])
     def test_randomized_grid(self, seed):
@@ -358,8 +358,7 @@ class TestGridTrajectories:
             ),
             f_values=(0, 3),  # f = 0 cells run attack-free
             num_workers=13,
-            dimension=9,
-            sigma=0.4,
+            workload_kwargs={"dimension": 9, "sigma": 0.4},
             num_rounds=12,
         )
         self._assert_identical(grid, chunk_size=3)
@@ -372,8 +371,7 @@ class TestGridTrajectories:
             aggregators=(("krum", {}), ("coordinate-median", {})),
             f_values=(2,),
             num_workers=9,
-            dimension=6,
-            sigma=0.3,
+            workload_kwargs={"dimension": 6, "sigma": 0.3},
             num_rounds=8,
         )
         self._assert_identical(grid)
@@ -386,8 +384,7 @@ class TestGridTrajectories:
             aggregators=(("krum", {}), ("minimal-diameter", {})),
             f_values=(2,),
             num_workers=11,
-            dimension=7,
-            sigma=0.2,
+            workload_kwargs={"dimension": 7, "sigma": 0.2},
             num_rounds=10,
         )
         self._assert_identical(grid)
@@ -434,11 +431,43 @@ class TestGridTrajectories:
             ),
             f_values=(0, 2),  # bulyan needs n >= 4f + 3 = 11
             num_workers=11,
-            dimension=6,
-            sigma=0.3,
+            workload_kwargs={"dimension": 6, "sigma": 0.3},
             num_rounds=10,
         )
         self._assert_identical(grid, chunk_size=2)
+
+    def test_paper_grid_runs_every_rule_natively(self):
+        """The paper's rule × attack × f grid: all eight rules aggregate
+        through vectorized kernels, trajectory-identical.  n = 20 caps f
+        at 4 (Bulyan needs n >= 4f + 3).  ``bench_engine_grid.py`` times
+        the same grid at d = 1000 over 100 rounds."""
+        grid = ScenarioGrid(
+            seeds=(0,),
+            attacks=(
+                ("gaussian", {"sigma": 200.0}),
+                ("omniscient", {"scale": 10.0}),
+            ),
+            aggregators=(
+                ("krum", {}),
+                ("multi-krum", {"m": 5}),
+                ("average", {}),
+                ("closest-to-all", {}),
+                ("coordinate-median", {}),
+                ("trimmed-mean", {}),
+                ("bulyan", {}),
+                ("geometric-median", {}),
+            ),
+            f_values=(3, 4),
+            num_workers=20,
+            workload_kwargs={"dimension": 50, "sigma": 0.5},
+            num_rounds=10,
+            learning_rate=0.1,
+            lr_timescale=100.0,
+        )
+        for spec in grid.scenarios():
+            rule = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
+            assert make_batched_aggregator(rule).is_native, spec.label
+        assert self._assert_identical(grid).native_fraction == 1.0
 
     def test_adaptive_attacks_in_grid(self):
         """Acceptance criterion of the adaptive adversary suite: the
@@ -468,8 +497,7 @@ class TestGridTrajectories:
                 ("periodic", {"tau": 2, "period": 3}),
             ),
             num_workers=9,
-            dimension=6,
-            sigma=0.3,
+            workload_kwargs={"dimension": 6, "sigma": 0.3},
             num_rounds=10,
         )
         self._assert_identical(grid, chunk_size=4)

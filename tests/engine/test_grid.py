@@ -28,8 +28,7 @@ def small_grid(**overrides):
         aggregators=(("krum", {}), ("average", {})),
         f_values=(0, 2),
         num_workers=9,
-        dimension=5,
-        sigma=0.3,
+        workload_kwargs={"dimension": 5, "sigma": 0.3},
         num_rounds=6,
     )
     defaults.update(overrides)
@@ -190,7 +189,7 @@ class TestScenarioGrid:
         spec = small_grid().scenarios()[0]
         sim = build_scenario_simulation(spec)
         assert sim.num_workers == spec.num_workers
-        assert sim.server.dimension == spec.dimension
+        assert sim.server.dimension == spec.workload_kwargs["dimension"]
 
 
 class TestRunGrid:
@@ -200,7 +199,9 @@ class TestRunGrid:
         assert len(result) == len(grid)
         for label, history in result.histories.items():
             assert len(history) == grid.num_rounds
-            assert result.final_params[label].shape == (grid.dimension,)
+            assert result.final_params[label].shape == (
+                grid.workload_kwargs["dimension"],
+            )
         assert result.wall_time > 0
 
     def test_unknown_mode_rejected(self):
@@ -392,7 +393,7 @@ class TestTopologyAxis:
             aggregators=(("average", {}),),
             f_values=(0,),
             num_workers=12,
-            dimension=5,
+            workload_kwargs={"dimension": 5},
             num_rounds=8,
             topology="ring",
             degree=2,

@@ -290,43 +290,41 @@ class TestMinibatchTwoPhase:
         assert batched_histories[0].records == loop_history.records
 
 
-class TestSpecShim:
-    def test_old_scalar_fields_configure_quadratic(self):
-        spec = ScenarioSpec(seed=0, aggregator="average", dimension=7, sigma=0.4)
+class TestSpecWorkloadKwargs:
+    def test_quadratic_kwargs_complete_from_defaults(self):
+        spec = ScenarioSpec(
+            seed=0,
+            aggregator="average",
+            workload_kwargs={"dimension": 7, "sigma": 0.4},
+        )
         assert spec.workload == "quadratic"
-        assert spec.workload_kwargs["dimension"] == 7
-        assert spec.workload_kwargs["sigma"] == 0.4
-        assert spec.dimension == 7  # read-back stays intact
-        assert spec.curvature == QUADRATIC_DEFAULTS["curvature"]
+        assert spec.workload_kwargs == dict(
+            QUADRATIC_DEFAULTS, dimension=7, sigma=0.4
+        )
 
-    def test_scalar_fields_rejected_on_dataset_workloads(self):
-        with pytest.raises(ConfigurationError, match="quadratic-workload"):
-            ScenarioSpec(
-                seed=0,
-                aggregator="average",
-                workload="logistic-spambase",
-                dimension=7,
-            )
-
-    def test_conflicting_scalar_and_kwarg_rejected(self):
-        with pytest.raises(ConfigurationError, match="pick one"):
-            ScenarioSpec(
-                seed=0,
-                aggregator="average",
-                dimension=7,
-                workload_kwargs={"dimension": 9},
-            )
+    def test_quadratic_knobs_rejected_on_dataset_workloads(self):
+        spec = ScenarioSpec(
+            seed=0,
+            aggregator="average",
+            workload="logistic-spambase",
+            workload_kwargs={"dimension": 7},
+        )
+        assert spec.workload_kwargs == {"dimension": 7}
+        with pytest.raises(ConfigurationError, match="accepted parameters"):
+            build_scenario_simulation(spec)
 
     def test_equivalent_spellings_compare_equal(self):
-        old_style = ScenarioSpec(seed=0, aggregator="average", dimension=7)
-        new_style = ScenarioSpec(
+        partial = ScenarioSpec(
+            seed=0, aggregator="average", workload_kwargs={"dimension": 7}
+        )
+        spelled_out = ScenarioSpec(
             seed=0,
             aggregator="average",
             workload_kwargs=dict(QUADRATIC_DEFAULTS, dimension=7),
         )
-        assert old_style == new_style
-        assert old_style.label == new_style.label
-        assert hash(old_style) == hash(new_style)
+        assert partial == spelled_out
+        assert partial.label == spelled_out.label
+        assert hash(partial) == hash(spelled_out)
 
     def test_dataset_spec_builds(self):
         spec = ScenarioSpec(
@@ -375,14 +373,6 @@ class TestGridWorkloadAxis:
                 **self._common(),
             )
 
-    def test_axis_and_deprecated_scalars_conflict(self):
-        with pytest.raises(ConfigurationError, match="workloads axis"):
-            ScenarioGrid(
-                workloads=(("quadratic", {}),),
-                dimension=5,
-                **self._common(),
-            )
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one workload"):
             ScenarioGrid(workloads=(), **self._common())
@@ -399,23 +389,18 @@ class TestGridWorkloadAxis:
                 **self._common(),
             )
 
-    def test_old_grid_call_sites_construct_equivalent_quadratic_grid(self):
-        """Acceptance criterion: pre-redesign ScenarioGrid(...) with the
-        scalar workload knobs still builds the equivalent grid."""
-        old_style = ScenarioGrid(dimension=5, sigma=0.3, **self._common())
-        new_style = ScenarioGrid(
-            workload_kwargs={"dimension": 5, "sigma": 0.3},
-            **self._common(),
-        )
-        assert old_style.scenarios() == new_style.scenarios()
-        assert old_style.dimension == 5  # read-back stays intact
-        old_result = run_grid(old_style, mode="batched", eval_every=2)
-        new_result = run_grid(new_style, mode="batched", eval_every=2)
-        assert set(old_result.histories) == set(new_result.histories)
-        for label in old_result.histories:
+    def test_singular_pair_equals_one_entry_axis(self):
+        knobs = {"dimension": 5, "sigma": 0.3}
+        singular = ScenarioGrid(workload_kwargs=knobs, **self._common())
+        axis = ScenarioGrid(workloads=(("quadratic", knobs),), **self._common())
+        assert singular.scenarios() == axis.scenarios()
+        singular_result = run_grid(singular, mode="batched", eval_every=2)
+        axis_result = run_grid(axis, mode="batched", eval_every=2)
+        assert set(singular_result.histories) == set(axis_result.histories)
+        for label in singular_result.histories:
             assert (
-                old_result.final_params[label].tobytes()
-                == new_result.final_params[label].tobytes()
+                singular_result.final_params[label].tobytes()
+                == axis_result.final_params[label].tobytes()
             )
 
     def test_distinct_workloads_deduplicates(self):
@@ -433,10 +418,80 @@ class TestGridWorkloadAxis:
         assert len(grid.distinct_workloads()) == 2
 
 
+def _assert_loop_equals_batched(grid: ScenarioGrid) -> None:
+    """Every record and final parameter bit for bit across executors."""
+    loop = run_grid(grid, mode="loop", eval_every=2)
+    batched = run_grid(grid, mode="batched", eval_every=2)
+    assert set(loop.histories) == set(batched.histories)
+    for label in loop.histories:
+        assert (
+            loop.final_params[label].tobytes()
+            == batched.final_params[label].tobytes()
+        ), f"final params diverged for {label}"
+        assert (
+            loop.histories[label].records == batched.histories[label].records
+        ), f"history diverged for {label}"
+
+
+_SPAMBASE_KWARGS = {"num_train": 128, "num_eval": 64, "batch_size": 16}
+_MNIST_KWARGS = {"num_train": 96, "num_eval": 48, "batch_size": 16}
+
+# One small grid per registered workload plus a mixed-dimension grid:
+# (num_rounds, workload axis).  ``bench_engine_grid.py`` times the same
+# grids at full size.
+WORKLOAD_GRIDS = {
+    "quadratic": (8, {"workload_kwargs": {"dimension": 100, "sigma": 0.5}}),
+    "logistic-spambase": (
+        8,
+        {"workload": "logistic-spambase", "workload_kwargs": _SPAMBASE_KWARGS},
+    ),
+    "softmax-mnist": (
+        6,
+        {"workload": "softmax-mnist", "workload_kwargs": _MNIST_KWARGS},
+    ),
+    "mlp-mnist": (
+        4,
+        {
+            "workload": "mlp-mnist",
+            "workload_kwargs": dict(_MNIST_KWARGS, hidden_sizes=(16,)),
+        },
+    ),
+    "mixed": (
+        6,
+        {
+            "workloads": (
+                ("quadratic", {"dimension": 100, "sigma": 0.5}),
+                ("logistic-spambase", _SPAMBASE_KWARGS),
+                ("softmax-mnist", _MNIST_KWARGS),
+            )
+        },
+    ),
+}
+
+
 class TestRunGridDatasetWorkloads:
+    @pytest.mark.parametrize("name", list(WORKLOAD_GRIDS))
+    def test_every_workload_loop_vs_batched_bitwise(self, name):
+        num_rounds, workload_axis = WORKLOAD_GRIDS[name]
+        grid = ScenarioGrid(
+            seeds=(0,),
+            attacks=(("sign-flip", {"scale": 5.0}),),
+            aggregators=(
+                ("krum", {}),
+                ("average", {}),
+                ("coordinate-median", {}),
+            ),
+            f_values=(0, 3),
+            num_workers=15,
+            num_rounds=num_rounds,
+            learning_rate=0.05,
+            lr_timescale=None,
+            **workload_axis,
+        )
+        _assert_loop_equals_batched(grid)
+
     def test_minibatch_workload_loop_vs_batched_bitwise(self):
-        """The differential guarantee on a minibatch workload: every
-        record and final parameter bit-for-bit across executors."""
+        """The differential guarantee under a non-iid partition."""
         grid = ScenarioGrid(
             seeds=(0, 1),
             workload="logistic-spambase",
@@ -449,18 +504,7 @@ class TestRunGridDatasetWorkloads:
             learning_rate=0.1,
             lr_timescale=None,
         )
-        loop = run_grid(grid, mode="loop", eval_every=2)
-        batched = run_grid(grid, mode="batched", eval_every=2)
-        assert set(loop.histories) == set(batched.histories)
-        for label in loop.histories:
-            assert (
-                loop.final_params[label].tobytes()
-                == batched.final_params[label].tobytes()
-            ), f"final params diverged for {label}"
-            assert (
-                loop.histories[label].records
-                == batched.histories[label].records
-            ), f"history diverged for {label}"
+        _assert_loop_equals_batched(grid)
 
     def test_mixed_dimension_grid_batches_per_dimension(self):
         grid = ScenarioGrid(

@@ -5,9 +5,10 @@ The load-bearing invariant: the degenerate configuration
 pre-tier engine — same labels, same trajectories, in both executors —
 and every active-tier grid still satisfies the loop/batched differential
 identity and matches the frozen reference round of
-``tests/distributed/server_reference.py``.
-``benchmarks/bench_server_tier.py`` re-checks the same claims at bench
-scale.
+``tests/distributed/server_reference.py``.  ``TestHeadline`` checks the
+same identities on a 3-seed, 100-round grid, together with the tier's
+headline: one Byzantine server defeats every worker-side rule, and the
+coordinate median over three replicas recovers it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ from tests.distributed.server_reference import assert_matches_reference
 
 AGGREGATORS = (("krum", {}), ("average", {}))
 
+# The headline grid's scale and rules.  One Byzantine server among one
+# must leave every rule at >= DEGRADE_MIN x its attack-free distance to
+# the optimum (the sign-flipped broadcast turns descent into geometric
+# divergence), while three replicas with one Byzantine member must
+# recover to <= RECOVER_MAX x.  Measured: about 1e6x degraded, and
+# exactly 1.0x recovered, since median{x, x, -x} = x bitwise.
+HEADLINE = dict(
+    seeds=(0, 1, 2),
+    aggregators=(("krum", {}), ("coordinate-median", {}), ("average", {})),
+    num_workers=15,
+    workload_kwargs={"dimension": 20, "sigma": 0.5},
+    num_rounds=100,
+    lr_timescale=None,
+)
+DEGRADE_MIN = 4.0
+RECOVER_MAX = 2.0
+
 
 def _grid(**kwargs):
     defaults = dict(
@@ -33,8 +51,7 @@ def _grid(**kwargs):
         aggregators=AGGREGATORS,
         f_values=(0,),
         num_workers=9,
-        dimension=6,
-        sigma=0.5,
+        workload_kwargs={"dimension": 6, "sigma": 0.5},
         num_rounds=8,
         learning_rate=0.1,
     )
@@ -58,15 +75,17 @@ def _same(result_a, result_b) -> None:
 
 
 class TestDegenerateIdentity:
-    def test_pinned_axes_match_the_axis_free_grid(self):
+    @pytest.mark.parametrize("scale", [{}, HEADLINE], ids=["small", "headline"])
+    def test_pinned_axes_match_the_axis_free_grid(self, scale):
         """Declaring the tier axes at their degenerate values must not
         change a single bit — or a single label."""
         pinned = _grid(
             num_servers_values=(1,),
             byzantine_servers_values=(0,),
             num_shards_values=(1,),
+            **scale,
         )
-        axis_free = _grid()
+        axis_free = _grid(**scale)
         _same(
             run_grid(pinned, mode="batched", eval_every=4),
             run_grid(axis_free, mode="batched", eval_every=4),
@@ -173,3 +192,56 @@ class TestStatefulServerAttackSharing:
         histories = batched.run(4, eval_every=2)
         assert len(histories) == 2
         assert np.all(np.isfinite(batched.params))
+
+
+@pytest.fixture(scope="module")
+def headline_runs():
+    """The tier grid under the sign-flip broadcast, in both executors."""
+    grid = _grid(
+        num_servers_values=(1, 3),
+        byzantine_servers_values=(0, 1),
+        server_attacks=(("sign-flip-broadcast", {}),),
+        **HEADLINE,
+    )
+    return (
+        run_grid(grid, mode="loop", eval_every=25),
+        run_grid(grid, mode="batched", eval_every=25),
+    )
+
+
+class TestHeadline:
+    def test_loop_equals_batched(self, headline_runs):
+        _same(*headline_runs)
+
+    def test_byzantine_server_degrades_and_replicas_recover(
+        self, headline_runs
+    ):
+        _loop, batched = headline_runs
+        distances: dict[tuple, list[float]] = {}
+        for spec in batched.specs:
+            final = batched.histories[spec.label].evaluated[-1]
+            key = (spec.aggregator, spec.num_servers, spec.byzantine_servers)
+            distances.setdefault(key, []).append(final.extras["dist_to_opt"])
+        for name, _kwargs in HEADLINE["aggregators"]:
+            baseline = max(float(np.mean(distances[(name, 1, 0)])), 1e-12)
+            degraded = float(np.mean(distances[(name, 1, 1)])) / baseline
+            recovered = float(np.mean(distances[(name, 3, 1)])) / baseline
+            assert degraded >= DEGRADE_MIN, (name, degraded)
+            assert recovered <= RECOVER_MAX, (name, recovered)
+
+    def test_sharded_average_equals_average(self):
+        """Averaging is coordinate-separable, so cutting it into four
+        shards changes no bit of the trajectory (only the label)."""
+        settings = dict(HEADLINE, aggregators=(("average", {}),))
+        plain = run_grid(_grid(**settings), mode="loop", eval_every=25)
+        sharded = run_grid(
+            _grid(num_shards=4, **settings), mode="loop", eval_every=25
+        )
+        for spec_a, spec_b in zip(plain.specs, sharded.specs, strict=True):
+            assert (
+                plain.final_params[spec_a.label].tobytes()
+                == sharded.final_params[spec_b.label].tobytes()
+            )
+            assert list(plain.histories[spec_a.label]) == list(
+                sharded.histories[spec_b.label]
+            )
