@@ -24,10 +24,11 @@ checks:
   equals the synchronous grid, and exactly the kardam half of the
   cells aggregates through the loop fallback (``native_fraction`` 0.5).
 
-The same checks at small scale are tier-1 tests
-(``tests/engine/test_differential.py``, ``test_workloads.py`` and
-``test_async.py``).  The benches print their timings and write no
-file::
+The paper and workload grids are built by ``tests/engine/grids.py``,
+and the trajectories compared by ``tests/distributed/identity.py``;
+the tier-1 tests (``tests/engine/test_differential.py``,
+``test_workloads.py`` and ``test_async.py``) make the same checks at
+small scale.  The benches print their timings and write no file::
 
     PYTHONPATH=src python -m pytest -q -s benchmarks/bench_engine_grid.py \\
         -o python_files='bench_*.py' -o python_functions='bench_*'
@@ -36,10 +37,13 @@ file::
 from __future__ import annotations
 
 from benchmarks.conftest import emit, run_once
-from repro.core.batched import make_batched_aggregator
-from repro.core.registry import make_aggregator
 from repro.engine import ScenarioGrid, run_grid
 from repro.experiments.reporting import format_table
+from tests.distributed.identity import (
+    assert_identical,
+    assert_loop_equals_batched,
+)
+from tests.engine.grids import KARDAM_PAIRS, paper_grid, workload_grids
 
 MIN_SPEEDUP = 3.0
 MIN_QUADRATIC_SPEEDUP = 2.0
@@ -47,31 +51,10 @@ MIN_QUADRATIC_SPEEDUP = 2.0
 _TIMING_COLUMNS = ["grid", "cells", "rounds", "loop s", "batched s", "speedup"]
 
 
-def _assert_identical(result_a, result_b, *, by_position=False) -> None:
-    """Bit-for-bit equal final parameters and round records, cell by
-    cell.  ``by_position`` pairs the cells in grid order, for two grids
-    whose labels differ."""
-    labels_a = [spec.label for spec in result_a.specs]
-    labels_b = (
-        [spec.label for spec in result_b.specs] if by_position else labels_a
-    )
-    assert len(labels_a) == len(labels_b)
-    for label_a, label_b in zip(labels_a, labels_b):
-        assert (
-            result_a.final_params[label_a].tobytes()
-            == result_b.final_params[label_b].tobytes()
-        ), f"final parameters diverged for {label_a}"
-        assert list(result_a.histories[label_a]) == list(
-            result_b.histories[label_b]
-        ), f"round records diverged for {label_a}"
-
-
 def _loop_vs_batched(name: str, grid: ScenarioGrid, *, eval_every: int):
     """Run ``grid`` through both executors, assert they agree, and
     return the batched result plus a timing-table row."""
-    loop = run_grid(grid, mode="loop", eval_every=eval_every)
-    batched = run_grid(grid, mode="batched", eval_every=eval_every)
-    _assert_identical(loop, batched)
+    loop, batched = assert_loop_equals_batched(grid, eval_every=eval_every)
     speedup = loop.wall_time / max(batched.wall_time, 1e-12)
     row = [
         name,
@@ -84,34 +67,8 @@ def _loop_vs_batched(name: str, grid: ScenarioGrid, *, eval_every: int):
     return batched, speedup, row
 
 
-def _paper_grid() -> ScenarioGrid:
-    return ScenarioGrid(
-        seeds=(0, 1, 2, 3),
-        attacks=(
-            ("gaussian", {"sigma": 200.0}),
-            ("omniscient", {"scale": 10.0}),
-        ),
-        aggregators=(
-            ("krum", {}),
-            ("multi-krum", {"m": 5}),
-            ("average", {}),
-            ("closest-to-all", {}),
-            ("coordinate-median", {}),
-            ("trimmed-mean", {}),
-            ("bulyan", {}),
-            ("geometric-median", {}),
-        ),
-        f_values=(3, 4),
-        num_workers=20,
-        workload_kwargs={"dimension": 1000, "sigma": 0.5},
-        num_rounds=100,
-        learning_rate=0.1,
-        lr_timescale=100.0,
-    )
-
-
 def bench_engine_batched_vs_loop(benchmark):
-    grid = _paper_grid()
+    grid = paper_grid("full")
     batched, speedup, row = run_once(
         benchmark, lambda: _loop_vs_batched("paper", grid, eval_every=25)
     )
@@ -122,70 +79,17 @@ def bench_engine_batched_vs_loop(benchmark):
             title="Engine — batched grid vs per-scenario loop",
         )
     )
-    fallback = {
-        spec.aggregator
-        for spec in grid.scenarios()
-        if not make_batched_aggregator(
-            make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
-        ).is_native
-    }
-    assert not fallback, f"rules regressed to the loop fallback: {fallback}"
-    assert batched.native_fraction == 1.0
+    assert batched.native_fraction == 1.0, "a rule fell back to the loop"
     assert speedup >= MIN_SPEEDUP, (
         f"expected >= {MIN_SPEEDUP}x speedup, got {speedup:.2f}x"
     )
-
-
-def _workload_grids() -> dict[str, ScenarioGrid]:
-    common = dict(
-        seeds=(0, 1),
-        attacks=(("sign-flip", {"scale": 5.0}),),
-        aggregators=(
-            ("krum", {}),
-            ("average", {}),
-            ("coordinate-median", {}),
-        ),
-        f_values=(0, 3),
-        num_workers=15,
-        learning_rate=0.05,
-        lr_timescale=None,
-    )
-    quadratic = {"dimension": 1000, "sigma": 0.5}
-    spambase = {"num_train": 1024, "num_eval": 256, "batch_size": 16}
-    mnist = {"num_train": 512, "num_eval": 128, "batch_size": 16}
-    return {
-        "quadratic": ScenarioGrid(
-            workload_kwargs=quadratic, num_rounds=60, **common
-        ),
-        "logistic-spambase": ScenarioGrid(
-            workload="logistic-spambase", workload_kwargs=spambase,
-            num_rounds=60, **common,
-        ),
-        "softmax-mnist": ScenarioGrid(
-            workload="softmax-mnist", workload_kwargs=mnist,
-            num_rounds=40, **common,
-        ),
-        "mlp-mnist": ScenarioGrid(
-            workload="mlp-mnist",
-            workload_kwargs=dict(mnist, hidden_sizes=(32,)),
-            num_rounds=30, **common,
-        ),
-        "mixed": ScenarioGrid(
-            workloads=(
-                ("quadratic", quadratic),
-                ("logistic-spambase", spambase),
-                ("softmax-mnist", mnist),
-            ),
-            num_rounds=30, **common,
-        ),
-    }
 
 
 def bench_workload_grids(benchmark):
     def run():
         return {
             name: _loop_vs_batched(name, grid, eval_every=10)[1:]
-            for name, grid in _workload_grids().items()
+            for name, grid in workload_grids("full").items()
         }
 
     runs = run_once(benchmark, run)
@@ -202,16 +106,6 @@ def bench_workload_grids(benchmark):
     )
 
 
-_KARDAM_PAIRS = (
-    ("krum", {}),
-    ("kardam", {"inner": "krum"}),
-    ("coordinate-median", {}),
-    ("kardam", {"inner": "coordinate-median"}),
-    ("trimmed-mean", {}),
-    ("kardam", {"inner": "trimmed-mean"}),
-)
-
-
 def _async_grid(**axes) -> ScenarioGrid:
     return ScenarioGrid(
         seeds=(0, 1, 2),
@@ -219,7 +113,7 @@ def _async_grid(**axes) -> ScenarioGrid:
             ("gaussian", {"sigma": 200.0}),
             ("omniscient", {"scale": 10.0}),
         ),
-        aggregators=_KARDAM_PAIRS,
+        aggregators=KARDAM_PAIRS,
         f_values=(3,),
         num_workers=15,
         workload_kwargs={"dimension": 200, "sigma": 0.5},
@@ -243,7 +137,7 @@ def bench_staleness_sweep(benchmark):
             title="Engine — async rounds (staleness sweep)",
         )
     )
-    _assert_identical(
+    assert_identical(
         run_grid(_async_grid(), mode="batched", eval_every=25),
         run_grid(_async_grid(**delays), mode="batched", eval_every=25),
         by_position=True,

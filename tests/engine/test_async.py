@@ -25,7 +25,12 @@ from repro.distributed.delays import (
 from repro.engine import BatchedSimulation, ScenarioGrid, run_grid
 from repro.engine.runner import build_scenario_simulation
 from repro.exceptions import ConfigurationError, SimulationError
+from tests.distributed.identity import (
+    assert_identical,
+    assert_loop_equals_batched,
+)
 from tests.distributed.server_reference import assert_matches_reference, reference_run
+from tests.engine.grids import KARDAM_PAIRS
 
 
 def _reference_grid(**overrides) -> ScenarioGrid:
@@ -53,43 +58,13 @@ def _reference_grid(**overrides) -> ScenarioGrid:
     return ScenarioGrid(**settings)
 
 
-# Each rule bare and behind the kardam filter, the rule axis of the
-# staleness bench in ``bench_engine_grid.py``: exactly the kardam half of
-# its cells aggregates through the loop fallback.
-KARDAM_PAIRS = (
-    ("krum", {}),
-    ("kardam", {"inner": "krum"}),
-    ("coordinate-median", {}),
-    ("kardam", {"inner": "coordinate-median"}),
-    ("trimmed-mean", {}),
-    ("kardam", {"inner": "trimmed-mean"}),
-)
+# The reference rules, and the rule axis of the staleness sweep in
+# ``bench_engine_grid.py``.
 RULE_AXES = pytest.mark.parametrize(
     "rules",
     [{}, {"aggregators": KARDAM_PAIRS}],
     ids=["reference", "kardam-pairs"],
 )
-
-
-def _identical(result_a, result_b, *, by_position=False) -> bool:
-    labels_a = [spec.label for spec in result_a.specs]
-    labels_b = [spec.label for spec in result_b.specs]
-    pairs = (
-        zip(labels_a, labels_b) if by_position else zip(labels_a, labels_a)
-    )
-    for label_a, label_b in pairs:
-        if (
-            result_a.final_params[label_a].tobytes()
-            != result_b.final_params[label_b].tobytes()
-        ):
-            return False
-        history_a = result_a.histories[label_a]
-        history_b = result_b.histories[label_b]
-        if len(history_a) != len(history_b):
-            return False
-        if any(a != b for a, b in zip(history_a, history_b)):
-            return False
-    return True
 
 
 class TestGridAxes:
@@ -172,7 +147,7 @@ class TestDegenerateIdentity:
             mode="loop",
             eval_every=4,
         )
-        assert _identical(sync, degenerate, by_position=True)
+        assert_identical(sync, degenerate, by_position=True)
 
     @RULE_AXES
     def test_zero_staleness_matches_sync_batched(self, rules):
@@ -187,7 +162,7 @@ class TestDegenerateIdentity:
             mode="batched",
             eval_every=4,
         )
-        assert _identical(sync, degenerate, by_position=True)
+        assert_identical(sync, degenerate, by_position=True)
 
 
 class TestAsyncDifferential:
@@ -207,9 +182,7 @@ class TestAsyncDifferential:
             delay_schedule=delay_schedule,
             delay_kwargs=delay_kwargs,
         )
-        loop = run_grid(grid, mode="loop", eval_every=4)
-        batched = run_grid(grid, mode="batched", eval_every=4)
-        assert _identical(loop, batched)
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
         assert_matches_reference(loop, grid, eval_every=4)
 
     @RULE_AXES
@@ -220,9 +193,7 @@ class TestAsyncDifferential:
             delay_kwargs={"max_delay": 4},
             **rules,
         )
-        loop = run_grid(grid, mode="loop", eval_every=4)
-        batched = run_grid(grid, mode="batched", eval_every=4)
-        assert _identical(loop, batched)
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
         assert_matches_reference(loop, grid, eval_every=4)
 
     @pytest.mark.parametrize(
@@ -260,9 +231,7 @@ class TestAsyncDifferential:
             delay_schedule="random",
             delay_kwargs={"max_delay": 3},
         )
-        loop = run_grid(grid, mode="loop", eval_every=4)
-        batched = run_grid(grid, mode="batched", eval_every=4)
-        assert _identical(loop, batched)
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
         assert_matches_reference(loop, grid, eval_every=4)
 
     def test_staleness_actually_changes_trajectories(self):

@@ -28,51 +28,18 @@ from repro.core.batched import (
 )
 from repro.core.bulyan import Bulyan
 from repro.core.krum import Krum, MultiKrum, krum_scores, krum_scores_reference
-from repro.core.registry import make_aggregator
-from repro.engine import ScenarioGrid, run_grid
+from repro.engine import ScenarioGrid
 from repro.exceptions import ConvergenceError
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
     pairwise_sq_distances,
 )
+from tests.distributed.identity import (
+    assert_loop_equals_batched,
+    bitwise_equal,
+)
 from tests.distributed.server_reference import assert_matches_reference
-
-
-def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exact equality including NaN payloads and signed zeros."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def float_bitwise_equal(a: float | None, b: float | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-def records_equal(ra, rb) -> bool:
-    """RoundRecord equality with bitwise float semantics (NaN == NaN)."""
-    scalar_fields = (
-        "learning_rate",
-        "aggregate_norm",
-        "params_norm",
-        "loss",
-        "accuracy",
-        "grad_norm",
-    )
-    return (
-        ra.round_index == rb.round_index
-        and ra.selected == rb.selected
-        and ra.byzantine_selected == rb.byzantine_selected
-        and all(
-            float_bitwise_equal(getattr(ra, name), getattr(rb, name))
-            for name in scalar_fields
-        )
-        and ra.extras.keys() == rb.extras.keys()
-        and all(
-            float_bitwise_equal(ra.extras[k], rb.extras[k]) for k in ra.extras
-        )
-    )
+from tests.engine.grids import paper_grid
 
 
 def make_batches(seed: int = 0) -> list[np.ndarray]:
@@ -325,21 +292,8 @@ class TestGridTrajectories:
     @staticmethod
     def _assert_identical(grid: ScenarioGrid, **kwargs):
         """Assert loop == batched == reference; return the batched run."""
-        loop = run_grid(grid, mode="loop", eval_every=5)
+        loop, batched = assert_loop_equals_batched(grid, eval_every=5, **kwargs)
         assert_matches_reference(loop, grid, eval_every=5)
-        batched = run_grid(grid, mode="batched", eval_every=5, **kwargs)
-        assert set(loop.histories) == set(batched.histories)
-        for label in loop.histories:
-            assert bitwise_equal(
-                loop.final_params[label], batched.final_params[label]
-            ), f"final params diverged for {label}"
-            loop_records = loop.histories[label].records
-            batched_records = batched.histories[label].records
-            assert len(loop_records) == len(batched_records)
-            assert all(
-                records_equal(a, b)
-                for a, b in zip(loop_records, batched_records)
-            ), f"history diverged for {label}"
         return batched
 
     @pytest.mark.parametrize("seed", [0, 17])
@@ -438,36 +392,10 @@ class TestGridTrajectories:
 
     def test_paper_grid_runs_every_rule_natively(self):
         """The paper's rule × attack × f grid: all eight rules aggregate
-        through vectorized kernels, trajectory-identical.  n = 20 caps f
-        at 4 (Bulyan needs n >= 4f + 3).  ``bench_engine_grid.py`` times
-        the same grid at d = 1000 over 100 rounds."""
-        grid = ScenarioGrid(
-            seeds=(0,),
-            attacks=(
-                ("gaussian", {"sigma": 200.0}),
-                ("omniscient", {"scale": 10.0}),
-            ),
-            aggregators=(
-                ("krum", {}),
-                ("multi-krum", {"m": 5}),
-                ("average", {}),
-                ("closest-to-all", {}),
-                ("coordinate-median", {}),
-                ("trimmed-mean", {}),
-                ("bulyan", {}),
-                ("geometric-median", {}),
-            ),
-            f_values=(3, 4),
-            num_workers=20,
-            workload_kwargs={"dimension": 50, "sigma": 0.5},
-            num_rounds=10,
-            learning_rate=0.1,
-            lr_timescale=100.0,
-        )
-        for spec in grid.scenarios():
-            rule = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
-            assert make_batched_aggregator(rule).is_native, spec.label
-        assert self._assert_identical(grid).native_fraction == 1.0
+        through vectorized kernels, trajectory-identical.
+        ``bench_engine_grid.py`` times the same grid at full scale."""
+        batched = self._assert_identical(paper_grid("small"))
+        assert batched.native_fraction == 1.0
 
     def test_adaptive_attacks_in_grid(self):
         """Acceptance criterion of the adaptive adversary suite: the
@@ -524,10 +452,6 @@ class TestDatasetRuleComparison:
             learning_rate=0.3,
             lr_timescale=None,
         )
-        batched = run_grid(grid, mode="batched", eval_every=5)
-        loop = run_grid(grid, mode="loop", eval_every=5)
+        loop, batched = assert_loop_equals_batched(grid, eval_every=5)
         assert len(batched.histories) == 3
-        assert set(batched.histories) == set(loop.histories)
-        for label, history in loop.histories.items():
-            assert batched.histories[label].records == history.records, label
         assert_matches_reference(loop, grid, eval_every=5)

@@ -33,6 +33,11 @@ from repro.experiments.builders import build_quadratic_simulation
 from repro.gradients.minibatch import MinibatchEstimator
 from repro.gradients.oracle import GaussianOracleEstimator
 from repro.models.quadratic import QuadraticBowl
+from tests.distributed.identity import (
+    assert_identical,
+    assert_loop_equals_batched,
+)
+from tests.engine.grids import workload_grids
 
 EXPECTED_BUILTINS = {
     "quadratic",
@@ -394,14 +399,10 @@ class TestGridWorkloadAxis:
         singular = ScenarioGrid(workload_kwargs=knobs, **self._common())
         axis = ScenarioGrid(workloads=(("quadratic", knobs),), **self._common())
         assert singular.scenarios() == axis.scenarios()
-        singular_result = run_grid(singular, mode="batched", eval_every=2)
-        axis_result = run_grid(axis, mode="batched", eval_every=2)
-        assert set(singular_result.histories) == set(axis_result.histories)
-        for label in singular_result.histories:
-            assert (
-                singular_result.final_params[label].tobytes()
-                == axis_result.final_params[label].tobytes()
-            )
+        assert_identical(
+            run_grid(singular, mode="batched", eval_every=2),
+            run_grid(axis, mode="batched", eval_every=2),
+        )
 
     def test_distinct_workloads_deduplicates(self):
         grid = ScenarioGrid(
@@ -418,77 +419,12 @@ class TestGridWorkloadAxis:
         assert len(grid.distinct_workloads()) == 2
 
 
-def _assert_loop_equals_batched(grid: ScenarioGrid) -> None:
-    """Every record and final parameter bit for bit across executors."""
-    loop = run_grid(grid, mode="loop", eval_every=2)
-    batched = run_grid(grid, mode="batched", eval_every=2)
-    assert set(loop.histories) == set(batched.histories)
-    for label in loop.histories:
-        assert (
-            loop.final_params[label].tobytes()
-            == batched.final_params[label].tobytes()
-        ), f"final params diverged for {label}"
-        assert (
-            loop.histories[label].records == batched.histories[label].records
-        ), f"history diverged for {label}"
-
-
-_SPAMBASE_KWARGS = {"num_train": 128, "num_eval": 64, "batch_size": 16}
-_MNIST_KWARGS = {"num_train": 96, "num_eval": 48, "batch_size": 16}
-
-# One small grid per registered workload plus a mixed-dimension grid:
-# (num_rounds, workload axis).  ``bench_engine_grid.py`` times the same
-# grids at full size.
-WORKLOAD_GRIDS = {
-    "quadratic": (8, {"workload_kwargs": {"dimension": 100, "sigma": 0.5}}),
-    "logistic-spambase": (
-        8,
-        {"workload": "logistic-spambase", "workload_kwargs": _SPAMBASE_KWARGS},
-    ),
-    "softmax-mnist": (
-        6,
-        {"workload": "softmax-mnist", "workload_kwargs": _MNIST_KWARGS},
-    ),
-    "mlp-mnist": (
-        4,
-        {
-            "workload": "mlp-mnist",
-            "workload_kwargs": dict(_MNIST_KWARGS, hidden_sizes=(16,)),
-        },
-    ),
-    "mixed": (
-        6,
-        {
-            "workloads": (
-                ("quadratic", {"dimension": 100, "sigma": 0.5}),
-                ("logistic-spambase", _SPAMBASE_KWARGS),
-                ("softmax-mnist", _MNIST_KWARGS),
-            )
-        },
-    ),
-}
-
-
 class TestRunGridDatasetWorkloads:
-    @pytest.mark.parametrize("name", list(WORKLOAD_GRIDS))
+    @pytest.mark.parametrize("name", list(workload_grids("small")))
     def test_every_workload_loop_vs_batched_bitwise(self, name):
-        num_rounds, workload_axis = WORKLOAD_GRIDS[name]
-        grid = ScenarioGrid(
-            seeds=(0,),
-            attacks=(("sign-flip", {"scale": 5.0}),),
-            aggregators=(
-                ("krum", {}),
-                ("average", {}),
-                ("coordinate-median", {}),
-            ),
-            f_values=(0, 3),
-            num_workers=15,
-            num_rounds=num_rounds,
-            learning_rate=0.05,
-            lr_timescale=None,
-            **workload_axis,
-        )
-        _assert_loop_equals_batched(grid)
+        """One grid per registered workload plus a mixed-dimension grid;
+        ``bench_engine_grid.py`` times the same grids at full scale."""
+        assert_loop_equals_batched(workload_grids("small")[name], eval_every=2)
 
     def test_minibatch_workload_loop_vs_batched_bitwise(self):
         """The differential guarantee under a non-iid partition."""
@@ -504,7 +440,7 @@ class TestRunGridDatasetWorkloads:
             learning_rate=0.1,
             lr_timescale=None,
         )
-        _assert_loop_equals_batched(grid)
+        assert_loop_equals_batched(grid, eval_every=2)
 
     def test_mixed_dimension_grid_batches_per_dimension(self):
         grid = ScenarioGrid(
@@ -655,13 +591,11 @@ class TestCustomWorkloads:
 
     def test_several_rules_loop_equals_batched(self, custom_workloads):
         grid = blobs_grid(num_rounds=15)
-        loop = run_grid(grid, mode="loop", eval_every=5)
-        batched = run_grid(grid, mode="batched", eval_every=5)
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=5)
         assert len(loop.histories) == 4
-        for label, history in loop.histories.items():
+        for history in loop.histories.values():
             assert len(history) == 15
             assert history.final_accuracy is not None
-            assert history.records == batched.histories[label].records, label
 
     def test_attack_free_cell_learns(self, custom_workloads):
         grid = blobs_grid(f_values=(0,), aggregators=(("krum", {}),))

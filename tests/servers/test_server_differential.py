@@ -23,6 +23,10 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.builders import build_quadratic_simulation
 from repro.models.quadratic import QuadraticBowl
 from repro.servers.attacks import StaleReplayBroadcastAttack
+from tests.distributed.identity import (
+    assert_identical,
+    assert_loop_equals_batched,
+)
 from tests.distributed.server_reference import assert_matches_reference
 
 AGGREGATORS = (("krum", {}), ("average", {}))
@@ -59,21 +63,6 @@ def _grid(**kwargs):
     return ScenarioGrid(**defaults)
 
 
-def _same(result_a, result_b) -> None:
-    labels_a = [spec.label for spec in result_a.specs]
-    labels_b = [spec.label for spec in result_b.specs]
-    assert labels_a == labels_b
-    for label in labels_a:
-        assert (
-            result_a.final_params[label].tobytes()
-            == result_b.final_params[label].tobytes()
-        )
-        history_a = result_a.histories[label]
-        history_b = result_b.histories[label]
-        assert len(history_a) == len(history_b)
-        assert all(a == b for a, b in zip(history_a, history_b))
-
-
 class TestDegenerateIdentity:
     @pytest.mark.parametrize("scale", [{}, HEADLINE], ids=["small", "headline"])
     def test_pinned_axes_match_the_axis_free_grid(self, scale):
@@ -86,7 +75,7 @@ class TestDegenerateIdentity:
             **scale,
         )
         axis_free = _grid(**scale)
-        _same(
+        assert_identical(
             run_grid(pinned, mode="batched", eval_every=4),
             run_grid(axis_free, mode="batched", eval_every=4),
         )
@@ -129,8 +118,7 @@ class TestLoopBatchedIdentity:
             num_shards_values=(1, 2),
             server_attacks=((server_attack, {}),),
         )
-        loop = run_grid(grid, mode="loop", eval_every=4)
-        _same(loop, run_grid(grid, mode="batched", eval_every=4))
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
         assert_matches_reference(loop, grid, eval_every=4)
 
     def test_async_tier_grid_is_executor_invariant(self):
@@ -146,8 +134,7 @@ class TestLoopBatchedIdentity:
             byzantine_servers_values=(1,),
             server_attacks=(("stale-replay-broadcast", {"delay": 2}),),
         )
-        loop = run_grid(grid, mode="loop", eval_every=4)
-        _same(loop, run_grid(grid, mode="batched", eval_every=4))
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
         assert_matches_reference(loop, grid, eval_every=4)
 
     def test_grid_len_matches_materialized_cells(self):
@@ -211,7 +198,7 @@ def headline_runs():
 
 class TestHeadline:
     def test_loop_equals_batched(self, headline_runs):
-        _same(*headline_runs)
+        assert_identical(*headline_runs)
 
     def test_byzantine_server_degrades_and_replicas_recover(
         self, headline_runs
@@ -237,11 +224,4 @@ class TestHeadline:
         sharded = run_grid(
             _grid(num_shards=4, **settings), mode="loop", eval_every=25
         )
-        for spec_a, spec_b in zip(plain.specs, sharded.specs, strict=True):
-            assert (
-                plain.final_params[spec_a.label].tobytes()
-                == sharded.final_params[spec_b.label].tobytes()
-            )
-            assert list(plain.histories[spec_a.label]) == list(
-                sharded.histories[spec_b.label]
-            )
+        assert_identical(plain, sharded, by_position=True)

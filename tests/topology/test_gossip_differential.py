@@ -36,6 +36,11 @@ from repro.engine.grid import ScenarioGrid, ScenarioSpec
 from repro.engine.runner import build_scenario_simulation, run_grid
 from repro.gradients.oracle import GaussianOracleEstimator
 from repro.topology import GossipSimulation
+from tests.distributed.identity import (
+    assert_cell_identical,
+    assert_identical,
+    assert_loop_equals_batched,
+)
 from tests.distributed.server_reference import (
     assert_matches_reference,
     reference_run,
@@ -75,19 +80,6 @@ def engine_pair(aggregator, attack):
             topology="complete", **engine_kwargs(aggregator, attack)
         ),
     )
-
-
-def assert_records_identical(a, b, context=""):
-    assert len(a) == len(b), context
-    for ra, rb in zip(a, b):
-        assert ra.round_index == rb.round_index, context
-        assert ra.learning_rate == rb.learning_rate, context
-        assert ra.aggregate_norm == rb.aggregate_norm, (context, ra.round_index)
-        assert ra.params_norm == rb.params_norm, (context, ra.round_index)
-        assert ra.selected == rb.selected, (context, ra.round_index)
-        assert ra.byzantine_selected == rb.byzantine_selected, context
-        assert ra.loss == rb.loss and ra.accuracy == rb.accuracy, context
-        assert ra.grad_norm == rb.grad_norm, context
 
 
 RULES = [
@@ -206,16 +198,7 @@ class TestGridIdentity:
             mode=mode,
             eval_every=5,
         )
-        assert list(axis_free.histories) == list(pinned.histories)
-        for label in axis_free.histories:
-            assert_records_identical(
-                axis_free.histories[label].records,
-                pinned.histories[label].records,
-                context=(mode, label),
-            )
-            assert np.array_equal(
-                axis_free.final_params[label], pinned.final_params[label]
-            ), (mode, label)
+        assert_identical(axis_free, pinned)
         assert_matches_reference(
             pinned, ScenarioGrid(**grid_kwargs(topology="complete")), eval_every=5
         )
@@ -233,28 +216,16 @@ class TestGridIdentity:
             edge_prob=edge_prob,
             **settings,
         )
-        loop = run_grid(grid, mode="loop", eval_every=5)
-        batched = run_grid(grid, mode="batched", eval_every=5)
-        assert list(loop.histories) == list(batched.histories)
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=5)
         gossip_labels = [k for k in loop.histories if "topo=" in k]
         assert len(gossip_labels) == 2 * len(loop.histories) // 3
-        for label in loop.histories:
-            assert_records_identical(
-                loop.histories[label].records,
-                batched.histories[label].records,
-                context=label,
-            )
-            records = loop.histories[label].records
-            if "topo=" in label:
-                evaluated = [r for r in records if r.extras]
-                assert evaluated, label
-                assert all(
-                    math.isfinite(r.extras["consensus_error"])
-                    and math.isfinite(r.extras["disagreement"])
-                    for r in evaluated
-                ), label
-            assert np.array_equal(
-                loop.final_params[label], batched.final_params[label]
+        for label in gossip_labels:
+            evaluated = [r for r in loop.histories[label].records if r.extras]
+            assert evaluated, label
+            assert all(
+                math.isfinite(r.extras["consensus_error"])
+                and math.isfinite(r.extras["disagreement"])
+                for r in evaluated
             ), label
 
         axis_free = run_grid(
@@ -263,14 +234,7 @@ class TestGridIdentity:
         complete_labels = [k for k in loop.histories if "topo=" not in k]
         assert complete_labels == list(axis_free.histories)
         for label in complete_labels:
-            assert_records_identical(
-                loop.histories[label].records,
-                axis_free.histories[label].records,
-                context=label,
-            )
-            assert np.array_equal(
-                loop.final_params[label], axis_free.final_params[label]
-            ), label
+            assert_cell_identical(loop, label, axis_free)
 
     def test_gossip_cells_with_edge_delay_loop_equals_batched(self):
         grid = ScenarioGrid(
@@ -282,14 +246,7 @@ class TestGridIdentity:
                 delay_kwargs={"max_delay": 2},
             )
         )
-        loop = run_grid(grid, mode="loop", eval_every=5)
-        batched = run_grid(grid, mode="batched", eval_every=5)
-        for label in loop.histories:
-            assert_records_identical(
-                loop.histories[label].records,
-                batched.histories[label].records,
-                context=label,
-            )
+        assert_loop_equals_batched(grid, eval_every=5)
 
 
 # Ring headline thresholds: with two adjacent sign-flippers filtered by
