@@ -1,13 +1,9 @@
-"""Lint-rule interfaces: per-module rules and project-scoped rules.
+"""The lint-rule interface.
 
-Module-local rules see one parsed file at a time (path, source, AST) and
-yield findings; they carry no cross-module state, so their results never
-depend on traversal order and fixture tests can lint single snippets in
-isolation.  Project-scoped rules (``project_scope = True``) instead
-receive a :class:`~repro.lint.project.ProjectContext` — the whole linted
-tree plus its symbol table and call graph — built once per run by the
-engine; their findings still anchor in individual files, so the per-file
-suppression semantics apply unchanged.
+A rule sees one parsed file at a time (path, source, AST) and yields
+findings; it carries no cross-module state, so its results never depend
+on traversal order and fixture tests can lint single snippets in
+isolation.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from pathlib import PurePath
 
 from repro.lint.findings import Finding
 
-__all__ = ["ModuleContext", "LintRule", "ProjectRule"]
+__all__ = ["ModuleContext", "LintRule"]
 
 
 @dataclass(frozen=True)
@@ -60,22 +56,10 @@ class LintRule(ABC):
 
     name: str = "rule"
     description: str = ""
-    #: Project-scoped rules run once per lint run against the whole-tree
-    #: :class:`~repro.lint.project.ProjectContext` instead of per module.
-    project_scope: bool = False
 
     @abstractmethod
     def check(self, module: ModuleContext) -> Iterable[Finding]:
         """Yield every violation of this rule in ``module``."""
-
-    def check_project(self, project) -> Iterable[Finding]:
-        """Yield whole-program violations (project-scoped rules only).
-
-        ``project`` is a :class:`~repro.lint.project.ProjectContext`
-        (untyped here to keep the import graph acyclic).  Module-local
-        rules inherit this no-op.
-        """
-        return ()
 
     def finding(
         self, module: ModuleContext, node: ast.AST, message: str
@@ -92,35 +76,3 @@ class LintRule(ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
-
-class ProjectRule(LintRule):
-    """A rule that checks whole-program invariants.
-
-    Subclasses implement :meth:`check_project`; the per-module
-    :meth:`check` hook is a no-op so a project rule can participate in
-    ``--select``/``--ignore`` and suppressions exactly like any other
-    rule.  The engine builds one
-    :class:`~repro.lint.project.ProjectContext` per run (unless
-    ``--no-project``) and hands it to every selected project rule.
-    """
-
-    project_scope = True
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        return ()
-
-    @abstractmethod
-    def check_project(self, project) -> Iterable[Finding]:
-        """Yield every whole-program violation of this rule."""
-
-    def project_finding(
-        self, path: str, node: ast.AST, message: str
-    ) -> Finding:
-        """Build a finding anchored at ``node`` in the file at ``path``."""
-        return Finding(
-            rule=self.name,
-            path=path,
-            line=int(getattr(node, "lineno", 1)),
-            column=int(getattr(node, "col_offset", 0)) + 1,
-            message=message,
-        )

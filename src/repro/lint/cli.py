@@ -9,8 +9,6 @@ Examples::
     python -m repro.lint src --select error-taxonomy,rng-discipline
     python -m repro.lint src --ignore backend-purity --format json
     python -m repro.lint src --output lint-report.json   # text + JSON file
-    python -m repro.lint src --format sarif --output lint.sarif --jobs 4
-    python -m repro.lint src --no-project     # module-local rules only
     python -m repro.lint --list-rules
 """
 
@@ -24,7 +22,6 @@ from pathlib import Path
 from repro.exceptions import ConfigurationError
 from repro.lint.engine import lint_paths
 from repro.lint.registry import rule_descriptions
-from repro.lint.sarif import as_sarif
 
 __all__ = ["build_parser", "main"]
 
@@ -44,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based linter enforcing the repro library's code "
             "invariants (backend purity, RNG discipline, the error "
-            "taxonomy, stateful-attack declarations, registry drift)."
+            "taxonomy, stateful-attack declarations)."
         ),
         epilog=(
             "Suppress a single line with '# repro-lint: ignore[rule]'; "
@@ -73,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="stdout format (default: text)",
     )
@@ -81,30 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         metavar="FILE",
         default=None,
-        help=(
-            "also write the report to FILE — SARIF when --format sarif, "
-            "the JSON report otherwise"
-        ),
-    )
-    parser.add_argument(
-        "--project",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "run the whole-program rules (registry-drift, "
-            "seeded-query-purity, rng-stream-order, loop-batched-pairing); "
-            "--no-project lints each file in isolation"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the per-file pass (default: 1; output "
-            "is identical for any N)"
-        ),
+        help="also write the JSON report to FILE",
     )
     parser.add_argument(
         "--list-rules",
@@ -135,21 +109,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.paths,
             select=args.select,
             ignore=args.ignore,
-            project=args.project,
-            jobs=args.jobs,
         )
     except ConfigurationError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
 
     if args.output is not None:
-        serialized = (
-            as_sarif(report) if args.format == "sarif" else report.as_json()
-        )
-        Path(args.output).write_text(serialized + "\n", encoding="utf-8")
-    if args.format == "sarif":
-        print(as_sarif(report))
-    elif args.format == "json":
+        Path(args.output).write_text(report.as_json() + "\n", encoding="utf-8")
+    if args.format == "json":
         print(report.as_json())
     else:
         for finding in report.findings:

@@ -1,14 +1,8 @@
 """The lint driver: file discovery, rule execution, suppressions.
 
-Running the linter is two passes.  The per-file pass parses each file
-once, runs every selected module-local rule over the shared AST, and
-records that file's suppressions; with ``jobs > 1`` it fans out across a
-process pool (result order is by sorted path either way, so parallel
-runs are byte-identical to serial ones).  The whole-program pass then
-builds one :class:`~repro.lint.project.ProjectContext` over every file
-that parsed and hands it to each selected project-scoped rule; project
-findings are bucketed back onto the files they anchor in so one
-suppression mechanism covers both passes.
+Each file is parsed once, every selected rule runs over the shared AST,
+and the file's suppression comments are applied to its findings.
+Files are linted in sorted path order, so a report is deterministic.
 
 Suppressions are line comments — ``# repro-lint: ignore[rule]`` — and a
 suppression matches a finding when it sits on the finding's line *or*
@@ -36,15 +30,12 @@ import json
 import re
 import tokenize
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from repro.exceptions import ConfigurationError
 from repro.lint.base import LintRule, ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.project import build_project_context
 from repro.lint.registry import available_rules, make_rule, register_rule
 
 __all__ = [
@@ -207,7 +198,7 @@ def _apply_suppressions(
     suppressions: dict[int, _Suppression],
     selected: set[str],
     path: str,
-    anchors: dict[int, int] | None = None,
+    anchors: dict[int, int],
 ) -> list[Finding]:
     # A suppression on line S silences findings on S itself and on S's
     # statement anchor (the decorated ``def``, the first line of a
@@ -215,10 +206,9 @@ def _apply_suppressions(
     by_line: dict[int, _Suppression] = {}
     for suppression in suppressions.values():
         by_line.setdefault(suppression.line, suppression)
-    if anchors:
-        for suppression in suppressions.values():
-            target = anchors.get(suppression.line, suppression.line)
-            by_line.setdefault(target, suppression)
+    for suppression in suppressions.values():
+        target = anchors.get(suppression.line, suppression.line)
+        by_line.setdefault(target, suppression)
 
     kept: list[Finding] = []
     for finding in findings:
@@ -287,94 +277,42 @@ def resolve_rules(
     return [make_rule(name) for name in chosen if name not in dropped]
 
 
-@dataclass
-class _FileAnalysis:
-    """Per-file pass output: raw findings plus suppression machinery.
-
-    Picklable (Finding and _Suppression are plain dataclasses), so the
-    parallel per-file pass can ship analyses back from worker processes.
-    Suppressions are *not* yet applied — project findings merge in
-    first, so one suppression mechanism covers both passes.
-    """
-
-    path: str
-    findings: list[Finding]
-    suppressions: dict[int, _Suppression]
-    malformed: list[Finding]
-    anchors: dict[int, int]
-
-
-def _analyze_source(
-    source: str, path: str, rules: Sequence[LintRule]
-) -> _FileAnalysis:
-    """Run the module-local rules over one source string."""
-    selected = {rule.name for rule in rules}
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        findings: list[Finding] = []
-        if "syntax-error" in selected:
-            findings.append(
-                Finding(
-                    rule="syntax-error",
-                    path=path,
-                    line=int(error.lineno or 1),
-                    column=int(error.offset or 1),
-                    message=f"cannot parse: {error.msg}",
-                )
-            )
-        return _FileAnalysis(path, findings, {}, [], {})
-    module = ModuleContext(path=path, source=source, tree=tree)
-    findings = []
-    for rule in rules:
-        if not rule.project_scope:
-            findings.extend(rule.check(module))
-    suppressions, malformed = _parse_suppressions(source, path)
-    return _FileAnalysis(
-        path, findings, suppressions, malformed, _line_anchors(tree)
-    )
-
-
-def _analyze_file(path: str, rule_names: Sequence[str]) -> _FileAnalysis:
-    """Per-file worker (module level so ``--jobs`` can pickle it).
-
-    Rules are re-resolved by name inside the worker; built-in rules
-    register at import time so name resolution is process-independent.
-    (Rules registered at runtime rely on fork-style workers inheriting
-    the registry — on platforms that spawn, run such rules with
-    ``jobs=1``.)
-    """
-    source = Path(path).read_text(encoding="utf-8")
-    rules = [make_rule(name) for name in rule_names]
-    return _analyze_source(source, path, rules)
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     rules: Sequence[LintRule] | None = None,
 ) -> list[Finding]:
-    """Lint one source string (the fixture-test entry point).
+    """Lint one source string (also the fixture-test entry point).
 
     ``path`` participates in module-scoped rules (e.g. backend-purity
     only checks the kernel modules), so fixture snippets fake the
-    library path they pretend to live at.  Project-scoped rules
-    contribute nothing here — a single snippet has no whole-program
-    context; use :func:`lint_paths` on a fixture tree instead.
+    library path they pretend to live at.
     """
     if rules is None:
         rules = resolve_rules()
     selected = {rule.name for rule in rules}
-    analysis = _analyze_source(source, path, rules)
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as error:
+        if "syntax-error" not in selected:
+            return []
+        return [
+            Finding(
+                rule="syntax-error",
+                path=path,
+                line=int(error.lineno or 1),
+                column=int(error.offset or 1),
+                message=f"cannot parse: {error.msg}",
+            )
+        ]
+    module = ModuleContext(path=path, source=source, tree=tree)
+    findings = [finding for rule in rules for finding in rule.check(module)]
+    suppressions, malformed = _parse_suppressions(source, path)
     findings = _apply_suppressions(
-        analysis.findings,
-        analysis.suppressions,
-        selected,
-        path,
-        analysis.anchors,
+        findings, suppressions, selected, path, _line_anchors(tree)
     )
     if "unused-suppression" in selected:
-        findings.extend(analysis.malformed)
+        findings.extend(malformed)
     return sorted(findings, key=Finding.sort_key)
 
 
@@ -432,70 +370,14 @@ def lint_paths(
     paths: Sequence[str | Path],
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    *,
-    project: bool = True,
-    jobs: int = 1,
 ) -> LintReport:
-    """Lint files/directories with the selected rules (the CLI core).
-
-    ``project=False`` skips the whole-program pass (module-local rules
-    only); ``jobs`` fans the per-file pass out over that many worker
-    processes — output is independent of ``jobs``.
-    """
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    """Lint files/directories with the selected rules (the CLI core)."""
     rules = resolve_rules(select=select, ignore=ignore)
-    selected = {rule.name for rule in rules}
-    module_rule_names = tuple(
-        rule.name for rule in rules if not rule.project_scope
-    )
-    project_rules = [rule for rule in rules if rule.project_scope]
     files = collect_python_files(paths)
-
-    worker = partial(_analyze_file, rule_names=module_rule_names)
-    if jobs > 1 and len(files) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            analyses = list(pool.map(worker, (str(f) for f in files)))
-    else:
-        analyses = [worker(str(f)) for f in files]
-
-    # Whole-program pass: one ProjectContext over every file that
-    # parsed, shared by all selected project rules.
-    by_path: dict[str, list[Finding]] = {}
-    if project and project_rules:
-        modules = []
-        for file in files:
-            try:
-                source = file.read_text(encoding="utf-8")
-                tree = ast.parse(source)
-            except (OSError, SyntaxError, UnicodeDecodeError):
-                continue  # already a syntax-error finding, or unreadable
-            modules.append(
-                ModuleContext(path=str(file), source=source, tree=tree)
-            )
-        context = build_project_context(modules)
-        for rule in project_rules:
-            for finding in rule.check_project(context):
-                by_path.setdefault(finding.path, []).append(finding)
-
     findings: list[Finding] = []
-    for analysis in analyses:
-        merged = analysis.findings + by_path.pop(analysis.path, [])
-        kept = _apply_suppressions(
-            merged,
-            analysis.suppressions,
-            selected,
-            analysis.path,
-            analysis.anchors,
-        )
-        if "unused-suppression" in selected:
-            kept.extend(analysis.malformed)
-        findings.extend(kept)
-    # Project findings anchored outside the linted Python files (e.g. a
-    # README drift finding) have no suppression machinery — pass through.
-    for rest in by_path.values():
-        findings.extend(rest)
-
+    for file in files:
+        source = file.read_text(encoding="utf-8")
+        findings.extend(lint_source(source, str(file), rules))
     return LintReport(
         findings=tuple(sorted(findings, key=Finding.sort_key)),
         files_checked=len(files),

@@ -22,6 +22,7 @@ from repro.baselines.medians import (
     TrimmedMean,
 )
 from repro.core.batched import (
+    batched_kernel_names,
     batched_krum_scores,
     has_batched_kernel,
     make_batched_aggregator,
@@ -283,6 +284,23 @@ class TestBatchedGeometricMedian:
                 rule, chunk_size=chunk_size
             ).aggregate_batch(batch)
             assert bitwise_equal(chunked.vectors, whole.vectors)
+
+
+#: Every rule type whose kernel a class above pins slice by slice, bit
+#: for bit, against ``aggregate_detailed``: the ``_rules_for`` sweep of
+#: TestBatchedAdapters, then TestBatchedBulyan and
+#: TestBatchedGeometricMedian.
+BITWISE_PINNED = {type(rule) for rule in _rules_for(13)} | {
+    Bulyan,
+    GeometricMedian,
+}
+
+
+def test_every_registered_kernel_has_a_bitwise_pin():
+    """A kernel registered without a per-slice pin fails here, so no
+    kernel can run in the engine unchecked against its rule."""
+    pinned = sorted(cls.__name__ for cls in BITWISE_PINNED)
+    assert pinned == batched_kernel_names()
 
 
 class TestGridTrajectories:

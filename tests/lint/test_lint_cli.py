@@ -108,17 +108,15 @@ def test_no_paths_exits_two(capsys):
 
 def test_list_rules_names_every_builtin(capsys):
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for name in (
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
         "backend-purity",
-        "rng-discipline",
         "error-taxonomy",
+        "rng-discipline",
         "stateful-attack-declaration",
-        "registry-drift",
         "syntax-error",
         "unused-suppression",
-    ):
-        assert name in out
+    ]
 
 
 def test_module_help_smoke():
@@ -137,46 +135,3 @@ def test_module_help_smoke():
     assert "python -m repro.lint" in completed.stdout
     assert "--select" in completed.stdout
 
-
-def test_jobs_flag_matches_serial_output(tmp_path, capsys):
-    write_bad_module(tmp_path)
-    assert main([str(tmp_path), "--format", "json", "--jobs", "2"]) == 1
-    parallel = json.loads(capsys.readouterr().out)
-    assert main([str(tmp_path), "--format", "json"]) == 1
-    serial = json.loads(capsys.readouterr().out)
-    assert parallel == serial
-
-
-def test_no_project_flag_disables_whole_program_rules(tmp_path, capsys):
-    (tmp_path / "sim.py").write_text(
-        "def spawn_generators(seed, count):\n"
-        "    return list(range(count))\n"
-        "\n"
-        "def setup(seed):\n"
-        "    first, second = spawn_generators(seed, 3)\n"
-        "    return first, second\n"
-    )
-    assert main([str(tmp_path), "--select", "rng-stream-order"]) == 1
-    capsys.readouterr()
-    assert (
-        main([str(tmp_path), "--select", "rng-stream-order", "--no-project"])
-        == 0
-    )
-
-
-def test_sarif_format_stdout(tmp_path, capsys):
-    write_bad_module(tmp_path)
-    assert main([str(tmp_path), "--format", "sarif"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["version"] == "2.1.0"
-    assert document["runs"][0]["results"]
-
-
-def test_sarif_output_file(tmp_path, capsys):
-    write_bad_module(tmp_path)
-    out = tmp_path / "lint.sarif"
-    assert main(
-        [str(tmp_path), "--format", "sarif", "--output", str(out)]
-    ) == 1
-    capsys.readouterr()
-    assert json.loads(out.read_text())["version"] == "2.1.0"

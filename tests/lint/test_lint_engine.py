@@ -191,62 +191,3 @@ class TestSuppressionAnchors:
         )
         assert lint_source(source, rules=taxonomy_rules()) == []
 
-
-def _write_bad_tree(tmp_path):
-    for index in range(4):
-        (tmp_path / f"mod_{index}.py").write_text(
-            "import numpy as np\n"
-            f"def sample_{index}():\n"
-            "    return np.random.default_rng(3).normal()\n"
-        )
-
-
-class TestParallelJobs:
-    def test_jobs_output_is_identical_to_serial(self, tmp_path):
-        _write_bad_tree(tmp_path)
-        serial = lint_paths([tmp_path], jobs=1)
-        parallel = lint_paths([tmp_path], jobs=2)
-        assert serial.findings == parallel.findings
-        assert serial.rule_names == parallel.rule_names
-        assert serial.files_checked == parallel.files_checked == 4
-
-    def test_jobs_must_be_positive(self, tmp_path):
-        _write_bad_tree(tmp_path)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            lint_paths([tmp_path], jobs=0)
-
-
-class TestProjectPass:
-    def test_no_project_skips_whole_program_rules(self, tmp_path):
-        (tmp_path / "sim.py").write_text(
-            "def spawn_generators(seed, count):\n"
-            "    return list(range(count))\n"
-            "\n"
-            "def setup(seed):\n"
-            "    first, second = spawn_generators(seed, 3)\n"
-            "    return first, second\n"
-        )
-        with_project = lint_paths(
-            [tmp_path], select=["rng-stream-order"], project=True
-        )
-        without = lint_paths(
-            [tmp_path], select=["rng-stream-order"], project=False
-        )
-        assert len(with_project.findings) == 1
-        assert without.findings == ()
-
-    def test_project_findings_honor_suppressions(self, tmp_path):
-        (tmp_path / "sim.py").write_text(
-            "def spawn_generators(seed, count):\n"
-            "    return list(range(count))\n"
-            "\n"
-            "def setup(seed):\n"
-            "    first, second = spawn_generators(\n"
-            "        seed, 3\n"
-            "    )  # repro-lint: ignore[rng-stream-order]\n"
-            "    return first, second\n"
-        )
-        report = lint_paths(
-            [tmp_path], select=["rng-stream-order", "unused-suppression"]
-        )
-        assert report.findings == ()

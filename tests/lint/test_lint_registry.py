@@ -20,18 +20,14 @@ from repro.lint.registry import RULES, rule_descriptions
 
 
 def test_builtin_rules_are_registered():
-    names = available_rules()
-    for expected in (
+    assert available_rules() == [
         "backend-purity",
-        "rng-discipline",
         "error-taxonomy",
+        "rng-discipline",
         "stateful-attack-declaration",
-        "registry-drift",
         "syntax-error",
         "unused-suppression",
-    ):
-        assert expected in names
-    assert "registry-factory-contract" not in names
+    ]
 
 
 def test_make_rule_round_trip():

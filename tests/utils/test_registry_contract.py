@@ -8,16 +8,26 @@ strings, factories are callables, later registrations override, and the
 optional families have a ``None`` arm — is checked once here against
 all of them.  Family-specific behaviour (composite/probe parts, kardam's
 ``f`` forwarding, the torch backend, ...) stays in each family's tests.
+
+The registries' consumers are checked here too, against registries
+found by walking every ``repro`` module rather than from a list: the
+README's ``Registry name`` tables and the experiment CLI's choices must
+name exactly what each registry holds, so a registration without its
+docs row or a hard-coded choices list fails.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.attacks.registry import (
     ATTACKS,
     attack_factory,
@@ -54,6 +64,7 @@ from repro.engine.workloads import (
     workload_factory,
 )
 from repro.exceptions import ConfigurationError
+from repro.experiments.cli import _CLI_ATTACK_EXCLUDES, build_parser
 from repro.lint.registry import (
     RULES,
     available_rules,
@@ -266,3 +277,98 @@ class TestUnintrospectableFactories:
         widgets.check("max", {"anything": 1})
         with pytest.raises(TypeError):
             widgets.make("max", {"key": abs})
+
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+#: Optional extras: a module that imports one may be absent without it.
+OPTIONAL_DEPENDENCIES = {"torch"}
+#: Lint-run checks registered in RULES next to the rules; the README
+#: documents them in prose, not in its rule table.
+LINT_ENGINE_CHECKS = {"syntax-error", "unused-suppression"}
+
+
+def discovered_registries() -> dict[str, Registry]:
+    """Every module-level :class:`Registry` in ``repro``, by kind."""
+    found: dict[str, Registry] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        try:
+            module = importlib.import_module(info.name)
+        except ModuleNotFoundError as error:
+            if error.name in OPTIONAL_DEPENDENCIES:
+                continue
+            raise
+        for value in vars(module).values():
+            if isinstance(value, Registry):
+                found[value.kind] = value
+    return found
+
+
+def readme_tables(first_header: str) -> list[list[str]]:
+    """The backticked first-column names of each README table whose
+    first header cell is ``first_header``."""
+    tables: list[list[str]] = []
+    rows: list[str] | None = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        first = line.split("|")[1].strip()
+        if rows is None:
+            rows = []
+            if first == first_header:
+                tables.append(rows)
+        elif match := re.fullmatch(r"`([^`]+)`", first):
+            rows.append(match.group(1))
+    return tables
+
+
+class TestConsumersTrackRegistries:
+    def test_sweep_covers_every_registry(self):
+        registries = discovered_registries()
+        assert sorted(registries) == sorted(FAMILIES)
+        for kind, registry in registries.items():
+            assert registry is FAMILIES[kind].registry
+
+    def test_readme_tables_match_names(self):
+        registries = discovered_registries()
+        claimed: dict[str, list[str]] = {}
+        for names in readme_tables("Registry name"):
+            kind = max(
+                registries,
+                key=lambda k: len(set(names) & set(registries[k].names())),
+            )
+            assert kind not in claimed, f"two README tables for {kind}"
+            claimed[kind] = sorted(names)
+        for kind, registry in registries.items():
+            if kind != "lint rule":
+                assert claimed.get(kind) == registry.names(), kind
+        (rule_table,) = readme_tables("Rule")
+        assert sorted(rule_table) == sorted(
+            set(RULES.names()) - LINT_ENGINE_CHECKS
+        )
+
+    def test_cli_choices_match_names(self):
+        registries = discovered_registries()
+        checked = set()
+        for action in build_parser()._actions:
+            kind = action.dest.replace("_", " ")
+            if kind not in registries:
+                continue
+            names = registries[kind].names()
+            if kind == "attack":
+                names = [n for n in names if n not in _CLI_ATTACK_EXCLUDES]
+            if action.choices is not None:
+                assert list(action.choices) == names, kind
+            else:
+                listed = re.search(r"one of: ([\w, -]+)", action.help)
+                assert listed is not None, kind
+                assert listed.group(1).strip().split(", ") == names, kind
+            checked.add(kind)
+        assert checked == {
+            "aggregator",
+            "attack",
+            "backend",
+            "delay schedule",
+            "server attack",
+            "topology",
+        }
