@@ -286,14 +286,12 @@ class TestBatchedGeometricMedian:
             assert bitwise_equal(chunked.vectors, whole.vectors)
 
 
-#: Every rule type whose kernel a class above pins slice by slice, bit
-#: for bit, against ``aggregate_detailed``: the ``_rules_for`` sweep of
-#: TestBatchedAdapters, then TestBatchedBulyan and
+#: A rule of every type whose kernel a class above pins slice by slice,
+#: bit for bit, against ``aggregate_detailed``: the ``_rules_for`` sweep
+#: of TestBatchedAdapters, then TestBatchedBulyan and
 #: TestBatchedGeometricMedian.
-BITWISE_PINNED = {type(rule) for rule in _rules_for(13)} | {
-    Bulyan,
-    GeometricMedian,
-}
+PINNED_RULES = [*_rules_for(13), Bulyan(f=2), GeometricMedian()]
+BITWISE_PINNED = {type(rule) for rule in PINNED_RULES}
 
 
 def test_every_registered_kernel_has_a_bitwise_pin():
@@ -301,6 +299,15 @@ def test_every_registered_kernel_has_a_bitwise_pin():
     kernel can run in the engine unchecked against its rule."""
     pinned = sorted(cls.__name__ for cls in BITWISE_PINNED)
     assert pinned == batched_kernel_names()
+
+
+@pytest.mark.parametrize("name", batched_kernel_names())
+def test_registered_kernel_is_pinned(name):
+    """Per kernel, so a missing pin names its rule; the pinned rule must
+    also still dispatch to that native kernel, not the loop fallback."""
+    (rule,) = [r for r in PINNED_RULES if type(r).__name__ == name]
+    assert has_batched_kernel(rule)
+    assert make_batched_aggregator(rule).is_native
 
 
 class TestGridTrajectories:

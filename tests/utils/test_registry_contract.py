@@ -18,6 +18,8 @@ docs row or a hard-coded choices list fails.
 
 from __future__ import annotations
 
+import argparse
+import functools
 import importlib
 import pkgutil
 import re
@@ -322,53 +324,81 @@ def readme_tables(first_header: str) -> list[list[str]]:
     return tables
 
 
+#: The registries the experiment CLI offers as an option.
+CLI_REGISTRIES = (
+    "aggregator",
+    "attack",
+    "backend",
+    "delay schedule",
+    "server attack",
+    "topology",
+)
+
+
+@functools.cache
+def registries() -> dict[str, Registry]:
+    return discovered_registries()
+
+
+@functools.cache
+def readme_registry_tables() -> dict[str, list[list[str]]]:
+    """Each README ``Registry name`` table, sorted, under the registry
+    whose names it shares most."""
+    found = registries()
+    claimed: dict[str, list[list[str]]] = {}
+    for names in readme_tables("Registry name"):
+        kind = max(found, key=lambda k: len(set(names) & set(found[k].names())))
+        claimed.setdefault(kind, []).append(sorted(names))
+    return claimed
+
+
+def cli_actions() -> dict[str, argparse.Action]:
+    """The experiment CLI's options that name a registry, by kind."""
+    return {
+        action.dest.replace("_", " "): action
+        for action in build_parser()._actions
+        if action.dest.replace("_", " ") in registries()
+    }
+
+
 class TestConsumersTrackRegistries:
     def test_sweep_covers_every_registry(self):
-        registries = discovered_registries()
-        assert sorted(registries) == sorted(FAMILIES)
-        for kind, registry in registries.items():
+        found = registries()
+        assert sorted(found) == sorted(FAMILIES)
+        for kind, registry in found.items():
             assert registry is FAMILIES[kind].registry
 
-    def test_readme_tables_match_names(self):
-        registries = discovered_registries()
-        claimed: dict[str, list[str]] = {}
-        for names in readme_tables("Registry name"):
-            kind = max(
-                registries,
-                key=lambda k: len(set(names) & set(registries[k].names())),
-            )
-            assert kind not in claimed, f"two README tables for {kind}"
-            claimed[kind] = sorted(names)
-        for kind, registry in registries.items():
-            if kind != "lint rule":
-                assert claimed.get(kind) == registry.names(), kind
-        (rule_table,) = readme_tables("Rule")
-        assert sorted(rule_table) == sorted(
-            set(RULES.names()) - LINT_ENGINE_CHECKS
-        )
+    def test_readme_has_one_table_per_registry(self):
+        claimed = readme_registry_tables()
+        assert sorted(claimed) == sorted(set(FAMILIES) - {"lint rule"})
+        for kind, tables in claimed.items():
+            assert len(tables) == 1, f"{len(tables)} README tables for {kind}"
 
-    def test_cli_choices_match_names(self):
-        registries = discovered_registries()
-        checked = set()
-        for action in build_parser()._actions:
-            kind = action.dest.replace("_", " ")
-            if kind not in registries:
-                continue
-            names = registries[kind].names()
-            if kind == "attack":
-                names = [n for n in names if n not in _CLI_ATTACK_EXCLUDES]
-            if action.choices is not None:
-                assert list(action.choices) == names, kind
-            else:
-                listed = re.search(r"one of: ([\w, -]+)", action.help)
-                assert listed is not None, kind
-                assert listed.group(1).strip().split(", ") == names, kind
-            checked.add(kind)
-        assert checked == {
-            "aggregator",
-            "attack",
-            "backend",
-            "delay schedule",
-            "server attack",
-            "topology",
-        }
+    def test_readme_tables_match_names(self, kind, family):
+        if kind == "lint rule":
+            (rule_table,) = readme_tables("Rule")
+            assert sorted(rule_table) == sorted(
+                set(RULES.names()) - LINT_ENGINE_CHECKS
+            )
+        else:
+            assert readme_registry_tables().get(kind) == [
+                family.registry.names()
+            ]
+
+    def test_cli_offers_every_cli_registry(self):
+        assert sorted(cli_actions()) == sorted(CLI_REGISTRIES)
+
+    @pytest.mark.parametrize(
+        "cli_kind", CLI_REGISTRIES, ids=lambda k: k.replace(" ", "-")
+    )
+    def test_cli_choices_match_names(self, cli_kind):
+        action = cli_actions()[cli_kind]
+        names = registries()[cli_kind].names()
+        if cli_kind == "attack":
+            names = [n for n in names if n not in _CLI_ATTACK_EXCLUDES]
+        if action.choices is not None:
+            assert list(action.choices) == names
+        else:
+            listed = re.search(r"one of: ([\w, -]+)", action.help)
+            assert listed is not None
+            assert listed.group(1).strip().split(", ") == names
