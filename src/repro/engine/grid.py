@@ -1,11 +1,11 @@
 """Declarative scenario grids — the cartesian experiment spec.
 
 The paper's figures are grids: seeds × workloads × attacks ×
-aggregators × f.  :class:`ScenarioGrid` declares such a grid once;
-:meth:`ScenarioGrid.scenarios` expands it into concrete
-:class:`ScenarioSpec` cells that the engine materializes and runs —
-either one-by-one through :class:`~repro.distributed.TrainingSimulation`
-(the loop executor) or stacked into ``(B, n, d)`` tensors by
+aggregators × f.  :class:`ScenarioGrid` declares such a grid once and
+builds its concrete :class:`ScenarioSpec` cells right then; the engine
+materializes and runs them — either one-by-one through
+:class:`~repro.distributed.TrainingSimulation` (the loop executor) or
+stacked into ``(B, n, d)`` tensors by
 :class:`~repro.engine.simulation.BatchedSimulation`.
 
 Workload, aggregator and attack specs are all registry names plus
@@ -23,26 +23,38 @@ instead of emitting one duplicate per attack.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+import numbers
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
 from repro.attacks.registry import ATTACKS
 from repro.core.registry import AGGREGATORS, make_aggregator
 from repro.distributed.delays import make_delay_schedule
-from repro.engine.workloads import (
-    QUADRATIC_DEFAULTS,
-    make_workload,
-    workload_key,
-)
+from repro.engine.workloads import QUADRATIC_DEFAULTS, make_workload
 from repro.exceptions import ConfigurationError
-from repro.servers.registry import SERVER_ATTACKS, make_server_attack
+from repro.servers.registry import make_server_attack
 from repro.topology.registry import TOPOLOGIES, make_topology
 
 __all__ = ["ScenarioSpec", "ScenarioGrid"]
 
 # Spec/grid fields forwarded as topology factory kwargs when non-None.
 _TOPOLOGY_KNOBS = ("degree", "edge_prob", "rewire_period")
+
+# Spec fields that hold a count or an index: a bool or a float there is
+# a typo, never a value to truncate.  The topology knobs may be None.
+_INTEGER_KNOBS = (
+    "seed",
+    "num_workers",
+    "num_byzantine",
+    "max_staleness",
+    "num_servers",
+    "byzantine_servers",
+    "num_shards",
+    "degree",
+    "rewire_period",
+)
 
 
 def _with_quadratic_defaults(workload: str, workload_kwargs: Mapping) -> dict:
@@ -54,21 +66,6 @@ def _with_quadratic_defaults(workload: str, workload_kwargs: Mapping) -> dict:
         for key, default in QUADRATIC_DEFAULTS.items():
             resolved.setdefault(key, default)
     return resolved
-
-
-def _check_learning_rate(
-    learning_rate: float, lr_timescale: float | None
-) -> None:
-    """Both step-size knobs must be positive and finite (``lr_timescale``
-    may be ``None``: a constant schedule)."""
-    for knob, value in (
-        ("learning_rate", learning_rate),
-        ("lr_timescale", lr_timescale),
-    ):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigurationError(
-                f"{knob} must be positive and finite, got {value}"
-            )
 
 
 def _encode_kwargs(name: str, kwargs: Mapping) -> str:
@@ -124,6 +121,26 @@ class ScenarioSpec:
     rewire_period: int | None = None
 
     def __post_init__(self) -> None:
+        for knob in _INTEGER_KNOBS:
+            value = getattr(self, knob)
+            if value is None and knob in _TOPOLOGY_KNOBS:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{knob} must be an integer, got {value!r}"
+                )
+            # NumPy integers become plain ints, so labels read the same.
+            object.__setattr__(self, knob, int(value))
+        # A spec owns its kwargs dicts: its label and hash read them.
+        for knob in (
+            "aggregator_kwargs",
+            "attack_kwargs",
+            "delay_kwargs",
+            "server_attack_kwargs",
+        ):
+            object.__setattr__(self, knob, dict(getattr(self, knob)))
         object.__setattr__(
             self,
             "workload_kwargs",
@@ -147,7 +164,13 @@ class ScenarioSpec:
         # the None arms reject kwargs given without a name.
         AGGREGATORS.check(self.aggregator, self.aggregator_kwargs)
         ATTACKS.check_optional(self.attack, self.attack_kwargs)
-        _check_learning_rate(self.learning_rate, self.lr_timescale)
+        # lr_timescale may be None: a constant schedule.
+        for knob in ("learning_rate", "lr_timescale"):
+            value = getattr(self, knob)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{knob} must be positive and finite, got {value}"
+                )
         if self.max_staleness < 0:
             raise ConfigurationError(
                 f"max_staleness must be >= 0, got {self.max_staleness}"
@@ -337,45 +360,60 @@ class ScenarioSpec:
         return base
 
 
+# The nine singular/plural knob pairs, as ``(knob, axis field, kwargs
+# field)``.  The kwargs field is None for a scalar axis and names the
+# singular kwargs of a ``(name, kwargs)`` axis.  A singular value is a
+# one-element axis, so both spellings declare the same cells.
+_AXES = (
+    ("workload", "workloads", "workload_kwargs"),
+    ("max_staleness", "max_staleness_values", None),
+    ("delay_schedule", "delay_schedules", "delay_kwargs"),
+    ("num_servers", "num_servers_values", None),
+    ("byzantine_servers", "byzantine_servers_values", None),
+    ("num_shards", "num_shards_values", None),
+    ("server_attack", "server_attacks", "server_attack_kwargs"),
+    ("topology", "topology_values", None),
+    ("degree", "degree_values", None),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioGrid:
     """Cartesian product of seeds × workloads × attacks × aggregators × f.
 
     ``aggregators``, ``attacks`` and ``workloads`` are sequences of
     ``(registry_name, kwargs)`` pairs; ``f_values`` the Byzantine counts
-    to sweep.  The workload axis defaults to one entry — the singular
-    ``workload``/``workload_kwargs`` pair, which itself defaults to the
-    paper's analytic quadratic setting.  Mixed-dimension grids are fine:
-    the batched executor groups cells by parameter dimension.
+    to sweep.  Mixed-dimension grids are fine: the batched executor
+    groups cells by parameter dimension.
 
-    Asynchrony is two more axes: ``max_staleness_values`` sweeps the
-    server's bounded-staleness window and ``delay_schedules`` the
-    per-worker delay model (``(registry_name, kwargs)`` pairs from
-    :mod:`repro.distributed.delays`; an entry of ``(None, {})`` is the
-    synchronous arm).  Both default to one entry — the singular
-    ``max_staleness``/``delay_schedule``+``delay_kwargs`` knobs, which
-    themselves default to the synchronous model, keeping pre-async grids
-    (and their cell labels) unchanged.
+    Nine knobs have a singular and a plural spelling, as the module's
+    ``_AXES`` table lists them: ``workload``/``workload_kwargs`` or
+    ``workloads``, ``max_staleness`` or ``max_staleness_values``, and so
+    on.  A singular value is a one-element axis; giving both spellings,
+    or an empty axis, is an error.  The singular defaults are the
+    paper's synchronous quadratic cell on one reliable server and the
+    complete graph, so grids that leave a knob alone keep the labels
+    they had before that knob existed.
 
-    The server tier adds four more, resolved the same way:
-    ``num_servers_values`` (replica counts), ``byzantine_servers_values``
-    (corrupted-replica counts; every combination must satisfy
-    ``byzantine_servers <= num_servers``, checked at declaration),
-    ``num_shards_values`` (per-shard aggregation) and ``server_attacks``
-    (``(registry_name, kwargs)`` pairs from
-    :mod:`repro.servers.registry`).  ``byzantine_servers = 0`` collapses
-    the server-attack axis to one attack-free entry, exactly as ``f = 0``
-    collapses the worker-attack axis, and the all-default singular knobs
-    keep pre-tier grids (and their cell labels) unchanged.
+    The delay axis takes :mod:`repro.distributed.delays` specs (an entry
+    of ``(None, {})`` is the synchronous arm), the server-attack axis
+    :mod:`repro.servers.registry` specs and the topology axis names from
+    :mod:`repro.topology.registry`; ``edge_prob`` and ``rewire_period``
+    reach the graph families that take them.  The ``"complete"`` default
+    runs on the server path (bit-identical to the gossip engine's
+    complete-graph cell), every other topology on the serverless
+    :class:`~repro.topology.GossipSimulation`.
 
-    Decentralized cells add ``topology(_values)`` plus the graph knobs
-    ``degree(_values)`` / ``edge_prob`` / ``rewire_period`` from the
-    topology registry.  The ``"complete"`` default runs on the server
-    path (bit-identical to the gossip engine's complete-graph cell —
-    the degenerate-identity guarantee), non-complete topologies run the
-    serverless :class:`~repro.topology.GossipSimulation`, and the
-    degree axis expands only under graph families that take a degree,
-    collapsing elsewhere so no duplicate labels arise.
+    Three collapses keep cells distinct: an ``f = 0`` cell carries no
+    attack, a ``byzantine_servers = 0`` cell no server attack, and the
+    degree axis expands only under topologies that take a degree.
+
+    Every cell is built and validated once, at declaration:
+    :class:`ScenarioSpec` checks each cell (integer knobs, registry
+    names and kwargs, the server-tier and gossip constraints), and the
+    grid adds what no single cell sees — non-empty axes, ``0 <= f < n``,
+    attacks for ``f > 0``, every supplied knob landing in some cell, and
+    unique labels.
 
     Example::
 
@@ -389,7 +427,7 @@ class ScenarioGrid:
             aggregators=(("krum", {}), ("average", {})),
             f_values=(0, 3),
         )
-        grid.scenarios()   # the resolved ScenarioSpec cells
+        grid.scenarios()   # the ScenarioSpec cells
     """
 
     seeds: Sequence[int] = (0,)
@@ -433,14 +471,11 @@ class ScenarioGrid:
             raise ConfigurationError("grid needs at least one aggregator spec")
         if not self.f_values:
             raise ConfigurationError("grid needs at least one f value")
-        if self.num_workers < 1:
-            raise ConfigurationError(
-                f"num_workers must be >= 1, got {self.num_workers}"
-            )
-        if self.num_rounds < 1:
-            raise ConfigurationError(
-                f"num_rounds must be >= 1, got {self.num_rounds}"
-            )
+        for knob in ("num_workers", "num_rounds"):
+            if getattr(self, knob) < 1:
+                raise ConfigurationError(
+                    f"{knob} must be >= 1, got {getattr(self, knob)}"
+                )
         for f in self.f_values:
             if not 0 <= f < self.num_workers:
                 raise ConfigurationError(
@@ -451,417 +486,174 @@ class ScenarioGrid:
             raise ConfigurationError(
                 "grid sweeps f > 0 but declares no attacks"
             )
-        _check_learning_rate(self.learning_rate, self.lr_timescale)
-        # Validate each rule and attack spec once, at declaration time
-        # (the cell's f reaches every rule whose factory takes one).
-        for name, kwargs in self.aggregators:
-            AGGREGATORS.check(
-                name, self._aggregator_kwargs(name, kwargs, self.f_values[0])
-            )
+        # Attack specs are checked even where f = 0 leaves no cell to
+        # carry them.
         for name, kwargs in self.attacks:
             ATTACKS.check(name, kwargs)
-        # Resolve the workload axis once: either the singular pair or
-        # an explicit `workloads` axis.
-        if self.workloads is not None:
-            if self.workload != "quadratic" or self.workload_kwargs:
-                raise ConfigurationError(
-                    "pass either workload/workload_kwargs or a workloads "
-                    "axis, not both"
+        axes = self._resolve_axes()
+        # One workload per axis entry (cheap: datasets materialize
+        # lazily), so a typo'd name or a bad knob fails here.  No cell
+        # can check this: a ScenarioSpec may name an unregistered
+        # workload that its caller builds itself.
+        for entry in axes["workload"]:
+            make_workload(entry["workload"], entry["workload_kwargs"])
+        cells = self._expand(axes)
+        # Each supplied knob must land in some cell: a knob that every
+        # cell drops is a typo, not a silently empty axis.
+        given = {
+            "degree": any(e["degree"] is not None for e in axes["degree"]),
+            "edge_prob": self.edge_prob is not None,
+            "rewire_period": self.rewire_period is not None,
+            "server_attack": any(
+                e["server_attack"] or e["server_attack_kwargs"]
+                for e in axes["server_attack"]
+            ),
+        }
+        for knob, supplied in given.items():
+            if supplied and all(getattr(c, knob) is None for c in cells):
+                taker = (
+                    "cell has byzantine_servers > 0"
+                    if knob == "server_attack"
+                    else f"topology takes a {knob} parameter"
                 )
-            if not self.workloads:
                 raise ConfigurationError(
-                    "grid needs at least one workload spec"
+                    f"{knob} was given but no swept {taker}"
                 )
-            axis = tuple(
-                (name, dict(kwargs)) for name, kwargs in self.workloads
-            )
-        else:
-            resolved = _with_quadratic_defaults(
-                self.workload, self.workload_kwargs
-            )
-            object.__setattr__(self, "workload_kwargs", resolved)
-            axis = ((self.workload, dict(resolved)),)
-        object.__setattr__(self, "workloads", axis)
-        # Eagerly validate every workload spec (cheap — workloads
-        # materialize datasets lazily), so a typo'd name or a bad knob
-        # (e.g. dimension=0) fails at declaration time.
-        for name, kwargs in axis:
-            make_workload(name, kwargs)
-        # Resolve the asynchrony axes the same way the workload axis
-        # resolves: plural sweeps exclude the singular knobs.
-        if self.max_staleness_values is not None:
-            if self.max_staleness != 0:
-                raise ConfigurationError(
-                    "pass either max_staleness or a max_staleness_values "
-                    "axis, not both"
-                )
-            if not self.max_staleness_values:
-                raise ConfigurationError(
-                    "grid needs at least one max_staleness value"
-                )
-            staleness_axis = tuple(int(s) for s in self.max_staleness_values)
-        else:
-            staleness_axis = (int(self.max_staleness),)
-        for bound in staleness_axis:
-            if bound < 0:
-                raise ConfigurationError(
-                    f"max_staleness values must be >= 0, got {bound}"
-                )
-        object.__setattr__(self, "max_staleness_values", staleness_axis)
-        if self.delay_schedules is not None:
-            if self.delay_schedule is not None or self.delay_kwargs:
-                raise ConfigurationError(
-                    "pass either delay_schedule/delay_kwargs or a "
-                    "delay_schedules axis, not both"
-                )
-            if not self.delay_schedules:
-                raise ConfigurationError(
-                    "grid needs at least one delay schedule spec"
-                )
-            delay_axis = tuple(
-                (name, dict(kwargs)) for name, kwargs in self.delay_schedules
-            )
-        else:
-            delay_axis = ((self.delay_schedule, dict(self.delay_kwargs)),)
-        for name, kwargs in delay_axis:
-            make_delay_schedule(name, kwargs)
-        object.__setattr__(self, "delay_schedules", delay_axis)
-        # Resolve the server-tier axes: plural sweeps exclude the
-        # singular knobs, mirroring the asynchrony axes above.
-        servers_axis = self._scalar_axis(
-            "num_servers", default=1, minimum=1
-        )
-        byzantine_axis = self._scalar_axis(
-            "byzantine_servers", default=0, minimum=0
-        )
-        shards_axis = self._scalar_axis("num_shards", default=1, minimum=1)
-        # Every (num_servers, byzantine_servers) combination the product
-        # will emit must be a valid cell, so the cheapest-to-satisfy
-        # bound governs: checked eagerly to keep ``len(grid)`` exact.
-        for b in byzantine_axis:
-            if b > min(servers_axis):
-                raise ConfigurationError(
-                    f"byzantine_servers={b} exceeds num_servers="
-                    f"{min(servers_axis)}; every swept combination must "
-                    f"satisfy byzantine_servers <= num_servers"
-                )
-        if self.server_attacks is not None:
-            if self.server_attack is not None or self.server_attack_kwargs:
-                raise ConfigurationError(
-                    "pass either server_attack/server_attack_kwargs or a "
-                    "server_attacks axis, not both"
-                )
-            if not self.server_attacks:
-                raise ConfigurationError(
-                    "grid needs at least one server attack spec"
-                )
-            server_attack_axis = tuple(
-                (name, dict(kwargs)) for name, kwargs in self.server_attacks
-            )
-        elif self.server_attack is not None:
-            server_attack_axis = (
-                (self.server_attack, dict(self.server_attack_kwargs)),
-            )
-        else:
-            SERVER_ATTACKS.check_optional(None, self.server_attack_kwargs)
-            server_attack_axis = ()
-        for name, kwargs in server_attack_axis:
-            make_server_attack(name, kwargs)
-        if any(b > 0 for b in byzantine_axis) and not server_attack_axis:
+        counts = Counter(cell.label for cell in cells)
+        duplicates = [label for label, count in counts.items() if count > 1]
+        if duplicates:
             raise ConfigurationError(
-                "grid sweeps byzantine_servers > 0 but declares no "
-                "server attacks"
+                f"grid declares {len(duplicates)} duplicate cell label(s), "
+                f"e.g. {duplicates[0]!r}; make the seeds and the workload, "
+                f"aggregator, attack and topology entries distinct"
             )
-        object.__setattr__(self, "num_servers_values", servers_axis)
-        object.__setattr__(self, "byzantine_servers_values", byzantine_axis)
-        object.__setattr__(self, "num_shards_values", shards_axis)
-        object.__setattr__(self, "server_attacks", server_attack_axis)
-        # Resolve the topology axes: plural sweeps exclude the singular
-        # knobs, mirroring every axis above.
-        if self.topology_values is not None:
-            if self.topology != "complete":
-                raise ConfigurationError(
-                    "pass either topology or a topology_values axis, "
-                    "not both"
-                )
-            if not self.topology_values:
-                raise ConfigurationError(
-                    "grid needs at least one topology name"
-                )
-            topology_axis = tuple(str(t) for t in self.topology_values)
-        else:
-            topology_axis = (str(self.topology),)
-        object.__setattr__(self, "topology_values", topology_axis)
-        if self.degree_values is not None:
-            if self.degree is not None:
-                raise ConfigurationError(
-                    "pass either degree or a degree_values axis, not both"
-                )
-            if not self.degree_values:
-                raise ConfigurationError(
-                    "grid needs at least one degree value"
-                )
-            degree_axis: tuple[int | None, ...] = tuple(
-                int(d) for d in self.degree_values
-            )
-        else:
-            degree_axis = (
-                None if self.degree is None else int(self.degree),
-            )
-        object.__setattr__(self, "degree_values", degree_axis)
-        # Each supplied knob must land somewhere: a degree (edge_prob,
-        # rewire_period) that no swept topology accepts is a typo, not a
-        # silently dropped axis.
-        for knob, supplied in (
-            ("degree", any(d is not None for d in degree_axis)),
-            ("edge_prob", self.edge_prob is not None),
-            ("rewire_period", self.rewire_period is not None),
-        ):
-            if supplied and not any(
-                TOPOLOGIES.accepts(name, knob) for name in topology_axis
-            ):
-                raise ConfigurationError(
-                    f"{knob} was given but no swept topology "
-                    f"({list(topology_axis)}) takes a {knob} parameter"
-                )
-        # Eagerly validate every topology cell (builds the unbound
-        # graph), and forbid combining gossip cells with the server-side
-        # axes — the ScenarioSpec constraint, surfaced at grid
-        # declaration so ``len(grid)`` stays exact.
-        topology_cells = tuple(self._topology_cells())
-        for name, kwargs in topology_cells:
-            make_topology(name, kwargs)
-        if any(name != "complete" for name, _ in topology_cells):
-            if any(s != 0 for s in staleness_axis):
-                raise ConfigurationError(
-                    "gossip cells model lag per edge via the delay axis; "
-                    "a max_staleness sweep is a server-side knob and "
-                    "cannot be combined with non-complete topologies"
-                )
-            if (
-                servers_axis != (1,)
-                or byzantine_axis != (0,)
-                or shards_axis != (1,)
-                or server_attack_axis
-            ):
-                raise ConfigurationError(
-                    "the replicated/sharded server tier and gossip "
-                    "topologies are mutually exclusive — a decentralized "
-                    "cell has no server to replicate"
-                )
+        object.__setattr__(self, "_cells", tuple(cells))
 
-    def _scalar_axis(
-        self, name: str, *, default: int, minimum: int
-    ) -> tuple[int, ...]:
-        """Resolve a singular-knob / plural-axis pair of integer fields
-        (``name`` and ``name + "_values"``) into the swept tuple."""
-        plural = f"{name}_values"
-        values = getattr(self, plural)
-        singular = getattr(self, name)
-        if values is not None:
-            if singular != default:
+    def _resolve_axes(self) -> dict[str, tuple[dict, ...]]:
+        """Each knob pair of :data:`_AXES` as its swept tuple, keyed by
+        the singular knob.  An entry is the :class:`ScenarioSpec` fields
+        it sets, e.g. ``{"workload": name, "workload_kwargs": kwargs}``."""
+        axes: dict[str, tuple[dict, ...]] = {}
+        for knob, plural, kwargs_knob in _AXES:
+            singular = getattr(self, knob)
+            kwargs = getattr(self, kwargs_knob) if kwargs_knob else None
+            values = getattr(self, plural)
+            if values is None:
+                values = ((singular, kwargs),) if kwargs_knob else (singular,)
+            # A dataclass keeps each plain field default as a class
+            # attribute: that is the singular knob's "not given" value.
+            elif singular != getattr(ScenarioGrid, knob) or kwargs:
+                pair = f"{knob}/{kwargs_knob}" if kwargs_knob else knob
                 raise ConfigurationError(
-                    f"pass either {name} or a {plural} axis, not both"
+                    f"pass either {pair} or a {plural} axis, not both"
                 )
-            if not values:
+            elif not values:
                 raise ConfigurationError(
-                    f"grid needs at least one {name} value"
+                    f"grid needs at least one {knob} entry in {plural}"
                 )
-            axis = tuple(int(v) for v in values)
-        else:
-            axis = (int(singular),)
-        for value in axis:
-            if value < minimum:
-                raise ConfigurationError(
-                    f"{name} values must be >= {minimum}, got {value}"
+            if kwargs_knob:
+                axes[knob] = tuple(
+                    {knob: name, kwargs_knob: kw} for name, kw in values
                 )
-        return axis
-
-    def _topology_cells(self) -> list[tuple[str, dict]]:
-        """The resolved topology axis: one ``(name, kwargs)`` cell per
-        swept graph.
-
-        ``edge_prob``/``rewire_period`` are forwarded to the factories
-        that take them; the degree axis expands only under topologies
-        with a ``degree`` parameter (ring, k-regular) and collapses to
-        one cell elsewhere, exactly as ``f = 0`` collapses the attack
-        axis — no duplicate labels.  A ``None`` degree entry defers to
-        the factory's default.
-        """
-        cells: list[tuple[str, dict]] = []
-        for name in self.topology_values:
-            base: dict = {}
-            for knob in ("edge_prob", "rewire_period"):
-                value = getattr(self, knob)
-                if value is not None and TOPOLOGIES.accepts(name, knob):
-                    base[knob] = value
-            if TOPOLOGIES.accepts(name, "degree"):
-                for degree in self.degree_values:
-                    kwargs = dict(base)
-                    if degree is not None:
-                        kwargs["degree"] = int(degree)
-                    cells.append((name, kwargs))
             else:
-                cells.append((name, base))
-        return cells
+                axes[knob] = tuple({knob: value} for value in values)
+        return axes
 
-    def _aggregator_kwargs(self, name: str, kwargs: Mapping, f: int) -> dict:
-        """Resolve a rule's kwargs for a cell, injecting the cell's f
-        where the rule's factory accepts it."""
-        resolved = dict(kwargs)
-        if "f" not in resolved and AGGREGATORS.accepts(name, "f"):
-            resolved["f"] = f
-        return resolved
+    def _expand(self, axes: dict[str, tuple[dict, ...]]) -> list[ScenarioSpec]:
+        """The grid's cells in declaration order, from the resolved axes.
+
+        ``f = 0`` collapses the attack axis and ``byzantine_servers = 0``
+        the server-attack axis to one attack-free entry; the degree axis
+        expands only under topologies with a ``degree`` parameter (a
+        ``None`` entry defers to the factory's default), and
+        ``edge_prob``/``rewire_period`` reach only the factories that
+        take them.  ``f`` is injected into every rule whose factory
+        takes one, unless the rule's kwargs pin it.
+        """
+        absent: tuple[dict, ...] = ({},)
+        topologies = []
+        for entry in axes["topology"]:
+            name = entry["topology"]
+            knobs = {
+                knob: getattr(self, knob)
+                for knob in ("edge_prob", "rewire_period")
+                if getattr(self, knob) is not None
+                and TOPOLOGIES.accepts(name, knob)
+            }
+            degrees = (
+                axes["degree"] if TOPOLOGIES.accepts(name, "degree") else absent
+            )
+            topologies.extend({**entry, **knobs, **d} for d in degrees)
+        attacks = tuple(
+            {"attack": name, "attack_kwargs": kwargs}
+            for name, kwargs in self.attacks
+        )
+        rules = [
+            (name, kwargs, "f" not in kwargs and AGGREGATORS.accepts(name, "f"))
+            for name, kwargs in self.aggregators
+        ]
+        shared = dict(
+            num_workers=self.num_workers,
+            learning_rate=self.learning_rate,
+            lr_timescale=self.lr_timescale,
+            byzantine_slots=self.byzantine_slots,
+            halt_on_nonfinite=self.halt_on_nonfinite,
+        )
+        # Table order is the cells' nesting order; the three axes that
+        # collapse or merge nest as described above.
+        plain = [
+            axes[knob]
+            for knob, _, _ in _AXES
+            if knob not in ("server_attack", "topology", "degree")
+        ]
+        cells: list[ScenarioSpec] = []
+        for seed, *entries in product(self.seeds, *plain, topologies):
+            base = dict(shared, seed=seed)
+            for entry in entries:
+                base.update(entry)
+            servers = (
+                axes["server_attack"] if base["byzantine_servers"] > 0 else absent
+            )
+            for server, f in product(servers, self.f_values):
+                for attack, (rule, kwargs, takes_f) in product(
+                    attacks if f > 0 else absent, rules
+                ):
+                    cells.append(
+                        ScenarioSpec(
+                            **base,
+                            **server,
+                            **attack,
+                            num_byzantine=f,
+                            aggregator=rule,
+                            aggregator_kwargs=(
+                                {**kwargs, "f": f} if takes_f else kwargs
+                            ),
+                        )
+                    )
+        return cells
 
     def scenarios(self) -> list[ScenarioSpec]:
-        """Expand the grid into its concrete cells.
-
-        For ``f = 0`` the attack axis collapses (there is no Byzantine
-        slot to feed), so each (seed, workload, aggregator) triple
-        contributes one attack-free cell instead of one per attack.
-        """
-        cells: list[ScenarioSpec] = []
-        attack_specs: Iterable[tuple[str, Mapping] | None]
-        server_specs: Iterable[tuple[str, Mapping] | None]
-        outer = product(
-            self.seeds,
-            self.workloads,
-            self.max_staleness_values,
-            self.delay_schedules,
-            self.num_servers_values,
-            self.byzantine_servers_values,
-            self.num_shards_values,
-            tuple(self._topology_cells()),
-        )
-        for seed, (workload_name, workload_kwargs), max_staleness, (
-            delay_name,
-            delay_kwargs,
-        ), num_servers, byzantine_servers, num_shards, (
-            topology_name,
-            topology_kwargs,
-        ) in outer:
-            server_specs = (
-                self.server_attacks if byzantine_servers > 0 else (None,)
-            )
-            for server_spec in server_specs:
-                server_name = None
-                server_kwargs: dict = {}
-                if server_spec is not None:
-                    server_name, raw = server_spec
-                    server_kwargs = dict(raw)
-                for f in self.f_values:
-                    attack_specs = self.attacks if f > 0 else (None,)
-                    for attack_spec in attack_specs:
-                        for agg_name, agg_kwargs in self.aggregators:
-                            attack_name = None
-                            attack_kwargs: dict = {}
-                            if attack_spec is not None:
-                                attack_name, raw = attack_spec
-                                attack_kwargs = dict(raw)
-                            cells.append(
-                                ScenarioSpec(
-                                    seed=int(seed),
-                                    aggregator=agg_name,
-                                    aggregator_kwargs=self._aggregator_kwargs(
-                                        agg_name, agg_kwargs, f
-                                    ),
-                                    attack=attack_name,
-                                    attack_kwargs=attack_kwargs,
-                                    num_workers=self.num_workers,
-                                    num_byzantine=int(f),
-                                    workload=workload_name,
-                                    workload_kwargs=dict(workload_kwargs),
-                                    learning_rate=self.learning_rate,
-                                    lr_timescale=self.lr_timescale,
-                                    byzantine_slots=self.byzantine_slots,
-                                    max_staleness=int(max_staleness),
-                                    delay_schedule=delay_name,
-                                    delay_kwargs=dict(delay_kwargs),
-                                    num_servers=int(num_servers),
-                                    byzantine_servers=int(byzantine_servers),
-                                    num_shards=int(num_shards),
-                                    server_attack=server_name,
-                                    server_attack_kwargs=server_kwargs,
-                                    halt_on_nonfinite=self.halt_on_nonfinite,
-                                    topology=topology_name,
-                                    degree=topology_kwargs.get("degree"),
-                                    edge_prob=topology_kwargs.get(
-                                        "edge_prob"
-                                    ),
-                                    rewire_period=topology_kwargs.get(
-                                        "rewire_period"
-                                    ),
-                                )
-                            )
-        return cells
+        """The grid's cells, built and validated at declaration, as a
+        new list."""
+        return list(self._cells)
 
     def __len__(self) -> int:
-        f_zero = sum(1 for f in self.f_values if f == 0)
-        f_pos = len(self.f_values) - f_zero
-        per_workload = len(self.aggregators) * (
-            f_zero + f_pos * len(self.attacks)
-        )
-        b_zero = sum(1 for b in self.byzantine_servers_values if b == 0)
-        b_pos = len(self.byzantine_servers_values) - b_zero
-        server_cells = (
-            len(self.num_servers_values)
-            * len(self.num_shards_values)
-            * (b_zero + b_pos * len(self.server_attacks))
-        )
-        return (
-            len(self.seeds)
-            * len(self.workloads)
-            * len(self.max_staleness_values)
-            * len(self.delay_schedules)
-            * server_cells
-            * len(self._topology_cells())
-            * per_workload
-        )
+        return len(self._cells)
 
     def validate(self) -> None:
-        """Eagerly resolve every registry reference the grid names,
-        surfacing bad workload/aggregator names, bad kwargs or (n, f)
-        precondition violations before a long run.
+        """Run every rule's (n, f) precondition before a long run.
 
-        Deduplicated: each distinct workload spec and each distinct
-        ``(rule, kwargs, n)`` combination is built exactly once, so
-        validating a large grid costs O(distinct specs), not O(cells).
+        Declaration already checked every registry name and kwargs;
+        this builds each distinct ``(rule, kwargs, n)`` combination once
+        and calls its ``check_tolerance``, so validating a large grid
+        costs O(distinct rules), not O(cells).
         """
-        for name, kwargs in self.workloads:
-            make_workload(name, kwargs)
-        for name, kwargs in self.delay_schedules:
-            make_delay_schedule(name, kwargs)
-        for name, kwargs in self.server_attacks:
-            make_server_attack(name, kwargs)
-        for name, kwargs in self._topology_cells():
-            make_topology(name, kwargs)
-        checked: set[tuple] = set()
-        for spec in self.scenarios():
-            key = (
-                spec.aggregator,
-                tuple(sorted(
-                    (k, repr(v)) for k, v in spec.aggregator_kwargs.items()
-                )),
-                spec.num_workers,
-            )
-            if key in checked:
-                continue
-            checked.add(key)
-            rule = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
-            rule.check_tolerance(spec.num_workers)
-
-    def workload_specs(self) -> tuple[tuple[str, dict], ...]:
-        """The resolved workload axis: ``(name, kwargs)`` per entry."""
-        return tuple((name, dict(kwargs)) for name, kwargs in self.workloads)
-
-    def distinct_workloads(self) -> list[tuple[str, dict]]:
-        """The workload axis with duplicate specs removed (keyed by
-        :func:`~repro.engine.workloads.workload_key`)."""
-        seen: set[tuple] = set()
-        out: list[tuple[str, dict]] = []
-        for name, kwargs in self.workloads:
-            key = workload_key(name, kwargs)
-            if key not in seen:
-                seen.add(key)
-                out.append((name, dict(kwargs)))
-        return out
+        # _encode_kwargs is collision-safe, so it keys the combinations.
+        checked: set[tuple[str, int]] = set()
+        for spec in self._cells:
+            rule = _encode_kwargs(spec.aggregator, spec.aggregator_kwargs)
+            if (rule, spec.num_workers) not in checked:
+                checked.add((rule, spec.num_workers))
+                make_aggregator(
+                    spec.aggregator, **spec.aggregator_kwargs
+                ).check_tolerance(spec.num_workers)

@@ -1,10 +1,11 @@
 """Materialize and execute scenario grids.
 
-``run_grid(grid, mode="batched")`` expands a
-:class:`~repro.engine.grid.ScenarioGrid` into
-:class:`~repro.engine.grid.ScenarioSpec` cells, builds each through its
-workload's :meth:`~repro.engine.workloads.Workload.build` (the workload
-is resolved through the registry of :mod:`repro.engine.workloads`), and
+``run_grid(grid, mode="batched")`` takes the
+:class:`~repro.engine.grid.ScenarioSpec` cells a
+:class:`~repro.engine.grid.ScenarioGrid` built at declaration, builds
+each through its workload's
+:meth:`~repro.engine.workloads.Workload.build` (the workload is
+resolved through the registry of :mod:`repro.engine.workloads`), and
 executes them either
 
 * ``mode="loop"`` — each cell through its own
@@ -106,7 +107,7 @@ def run_grid(
     chunk_size: int | None = None,
     backend: ArrayBackend | str | None = None,
 ) -> GridResult:
-    """Expand and execute every cell of ``grid``.
+    """Execute every cell of ``grid``.
 
     ``chunk_size`` (batched mode only) caps the distance-kernel batch
     chunks; see
@@ -132,13 +133,9 @@ def run_grid(
             "mode='loop' always executes the per-scenario numpy rules"
         )
     resolved_backend = resolve_backend(backend)
+    # The grid built, validated and de-duplicated its cells at declaration.
     specs = grid.scenarios()
     labels = [spec.label for spec in specs]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(
-            "grid produced duplicate cell labels; make workload/aggregator/"
-            "attack specs distinguishable"
-        )
 
     # One workload object per distinct (name, kwargs) spec: datasets and
     # models materialize once and are shared by every cell that names

@@ -1,5 +1,7 @@
 """Unit tests for the ScenarioGrid spec and the engine executors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,96 @@ class TestScenarioGrid:
         sim = build_scenario_simulation(spec)
         assert sim.num_workers == spec.num_workers
         assert sim.server.dimension == spec.workload_kwargs["dimension"]
+
+
+class TestGridDeclaration:
+    """Regression: each of these grids used to declare.  Integer knobs
+    were truncated by ``int()``, duplicate cells surfaced only in
+    run_grid, and a server attack on a grid without Byzantine servers
+    was silently dropped."""
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"num_servers": 2.7}, "num_servers must be an integer"),
+            ({"max_staleness": 1.5}, "max_staleness must be an integer"),
+            (
+                {"topology": "ring", "degree": 4.9},
+                "degree must be an integer",
+            ),
+            (
+                {"num_servers_values": (True, 2)},
+                "num_servers must be an integer",
+            ),
+            ({"f_values": (1.5,)}, "num_byzantine must be an integer"),
+            ({"seeds": (0.0,)}, "seed must be an integer"),
+            ({"seeds": (0, 0)}, "duplicate"),
+            (
+                {"aggregators": (("krum", {}), ("average", {}), ("krum", {}))},
+                "duplicate",
+            ),
+            (
+                {"attacks": (("gaussian", {}), ("gaussian", {}))},
+                "duplicate",
+            ),
+            (
+                {
+                    "workload_kwargs": {},
+                    "workloads": (
+                        ("quadratic", {"dimension": 5}),
+                        ("quadratic", {"dimension": 5}),
+                    ),
+                },
+                "duplicate",
+            ),
+            (
+                {"topology": "ring", "degree_values": (4, 4)},
+                "duplicate",
+            ),
+            (
+                {"server_attack": "sign-flip-broadcast"},
+                "server_attack was given",
+            ),
+            (
+                {
+                    "num_servers": 3,
+                    "byzantine_servers_values": (0,),
+                    "server_attacks": (("sign-flip-broadcast", {}),),
+                },
+                "server_attack was given",
+            ),
+            (
+                {"server_attack_kwargs": {"scale": 2.0}},
+                "server_attack was given",
+            ),
+        ],
+    )
+    def test_bad_grids_fail_at_declaration(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            small_grid(**overrides)
+
+    def test_replace_declares_the_same_grid(self):
+        """Regression: declaring used to overwrite the axis fields with
+        their resolved values, so ``dataclasses.replace`` raised "not
+        both" on every grid."""
+        grid = dataclasses.replace(ScenarioGrid(num_servers=3), seeds=(1,))
+        assert grid == ScenarioGrid(num_servers=3, seeds=(1,))
+        assert grid.scenarios() == ScenarioGrid(
+            num_servers=3, seeds=(1,)
+        ).scenarios()
+
+    def test_cells_are_built_once(self, monkeypatch):
+        grid = small_grid()
+        built = []
+        monkeypatch.setattr(
+            ScenarioSpec,
+            "__post_init__",
+            lambda spec: built.append(spec),
+        )
+        cells = grid.scenarios()
+        run_grid(grid, mode="loop", eval_every=3)
+        assert built == []
+        assert cells == grid.scenarios() and cells is not grid.scenarios()
 
 
 class TestRunGrid:
@@ -458,11 +550,46 @@ class TestScenarioSpecValidation:
             ({"topology": "ring", "degree": 3}, "degree"),
             ({"topology": "ring", "num_servers": 3}, "exclusive"),
             ({"topology": "ring", "max_staleness": 2}, "max_staleness"),
+            # Integer knobs: a bool or a float is rejected, never truncated.
+            ({"seed": 1.0}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"num_workers": 9.5}, "num_workers must be an integer"),
+            (
+                {"num_byzantine": 1.5, "attack": "gaussian"},
+                "num_byzantine must be an integer",
+            ),
+            ({"max_staleness": 1.5}, "max_staleness must be an integer"),
+            ({"num_servers": 2.7}, "num_servers must be an integer"),
+            ({"num_servers": True}, "num_servers must be an integer"),
+            (
+                {"byzantine_servers": 0.5, "num_servers": 3},
+                "byzantine_servers must be an integer",
+            ),
+            ({"num_shards": 2.0}, "num_shards must be an integer"),
+            (
+                {"topology": "ring", "degree": 4.9},
+                "degree must be an integer",
+            ),
+            (
+                {"topology": "time-varying", "rewire_period": 2.5},
+                "rewire_period must be an integer",
+            ),
         ],
     )
     def test_bad_specs_fail_at_declaration(self, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             ScenarioSpec(**{"seed": 0, "aggregator": "average", **overrides})
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        spec = ScenarioSpec(
+            seed=np.int64(3), aggregator="average", num_workers=np.int32(9),
+            topology="ring", degree=np.int64(4),
+        )
+        assert type(spec.seed) is int and type(spec.degree) is int
+        assert spec.label == ScenarioSpec(
+            seed=3, aggregator="average", num_workers=9,
+            topology="ring", degree=4,
+        ).label
 
     def test_defaults_are_the_synchronous_complete_cell(self):
         spec = ScenarioSpec(seed=0, aggregator="average")

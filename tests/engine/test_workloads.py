@@ -404,21 +404,6 @@ class TestGridWorkloadAxis:
             run_grid(axis, mode="batched", eval_every=2),
         )
 
-    def test_distinct_workloads_deduplicates(self):
-        grid = ScenarioGrid(
-            workloads=(
-                ("quadratic", {"dimension": 5}),
-                ("quadratic", {"dimension": 5}),
-                ("quadratic", {"dimension": 6}),
-            ),
-            seeds=(0,),
-            aggregators=(("average", {}),),
-            f_values=(0,),
-            num_workers=5,
-        )
-        assert len(grid.distinct_workloads()) == 2
-
-
 class TestRunGridDatasetWorkloads:
     @pytest.mark.parametrize("name", list(workload_grids("small")))
     def test_every_workload_loop_vs_batched_bitwise(self, name):

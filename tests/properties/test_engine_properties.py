@@ -7,7 +7,13 @@ Two structural invariants of batching:
   nothing else (bit-for-bit; any cross-scenario leakage would break it).
 * **Chunk-size invariance** — chunking only partitions the batch axis,
   so every chunk size must produce the identical result.
+
+One more property covers the grids that feed the engine: a
+``ScenarioGrid`` declares the same cells whichever spelling of a knob it
+is given, and ``dataclasses.replace`` re-declares it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from repro.core.batched import (
 )
 from repro.core.bulyan import Bulyan, batched_bulyan
 from repro.core.krum import Krum, MultiKrum
+from repro.engine import ScenarioGrid
 from repro.exceptions import ConvergenceError
 from repro.utils.linalg import batched_pairwise_sq_distances
 
@@ -180,3 +187,120 @@ class TestChunkInvariance:
             rule, chunk_size=chunk_size
         ).aggregate_batch(batch)
         assert bitwise_equal(whole.vectors, chunked.vectors)
+
+
+# The nine singular/plural knob pairs of ScenarioGrid, as (singular,
+# axis, kwargs of a (name, kwargs) axis or None).
+KNOB_PAIRS = (
+    ("workload", "workloads", "workload_kwargs"),
+    ("max_staleness", "max_staleness_values", None),
+    ("delay_schedule", "delay_schedules", "delay_kwargs"),
+    ("num_servers", "num_servers_values", None),
+    ("byzantine_servers", "byzantine_servers_values", None),
+    ("num_shards", "num_shards_values", None),
+    ("server_attack", "server_attacks", "server_attack_kwargs"),
+    ("topology", "topology_values", None),
+    ("degree", "degree_values", None),
+)
+
+
+@st.composite
+def singular_grids(draw):
+    """Keyword arguments of a valid grid, every knob pair spelled
+    singular: a server-path cell with a random server tier and
+    staleness, or a gossip cell on a random topology."""
+    f_values = draw(
+        st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=2, unique=True)
+    )
+    attacks = draw(
+        st.lists(
+            st.sampled_from(
+                (("gaussian", {"sigma": 10.0}), ("sign-flip", {}))
+            ),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda spec: spec[0],
+        )
+    )
+    delay_schedule, delay_kwargs = draw(
+        st.sampled_from(
+            ((None, {}), ("constant", {"tau": 1}), ("random", {"max_delay": 2}))
+        )
+    )
+    kwargs = dict(
+        seeds=tuple(
+            draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))
+        ),
+        aggregators=tuple(
+            draw(
+                st.lists(
+                    st.sampled_from(
+                        (("average", {}), ("krum", {}), ("coordinate-median", {}))
+                    ),
+                    min_size=1,
+                    max_size=2,
+                    unique_by=lambda spec: spec[0],
+                )
+            )
+        ),
+        f_values=tuple(f_values),
+        attacks=tuple(attacks) if any(f_values) else (),
+        num_workers=9,
+        num_rounds=2,
+        workload_kwargs={"dimension": draw(st.integers(2, 4))},
+        delay_schedule=delay_schedule,
+        delay_kwargs=delay_kwargs,
+    )
+    topology = draw(
+        st.sampled_from(("complete", "ring", "erdos-renyi", "time-varying"))
+    )
+    if topology == "complete":
+        num_servers = draw(st.integers(1, 3))
+        byzantine_servers = draw(st.integers(0, min(1, num_servers - 1)))
+        kwargs.update(
+            max_staleness=draw(st.integers(0, 2)),
+            num_servers=num_servers,
+            byzantine_servers=byzantine_servers,
+            num_shards=draw(st.integers(1, 2)),
+        )
+        if byzantine_servers:
+            kwargs["server_attack"] = "sign-flip-broadcast"
+    else:
+        kwargs["topology"] = topology
+        if topology == "ring":
+            kwargs["degree"] = draw(st.sampled_from((2, 4)))
+        else:
+            kwargs["edge_prob"] = 0.5
+        if topology == "time-varying":
+            kwargs["rewire_period"] = 2
+    return kwargs
+
+
+def axis_spelling(kwargs, knob, axis, kwargs_knob):
+    """``kwargs`` with one knob moved to its one-element axis."""
+    out = dict(kwargs)
+    value = out.pop(knob, getattr(ScenarioGrid, knob))
+    if kwargs_knob is None:
+        out[axis] = (value,)
+    else:
+        out[axis] = ((value, out.pop(kwargs_knob, {})),)
+    return out
+
+
+class TestScenarioGridSpellings:
+    @given(singular_grids(), st.integers(10, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_spellings_declare_the_same_cells(self, kwargs, new_seed):
+        grid = ScenarioGrid(**kwargs)
+        cells = grid.scenarios()
+        assert len(grid) == len(cells)
+        labels = [cell.label for cell in cells]
+        assert len(set(labels)) == len(labels)
+        for pair in KNOB_PAIRS:
+            axis_grid = ScenarioGrid(**axis_spelling(kwargs, *pair))
+            assert axis_grid.scenarios() == cells, pair[0]
+        # Declaring leaves every field as given, so replace re-declares.
+        replaced = dataclasses.replace(grid, seeds=(new_seed,))
+        fresh = ScenarioGrid(**{**kwargs, "seeds": (new_seed,)})
+        assert replaced == fresh
+        assert replaced.scenarios() == fresh.scenarios()
