@@ -21,8 +21,9 @@ checks:
 * ``bench_staleness_sweep`` — ``max_staleness ∈ {0, 1, 4}``
   under random delays (``max_delay = 4``), three rules each with and
   without the kardam staleness filter.  The ``max_staleness = 0`` arm
-  equals the synchronous grid, and exactly the kardam half of the
-  cells aggregates through the loop fallback (``native_fraction`` 0.5).
+  equals the synchronous grid, and every cell, the kardam half
+  included, aggregates through a native kernel (``native_fraction``
+  1.0).
 
 The paper and workload grids are built by ``tests/engine/grids.py``,
 and the trajectories compared by ``tests/distributed/identity.py``;
@@ -142,7 +143,7 @@ def bench_staleness_sweep(benchmark):
         run_grid(_async_grid(**delays), mode="batched", eval_every=25),
         by_position=True,
     )
-    assert batched.native_fraction == 0.5, (
-        "expected exactly the kardam half of the cells on the loop "
-        f"fallback, got native_fraction={batched.native_fraction}"
+    assert batched.native_fraction == 1.0, (
+        "expected every cell, the filters-off kardam half included, on a "
+        f"native kernel, got native_fraction={batched.native_fraction}"
     )

@@ -28,6 +28,7 @@ adapt back.  Three strategies, each keyed to one defensive mechanism:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from repro.attacks.base import Attack, AttackContext
 from repro.core.staleness import DAMPENING_MODES
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "StalenessGamingAttack",
@@ -142,13 +144,12 @@ class LipschitzMimicryAttack(Attack):
             raise ConfigurationError(
                 f"quantile must be in (0, 1], got {quantile}"
             )
-        if int(window) < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
+        window = check_positive_int(window, "window")
         if margin <= 0:
             raise ConfigurationError(f"margin must be positive, got {margin}")
         self.scale = float(scale)
         self.quantile = float(quantile)
-        self.window = int(window)
+        self.window = window
         self.margin = float(margin)
         self.name = (
             f"lipschitz-mimicry(scale={self.scale:g},"
@@ -160,8 +161,11 @@ class LipschitzMimicryAttack(Attack):
         # x_t by round index, for reconstructing the stale parameters a
         # lagging Byzantine slot is judged at.
         self._params_by_round: dict[int, np.ndarray] = {}
-        # Per honest worker id: previous (gradient, params) observation.
-        self._prev_honest: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Per honest worker id (one row each): the previous gradient and
+        # parameters observed, and whether the worker was observed yet.
+        self._prev_gradients = np.empty((0, 0))
+        self._prev_params = np.empty((0, 0))
+        self._seen = np.zeros(0, dtype=bool)
         # Observed honest growth rates (the filter's window, mimicked).
         self._rates: deque[float] = deque(maxlen=self.window)
         # Our previous shared proposal, and per Byzantine slot the
@@ -178,29 +182,60 @@ class LipschitzMimicryAttack(Attack):
         return context.params if stored is None else stored
 
     def _observe_honest(self, context: AttackContext) -> None:
-        honest_params = context.honest_params
-        for row, worker_id in enumerate(context.honest_indices):
-            gradient = context.honest_gradients[row]
-            params = (
-                context.params
-                if honest_params is None
-                else honest_params[row]
+        """Append the honest workers' growth rates, in worker order, and
+        remember their gradients and parameters.
+
+        All row differences come from one subtraction per table; each
+        norm is ``sqrt(v.dot(v))`` per row, which is what
+        ``np.linalg.norm(v)`` computes (a batched ``norm(M, axis=1)``
+        reduces in a different order and is not bit-identical; the
+        square root is correctly rounded in ``math`` and numpy alike).
+        """
+        ids = np.asarray(context.honest_indices, dtype=np.int64)
+        if ids.size == 0:
+            return
+        gradients = context.honest_gradients
+        params = (
+            context.params
+            if context.honest_params is None
+            else context.honest_params
+        )
+        if self._seen.size <= ids.max():
+            self._grow_tables(
+                max(context.num_workers, int(ids.max()) + 1),
+                gradients,
+                params,
             )
-            previous = self._prev_honest.get(int(worker_id))
-            if previous is not None:
-                prev_gradient, prev_params = previous
-                displacement = float(np.linalg.norm(params - prev_params))
+        seen = self._seen[ids]
+        if seen.any():
+            moved = (params if params.ndim == 1 else params[seen]) - (
+                self._prev_params[ids[seen]]
+            )
+            changed = gradients[seen] - self._prev_gradients[ids[seen]]
+            for step, change in zip(moved, changed):
+                displacement = math.sqrt(step.dot(step))
                 if displacement > 0.0:
-                    rate = (
-                        float(np.linalg.norm(gradient - prev_gradient))
-                        / displacement
-                    )
-                    if np.isfinite(rate):
+                    rate = math.sqrt(change.dot(change)) / displacement
+                    if math.isfinite(rate):
                         self._rates.append(rate)
-            self._prev_honest[int(worker_id)] = (
-                gradient.copy(),
-                params.copy(),
-            )
+        self._prev_gradients[ids] = gradients
+        self._prev_params[ids] = params
+        self._seen[ids] = True
+
+    def _grow_tables(self, rows: int, gradients, params) -> None:
+        """Extend the per-worker tables to ``rows`` worker ids, keeping
+        the observations already made."""
+        kept = self._seen.size
+        prev_gradients = np.empty(
+            (rows, gradients.shape[-1]), dtype=gradients.dtype
+        )
+        prev_params = np.empty((rows, params.shape[-1]), dtype=params.dtype)
+        if kept:
+            prev_gradients[:kept] = self._prev_gradients
+            prev_params[:kept] = self._prev_params
+        self._prev_gradients = prev_gradients
+        self._prev_params = prev_params
+        self._seen = np.concatenate([self._seen, np.zeros(rows - kept, bool)])
 
     def craft(self, context: AttackContext) -> np.ndarray:
         t = context.round_index

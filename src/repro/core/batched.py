@@ -231,10 +231,10 @@ class BatchedAggregator(ABC):
     #: the per-scenario loop fallback.
     is_native: bool = True
 
-    #: True when :meth:`aggregate_batch` accepts per-proposal staleness
-    #: (``staleness``/``used_params`` keywords) — today only the loop
+    #: True when :meth:`aggregate_batch` accepts per-proposal staleness:
+    #: the native Kardam kernel (``staleness`` keyword) and the loop
     #: fallback over :class:`~repro.core.staleness.StalenessAwareAggregator`
-    #: rules; a batched-native Kardam kernel would set it too.
+    #: rules (``staleness`` and ``used_params`` keywords).
     supports_staleness: bool = False
 
     @abstractmethod
@@ -261,10 +261,10 @@ class LoopBatchedAggregator(BatchedAggregator):
     """Fallback adapter: run each scenario through its own rule instance.
 
     Used for rules without a vectorized kernel (minimal-diameter,
-    weighted-average, and any externally registered rule; kernels are
-    dispatched by exact type).  Keeping one instance per scenario preserves
-    any per-instance configuration exactly as the loop engine would see
-    it.  A single instance adapts to any batch size (every slice runs
+    weighted-average, kardam with a dropping filter, and any externally
+    registered rule; kernels are dispatched by exact type).  Keeping one
+    instance per scenario preserves any per-instance configuration
+    exactly as the loop engine would see it.  A single instance adapts to any batch size (every slice runs
     through the same rule — the Monte-Carlo trial batching case).
 
     The per-scenario rules are numpy programs, so this adapter always
@@ -538,6 +538,66 @@ class _BatchedClosestToAll(BatchedAggregator):
         )
 
 
+class _BatchedKardam(BatchedAggregator):
+    """Vectorized Kardam with both filters off (no ``drop_above``, no
+    ``lipschitz_quantile``): multiply each stale cell's stack by its
+    ``Λ(τ)`` row, then run the inner rule's kernel.  No row is dropped,
+    so the inner selection is the cell's selection.  A cell whose
+    staleness row is all zero is left untouched, exactly as
+    ``aggregate_detailed_stale`` skips the multiply."""
+
+    supports_staleness = True
+
+    @staticmethod
+    def supports(rule) -> bool:
+        """Dropping filters keep per-instance state (the Lipschitz
+        memory) and change the stack size, so only the filters-off rule
+        has a kernel — and only when its inner rule does."""
+        return (
+            rule.drop_above is None
+            and rule.lipschitz_quantile is None
+            and has_batched_kernel(rule.inner)
+        )
+
+    def __init__(self, aggregator, *, chunk_size=None, backend=None):
+        self.aggregator = aggregator
+        self.backend = resolve_backend(backend)
+        self.inner = make_batched_aggregator(
+            aggregator.inner, chunk_size=chunk_size, backend=self.backend
+        )
+
+    def aggregate_batch(
+        self, stacks, *, staleness=None
+    ) -> BatchedAggregationResult:
+        """Aggregate a ``(B, n, d)`` batch; ``staleness`` is the ``(B,
+        n)`` host-side integer block (``None`` means every proposal is
+        fresh)."""
+        xp = self.backend
+        stacks = self._validated(stacks)
+        if staleness is None:
+            return self.inner.aggregate_batch(stacks)
+        staleness = np.asarray(staleness, dtype=np.int64)
+        if staleness.shape != tuple(stacks.shape[:2]):
+            raise DimensionMismatchError(
+                f"staleness must be {tuple(stacks.shape[:2])}, "
+                f"got {staleness.shape}"
+            )
+        negative = staleness.min(axis=1) < 0
+        if negative.any():
+            row = staleness[negative.argmax()]
+            raise ConfigurationError(
+                f"staleness must be >= 0, got {row.tolist()}"
+            )
+        stale = (staleness.max(axis=1) > 0).tolist()
+        if any(stale):
+            stacks = xp.copy(stacks)
+            for b, is_stale in enumerate(stale):
+                if is_stale:
+                    factor = self.aggregator.dampening_factor(staleness[b])
+                    stacks[b] = stacks[b] * xp.asarray(factor)[:, None]
+        return self.inner.aggregate_batch(stacks)
+
+
 # ----------------------------------------------------------------------
 # Registry-driven adaptation
 # ----------------------------------------------------------------------
@@ -554,6 +614,8 @@ def register_batched_kernel(
     :class:`BatchedAggregator` replicating that instance bit-for-bit on
     the numpy backend (``backend`` is a resolved
     :class:`~repro.backend.ArrayBackend` or ``None`` for the default).
+    A builder with a ``supports(aggregator) -> bool`` attribute covers
+    only the instances it accepts; the others take the loop fallback.
     Later registrations override.
     """
     if not isinstance(aggregator_type, type):
@@ -564,8 +626,14 @@ def register_batched_kernel(
 
 
 def has_batched_kernel(aggregator: Aggregator) -> bool:
-    """Whether a vectorized kernel is registered for this rule's type."""
-    return type(aggregator) in _BUILDERS
+    """Whether a vectorized kernel replicates this rule instance: one is
+    registered for its type and, when the builder has a ``supports``
+    predicate (Kardam's), it accepts the instance's configuration."""
+    builder = _BUILDERS.get(type(aggregator))
+    if builder is None:
+        return False
+    supports = getattr(builder, "supports", None)
+    return supports is None or supports(aggregator)
 
 
 def batched_kernel_names() -> list[str]:
@@ -590,12 +658,13 @@ def make_batched_aggregator(
     """Adapt one rule (or a group of identically-configured instances) to
     the batched protocol.
 
-    Returns the registered vectorized kernel when one exists for the
-    rule's type, otherwise a :class:`LoopBatchedAggregator` running the
-    ordinary per-scenario path.  ``backend`` selects the array backend
-    the vectorized kernel computes through (name, instance, or ``None``
-    for the default numpy backend); the loop fallback always runs the
-    numpy per-scenario rules.  When a sequence is given, all instances
+    Returns the registered vectorized kernel when
+    :func:`has_batched_kernel` accepts the rule, otherwise a
+    :class:`LoopBatchedAggregator` running the ordinary per-scenario
+    path.  ``backend`` selects the array backend the vectorized kernel
+    computes through (name, instance, or ``None`` for the default numpy
+    backend); the loop fallback always runs the numpy per-scenario
+    rules.  When a sequence is given, all instances
     must share the same :func:`batch_group_key`; the loop fallback then
     keeps one instance per scenario (batch slice b uses instance b).
     """
@@ -612,9 +681,9 @@ def make_batched_aggregator(
         )
     backend = resolve_backend(backend)
     representative = instances[0]
-    builder = _BUILDERS.get(type(representative))
-    if builder is None:
+    if not has_batched_kernel(representative):
         return LoopBatchedAggregator(instances)
+    builder = _BUILDERS[type(representative)]
     return builder(representative, chunk_size=chunk_size, backend=backend)
 
 
@@ -630,6 +699,7 @@ def _register_builtins() -> None:
     )
     from repro.core.bulyan import Bulyan
     from repro.core.krum import Krum, MultiKrum
+    from repro.core.staleness import KardamFilter
 
     register_batched_kernel(Krum, _BatchedKrum)
     register_batched_kernel(MultiKrum, _BatchedMultiKrum)
@@ -639,6 +709,7 @@ def _register_builtins() -> None:
     register_batched_kernel(ClosestToAll, _BatchedClosestToAll)
     register_batched_kernel(Bulyan, _BatchedBulyan)
     register_batched_kernel(GeometricMedian, _BatchedGeometricMedian)
+    register_batched_kernel(KardamFilter, _BatchedKardam)
 
 
 _register_builtins()

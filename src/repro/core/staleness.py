@@ -33,6 +33,7 @@ from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
 )
+from repro.utils.validation import check_positive_int
 
 __all__ = ["StalenessAwareAggregator", "KardamFilter", "DAMPENING_MODES"]
 
@@ -138,10 +139,8 @@ class KardamFilter(StalenessAwareAggregator):
             raise ConfigurationError(
                 f"gamma must be in (0, 1], got {gamma}"
             )
-        if drop_above is not None and int(drop_above) < 0:
-            raise ConfigurationError(
-                f"drop_above must be >= 0, got {drop_above}"
-            )
+        if drop_above is not None:
+            drop_above = check_positive_int(drop_above, "drop_above", minimum=0)
         if lipschitz_quantile is not None and not (
             0.0 < float(lipschitz_quantile) <= 1.0
         ):
@@ -149,8 +148,7 @@ class KardamFilter(StalenessAwareAggregator):
                 f"lipschitz_quantile must be in (0, 1], "
                 f"got {lipschitz_quantile}"
             )
-        if int(window) < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
+        window = check_positive_int(window, "window")
         if not isinstance(strict, bool):
             raise ConfigurationError(
                 f"strict must be a bool, got {type(strict).__name__}"
@@ -169,11 +167,11 @@ class KardamFilter(StalenessAwareAggregator):
         self._degraded: dict[int, Aggregator] = {}
         self.dampening = dampening
         self.gamma = float(gamma)
-        self.drop_above = None if drop_above is None else int(drop_above)
+        self.drop_above = drop_above
         self.lipschitz_quantile = (
             None if lipschitz_quantile is None else float(lipschitz_quantile)
         )
-        self.window = int(window)
+        self.window = window
         # Per-worker-slot previous (proposal, params) for the empirical
         # Lipschitz coefficient, plus the accepted-coefficient window.
         self._previous: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -177,7 +177,12 @@ def selected_last_round(
     round)."""
     if last_selected is None:
         return None
-    return np.isin(byzantine_ids, last_selected)
+    # A boolean mask over worker ids: np.isin's sort-based membership
+    # test costs more than the lookup on these few-element arrays.
+    size = 1 + max(byzantine_ids.max(initial=-1), last_selected.max(initial=-1))
+    mask = np.zeros(size, dtype=bool)
+    mask[last_selected] = True
+    return mask[byzantine_ids]
 
 
 @dataclass(frozen=True)

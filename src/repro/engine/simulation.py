@@ -47,10 +47,11 @@ selects.  The effective staleness ``min(τ, t, max_staleness)`` is
 prefetched: each async cell keeps a table for a chunk of upcoming
 rounds, filled by one
 :meth:`~repro.distributed.delays.DelaySchedule.staleness_block` call.
-Staleness-aware rules (the Kardam-style filter) have no vectorized
-kernel, so their cells take the loop fallback, which receives the
-per-proposal staleness and used-parameter blocks; plain rules under
-staleness keep their native kernels.  ``native_fraction`` reports the
+A staleness-aware rule group receives the per-proposal staleness block:
+the native Kardam kernel (both filters off) dampens the stale cells and
+runs its inner kernel; a Kardam rule with a dropping filter
+(``drop_above``/``lipschitz_quantile``) takes the loop fallback, which
+also receives the used-parameter block.  ``native_fraction`` reports the
 split.
 
 Server-tier cells (``num_servers``/``byzantine_servers``) materialize
@@ -58,8 +59,10 @@ the round's worker view — the coordinate median over replica
 broadcasts of the cell's canonical row — exactly once per round, and
 route every worker read (fresh and stale proposals, the attack's
 omniscient context, the used-parameter blocks) through a per-cell view
-window.  The SGD update, records and evaluation stay on the canonical
-row, and the server-attack RNG stream advances once per cell-round.
+window.  Each round first draws every tier cell's broadcasts in slot
+order (the server-attack RNG stream advances once per cell-round), then
+takes one stacked median per replica count.  The SGD update, records
+and evaluation stay on the canonical row.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ from repro.distributed.simulator import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.gradients.minibatch import MinibatchEstimator
 from repro.gradients.oracle import GaussianOracleEstimator
+from repro.servers.replication import replica_view
 
 __all__ = ["BatchedSimulation", "LoopExecutor"]
 
@@ -530,21 +534,15 @@ class BatchedSimulation:
                 true_gradient = sim.true_gradient_fn(params)
         honest_params = None
         if staleness_row is not None:
-            # np.stack copies, so the rows need no defensive copy.
+            # Row τ of the window is the read τ rounds ago; the fancy
+            # index copies, so the rows need no defensive copy.
+            honest_staleness = staleness_row[scenario.honest_ids]
+            depth = range(int(honest_staleness.max()) + 1)
             if scenario.views is not None:
-                honest_params = np.stack(
-                    [
-                        scenario.views[-1 - int(staleness_row[i])]
-                        for i in scenario.honest_ids
-                    ]
-                )
+                window = [scenario.views[-1 - tau] for tau in depth]
             else:
-                honest_params = np.stack(
-                    [
-                        self._params_at(slot, int(staleness_row[i]))
-                        for i in scenario.honest_ids
-                    ]
-                )
+                window = [self._params_at(slot, tau) for tau in depth]
+            honest_params = np.stack(window)[honest_staleness]
         context = AttackContext(
             round_index=self._round_index,
             params=params,
@@ -575,13 +573,26 @@ class BatchedSimulation:
 
     def _group_staleness(
         self, group: _Group, rows: list[np.ndarray | None]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The per-proposal staleness and used-parameter blocks of one
-        staleness-aware rule group for ``aggregate_detailed_stale``
-        (zeros and the current parameters for synchronous scenarios in
-        the group)."""
+    ) -> np.ndarray:
+        """The ``(size, n)`` per-proposal staleness block of one
+        staleness-aware rule group (zeros for its synchronous
+        scenarios)."""
+        staleness = np.zeros(
+            (group.stop - group.start, self.num_workers), dtype=np.int64
+        )
+        for offset, row in enumerate(rows[group.start : group.stop]):
+            if row is not None:
+                staleness[offset] = row
+        return staleness
+
+    def _group_used_params(
+        self, group: _Group, rows: list[np.ndarray | None]
+    ) -> np.ndarray:
+        """The ``(size, n, d)`` used-parameter block of one loop-fallback
+        staleness-aware group for ``aggregate_detailed_stale``: the
+        parameters (or tier view) each proposal was computed at, the
+        current ones for synchronous scenarios."""
         size = group.stop - group.start
-        staleness = np.zeros((size, self.num_workers), dtype=np.int64)
         used = np.empty(
             (size, self.num_workers, self.dimension), dtype=self._float_dtype
         )
@@ -594,14 +605,33 @@ class BatchedSimulation:
                     views[-1] if views is not None else self._history[-1][slot]
                 )
                 continue
-            staleness[offset] = row
             for tau in np.unique(row).tolist():
                 used[offset, row == tau] = (
                     views[-1 - tau]
                     if views is not None
                     else self._params_at(slot, tau)
                 )
-        return staleness, used
+        return used
+
+    def _append_views(self, round_index: int) -> None:
+        """Append the round's worker view to every tier scenario's
+        window: each cell draws its replica broadcasts once, in slot
+        order, then the cells sharing a replica count take one stacked
+        coordinate median."""
+        by_servers: dict[int, list[tuple[_Scenario, np.ndarray]]] = {}
+        for scenario in self._scenarios:
+            if scenario.views is None:
+                continue
+            broadcasts = scenario.simulation.server.replica_broadcasts(
+                scenario.params, round_index
+            )
+            by_servers.setdefault(broadcasts.shape[0], []).append(
+                (scenario, broadcasts)
+            )
+        for cells in by_servers.values():
+            views = replica_view(np.stack([b for _, b in cells]))
+            for (scenario, _), view in zip(cells, views):
+                scenario.views.append(view)
 
     def run_round(self) -> list[RoundRecord]:
         """Execute one round (synchronous or bounded-stale) for every
@@ -612,16 +642,9 @@ class BatchedSimulation:
         t = self._round_index
         rates = np.empty(self.batch_size, dtype=self._float_dtype)
         rows: list[np.ndarray | None] = [None] * self.batch_size
+        self._append_views(t)
         for slot, scenario in enumerate(self._scenarios):
-            server = scenario.simulation.server
-            rates[slot] = server.schedule(t)
-            if scenario.views is not None:
-                # Materialize the round's worker view exactly once per
-                # scenario, from the canonical row: one server-attack
-                # RNG draw per round.
-                scenario.views.append(
-                    server.corrupted_view(scenario.params, t)
-                )
+            rates[slot] = scenario.simulation.server.schedule(t)
             rows[slot] = self._staleness_row(slot, t)
             expected = self._fill_proposals(slot, rows[slot])
             self._craft_attack(slot, expected, rows[slot])
@@ -631,16 +654,19 @@ class BatchedSimulation:
         )
         selected: list[np.ndarray] = [None] * self.batch_size  # type: ignore[list-item]
         for group in self._groups:
-            if group.adapter.supports_staleness:
-                staleness, used = self._group_staleness(group, rows)
-                result = group.adapter.aggregate_batch(
-                    self._proposals[group.start : group.stop],
-                    staleness=staleness,
-                    used_params=used,
+            adapter = group.adapter
+            stacks = self._proposals[group.start : group.stop]
+            if not adapter.supports_staleness:
+                result = adapter.aggregate_batch(stacks)
+            elif adapter.is_native:
+                result = adapter.aggregate_batch(
+                    stacks, staleness=self._group_staleness(group, rows)
                 )
             else:
-                result = group.adapter.aggregate_batch(
-                    self._proposals[group.start : group.stop]
+                result = adapter.aggregate_batch(
+                    stacks,
+                    staleness=self._group_staleness(group, rows),
+                    used_params=self._group_used_params(group, rows),
                 )
             # Native kernels return backend-typed arrays (torch tensors
             # on the torch backend); materialize them host-side once per

@@ -51,19 +51,22 @@ def replica_view(broadcasts: np.ndarray) -> np.ndarray:
     """The worker-side defense: coordinate-wise median over replica
     broadcasts.
 
-    ``broadcasts`` is ``(num_servers, d)`` — one row per replica.  The
-    median is taken per coordinate (ByzSGD's worker-side aggregation),
-    so a minority of corrupted rows cannot move any coordinate outside
-    the honest range.  Permutation-invariant in replica order, and exact
-    (returns the common row bit-for-bit) when all rows agree.
+    ``broadcasts`` is ``(..., num_servers, d)`` — one row per replica,
+    optionally behind leading cell axes (the executors stack the tier
+    cells of one replica count).  The median is taken per coordinate
+    over axis −2 (ByzSGD's worker-side aggregation), so a minority of
+    corrupted rows cannot move any coordinate outside the honest range;
+    each stacked cell's view equals its own one-cell call bit for bit.
+    Permutation-invariant in replica order, and exact (returns the
+    common row bit-for-bit) when all rows agree.
     """
     broadcasts = np.asarray(broadcasts, dtype=np.float64)
-    if broadcasts.ndim != 2 or broadcasts.shape[0] < 1:
+    if broadcasts.ndim < 2 or broadcasts.shape[-2] < 1:
         raise ConfigurationError(
-            f"broadcasts must be (num_servers, d) with at least one "
+            f"broadcasts must be (..., num_servers, d) with at least one "
             f"replica, got shape {broadcasts.shape}"
         )
-    return np.median(broadcasts, axis=0)
+    return np.median(broadcasts, axis=-2)
 
 
 class ReplicatedServerGroup:
@@ -200,8 +203,9 @@ class ReplicatedServerGroup:
         Byzantine replicas whatever the server attack crafts.
 
         Consumes the server-attack RNG stream once per call, so callers
-        must invoke it exactly once per round (:meth:`corrupted_view`
-        does; the executors call that).
+        must invoke it exactly once per round (the executors do, and
+        stack the results through :func:`replica_view`;
+        :meth:`corrupted_view` is the one-cell call).
         """
         matrix = np.tile(
             np.asarray(params, dtype=np.float64), (self.num_servers, 1)
@@ -226,8 +230,10 @@ class ReplicatedServerGroup:
         """One round's worker view ``x̃_t``: the coordinate median over
         the replica broadcasts of ``params`` at ``round_index``.
 
-        The executors call it once per round with the canonical row they
+        Callers invoke it once per round with the canonical row they
         advance, so the attack sees the canonical ``x_t`` and its RNG
-        stream advances once per round in every executor.
+        stream advances once per round.  The executors take the same
+        view through :meth:`replica_broadcasts` and one stacked
+        :func:`replica_view` over all tier cells of a replica count.
         """
         return replica_view(self.replica_broadcasts(params, round_index))

@@ -22,9 +22,9 @@ stack goes into a bucket keyed by its rule's
 :func:`~repro.core.batched.batch_group_key` and its member count, and
 each bucket runs through one :mod:`repro.core.batched` kernel call
 (split so that a call never stages more than ``_STAGING_BYTES`` of
-proposals).  Rules without a native kernel — kardam and other
-staleness-aware or external rules — run one node per call through the
-loop fallback, so their per-node state advances exactly as before.
+proposals).  Staleness-aware rules (kardam, through its native kernel
+or the loop fallback) and rules without a native kernel run one node
+per call, so their per-node state advances exactly as before.
 Messages rebind parameter arrays and never mutate them, so a node's
 aggregate does not depend on other nodes' updates in the same round:
 the updates and the non-finite halt are then applied in node-id order,
@@ -243,6 +243,10 @@ class GossipSimulation:
         self._aggregator_builder = aggregator_builder
         aggregator.check_tolerance(self.num_nodes)
         self._rules: dict[tuple[int, int], Aggregator] = {}
+        # Per rule instance (by id; the instances live in self._rules):
+        # its batch_group_key when several nodes may share one kernel
+        # call, None when it runs one node per call.
+        self._batch_keys: dict[int, tuple[str, str] | None] = {}
 
         self.schedule = schedule
         self.attack = attack
@@ -320,6 +324,17 @@ class GossipSimulation:
                 # never share state across nodes; the declared f stands.
                 rule = copy.deepcopy(self._aggregator)
             self._rules[key] = rule
+            # Rules without a native kernel run one node per call: the
+            # loop fallback may carry per-node state (kardam), and a
+            # one-node call keeps every error attributable to its node.
+            # Staleness-aware rules do too, because the node-by-node
+            # rerun of a failed batch would drop their staleness.
+            self._batch_keys[id(rule)] = (
+                batch_group_key(rule)
+                if has_batched_kernel(rule)
+                and not isinstance(rule, StalenessAwareAggregator)
+                else None
+            )
         return rule
 
     def _edge_staleness(self, sender: int, receiver: int, t: int) -> int:
@@ -477,21 +492,19 @@ class GossipSimulation:
             [[e[1] for e in entries] for *_, entries in chunk],
             dtype=np.float64,
         )
+        adapter = make_batched_aggregator(rules)
         kwargs: dict[str, np.ndarray] = {}
-        if isinstance(rules[0], StalenessAwareAggregator):
-            kwargs = {
-                "staleness": np.asarray(
-                    [[t - e[0] for e in entries] for *_, entries in chunk],
-                    dtype=np.int64,
-                ),
-                "used_params": np.asarray(
-                    [[e[2] for e in entries] for *_, entries in chunk]
-                ),
-            }
-        try:
-            result = make_batched_aggregator(rules).aggregate_batch(
-                stacks, **kwargs
+        if adapter.supports_staleness:
+            kwargs["staleness"] = np.asarray(
+                [[t - e[0] for e in entries] for *_, entries in chunk],
+                dtype=np.int64,
             )
+            if not adapter.is_native:
+                kwargs["used_params"] = np.asarray(
+                    [[e[2] for e in entries] for *_, entries in chunk]
+                )
+        try:
+            result = adapter.aggregate_batch(stacks, **kwargs)
         except ReproError as exc:
             if len(chunk) == 1:
                 outcomes[chunk[0][0]] = exc
@@ -523,17 +536,13 @@ class GossipSimulation:
                 failure = exc
                 break
 
-        # Rules without a native kernel run one node per call: the loop
-        # fallback may carry per-node state (kardam), and a one-node call
-        # keeps every error attributable to its node.
+        # Plans share a kernel call when their rules share a batch key
+        # (see _rule_for) and their member count.
         groups: dict[object, list[_Plan]] = {}
         for plan in plans:
             v, rule, member_ids, _ = plan
-            key = (
-                (batch_group_key(rule), len(member_ids))
-                if has_batched_kernel(rule)
-                else v
-            )
+            batch_key = self._batch_keys[id(rule)]
+            key = v if batch_key is None else (batch_key, len(member_ids))
             groups.setdefault(key, []).append(plan)
         outcomes: dict[int, _Outcome] = {}
         row_bytes = 8 * self.dimension  # one float64 proposal

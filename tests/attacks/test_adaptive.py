@@ -8,6 +8,7 @@ scale walk driven by ``selected_last_round`` feedback.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.attacks import (
     BanditProbingAttack,
@@ -17,8 +18,10 @@ from repro.attacks import (
     StalenessGamingAttack,
     make_attack,
 )
+from repro.attacks.base import AttackContext
 from repro.exceptions import ConfigurationError
 
+from tests.attacks.mimicry_reference import ReferenceLipschitzMimicry
 from tests.attacks.test_base import make_context
 
 
@@ -149,6 +152,112 @@ class TestLipschitzMimicry:
             LipschitzMimicryAttack(window=0)
         with pytest.raises(ConfigurationError):
             LipschitzMimicryAttack(margin=0.0)
+
+    @pytest.mark.parametrize("window", [2.5, True, "3"])
+    def test_window_must_be_an_integer(self, window):
+        """``window=2.5`` ran with a window of 2."""
+        with pytest.raises(ConfigurationError, match="window must be an integer"):
+            LipschitzMimicryAttack(window=window)
+        with pytest.raises(ConfigurationError, match="window must be an integer"):
+            make_attack("lipschitz-mimicry", {"window": window})
+
+    def test_window_accepts_numpy_integers(self):
+        attack = LipschitzMimicryAttack(window=np.int64(3))
+        assert attack.window == 3 and type(attack.window) is int
+        assert attack._rates.maxlen == 3
+
+
+def _mimicry_contexts(seed, num_workers, dimension, rounds):
+    """A random context sequence for the observer pin.
+
+    Each round draws a new honest id set (at least one Byzantine slot),
+    a synchronous or stale view (per-worker ``honest_params`` and
+    staleness), parameters from a three-vector pool so repeats give zero
+    displacement, gradients across six orders of magnitude, and now and
+    then a NaN or ±inf gradient or parameter entry.
+    """
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((3, dimension))
+    nonfinite = (np.nan, np.inf, -np.inf)
+    contexts = []
+    for t in range(rounds):
+        num_honest = int(rng.integers(1, num_workers))
+        honest = np.sort(rng.choice(num_workers, num_honest, replace=False))
+        byzantine = np.setdiff1d(np.arange(num_workers), honest)
+        gradients = rng.standard_normal((num_honest, dimension)) * (
+            10.0 ** rng.integers(-3, 4)
+        )
+        if rng.random() < 0.3:
+            gradients[rng.integers(num_honest), rng.integers(dimension)] = (
+                nonfinite[rng.integers(3)]
+            )
+        stale = {}
+        if rng.random() < 0.5:
+            honest_params = pool[rng.integers(3, size=num_honest)]
+            if rng.random() < 0.2:
+                honest_params[
+                    rng.integers(num_honest), rng.integers(dimension)
+                ] = nonfinite[rng.integers(3)]
+            stale = dict(
+                honest_params=honest_params,
+                honest_staleness=rng.integers(0, 4, num_honest),
+                byzantine_staleness=rng.integers(0, 4, byzantine.size),
+            )
+        contexts.append(
+            AttackContext(
+                round_index=t,
+                params=pool[rng.integers(3)].copy(),
+                honest_gradients=gradients,
+                byzantine_indices=byzantine,
+                honest_indices=honest,
+                num_workers=num_workers,
+                rng=np.random.default_rng(0),
+                true_gradient=(
+                    rng.standard_normal(dimension)
+                    if rng.random() < 0.5
+                    else None
+                ),
+                **stale,
+            )
+        )
+    return contexts
+
+
+class TestMimicryObserverMatchesFrozenReference:
+    """The stacked observer against the frozen per-worker loop of
+    ``tests/attacks/mimicry_reference.py``: equal rate windows and
+    crafted proposals, bit for bit, after every round."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_workers=st.integers(2, 9),
+        dimension=st.integers(1, 70),
+        rounds=st.integers(1, 10),
+        window=st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rates_and_crafts_bitwise(
+        self, seed, num_workers, dimension, rounds, window
+    ):
+        stacked = LipschitzMimicryAttack(scale=3.0, window=window)
+        reference = ReferenceLipschitzMimicry(scale=3.0, window=window)
+        for context in _mimicry_contexts(seed, num_workers, dimension, rounds):
+            context.validate()
+            with np.errstate(invalid="ignore", over="ignore"):
+                crafted = stacked.craft(context)
+                expected = reference.craft(context)
+            assert crafted.tobytes() == expected.tobytes()
+            assert (
+                np.asarray(stacked._rates).tobytes()
+                == np.asarray(reference._rates).tobytes()
+            )
+
+    def test_reset_forgets_observations(self, rng):
+        contexts = _mimicry_contexts(3, 6, 5, 6)
+        attack = LipschitzMimicryAttack(window=4)
+        first = [attack.craft(c).tobytes() for c in contexts]
+        attack.reset()
+        assert [attack.craft(c).tobytes() for c in contexts] == first
 
 
 class TestDefenseProbing:

@@ -29,6 +29,7 @@ from repro.core.batched import (
 )
 from repro.core.bulyan import Bulyan, batched_bulyan
 from repro.core.krum import Krum, MultiKrum
+from repro.core.staleness import KardamFilter
 from repro.engine import BatchedSimulation, ScenarioGrid, run_grid
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
@@ -47,6 +48,7 @@ NATIVE_RULES = [
     ClosestToAll(),
     Bulyan(f=2),
     GeometricMedian(),
+    KardamFilter(Krum(f=2)),
 ]
 
 
@@ -208,6 +210,13 @@ class TestDtypeAudit:
             np.float32
         )
         assert batched_krum_scores(stacks, 2, backend=xp).dtype == np.float32
+        staleness = np.arange(stacks.shape[0] * stacks.shape[1]).reshape(
+            stacks.shape[:2]
+        ) % 3
+        dampened = make_batched_aggregator(
+            KardamFilter(Krum(f=2)), backend=xp
+        ).aggregate_batch(stacks, staleness=staleness)
+        assert np.asarray(dampened.vectors).dtype == np.float32
 
     def test_batched_simulation_stages_in_backend_dtype(self):
         from repro.engine.runner import build_scenario_simulation

@@ -35,6 +35,7 @@ from repro.core.batched import (  # noqa: E402
 )
 from repro.core.bulyan import Bulyan, batched_bulyan  # noqa: E402
 from repro.core.krum import Krum, MultiKrum  # noqa: E402
+from repro.core.staleness import KardamFilter  # noqa: E402
 from repro.engine import ScenarioGrid, run_grid  # noqa: E402
 from repro.utils.linalg import (  # noqa: E402
     batched_pairwise_sq_distances,
@@ -54,6 +55,7 @@ NATIVE_RULES = [
     ClosestToAll(),
     Bulyan(f=2),
     GeometricMedian(),
+    KardamFilter(Krum(f=2)),
 ]
 
 

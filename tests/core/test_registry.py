@@ -80,6 +80,7 @@ class TestRegistryRoundTrip:
         "trimmed-mean",
         "bulyan",
         "geometric-median",
+        "kardam",
     }
 
     def test_kwargs_cover_every_registered_name(self):

@@ -52,6 +52,40 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="window"):
             KardamFilter(Average(), window=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"drop_above": 1.5},
+            {"drop_above": True},
+            {"drop_above": "2"},
+            {"window": 2.7, "lipschitz_quantile": 0.9},
+            {"window": True},
+        ],
+        ids=["drop_above-float", "drop_above-bool", "drop_above-str",
+             "window-float", "window-bool"],
+    )
+    def test_integer_knobs_reject_non_integers(self, kwargs):
+        """``drop_above=1.5`` and ``window=2.7`` were truncated to 1 and
+        2, and ``drop_above=True`` became 1."""
+        (knob,) = [k for k in kwargs if k != "lipschitz_quantile"]
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            KardamFilter(Average(), **kwargs)
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            make_aggregator("kardam", f=2, **kwargs)
+
+    def test_integer_knobs_accept_numpy_integers(self):
+        rule = KardamFilter(
+            Average(),
+            drop_above=np.int64(0),
+            lipschitz_quantile=0.9,
+            window=np.int32(3),
+        )
+        assert rule.drop_above == 0 and type(rule.drop_above) is int
+        assert rule.window == 3 and type(rule.window) is int
+        assert rule.name == (
+            "kardam(average,drop_above=0,lipschitz_quantile=0.9,window=3)"
+        )
+
     def test_tolerance_delegates_to_inner(self):
         rule = KardamFilter(Krum(f=3))
         with pytest.raises(ByzantineToleranceError):

@@ -13,9 +13,10 @@ from repro.engine import ScenarioGrid
 
 __all__ = ["KARDAM_PAIRS", "paper_grid", "workload_grids"]
 
-# Each rule bare and behind the kardam staleness filter: on an async
-# grid exactly the kardam half of the cells aggregates through the loop
-# fallback, so the batched run's ``native_fraction`` is 0.5.
+# Each rule bare and behind the kardam staleness filter (both filters
+# off): on an async grid the kardam half of the cells aggregates through
+# the native Kardam kernel, which dampens the stale cells and runs the
+# inner rule's kernel, so the batched run's ``native_fraction`` is 1.0.
 KARDAM_PAIRS = (
     ("krum", {}),
     ("kardam", {"inner": "krum"}),

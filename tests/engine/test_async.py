@@ -7,8 +7,9 @@ The two load-bearing guarantees:
   synchronous loop on the reference grid — the degenerate case must not
   fork trajectories;
 * the batched executor reproduces the loop executor's async
-  trajectories bit-for-bit, with staleness-aware (Kardam) cells riding
-  the per-scenario fallback, reported via ``native_fraction``.
+  trajectories bit-for-bit: filters-off Kardam cells through the native
+  Kardam kernel, Kardam cells with a dropping filter through the
+  per-scenario fallback, reported via ``native_fraction``.
 """
 
 from __future__ import annotations
@@ -198,8 +199,21 @@ class TestAsyncDifferential:
 
     @pytest.mark.parametrize(
         "rules, native_fraction",
-        [({}, 2.0 / 3.0), ({"aggregators": KARDAM_PAIRS}, 0.5)],
-        ids=["reference", "kardam-pairs"],
+        [
+            ({}, 1.0),
+            ({"aggregators": KARDAM_PAIRS}, 1.0),
+            (
+                {
+                    "aggregators": (
+                        ("coordinate-median", {}),
+                        ("kardam", {"inner": "coordinate-median",
+                                    "lipschitz_quantile": 0.9}),
+                    )
+                },
+                0.5,
+            ),
+        ],
+        ids=["reference", "kardam-pairs", "lipschitz-kardam"],
     )
     def test_kardam_cells_fall_back_native_cells_stay(
         self, rules, native_fraction
@@ -211,9 +225,11 @@ class TestAsyncDifferential:
             **rules,
         )
         batched = run_grid(grid, mode="batched", eval_every=4)
-        # Plain rules keep their native kernels; kardam rides the loop
-        # fallback.
+        # Plain rules and filters-off kardam run native kernels; a
+        # kardam with the Lipschitz filter rides the loop fallback.
         assert batched.native_fraction == pytest.approx(native_fraction)
+        loop = run_grid(grid, mode="loop", eval_every=4)
+        assert_identical(loop, batched)
 
     def test_minibatch_workload_async_differential(self):
         grid = ScenarioGrid(

@@ -29,8 +29,13 @@ from repro.core.batched import (
 )
 from repro.core.bulyan import Bulyan
 from repro.core.krum import Krum, MultiKrum, krum_scores, krum_scores_reference
+from repro.core.staleness import DAMPENING_MODES, KardamFilter
 from repro.engine import ScenarioGrid
-from repro.exceptions import ConvergenceError
+from repro.exceptions import (
+    ConfigurationError,
+    ConvergenceError,
+    DimensionMismatchError,
+)
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
     pairwise_sq_distances,
@@ -286,11 +291,96 @@ class TestBatchedGeometricMedian:
             assert bitwise_equal(chunked.vectors, whole.vectors)
 
 
+def _kardam_rules() -> list[KardamFilter]:
+    """Filters-off kardam around a selection, a multi-selection and a
+    statistical inner rule, in every dampening mode."""
+    return [
+        KardamFilter(inner, dampening=mode, gamma=0.7)
+        for inner in (Krum(f=1), MultiKrum(f=1, m=3), CoordinateWiseMedian())
+        for mode in DAMPENING_MODES
+    ]
+
+
+def staleness_block(rng, batch: int, n: int) -> np.ndarray:
+    """A random ``(B, n)`` staleness block with τ ≤ 4: cell 0 is fresh
+    (all zero), cell 1 mixed (its first half fresh), the rest random."""
+    staleness = rng.integers(0, 5, (batch, n))
+    staleness[0] = 0
+    staleness[1, : n // 2] = 0
+    return staleness
+
+
+class TestBatchedKardam:
+    """The Kardam kernel: per-cell dampening, then the inner kernel,
+    bit for bit against ``aggregate_detailed_stale``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_scenario_bitwise(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for batch in make_batches(seed):  # includes NaN and ±inf rows
+            staleness = staleness_block(rng, *batch.shape[:2])
+            original = batch.copy()
+            for rule in _kardam_rules():
+                adapter = make_batched_aggregator(rule)
+                assert adapter.is_native and adapter.supports_staleness
+                for block in (staleness, None):
+                    result = adapter.aggregate_batch(batch, staleness=block)
+                    for b in range(batch.shape[0]):
+                        want = (
+                            rule.aggregate_detailed(batch[b])
+                            if block is None
+                            else rule.aggregate_detailed_stale(
+                                batch[b], block[b]
+                            )
+                        )
+                        assert bitwise_equal(result.vectors[b], want.vector), (
+                            f"{rule.name} diverged on slice {b}"
+                        )
+                        np.testing.assert_array_equal(
+                            result.selected[b], want.selected
+                        )
+                        if want.scores is not None:
+                            assert bitwise_equal(result.scores[b], want.scores)
+            # Dampening works on a copy: the caller's stacks are intact.
+            assert bitwise_equal(batch, original)
+
+    def test_rejects_what_the_rule_rejects(self, rng):
+        adapter = make_batched_aggregator(KardamFilter(Krum(f=1)))
+        batch = rng.standard_normal((3, 7, 4))
+        staleness = np.zeros((3, 7), dtype=np.int64)
+        staleness[1, 2] = -1
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            adapter.aggregate_batch(batch, staleness=staleness)
+        with pytest.raises(DimensionMismatchError, match="staleness"):
+            adapter.aggregate_batch(batch, staleness=staleness[:, :6])
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            KardamFilter(Krum(f=1), drop_above=2),
+            KardamFilter(Krum(f=1), lipschitz_quantile=0.9),
+            KardamFilter(MinimalDiameterSubset(f=1)),
+        ],
+        ids=lambda rule: rule.name,
+    )
+    def test_dropping_filters_take_the_loop_fallback(self, rule):
+        """Rows can be dropped and the Lipschitz memory is per instance,
+        so these stay on one rule instance per cell."""
+        assert not has_batched_kernel(rule)
+        adapter = make_batched_aggregator(rule)
+        assert not adapter.is_native and adapter.supports_staleness
+
+
 #: A rule of every type whose kernel a class above pins slice by slice,
-#: bit for bit, against ``aggregate_detailed``: the ``_rules_for`` sweep
-#: of TestBatchedAdapters, then TestBatchedBulyan and
-#: TestBatchedGeometricMedian.
-PINNED_RULES = [*_rules_for(13), Bulyan(f=2), GeometricMedian()]
+#: bit for bit, against ``aggregate_detailed`` (``_stale`` for kardam):
+#: the ``_rules_for`` sweep of TestBatchedAdapters, then
+#: TestBatchedBulyan, TestBatchedGeometricMedian and TestBatchedKardam.
+PINNED_RULES = [
+    *_rules_for(13),
+    Bulyan(f=2),
+    GeometricMedian(),
+    KardamFilter(Krum(f=1)),
+]
 BITWISE_PINNED = {type(rule) for rule in PINNED_RULES}
 
 

@@ -72,11 +72,32 @@ class TestReplicaView:
         broadcasts = np.stack([row, row, -row])
         assert replica_view(broadcasts).tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("num_servers", [1, 2, 3, 4])
+    def test_stacked_cells_match_per_cell_views_bitwise(self, num_servers):
+        """The executors stack the broadcasts of every tier cell with
+        the same replica count into one ``(k, S, d)`` call; each cell's
+        view must equal its own ``(S, d)`` call bit for bit, including
+        NaN, ±inf and −0.0 entries."""
+        rng = np.random.default_rng(10 + num_servers)
+        stacked = rng.standard_normal((6, num_servers, DIMENSION))
+        stacked[1, 0] = np.nan
+        stacked[2, -1] = np.inf
+        stacked[3, 0, ::2] = -np.inf
+        stacked[4] = -0.0
+        stacked[5, 0] = 0.0
+        stacked[5, -1, 1::2] = -0.0
+        views = replica_view(stacked)
+        assert views.shape == (6, DIMENSION)
+        for cell in range(len(stacked)):
+            assert views[cell].tobytes() == replica_view(stacked[cell]).tobytes()
+
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ConfigurationError):
             replica_view(np.zeros(DIMENSION))
         with pytest.raises(ConfigurationError):
             replica_view(np.zeros((0, DIMENSION)))
+        with pytest.raises(ConfigurationError):
+            replica_view(np.zeros((3, 0, DIMENSION)))
 
 
 class TestConstruction:
@@ -244,14 +265,16 @@ class TestTierRounds:
             byzantine_servers=1,
             server_attack="random-noise-broadcast",
         )
+        # replica_broadcasts is the call that consumes the server-attack
+        # stream; the executor stacks its result into the view.
         calls = []
-        original = sim.server.corrupted_view
+        original = sim.server.replica_broadcasts
 
         def counted(params, round_index):
             calls.append(round_index)
             return original(params, round_index)
 
-        monkeypatch.setattr(sim.server, "corrupted_view", counted)
+        monkeypatch.setattr(sim.server, "replica_broadcasts", counted)
         sim.run(5, eval_every=2)
         assert calls == [0, 1, 2, 3, 4]
 

@@ -137,6 +137,19 @@ class TestLoopBatchedIdentity:
         loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
         assert_matches_reference(loop, grid, eval_every=4)
 
+    def test_replica_counts_stack_separately(self):
+        """The batched executor takes one stacked view per replica
+        count; cells with 1, 2, 3 and 4 replicas in one batch must
+        each match the loop executor and the frozen round."""
+        grid = _grid(
+            seeds=(0,),
+            num_servers_values=(1, 2, 3, 4),
+            byzantine_servers_values=(1,),
+            server_attacks=(("random-noise-broadcast", {}),),
+        )
+        loop, _batched = assert_loop_equals_batched(grid, eval_every=4)
+        assert_matches_reference(loop, grid, eval_every=4)
+
     def test_grid_len_matches_materialized_cells(self):
         grid = _grid(
             num_servers_values=(1, 3),
