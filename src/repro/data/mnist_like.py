@@ -10,13 +10,16 @@ experiments consume (see DESIGN.md §2).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_positive_int
 
-__all__ = ["make_mnist_like", "render_digit", "IMAGE_SIDE"]
+__all__ = ["make_mnist_like", "render_digit", "check_noise", "IMAGE_SIDE"]
 
 IMAGE_SIDE = 28
 
@@ -35,17 +38,59 @@ _TEMPLATE_ROWS: dict[int, tuple[str, ...]] = {
 }
 
 
-def _templates() -> np.ndarray:
-    """Stack the 10 glyph bitmaps into a ``(10, 7, 5)`` float array."""
-    glyphs = np.zeros((10, 7, 5), dtype=np.float64)
+def _canvases() -> np.ndarray:
+    """The 10 glyphs upscaled ×4 (to 28×20) and centred on zeroed
+    28×28 canvases: a ``(10, 28, 28)`` float array."""
+    canvases = np.zeros((10, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float64)
     for digit, rows in _TEMPLATE_ROWS.items():
-        for r, row in enumerate(rows):
-            for c, char in enumerate(row):
-                glyphs[digit, r, c] = 1.0 if char == "1" else 0.0
-    return glyphs
+        bitmap = [[float(char) for char in row] for row in rows]
+        glyph = np.kron(bitmap, np.ones((4, 4)))  # (28, 20)
+        col0 = (IMAGE_SIDE - glyph.shape[1]) // 2
+        canvases[digit, :, col0 : col0 + glyph.shape[1]] = glyph
+    return canvases
 
 
-_GLYPHS = _templates()
+_CANVASES = _canvases()
+
+
+def check_noise(noise: float) -> float:
+    """Validate the pixel-noise scale (finite and >= 0) and return it."""
+    if not math.isfinite(noise) or noise < 0:
+        raise ConfigurationError(f"noise must be finite and >= 0, got {noise}")
+    return float(noise)
+
+
+def _render(
+    digits: np.ndarray, rng: np.random.Generator, noise: float, max_shift: int
+) -> np.ndarray:
+    """Render ``digits`` as a ``(k, 28, 28)`` stack, one image each.
+
+    The draws are made per image, in image order: the row and column
+    shifts (only when ``max_shift > 0``), the stroke intensity, then the
+    pixel noise (only when ``noise > 0``).  The images themselves are
+    rendered in one pass: a modular row/column gather of the canvases
+    (what ``np.roll`` by the shifts computes), then scaling, noise and
+    clipping in place.
+    """
+    count = len(digits)
+    shifts = np.zeros((2, count, 1), dtype=np.intp)
+    intensity = np.empty((count, 1, 1))
+    images = np.empty((count, IMAGE_SIDE, IMAGE_SIDE)) if noise > 0 else None
+    for i in range(count):
+        if max_shift > 0:
+            shifts[0, i] = rng.integers(-max_shift, max_shift + 1)
+            shifts[1, i] = rng.integers(-max_shift, max_shift + 1)
+        intensity[i] = rng.uniform(0.7, 1.0)
+        if images is not None:
+            images[i] = rng.normal(0.0, noise, size=(IMAGE_SIDE, IMAGE_SIDE))
+    rows, cols = (np.arange(IMAGE_SIDE) - shifts) % IMAGE_SIDE
+    strokes = _CANVASES[digits[:, None, None], rows[:, :, None], cols[:, None, :]]
+    strokes *= intensity
+    if images is None:
+        images = strokes
+    else:
+        images += strokes
+    return np.clip(images, 0.0, 1.0, out=images)
 
 
 def render_digit(
@@ -61,21 +106,11 @@ def render_digit(
     by up to ``max_shift`` pixels in each direction, scaled by a random
     stroke intensity, then corrupted with clipped Gaussian pixel noise.
     """
+    noise = check_noise(noise)
+    max_shift = check_positive_int(max_shift, "max_shift", minimum=0)
     if not 0 <= digit <= 9:
         raise ConfigurationError(f"digit must be in [0, 9], got {digit}")
-    glyph = np.kron(_GLYPHS[digit], np.ones((4, 4)))  # (28, 20)
-    canvas = np.zeros((IMAGE_SIDE, IMAGE_SIDE), dtype=np.float64)
-    col0 = (IMAGE_SIDE - glyph.shape[1]) // 2
-    canvas[:, col0 : col0 + glyph.shape[1]] = glyph
-    if max_shift > 0:
-        shift_r = int(rng.integers(-max_shift, max_shift + 1))
-        shift_c = int(rng.integers(-max_shift, max_shift + 1))
-        canvas = np.roll(np.roll(canvas, shift_r, axis=0), shift_c, axis=1)
-    intensity = rng.uniform(0.7, 1.0)
-    image = canvas * intensity
-    if noise > 0:
-        image = image + rng.normal(0.0, noise, size=image.shape)
-    return np.clip(image, 0.0, 1.0)
+    return _render(np.array([digit]), rng, noise, max_shift)[0]
 
 
 def make_mnist_like(
@@ -88,15 +123,20 @@ def make_mnist_like(
     """Generate a balanced 10-class digit dataset of flattened images.
 
     Returns a :class:`Dataset` with ``inputs`` in ``[0, 1]^{784}`` and
-    integer labels 0–9, classes drawn uniformly.
+    integer labels 0–9, classes drawn uniformly.  Every image is what
+    :func:`render_digit` would draw from the same stream after the
+    labels.
     """
-    if num_samples < 1:
-        raise ConfigurationError(f"num_samples must be >= 1, got {num_samples}")
+    num_samples = check_positive_int(num_samples, "num_samples")
+    noise = check_noise(noise)
+    max_shift = check_positive_int(max_shift, "max_shift", minimum=0)
     rng = as_generator(seed)
     labels = rng.integers(0, 10, size=num_samples)
-    images = np.empty((num_samples, IMAGE_SIDE * IMAGE_SIDE), dtype=np.float64)
-    for i, digit in enumerate(labels):
-        images[i] = render_digit(
-            int(digit), rng, noise=noise, max_shift=max_shift
-        ).ravel()
-    return Dataset(images, labels, task="multiclass", num_classes=10, name="mnist-like")
+    images = _render(labels, rng, noise, max_shift)
+    return Dataset(
+        images.reshape(num_samples, IMAGE_SIDE * IMAGE_SIDE),
+        labels,
+        task="multiclass",
+        num_classes=10,
+        name="mnist-like",
+    )

@@ -52,7 +52,7 @@ from repro.attacks.registry import make_attack
 from repro.core.aggregator import Aggregator
 from repro.core.registry import AGGREGATORS, make_aggregator
 from repro.data.dataset import Dataset
-from repro.data.mnist_like import IMAGE_SIDE, make_mnist_like
+from repro.data.mnist_like import IMAGE_SIDE, check_noise, make_mnist_like
 from repro.data.partition import PARTITION_PROTOCOLS
 from repro.data.spambase_like import NUM_FEATURES, make_spambase_like
 from repro.distributed.delays import make_delay_schedule
@@ -66,13 +66,14 @@ from repro.experiments.builders import (
 )
 from repro.models.base import Model
 from repro.models.logistic import LogisticRegressionModel
-from repro.models.mlp import MLPClassifier
+from repro.models.mlp import MLPClassifier, check_architecture
 from repro.models.quadratic import QuadraticBowl
 from repro.models.softmax import SoftmaxRegressionModel
 from repro.servers.registry import make_server_attack
 from repro.topology.gossip import GossipSimulation
 from repro.topology.registry import make_topology
 from repro.utils.registry import Registry
+from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:
     from repro.engine.grid import ScenarioSpec
@@ -208,10 +209,7 @@ class QuadraticWorkload(Workload):
         sigma: float = 0.1,
         curvature: float = 1.0,
     ):
-        if int(dimension) < 1:
-            raise ConfigurationError(
-                f"dimension must be >= 1, got {dimension}"
-            )
+        dimension = check_positive_int(dimension, "dimension")
         if not math.isfinite(sigma) or sigma < 0:
             raise ConfigurationError(
                 f"sigma must be finite and >= 0, got {sigma}"
@@ -220,7 +218,7 @@ class QuadraticWorkload(Workload):
             raise ConfigurationError(
                 f"curvature must be positive and finite, got {curvature}"
             )
-        self._dimension = int(dimension)
+        self._dimension = dimension
         self.sigma = float(sigma)
         self.curvature = float(curvature)
         self._bowl: QuadraticBowl | None = None
@@ -279,15 +277,10 @@ class DatasetWorkload(Workload):
         dirichlet_alpha: float,
         data_seed: int,
     ):
-        if num_train < 1 or num_eval < 1:
-            raise ConfigurationError(
-                f"need num_train >= 1 and num_eval >= 1, got "
-                f"({num_train}, {num_eval})"
-            )
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
+        self.num_train = check_positive_int(num_train, "num_train")
+        self.num_eval = check_positive_int(num_eval, "num_eval")
+        self.batch_size = check_positive_int(batch_size, "batch_size")
+        self.data_seed = check_positive_int(data_seed, "data_seed", minimum=0)
         if partition not in PARTITION_PROTOCOLS:
             raise ConfigurationError(
                 f"partition must be one of {PARTITION_PROTOCOLS}, "
@@ -297,12 +290,8 @@ class DatasetWorkload(Workload):
             raise ConfigurationError(
                 f"dirichlet_alpha must be positive, got {dirichlet_alpha}"
             )
-        self.num_train = int(num_train)
-        self.num_eval = int(num_eval)
-        self.batch_size = int(batch_size)
         self.partition = partition
         self.dirichlet_alpha = float(dirichlet_alpha)
-        self.data_seed = int(data_seed)
         self._model: Model | None = None
         self._data: tuple[Dataset, Dataset] | None = None
 
@@ -386,7 +375,24 @@ class LogisticSpambaseWorkload(DatasetWorkload):
         return train, evaluation
 
 
-class SoftmaxMnistWorkload(DatasetWorkload):
+class _DigitWorkload(DatasetWorkload):
+    """A dataset workload on the procedural digits at pixel ``noise``."""
+
+    def __init__(self, *, noise: float, **dataset_knobs):
+        super().__init__(**dataset_knobs)
+        self.noise = check_noise(noise)
+
+    def _build_data(self) -> tuple[Dataset, Dataset]:
+        train = make_mnist_like(
+            self.num_train, noise=self.noise, seed=self.data_seed
+        )
+        evaluation = make_mnist_like(
+            self.num_eval, noise=self.noise, seed=self.data_seed + 1
+        )
+        return train, evaluation
+
+
+class SoftmaxMnistWorkload(_DigitWorkload):
     """Linear softmax regression on the procedural digit dataset."""
 
     name = "softmax-mnist"
@@ -408,25 +414,16 @@ class SoftmaxMnistWorkload(DatasetWorkload):
             batch_size=batch_size,
             partition=partition,
             dirichlet_alpha=dirichlet_alpha,
+            noise=noise,
             data_seed=data_seed,
         )
         self.l2 = float(l2)
-        self.noise = float(noise)
 
     def _build_model(self) -> Model:
         return SoftmaxRegressionModel(IMAGE_SIDE * IMAGE_SIDE, 10, l2=self.l2)
 
-    def _build_data(self) -> tuple[Dataset, Dataset]:
-        train = make_mnist_like(
-            self.num_train, noise=self.noise, seed=self.data_seed
-        )
-        evaluation = make_mnist_like(
-            self.num_eval, noise=self.noise, seed=self.data_seed + 1
-        )
-        return train, evaluation
 
-
-class MlpMnistWorkload(DatasetWorkload):
+class MlpMnistWorkload(_DigitWorkload):
     """The full paper's MNIST task: a dense network on the digits."""
 
     name = "mlp-mnist"
@@ -450,12 +447,12 @@ class MlpMnistWorkload(DatasetWorkload):
             batch_size=batch_size,
             partition=partition,
             dirichlet_alpha=dirichlet_alpha,
+            noise=noise,
             data_seed=data_seed,
         )
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        self.activation = str(activation)
-        self.init_seed = int(init_seed)
-        self.noise = float(noise)
+        self.hidden_sizes = check_architecture(hidden_sizes, activation)
+        self.activation = activation
+        self.init_seed = check_positive_int(init_seed, "init_seed", minimum=0)
 
     def _build_model(self) -> Model:
         return MLPClassifier(
@@ -465,15 +462,6 @@ class MlpMnistWorkload(DatasetWorkload):
             activation=self.activation,
             init_seed=self.init_seed,
         )
-
-    def _build_data(self) -> tuple[Dataset, Dataset]:
-        train = make_mnist_like(
-            self.num_train, noise=self.noise, seed=self.data_seed
-        )
-        evaluation = make_mnist_like(
-            self.num_eval, noise=self.noise, seed=self.data_seed + 1
-        )
-        return train, evaluation
 
 
 # ----------------------------------------------------------------------

@@ -164,9 +164,10 @@ def dataset_task(
     seed: SeedLike = 0,
 ) -> Task:
     """The full paper's setting: each honest worker holds a disjoint
-    shard of ``train`` and estimates gradients on uniform mini-batches
-    of it; the oracle is the full-train-set gradient and the evaluator
-    reports loss (and accuracy) on ``eval_dataset`` (default ``train``).
+    shard of ``train`` (row ids into it, not a copy) and estimates
+    gradients on uniform mini-batches of it; the oracle is the
+    full-train-set gradient and the evaluator reports loss (and
+    accuracy) on ``eval_dataset`` (default ``train``).
 
     ``partition`` selects the sharding protocol: ``"iid"`` (the paper's
     i.i.d. assumption), ``"label-shard"`` (each worker sees only a few
@@ -195,9 +196,10 @@ def dataset_task(
     estimators = [
         MinibatchEstimator(
             model,
-            train.inputs[shard],
-            train.targets[shard],
+            train.inputs,
+            train.targets,
             batch_size=batch_size,
+            rows=shard,
         )
         for shard in shards
     ]

@@ -7,6 +7,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.gradients.base import GradientEstimator
 from repro.models.base import Model
+from repro.utils.validation import check_positive_int
 
 __all__ = ["MinibatchEstimator"]
 
@@ -19,6 +20,12 @@ class MinibatchEstimator(GradientEstimator):
     the paper makes for correct workers ("each sample of data used for
     computing the gradient is drawn uniformly and independently").
 
+    The shard is all of ``inputs``/``targets`` unless ``rows`` is given:
+    then it is the rows of a shared train set at those ids, in that
+    order, and the estimator keeps only the ids, not a copy of the rows.
+    ``MinibatchEstimator(model, X, y, rows=s)`` draws and computes
+    exactly what ``MinibatchEstimator(model, X[s], y[s])`` does.
+
     ``expected`` returns the full-shard gradient, which is the estimator
     mean under uniform sampling.
     """
@@ -30,6 +37,7 @@ class MinibatchEstimator(GradientEstimator):
         targets: np.ndarray,
         *,
         batch_size: int,
+        rows: np.ndarray | None = None,
     ):
         inputs = np.asarray(inputs, dtype=np.float64)
         targets = np.asarray(targets)
@@ -47,12 +55,23 @@ class MinibatchEstimator(GradientEstimator):
             )
         if len(inputs) == 0:
             raise ConfigurationError("estimator needs a non-empty data shard")
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+                raise ConfigurationError(
+                    f"rows must be a non-empty 1-D integer array, got "
+                    f"dtype {rows.dtype} and shape {rows.shape}"
+                )
+            if rows.min() < 0 or rows.max() >= len(inputs):
+                raise ConfigurationError(
+                    f"rows must lie in [0, {len(inputs)}), got "
+                    f"[{rows.min()}, {rows.max()}]"
+                )
         self.model = model
         self.inputs = inputs
         self.targets = targets
-        self.batch_size = int(batch_size)
+        self.rows = rows
+        self.batch_size = check_positive_int(batch_size, "batch_size")
 
     @property
     def dimension(self) -> int:
@@ -60,7 +79,7 @@ class MinibatchEstimator(GradientEstimator):
 
     @property
     def shard_size(self) -> int:
-        return len(self.inputs)
+        return len(self.inputs) if self.rows is None else len(self.rows)
 
     def draw_indices(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one mini-batch worth of shard indices from ``rng``.
@@ -74,7 +93,9 @@ class MinibatchEstimator(GradientEstimator):
         return rng.integers(0, self.shard_size, size=self.batch_size)
 
     def gradient_at(self, params: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """The model gradient on the mini-batch at ``indices``."""
+        """The model gradient on the mini-batch at shard ``indices``."""
+        if self.rows is not None:
+            indices = self.rows[indices]
         return self.model.gradient(
             params, self.inputs[indices], self.targets[indices]
         )
@@ -83,4 +104,8 @@ class MinibatchEstimator(GradientEstimator):
         return self.gradient_at(params, self.draw_indices(rng))
 
     def expected(self, params: np.ndarray) -> np.ndarray:
-        return self.model.gradient(params, self.inputs, self.targets)
+        if self.rows is None:
+            return self.model.gradient(params, self.inputs, self.targets)
+        return self.model.gradient(
+            params, self.inputs[self.rows], self.targets[self.rows]
+        )

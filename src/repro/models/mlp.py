@@ -19,10 +19,24 @@ from repro.nn.layers import Dense, Layer, ReLU, Sigmoid, Tanh
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.network import Sequential
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_positive_int
 
-__all__ = ["MLPClassifier"]
+__all__ = ["MLPClassifier", "check_architecture"]
 
 _ACTIVATIONS = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
+
+
+def check_architecture(
+    hidden_sizes: Sequence[int], activation: str
+) -> tuple[int, ...]:
+    """Validate an MLP's hidden layer widths and activation name and
+    return the widths as a tuple of ints."""
+    if activation not in _ACTIVATIONS:
+        raise ConfigurationError(
+            f"unknown activation {activation!r}; choose from "
+            f"{sorted(_ACTIVATIONS)}"
+        )
+    return tuple(check_positive_int(h, "hidden size") for h in hidden_sizes)
 
 
 class MLPClassifier(ClassifierMixin, Model):
@@ -49,16 +63,9 @@ class MLPClassifier(ClassifierMixin, Model):
                 f"need num_features >= 1 and num_classes >= 2, got "
                 f"({num_features}, {num_classes})"
             )
-        if activation not in _ACTIVATIONS:
-            raise ConfigurationError(
-                f"unknown activation {activation!r}; choose from "
-                f"{sorted(_ACTIVATIONS)}"
-            )
-        if any(h < 1 for h in hidden_sizes):
-            raise ConfigurationError(f"hidden sizes must be >= 1, got {hidden_sizes}")
+        self.hidden_sizes = check_architecture(hidden_sizes, activation)
         self.num_features = int(num_features)
         self.num_classes = int(num_classes)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.activation = activation
         self._loss = SoftmaxCrossEntropy()
         self._network = self._build(as_generator(init_seed))

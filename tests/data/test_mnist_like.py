@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.mnist_like import IMAGE_SIDE, make_mnist_like, render_digit
 from repro.exceptions import ConfigurationError
 from repro.models.softmax import SoftmaxRegressionModel
+from tests.data.mnist_reference import (
+    reference_mnist_like,
+    reference_render_digit,
+)
+
+NOISES = (0.0, 0.15, 0.5)
+SHIFTS = (0, 1, 3)
 
 
 class TestRenderDigit:
@@ -33,6 +41,35 @@ class TestRenderDigit:
         with pytest.raises(ConfigurationError):
             render_digit(10, rng)
 
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("max_shift", SHIFTS)
+    def test_matches_frozen_per_image_renderer(self, noise, max_shift):
+        ours = np.random.default_rng(11)
+        theirs = np.random.default_rng(11)
+        for digit in range(10):
+            image = render_digit(digit, ours, noise=noise, max_shift=max_shift)
+            expected = reference_render_digit(
+                digit, theirs, noise=noise, max_shift=max_shift
+            )
+            assert image.shape == expected.shape
+            assert image.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"noise": float("nan")}, "noise"),
+            ({"noise": float("inf")}, "noise"),
+            ({"noise": -1.0}, "noise"),
+            ({"max_shift": -2}, "max_shift"),
+            ({"max_shift": 1.5}, "max_shift"),
+            ({"max_shift": True}, "max_shift"),
+        ],
+    )
+    def test_rejects_bad_jitter(self, rng, knobs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            render_digit(3, rng, **knobs)
+
 
 class TestMakeMnistLike:
     def test_shapes(self):
@@ -54,6 +91,46 @@ class TestMakeMnistLike:
     def test_rejects_zero_samples(self):
         with pytest.raises(ConfigurationError):
             make_mnist_like(0)
+
+    @pytest.mark.parametrize(
+        "args, knobs, match",
+        [
+            ((16,), {"noise": float("nan")}, "noise"),
+            ((16,), {"noise": -1.0}, "noise"),
+            ((16,), {"max_shift": -2}, "max_shift"),
+            ((16,), {"max_shift": 2.5}, "max_shift"),
+            ((16.5,), {}, "num_samples"),
+            ((True,), {}, "num_samples"),
+        ],
+    )
+    def test_rejects_bad_knobs(self, args, knobs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make_mnist_like(*args, seed=0, **knobs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_samples=st.integers(1, 300),
+        noise=st.sampled_from(NOISES),
+        max_shift=st.sampled_from(SHIFTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_frozen_per_image_generator(
+        self, num_samples, noise, max_shift, seed
+    ):
+        """The one-pass renderer gives HEAD's per-image dataset byte for
+        byte and leaves the passed generator exactly where it did."""
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        dataset = make_mnist_like(
+            num_samples, noise=noise, max_shift=max_shift, seed=ours
+        )
+        inputs, targets = reference_mnist_like(
+            num_samples, theirs, noise=noise, max_shift=max_shift
+        )
+        assert dataset.inputs.shape == inputs.shape
+        assert dataset.inputs.tobytes() == inputs.tobytes()
+        assert dataset.targets.tobytes() == targets.astype(np.int64).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_task_is_learnable(self, rng):
         # A linear softmax classifier should beat random (10%) easily —

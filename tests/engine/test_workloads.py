@@ -84,6 +84,11 @@ class TestQuadraticWorkload:
         with pytest.raises(ConfigurationError, match="curvature"):
             make_workload("quadratic", {"curvature": 0.0})
 
+    @pytest.mark.parametrize("dimension", [10.5, True, "10"])
+    def test_non_integer_dimension_rejected(self, dimension):
+        with pytest.raises(ConfigurationError, match="dimension must be an integer"):
+            make_workload("quadratic", {"dimension": dimension})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -200,6 +205,69 @@ class TestDatasetWorkloads:
             make_workload(
                 "logistic-spambase", dict(SMALL_DATASET_KWARGS, **overrides)
             )
+
+    @pytest.mark.parametrize(
+        "name, overrides, match",
+        [
+            ("mlp-mnist", {"num_train": 64.9}, "num_train"),
+            ("mlp-mnist", {"num_eval": 32.5}, "num_eval"),
+            ("mlp-mnist", {"batch_size": 2.5}, "batch_size"),
+            ("mlp-mnist", {"batch_size": True}, "batch_size"),
+            ("mlp-mnist", {"hidden_sizes": (8.7,)}, "hidden size"),
+            ("mlp-mnist", {"hidden_sizes": (0,)}, "hidden size"),
+            ("mlp-mnist", {"activation": "bogus"}, "activation"),
+            ("mlp-mnist", {"data_seed": 1.5}, "data_seed"),
+            ("mlp-mnist", {"data_seed": -1}, "data_seed"),
+            ("mlp-mnist", {"init_seed": 0.5}, "init_seed"),
+            ("mlp-mnist", {"noise": float("nan")}, "noise"),
+            ("mlp-mnist", {"noise": -1.0}, "noise"),
+            ("softmax-mnist", {"noise": float("nan")}, "noise"),
+            ("softmax-mnist", {"noise": -1.0}, "noise"),
+            ("logistic-spambase", {"num_train": 64.9}, "num_train"),
+            ("logistic-spambase", {"data_seed": True}, "data_seed"),
+        ],
+    )
+    def test_bad_knobs_fail_at_construction(self, name, overrides, match):
+        """Integer knobs are not truncated and dataset knobs are checked
+        when the workload is made, before any data is generated."""
+        with pytest.raises(ConfigurationError, match=match):
+            make_workload(name, dict(SMALL_DATASET_KWARGS, **overrides))
+
+    def test_numpy_integer_knobs_are_accepted(self):
+        workload = make_workload(
+            "mlp-mnist",
+            dict(
+                SMALL_DATASET_KWARGS,
+                num_train=np.int64(64),
+                hidden_sizes=(np.int32(8),),
+                data_seed=np.uint8(2),
+            ),
+        )
+        assert workload.num_train == 64 and type(workload.num_train) is int
+        assert workload.hidden_sizes == (8,)
+        assert workload.data_seed == 2
+
+    @pytest.mark.parametrize("partition", ["iid", "label-shard", "dirichlet"])
+    def test_shards_share_the_train_set(self, partition):
+        """Every worker's shard is row ids into the one train set of the
+        workload: no estimator holds a copy of it."""
+        workload = make_workload(
+            "mlp-mnist",
+            dict(
+                SMALL_DATASET_KWARGS,
+                num_train=128,
+                hidden_sizes=(4,),
+                partition=partition,
+            ),
+        )
+        train, _evaluation = workload.datasets
+        shards = []
+        for seed in (0, 1):
+            for estimator in workload.task(5, seed).honest_estimators:
+                assert np.shares_memory(estimator.inputs, train.inputs)
+                assert np.shares_memory(estimator.targets, train.targets)
+                shards.append(estimator.rows)
+        assert sum(len(rows) for rows in shards) == 2 * len(train)
 
     def test_default_partition_is_iid(self):
         workload = make_workload("logistic-spambase", SMALL_DATASET_KWARGS)
@@ -385,6 +453,21 @@ class TestGridWorkloadAxis:
     def test_unknown_workload_fails_at_declaration(self):
         with pytest.raises(ConfigurationError, match="unknown workload"):
             ScenarioGrid(workload="imagenet", **self._common())
+
+    @pytest.mark.parametrize(
+        "name, knobs",
+        [
+            ("mlp-mnist", {"hidden_sizes": (0,)}),
+            ("mlp-mnist", {"activation": "bogus"}),
+            ("mlp-mnist", {"noise": float("nan")}),
+            ("mlp-mnist", {"batch_size": 2.5}),
+            ("softmax-mnist", {"noise": -1.0}),
+            ("quadratic", {"dimension": 10.5}),
+        ],
+    )
+    def test_bad_dataset_knobs_fail_at_declaration(self, name, knobs):
+        with pytest.raises(ConfigurationError):
+            ScenarioGrid(workload=name, workload_kwargs=knobs, **self._common())
 
     def test_bad_workload_kwargs_fail_at_declaration(self):
         with pytest.raises(ConfigurationError, match="accepted parameters"):
