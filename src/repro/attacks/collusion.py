@@ -21,6 +21,7 @@ import numpy as np
 from repro.attacks.base import Attack, AttackContext
 from repro.exceptions import ByzantineToleranceError, ConfigurationError
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_positive_int
 
 __all__ = ["CollusionAttack"]
 
@@ -56,7 +57,9 @@ class CollusionAttack(Attack):
                 f"decoy_distance must be positive, got {decoy_distance}"
             )
         self.decoy_distance = float(decoy_distance)
-        self.direction_seed = int(direction_seed)
+        self.direction_seed = check_positive_int(
+            direction_seed, "direction_seed", minimum=0
+        )
         self.against_gradient = bool(against_gradient)
         self.name = f"collusion(R={self.decoy_distance:g})"
 

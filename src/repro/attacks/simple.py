@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackContext
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive_int
 
 __all__ = ["SignFlipAttack", "CrashAttack", "StragglerAttack", "NonFiniteAttack"]
 
@@ -93,9 +94,7 @@ class StragglerAttack(Attack):
     stateful = True
 
     def __init__(self, delay: int = 5):
-        if delay < 1:
-            raise ConfigurationError(f"delay must be >= 1, got {delay}")
-        self.delay = int(delay)
+        self.delay = check_positive_int(delay, "delay")
         self.name = f"straggler(delay={self.delay})"
         self._history: list[np.ndarray] = []
 

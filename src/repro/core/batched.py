@@ -237,6 +237,11 @@ class BatchedAggregator(ABC):
     #: rules (``staleness`` and ``used_params`` keywords).
     supports_staleness: bool = False
 
+    def __init__(self, aggregator, *, chunk_size=None, backend=None):
+        self.aggregator = aggregator
+        self.chunk_size = chunk_size
+        self.backend = resolve_backend(backend)
+
     @abstractmethod
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         """Aggregate a ``(B, n, d)`` batch of proposal stacks."""
@@ -358,11 +363,6 @@ def _select_winners(stacks, scores, xp: ArrayBackend):
 class _BatchedKrum(BatchedAggregator):
     """Vectorized Krum: one batched distance GEMM, one argmin per scenario."""
 
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
-
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
         scores = batched_krum_scores(
@@ -379,11 +379,6 @@ class _BatchedKrum(BatchedAggregator):
 
 class _BatchedMultiKrum(BatchedAggregator):
     """Vectorized Multi-Krum: stable argsort, gather, mean over the m best."""
-
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
 
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         xp = self.backend
@@ -410,10 +405,6 @@ class _BatchedMultiKrum(BatchedAggregator):
 
 
 class _BatchedAverage(BatchedAggregator):
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.backend = resolve_backend(backend)
-
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
         vectors = batched_average(stacks, backend=self.backend)
@@ -423,10 +414,6 @@ class _BatchedAverage(BatchedAggregator):
 
 
 class _BatchedCoordinateMedian(BatchedAggregator):
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.backend = resolve_backend(backend)
-
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
         vectors = batched_coordinate_median(stacks, backend=self.backend)
@@ -436,10 +423,6 @@ class _BatchedCoordinateMedian(BatchedAggregator):
 
 
 class _BatchedTrimmedMean(BatchedAggregator):
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.backend = resolve_backend(backend)
-
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
         vectors = batched_trimmed_mean(
@@ -455,11 +438,6 @@ class _BatchedBulyan(BatchedAggregator):
     shrinking per-scenario candidate mask, then a batched per-coordinate
     trimmed average around the committee median.  Chunking partitions the
     batch axis so the ``(chunk, n, n)`` distance blocks stay bounded."""
-
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
 
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         xp = self.backend
@@ -488,11 +466,6 @@ class _BatchedGeometricMedian(BatchedAggregator):
     Chunking partitions the batch axis (each lane's iteration is
     independent, so results are chunk-invariant)."""
 
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
-
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         # Imported lazily to avoid circular imports at package load (the
         # baselines import repro.core.aggregator).
@@ -518,11 +491,6 @@ class _BatchedGeometricMedian(BatchedAggregator):
 
 
 class _BatchedClosestToAll(BatchedAggregator):
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
-
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         xp = self.backend
         stacks = self._validated(stacks)
@@ -560,8 +528,7 @@ class _BatchedKardam(BatchedAggregator):
         )
 
     def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        self.aggregator = aggregator
-        self.backend = resolve_backend(backend)
+        super().__init__(aggregator, chunk_size=chunk_size, backend=backend)
         self.inner = make_batched_aggregator(
             aggregator.inner, chunk_size=chunk_size, backend=self.backend
         )

@@ -40,6 +40,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.utils.rng import seed_sequence_state
 from repro.utils.registry import Registry
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "DelaySchedule",
@@ -147,9 +148,7 @@ class ConstantDelay(DelaySchedule):
     name = "constant"
 
     def __init__(self, tau: int = 1, workers: Sequence[int] | None = None):
-        if int(tau) < 0:
-            raise ConfigurationError(f"tau must be >= 0, got {tau}")
-        self.tau = int(tau)
+        self.tau = check_positive_int(tau, "tau", minimum=0)
         if workers is None:
             self._workers: frozenset[int] | None = None
         else:
@@ -190,15 +189,9 @@ class PeriodicDelay(DelaySchedule):
     name = "periodic"
 
     def __init__(self, tau: int = 1, period: int = 4, stagger: int = 1):
-        if int(tau) < 0:
-            raise ConfigurationError(f"tau must be >= 0, got {tau}")
-        if int(period) < 1:
-            raise ConfigurationError(f"period must be >= 1, got {period}")
-        if int(stagger) < 0:
-            raise ConfigurationError(f"stagger must be >= 0, got {stagger}")
-        self.tau = int(tau)
-        self.period = int(period)
-        self.stagger = int(stagger)
+        self.tau = check_positive_int(tau, "tau", minimum=0)
+        self.period = check_positive_int(period, "period")
+        self.stagger = check_positive_int(stagger, "stagger", minimum=0)
 
     def staleness(self, worker_id: int, round_index: int) -> int:
         if (round_index + worker_id * self.stagger) % self.period == 0:
@@ -237,15 +230,11 @@ class SeededRandomDelay(DelaySchedule):
         prob: float = 1.0,
         entropy: int | None = None,
     ):
-        if int(max_delay) < 1:
-            raise ConfigurationError(
-                f"max_delay must be >= 1, got {max_delay}"
-            )
+        self.max_delay = check_positive_int(max_delay, "max_delay")
         if not 0.0 <= float(prob) <= 1.0:
             raise ConfigurationError(
                 f"prob must be in [0, 1], got {prob}"
             )
-        self.max_delay = int(max_delay)
         self.prob = float(prob)
         self.entropy = None if entropy is None else int(entropy)
 

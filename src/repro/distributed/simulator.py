@@ -49,6 +49,7 @@ from repro.gradients.base import GradientEstimator
 from repro.servers.attacks import ServerAttack
 from repro.servers.replication import ReplicatedServerGroup
 from repro.utils.rng import SeedLike, spawn_generators
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "TrainingSimulation",
@@ -282,10 +283,9 @@ class TrainingSimulation:
             raise ConfigurationError("an attack was supplied but num_byzantine=0")
         if not honest_estimators:
             raise ConfigurationError("need at least one honest estimator")
-        if int(max_staleness) < 0:
-            raise ConfigurationError(
-                f"max_staleness must be >= 0, got {max_staleness}"
-            )
+        max_staleness = check_positive_int(
+            max_staleness, "max_staleness", minimum=0
+        )
 
         self.num_honest = len(honest_estimators)
         self.num_byzantine = int(num_byzantine)
@@ -313,7 +313,7 @@ class TrainingSimulation:
             )
         ]
 
-        self.max_staleness = int(max_staleness)
+        self.max_staleness = max_staleness
         if isinstance(delay_schedule, str):
             delay_schedule = make_delay_schedule(delay_schedule)
         if delay_schedule is not None and not isinstance(

@@ -36,6 +36,7 @@ from repro.engine.workloads import QUADRATIC_DEFAULTS, make_workload
 from repro.exceptions import ConfigurationError
 from repro.servers.registry import make_server_attack
 from repro.topology.registry import TOPOLOGIES, make_topology
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ScenarioSpec", "ScenarioGrid"]
 
@@ -161,9 +162,10 @@ class ScenarioSpec:
                 "an attack was supplied but num_byzantine=0"
             )
         # Every (name, kwargs) pair is validated at declaration time;
-        # the None arms reject kwargs given without a name.
+        # the None arms reject kwargs given without a name.  The attack
+        # is built, so its constructor's value checks run here too.
         AGGREGATORS.check(self.aggregator, self.aggregator_kwargs)
-        ATTACKS.check_optional(self.attack, self.attack_kwargs)
+        ATTACKS.make_optional(self.attack, self.attack_kwargs)
         # lr_timescale may be None: a constant schedule.
         for knob in ("learning_rate", "lr_timescale"):
             value = getattr(self, knob)
@@ -472,10 +474,7 @@ class ScenarioGrid:
         if not self.f_values:
             raise ConfigurationError("grid needs at least one f value")
         for knob in ("num_workers", "num_rounds"):
-            if getattr(self, knob) < 1:
-                raise ConfigurationError(
-                    f"{knob} must be >= 1, got {getattr(self, knob)}"
-                )
+            check_positive_int(getattr(self, knob), knob)
         for f in self.f_values:
             if not 0 <= f < self.num_workers:
                 raise ConfigurationError(
@@ -486,10 +485,10 @@ class ScenarioGrid:
             raise ConfigurationError(
                 "grid sweeps f > 0 but declares no attacks"
             )
-        # Attack specs are checked even where f = 0 leaves no cell to
+        # Attack specs are built even where f = 0 leaves no cell to
         # carry them.
         for name, kwargs in self.attacks:
-            ATTACKS.check(name, kwargs)
+            ATTACKS.make(name, kwargs)
         axes = self._resolve_axes()
         # One workload per axis entry (cheap: datasets materialize
         # lazily), so a typo'd name or a bad knob fails here.  No cell

@@ -45,6 +45,7 @@ from repro.engine.simulation import BatchedSimulation
 from repro.engine.workloads import Workload, make_workload, workload_key
 from repro.exceptions import ConfigurationError
 from repro.topology.gossip import GossipSimulation
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "GridResult",
@@ -132,6 +133,7 @@ def run_grid(
             "backend selection applies to mode='batched' only; "
             "mode='loop' always executes the per-scenario numpy rules"
         )
+    check_positive_int(eval_every, "eval_every")
     resolved_backend = resolve_backend(backend)
     # The grid built, validated and de-duplicated its cells at declaration.
     specs = grid.scenarios()

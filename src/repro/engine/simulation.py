@@ -35,11 +35,8 @@ What makes the batched executor faster than B loops:
   worker-round — bit-identical because the oracle adds its noise to the
   same expected vector either way.
 
-Minibatch (dataset-backed) workloads take a per-worker path instead:
-each round the propose stage first draws every worker's mini-batch
-indices in worker order — the only RNG-consuming step, so each private
-stream advances exactly as interleaved ``estimate`` calls would — and
-then computes the per-worker model gradients.
+Every other workload (mini-batch workers among them) calls each honest
+worker's ``estimate`` on its own private stream, in worker order.
 
 Asynchronous cells (``max_staleness``/``delay_schedule``) fill each
 stale worker's proposal from the history row its delay schedule
@@ -90,9 +87,9 @@ from repro.distributed.simulator import (
     selected_last_round,
 )
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.gradients.minibatch import MinibatchEstimator
 from repro.gradients.oracle import GaussianOracleEstimator
 from repro.servers.replication import replica_view
+from repro.utils.validation import check_positive_int
 
 __all__ = ["BatchedSimulation", "LoopExecutor"]
 
@@ -109,7 +106,6 @@ class _Scenario:
     simulation: TrainingSimulation
     params: np.ndarray  # (d,) current x_t — row view into the batch matrix
     shared_gradient_fn: object | None  # fast path: one ∇Q call per round
-    minibatch: bool  # all honest estimators are MinibatchEstimators
     honest_ids: np.ndarray  # ascending honest worker ids
     byzantine_ids: np.ndarray  # ascending Byzantine worker ids
     byzantine_set: frozenset[int]
@@ -262,17 +258,6 @@ class BatchedSimulation:
                     simulation=sim,
                     params=self._params[slot],
                     shared_gradient_fn=_shared_gradient_fn(sim),
-                    minibatch=all(
-                        isinstance(w.estimator, MinibatchEstimator)
-                        # A subclass overriding estimate() may not
-                        # decompose into draw_indices + gradient_at;
-                        # route it through the generic per-worker
-                        # estimate() path so the loop/batched identity
-                        # holds regardless.
-                        and type(w.estimator).estimate
-                        is MinibatchEstimator.estimate
-                        for w in sim.honest_workers
-                    ),
                     honest_ids=np.asarray(
                         [w.worker_id for w in sim.honest_workers],
                         dtype=np.int64,
@@ -484,21 +469,6 @@ class BatchedSimulation:
                     expected_at[tau], worker.rng
                 )
             return expected_at.get(0)
-        if scenario.minibatch:
-            # Per-worker batched path for dataset workloads: draw every
-            # worker's mini-batch indices first, in worker order — the
-            # only RNG-consuming step, so the streams advance exactly as
-            # interleaved estimate() calls would — then compute the
-            # per-worker model gradients.
-            draws = [
-                (worker, worker.estimator.draw_indices(worker.rng))
-                for worker in sim.honest_workers
-            ]
-            for worker, indices in draws:
-                row[worker.worker_id] = worker.estimator.gradient_at(
-                    worker_params(worker.worker_id), indices
-                )
-            return None
         for worker in sim.honest_workers:
             row[worker.worker_id] = worker.estimator.estimate(
                 worker_params(worker.worker_id), worker.rng
@@ -712,14 +682,8 @@ class BatchedSimulation:
         Returns one history per scenario, in the order the simulations
         were passed in.
         """
-        if num_rounds < 1:
-            raise ConfigurationError(
-                f"num_rounds must be >= 1, got {num_rounds}"
-            )
-        if eval_every < 1:
-            raise ConfigurationError(
-                f"eval_every must be >= 1, got {eval_every}"
-            )
+        num_rounds = check_positive_int(num_rounds, "num_rounds")
+        eval_every = check_positive_int(eval_every, "eval_every")
         histories = [TrainingHistory() for _ in range(self.batch_size)]
         start = self._round_index
         for t in range(num_rounds):

@@ -84,11 +84,7 @@ class MinibatchEstimator(GradientEstimator):
     def draw_indices(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one mini-batch worth of shard indices from ``rng``.
 
-        Split out from :meth:`estimate` so the batched engine executor
-        can consume every worker's RNG stream in loop order first and
-        compute the gradients afterwards — the draw is the only
-        stream-consuming step, so the two-phase schedule is bit-for-bit
-        identical to interleaved ``estimate`` calls.
+        The only step of :meth:`estimate` that consumes the stream.
         """
         return rng.integers(0, self.shard_size, size=self.batch_size)
 

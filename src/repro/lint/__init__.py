@@ -5,12 +5,12 @@ kernels speak the :class:`~repro.backend.ArrayBackend` namespace,
 randomness flows through seeded :mod:`repro.utils.rng` streams, errors
 use the :class:`~repro.exceptions.ReproError` taxonomy, stateful attacks
 declare themselves — and each was born from a real bug.  This package
-checks them one file at a time: a pluggable rule registry (a
-:class:`~repro.utils.registry.Registry` like every other family), a
-``python -m repro.lint`` CLI, and per-line
-``# repro-lint: ignore[rule]`` suppressions with an unused-suppression
-audit.  ``tests/lint/test_codebase_clean.py`` runs it over ``src/`` as a
-gate, so a fixed bug class cannot be reintroduced.
+checks them one file at a time: a rule registry (a
+:class:`~repro.utils.registry.Registry` like every other family) and a
+``python -m repro.lint`` CLI.  ``tests/lint/test_codebase_clean.py``
+runs every rule over ``src/`` as a gate, so a fixed bug class cannot be
+reintroduced.  There is no suppression comment: a false positive is
+fixed in the rule and its fixture test.
 
 Invariants that span modules (stream order, pure seeded queries,
 kernel/rule agreement, registries versus their docs and CLI) are pinned
@@ -26,14 +26,12 @@ from repro.lint.engine import (
     collect_python_files,
     lint_paths,
     lint_source,
-    resolve_rules,
 )
 from repro.lint.findings import Finding
 from repro.lint.registry import (
     available_rules,
     make_rule,
     register_rule,
-    rule_descriptions,
     rule_factory,
 )
 
@@ -45,10 +43,8 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "collect_python_files",
-    "resolve_rules",
     "register_rule",
     "available_rules",
     "rule_factory",
     "make_rule",
-    "rule_descriptions",
 ]

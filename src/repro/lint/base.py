@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePath
 
 from repro.lint.findings import Finding
@@ -26,14 +26,6 @@ class ModuleContext:
     path: str
     source: str
     tree: ast.Module
-    #: ``path`` normalized to forward slashes, for suffix-based module
-    #: scoping (rules that only apply to specific library files).
-    posix_path: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "posix_path", PurePath(self.path).as_posix()
-        )
 
     def is_module(self, *suffixes: str) -> bool:
         """Whether this file is one of the named library modules.
@@ -43,19 +35,18 @@ class ModuleContext:
         which also lets the rule tests fake a library path for fixture
         snippets.
         """
-        return any(self.posix_path.endswith(suffix) for suffix in suffixes)
+        posix_path = PurePath(self.path).as_posix()
+        return any(posix_path.endswith(suffix) for suffix in suffixes)
 
 
 class LintRule(ABC):
     """One enforced invariant.
 
-    Subclasses set ``name`` (the registry/CLI identifier, also the key
-    of ``# repro-lint: ignore[name]`` suppressions) and ``description``
-    (one line, shown by ``--list-rules``), and implement :meth:`check`.
+    Subclasses set ``name`` (the registry identifier, also the
+    ``rule`` field of every finding) and implement :meth:`check`.
     """
 
     name: str = "rule"
-    description: str = ""
 
     @abstractmethod
     def check(self, module: ModuleContext) -> Iterable[Finding]:

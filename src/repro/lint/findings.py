@@ -1,9 +1,8 @@
 """The finding record every lint rule emits.
 
 A finding pins one invariant violation to one source location.  Findings
-are plain frozen data so the engine can sort, deduplicate, filter
-(suppression comments) and serialize them without knowing which rule
-produced them.
+are plain frozen data so the engine can sort and serialize them
+without knowing which rule produced them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ __all__ = [
     "available_rules",
     "rule_factory",
     "make_rule",
-    "rule_descriptions",
 ]
 
 RULES: Registry[LintRule] = Registry("lint rule")
@@ -26,10 +25,3 @@ available_rules = RULES.names
 rule_factory = RULES.factory
 make_rule = RULES.make
 
-
-def rule_descriptions() -> dict[str, str]:
-    """``name -> one-line description`` for every registered rule."""
-    return {
-        name: getattr(rule_factory(name), "description", "") or ""
-        for name in available_rules()
-    }

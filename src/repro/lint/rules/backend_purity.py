@@ -282,10 +282,6 @@ class BackendPurityRule(LintRule):
     """No raw numpy or float-dtype literals inside batched kernels."""
 
     name = "backend-purity"
-    description = (
-        "batched kernels compute through the ArrayBackend namespace — no "
-        "np.* calls or float dtype literals in kernel scope"
-    )
 
     def __init__(self, kernel_modules: tuple[str, ...] = KERNEL_MODULES):
         self.kernel_modules = tuple(kernel_modules)

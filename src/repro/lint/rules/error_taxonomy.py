@@ -36,10 +36,6 @@ class ErrorTaxonomyRule(LintRule):
     """No bare ValueError/TypeError/RuntimeError raises in library code."""
 
     name = "error-taxonomy"
-    description = (
-        "library code raises the repro.exceptions taxonomy, not bare "
-        "ValueError/TypeError/RuntimeError"
-    )
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
         for node in ast.walk(module.tree):

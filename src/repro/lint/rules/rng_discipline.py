@@ -100,8 +100,8 @@ class _Visitor(ast.NodeVisitor):
             isinstance(node.value, ast.Name)
             and node.value.id in self.random_aliases
         ):
-            # Usage sites are flagged besides the import: a suppressed
-            # import line must not grandfather in every later draw.
+            # Usage sites are flagged besides the import, so every draw
+            # from the global RNG is reported where it happens.
             self._flag(
                 node,
                 f"{node.value.id}.{node.attr} draws from the stdlib "
@@ -140,10 +140,6 @@ class RngDisciplineRule(LintRule):
     """No np.random.* draws or stdlib random anywhere in the library."""
 
     name = "rng-discipline"
-    description = (
-        "all randomness flows through repro.utils.rng seeded streams — no "
-        "np.random.default_rng, legacy np.random.*, or stdlib random"
-    )
 
     def __init__(
         self, sanctioned_modules: tuple[str, ...] = SANCTIONED_MODULES

@@ -139,10 +139,6 @@ class StatefulAttackRule(LintRule):
     """Attacks with craft-time instance state declare stateful + reset."""
 
     name = "stateful-attack-declaration"
-    description = (
-        "Attack/ServerAttack subclasses that write instance state outside "
-        "__init__/reset must set stateful = True and override reset()"
-    )
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
         attacks = _attack_classes(module.tree)

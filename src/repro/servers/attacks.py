@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "ServerAttackContext",
@@ -166,9 +167,7 @@ class StaleReplayBroadcastAttack(ServerAttack):
     stateful = True
 
     def __init__(self, delay: int = 5):
-        if delay < 1:
-            raise ConfigurationError(f"delay must be >= 1, got {delay}")
-        self.delay = int(delay)
+        self.delay = check_positive_int(delay, "delay")
         self.name = f"stale-replay-broadcast(delay={self.delay})"
         self._history: list[np.ndarray] = []
 

@@ -43,6 +43,7 @@ from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.servers.attacks import ServerAttack, ServerAttackContext
 from repro.servers.registry import make_server_attack
 from repro.servers.sharding import ShardedAggregator, shard_bounds
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ReplicatedServerGroup", "replica_view"]
 
@@ -124,11 +125,12 @@ class ReplicatedServerGroup:
             raise DimensionMismatchError(
                 f"initial_params must be 1-d, got shape {params.shape}"
             )
-        if int(num_servers) < 1:
-            raise ConfigurationError(
-                f"num_servers must be >= 1, got {num_servers}"
-            )
-        if not 0 <= int(byzantine_servers) <= int(num_servers):
+        num_servers = check_positive_int(num_servers, "num_servers")
+        byzantine_servers = check_positive_int(
+            byzantine_servers, "byzantine_servers", minimum=0
+        )
+        num_shards = check_positive_int(num_shards, "num_shards")
+        if byzantine_servers > num_servers:
             raise ConfigurationError(
                 f"need 0 <= byzantine_servers <= num_servers, got "
                 f"byzantine_servers={byzantine_servers} with "
@@ -143,23 +145,23 @@ class ReplicatedServerGroup:
                 f"server_attack must be a ServerAttack, registry name or "
                 f"None, got {type(server_attack).__name__}"
             )
-        if int(byzantine_servers) > 0 and server_attack is None:
+        if byzantine_servers > 0 and server_attack is None:
             raise ConfigurationError(
                 f"byzantine_servers={byzantine_servers} requires a "
                 f"server_attack"
             )
-        if int(byzantine_servers) == 0 and server_attack is not None:
+        if byzantine_servers == 0 and server_attack is not None:
             raise ConfigurationError(
                 "a server_attack was supplied but byzantine_servers=0"
             )
-        if int(byzantine_servers) > 0 and rng is None:
+        if byzantine_servers > 0 and rng is None:
             raise ConfigurationError(
                 "byzantine_servers > 0 requires an rng stream for the "
                 "server attack"
             )
-        self.num_servers = int(num_servers)
-        self.byzantine_servers = int(byzantine_servers)
-        self.num_shards = int(num_shards)
+        self.num_servers = num_servers
+        self.byzantine_servers = byzantine_servers
+        self.num_shards = num_shards
         self.server_attack = server_attack
         self._server_rng = rng
         # The adversary controls the last replica ids (fixed placement —

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.aggregator import AggregationResult, Aggregator
 from repro.core.staleness import StalenessAwareAggregator
 from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.utils.validation import check_positive_int
 
 __all__ = ["shard_bounds", "ShardedAggregator"]
 
@@ -77,12 +78,8 @@ class ShardedAggregator(StalenessAwareAggregator):
             raise ConfigurationError(
                 f"inner must be an Aggregator, got {type(inner).__name__}"
             )
-        if int(num_shards) < 1:
-            raise ConfigurationError(
-                f"num_shards must be >= 1, got {num_shards}"
-            )
         self.inner = inner
-        self.num_shards = int(num_shards)
+        self.num_shards = check_positive_int(num_shards, "num_shards")
         self.name = f"sharded({inner.name},shards={self.num_shards})"
 
     def check_tolerance(self, num_workers: int) -> None:

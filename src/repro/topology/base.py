@@ -28,6 +28,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "Topology",
@@ -159,8 +160,8 @@ def _circulant_neighbors(
 
 
 def _check_degree(degree: int) -> int:
-    degree = int(degree)
-    if degree < 2 or degree % 2 != 0:
+    degree = check_positive_int(degree, "degree")
+    if degree % 2 != 0:
         raise ConfigurationError(
             f"degree must be an even integer >= 2 (each offset adds one "
             f"neighbor on each side), got {degree}"
@@ -341,14 +342,11 @@ class TimeVaryingTopology(ErdosRenyiTopology):
         num_nodes: int | None = None,
         entropy: int | None = None,
     ):
-        if int(rewire_period) < 1:
-            raise ConfigurationError(
-                f"rewire_period must be >= 1, got {rewire_period}"
-            )
+        rewire_period = check_positive_int(rewire_period, "rewire_period")
         super().__init__(
             edge_prob=edge_prob, num_nodes=num_nodes, entropy=entropy
         )
-        self.rewire_period = int(rewire_period)
+        self.rewire_period = rewire_period
 
     def bind(
         self, num_nodes: int, rng: np.random.Generator

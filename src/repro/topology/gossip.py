@@ -71,6 +71,7 @@ from repro.topology.base import Topology
 from repro.topology.registry import make_topology
 from repro.utils.linalg import stack_vectors
 from repro.utils.rng import SeedLike, spawn_generators
+from repro.utils.validation import check_positive_int
 
 __all__ = ["GossipSimulation"]
 
@@ -606,14 +607,8 @@ class GossipSimulation:
         carry the cluster-wide ``consensus_error`` and ``disagreement``
         metrics in ``extras``.  The final round is always evaluated.
         """
-        if num_rounds < 1:
-            raise ConfigurationError(
-                f"num_rounds must be >= 1, got {num_rounds}"
-            )
-        if eval_every < 1:
-            raise ConfigurationError(
-                f"eval_every must be >= 1, got {eval_every}"
-            )
+        num_rounds = check_positive_int(num_rounds, "num_rounds")
+        eval_every = check_positive_int(eval_every, "eval_every")
         history = TrainingHistory()
         start = self._round
         stop = start + num_rounds

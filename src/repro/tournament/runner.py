@@ -34,6 +34,7 @@ from repro.distributed.metrics import TrainingHistory
 from repro.engine.grid import ScenarioGrid
 from repro.engine.runner import run_grid
 from repro.exceptions import ConfigurationError, ReproError
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "AsyncCell",
@@ -290,6 +291,10 @@ class TournamentRunner:
         threshold_factor: float = 2.0,
         breakdown_factor: float = 25.0,
     ):
+        num_workers = check_positive_int(num_workers, "num_workers")
+        num_byzantine = check_positive_int(
+            num_byzantine, "num_byzantine", minimum=0
+        )
         if num_byzantine < 1:
             raise ConfigurationError(
                 f"the tournament needs num_byzantine >= 1, got {num_byzantine}"
@@ -302,8 +307,8 @@ class TournamentRunner:
             raise ConfigurationError(
                 "threshold_factor and breakdown_factor must be positive"
             )
-        self.num_workers = int(num_workers)
-        self.num_byzantine = int(num_byzantine)
+        self.num_workers = num_workers
+        self.num_byzantine = num_byzantine
         self.attacks = tuple(
             (name, dict(kwargs))
             for name, kwargs in (
@@ -339,8 +344,8 @@ class TournamentRunner:
             raise ConfigurationError(
                 "the slate needs at least one seed, workload and async cell"
             )
-        self.num_rounds = int(num_rounds)
-        self.eval_every = int(eval_every)
+        self.num_rounds = check_positive_int(num_rounds, "num_rounds")
+        self.eval_every = check_positive_int(eval_every, "eval_every")
         self.learning_rate = float(learning_rate)
         self.lr_timescale = lr_timescale
         self.mode = mode

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attacks import make_attack
 from repro.attacks.collusion import CollusionAttack
 from repro.baselines.distance_based import ClosestToAll
 from repro.core.krum import Krum
@@ -54,6 +55,13 @@ class TestCollusionAttack:
     def test_rejects_bad_distance(self):
         with pytest.raises(ConfigurationError):
             CollusionAttack(decoy_distance=0.0)
+
+    @pytest.mark.parametrize("bad", [7.9, True])
+    def test_rejects_non_integer_direction_seed(self, bad):
+        with pytest.raises(
+            ConfigurationError, match="direction_seed must be an integer"
+        ):
+            make_attack("collusion", {"direction_seed": bad})
 
     def test_deterministic_direction(self, rng):
         ctx1 = make_context(np.random.default_rng(1))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attacks import make_attack
 from repro.attacks.random_noise import GaussianAttack
 from repro.attacks.simple import CrashAttack, SignFlipAttack, StragglerAttack
 from repro.exceptions import ConfigurationError
@@ -82,3 +83,10 @@ class TestStragglerAttack:
     def test_rejects_bad_delay(self):
         with pytest.raises(ConfigurationError):
             StragglerAttack(delay=0)
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_rejects_non_integer_delay(self, bad):
+        # delay=2.5 would otherwise replay from 2 rounds ago under a
+        # "straggler(delay=2.5)" label.
+        with pytest.raises(ConfigurationError, match="delay must be an integer"):
+            make_attack("straggler", {"delay": bad})

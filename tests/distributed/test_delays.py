@@ -154,6 +154,23 @@ class TestSchedules:
         with pytest.raises(ConfigurationError, match="prob"):
             SeededRandomDelay(max_delay=2, prob=1.5)
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    @pytest.mark.parametrize(
+        "name, knob",
+        [
+            ("constant", "tau"),
+            ("periodic", "tau"),
+            ("periodic", "period"),
+            ("periodic", "stagger"),
+            ("random", "max_delay"),
+        ],
+    )
+    def test_integer_knobs_reject_floats_and_bools(self, name, knob, bad):
+        # A truncated knob would run a lag other than the one the cell
+        # label names.
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            make_delay_schedule(name, {knob: bad})
+
 
 # Word-boundary values: SeedSequence splits an integer into one uint32
 # word below 2**32 and two from 2**32 on, so these exercise every entropy

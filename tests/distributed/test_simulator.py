@@ -306,6 +306,13 @@ class TestAsyncRounds:
         with pytest.raises(ConfigurationError, match="max_staleness"):
             _simulation(max_staleness=-1)
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_non_integer_max_staleness_rejected(self, bad):
+        with pytest.raises(
+            ConfigurationError, match="max_staleness must be an integer"
+        ):
+            _simulation(delay_schedule="constant", max_staleness=bad)
+
     def test_zero_staleness_with_schedule_matches_sync(self):
         """The degenerate async case (window closed) is bit-for-bit the
         synchronous trajectory."""

@@ -161,6 +161,27 @@ class TestScenarioGrid:
         with pytest.raises(ConfigurationError, match=knob):
             small_grid(**{knob: 0})
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integer_num_rounds_rejected_at_declaration(self, bad):
+        with pytest.raises(ConfigurationError, match="num_rounds must be an integer"):
+            small_grid(num_rounds=bad)
+
+    # A truncated cell knob would run its integer part under a label
+    # that names the float.
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_straggler_delay_must_be_an_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="delay must be an integer"):
+            small_grid(attacks=(("straggler", {"delay": bad}),))
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_constant_tau_must_be_an_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="tau must be an integer"):
+            small_grid(
+                max_staleness=2,
+                delay_schedule="constant",
+                delay_kwargs={"tau": bad},
+            )
+
     def test_positive_f_requires_attacks(self):
         with pytest.raises(ConfigurationError, match="no attacks"):
             small_grid(attacks=(), f_values=(2,))
@@ -300,6 +321,20 @@ class TestRunGrid:
         with pytest.raises(ConfigurationError, match="mode"):
             run_grid(small_grid(), mode="warp")
 
+    @pytest.mark.parametrize("mode", ["batched", "loop"])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integer_eval_every_rejected_before_any_cell(
+        self, monkeypatch, mode, bad
+    ):
+        grid = small_grid()
+
+        def no_workloads(*args, **kwargs):
+            raise AssertionError("a cell was built before eval_every was checked")
+
+        monkeypatch.setattr("repro.engine.runner.make_workload", no_workloads)
+        with pytest.raises(ConfigurationError, match="eval_every must be an integer"):
+            run_grid(grid, mode=mode, eval_every=bad)
+
 
 class TestBatchedSimulation:
     def _sims(self, count=3, n=9, d=5):
@@ -326,6 +361,15 @@ class TestBatchedSimulation:
         solo = [s.run(4, eval_every=2) for s in self._sims()]
         for batched_history, solo_history in zip(histories, solo):
             assert batched_history.records == solo_history.records
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_round_arguments_must_be_integers(self, bad):
+        batched = BatchedSimulation(self._sims())
+        with pytest.raises(ConfigurationError, match="num_rounds must be an integer"):
+            batched.run(bad)
+        with pytest.raises(ConfigurationError, match="eval_every must be an integer"):
+            batched.run(6, eval_every=bad)
+        assert all(len(h) == 1 for h in batched.run(1))
 
     def test_params_property_in_input_order(self):
         sims = self._sims()

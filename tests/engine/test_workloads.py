@@ -322,9 +322,8 @@ class TestMinibatchTwoPhase:
 
     def test_subclass_overriding_estimate_takes_generic_path(self):
         """A MinibatchEstimator subclass whose estimate() does not
-        decompose into draw_indices + gradient_at must not be routed
-        through the two-phase fast path — the loop/batched identity has
-        to hold for it too (via the generic per-worker estimate path)."""
+        decompose into draw_indices + gradient_at keeps the loop/batched
+        identity: both executors call its own estimate()."""
         from repro.baselines.average import Average
         from repro.data.spambase_like import make_spambase_like
         from repro.distributed.schedules import ConstantSchedule
@@ -357,7 +356,6 @@ class TestMinibatchTwoPhase:
             )
 
         batched = BatchedSimulation([build()])
-        assert not batched._scenarios[0].minibatch
         batched_histories = batched.run(4, eval_every=2)
         loop_history = build().run(4, eval_every=2)
         assert batched_histories[0].records == loop_history.records

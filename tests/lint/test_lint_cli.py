@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, --select/--ignore, JSON output, --help."""
+"""CLI behaviour: exit codes, the --output JSON report, --help."""
 
 from __future__ import annotations
 
@@ -48,28 +48,20 @@ def test_findings_exit_one_with_rendered_lines(tmp_path, capsys):
     assert "2 findings in 1 file(s) checked" in out
 
 
-def test_select_restricts_rules(tmp_path, capsys):
+def test_output_writes_json_report_in_text_mode(tmp_path, capsys):
     target = write_bad_module(tmp_path)
-    assert main([str(target), "--select", "error-taxonomy"]) == 1
-    out = capsys.readouterr().out
-    assert "[error-taxonomy]" in out
-    assert "[rng-discipline]" not in out
-
-
-def test_ignore_drops_rules(tmp_path, capsys):
-    target = write_bad_module(tmp_path)
-    assert main([str(target), "--ignore", "error-taxonomy"]) == 1
-    out = capsys.readouterr().out
-    assert "[rng-discipline]" in out
-    assert "[error-taxonomy]" not in out
-
-
-def test_json_format_matches_report_schema(tmp_path, capsys):
-    target = write_bad_module(tmp_path)
-    assert main([str(target), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
+    report_path = tmp_path / "report.json"
+    assert main([str(target), "--output", str(report_path)]) == 1
+    assert "2 findings in 1 file(s) checked" in capsys.readouterr().out
+    payload = json.loads(report_path.read_text())
     assert payload["version"] == 1
     assert payload["files_checked"] == 1
+    assert payload["rules"] == [
+        "backend-purity",
+        "error-taxonomy",
+        "rng-discipline",
+        "stateful-attack-declaration",
+    ]
     assert payload["summary"]["total"] == 2
     assert payload["summary"]["by_rule"] == {
         "error-taxonomy": 1,
@@ -79,21 +71,16 @@ def test_json_format_matches_report_schema(tmp_path, capsys):
     assert rules == {"error-taxonomy", "rng-discipline"}
 
 
-def test_output_writes_json_report_in_text_mode(tmp_path, capsys):
-    target = write_bad_module(tmp_path)
-    report_path = tmp_path / "report.json"
-    assert main([str(target), "--output", str(report_path)]) == 1
-    capsys.readouterr()
-    payload = json.loads(report_path.read_text())
-    assert payload["summary"]["total"] == 2
-
-
-def test_unknown_rule_exits_two(tmp_path, capsys):
-    target = write_bad_module(tmp_path)
-    assert main([str(target), "--select", "no-such-rule"]) == 2
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    # A bad --output path is a configuration error, not "findings".
+    target = tmp_path / "clean.py"
+    target.write_text("x = 1\n")
+    report_path = tmp_path / "missing-dir" / "report.json"
+    assert main([str(target), "--output", str(report_path)]) == 2
     err = capsys.readouterr().err
-    assert "repro-lint: error:" in err
-    assert "no-such-rule" in err
+    assert err.count("repro-lint: error:") == 1
+    assert str(report_path) in err
+    assert not report_path.exists()
 
 
 def test_missing_path_exits_two(tmp_path, capsys):
@@ -104,19 +91,6 @@ def test_missing_path_exits_two(tmp_path, capsys):
 def test_no_paths_exits_two(capsys):
     assert main([]) == 2
     assert "no paths given" in capsys.readouterr().err
-
-
-def test_list_rules_names_every_builtin(capsys):
-    assert main(["--list-rules"]) == 0
-    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert listed == [
-        "backend-purity",
-        "error-taxonomy",
-        "rng-discipline",
-        "stateful-attack-declaration",
-        "syntax-error",
-        "unused-suppression",
-    ]
 
 
 def test_module_help_smoke():
@@ -133,5 +107,5 @@ def test_module_help_smoke():
     )
     assert completed.returncode == 0
     assert "python -m repro.lint" in completed.stdout
-    assert "--select" in completed.stdout
+    assert "--output" in completed.stdout
 

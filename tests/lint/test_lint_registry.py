@@ -1,4 +1,4 @@
-"""The lint-rule registry: built-ins, round trips and descriptions.
+"""The lint-rule registry: built-ins and round trips.
 
 The shared registry contract (unknown names, bad kwargs, name
 validation, overrides) is tested once for every family in
@@ -16,7 +16,7 @@ from repro.lint import (
     make_rule,
     register_rule,
 )
-from repro.lint.registry import RULES, rule_descriptions
+from repro.lint.registry import RULES
 
 
 def test_builtin_rules_are_registered():
@@ -25,8 +25,6 @@ def test_builtin_rules_are_registered():
         "error-taxonomy",
         "rng-discipline",
         "stateful-attack-declaration",
-        "syntax-error",
-        "unused-suppression",
     ]
 
 
@@ -39,7 +37,6 @@ def test_make_rule_round_trip():
 def test_custom_rule_registration_and_kwargs(monkeypatch):
     class ShoutRule(LintRule):
         name = "test-shout"
-        description = "test-only rule"
 
         def __init__(self, loudness: int = 1):
             self.loudness = loudness
@@ -54,4 +51,3 @@ def test_custom_rule_registration_and_kwargs(monkeypatch):
     assert "test-shout" in available_rules()
     rule = make_rule("test-shout", kwargs={"loudness": 3})
     assert rule.loudness == 3
-    assert rule_descriptions()["test-shout"] == "test-only rule"

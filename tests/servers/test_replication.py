@@ -161,6 +161,25 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="num_shards"):
             build_group(num_shards=DIMENSION + 1)
 
+    @pytest.mark.parametrize("bad", [2.7, True])
+    @pytest.mark.parametrize(
+        "knob, tier",
+        [
+            ("num_servers", {}),
+            (
+                "byzantine_servers",
+                {"num_servers": 3, "server_attack": "sign-flip-broadcast"},
+            ),
+            ("num_shards", {}),
+        ],
+        ids=["num_servers", "byzantine_servers", "num_shards"],
+    )
+    def test_tier_knobs_reject_floats_and_bools(self, knob, tier, bad):
+        # Through the quadratic builder: a truncated knob would run a
+        # different tier than the one asked for.
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            tier_simulation(**tier, **{knob: bad})
+
     def test_initial_params_must_be_a_vector(self):
         with pytest.raises(DimensionMismatchError):
             ReplicatedServerGroup(

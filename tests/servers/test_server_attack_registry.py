@@ -46,6 +46,8 @@ class TestParameterValidation:
         [
             ("sign-flip-broadcast", {"scale": 0.0}),
             ("stale-replay-broadcast", {"delay": 0}),
+            ("stale-replay-broadcast", {"delay": 2.5}),
+            ("stale-replay-broadcast", {"delay": True}),
             ("random-noise-broadcast", {"sigma": -1.0}),
         ],
     )

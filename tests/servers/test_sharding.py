@@ -133,6 +133,11 @@ class TestShardedAggregator:
         with pytest.raises(ConfigurationError):
             ShardedAggregator(Average(), 0)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_num_shards_must_be_an_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="num_shards must be an integer"):
+            ShardedAggregator(Average(), bad)
+
     def test_more_shards_than_coordinates_rejected_at_aggregation(self):
         sharded = ShardedAggregator(Average(), 8)
         with pytest.raises(ConfigurationError):

@@ -241,6 +241,17 @@ class TestEventCore:
         with pytest.raises(ConfigurationError):
             sim.run(5, eval_every=0)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_round_arguments_must_be_integers(self, bad):
+        # eval_every=2.5 would evaluate on float-modulo rounds, and
+        # num_rounds=True would run one round.
+        sim = build()
+        with pytest.raises(ConfigurationError, match="num_rounds must be an integer"):
+            sim.run(bad)
+        with pytest.raises(ConfigurationError, match="eval_every must be an integer"):
+            sim.run(6, eval_every=bad)
+        assert sim.run(1).records[0].round_index == 0
+
 
 class TestLocalF:
     def test_local_f_counts_byzantine_neighbors(self):

@@ -73,6 +73,19 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_topology("time-varying", {"rewire_period": 0})
 
+    @pytest.mark.parametrize("bad", [4.9, True])
+    @pytest.mark.parametrize(
+        "name, knob",
+        [
+            ("ring", "degree"),
+            ("k-regular", "degree"),
+            ("time-varying", "rewire_period"),
+        ],
+    )
+    def test_integer_knobs_reject_floats_and_bools(self, name, knob, bad):
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            make_topology(name, {knob: bad})
+
 
 class TestGraphInvariants:
     @pytest.mark.parametrize("name,kwargs", ALL_TOPOLOGIES)

@@ -89,6 +89,14 @@ class TestRunnerValidation:
         with pytest.raises(ConfigurationError, match="f < n"):
             small_runner(num_byzantine=9)
 
+    @pytest.mark.parametrize("bad", [3.7, True])
+    @pytest.mark.parametrize(
+        "knob", ["num_workers", "num_byzantine", "num_rounds", "eval_every"]
+    )
+    def test_integer_knobs_reject_floats_and_bools(self, knob, bad):
+        with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+            small_runner(**{knob: bad})
+
     def test_rejects_duplicate_attack_names(self):
         with pytest.raises(ConfigurationError, match="duplicate attack"):
             small_runner(

@@ -284,9 +284,6 @@ class TestUnintrospectableFactories:
 README = Path(__file__).resolve().parents[2] / "README.md"
 #: Optional extras: a module that imports one may be absent without it.
 OPTIONAL_DEPENDENCIES = {"torch"}
-#: Lint-run checks registered in RULES next to the rules; the README
-#: documents them in prose, not in its rule table.
-LINT_ENGINE_CHECKS = {"syntax-error", "unused-suppression"}
 
 
 def discovered_registries() -> dict[str, Registry]:
@@ -377,9 +374,7 @@ class TestConsumersTrackRegistries:
     def test_readme_tables_match_names(self, kind, family):
         if kind == "lint rule":
             (rule_table,) = readme_tables("Rule")
-            assert sorted(rule_table) == sorted(
-                set(RULES.names()) - LINT_ENGINE_CHECKS
-            )
+            assert sorted(rule_table) == RULES.names()
         else:
             assert readme_registry_tables().get(kind) == [
                 family.registry.names()
