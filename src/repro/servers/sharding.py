@@ -42,19 +42,17 @@ def shard_bounds(dimension: int, num_shards: int) -> list[tuple[int, int]]:
     coordinate (the ``numpy.array_split`` convention); every shard is
     non-empty, so ``num_shards`` may not exceed ``dimension``.
     """
-    if int(dimension) < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
-    if int(num_shards) < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    if int(num_shards) > int(dimension):
+    dimension = check_positive_int(dimension, "dimension")
+    num_shards = check_positive_int(num_shards, "num_shards")
+    if num_shards > dimension:
         raise ConfigurationError(
             f"num_shards={num_shards} exceeds dimension={dimension}; "
             f"every shard must own at least one coordinate"
         )
-    base, extra = divmod(int(dimension), int(num_shards))
+    base, extra = divmod(dimension, num_shards)
     bounds = []
     lo = 0
-    for shard in range(int(num_shards)):
+    for shard in range(num_shards):
         hi = lo + base + (1 if shard < extra else 0)
         bounds.append((lo, hi))
         lo = hi

@@ -6,15 +6,17 @@ communication graph — each node disseminates its proposal to its
 neighbors and aggregates only what it hears, with a *local* Byzantine
 bound over its in-neighborhood.  A :class:`Topology` is the reproducible
 model of that graph: a pure function ``neighbors(node, round_index)``
-over a seeded structure.
+over a seeded structure, plus ``neighbors_block(round)``, the same graph
+for every node at once as a sorted CSR.
 
 Purity contract (mirroring :class:`~repro.distributed.delays.DelaySchedule`):
 after :meth:`Topology.bind` fixes the node count and any randomness,
-``neighbors(v, t)`` may depend only on its arguments and bind-time
-state, so every executor — whatever order it queries in — sees the same
-graph.  Randomized topologies therefore derive their edges from a
-*counter-based* hash of the (edge, round-block) key rather than from
-shared stream state (see :func:`counter_uniform`).
+``neighbors(v, t)`` and ``neighbors_block(t)`` may depend only on their
+arguments and bind-time state, so every executor — whatever order it
+queries in — sees the same graph, and row ``v`` of the block equals
+``neighbors(v, t)``.  Randomized topologies therefore derive their
+edges from a *counter-based* hash of the (edge, round-block) key rather
+than from shared stream state (see :func:`counter_uniform`).
 
 All built-in graphs are undirected (``u ∈ N(v) ⟺ v ∈ N(u)``) and
 self-loop free; a node's own fresh proposal always participates in its
@@ -70,6 +72,15 @@ def counter_uniform(entropy: int, keys: np.ndarray) -> np.ndarray:
     return x.astype(np.float64) / 2.0**64
 
 
+def _csr(row_sizes, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only ``(indptr, indices)`` pair from each row's size."""
+    indptr = np.zeros(len(row_sizes) + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=indptr[1:])
+    indices = indices.astype(np.int64, copy=False)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
+
+
 class Topology(ABC):
     """A (possibly time-varying) communication graph over ``num_nodes``.
 
@@ -100,6 +111,21 @@ class Topology(ABC):
         Symmetric and self-loop free; pure after :meth:`bind`.
         """
 
+    def neighbors_block(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's neighbors at ``round_index`` as a read-only CSR.
+
+        Returns ``(indptr, indices)``, both ``int64``:
+        ``indices[indptr[v]:indptr[v + 1]]`` equals ``neighbors(v,
+        round_index)``.  Pure like :meth:`neighbors`.  This default
+        stacks :meth:`neighbors`; the built-ins build the whole graph in
+        one vectorized pass.
+        """
+        rows = [
+            np.asarray(self.neighbors(v, round_index), dtype=np.int64)
+            for v in range(self._require_bound(0))
+        ]
+        return _csr([row.size for row in rows], np.concatenate(rows))
+
     def _require_bound(self, node: int) -> int:
         """The bound node count, validating ``node`` against it."""
         if self.num_nodes is None:
@@ -118,17 +144,30 @@ class Topology(ABC):
     def _check_num_nodes(num_nodes: int | None) -> int | None:
         if num_nodes is None:
             return None
-        if int(num_nodes) < 1:
-            raise ConfigurationError(
-                f"num_nodes must be >= 1, got {num_nodes}"
-            )
-        return int(num_nodes)
+        return check_positive_int(num_nodes, "num_nodes")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class CompleteTopology(Topology):
+class _BlockTopology(Topology):
+    """A built-in graph: :attr:`_block` holds its CSR once it is bound,
+    and :meth:`neighbors` reads one row of it."""
+
+    _block: tuple[np.ndarray, np.ndarray] | None = None
+
+    def neighbors(self, node: int, round_index: int) -> np.ndarray:
+        self._require_bound(node)
+        indptr, indices = self.neighbors_block(round_index)
+        return indices[indptr[node] : indptr[node + 1]].copy()
+
+    def neighbors_block(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._block is None:
+            raise ConfigurationError(f"unbound {self.name} topology: call bind() first")
+        return self._block
+
+
+class CompleteTopology(_BlockTopology):
     """Every node hears every other node — the server path's graph.
 
     The degenerate cell of the topology axis: aggregating over the full
@@ -140,23 +179,20 @@ class CompleteTopology(Topology):
 
     def __init__(self, num_nodes: int | None = None):
         self.num_nodes = self._check_num_nodes(num_nodes)
+        if self.num_nodes is not None:
+            others = np.nonzero(~np.eye(self.num_nodes, dtype=bool))[1]
+            self._block = _csr([self.num_nodes - 1] * self.num_nodes, others)
 
     def bind(self, num_nodes: int, rng: np.random.Generator) -> "CompleteTopology":
         return CompleteTopology(num_nodes=num_nodes)
 
-    def neighbors(self, node: int, round_index: int) -> np.ndarray:
-        n = self._require_bound(node)
-        ids = np.arange(n, dtype=np.int64)
-        return ids[ids != int(node)]
 
-
-def _circulant_neighbors(
-    node: int, num_nodes: int, offsets: np.ndarray
-) -> np.ndarray:
-    node = int(node)
-    below = (node - offsets) % num_nodes
-    above = (node + offsets) % num_nodes
-    return np.unique(np.concatenate((below, above))).astype(np.int64)
+def _circulant_block(n: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node ``v`` hears ``v ± o (mod n)`` for each offset ``o``.  Callers
+    keep ``2·o < n``, so the ``2·len(offsets)`` neighbors are distinct."""
+    nodes = np.arange(n, dtype=np.int64)[:, None]
+    rows = np.sort(np.hstack(((nodes - offsets) % n, (nodes + offsets) % n)))
+    return _csr([rows.shape[1]] * n, rows.ravel())
 
 
 def _check_degree(degree: int) -> int:
@@ -169,7 +205,7 @@ def _check_degree(degree: int) -> int:
     return degree
 
 
-class RingTopology(Topology):
+class RingTopology(_BlockTopology):
     """A circulant ring: node ``v`` hears ``v ± 1, ..., v ± degree/2``.
 
     The canonical sparse benchmark graph — diameter ``Θ(n / degree)``,
@@ -181,22 +217,20 @@ class RingTopology(Topology):
     def __init__(self, degree: int = 2, num_nodes: int | None = None):
         self.degree = _check_degree(degree)
         self.num_nodes = self._check_num_nodes(num_nodes)
-        if self.num_nodes is not None and self.degree > self.num_nodes - 1:
-            raise ConfigurationError(
-                f"ring degree {self.degree} needs at least "
-                f"{self.degree + 1} nodes, got {self.num_nodes}"
-            )
-        self._offsets = np.arange(1, self.degree // 2 + 1, dtype=np.int64)
+        if self.num_nodes is not None:
+            if self.degree > self.num_nodes - 1:
+                raise ConfigurationError(
+                    f"ring degree {self.degree} needs at least "
+                    f"{self.degree + 1} nodes, got {self.num_nodes}"
+                )
+            offsets = np.arange(1, self.degree // 2 + 1, dtype=np.int64)
+            self._block = _circulant_block(self.num_nodes, offsets)
 
     def bind(self, num_nodes: int, rng: np.random.Generator) -> "RingTopology":
         return RingTopology(degree=self.degree, num_nodes=num_nodes)
 
-    def neighbors(self, node: int, round_index: int) -> np.ndarray:
-        n = self._require_bound(node)
-        return _circulant_neighbors(node, n, self._offsets)
 
-
-class KRegularTopology(Topology):
+class KRegularTopology(_BlockTopology):
     """A random circulant ``degree``-regular graph.
 
     Bind time draws ``degree / 2`` distinct offsets uniformly from
@@ -221,9 +255,15 @@ class KRegularTopology(Topology):
         self._offsets: np.ndarray | None = (
             None if offsets is None else self._check_offsets(offsets)
         )
+        if self.num_nodes is not None and self._offsets is not None:
+            self._block = _circulant_block(self.num_nodes, self._offsets)
 
     def _check_offsets(self, offsets) -> np.ndarray:
-        values = sorted(int(o) for o in offsets)
+        try:
+            items = list(offsets)
+        except TypeError:
+            items = [offsets]
+        values = sorted(check_positive_int(o, "offsets", minimum=0) for o in items)
         wanted = self.degree // 2
         if len(values) != wanted or len(set(values)) != wanted:
             raise ConfigurationError(
@@ -265,22 +305,14 @@ class KRegularTopology(Topology):
             offsets=tuple(int(o) for o in offsets),
         )
 
-    def neighbors(self, node: int, round_index: int) -> np.ndarray:
-        n = self._require_bound(node)
-        if self._offsets is None:
-            raise ConfigurationError(
-                "unbound k-regular topology: call bind() first"
-            )
-        return _circulant_neighbors(node, n, self._offsets)
 
-
-class ErdosRenyiTopology(Topology):
+class ErdosRenyiTopology(_BlockTopology):
     """G(n, p): each undirected edge present independently w.p. ``edge_prob``.
 
     Edges are sampled counter-based — :func:`counter_uniform` keyed on
     the bound entropy and the unordered pair id ``min·n + max`` — so the
-    graph is symmetric by construction, pure after bind, and a node's
-    whole neighborhood resolves in one vectorized pass.
+    graph is symmetric by construction and pure after bind.  Bind draws
+    every pair in one vectorized pass.
     """
 
     name = "erdos-renyi"
@@ -292,12 +324,14 @@ class ErdosRenyiTopology(Topology):
         entropy: int | None = None,
     ):
         if not 0.0 <= float(edge_prob) <= 1.0:
-            raise ConfigurationError(
-                f"edge_prob must be in [0, 1], got {edge_prob}"
-            )
+            raise ConfigurationError(f"edge_prob must be in [0, 1], got {edge_prob}")
         self.edge_prob = float(edge_prob)
         self.num_nodes = self._check_num_nodes(num_nodes)
         self.entropy = None if entropy is None else int(entropy)
+        #: The rewire block :attr:`_block` was drawn for.
+        self._drawn: int | None = None
+        if self.num_nodes is not None and self.entropy is not None:
+            self.neighbors_block(0)  # a bound graph is drawn at bind
 
     def bind(
         self, num_nodes: int, rng: np.random.Generator
@@ -308,21 +342,25 @@ class ErdosRenyiTopology(Topology):
             entropy=int(rng.integers(0, 2**63)),
         )
 
-    def _pair_keys(self, node: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        others = np.arange(n, dtype=np.int64)
-        others = others[others != int(node)]
-        lo = np.minimum(others, int(node)).astype(np.uint64)
-        hi = np.maximum(others, int(node)).astype(np.uint64)
-        return others, lo * np.uint64(n) + hi
+    def _rewire_block(self, round_index: int) -> int:
+        return 0
 
-    def neighbors(self, node: int, round_index: int) -> np.ndarray:
-        n = self._require_bound(node)
-        if self.entropy is None:
-            raise ConfigurationError(
-                "unbound erdos-renyi topology: call bind() first"
-            )
-        others, keys = self._pair_keys(node, n)
-        return others[counter_uniform(self.entropy, keys) < self.edge_prob]
+    def neighbors_block(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        block = self._rewire_block(round_index)
+        n = self.num_nodes
+        if n is not None and self.entropy is not None and self._drawn != block:
+            lo, hi = np.triu_indices(n, 1)
+            keys = lo.astype(np.uint64) * np.uint64(n) + hi.astype(np.uint64)
+            # Fold the round block into the per-edge counter so each
+            # block samples a fresh graph from the same bound entropy.
+            entropy = (self.entropy + block * int(_SPLITMIX_GAMMA)) & _MASK64
+            drawn = counter_uniform(entropy, keys) < self.edge_prob
+            adjacency = np.zeros((n, n), dtype=bool)
+            adjacency[lo[drawn], hi[drawn]] = True
+            adjacency |= adjacency.T
+            self._block = _csr(adjacency.sum(axis=1), np.nonzero(adjacency)[1])
+            self._drawn = block
+        return super().neighbors_block(round_index)
 
 
 class TimeVaryingTopology(ErdosRenyiTopology):
@@ -342,11 +380,8 @@ class TimeVaryingTopology(ErdosRenyiTopology):
         num_nodes: int | None = None,
         entropy: int | None = None,
     ):
-        rewire_period = check_positive_int(rewire_period, "rewire_period")
-        super().__init__(
-            edge_prob=edge_prob, num_nodes=num_nodes, entropy=entropy
-        )
-        self.rewire_period = rewire_period
+        self.rewire_period = check_positive_int(rewire_period, "rewire_period")
+        super().__init__(edge_prob=edge_prob, num_nodes=num_nodes, entropy=entropy)
 
     def bind(
         self, num_nodes: int, rng: np.random.Generator
@@ -358,15 +393,5 @@ class TimeVaryingTopology(ErdosRenyiTopology):
             entropy=int(rng.integers(0, 2**63)),
         )
 
-    def neighbors(self, node: int, round_index: int) -> np.ndarray:
-        n = self._require_bound(node)
-        if self.entropy is None:
-            raise ConfigurationError(
-                "unbound time-varying topology: call bind() first"
-            )
-        block = int(round_index) // self.rewire_period
-        others, keys = self._pair_keys(node, n)
-        # Fold the round block into the per-edge counter so each block
-        # samples a fresh graph from the same bound entropy.
-        block_entropy = (self.entropy + block * int(_SPLITMIX_GAMMA)) & _MASK64
-        return others[counter_uniform(block_entropy, keys) < self.edge_prob]
+    def _rewire_block(self, round_index: int) -> int:
+        return int(round_index) // self.rewire_period

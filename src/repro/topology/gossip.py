@@ -10,26 +10,26 @@ current in-neighborhood.  Byzantine nodes craft their proposals through
 the worker-attack registry, optionally equivocating (a different
 message per receiving edge).
 
-A round is a fixed sequence of phases, each over the nodes in id order:
-every node's neighborhood is queried once and shared by the phases;
-honest nodes train; the adversary crafts; every node gossips; honest
-nodes aggregate; the reference node's record is taken.  A zero-delay
-edge therefore delivers inside its own round, while ``τ ≥ 1`` messages
-park in a pending queue until their arrival round.
+A round is a fixed sequence of array stages over one CSR neighborhood
+block (:meth:`~repro.topology.base.Topology.neighbors_block`).  Honest
+nodes train into an ``(n, d)`` message matrix and the adversary writes
+its crafted rows into it.  Per directed edge into an honest node, the
+executor keeps the computed round of the freshest message heard; lagged
+messages (one ``staleness_block`` query per round) wait in int arrays,
+and delivery keeps the freshest round, so due messages apply in any
+order.  A past round's matrices live while an edge points at them.
 
-The aggregate phase is one batched stage.  Each honest node's member
-stack goes into a bucket keyed by its rule's
-:func:`~repro.core.batched.batch_group_key` and its member count, and
-each bucket runs through one :mod:`repro.core.batched` kernel call
-(split so that a call never stages more than ``_STAGING_BYTES`` of
-proposals).  Staleness-aware rules (kardam, through its native kernel
-or the loop fallback) and rules without a native kernel run one node
-per call, so their per-node state advances exactly as before.
-Messages rebind parameter arrays and never mutate them, so a node's
-aggregate does not depend on other nodes' updates in the same round:
-the updates and the non-finite halt are then applied in node-id order,
-and every trajectory, record and error is the node-by-node one
-(``tests/topology/test_gossip_oracle.py`` pins this against a frozen
+Honest nodes aggregate their members (self plus the heard neighbors) in
+groups keyed by rule :func:`~repro.core.batched.batch_group_key` and
+member count: each :mod:`repro.core.batched` kernel call gathers its
+``(G, m, d)`` stack in one fancy index, staging at most
+``_STAGING_BYTES``.  Staleness-aware rules and rules without a native
+kernel run one node per call, so per-node state advances as before.
+Honest rows then update with one subtraction into a fresh parameter
+matrix; errors and the non-finite halt keep node-id order (the nodes
+before the failing node are updated first), so every trajectory, record
+and error is the node-by-node one
+(``tests/topology/test_gossip_oracle.py`` pins it against a frozen
 per-node reference).
 
 Degenerate identity: on the ``complete`` graph with no edge delays,
@@ -69,18 +69,12 @@ from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.gradients.base import GradientEstimator
 from repro.topology.base import Topology
 from repro.topology.registry import make_topology
-from repro.utils.linalg import stack_vectors
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_positive_int
 
 __all__ = ["GossipSimulation"]
 
 Evaluator = Callable[[np.ndarray], dict[str, float]]
-#: One honest node's aggregation for a round: ``(node, rule, member ids
-#: in id order, one (computed_round, vector, used_params) per member)``.
-_Plan = tuple[int, Aggregator, list[int], list[tuple]]
-#: A node's aggregate ``(vector, selected)``, or the error its rule raised.
-_Outcome = tuple[np.ndarray, np.ndarray] | ReproError
 
 # Most proposal bytes one aggregate kernel call stages.  Bounds the
 # (G, m, d) stack and the kernel's per-call intermediates: staging a
@@ -161,17 +155,13 @@ class GossipSimulation:
         seed: SeedLike = 0,
     ):
         if num_byzantine < 0:
-            raise ConfigurationError(
-                f"num_byzantine must be >= 0, got {num_byzantine}"
-            )
+            raise ConfigurationError(f"num_byzantine must be >= 0, got {num_byzantine}")
         if num_byzantine > 0 and attack is None:
             raise ConfigurationError(
                 f"num_byzantine={num_byzantine} requires an attack"
             )
         if num_byzantine == 0 and attack is not None:
-            raise ConfigurationError(
-                "an attack was supplied but num_byzantine=0"
-            )
+            raise ConfigurationError("an attack was supplied but num_byzantine=0")
         if not honest_estimators:
             raise ConfigurationError("need at least one honest estimator")
 
@@ -182,13 +172,14 @@ class GossipSimulation:
         self.byzantine_ids = resolve_byzantine_slots(
             byzantine_slots, self.num_nodes, self.num_byzantine
         )
-        byzantine_set = set(self.byzantine_ids)
-        self.honest_ids = [
-            i for i in range(self.num_nodes) if i not in byzantine_set
-        ]
+        self.honest_ids = sorted(set(range(self.num_nodes)) - set(self.byzantine_ids))
         #: The node whose trajectory the round records report — the
         #: lowest honest id, matching the server path's single history.
         self.reference_node = self.honest_ids[0]
+        self._honest = np.asarray(self.honest_ids, dtype=np.int64)
+        self._byzantine = np.asarray(self.byzantine_ids, dtype=np.int64)
+        self._is_byzantine = np.zeros(self.num_nodes, dtype=bool)
+        self._is_byzantine[self._byzantine] = True
 
         # Stream layout is prefix-stable with TrainingSimulation's:
         # honest nodes, the attack stream, the edge-delay bind stream,
@@ -207,11 +198,9 @@ class GossipSimulation:
                 f"edge_delay must be a DelaySchedule, registry name or "
                 f"None, got {type(edge_delay).__name__}"
             )
-        self.edge_delay = (
-            None
-            if edge_delay is None
-            else edge_delay.bind(streams[self.num_honest + 1])
-        )
+        if edge_delay is not None:
+            edge_delay = edge_delay.bind(streams[self.num_honest + 1])
+        self.edge_delay = edge_delay
 
         if isinstance(topology, str):
             topology = make_topology(topology)
@@ -220,9 +209,7 @@ class GossipSimulation:
                 f"topology must be a Topology or registry name, got "
                 f"{type(topology).__name__}"
             )
-        self.topology = topology.bind(
-            self.num_nodes, streams[self.num_honest + 3]
-        )
+        self.topology = topology.bind(self.num_nodes, streams[self.num_honest + 3])
 
         params = np.asarray(initial_params, dtype=np.float64)
         if params.ndim != 1:
@@ -236,17 +223,17 @@ class GossipSimulation:
                 f"dimension {params.shape[0]}"
             )
         self.dimension = int(params.shape[0])
-        # One local vector per node; Byzantine entries stay at x_0 (the
-        # adversary needs no local state — it crafts from the context).
-        self._node_params = [params.copy() for _ in range(self.num_nodes)]
+        # One local row per node; Byzantine rows stay at x_0.  Each
+        # round rebinds the matrix, so a past round's matrix stays the
+        # parameters its messages were computed at.
+        self._node_params = np.tile(params, (self.num_nodes, 1))
 
         self._aggregator = aggregator
         self._aggregator_builder = aggregator_builder
         aggregator.check_tolerance(self.num_nodes)
         self._rules: dict[tuple[int, int], Aggregator] = {}
-        # Per rule instance (by id; the instances live in self._rules):
-        # its batch_group_key when several nodes may share one kernel
-        # call, None when it runs one node per call.
+        # Per rule instance (by id): its batch_group_key when several
+        # nodes may share one kernel call, None for one node per call.
         self._batch_keys: dict[int, tuple[str, str] | None] = {}
 
         self.schedule = schedule
@@ -258,18 +245,18 @@ class GossipSimulation:
         self.evaluate = evaluate
         self.halt_on_nonfinite = bool(halt_on_nonfinite)
 
-        # Message state.  _inbox[v]: sender -> (computed_round, vector,
-        # params-at-computation); _pending[v]: not-yet-arrived
-        # (arrival, computed_round, sender, vector, params) messages.
-        self._inbox: list[dict[int, tuple[int, np.ndarray, np.ndarray]]] = [
-            {} for _ in range(self.num_nodes)
-        ]
-        self._pending: list[list[tuple]] = [[] for _ in range(self.num_nodes)]
-        self._gradients: dict[int, np.ndarray] = {}
-        self._crafted: np.ndarray | None = None
-        self._crafted_by_receiver: dict[int, np.ndarray] = {}
-        self._craft_params: np.ndarray | None = None
-        self._round_results: dict[int, tuple] = {}
+        # Message state per directed edge into an honest node seen so
+        # far, keyed by receiver · n + sender (sorted): the computed
+        # round of the freshest message heard (-1: none).  Messages not
+        # yet arrived are columns (arrival, computed round, edge).
+        self._edge_keys = np.empty(0, dtype=np.int64)
+        self._heard = np.empty(0, dtype=np.int64)
+        self._in_flight = np.empty((3, 0), dtype=np.int64)
+        # round -> (message matrix, parameter matrix) of every round an
+        # edge or in-flight message points at.
+        self._banks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._edges: tuple | None = None  # see _edge_layout
+        self._plan: tuple | None = None  # see _group_nodes
         # Union of every honest node's selected member ids last round
         # (None before the first round) — feeds the attack context's
         # selected_last_round exactly as the server's last_selected does.
@@ -287,14 +274,12 @@ class GossipSimulation:
     @property
     def honest_params(self) -> np.ndarray:
         """The ``(num_honest, d)`` stack of honest local parameters."""
-        return np.stack([self._node_params[i] for i in self.honest_ids])
+        return self._node_params[self._honest]
 
     def node_params(self, node: int) -> np.ndarray:
         """Node ``node``'s current local parameters (a defensive copy)."""
         if not 0 <= int(node) < self.num_nodes:
-            raise ConfigurationError(
-                f"node {node} outside [0, {self.num_nodes})"
-            )
+            raise ConfigurationError(f"node {node} outside [0, {self.num_nodes})")
         return self._node_params[int(node)].copy()
 
     def consensus_metrics(self) -> dict[str, float]:
@@ -338,264 +323,263 @@ class GossipSimulation:
             )
         return rule
 
-    def _edge_staleness(self, sender: int, receiver: int, t: int) -> int:
-        if self.edge_delay is None:
-            return 0
-        edge_id = sender * self.num_nodes + receiver
-        tau = int(self.edge_delay.staleness(edge_id, t))
-        if tau < 0:
-            raise SimulationError(
-                f"edge delay produced negative staleness {tau} for edge "
-                f"{sender}->{receiver} at round {t}"
+    def _edge_layout(self, indptr: np.ndarray, indices: np.ndarray) -> tuple:
+        """The block's edges into honest nodes, receiver-major, as
+        ``(receivers, senders, state positions, message rows, send
+        order)``; the graph is symmetric, so they are sent sender-major.
+        Cached for the last block: a static graph resolves them once."""
+        if self._edges is not None and self._edges[0] is indices:
+            return self._edges[1]
+        n, b = self.num_nodes, self.num_byzantine
+        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        into_honest = ~self._is_byzantine[owners]
+        receivers, senders = owners[into_honest], indices[into_honest]
+        edge_keys = receivers * n + senders
+        keys = np.union1d(self._edge_keys, edge_keys)
+        if keys.size != self._edge_keys.size:
+            moved = np.searchsorted(keys, self._edge_keys)
+            heard = np.full(keys.size, -1, dtype=np.int64)
+            heard[moved] = self._heard
+            self._in_flight[2] = moved[self._in_flight[2]]
+            self._edge_keys, self._heard = keys, heard
+        rows = senders.copy()
+        if self.equivocate:
+            crafted = self._is_byzantine[senders]
+            rows[crafted] = n + receivers[crafted] * b + np.searchsorted(
+                self._byzantine, senders[crafted]
             )
-        # Nothing can arrive staler than the start of training — the
-        # same min(τ, t) clamp TrainingSimulation applies, so round 0
-        # always delivers fresh and krum-style local tolerance holds.
-        return min(tau, t)
+        send_order = np.argsort(senders * n + receivers)
+        edges = (receivers, senders, np.searchsorted(keys, edge_keys), rows, send_order)
+        self._edges = (indices, edges)
+        return edges
 
     # ------------------------------------------------------------------
-    # Round phases
+    # Round stages
 
-    def _train(self) -> None:
+    def _propose(self, t: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Train and craft round ``t``'s message matrix: row ``v`` is node
+        ``v``'s proposal and, under equivocation, row ``n + u·b + j`` is
+        Byzantine node ``j``'s message to node ``u``."""
+        n, b = self.num_nodes, self.num_byzantine
+        params = self._node_params
+        messages = np.empty((n + n * b if self.equivocate else n, self.dimension))
         for v in self.honest_ids:
-            self._gradients[v] = self._estimators[v].estimate(
-                self._node_params[v], self._node_rng[v]
+            estimator, rng = self._estimators[v], self._node_rng[v]
+            messages[v] = estimator.estimate(params[v], rng)
+        if b > 0:
+            assert self.attack is not None
+            neighbors = tuple(
+                indices[indptr[v] : indptr[v + 1]] for v in self.byzantine_ids
             )
-
-    def _attack_context(
-        self,
-        t: int,
-        receiver: int | None,
-        neighbors: Sequence[np.ndarray],
-    ) -> AttackContext:
-        ref_params = self._node_params[self.reference_node].copy()
-        return AttackContext(
-            round_index=t,
-            params=ref_params,
-            honest_gradients=stack_vectors(
-                [self._gradients[i] for i in self.honest_ids]
-            ),
-            byzantine_indices=np.asarray(self.byzantine_ids, dtype=np.int64),
-            honest_indices=np.asarray(self.honest_ids, dtype=np.int64),
-            num_workers=self.num_nodes,
-            rng=self.attack_rng,
-            aggregator=self._aggregator,
-            true_gradient=(
-                self.true_gradient_fn(ref_params)
-                if self.true_gradient_fn is not None
-                else None
-            ),
-            # The neighbor view: each honest node's *local* parameters
-            # (on the complete zero-delay graph these coincide with
-            # ``params``, so server-path attacks behave identically).
-            honest_params=self.honest_params,
-            selected_last_round=selected_last_round(
-                np.asarray(self.byzantine_ids, dtype=np.int64),
-                self._selected_union,
-            ),
-            byzantine_neighbors=tuple(neighbors[b] for b in self.byzantine_ids),
-            receiver=receiver,
-        )
-
-    def _craft(self, t: int, neighbors: Sequence[np.ndarray]) -> None:
-        assert self.attack is not None
-        self._crafted_by_receiver = {}
-        self._crafted = None
-        shared = self._attack_context(t, None, neighbors)
-        self._craft_params = shared.params
-        if not self.equivocate:
-            self._crafted = self.attack.craft(shared)
-            return
-        # Per-edge equivocation: one craft per honest receiver adjacent
-        # to at least one Byzantine node this round, in id order (the
-        # attack stream advances deterministically).
-        receivers = sorted(
-            {
-                int(u)
-                for adjacent in shared.byzantine_neighbors or ()
-                for u in adjacent
-                if int(u) in self._node_rng
-            }
-        )
-        for u in receivers:
-            self._crafted_by_receiver[u] = self.attack.craft(
-                replace(shared, receiver=u)
+            ref_params = params[self.reference_node].copy()
+            context = AttackContext(
+                round_index=t,
+                params=ref_params,
+                honest_gradients=messages[self._honest],
+                byzantine_indices=self._byzantine.copy(),
+                honest_indices=self._honest.copy(),
+                num_workers=n,
+                rng=self.attack_rng,
+                aggregator=self._aggregator,
+                true_gradient=(
+                    self.true_gradient_fn(ref_params)
+                    if self.true_gradient_fn is not None
+                    else None
+                ),
+                # The neighbor view: each honest node's *local* parameters
+                # (on the complete zero-delay graph these coincide with
+                # ``params``, so server-path attacks behave identically).
+                honest_params=self.honest_params,
+                selected_last_round=selected_last_round(
+                    self._byzantine, self._selected_union
+                ),
+                byzantine_neighbors=neighbors,
             )
-
-    def _deliver(
-        self,
-        receiver: int,
-        sender: int,
-        computed: int,
-        vector: np.ndarray,
-        used_params: np.ndarray,
-    ) -> None:
-        current = self._inbox[receiver].get(sender)
-        if current is None or computed > current[0]:
-            self._inbox[receiver][sender] = (computed, vector, used_params)
-
-    def _gossip(self, t: int, v: int, neighbors: np.ndarray) -> None:
-        is_byzantine = v not in self._node_rng
-        if is_byzantine:
-            row = self.byzantine_ids.index(v)
-            used_params = self._craft_params
-        else:
-            vector = self._gradients[v]
-            used_params = self._node_params[v]
-        for u in neighbors.tolist():
-            if u not in self._node_rng:
-                continue  # Byzantine nodes do not aggregate
-            if is_byzantine:
-                crafted = (
-                    self._crafted_by_receiver.get(u)
-                    if self.equivocate
-                    else self._crafted
-                )
-                if crafted is None:
-                    continue
-                vector = crafted[row]
-            tau = self._edge_staleness(v, u, t)
-            if tau == 0:
-                self._deliver(u, v, t, vector, used_params)
+            if not self.equivocate:
+                messages[self._byzantine] = self.attack.craft(context)
             else:
-                self._pending[u].append((t + tau, t, v, vector, used_params))
+                # One craft per honest receiver adjacent to a Byzantine
+                # node this round, in id order (the attack stream
+                # advances deterministically).
+                adjacent = np.unique(np.concatenate(neighbors))
+                crafted = messages[n:].reshape(n, b, self.dimension)
+                for u in adjacent[~self._is_byzantine[adjacent]].tolist():
+                    crafted[u] = self.attack.craft(replace(context, receiver=u))
+        self._banks[t] = (messages, params)
 
-    def _plan(self, t: int, v: int, neighbors: np.ndarray) -> _Plan:
-        """Deliver node ``v``'s due messages and fix its aggregation."""
-        if self._pending[v]:
-            still_pending = []
-            for entry in self._pending[v]:
-                arrival, computed, sender, vector, used_params = entry
-                if arrival <= t:
-                    self._deliver(v, sender, computed, vector, used_params)
-                else:
-                    still_pending.append(entry)
-            self._pending[v] = still_pending
-
-        inbox = self._inbox[v]
-        members = {v: (t, self._gradients[v], self._node_params[v])}
-        for u in neighbors.tolist():
-            entry = inbox.get(u)
-            if entry is not None:
-                members[u] = entry
-        member_ids = sorted(members)
-        f_local = sum(1 for m in member_ids if m not in self._node_rng)
-        rule = self._rule_for(v, f_local)
-        rule.check_tolerance(len(member_ids))
-        return v, rule, member_ids, [members[m] for m in member_ids]
-
-    def _aggregate_chunk(
-        self, t: int, chunk: list[_Plan], outcomes: dict[int, _Outcome]
-    ) -> None:
-        """Aggregate same-rule, same-size plans in one kernel call."""
-        rules = [rule for _, rule, _, _ in chunk]
-        stacks = np.asarray(
-            [[e[1] for e in entries] for *_, entries in chunk],
-            dtype=np.float64,
-        )
-        adapter = make_batched_aggregator(rules)
-        kwargs: dict[str, np.ndarray] = {}
-        if adapter.supports_staleness:
-            kwargs["staleness"] = np.asarray(
-                [[t - e[0] for e in entries] for *_, entries in chunk],
-                dtype=np.int64,
-            )
-            if not adapter.is_native:
-                kwargs["used_params"] = np.asarray(
-                    [[e[2] for e in entries] for *_, entries in chunk]
+    def _send(self, t: int, edges: tuple) -> None:
+        """Put round ``t``'s messages on their edges, then deliver the
+        zero-lag ones and every in-flight one due by ``t``."""
+        n = self.num_nodes
+        receivers, senders, positions, _, send_order = edges
+        lag = np.zeros(positions.size, dtype=np.int64)
+        if self.edge_delay is not None:
+            tau = self.edge_delay.staleness_block(
+                senders[send_order] * n + receivers[send_order], [t]
+            )[0]
+            bad = np.flatnonzero(tau < 0)[:1]
+            if bad.size:
+                e = send_order[bad[0]]
+                raise SimulationError(
+                    f"edge delay produced negative staleness {tau[bad[0]]} "
+                    f"for edge {senders[e]}->{receivers[e]} at round {t}"
                 )
-        try:
-            result = adapter.aggregate_batch(stacks, **kwargs)
-        except ReproError as exc:
-            if len(chunk) == 1:
-                outcomes[chunk[0][0]] = exc
-                return
-            # Only native (stateless) kernels batch several nodes.  Their
-            # errors describe the whole batch, so rerun node by node and
-            # keep each failure as the node's own rule reports it.
-            for g, (v, rule, _, _) in enumerate(chunk):
-                try:
-                    single = rule.aggregate_detailed(stacks[g])
-                except ReproError as node_exc:
-                    outcomes[v] = node_exc
-                    return
-                outcomes[v] = (single.vector, single.selected)
-            return
-        vectors = np.asarray(result.vectors)
-        for g, (v, _, _, _) in enumerate(chunk):
-            outcomes[v] = (vectors[g], result.selected[g])
+            # Nothing can arrive staler than the start of training — the
+            # same min(τ, t) clamp TrainingSimulation applies, so round 0
+            # always delivers fresh and krum-style local tolerance holds.
+            lag[send_order] = np.minimum(tau, t)
+        sent = np.stack((t + lag, np.full(lag.size, t), positions))
+        flight = np.concatenate((self._in_flight, sent), axis=1)
+        due = flight[0] <= t
+        np.maximum.at(self._heard, flight[2, due], flight[1, due])
+        self._in_flight = flight[:, ~due]
+        # Retire every round no edge or in-flight message points at.
+        live = np.unique(np.concatenate((self._heard, self._in_flight[1])))
+        for c in set(self._banks) - set(live.tolist()) - {t}:
+            del self._banks[c]
 
-    def _aggregate(self, t: int, neighbors: Sequence[np.ndarray]) -> None:
-        plans: list[_Plan] = []
-        failure: ReproError | None = None
-        for v in self.honest_ids:
-            try:
-                plans.append(self._plan(t, v, neighbors[v]))
-            except ReproError as exc:
-                # Raised once the nodes before v are updated, as a
-                # node-by-node pass would.
-                failure = exc
-                break
+    def _aggregate(self, t: int, edges: tuple) -> RoundRecord:
+        """Aggregate every honest node, update in node-id order, and
+        return the reference node's record."""
+        n, honest = self.num_nodes, self._honest
+        # Each honest node's members, in id order: itself and every
+        # neighbor heard from.  member/computed/row are flat, node after
+        # node, with row indexing the computed round's message matrix.
+        receivers, senders, positions, rows, _ = edges
+        heard = self._heard[positions]
+        got = heard >= 0
+        owner = np.concatenate((receivers[got], honest))
+        member = np.concatenate((senders[got], honest))
+        order = np.argsort(owner * n + member)
+        owner, member = owner[order], member[order]
+        computed = np.concatenate((heard[got], np.full(honest.size, t)))[order]
+        row = np.concatenate((rows[got], honest))[order]
+        sizes = np.bincount(owner, minlength=n)[honest]
+        f_local = np.bincount(owner, self._is_byzantine[member], n)[honest]
+        plan_key = (f_local.tobytes(), sizes.tobytes())
+        if self._plan is None or self._plan[0] != plan_key:
+            self._plan = (plan_key, *self._group_nodes(f_local, sizes))
+        _, rules, chunks, failure = self._plan
 
-        # Plans share a kernel call when their rules share a batch key
-        # (see _rule_for) and their member count.
-        groups: dict[object, list[_Plan]] = {}
-        for plan in plans:
-            v, rule, member_ids, _ = plan
-            batch_key = self._batch_keys[id(rule)]
-            key = v if batch_key is None else (batch_key, len(member_ids))
-            groups.setdefault(key, []).append(plan)
-        outcomes: dict[int, _Outcome] = {}
-        row_bytes = 8 * self.dimension  # one float64 proposal
-        for group in groups.values():
-            per_call = max(1, _STAGING_BYTES // (row_bytes * len(group[0][2])))
-            for start in range(0, len(group), per_call):
-                self._aggregate_chunk(
-                    t, group[start : start + per_call], outcomes
-                )
-
-        for v, rule, member_ids, _ in plans:
-            outcome = outcomes[v]
-            if isinstance(outcome, ReproError):
-                raise outcome
-            vector, selected = outcome
-            rate = self.schedule(t)
-            self._node_params[v] = self._node_params[v] - rate * vector
-            if self.halt_on_nonfinite:
-                halt_if_nonfinite(self._node_params[v], t, rule, node=v)
-            selected_ids = tuple(
-                member_ids[i]
-                for i in np.asarray(selected, dtype=np.int64).tolist()
+        # Stack the live rounds' matrices; member k is row flat[k].
+        rounds = sorted(self._banks)
+        which = np.searchsorted(rounds, computed)
+        banks = [self._banks[c][0] for c in rounds]
+        bank = banks[0] if len(banks) == 1 else np.concatenate(banks)
+        flat = np.cumsum([0] + [m.shape[0] for m in banks])[which] + row
+        used_params = None
+        errors = [] if failure is None else [(len(rules), failure)]
+        vectors = np.empty((len(rules), self.dimension))
+        picked = [np.empty(0, dtype=np.int64)]  # selected member positions
+        for chunk, index in chunks:
+            chunk_rules = [rules[i] for i in chunk]
+            adapter = make_batched_aggregator(chunk_rules)
+            kwargs: dict[str, np.ndarray] = {}
+            if adapter.supports_staleness:
+                kwargs["staleness"] = t - computed[index]
+            if adapter.supports_staleness and not adapter.is_native:
+                if used_params is None:
+                    # A crafted message was computed at the attack's
+                    # view, the reference node honest[0]'s parameters.
+                    at = np.where(self._is_byzantine[member], honest[0], member)
+                    used_params = np.concatenate(
+                        [self._banks[c][1] for c in rounds]
+                    )[which * n + at]
+                kwargs["used_params"] = used_params[index]
+            done, selected, error = self._run_kernel(
+                adapter, chunk_rules, bank[flat[index]], kwargs
             )
-            self._round_results[v] = (vector, selected_ids, rate)
-        if failure is not None:
-            raise failure
+            vectors[chunk[: len(done)]] = np.reshape(done, (-1, self.dimension))
+            picked.append(
+                np.repeat(index[: len(selected), 0], [len(s) for s in selected])
+                + np.concatenate([picked[0], *selected]).astype(np.int64)
+            )
+            if error is not None:
+                errors.append((int(chunk[len(done)]), error))
 
-    def _record(self, t: int) -> RoundRecord:
-        vector, selected_ids, rate = self._round_results[self.reference_node]
-        record = round_record(
-            t,
-            rate,
-            vector,
-            self._node_params[self.reference_node],
-            selected_ids,
-            set(self.byzantine_ids),
-        )
+        # The node-by-node update: the nodes before the first failing
+        # node are updated, and a non-finite update halts at its node.
+        stop, error = min(errors, key=lambda e: e[0], default=(len(rules), None))
+        rate = self.schedule(t)
+        updated = self._node_params[honest[:stop]] - rate * vectors[:stop]
+        if self.halt_on_nonfinite:
+            halted = np.flatnonzero(~np.isfinite(updated).all(axis=1))
+            stop = stop if halted.size == 0 else int(halted[0]) + 1
+        params = self._node_params.copy()
+        params[honest[:stop]] = updated[:stop]
+        self._node_params = params
+        if self.halt_on_nonfinite and stop:
+            last = int(honest[stop - 1])
+            halt_if_nonfinite(params[last], t, rules[stop - 1], node=last)
+        if error is not None:
+            raise error
+
+        positions = np.concatenate(picked)
         # Feed next round's selection feedback: a Byzantine id counts as
         # selected if *any* honest node selected it (on the complete
         # graph every node selects identically, recovering the server's
         # last_selected verdict).
-        all_selected = [
-            ids
-            for _, ids, _ in (
-                self._round_results[v] for v in self.honest_ids
-            )
-        ]
-        flat = sorted({i for ids in all_selected for i in ids})
-        self._selected_union = np.asarray(flat, dtype=np.int64)
-        self._round_results = {}
-        self._gradients = {}
-        return record
+        self._selected_union = np.unique(member[positions])
+        own = positions[positions < sizes[0]]  # the reference node's
+        return round_record(
+            t, rate, vectors[0], params[self.reference_node], member[own],
+            set(self.byzantine_ids),
+        )
+
+    def _group_nodes(self, f_local: np.ndarray, sizes: np.ndarray) -> tuple:
+        """Each honest node's rule and the kernel calls as ``(nodes,
+        member positions)`` pairs, up to the first node whose rule fails
+        to build or rejects its member count (that error is returned
+        too).  Pure in (node, f, m), so equal rounds reuse the plan."""
+        rules: list[Aggregator] = []
+        groups: dict[object, list[int]] = {}
+        failure = None
+        for i, v in enumerate(self.honest_ids):
+            try:
+                rule = self._rule_for(v, int(f_local[i]))
+                rule.check_tolerance(int(sizes[i]))
+            except ReproError as exc:
+                failure = exc
+                break
+            rules.append(rule)
+            # Nodes share a kernel call when their rules share a batch
+            # key (see _rule_for) and their member count.
+            batch_key = self._batch_keys[id(rule)]
+            groups.setdefault(
+                v if batch_key is None else (batch_key, int(sizes[i])), []
+            ).append(i)
+        starts = np.cumsum(sizes) - sizes
+        chunks = []
+        for group in groups.values():
+            m = int(sizes[group[0]])
+            per_call = max(1, _STAGING_BYTES // (8 * self.dimension * m))
+            for lo in range(0, len(group), per_call):
+                chunk = np.asarray(group[lo : lo + per_call])
+                chunks.append((chunk, starts[chunk][:, None] + np.arange(m)))
+        return rules, chunks, failure
+
+    @staticmethod
+    def _run_kernel(adapter, rules: list, stack: np.ndarray, kwargs: dict) -> tuple:
+        """One kernel call: ``(vectors, selections, error)`` of the
+        chunk's leading nodes that succeeded and the next node's error."""
+        try:
+            result = adapter.aggregate_batch(stack, **kwargs)
+        except ReproError as exc:
+            if len(rules) == 1:
+                return [], [], exc
+            # Only native (stateless) kernels batch several nodes.  Their
+            # errors describe the whole batch, so rerun node by node and
+            # keep each failure as the node's own rule reports it.
+            vectors, selected = [], []
+            for rule, node_stack in zip(rules, stack):
+                try:
+                    single = rule.aggregate_detailed(node_stack)
+                except ReproError as node_exc:
+                    return vectors, selected, node_exc
+                vectors.append(single.vector)
+                selected.append(single.selected)
+            return vectors, selected, None
+        return np.asarray(result.vectors), list(result.selected), None
 
     # ------------------------------------------------------------------
     # Driver
@@ -613,32 +597,20 @@ class GossipSimulation:
         start = self._round
         stop = start + num_rounds
         for t in range(start, stop):
-            # One topology query per node per round, shared by the craft,
-            # gossip and aggregate phases.  Craft follows train so the
-            # omniscient adversary sees this round's honest proposals,
-            # and gossip precedes aggregate so zero-delay edges deliver
-            # within their own round.
-            neighbors = [
-                self.topology.neighbors(v, t) for v in range(self.num_nodes)
-            ]
-            self._train()
-            if self.num_byzantine > 0:
-                self._craft(t, neighbors)
-            for v in range(self.num_nodes):
-                self._gossip(t, v, neighbors[v])
-            self._aggregate(t, neighbors)
-            record = self._record(t)
+            # One topology query per round, shared by every stage.
+            # Crafting follows training so the omniscient adversary sees
+            # this round's honest proposals, and sending precedes
+            # aggregation so zero-delay edges deliver within the round.
+            indptr, indices = self.topology.neighbors_block(t)
+            edges = self._edge_layout(indptr, indices)
+            self._propose(t, indptr, indices)
+            self._send(t, edges)
+            record = self._aggregate(t, edges)
             if (t - start) % eval_every == 0 or t == stop - 1:
-                record = self._evaluate_record(record)
+                record = evaluated_record(
+                    record, self.params, self.evaluate, self.true_gradient_fn,
+                    extras=self.consensus_metrics(),
+                )
             history.append(record)
             self._round = t + 1
         return history
-
-    def _evaluate_record(self, record: RoundRecord) -> RoundRecord:
-        return evaluated_record(
-            record,
-            self.params,
-            self.evaluate,
-            self.true_gradient_fn,
-            extras=self.consensus_metrics(),
-        )

@@ -41,6 +41,14 @@ class TestShardBounds:
         with pytest.raises(ConfigurationError):
             shard_bounds(3, 4)  # a shard would own no coordinate
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_arguments_must_be_integers(self, bad):
+        # int() used to truncate: shard_bounds(10, 2.5) gave two shards.
+        with pytest.raises(ConfigurationError, match="num_shards must be an integer"):
+            shard_bounds(10, bad)
+        with pytest.raises(ConfigurationError, match="dimension must be an integer"):
+            shard_bounds(bad, 1)
+
 
 class TestShardedAggregator:
     def test_sharded_average_is_bitwise_average(self):

@@ -3,11 +3,12 @@
 :class:`ReferenceGossipSimulation` keeps the original event-queue
 design of :class:`~repro.topology.GossipSimulation`: a heap of
 ``(round, phase, node)`` events, a topology query per node in both the
-gossip and the aggregate phase, and one ``rule.aggregate_detailed`` call
-per honest node per round.  It reuses only the engine's constructor,
-``_deliver``, ``_edge_staleness``, rule cache and record/evaluation
-helpers, so the batched aggregate phase, the per-round neighbor memo and
-the fixed phase loop are all compared against independent code.
+gossip and the aggregate phase, one ``rule.aggregate_detailed`` call
+per honest node per round, a per-node parameter list, and a dict inbox
+plus a pending list per node.  It reuses only the engine's constructor
+validation, rule cache and consensus metrics; its message state,
+delivery, edge lags and record are its own copies, so the executor's
+array stages are all compared against independent code.
 
 Do not optimize this module: it is the reference the executor is pinned
 to, bit for bit.
@@ -22,7 +23,8 @@ import numpy as np
 
 from repro.attacks.base import AttackContext
 from repro.core.staleness import StalenessAwareAggregator
-from repro.distributed.metrics import TrainingHistory
+from repro.distributed.metrics import RoundRecord, TrainingHistory
+from repro.distributed.simulator import evaluated_record, round_record
 from repro.exceptions import SimulationError
 from repro.topology import GossipSimulation
 from repro.utils.linalg import stack_vectors
@@ -34,6 +36,80 @@ _TRAIN, _CRAFT, _GOSSIP, _AGGREGATE, _RECORD = range(5)
 
 class ReferenceGossipSimulation(GossipSimulation):
     """Heap-ordered, per-node twin of :class:`GossipSimulation`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        params = self._node_params[0].copy()
+        self._node_params = [params.copy() for _ in range(self.num_nodes)]
+        # Message state.  _inbox[v]: sender -> (computed_round, vector,
+        # params-at-computation); _pending[v]: not-yet-arrived
+        # (arrival, computed_round, sender, vector, params) messages.
+        self._inbox: list[dict[int, tuple[int, np.ndarray, np.ndarray]]] = [
+            {} for _ in range(self.num_nodes)
+        ]
+        self._pending: list[list[tuple]] = [[] for _ in range(self.num_nodes)]
+        self._gradients: dict[int, np.ndarray] = {}
+        self._crafted: np.ndarray | None = None
+        self._crafted_by_receiver: dict[int, np.ndarray] = {}
+        self._craft_params: np.ndarray | None = None
+        self._round_results: dict[int, tuple] = {}
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._node_params[self.reference_node].copy()
+
+    @property
+    def honest_params(self) -> np.ndarray:
+        return np.stack([self._node_params[i] for i in self.honest_ids])
+
+    def node_params(self, node: int) -> np.ndarray:
+        return self._node_params[int(node)].copy()
+
+    def _edge_staleness(self, sender: int, receiver: int, t: int) -> int:
+        if self.edge_delay is None:
+            return 0
+        edge_id = sender * self.num_nodes + receiver
+        tau = int(self.edge_delay.staleness(edge_id, t))
+        if tau < 0:
+            raise SimulationError(
+                f"edge delay produced negative staleness {tau} for edge "
+                f"{sender}->{receiver} at round {t}"
+            )
+        return min(tau, t)
+
+    def _deliver(
+        self,
+        receiver: int,
+        sender: int,
+        computed: int,
+        vector: np.ndarray,
+        used_params: np.ndarray,
+    ) -> None:
+        current = self._inbox[receiver].get(sender)
+        if current is None or computed > current[0]:
+            self._inbox[receiver][sender] = (computed, vector, used_params)
+
+    def _record(self, t: int) -> RoundRecord:
+        vector, selected_ids, rate = self._round_results[self.reference_node]
+        record = round_record(
+            t,
+            rate,
+            vector,
+            self._node_params[self.reference_node],
+            selected_ids,
+            set(self.byzantine_ids),
+        )
+        all_selected = [
+            ids
+            for _, ids, _ in (
+                self._round_results[v] for v in self.honest_ids
+            )
+        ]
+        flat = sorted({i for ids in all_selected for i in ids})
+        self._selected_union = np.asarray(flat, dtype=np.int64)
+        self._round_results = {}
+        self._gradients = {}
+        return record
 
     def _push_round(self, t: int) -> None:
         push = heapq.heappush
@@ -205,7 +281,13 @@ class ReferenceGossipSimulation(GossipSimulation):
             else:
                 record = self._record(t)
                 if (t - start) % eval_every == 0 or t == stop - 1:
-                    record = self._evaluate_record(record)
+                    record = evaluated_record(
+                        record,
+                        self.params,
+                        self.evaluate,
+                        self.true_gradient_fn,
+                        extras=self.consensus_metrics(),
+                    )
                 history.append(record)
                 self._round = t + 1
                 if t + 1 < stop:

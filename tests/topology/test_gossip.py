@@ -180,18 +180,23 @@ class TestEventCore:
 
     @pytest.mark.parametrize("edge_delay", ["constant", "random"])
     def test_delayed_messages_filed_under_their_sender(self, edge_delay):
-        """A late message is filed under the node that sent it, with the
-        round it was computed in: inbox keys are current in-neighbors and
-        no entry is from the future."""
+        """A late message is filed under the edge from the node that
+        sent it, with the round it was computed in: heard senders are
+        current in-neighbors and no entry is from the future."""
         sim = build(num_byzantine=0, topology="ring",
                     topology_kwargs={"degree": 2}, edge_delay=edge_delay)
+        n = sim.num_nodes
         for _ in range(6):
             sim.run(1)
             t = sim._round - 1
-            for v in range(sim.num_nodes):
-                inbox = sim._inbox[v]
-                assert set(inbox) <= set(sim.topology.neighbors(v, t).tolist())
-                assert all(t - computed >= 0 for computed, _, _ in inbox.values())
+            heard = sim._heard >= 0
+            receivers = sim._edge_keys[heard] // n
+            senders = sim._edge_keys[heard] % n
+            assert heard.any()
+            for v in range(n):
+                inbox = set(senders[receivers == v].tolist())
+                assert inbox <= set(sim.topology.neighbors(v, t).tolist())
+            assert np.all(sim._heard[heard] <= t)
 
     @pytest.mark.parametrize("edge_delay", ["constant", "random"])
     def test_kardam_runs_under_edge_delay(self, edge_delay):
@@ -392,12 +397,13 @@ class TestAttackIntegration:
             equivocate=True,
         )
         sim.run(1)
-        # The round's per-receiver crafts stay readable until the next
-        # round's craft phase replaces them.
-        crafted = sim._crafted_by_receiver
+        # The round's per-receiver crafts are the rows after the n
+        # proposals in its message matrix (one row per receiver here),
+        # kept while an edge still points at them.
+        messages, _ = sim._banks[0]
+        crafted = messages[sim.num_nodes :]
         assert len(crafted) >= 2
-        values = list(crafted.values())
-        assert not np.array_equal(values[0], values[1])
+        assert not np.array_equal(crafted[0], crafted[1])
 
     def test_halt_on_nonfinite_names_the_node(self):
         from repro.attacks.simple import NonFiniteAttack

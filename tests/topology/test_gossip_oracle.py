@@ -68,6 +68,7 @@ def build(
     byzantine_slots="last",
     builder=None,
     seed=5,
+    num_honest=NUM_HONEST,
 ):
     name, kwargs, local_f = rule
     if local_f and builder is None:
@@ -85,7 +86,7 @@ def build(
         schedule=ConstantSchedule(0.1),
         honest_estimators=[
             GaussianOracleEstimator(gradient_fn, DIMENSION, 0.5)
-            for _ in range(NUM_HONEST)
+            for _ in range(num_honest)
         ],
         initial_params=np.ones(DIMENSION),
         num_byzantine=num_byzantine,
@@ -282,3 +283,39 @@ def test_kernel_failure_reports_the_node_rule_error():
         dict(rule=rule, topology=("ring", {"degree": 6}), num_byzantine=0)
     )
     assert error is not None and "1 of 1 scenario" in error[1]
+
+
+@pytest.mark.parametrize(
+    "rule, topology",
+    [
+        (RULES[0], ("ring", {"degree": 6})),
+        (RULES[2], ("time-varying", {"edge_prob": 0.15, "rewire_period": 2})),
+    ],
+    ids=["krum-ring6", "median-time-varying"],
+)
+def test_sixty_nodes_with_lags_equivocation_and_chunks(monkeypatch, rule, topology):
+    """A 60-node cell with random edge lags, equivocation and a staging
+    cap of five 7-member stacks per call: groups split into several
+    kernel calls, and local bounds differ between nodes (on the
+    time-varying graph member counts differ too, and edges come and go
+    while messages are in flight)."""
+    monkeypatch.setattr(gossip_module, "_STAGING_BYTES", 8 * DIMENSION * 7 * 5)
+    calls = []
+    real = gossip_module.make_batched_aggregator
+
+    def recording(rules):
+        calls.append(len(rules))
+        return real(rules)
+
+    monkeypatch.setattr(gossip_module, "make_batched_aggregator", recording)
+    kwargs = dict(
+        rule=rule,
+        topology=topology,
+        edge_delay="random",
+        equivocate=True,
+        num_honest=56,
+        num_byzantine=4,
+        byzantine_slots=[5, 20, 35, 50],
+    )
+    assert assert_same_outcome(kwargs, rounds=8) is None
+    assert max(calls) > 1 and len(calls) > 8 * 2

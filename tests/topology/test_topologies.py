@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.topology import (
@@ -24,6 +25,7 @@ from repro.topology import (
     counter_uniform,
     make_topology,
 )
+from repro.topology.base import _MASK64, _SPLITMIX_GAMMA
 
 ALL_TOPOLOGIES = [
     ("complete", {}),
@@ -73,18 +75,25 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_topology("time-varying", {"rewire_period": 0})
 
-    @pytest.mark.parametrize("bad", [4.9, True])
+    @pytest.mark.parametrize("bad", [4.9, 2.5, True])
     @pytest.mark.parametrize(
         "name, knob",
         [
             ("ring", "degree"),
             ("k-regular", "degree"),
+            ("k-regular", "offsets"),
             ("time-varying", "rewire_period"),
         ],
     )
     def test_integer_knobs_reject_floats_and_bools(self, name, knob, bad):
         with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
             make_topology(name, {knob: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_k_regular_offsets_are_not_truncated(self, bad):
+        # int(o) used to bind offsets=(1, 2.5) as [1, 2].
+        with pytest.raises(ConfigurationError, match="offsets must be an integer"):
+            make_topology("k-regular", {"offsets": (1, bad)})
 
 
 class TestGraphInvariants:
@@ -138,6 +147,68 @@ class TestGraphInvariants:
         for v in (-1, 12):
             with pytest.raises(ConfigurationError):
                 topo.neighbors(v, 0)
+
+
+def per_node_reference(topo: Topology, v: int, t: int) -> np.ndarray:
+    """Node ``v``'s neighbors built the way each family built them one
+    node at a time before the CSR blocks: circulant offsets through
+    ``np.unique``, Erdős–Rényi pairs keyed ``min·n + max``."""
+    n = topo.num_nodes
+    others = np.delete(np.arange(n, dtype=np.int64), v)
+    if topo.name == "complete":
+        return others
+    if topo.name in ("ring", "k-regular"):
+        offsets = (
+            np.arange(1, topo.degree // 2 + 1)
+            if topo.name == "ring"
+            else topo._offsets
+        )
+        return np.unique(np.concatenate(((v - offsets) % n, (v + offsets) % n)))
+    block = t // topo.rewire_period if topo.name == "time-varying" else 0
+    entropy = (topo.entropy + block * int(_SPLITMIX_GAMMA)) & _MASK64
+    lo, hi = np.minimum(others, v), np.maximum(others, v)
+    keys = lo.astype(np.uint64) * np.uint64(n) + hi.astype(np.uint64)
+    return others[counter_uniform(entropy, keys) < topo.edge_prob]
+
+
+@st.composite
+def bound_topologies(draw):
+    name = draw(st.sampled_from(available_topologies()))
+    n = draw(st.integers(3, 60))
+    kwargs: dict = {}
+    if name in ("ring", "k-regular"):
+        kwargs["degree"] = 2 * draw(st.integers(1, (n - 1) // 2))
+    if name in ("erdos-renyi", "time-varying"):
+        kwargs["edge_prob"] = draw(st.floats(0.0, 1.0))
+    if name == "time-varying":
+        kwargs["rewire_period"] = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return make_topology(name, kwargs).bind(n, np.random.default_rng(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(topo=bound_topologies(), t=st.integers(0, 50))
+def test_neighbors_block_stacks_neighbors(topo, t):
+    """The CSR block is every node's ``neighbors`` row, stacked: sorted,
+    symmetric, self-loop free, read-only, and equal to the per-node
+    construction it replaced."""
+    n = topo.num_nodes
+    indptr, indices = topo.neighbors_block(t)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.shape == (n + 1,) and indptr[0] == 0
+    assert indptr[-1] == indices.size
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    stacked = Topology.neighbors_block(topo, t)  # the ABC default
+    assert np.array_equal(stacked[0], indptr)
+    assert np.array_equal(stacked[1], indices)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for v in range(n):
+        row = indices[indptr[v] : indptr[v + 1]]
+        assert np.array_equal(row, topo.neighbors(v, t))
+        assert np.array_equal(row, per_node_reference(topo, v, t))
+        assert np.all(np.diff(row) > 0) and v not in row
+        adjacency[v, row] = True
+    assert np.array_equal(adjacency, adjacency.T)
 
 
 class TestFamilies:
