@@ -268,12 +268,12 @@ class KRegularTopology(_BlockTopology):
         if len(values) != wanted or len(set(values)) != wanted:
             raise ConfigurationError(
                 f"k-regular degree {self.degree} needs exactly {wanted} "
-                f"distinct offsets, got {list(offsets)}"
+                f"distinct offsets, got {items}"
             )
         if values[0] < 1:
             raise ConfigurationError(
                 f"k-regular offsets must be >= 1 (offset 0 is a self-loop), "
-                f"got {list(offsets)}"
+                f"got {items}"
             )
         if self.num_nodes is not None:
             max_offset = (self.num_nodes - 1) // 2
@@ -281,7 +281,7 @@ class KRegularTopology(_BlockTopology):
                 raise ConfigurationError(
                     f"k-regular offsets must lie in [1, {max_offset}] for "
                     f"{self.num_nodes} nodes (a larger offset repeats a "
-                    f"smaller one's neighbors), got {list(offsets)}"
+                    f"smaller one's neighbors), got {items}"
                 )
         return np.asarray(values, dtype=np.int64)
 
@@ -324,7 +324,9 @@ class ErdosRenyiTopology(_BlockTopology):
         entropy: int | None = None,
     ):
         if not 0.0 <= float(edge_prob) <= 1.0:
-            raise ConfigurationError(f"edge_prob must be in [0, 1], got {edge_prob}")
+            raise ConfigurationError(
+                f"edge_prob must be in [0, 1], got {edge_prob}"
+            )
         self.edge_prob = float(edge_prob)
         self.num_nodes = self._check_num_nodes(num_nodes)
         self.entropy = None if entropy is None else int(entropy)
@@ -381,7 +383,9 @@ class TimeVaryingTopology(ErdosRenyiTopology):
         entropy: int | None = None,
     ):
         self.rewire_period = check_positive_int(rewire_period, "rewire_period")
-        super().__init__(edge_prob=edge_prob, num_nodes=num_nodes, entropy=entropy)
+        super().__init__(
+            edge_prob=edge_prob, num_nodes=num_nodes, entropy=entropy
+        )
 
     def bind(
         self, num_nodes: int, rng: np.random.Generator

@@ -17,7 +17,9 @@ its crafted rows into it.  Per directed edge into an honest node, the
 executor keeps the computed round of the freshest message heard; lagged
 messages (one ``staleness_block`` query per round) wait in int arrays,
 and delivery keeps the freshest round, so due messages apply in any
-order.  A past round's matrices live while an edge points at them.
+order.  Of a past round only the rows an edge or an in-flight message
+points at are kept (an edge that left the graph keeps its message: it
+is aggregated again if the edge returns).
 
 Honest nodes aggregate their members (self plus the heard neighbors) in
 groups keyed by rule :func:`~repro.core.batched.batch_group_key` and
@@ -155,13 +157,17 @@ class GossipSimulation:
         seed: SeedLike = 0,
     ):
         if num_byzantine < 0:
-            raise ConfigurationError(f"num_byzantine must be >= 0, got {num_byzantine}")
+            raise ConfigurationError(
+                f"num_byzantine must be >= 0, got {num_byzantine}"
+            )
         if num_byzantine > 0 and attack is None:
             raise ConfigurationError(
                 f"num_byzantine={num_byzantine} requires an attack"
             )
         if num_byzantine == 0 and attack is not None:
-            raise ConfigurationError("an attack was supplied but num_byzantine=0")
+            raise ConfigurationError(
+                "an attack was supplied but num_byzantine=0"
+            )
         if not honest_estimators:
             raise ConfigurationError("need at least one honest estimator")
 
@@ -172,7 +178,10 @@ class GossipSimulation:
         self.byzantine_ids = resolve_byzantine_slots(
             byzantine_slots, self.num_nodes, self.num_byzantine
         )
-        self.honest_ids = sorted(set(range(self.num_nodes)) - set(self.byzantine_ids))
+        byzantine_set = set(self.byzantine_ids)
+        self.honest_ids = [
+            i for i in range(self.num_nodes) if i not in byzantine_set
+        ]
         #: The node whose trajectory the round records report — the
         #: lowest honest id, matching the server path's single history.
         self.reference_node = self.honest_ids[0]
@@ -198,9 +207,11 @@ class GossipSimulation:
                 f"edge_delay must be a DelaySchedule, registry name or "
                 f"None, got {type(edge_delay).__name__}"
             )
-        if edge_delay is not None:
-            edge_delay = edge_delay.bind(streams[self.num_honest + 1])
-        self.edge_delay = edge_delay
+        self.edge_delay = (
+            None
+            if edge_delay is None
+            else edge_delay.bind(streams[self.num_honest + 1])
+        )
 
         if isinstance(topology, str):
             topology = make_topology(topology)
@@ -209,7 +220,9 @@ class GossipSimulation:
                 f"topology must be a Topology or registry name, got "
                 f"{type(topology).__name__}"
             )
-        self.topology = topology.bind(self.num_nodes, streams[self.num_honest + 3])
+        self.topology = topology.bind(
+            self.num_nodes, streams[self.num_honest + 3]
+        )
 
         params = np.asarray(initial_params, dtype=np.float64)
         if params.ndim != 1:
@@ -252,9 +265,16 @@ class GossipSimulation:
         self._edge_keys = np.empty(0, dtype=np.int64)
         self._heard = np.empty(0, dtype=np.int64)
         self._in_flight = np.empty((3, 0), dtype=np.int64)
-        # round -> (message matrix, parameter matrix) of every round an
-        # edge or in-flight message points at.
-        self._banks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # round -> (messages, row lookup, parameters, row lookup) of
+        # every round an edge or in-flight message points at: message
+        # row r is messages[lookup[r]], computed at parameters[lookup[r]].
+        self._banks: dict[int, tuple] = {}
+        n_rows = self.num_nodes * (1 + self.num_byzantine if equivocate else 1)
+        self._rows = np.arange(n_rows)
+        # A message row's own node, or for a crafted row the attack's
+        # view (the reference node's parameters).
+        self._param_rows = np.full(n_rows, self.reference_node)
+        self._param_rows[self._honest] = self._honest
         self._edges: tuple | None = None  # see _edge_layout
         self._plan: tuple | None = None  # see _group_nodes
         # Union of every honest node's selected member ids last round
@@ -279,7 +299,9 @@ class GossipSimulation:
     def node_params(self, node: int) -> np.ndarray:
         """Node ``node``'s current local parameters (a defensive copy)."""
         if not 0 <= int(node) < self.num_nodes:
-            raise ConfigurationError(f"node {node} outside [0, {self.num_nodes})")
+            raise ConfigurationError(
+                f"node {node} outside [0, {self.num_nodes})"
+            )
         return self._node_params[int(node)].copy()
 
     def consensus_metrics(self) -> dict[str, float]:
@@ -330,7 +352,7 @@ class GossipSimulation:
         Cached for the last block: a static graph resolves them once."""
         if self._edges is not None and self._edges[0] is indices:
             return self._edges[1]
-        n, b = self.num_nodes, self.num_byzantine
+        n = self.num_nodes
         owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         into_honest = ~self._is_byzantine[owners]
         receivers, senders = owners[into_honest], indices[into_honest]
@@ -342,16 +364,23 @@ class GossipSimulation:
             heard[moved] = self._heard
             self._in_flight[2] = moved[self._in_flight[2]]
             self._edge_keys, self._heard = keys, heard
-        rows = senders.copy()
-        if self.equivocate:
-            crafted = self._is_byzantine[senders]
-            rows[crafted] = n + receivers[crafted] * b + np.searchsorted(
-                self._byzantine, senders[crafted]
-            )
+        rows = self._message_rows(receivers, senders)
         send_order = np.argsort(senders * n + receivers)
         edges = (receivers, senders, np.searchsorted(keys, edge_keys), rows, send_order)
         self._edges = (indices, edges)
         return edges
+
+    def _message_rows(self, receivers: np.ndarray, senders: np.ndarray) -> np.ndarray:
+        """The message-matrix row each edge carries (see _propose)."""
+        rows = senders.copy()
+        if self.equivocate:
+            crafted = self._is_byzantine[senders]
+            rows[crafted] = (
+                self.num_nodes
+                + receivers[crafted] * self.num_byzantine
+                + np.searchsorted(self._byzantine, senders[crafted])
+            )
+        return rows
 
     # ------------------------------------------------------------------
     # Round stages
@@ -405,7 +434,7 @@ class GossipSimulation:
                 crafted = messages[n:].reshape(n, b, self.dimension)
                 for u in adjacent[~self._is_byzantine[adjacent]].tolist():
                     crafted[u] = self.attack.craft(replace(context, receiver=u))
-        self._banks[t] = (messages, params)
+        self._banks[t] = (messages, self._rows, params, self._param_rows)
 
     def _send(self, t: int, edges: tuple) -> None:
         """Put round ``t``'s messages on their edges, then deliver the
@@ -433,10 +462,43 @@ class GossipSimulation:
         due = flight[0] <= t
         np.maximum.at(self._heard, flight[2, due], flight[1, due])
         self._in_flight = flight[:, ~due]
-        # Retire every round no edge or in-flight message points at.
-        live = np.unique(np.concatenate((self._heard, self._in_flight[1])))
-        for c in set(self._banks) - set(live.tolist()) - {t}:
-            del self._banks[c]
+        self._retire(t)
+
+    def _retire(self, t: int) -> None:
+        """Keep of each past round only the rows an edge or in-flight
+        message points at: drop a round none does, and cut a round down
+        once at most half its rows are pointed at, so a row is copied
+        about once."""
+        n = self.num_nodes
+        computed = np.concatenate((self._heard, self._in_flight[1]))
+        keys = np.concatenate((self._edge_keys, self._edge_keys[self._in_flight[2]]))
+        for c in set(self._banks) - {t}:
+            pointing = keys[computed == c]
+            if pointing.size == 0:
+                del self._banks[c]
+                continue
+            rows = np.unique(self._message_rows(pointing // n, pointing % n))
+            messages, lookup, params, param_lookup = self._banks[c]
+            if 2 * rows.size <= len(messages):
+                kept = np.full(len(self._rows), -1)
+                kept[rows] = np.arange(rows.size)
+                cut = (messages[lookup[rows]], kept, params[param_lookup[rows]], kept)
+                self._banks[c] = cut
+
+    def _gather(self, part: int, computed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Elementwise message row ``rows`` of round ``computed``: ``part``
+        0 gathers the messages, 1 the parameters they were computed at.
+        One fancy index per round present, into one preallocated stack."""
+        rounds = np.unique(computed).tolist()
+        if len(rounds) == 1:
+            matrix, lookup = self._banks[rounds[0]][2 * part : 2 * part + 2]
+            return matrix[lookup[rows]]
+        out = np.empty(rows.shape + (self.dimension,))
+        for c in rounds:
+            matrix, lookup = self._banks[c][2 * part : 2 * part + 2]
+            at = computed == c
+            out[at] = matrix[lookup[rows[at]]]
+        return out
 
     def _aggregate(self, t: int, edges: tuple) -> RoundRecord:
         """Aggregate every honest node, update in node-id order, and
@@ -461,13 +523,6 @@ class GossipSimulation:
             self._plan = (plan_key, *self._group_nodes(f_local, sizes))
         _, rules, chunks, failure = self._plan
 
-        # Stack the live rounds' matrices; member k is row flat[k].
-        rounds = sorted(self._banks)
-        which = np.searchsorted(rounds, computed)
-        banks = [self._banks[c][0] for c in rounds]
-        bank = banks[0] if len(banks) == 1 else np.concatenate(banks)
-        flat = np.cumsum([0] + [m.shape[0] for m in banks])[which] + row
-        used_params = None
         errors = [] if failure is None else [(len(rules), failure)]
         vectors = np.empty((len(rules), self.dimension))
         picked = [np.empty(0, dtype=np.int64)]  # selected member positions
@@ -478,16 +533,10 @@ class GossipSimulation:
             if adapter.supports_staleness:
                 kwargs["staleness"] = t - computed[index]
             if adapter.supports_staleness and not adapter.is_native:
-                if used_params is None:
-                    # A crafted message was computed at the attack's
-                    # view, the reference node honest[0]'s parameters.
-                    at = np.where(self._is_byzantine[member], honest[0], member)
-                    used_params = np.concatenate(
-                        [self._banks[c][1] for c in rounds]
-                    )[which * n + at]
-                kwargs["used_params"] = used_params[index]
+                kwargs["used_params"] = self._gather(1, computed[index], row[index])
+            stack = self._gather(0, computed[index], row[index])
             done, selected, error = self._run_kernel(
-                adapter, chunk_rules, bank[flat[index]], kwargs
+                adapter, chunk_rules, stack, kwargs
             )
             vectors[chunk[: len(done)]] = np.reshape(done, (-1, self.dimension))
             picked.append(

@@ -198,6 +198,32 @@ class TestEventCore:
                 assert inbox <= set(sim.topology.neighbors(v, t).tolist())
             assert np.all(sim._heard[heard] <= t)
 
+    def test_past_rounds_are_released(self):
+        """A past round keeps only rows an edge or an in-flight message
+        points at (up to twice as many, so rows are copied about once),
+        and a round nothing points at is dropped."""
+        sim = build(num_byzantine=2, topology="time-varying",
+                    topology_kwargs={"edge_prob": 0.4}, edge_delay="random",
+                    equivocate=True)
+        n, cut = sim.num_nodes, 0
+        for _ in range(12):
+            sim.run(1)
+            t = sim._round - 1
+            computed = np.concatenate((sim._heard, sim._in_flight[1]))
+            keys = np.concatenate(
+                (sim._edge_keys, sim._edge_keys[sim._in_flight[2]])
+            )
+            for c, (messages, lookup, params, _) in sim._banks.items():
+                if c == t:
+                    continue
+                pointing = keys[computed == c]
+                rows = np.unique(sim._message_rows(pointing // n, pointing % n))
+                assert 0 < rows.size <= len(messages) < 2 * rows.size
+                if lookup is not sim._rows:
+                    assert len(messages) == len(params)
+                    cut += 1
+        assert cut > 0
+
     @pytest.mark.parametrize("edge_delay", ["constant", "random"])
     def test_kardam_runs_under_edge_delay(self, edge_delay):
         sim = build(num_byzantine=0, topology="ring",
@@ -400,7 +426,7 @@ class TestAttackIntegration:
         # The round's per-receiver crafts are the rows after the n
         # proposals in its message matrix (one row per receiver here),
         # kept while an edge still points at them.
-        messages, _ = sim._banks[0]
+        messages = sim._banks[0][0]
         crafted = messages[sim.num_nodes :]
         assert len(crafted) >= 2
         assert not np.array_equal(crafted[0], crafted[1])

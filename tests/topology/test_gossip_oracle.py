@@ -319,3 +319,31 @@ def test_sixty_nodes_with_lags_equivocation_and_chunks(monkeypatch, rule, topolo
     )
     assert assert_same_outcome(kwargs, rounds=8) is None
     assert max(calls) > 1 and len(calls) > 8 * 2
+
+
+def test_departed_edges_keep_their_messages(monkeypatch):
+    """On a graph rewired every round, a message heard on an edge that
+    leaves the graph is aggregated again when the edge returns, with the
+    parameters it was computed at, after its round was cut down to the
+    rows departed edges still point at.  Kardam's Lipschitz filter has
+    no native kernel, so it reads those parameters."""
+    reads = set()
+    real = GossipSimulation._gather
+
+    def recording(self, part, computed, rows):
+        for c in np.unique(computed).tolist():
+            reads.add((part, self._banks[c][1] is not self._rows))
+        return real(self, part, computed, rows)
+
+    monkeypatch.setattr(GossipSimulation, "_gather", recording)
+    rule = ("kardam", {"inner": "coordinate-median", "lipschitz_quantile": 0.5}, False)
+    kwargs = dict(
+        rule=rule,
+        topology=("time-varying", {"edge_prob": 0.3}),
+        edge_delay="random",
+        equivocate=True,
+        num_honest=30,
+        num_byzantine=3,
+    )
+    assert assert_same_outcome(kwargs, rounds=12) is None
+    assert (0, True) in reads and (1, True) in reads

@@ -95,6 +95,17 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="offsets must be an integer"):
             make_topology("k-regular", {"offsets": (1, bad)})
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"offsets": 3}, r"exactly 2 distinct offsets, got \[3\]"),
+            ({"degree": 2, "offsets": 0}, r"must be >= 1 .*got \[0\]"),
+        ],
+    )
+    def test_scalar_offsets_fail_as_configuration_errors(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make_topology("k-regular", kwargs)
+
 
 class TestGraphInvariants:
     @pytest.mark.parametrize("name,kwargs", ALL_TOPOLOGIES)
