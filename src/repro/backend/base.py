@@ -190,7 +190,9 @@ class ArrayBackend(ABC):
     def median(self, x: Array, axis: int) -> Array:
         """numpy-convention median: even counts average the two middle
         order statistics (torch's lower-median convention must NOT leak
-        through this method)."""
+        through this method) and a NaN in a lane makes that lane's
+        median NaN.  The numpy backend returns ``numpy.median`` bit for
+        bit, through :func:`repro.utils.linalg.coordinate_median`."""
 
     @abstractmethod
     def max(self, x: Array, axis: int | None = None) -> Array:

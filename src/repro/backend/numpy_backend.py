@@ -123,7 +123,10 @@ class NumpyBackend(ArrayBackend):
         return np.mean(x, axis=axis)
 
     def median(self, x, axis: int):
-        return np.median(x, axis=axis)
+        # Imported here: repro.utils.linalg imports this package.
+        from repro.utils.linalg import coordinate_median
+
+        return coordinate_median(x, axis)
 
     def max(self, x, axis: int | None = None):
         return np.max(x, axis=axis)

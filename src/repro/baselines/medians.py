@@ -23,6 +23,7 @@ from repro.exceptions import (
     DimensionMismatchError,
 )
 from repro.utils.linalg import (
+    coordinate_median,
     masked_inverse_distance_weights,
     masked_unit_direction_sum,
 )
@@ -43,7 +44,7 @@ class CoordinateWiseMedian(Aggregator):
 
     def aggregate_detailed(self, vectors: np.ndarray) -> AggregationResult:
         vectors = self._validated(vectors)
-        return AggregationResult(vector=np.median(vectors, axis=0))
+        return AggregationResult(vector=coordinate_median(vectors, 0))
 
 
 class TrimmedMean(Aggregator):

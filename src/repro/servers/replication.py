@@ -43,6 +43,7 @@ from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.servers.attacks import ServerAttack, ServerAttackContext
 from repro.servers.registry import make_server_attack
 from repro.servers.sharding import ShardedAggregator, shard_bounds
+from repro.utils.linalg import coordinate_median
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ReplicatedServerGroup", "replica_view"]
@@ -58,8 +59,9 @@ def replica_view(broadcasts: np.ndarray) -> np.ndarray:
     over axis −2 (ByzSGD's worker-side aggregation), so a minority of
     corrupted rows cannot move any coordinate outside the honest range;
     each stacked cell's view equals its own one-cell call bit for bit.
-    Permutation-invariant in replica order, and exact (returns the
-    common row bit-for-bit) when all rows agree.
+    Permutation-invariant in replica order.  When all rows agree it
+    returns the common row, except that a common −0.0 reads +0.0 (the
+    median is a mean of order statistics, as in ``numpy.median``).
     """
     broadcasts = np.asarray(broadcasts, dtype=np.float64)
     if broadcasts.ndim < 2 or broadcasts.shape[-2] < 1:
@@ -67,7 +69,7 @@ def replica_view(broadcasts: np.ndarray) -> np.ndarray:
             f"broadcasts must be (..., num_servers, d) with at least one "
             f"replica, got shape {broadcasts.shape}"
         )
-    return np.median(broadcasts, axis=-2)
+    return coordinate_median(broadcasts, -2)
 
 
 class ReplicatedServerGroup:

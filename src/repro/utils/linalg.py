@@ -13,7 +13,8 @@ With the default numpy backend every operation delegates to the exact
 numpy call used before the seam existed — bit-for-bit identical results.
 The host-side plumbing at the bottom (:func:`stack_vectors`,
 :func:`flatten_arrays`, :func:`unflatten_array` — model-parameter
-marshalling, not aggregation arithmetic) stays plain numpy on purpose.
+marshalling, not aggregation arithmetic) stays plain numpy on purpose,
+as does :func:`coordinate_median`, the numpy backend's median itself.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "masked_coordinate_median",
     "masked_inverse_distance_weights",
     "masked_unit_direction_sum",
+    "coordinate_median",
     "stack_vectors",
     "flatten_arrays",
     "unflatten_array",
@@ -310,6 +312,29 @@ def masked_unit_direction_sum(
         return xp.einsum(
             "bn,bnd->bd", xp.astype(active, xp.float_dtype), directions
         )
+
+
+def coordinate_median(x, axis: int):
+    """``numpy.median(x, axis=axis)`` bit for bit, from one ``np.sort``
+    rather than its partition that also probes ``-1`` for NaN lanes.
+
+    ``np.mean`` of the middle order statistics is the reduction
+    ``numpy.median`` applies (it reads a −0.0 median as +0.0); a lane
+    whose last sorted entry is NaN takes that entry.  Needs
+    ``x.shape[axis] >= 1``.
+    """
+    ordered = np.sort(x, axis=axis)
+    n = ordered.shape[axis]
+    middle = [slice(None)] * ordered.ndim
+    middle[axis] = slice((n - 1) // 2, n // 2 + 1)
+    result = np.mean(ordered[tuple(middle)], axis=axis)
+    last = ordered.take(-1, axis=axis)
+    nans = np.isnan(last)
+    if nans.any():
+        if np.ndim(result) == 0:
+            return last
+        np.copyto(result, last, where=nans)
+    return result
 
 
 def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:

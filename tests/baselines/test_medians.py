@@ -18,10 +18,12 @@ from repro.exceptions import (
 
 class TestCoordinateWiseMedian:
     def test_matches_numpy(self, rng):
-        vectors = rng.standard_normal((9, 5))
-        np.testing.assert_allclose(
-            CoordinateWiseMedian().aggregate(vectors), np.median(vectors, axis=0)
-        )
+        for n in (9, 10):
+            vectors = rng.standard_normal((n, 5))
+            assert (
+                CoordinateWiseMedian().aggregate(vectors).tobytes()
+                == np.median(vectors, axis=0).tobytes()
+            )
 
     def test_resists_minority_outliers(self, honest_cloud):
         byzantine = 1e9 * np.ones((4, 8))

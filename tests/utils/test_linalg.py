@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.baselines.medians import CoordinateWiseMedian
+from repro.core.batched import batched_coordinate_median
 from repro.exceptions import DimensionMismatchError
+from repro.servers.replication import replica_view
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
+    coordinate_median,
     flatten_arrays,
     masked_coordinate_median,
     masked_inverse_distance_weights,
@@ -128,6 +134,59 @@ class TestMaskedCoordinateMedian:
         active[0, 0] = False
         with pytest.raises(DimensionMismatchError, match="same number"):
             masked_coordinate_median(batch, active)
+
+
+#: Signed zeros, infinities, ties and NaN lanes: the entries where a
+#: median built from other primitives can differ from ``np.median``.
+_MEDIAN_EDGES = st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5]
+)
+_MEDIAN_VALUES = st.one_of(_MEDIAN_EDGES, st.floats(-1e3, 1e3, width=64))
+
+
+def assert_same_median(got, want):
+    """Equal type, shape and bytes; NaN lanes compare by position."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nans = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nans)
+    assert np.where(nans, 0.0, got).tobytes() == np.where(nans, 0.0, want).tobytes()
+
+
+class TestCoordinateMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stack=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 16), st.integers(1, 4)),
+            elements=_MEDIAN_VALUES,
+        ),
+        axis=st.sampled_from([0, 1, -1, -2]),
+    )
+    def test_equals_numpy_median_on_stacks(self, stack, axis):
+        assert_same_median(coordinate_median(stack, axis), np.median(stack, axis=axis))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vector=hnp.arrays(np.float64, st.integers(1, 16), elements=_MEDIAN_VALUES),
+        axis=st.sampled_from([0, -1]),
+    )
+    def test_equals_numpy_median_on_vectors(self, vector, axis):
+        assert_same_median(coordinate_median(vector, axis), np.median(vector, axis=axis))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_callers_equal_numpy_median(self, rng, n):
+        # Signed zeros and ties in most lanes, odd and even row counts.
+        stacks = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(3, n, 40))
+        stacks[:, :, :10] = rng.standard_normal((3, n, 10))
+        rule = CoordinateWiseMedian().aggregate(stacks[0])
+        assert rule.tobytes() == np.median(stacks[0], axis=0).tobytes()
+        kernel = batched_coordinate_median(stacks)
+        for b in range(3):
+            assert kernel[b].tobytes() == np.median(stacks[b], axis=0).tobytes()
+        view = replica_view(stacks)
+        assert view.tobytes() == np.median(stacks, axis=-2).tobytes()
 
 
 class TestMaskedWeiszfeldPrimitives:
