@@ -29,13 +29,13 @@ adapt back.  Three strategies, each keyed to one defensive mechanism:
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
 from repro.attacks.base import Attack, AttackContext
-from repro.core.staleness import DAMPENING_MODES
+from repro.core.staleness import DAMPENING_MODES, RateWindow
 from repro.exceptions import ConfigurationError
+from repro.utils.linalg import exact_row_norms
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -167,7 +167,7 @@ class LipschitzMimicryAttack(Attack):
         self._prev_params = np.empty((0, 0))
         self._seen = np.zeros(0, dtype=bool)
         # Observed honest growth rates (the filter's window, mimicked).
-        self._rates: deque[float] = deque(maxlen=self.window)
+        self._rates = RateWindow(maxlen=self.window)
         # Our previous shared proposal, and per Byzantine slot the
         # parameters that proposal was judged against.
         self._prev_vector: np.ndarray | None = None
@@ -185,11 +185,9 @@ class LipschitzMimicryAttack(Attack):
         """Append the honest workers' growth rates, in worker order, and
         remember their gradients and parameters.
 
-        All row differences come from one subtraction per table; each
-        norm is ``sqrt(v.dot(v))`` per row, which is what
-        ``np.linalg.norm(v)`` computes (a batched ``norm(M, axis=1)``
-        reduces in a different order and is not bit-identical; the
-        square root is correctly rounded in ``math`` and numpy alike).
+        All row differences come from one subtraction per table, and
+        their norms from one :func:`~repro.utils.linalg.exact_row_norms`
+        call each, which equals ``np.linalg.norm`` per row.
         """
         ids = np.asarray(context.honest_indices, dtype=np.int64)
         if ids.size == 0:
@@ -208,14 +206,18 @@ class LipschitzMimicryAttack(Attack):
             )
         seen = self._seen[ids]
         if seen.any():
-            moved = (params if params.ndim == 1 else params[seen]) - (
-                self._prev_params[ids[seen]]
-            )
-            changed = gradients[seen] - self._prev_gradients[ids[seen]]
-            for step, change in zip(moved, changed):
-                displacement = math.sqrt(step.dot(step))
+            rows, at, old = gradients, params, ids
+            if not seen.all():
+                rows, old = gradients[seen], ids[seen]
+                at = params if params.ndim == 1 else params[seen]
+            moved = at - self._prev_params[old]
+            changed = rows - self._prev_gradients[old]
+            for displacement, change in zip(
+                exact_row_norms(moved).tolist(),
+                exact_row_norms(changed).tolist(),
+            ):
                 if displacement > 0.0:
-                    rate = math.sqrt(change.dot(change)) / displacement
+                    rate = change / displacement
                     if math.isfinite(rate):
                         self._rates.append(rate)
         self._prev_gradients[ids] = gradients
@@ -272,11 +274,14 @@ class LipschitzMimicryAttack(Attack):
             # The filter measures each slot's rate against how far *its*
             # judged parameters moved; the tightest slot constrains the
             # shared proposal.
-            displacements = [
-                float(np.linalg.norm(judged[slot] - self._prev_judged[slot]))
+            moved = [
+                judged[slot] - self._prev_judged[slot]
                 for slot in judged
                 if slot in self._prev_judged
             ]
+            displacements = (
+                exact_row_norms(np.array(moved)).tolist() if moved else []
+            )
             positive = [d for d in displacements if d > 0.0]
             step = target - self._prev_vector
             step_norm = float(np.linalg.norm(step))
@@ -286,12 +291,7 @@ class LipschitzMimicryAttack(Attack):
                 # reject, jump straight to the target.
                 vector = target
             else:
-                threshold = float(
-                    np.quantile(
-                        np.asarray(self._rates, dtype=np.float64),
-                        self.quantile,
-                    )
-                )
+                threshold = self._rates.quantile(self.quantile)
                 allowed = self.margin * threshold * min(positive)
                 if step_norm <= allowed or step_norm == 0.0:
                     vector = target
@@ -303,7 +303,7 @@ class LipschitzMimicryAttack(Attack):
             slot: params.copy() for slot, params in judged.items()
         }
         return self._output(
-            context, np.tile(vector, (context.num_byzantine, 1))
+            context, np.repeat(vector[None], context.num_byzantine, axis=0)
         )
 
 

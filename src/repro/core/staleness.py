@@ -22,6 +22,8 @@ trajectories, which the async differential tests pin bit-for-bit.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Callable
 
@@ -32,10 +34,17 @@ from repro.exceptions import (
     ByzantineToleranceError,
     ConfigurationError,
     DimensionMismatchError,
+    InvalidVectorError,
 )
+from repro.utils.linalg import exact_row_norms
 from repro.utils.validation import check_positive_int
 
-__all__ = ["StalenessAwareAggregator", "KardamFilter", "DAMPENING_MODES"]
+__all__ = [
+    "StalenessAwareAggregator",
+    "KardamFilter",
+    "RateWindow",
+    "DAMPENING_MODES",
+]
 
 #: Supported staleness-dampening functions Λ(τ); all satisfy Λ(0) = 1
 #: exactly, so fresh proposals are bitwise untouched.
@@ -67,6 +76,80 @@ class StalenessAwareAggregator(Aggregator):
         bounded history).
         """
         raise NotImplementedError
+
+
+class RateWindow:
+    """The last ``maxlen`` Lipschitz rates in arrival order, with a
+    sorted shadow for :meth:`quantile`.
+
+    It has the interface the rules used of a ``deque(maxlen=...)``:
+    ``append``, ``maxlen``, ``len``, iteration in arrival order and
+    ``np.asarray``.  It holds the deque rather than subclassing it, so
+    no inherited mutator (``popleft``, ``extend``, ``+``) can bypass
+    the shadow.  NaN has no place in a sorted order, so ``append``
+    rejects it; both rules only append finite rates.
+    """
+
+    def __init__(self, maxlen: int):
+        self._values: deque[float] = deque(maxlen=maxlen)
+        self._sorted: list[float] = []
+        self._negative_zeros = 0
+
+    @property
+    def maxlen(self) -> int:
+        return self._values.maxlen  # type: ignore[return-value]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._values, dtype=dtype)
+
+    def append(self, value: float) -> None:
+        """Append ``value``, evicting the oldest rate from a full window."""
+        value = float(value)
+        if value != value:
+            raise InvalidVectorError("a rate window cannot hold NaN")
+        values, ordered = self._values, self._sorted
+        if len(ordered) == values.maxlen:
+            old = values[0]
+            if old == 0.0:
+                self._negative_zeros -= math.copysign(1.0, old) < 0.0
+            del ordered[bisect_left(ordered, old)]
+        if value == 0.0:
+            self._negative_zeros += math.copysign(1.0, value) < 0.0
+        values.append(value)
+        # The shadow holds −0.0 as +0.0, so eviction finds the value.
+        insort(ordered, value + 0.0)
+
+    def quantile(self, q: float) -> float:
+        """``np.quantile(np.asarray(window), q)`` bit for bit.
+
+        Numpy's ``linear`` method in Python floats on the sorted shadow:
+        the virtual index ``(n − 1)·q``, its floor, the clip of both
+        neighbours to the last entry at ``≥ n − 1`` (where the weight
+        becomes ``index + 1``), then ``_lerp``'s two branches.  A window
+        holding a −0.0 defers to ``np.quantile`` itself: its partition
+        does not order signed zeros, so which zero a neighbour reads is
+        numpy's choice.  The window must not be empty.
+        """
+        if self._negative_zeros:
+            return float(np.quantile(np.asarray(self, dtype=np.float64), q))
+        top = len(self._sorted) - 1
+        index = top * q
+        below = math.floor(index)
+        above = below + 1
+        if index >= top:
+            below = above = -1
+        weight = index - below
+        low, high = self._sorted[below], self._sorted[above]
+        step = high - low
+        if weight >= 0.5:
+            return high - step * (1 - weight)
+        return low + step * weight
 
 
 class KardamFilter(StalenessAwareAggregator):
@@ -172,10 +255,14 @@ class KardamFilter(StalenessAwareAggregator):
             None if lipschitz_quantile is None else float(lipschitz_quantile)
         )
         self.window = window
-        # Per-worker-slot previous (proposal, params) for the empirical
-        # Lipschitz coefficient, plus the accepted-coefficient window.
-        self._previous: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._coefficients: deque[float] = deque(maxlen=self.window)
+        # Per worker slot (one row each): the previous proposal and
+        # parameters for the empirical Lipschitz coefficient, and
+        # whether the slot was seen yet; plus the accepted-coefficient
+        # window.
+        self._prev_vectors = np.empty((0, 0))
+        self._prev_params = np.empty((0, 0))
+        self._seen = np.zeros(0, dtype=bool)
+        self._coefficients = RateWindow(maxlen=self.window)
         self.name = self._encode_name()
 
     def _encode_name(self) -> str:
@@ -348,29 +435,24 @@ class KardamFilter(StalenessAwareAggregator):
         window — a proposal the hard staleness cut already rejected must
         not steer the quantile threshold.
         """
-        n = vectors.shape[0]
+        n, d = vectors.shape
+        if self._seen.size < n:
+            self._grow_tables(n, d)
         keep = np.ones(n, dtype=bool)
         coefficients: list[tuple[int, float]] = []
-        for i in range(n):
-            previous = self._previous.get(i)
-            if previous is not None:
-                prev_vector, prev_params = previous
-                displacement = float(
-                    np.linalg.norm(used_params[i] - prev_params)
-                )
-                if displacement > 0.0:
-                    rate = (
-                        float(np.linalg.norm(vectors[i] - prev_vector))
-                        / displacement
-                    )
-                    coefficients.append((i, rate))
-        if coefficients and len(self._coefficients) > 0:
-            threshold = float(
-                np.quantile(
-                    np.asarray(self._coefficients, dtype=np.float64),
-                    self.lipschitz_quantile,
-                )
+        seen = np.flatnonzero(self._seen[:n])
+        if seen.size:
+            displacements = exact_row_norms(
+                used_params[seen] - self._prev_params[seen]
             )
+            changes = exact_row_norms(vectors[seen] - self._prev_vectors[seen])
+            for i, displacement, change in zip(
+                seen.tolist(), displacements.tolist(), changes.tolist()
+            ):
+                if displacement > 0.0:
+                    coefficients.append((i, change / displacement))
+        if coefficients and len(self._coefficients) > 0:
+            threshold = self._coefficients.quantile(self.lipschitz_quantile)
             for i, rate in coefficients:
                 if rate > threshold:
                     keep[i] = False
@@ -378,8 +460,21 @@ class KardamFilter(StalenessAwareAggregator):
         # proposals accepted by *every* filter enter the window (Kardam's
         # filter learns from the gradients it admitted).
         for i, rate in coefficients:
-            if keep[i] and admissible[i] and np.isfinite(rate):
+            if keep[i] and admissible[i] and math.isfinite(rate):
                 self._coefficients.append(rate)
-        for i in range(n):
-            self._previous[i] = (vectors[i].copy(), used_params[i].copy())
+        self._prev_vectors[:n] = vectors
+        self._prev_params[:n] = used_params
+        self._seen[:n] = True
         return keep
+
+    def _grow_tables(self, rows: int, dimension: int) -> None:
+        """Extend the per-slot tables to ``rows`` slots, keeping the
+        slots already seen."""
+        kept = self._seen.size
+        prev_vectors = np.empty((rows, dimension))
+        prev_params = np.empty((rows, dimension))
+        if kept:
+            prev_vectors[:kept] = self._prev_vectors
+            prev_params[:kept] = self._prev_params
+        self._prev_vectors, self._prev_params = prev_vectors, prev_params
+        self._seen = np.concatenate([self._seen, np.zeros(rows - kept, bool)])

@@ -134,20 +134,21 @@ def evaluated_record(
 def round_record(
     round_index: int,
     learning_rate: float,
-    aggregate: np.ndarray,
-    params: np.ndarray,
+    aggregate_norm: float,
+    params_norm: float,
     selected: Sequence[int],
     byzantine_ids: Collection[int],
 ) -> RoundRecord:
     """One round's record: the norms of the aggregate and of the updated
-    ``params``, and the selected ids of which the Byzantine ones are
-    counted."""
+    parameters (the executors take them for all cells in one
+    :func:`~repro.utils.linalg.exact_row_norms` call each), and the
+    selected ids of which the Byzantine ones are counted."""
     chosen = tuple(int(i) for i in selected)
     return RoundRecord(
         round_index=round_index,
         learning_rate=float(learning_rate),
-        aggregate_norm=float(np.linalg.norm(aggregate)),
-        params_norm=float(np.linalg.norm(params)),
+        aggregate_norm=float(aggregate_norm),
+        params_norm=float(params_norm),
         selected=chosen,
         byzantine_selected=sum(1 for i in chosen if i in byzantine_ids),
     )

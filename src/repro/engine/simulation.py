@@ -87,8 +87,9 @@ from repro.distributed.simulator import (
     selected_last_round,
 )
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.gradients.oracle import GaussianOracleEstimator
+from repro.gradients.oracle import shared_gradient_fn
 from repro.servers.replication import replica_view
+from repro.utils.linalg import exact_row_norms
 from repro.utils.validation import check_positive_int
 
 __all__ = ["BatchedSimulation", "LoopExecutor"]
@@ -129,19 +130,6 @@ class _Group:
         self.start = start
         self.stop = stop
         self.adapter = adapter
-
-
-def _shared_gradient_fn(sim: TrainingSimulation):
-    """The common deterministic gradient callable of a simulation's honest
-    estimators, or ``None`` when the workers are not oracle-backed (then
-    the engine falls back to per-worker ``estimate`` calls)."""
-    estimators = [worker.estimator for worker in sim.honest_workers]
-    if not all(isinstance(e, GaussianOracleEstimator) for e in estimators):
-        return None
-    first = estimators[0].gradient_fn
-    if all(e.gradient_fn == first for e in estimators):
-        return first
-    return None
 
 
 class BatchedSimulation:
@@ -257,7 +245,9 @@ class BatchedSimulation:
                     index=original_index,
                     simulation=sim,
                     params=self._params[slot],
-                    shared_gradient_fn=_shared_gradient_fn(sim),
+                    shared_gradient_fn=shared_gradient_fn(
+                        [worker.estimator for worker in sim.honest_workers]
+                    ),
                     honest_ids=np.asarray(
                         [w.worker_id for w in sim.honest_workers],
                         dtype=np.int64,
@@ -428,12 +418,7 @@ class BatchedSimulation:
         # read the same snapshot, as they would share one broadcast.
         params_cache: dict[int, np.ndarray] = {}
 
-        def worker_params(worker_id: int) -> np.ndarray:
-            tau = (
-                0
-                if staleness_row is None
-                else int(staleness_row[worker_id])
-            )
+        def params_at(tau: int) -> np.ndarray:
             if tau not in params_cache:
                 if scenario.views is not None:
                     # Tier scenario: workers read the replica-median
@@ -446,6 +431,11 @@ class BatchedSimulation:
                 params_cache[tau] = source.copy()
             return params_cache[tau]
 
+        taus = (
+            [0] * self.num_workers
+            if staleness_row is None
+            else staleness_row.tolist()
+        )
         row = self._proposals[slot]
         if scenario.shared_gradient_fn is not None:
             # One gradient evaluation per distinct staleness this round
@@ -453,25 +443,20 @@ class BatchedSimulation:
             # oracle is deterministic in its parameters.
             expected_at: dict[int, np.ndarray] = {}
             for worker in sim.honest_workers:
-                tau = (
-                    0
-                    if staleness_row is None
-                    else int(staleness_row[worker.worker_id])
-                )
-                if tau not in expected_at:
-                    expected_at[tau] = np.asarray(
-                        scenario.shared_gradient_fn(
-                            worker_params(worker.worker_id)
-                        ),
+                tau = taus[worker.worker_id]
+                expected = expected_at.get(tau)
+                if expected is None:
+                    expected = expected_at[tau] = np.asarray(
+                        scenario.shared_gradient_fn(params_at(tau)),
                         dtype=self._float_dtype,
                     )
                 row[worker.worker_id] = worker.estimator.sample_about(
-                    expected_at[tau], worker.rng
+                    expected, worker.rng
                 )
             return expected_at.get(0)
         for worker in sim.honest_workers:
             row[worker.worker_id] = worker.estimator.estimate(
-                worker_params(worker.worker_id), worker.rng
+                params_at(taus[worker.worker_id]), worker.rng
             )
         return None
 
@@ -502,7 +487,7 @@ class BatchedSimulation:
                 true_gradient = expected
             else:
                 true_gradient = sim.true_gradient_fn(params)
-        honest_params = None
+        honest_params = honest_staleness = None
         if staleness_row is not None:
             # Row τ of the window is the read τ rounds ago; the fancy
             # index copies, so the rows need no defensive copy.
@@ -512,7 +497,7 @@ class BatchedSimulation:
                 window = [scenario.views[-1 - tau] for tau in depth]
             else:
                 window = [self._params_at(slot, tau) for tau in depth]
-            honest_params = np.stack(window)[honest_staleness]
+            honest_params = np.array(window)[honest_staleness]
         context = AttackContext(
             round_index=self._round_index,
             params=params,
@@ -523,11 +508,7 @@ class BatchedSimulation:
             rng=sim.attack_rng,
             aggregator=sim.server.aggregator,
             true_gradient=true_gradient,
-            honest_staleness=(
-                None
-                if staleness_row is None
-                else staleness_row[scenario.honest_ids]
-            ),
+            honest_staleness=honest_staleness,
             byzantine_staleness=(
                 None
                 if staleness_row is None
@@ -653,6 +634,8 @@ class BatchedSimulation:
         # snapshots.
         self._params = self._params - rates[:, None] * aggregate
         self._history.append(self._params)
+        aggregate_norms = exact_row_norms(aggregate).tolist()
+        params_norms = exact_row_norms(self._params).tolist()
         records: list[RoundRecord] = [None] * self.batch_size  # type: ignore[list-item]
         for slot, scenario in enumerate(self._scenarios):
             scenario.params = self._params[slot]
@@ -665,8 +648,8 @@ class BatchedSimulation:
             records[scenario.index] = round_record(
                 t,
                 rates[slot],
-                aggregate[slot],
-                scenario.params,
+                aggregate_norms[slot],
+                params_norms[slot],
                 selected[slot],
                 scenario.byzantine_set,
             )

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.gradients.base import GradientEstimator
 
-__all__ = ["GaussianOracleEstimator"]
+__all__ = ["GaussianOracleEstimator", "shared_gradient_fn"]
 
 
 class GaussianOracleEstimator(GradientEstimator):
@@ -19,6 +19,12 @@ class GaussianOracleEstimator(GradientEstimator):
     exactly unbiased, with ``E‖G − g‖² = d σ²``, so the resilience
     condition ``η(n,f)·√d·σ < ‖g‖`` of Proposition 4.2 can be dialed
     precisely.
+
+    ``row_blocks=True`` declares that ``gradient_fn`` also maps a
+    ``(k, d)`` block of parameter rows to their ``k`` gradients, each
+    bit for bit the one-row result (as
+    :meth:`~repro.models.quadratic.QuadraticBowl.exact_gradient` does),
+    so an executor may evaluate all workers' gradients in one call.
     """
 
     def __init__(
@@ -26,6 +32,8 @@ class GaussianOracleEstimator(GradientEstimator):
         gradient_fn: Callable[[np.ndarray], np.ndarray],
         dimension: int,
         sigma: float,
+        *,
+        row_blocks: bool = False,
     ):
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
@@ -36,6 +44,7 @@ class GaussianOracleEstimator(GradientEstimator):
         self._gradient_fn = gradient_fn
         self._dimension = int(dimension)
         self.sigma = float(sigma)
+        self.row_blocks = bool(row_blocks)
 
     @property
     def dimension(self) -> int:
@@ -67,3 +76,22 @@ class GaussianOracleEstimator(GradientEstimator):
 
     def expected(self, params: np.ndarray) -> np.ndarray:
         return np.asarray(self._gradient_fn(params), dtype=np.float64).copy()
+
+
+def shared_gradient_fn(
+    estimators: Sequence[GradientEstimator], *, row_blocks: bool = False
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The exact-gradient callable every estimator wraps, or ``None``
+    when one is not a :class:`GaussianOracleEstimator` or they wrap
+    different callables (callers then ask each estimator in turn).
+    ``row_blocks=True`` also requires every estimator to declare block
+    evaluation."""
+    if not all(isinstance(e, GaussianOracleEstimator) for e in estimators):
+        return None
+    first = estimators[0].gradient_fn
+    if all(
+        e.gradient_fn == first and (e.row_blocks or not row_blocks)
+        for e in estimators
+    ):
+        return first
+    return None

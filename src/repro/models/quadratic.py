@@ -100,10 +100,14 @@ class QuadraticBowl(Model):
         return self.optimum + rng.normal(0.0, 1.0, size=self._dimension) * 5.0
 
     def _apply(self, delta: np.ndarray) -> np.ndarray:
-        """``A · delta``: a scalar product or a dense matvec."""
+        """``A · delta`` per row of a ``(..., d)`` ``delta``: a scalar
+        product, a dense matvec, or stacked matvecs (equal to ``A @ row``
+        per row bit for bit, which ``delta @ A.T`` is not)."""
         if isinstance(self.curvature, float):
             return self.curvature * delta
-        return self.curvature @ delta
+        if delta.ndim == 1:
+            return self.curvature @ delta
+        return np.matmul(self.curvature, delta[..., None])[..., 0]
 
     def value(self, params: np.ndarray) -> float:
         """Exact cost ``Q(params)``."""
@@ -111,7 +115,9 @@ class QuadraticBowl(Model):
         return float(self._apply(0.5 * delta) @ delta + self.offset)
 
     def exact_gradient(self, params: np.ndarray) -> np.ndarray:
-        """Exact gradient ``∇Q(params) = A (params − x*)``."""
+        """Exact gradient ``∇Q(params) = A (params − x*)``.  A ``(..., d)``
+        block of parameter rows gives every row's gradient, each equal
+        bit for bit to the one-row call."""
         delta = np.asarray(params, dtype=np.float64) - self.optimum
         return self._apply(delta)
 
@@ -131,4 +137,6 @@ class QuadraticBowl(Model):
 
     def as_estimator(self, sigma: float) -> GaussianOracleEstimator:
         """The paper's Gaussian gradient estimator around this cost."""
-        return GaussianOracleEstimator(self.exact_gradient, self._dimension, sigma)
+        return GaussianOracleEstimator(
+            self.exact_gradient, self._dimension, sigma, row_blocks=True
+        )

@@ -149,8 +149,8 @@ class SignFlipBroadcastAttack(ServerAttack):
         )
 
     def corrupt(self, context: ServerAttackContext) -> np.ndarray:
-        corrupted = np.tile(
-            -self.scale * context.params, (context.num_byzantine, 1)
+        corrupted = np.repeat(
+            (-self.scale * context.params)[None], context.num_byzantine, axis=0
         )
         return self._output(context, corrupted)
 

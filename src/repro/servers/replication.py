@@ -211,8 +211,8 @@ class ReplicatedServerGroup:
         stack the results through :func:`replica_view`;
         :meth:`corrupted_view` is the one-cell call).
         """
-        matrix = np.tile(
-            np.asarray(params, dtype=np.float64), (self.num_servers, 1)
+        matrix = np.repeat(
+            np.asarray(params, dtype=np.float64)[None], self.num_servers, axis=0
         )
         if self.byzantine_servers > 0:
             assert self.server_attack is not None

@@ -69,8 +69,10 @@ from repro.distributed.simulator import (
 )
 from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.gradients.base import GradientEstimator
+from repro.gradients.oracle import shared_gradient_fn
 from repro.topology.base import Topology
 from repro.topology.registry import make_topology
+from repro.utils.linalg import exact_row_norms
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_positive_int
 
@@ -199,6 +201,11 @@ class GossipSimulation:
         self.attack_rng = streams[self.num_honest]
         self._node_rng = dict(zip(self.honest_ids, streams[: self.num_honest]))
         self._estimators = dict(zip(self.honest_ids, honest_estimators))
+        # One call of a shared block-capable oracle gives every honest
+        # node's expected gradient (see _propose).
+        self._block_gradient = shared_gradient_fn(
+            honest_estimators, row_blocks=True
+        )
 
         if isinstance(edge_delay, str):
             edge_delay = make_delay_schedule(edge_delay)
@@ -392,9 +399,20 @@ class GossipSimulation:
         n, b = self.num_nodes, self.num_byzantine
         params = self._node_params
         messages = np.empty((n + n * b if self.equivocate else n, self.dimension))
-        for v in self.honest_ids:
-            estimator, rng = self._estimators[v], self._node_rng[v]
-            messages[v] = estimator.estimate(params[v], rng)
+        if self._block_gradient is not None:
+            # Each row equals the node's own gradient call, and each node
+            # still draws its noise from its own stream in id order.
+            expected = np.asarray(
+                self._block_gradient(params[self._honest]), dtype=np.float64
+            )
+            for v, row in zip(self.honest_ids, expected):
+                messages[v] = self._estimators[v].sample_about(
+                    row, self._node_rng[v]
+                )
+        else:
+            for v in self.honest_ids:
+                estimator, rng = self._estimators[v], self._node_rng[v]
+                messages[v] = estimator.estimate(params[v], rng)
         if b > 0:
             assert self.attack is not None
             neighbors = tuple(
@@ -570,8 +588,13 @@ class GossipSimulation:
         # last_selected verdict).
         self._selected_union = np.unique(member[positions])
         own = positions[positions < sizes[0]]  # the reference node's
+        ref = self.reference_node
         return round_record(
-            t, rate, vectors[0], params[self.reference_node], member[own],
+            t,
+            rate,
+            exact_row_norms(vectors[:1])[0],
+            exact_row_norms(params[ref : ref + 1])[0],
+            member[own],
             set(self.byzantine_ids),
         )
 

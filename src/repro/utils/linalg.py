@@ -14,7 +14,9 @@ numpy call used before the seam existed — bit-for-bit identical results.
 The host-side plumbing at the bottom (:func:`stack_vectors`,
 :func:`flatten_arrays`, :func:`unflatten_array` — model-parameter
 marshalling, not aggregation arithmetic) stays plain numpy on purpose,
-as does :func:`coordinate_median`, the numpy backend's median itself.
+as do :func:`coordinate_median`, the numpy backend's median itself, and
+:func:`exact_row_norms`, the host-side norms of the round records and
+the Lipschitz rules.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "masked_inverse_distance_weights",
     "masked_unit_direction_sum",
     "coordinate_median",
+    "exact_row_norms",
     "stack_vectors",
     "flatten_arrays",
     "unflatten_array",
@@ -335,6 +338,20 @@ def coordinate_median(x, axis: int):
             return last
         np.copyto(result, last, where=nans)
     return result
+
+
+def exact_row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(row)`` of every row of a 2-d ``matrix``, bit for
+    bit, from one stacked ``1×d · d×1`` matmul.
+
+    ``np.linalg.norm`` of a vector is ``sqrt(v.dot(v))``, and the
+    stacked product dispatches each row to that same BLAS dot.  The
+    contiguous copy matters: on a strided view the BLAS dot sums in a
+    different order.  A batched ``norm(M, axis=1)`` or an
+    ``einsum('ij,ij->i')`` reduces differently and is not bit-identical.
+    """
+    rows = np.ascontiguousarray(matrix)
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -6,6 +6,9 @@ errors surface as ``ReproError`` subclasses with actionable messages.
 
 from __future__ import annotations
 
+import functools
+import inspect
+
 import numpy as np
 
 from repro.exceptions import (
@@ -114,13 +117,14 @@ def check_factory_kwargs(
     raise :class:`ConfigurationError` naming the entry and the
     parameters its factory accepts, instead of leaking the factory's raw
     ``TypeError``.  Factories without an introspectable signature are
-    let through for the call itself to check.
+    let through for the call itself to check.  Signatures are cached per
+    factory: a grid builds the same few factories thousands of times.
     """
-    import inspect
-
     try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):
+        signature = _factory_signature(factory)
+    except TypeError:  # an unhashable callable: not cached
+        signature = _factory_signature.__wrapped__(factory)
+    if signature is None:
         return
     try:
         signature.bind(**kwargs)
@@ -130,3 +134,11 @@ def check_factory_kwargs(
             f"invalid arguments for {kind} {name!r}: {error}; "
             f"accepted parameters: {accepted}"
         ) from error
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory_signature(factory) -> inspect.Signature | None:
+    try:
+        return inspect.signature(factory)
+    except (TypeError, ValueError):
+        return None

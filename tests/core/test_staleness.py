@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.average import Average
 from repro.core.krum import Krum
@@ -12,6 +13,8 @@ from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
 )
+
+from tests.core.kardam_reference import ReferenceKardamFilter
 
 
 def _stack(rng, n=8, d=4):
@@ -249,6 +252,83 @@ class TestLipschitzFilter:
             vectors, np.zeros(4, dtype=np.int64)
         ).vector
         np.testing.assert_array_equal(out, vectors.mean(axis=0))
+
+
+def _stale_stream(seed: int, rounds: int, dimension: int):
+    """Rounds of ``(vectors, used_params, staleness)`` whose Lipschitz
+    rates tie, vanish (unchanged proposals), go undefined (parameters
+    that did not move), or turn infinite or NaN (±inf, NaN and 1e300
+    entries); the slot count varies so the filter's per-slot memory
+    grows and shrinks."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(8, dimension))
+    params = rng.choice([0.0, 1.0], size=(8, dimension))
+    for _ in range(rounds):
+        n = int(rng.integers(2, 9))
+        step = rng.choice([0.0, 0.25, 1.0], size=(8, 1))
+        params = params + step * rng.choice([-1.0, 1.0], size=(8, dimension))
+        change = rng.choice([0.0, 0.5, 2.0], size=(8, 1))
+        vectors = vectors + change * rng.standard_normal((8, dimension))
+        sent, at = vectors[:n].copy(), params[:n].copy()
+        sent[rng.integers(0, n), 0] = rng.choice([np.inf, -np.inf, np.nan, 1e300])
+        if rng.random() < 0.2:
+            at[rng.integers(0, n), 0] = rng.choice([np.inf, np.nan])
+        yield sent, at, rng.integers(0, 4, size=n)
+
+
+class TestLipschitzFilterMatchesFrozenReference:
+    """The per-slot tables, stacked norms and sorted rate window against
+    the frozen per-slot loop of ``tests/core/kardam_reference.py``: equal
+    keep verdicts and accepted-coefficient windows, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.integers(1, 12),
+        dimension=st.integers(1, 40),
+        window=st.integers(1, 10),
+        quantile=st.sampled_from([1.0, 0.9, 0.5, 0.3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_keep_verdicts_and_window_bitwise(
+        self, seed, rounds, dimension, window, quantile
+    ):
+        kwargs = dict(lipschitz_quantile=quantile, window=window)
+        library = KardamFilter(Average(), **kwargs)
+        reference = ReferenceKardamFilter(Average(), **kwargs)
+        for vectors, params, staleness in _stale_stream(seed, rounds, dimension):
+            admissible = staleness <= 1
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = library._lipschitz_keep(
+                    vectors, params, admissible=admissible
+                )
+                want = reference._lipschitz_keep(
+                    vectors, params, admissible=admissible
+                )
+            assert got.tobytes() == want.tobytes()
+            assert (
+                np.asarray(library._coefficients, dtype=np.float64).tobytes()
+                == np.asarray(reference._coefficients, dtype=np.float64).tobytes()
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stale_rounds_through_the_drop_cut(self, seed):
+        # Rows the drop_above cut already rejected reach the filter as
+        # inadmissible: their rates must stay out of both windows.
+        kwargs = dict(drop_above=1, lipschitz_quantile=0.9, window=16)
+        library = KardamFilter(Average(), **kwargs)
+        reference = ReferenceKardamFilter(Average(), **kwargs)
+        for vectors, params, staleness in _stale_stream(seed, 40, 6):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = library.aggregate_detailed_stale(
+                    vectors, staleness, used_params=params
+                )
+                want = reference.aggregate_detailed_stale(
+                    vectors, staleness, used_params=params
+                )
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert np.array_equal(got.selected, want.selected)
+        assert len(library._coefficients) > 0
+        assert list(library._coefficients) == list(reference._coefficients)
 
 
 class TestValidationOfStaleInputs:

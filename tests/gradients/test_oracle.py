@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.gradients.oracle import GaussianOracleEstimator
+from repro.gradients.momentum import MomentumEstimator
+from repro.gradients.oracle import GaussianOracleEstimator, shared_gradient_fn
 
 
 def quadratic_gradient(x):
@@ -52,3 +53,27 @@ class TestGaussianOracleEstimator:
             GaussianOracleEstimator(quadratic_gradient, 0, sigma=1.0)
         with pytest.raises(ConfigurationError):
             GaussianOracleEstimator(quadratic_gradient, 3, sigma=-1.0)
+
+
+class TestSharedGradientFn:
+    def test_common_callable_is_shared(self):
+        estimators = [
+            GaussianOracleEstimator(quadratic_gradient, 3, sigma=s)
+            for s in (0.0, 0.5)
+        ]
+        assert shared_gradient_fn(estimators) is quadratic_gradient
+        # Block evaluation is only used when every estimator declares it.
+        assert shared_gradient_fn(estimators, row_blocks=True) is None
+
+    def test_block_capable_oracle(self):
+        estimators = [
+            GaussianOracleEstimator(quadratic_gradient, 3, 0.5, row_blocks=True)
+            for _ in range(3)
+        ]
+        assert shared_gradient_fn(estimators, row_blocks=True) is quadratic_gradient
+
+    def test_distinct_callables_or_estimators_are_not_shared(self):
+        other = GaussianOracleEstimator(lambda x: x, 3, sigma=0.5)
+        same = GaussianOracleEstimator(quadratic_gradient, 3, sigma=0.5)
+        assert shared_gradient_fn([same, other]) is None
+        assert shared_gradient_fn([same, MomentumEstimator(same, beta=0.9)]) is None

@@ -206,3 +206,34 @@ class TestNonFiniteHalt:
         with pytest.raises(SimulationError, match="non-finite") as batched_err:
             BatchedSimulation([build()]).run(5)
         assert str(loop_err.value) == str(batched_err.value)
+
+
+class TestBlockGradient:
+    """A ``(..., d)`` block of parameter rows gives each row's gradient,
+    bit for bit the one-row call, for both curvature forms."""
+
+    @staticmethod
+    def _bowls(rng, dimension):
+        factor = rng.standard_normal((dimension, dimension))
+        dense = factor @ factor.T + dimension * np.eye(dimension)
+        optimum = rng.normal(0.0, 3.0, dimension)
+        return (
+            QuadraticBowl(dimension, curvature=0.37, optimum=optimum),
+            QuadraticBowl(dimension, curvature=dense, optimum=optimum),
+        )
+
+    @pytest.mark.parametrize("dimension", [1, 2, 5, 100, 200])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+    def test_rows_equal_one_row_calls(self, rng, dimension, shape):
+        block = rng.normal(0.0, 10.0, shape + (dimension,))
+        block.reshape(-1, dimension)[0, 0] = np.inf
+        for bowl in self._bowls(rng, dimension):
+            with np.errstate(invalid="ignore"):
+                gradients = bowl.exact_gradient(block)
+                assert gradients.shape == block.shape
+                for index in np.ndindex(shape):
+                    want = bowl.exact_gradient(block[index])
+                    assert gradients[index].tobytes() == want.tobytes()
+
+    def test_estimator_declares_block_evaluation(self):
+        assert QuadraticBowl(3).as_estimator(0.5).row_blocks

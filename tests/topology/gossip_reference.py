@@ -94,8 +94,8 @@ class ReferenceGossipSimulation(GossipSimulation):
         record = round_record(
             t,
             rate,
-            vector,
-            self._node_params[self.reference_node],
+            float(np.linalg.norm(vector)),
+            float(np.linalg.norm(self._node_params[self.reference_node])),
             selected_ids,
             set(self.byzantine_ids),
         )

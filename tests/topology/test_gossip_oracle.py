@@ -19,6 +19,7 @@ from repro.core.registry import make_aggregator
 from repro.distributed.schedules import ConstantSchedule
 from repro.exceptions import ReproError
 from repro.gradients.oracle import GaussianOracleEstimator
+from repro.models.quadratic import QuadraticBowl
 from repro.topology import GossipSimulation, make_topology
 from tests.topology.gossip_reference import ReferenceGossipSimulation
 
@@ -69,6 +70,7 @@ def build(
     builder=None,
     seed=5,
     num_honest=NUM_HONEST,
+    bowl=None,
 ):
     name, kwargs, local_f = rule
     if local_f and builder is None:
@@ -86,6 +88,8 @@ def build(
         schedule=ConstantSchedule(0.1),
         honest_estimators=[
             GaussianOracleEstimator(gradient_fn, DIMENSION, 0.5)
+            if bowl is None
+            else bowl.as_estimator(0.5)
             for _ in range(num_honest)
         ],
         initial_params=np.ones(DIMENSION),
@@ -94,7 +98,7 @@ def build(
         attack=make_attack(attack, {}) if num_byzantine else None,
         edge_delay=edge_delay,
         equivocate=equivocate,
-        true_gradient_fn=gradient_fn,
+        true_gradient_fn=gradient_fn if bowl is None else bowl.exact_gradient,
         halt_on_nonfinite=halt_on_nonfinite,
         seed=seed,
     )
@@ -159,6 +163,31 @@ def test_matches_node_by_node_oracle(rule, topology):
                     edge_delay=edge_delay,
                     equivocate=equivocate,
                 )
+            )
+
+
+@pytest.mark.parametrize("curvature", ["scalar", "dense"])
+@pytest.mark.parametrize("rule", [RULES[0], RULES[2], RULES[8]], ids=lambda r: r[0])
+def test_block_gradient_proposals_match_node_by_node(curvature, rule):
+    """A shared quadratic oracle gives every honest node's expected
+    gradient in one block call; the reference asks each node's
+    estimator in turn."""
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((DIMENSION, DIMENSION))
+    bowl = QuadraticBowl(
+        DIMENSION,
+        curvature=(
+            0.8 if curvature == "scalar" else matrix @ matrix.T + np.eye(DIMENSION)
+        ),
+        optimum=rng.standard_normal(DIMENSION),
+    )
+    assert build(
+        GossipSimulation, rule=rule, topology=("ring", {"degree": 6}), bowl=bowl
+    )._block_gradient is not None
+    for topology in TOPOLOGIES[2:]:
+        for edge_delay in (None, "random"):
+            assert_same_outcome(
+                dict(rule=rule, topology=topology, edge_delay=edge_delay, bowl=bowl)
             )
 
 

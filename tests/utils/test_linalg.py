@@ -12,6 +12,7 @@ from repro.servers.replication import replica_view
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
     coordinate_median,
+    exact_row_norms,
     flatten_arrays,
     masked_coordinate_median,
     masked_inverse_distance_weights,
@@ -187,6 +188,48 @@ class TestCoordinateMedian:
             assert kernel[b].tobytes() == np.median(stacks[b], axis=0).tobytes()
         view = replica_view(stacks)
         assert view.tobytes() == np.median(stacks, axis=-2).tobytes()
+
+
+def assert_row_norms(matrix):
+    want = np.array([np.linalg.norm(row) for row in matrix], dtype=matrix.dtype)
+    got = exact_row_norms(matrix)
+    assert got.shape == (matrix.shape[0],)
+    nans = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nans)
+    assert np.where(nans, 0.0, got).tobytes() == np.where(nans, 0.0, want).tobytes()
+
+
+class TestExactRowNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        matrix=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 300)),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                st.floats(-1e150, 1e150, width=64),
+            ),
+        ),
+    )
+    def test_equals_norm_per_row(self, matrix):
+        assert_row_norms(matrix)
+        # A transposed view and a strided view of the same rows.
+        assert_row_norms(np.ascontiguousarray(matrix.T).T)
+        assert_row_norms(np.repeat(matrix, 2, axis=1)[:, ::2])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 200), (8, 1), (8, 672), (3, 25450)])
+    def test_shapes_of_the_workloads(self, rng, shape, dtype):
+        matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+        matrix = matrix.astype(dtype)
+        assert_row_norms(matrix)
+        assert_row_norms(np.asfortranarray(matrix))
+        assert_row_norms(np.concatenate([matrix, matrix], axis=1)[:, 1::2])
+
+    def test_nonfinite_rows(self):
+        matrix = np.array([[1.0, np.inf], [np.nan, 0.0], [-np.inf, np.nan], [3.0, 4.0]])
+        assert_row_norms(matrix)
+        assert exact_row_norms(matrix)[3] == 5.0
 
 
 class TestMaskedWeiszfeldPrimitives:

@@ -1,5 +1,7 @@
 """Tests for repro.utils.validation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.exceptions import (
 )
 from repro.utils.validation import (
     check_class_labels,
+    check_factory_kwargs,
     check_finite,
     check_positive_int,
     check_probability,
@@ -118,3 +121,59 @@ class TestCheckClassLabels:
     def test_rejects_non_integral(self, bad):
         with pytest.raises(DimensionMismatchError, match="1 other value"):
             check_class_labels(np.array([1.0, bad]), 3)
+
+
+def _factory(target, *, scale=1.0):
+    return target, scale
+
+
+class _Unhashable:
+    """A callable instance that cannot key a cache."""
+
+    __hash__ = None
+
+    def __call__(self, target):
+        return target
+
+
+class TestCheckFactoryKwargs:
+    """Signatures are cached per factory; the messages are unchanged,
+    however often a factory is checked."""
+
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_unknown_kwarg_message(self, repeat):
+        for _ in range(repeat):
+            with pytest.raises(ConfigurationError) as excinfo:
+                check_factory_kwargs("attack", "demo", _factory, {"target": 1, "bogus": 2})
+            assert str(excinfo.value) == (
+                "invalid arguments for attack 'demo': got an unexpected "
+                "keyword argument 'bogus'; accepted parameters: target, scale"
+            )
+            assert isinstance(excinfo.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_missing_kwarg_message(self, repeat):
+        for _ in range(repeat):
+            with pytest.raises(ConfigurationError) as excinfo:
+                check_factory_kwargs("topology", "demo", _factory, {"scale": 2.0})
+            assert str(excinfo.value) == (
+                "invalid arguments for topology 'demo': missing a required "
+                "argument: 'target'; accepted parameters: target, scale"
+            )
+
+    def test_binding_kwargs_pass(self):
+        check_factory_kwargs("attack", "demo", _factory, {"target": 1})
+        check_factory_kwargs("attack", "demo", _factory, {"target": 1, "scale": 2})
+
+    def test_factory_without_signature_passes_through(self):
+        with pytest.raises(ValueError):
+            inspect.signature(dict)
+        for _ in range(2):
+            check_factory_kwargs("attack", "demo", dict, {"anything": 1})
+
+    def test_unhashable_factory_is_still_checked(self):
+        factory = _Unhashable()
+        check_factory_kwargs("attack", "demo", factory, {"target": 1})
+        with pytest.raises(ConfigurationError, match="accepted parameters: target"):
+            check_factory_kwargs("attack", "demo", factory, {"other": 1})
+
