@@ -35,7 +35,7 @@ import numpy as np
 from repro.attacks.base import Attack, AttackContext
 from repro.core.staleness import DAMPENING_MODES, RateWindow
 from repro.exceptions import ConfigurationError
-from repro.utils.linalg import exact_row_norms
+from repro.utils.linalg import exact_row_dots, exact_row_norms
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -186,8 +186,10 @@ class LipschitzMimicryAttack(Attack):
         remember their gradients and parameters.
 
         All row differences come from one subtraction per table, and
-        their norms from one :func:`~repro.utils.linalg.exact_row_norms`
-        call each, which equals ``np.linalg.norm`` per row.
+        their norms ``sqrt(v.dot(v))`` from one
+        :func:`~repro.utils.linalg.exact_row_dots` call each, the dot in
+        the input dtype and the root in float64 (as ``math.sqrt`` of the
+        dot, also under a float32 backend).
         """
         ids = np.asarray(context.honest_indices, dtype=np.int64)
         if ids.size == 0:
@@ -213,8 +215,8 @@ class LipschitzMimicryAttack(Attack):
             moved = at - self._prev_params[old]
             changed = rows - self._prev_gradients[old]
             for displacement, change in zip(
-                exact_row_norms(moved).tolist(),
-                exact_row_norms(changed).tolist(),
+                np.sqrt(exact_row_dots(moved), dtype=np.float64).tolist(),
+                np.sqrt(exact_row_dots(changed), dtype=np.float64).tolist(),
             ):
                 if displacement > 0.0:
                     rate = change / displacement

@@ -36,7 +36,6 @@ from repro.exceptions import (
     DimensionMismatchError,
     InvalidVectorError,
 )
-from repro.utils.linalg import exact_row_norms
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -86,14 +85,14 @@ class RateWindow:
     ``append``, ``maxlen``, ``len``, iteration in arrival order and
     ``np.asarray``.  It holds the deque rather than subclassing it, so
     no inherited mutator (``popleft``, ``extend``, ``+``) can bypass
-    the shadow.  NaN has no place in a sorted order, so ``append``
-    rejects it; both rules only append finite rates.
+    the shadow.  A rate is a quotient of norms, so ``append`` rejects
+    NaN and anything negative, −0.0 included: a sorted order has no
+    place for NaN, and numpy's partition does not order signed zeros.
     """
 
     def __init__(self, maxlen: int):
         self._values: deque[float] = deque(maxlen=maxlen)
         self._sorted: list[float] = []
-        self._negative_zeros = 0
 
     @property
     def maxlen(self) -> int:
@@ -111,19 +110,15 @@ class RateWindow:
     def append(self, value: float) -> None:
         """Append ``value``, evicting the oldest rate from a full window."""
         value = float(value)
-        if value != value:
-            raise InvalidVectorError("a rate window cannot hold NaN")
+        if not value >= 0.0 or math.copysign(1.0, value) < 0.0:
+            raise InvalidVectorError(
+                f"a rate window holds non-negative rates, got {value!r}"
+            )
         values, ordered = self._values, self._sorted
         if len(ordered) == values.maxlen:
-            old = values[0]
-            if old == 0.0:
-                self._negative_zeros -= math.copysign(1.0, old) < 0.0
-            del ordered[bisect_left(ordered, old)]
-        if value == 0.0:
-            self._negative_zeros += math.copysign(1.0, value) < 0.0
+            del ordered[bisect_left(ordered, values[0])]
         values.append(value)
-        # The shadow holds −0.0 as +0.0, so eviction finds the value.
-        insort(ordered, value + 0.0)
+        insort(ordered, value)
 
     def quantile(self, q: float) -> float:
         """``np.quantile(np.asarray(window), q)`` bit for bit.
@@ -131,13 +126,9 @@ class RateWindow:
         Numpy's ``linear`` method in Python floats on the sorted shadow:
         the virtual index ``(n − 1)·q``, its floor, the clip of both
         neighbours to the last entry at ``≥ n − 1`` (where the weight
-        becomes ``index + 1``), then ``_lerp``'s two branches.  A window
-        holding a −0.0 defers to ``np.quantile`` itself: its partition
-        does not order signed zeros, so which zero a neighbour reads is
-        numpy's choice.  The window must not be empty.
+        becomes ``index + 1``), then ``_lerp``'s two branches.  The
+        window must not be empty.
         """
-        if self._negative_zeros:
-            return float(np.quantile(np.asarray(self, dtype=np.float64), q))
         top = len(self._sorted) - 1
         index = top * q
         below = math.floor(index)
@@ -255,13 +246,9 @@ class KardamFilter(StalenessAwareAggregator):
             None if lipschitz_quantile is None else float(lipschitz_quantile)
         )
         self.window = window
-        # Per worker slot (one row each): the previous proposal and
-        # parameters for the empirical Lipschitz coefficient, and
-        # whether the slot was seen yet; plus the accepted-coefficient
-        # window.
-        self._prev_vectors = np.empty((0, 0))
-        self._prev_params = np.empty((0, 0))
-        self._seen = np.zeros(0, dtype=bool)
+        # Per-worker-slot previous (proposal, params) for the empirical
+        # Lipschitz coefficient, plus the accepted-coefficient window.
+        self._previous: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._coefficients = RateWindow(maxlen=self.window)
         self.name = self._encode_name()
 
@@ -435,22 +422,22 @@ class KardamFilter(StalenessAwareAggregator):
         window — a proposal the hard staleness cut already rejected must
         not steer the quantile threshold.
         """
-        n, d = vectors.shape
-        if self._seen.size < n:
-            self._grow_tables(n, d)
+        n = vectors.shape[0]
         keep = np.ones(n, dtype=bool)
         coefficients: list[tuple[int, float]] = []
-        seen = np.flatnonzero(self._seen[:n])
-        if seen.size:
-            displacements = exact_row_norms(
-                used_params[seen] - self._prev_params[seen]
-            )
-            changes = exact_row_norms(vectors[seen] - self._prev_vectors[seen])
-            for i, displacement, change in zip(
-                seen.tolist(), displacements.tolist(), changes.tolist()
-            ):
+        for i in range(n):
+            previous = self._previous.get(i)
+            if previous is not None:
+                prev_vector, prev_params = previous
+                displacement = float(
+                    np.linalg.norm(used_params[i] - prev_params)
+                )
                 if displacement > 0.0:
-                    coefficients.append((i, change / displacement))
+                    rate = (
+                        float(np.linalg.norm(vectors[i] - prev_vector))
+                        / displacement
+                    )
+                    coefficients.append((i, rate))
         if coefficients and len(self._coefficients) > 0:
             threshold = self._coefficients.quantile(self.lipschitz_quantile)
             for i, rate in coefficients:
@@ -460,21 +447,8 @@ class KardamFilter(StalenessAwareAggregator):
         # proposals accepted by *every* filter enter the window (Kardam's
         # filter learns from the gradients it admitted).
         for i, rate in coefficients:
-            if keep[i] and admissible[i] and math.isfinite(rate):
+            if keep[i] and admissible[i] and np.isfinite(rate):
                 self._coefficients.append(rate)
-        self._prev_vectors[:n] = vectors
-        self._prev_params[:n] = used_params
-        self._seen[:n] = True
+        for i in range(n):
+            self._previous[i] = (vectors[i].copy(), used_params[i].copy())
         return keep
-
-    def _grow_tables(self, rows: int, dimension: int) -> None:
-        """Extend the per-slot tables to ``rows`` slots, keeping the
-        slots already seen."""
-        kept = self._seen.size
-        prev_vectors = np.empty((rows, dimension))
-        prev_params = np.empty((rows, dimension))
-        if kept:
-            prev_vectors[:kept] = self._prev_vectors
-            prev_params[:kept] = self._prev_params
-        self._prev_vectors, self._prev_params = prev_vectors, prev_params
-        self._seen = np.concatenate([self._seen, np.zeros(rows - kept, bool)])

@@ -20,20 +20,20 @@ class GaussianOracleEstimator(GradientEstimator):
     condition ``η(n,f)·√d·σ < ‖g‖`` of Proposition 4.2 can be dialed
     precisely.
 
-    ``row_blocks=True`` declares that ``gradient_fn`` also maps a
+    Setting :attr:`row_blocks` declares that ``gradient_fn`` also maps a
     ``(k, d)`` block of parameter rows to their ``k`` gradients, each
     bit for bit the one-row result (as
     :meth:`~repro.models.quadratic.QuadraticBowl.exact_gradient` does),
     so an executor may evaluate all workers' gradients in one call.
     """
 
+    row_blocks = False
+
     def __init__(
         self,
         gradient_fn: Callable[[np.ndarray], np.ndarray],
         dimension: int,
         sigma: float,
-        *,
-        row_blocks: bool = False,
     ):
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
@@ -44,7 +44,6 @@ class GaussianOracleEstimator(GradientEstimator):
         self._gradient_fn = gradient_fn
         self._dimension = int(dimension)
         self.sigma = float(sigma)
-        self.row_blocks = bool(row_blocks)
 
     @property
     def dimension(self) -> int:
@@ -79,19 +78,14 @@ class GaussianOracleEstimator(GradientEstimator):
 
 
 def shared_gradient_fn(
-    estimators: Sequence[GradientEstimator], *, row_blocks: bool = False
+    estimators: Sequence[GradientEstimator],
 ) -> Callable[[np.ndarray], np.ndarray] | None:
     """The exact-gradient callable every estimator wraps, or ``None``
     when one is not a :class:`GaussianOracleEstimator` or they wrap
-    different callables (callers then ask each estimator in turn).
-    ``row_blocks=True`` also requires every estimator to declare block
-    evaluation."""
+    different callables (callers then ask each estimator in turn)."""
     if not all(isinstance(e, GaussianOracleEstimator) for e in estimators):
         return None
     first = estimators[0].gradient_fn
-    if all(
-        e.gradient_fn == first and (e.row_blocks or not row_blocks)
-        for e in estimators
-    ):
+    if all(e.gradient_fn == first for e in estimators):
         return first
     return None

@@ -137,6 +137,8 @@ class QuadraticBowl(Model):
 
     def as_estimator(self, sigma: float) -> GaussianOracleEstimator:
         """The paper's Gaussian gradient estimator around this cost."""
-        return GaussianOracleEstimator(
-            self.exact_gradient, self._dimension, sigma, row_blocks=True
+        estimator = GaussianOracleEstimator(
+            self.exact_gradient, self._dimension, sigma
         )
+        estimator.row_blocks = True
+        return estimator

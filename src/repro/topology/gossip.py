@@ -69,7 +69,7 @@ from repro.distributed.simulator import (
 )
 from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.gradients.base import GradientEstimator
-from repro.gradients.oracle import shared_gradient_fn
+from repro.gradients.oracle import GaussianOracleEstimator, shared_gradient_fn
 from repro.topology.base import Topology
 from repro.topology.registry import make_topology
 from repro.utils.linalg import exact_row_norms
@@ -203,8 +203,12 @@ class GossipSimulation:
         self._estimators = dict(zip(self.honest_ids, honest_estimators))
         # One call of a shared block-capable oracle gives every honest
         # node's expected gradient (see _propose).
-        self._block_gradient = shared_gradient_fn(
-            honest_estimators, row_blocks=True
+        block_capable = all(
+            isinstance(e, GaussianOracleEstimator) and e.row_blocks
+            for e in honest_estimators
+        )
+        self._block_gradient = (
+            shared_gradient_fn(honest_estimators) if block_capable else None
         )
 
         if isinstance(edge_delay, str):

@@ -15,8 +15,8 @@ The host-side plumbing at the bottom (:func:`stack_vectors`,
 :func:`flatten_arrays`, :func:`unflatten_array` — model-parameter
 marshalling, not aggregation arithmetic) stays plain numpy on purpose,
 as do :func:`coordinate_median`, the numpy backend's median itself, and
-:func:`exact_row_norms`, the host-side norms of the round records and
-the Lipschitz rules.
+:func:`exact_row_dots` and :func:`exact_row_norms`, the host-side norms
+of the round records and the Lipschitz rules.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "masked_inverse_distance_weights",
     "masked_unit_direction_sum",
     "coordinate_median",
+    "exact_row_dots",
     "exact_row_norms",
     "stack_vectors",
     "flatten_arrays",
@@ -340,18 +341,27 @@ def coordinate_median(x, axis: int):
     return result
 
 
-def exact_row_norms(matrix: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(row)`` of every row of a 2-d ``matrix``, bit for
-    bit, from one stacked ``1×d · d×1`` matmul.
+def exact_row_dots(matrix: np.ndarray) -> np.ndarray:
+    """``row.dot(row)`` of every contiguous row of a 2-d ``matrix``, bit
+    for bit, from one stacked ``1×d · d×1`` matmul in the input dtype.
 
-    ``np.linalg.norm`` of a vector is ``sqrt(v.dot(v))``, and the
-    stacked product dispatches each row to that same BLAS dot.  The
-    contiguous copy matters: on a strided view the BLAS dot sums in a
-    different order.  A batched ``norm(M, axis=1)`` or an
-    ``einsum('ij,ij->i')`` reduces differently and is not bit-identical.
+    The stacked product dispatches each row to the same BLAS dot as
+    ``row.dot(row)``.  The contiguous copy matters: on a strided view
+    the BLAS dot sums in a different order (``np.linalg.norm`` ravels a
+    strided row into a contiguous copy first).  A batched
+    ``norm(M, axis=1)`` or an ``einsum('ij,ij->i')`` reduces
+    differently and is not bit-identical.
     """
     rows = np.ascontiguousarray(matrix)
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def exact_row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(row)`` of every row of a 2-d ``matrix``, bit for
+    bit: ``np.linalg.norm`` of a vector is ``sqrt(v.dot(v))`` with the
+    root in the input dtype, and :func:`exact_row_dots` gives the dots.
+    """
+    return np.sqrt(exact_row_dots(matrix))
 
 
 def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:

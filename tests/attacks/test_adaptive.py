@@ -6,6 +6,8 @@ dampening mode, the mimicry attacker's rate budget, and the probe's
 scale walk driven by ``selected_last_round`` feedback.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +253,40 @@ class TestMimicryObserverMatchesFrozenReference:
                 np.asarray(stacked._rates).tobytes()
                 == np.asarray(reference._rates).tobytes()
             )
+
+    def test_float32_rates_take_the_root_in_float64(self):
+        # Under a float32 backend the dots stay float32 and the root is
+        # math.sqrt's, as in the per-worker loop the observer replaced
+        # (np.linalg.norm, which the reference uses, roots in float32).
+        rng = np.random.default_rng(4)
+        shape = (3, 5, 33)
+        gradients = rng.standard_normal(shape).astype(np.float32)
+        params = rng.standard_normal(shape).astype(np.float32)
+        attack = LipschitzMimicryAttack(window=64)
+        for t in range(3):
+            attack.craft(
+                AttackContext(
+                    round_index=t,
+                    params=params[t, 0],
+                    honest_gradients=gradients[t],
+                    byzantine_indices=np.array([5]),
+                    honest_indices=np.arange(5),
+                    num_workers=6,
+                    rng=np.random.default_rng(0),
+                    honest_params=params[t],
+                    honest_staleness=np.zeros(5, dtype=np.int64),
+                    byzantine_staleness=np.zeros(1, dtype=np.int64),
+                )
+            )
+        want = []
+        for t in (1, 2):
+            for step, change in zip(
+                params[t] - params[t - 1], gradients[t] - gradients[t - 1]
+            ):
+                want.append(
+                    math.sqrt(change.dot(change)) / math.sqrt(step.dot(step))
+                )
+        assert np.asarray(attack._rates).tobytes() == np.array(want).tobytes()
 
     def test_reset_forgets_observations(self, rng):
         contexts = _mimicry_contexts(3, 6, 5, 6)

@@ -5,11 +5,11 @@ empirical-Lipschitz verdict in its original form: one
 ``np.linalg.norm`` pair and one ``.copy()`` pair per worker slot, the
 previous proposals held in a dict keyed by slot, and the threshold from
 ``np.quantile`` over the accepted-coefficient window.  The library's
-filter keeps per-slot tables, stacked norms and a sorted rate window,
-and ``tests/core/test_staleness.py`` pins it against this reference bit
-for bit (keep verdicts and the window in arrival order).  Do not edit
-this file to follow the library: it is the fixed point the stacked
-filter is checked against.
+filter keeps the same loop on a sorted rate window, and
+``tests/core/test_staleness.py`` pins it against this reference bit for
+bit (keep verdicts and the window in arrival order).  Do not edit this
+file to follow the library: it is the fixed point the window, and any
+later rewrite of the loop, is checked against.
 """
 
 from __future__ import annotations

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.staleness import RateWindow
 from repro.exceptions import InvalidVectorError
 
-#: Ties, signed zeros, subnormals and infinities next to ordinary rates.
+#: Ties, zeros, subnormals and infinities next to ordinary rates (a
+#: rate is a quotient of norms, so the window takes no negative value).
 _RATES = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, 1e300, np.inf, -np.inf]
-    ),
-    st.floats(-1e3, 1e3, width=64),
+    st.sampled_from([0.0, 1.0, 2.5, 5e-324, 1e300, np.inf]),
+    st.floats(0.0, 1e3, width=64).map(abs),
 )
 _QUANTILES = st.one_of(
     st.sampled_from([1.0, 0.9, 0.5, 0.25, 1e-12]),
@@ -46,17 +45,6 @@ class TestQuantile:
                         np.quantile(values, q)
                     )
 
-    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5, 0.1])
-    def test_signed_zero_windows(self, q):
-        # np.quantile reads −0.0 as +0.0 at the top order statistic, and
-        # which zero a neighbour reads is its partition's choice.
-        rng = np.random.default_rng(3)
-        window = RateWindow(maxlen=5)
-        for rate in rng.choice([0.0, -0.0, -1.0, 1.0], size=200):
-            window.append(rate)
-            want = np.quantile(np.asarray(window, dtype=np.float64), q)
-            assert as_bytes(window.quantile(q)) == as_bytes(want)
-
     def test_full_window_of_rates(self):
         rng = np.random.default_rng(0)
         window = RateWindow(maxlen=256)
@@ -80,11 +68,16 @@ class TestDequeInterface:
         assert np.asarray(window).tobytes() == np.array([1.0, 2.0, 0.5]).tobytes()
         assert window and not RateWindow(maxlen=2)
 
-    def test_rejects_nan(self):
+    @pytest.mark.parametrize("rate", [float("nan"), -0.0, -1.0, -np.inf])
+    def test_rejects_nan_and_negative_rates(self, rate):
+        # NaN has no place in the sorted order, and numpy's partition
+        # does not order signed zeros.
         window = RateWindow(maxlen=3)
-        with pytest.raises(InvalidVectorError, match="NaN"):
-            window.append(float("nan"))
-        assert len(window) == 0
+        window.append(2.0)
+        with pytest.raises(InvalidVectorError, match="non-negative"):
+            window.append(rate)
+        assert list(window) == [2.0]
+        assert window.quantile(0.5) == 2.0
 
     def test_copies_keep_the_sorted_shadow(self):
         window = RateWindow(maxlen=3)

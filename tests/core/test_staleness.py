@@ -277,9 +277,10 @@ def _stale_stream(seed: int, rounds: int, dimension: int):
 
 
 class TestLipschitzFilterMatchesFrozenReference:
-    """The per-slot tables, stacked norms and sorted rate window against
-    the frozen per-slot loop of ``tests/core/kardam_reference.py``: equal
-    keep verdicts and accepted-coefficient windows, bit for bit."""
+    """The filter on its sorted rate window against the frozen per-slot
+    loop of ``tests/core/kardam_reference.py`` (``np.quantile`` over a
+    plain deque): equal keep verdicts and accepted-coefficient windows,
+    bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),

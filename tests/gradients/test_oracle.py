@@ -62,15 +62,14 @@ class TestSharedGradientFn:
             for s in (0.0, 0.5)
         ]
         assert shared_gradient_fn(estimators) is quadratic_gradient
-        # Block evaluation is only used when every estimator declares it.
-        assert shared_gradient_fn(estimators, row_blocks=True) is None
 
-    def test_block_capable_oracle(self):
-        estimators = [
-            GaussianOracleEstimator(quadratic_gradient, 3, 0.5, row_blocks=True)
-            for _ in range(3)
-        ]
-        assert shared_gradient_fn(estimators, row_blocks=True) is quadratic_gradient
+    def test_block_evaluation_is_declared_per_instance(self):
+        # Off by default: only a gradient_fn known to map a block of rows
+        # row by row (QuadraticBowl.as_estimator sets it) is called so.
+        estimator = GaussianOracleEstimator(quadratic_gradient, 3, 0.5)
+        assert not estimator.row_blocks
+        estimator.row_blocks = True
+        assert not GaussianOracleEstimator(quadratic_gradient, 3, 0.5).row_blocks
 
     def test_distinct_callables_or_estimators_are_not_shared(self):
         other = GaussianOracleEstimator(lambda x: x, 3, sigma=0.5)

@@ -184,6 +184,11 @@ def test_block_gradient_proposals_match_node_by_node(curvature, rule):
     assert build(
         GossipSimulation, rule=rule, topology=("ring", {"degree": 6}), bowl=bowl
     )._block_gradient is not None
+    # A shared oracle that does not declare block evaluation is asked
+    # node by node.
+    assert build(
+        GossipSimulation, rule=rule, topology=("ring", {"degree": 6})
+    )._block_gradient is None
     for topology in TOPOLOGIES[2:]:
         for edge_delay in (None, "random"):
             assert_same_outcome(

@@ -12,6 +12,7 @@ from repro.servers.replication import replica_view
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
     coordinate_median,
+    exact_row_dots,
     exact_row_norms,
     flatten_arrays,
     masked_coordinate_median,
@@ -190,13 +191,30 @@ class TestCoordinateMedian:
         assert view.tobytes() == np.median(stacks, axis=-2).tobytes()
 
 
-def assert_row_norms(matrix):
-    want = np.array([np.linalg.norm(row) for row in matrix], dtype=matrix.dtype)
-    got = exact_row_norms(matrix)
-    assert got.shape == (matrix.shape[0],)
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
     nans = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nans)
-    assert np.where(nans, 0.0, got).tobytes() == np.where(nans, 0.0, want).tobytes()
+    zero = np.zeros((), dtype=want.dtype)
+    assert np.where(nans, zero, got).tobytes() == np.where(nans, zero, want).tobytes()
+
+
+def assert_row_norms(matrix):
+    """exact_row_norms against np.linalg.norm and exact_row_dots against
+    row.dot(row) of the contiguous row (norm's ravel copies a strided
+    row too), per row, in the input dtype."""
+    dtype = matrix.dtype
+    assert_same_bytes(
+        exact_row_norms(matrix),
+        np.array([np.linalg.norm(row) for row in matrix], dtype=dtype),
+    )
+    assert_same_bytes(
+        exact_row_dots(matrix),
+        np.array(
+            [row.dot(row) for row in map(np.ascontiguousarray, matrix)],
+            dtype=dtype,
+        ),
+    )
 
 
 class TestExactRowNorms:
