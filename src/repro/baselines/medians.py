@@ -224,9 +224,10 @@ def batched_weiszfeld(
        estimate is positionally converged far below any statistically
        meaningful precision by then (the stall-strike rule).
 
-    Raises :class:`~repro.exceptions.ConvergenceError` when any scenario
-    exhausts ``max_iterations`` (e.g. NaN proposals, which never satisfy
-    any convergence predicate).
+    A scenario still running after ``max_iterations`` steps returns the
+    data point nearest its last iterate that passes the optimality test.
+    Raises :class:`~repro.exceptions.ConvergenceError` when none does
+    (e.g. NaN proposals, which never satisfy any convergence predicate).
     """
     xp = resolve_backend(backend)
     stacks = xp.asarray(stacks)
@@ -384,10 +385,24 @@ def batched_weiszfeld(
             lanes.shifts = _row_norms(new_estimates - lanes.estimates, xp)
         lanes.estimates = new_estimates
 
+    # Out of steps.  A lane can be crawling toward an optimal data point
+    # other than its nearest one, along a nearly flat objective that the
+    # nearest-point test cannot see across: certify its data points
+    # from the nearest outward and commit the first that passes.
+    rows = xp.arange(lanes.values.shape[0])
+    pending = xp.full((len(lanes.indices),), True, dtype=xp.bool_dtype)
+    order = xp.argsort(distances, axis=1, stable=True)
+    for nearest in xp.transpose(order, (1, 0)):
+        points = lanes.values[rows, nearest]
+        certified = pending & _point_optimality(lanes.values, points, xp)
+        results[lanes.indices[certified]] = points[certified]
+        pending &= ~certified
+    if not xp.any(pending):
+        return results
     raise ConvergenceError(
         f"Weiszfeld iteration did not converge in {max_iterations} steps "
-        f"for {len(lanes.indices)} of {batch} scenario(s) "
-        f"(last shift {float(xp.max(lanes.shifts)):.3g})"
+        f"for {int(xp.count_nonzero(pending))} of {batch} scenario(s) "
+        f"(last shift {float(xp.max(lanes.shifts[pending])):.3g})"
     )
 
 

@@ -33,10 +33,21 @@ What makes the batched executor faster than B loops:
   deterministic gradient function (the Gaussian-oracle workload), the
   gradient is evaluated once per cell-round instead of once per
   worker-round — bit-identical because the oracle adds its noise to the
-  same expected vector either way.
+  same expected vector either way;
+* noise sharing: the grid gives honest worker k of every cell of a seed
+  the same stream, so at the start of each public call the Gaussian-
+  oracle workers of all cells are grouped by generator state, σ and d,
+  and each group's stream is drawn once per round instead of once per
+  cell.  A cell's noisy rows are one indexed add of its expected
+  gradients and the round's draws.  At the end of the call (also when a
+  round raises) every other holder's generator is re-synced to the
+  drawing one, so every stream ends where per-cell draws leave it.
 
 Every other workload (mini-batch workers among them) calls each honest
-worker's ``estimate`` on its own private stream, in worker order.
+worker's ``estimate`` on its own private stream, in worker order.  The
+loop executor draws every worker's noise through its own
+``sample_about``: at B = 1 there is no stream to share, so the
+loop/batched comparison checks the shared draws against per-cell ones.
 
 Asynchronous cells (``max_staleness``/``delay_schedule``) fill each
 stale worker's proposal from the history row its delay schedule
@@ -64,8 +75,9 @@ and evaluation stay on the canonical row.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Sequence
+from collections import Counter, deque
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +93,14 @@ from repro.core.batched import (
 )
 from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.simulator import (
+    HonestWorker,
     TrainingSimulation,
     halt_if_nonfinite,
     round_record,
     selected_last_round,
 )
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.gradients.oracle import shared_gradient_fn
+from repro.gradients.oracle import GaussianOracleEstimator, shared_gradient_fn
 from repro.servers.replication import replica_view
 from repro.utils.linalg import exact_row_norms
 from repro.utils.validation import check_positive_int
@@ -110,6 +123,12 @@ class _Scenario:
     honest_ids: np.ndarray  # ascending honest worker ids
     byzantine_ids: np.ndarray  # ascending Byzantine worker ids
     byzantine_set: frozenset[int]
+    # Fast-path workers whose noise comes from the round's shared draws
+    # (see _SharedNoise), their ids, and the ones that draw through
+    # their own estimator.
+    shared_workers: list[HonestWorker]
+    shared_ids: np.ndarray
+    own_workers: list[HonestWorker]
     # Worker indices the scenario's rule selected in the previous round
     # (None before the first), feeding defense-probing attacks.
     last_selected: np.ndarray | None = None
@@ -121,6 +140,79 @@ class _Scenario:
     # round staleness_start + r (see BatchedSimulation._prefetch_staleness).
     staleness_start: int = 0
     staleness_table: np.ndarray | None = None
+
+
+def _frozen(state):
+    """A hashable copy of a bit generator's state dict."""
+    if isinstance(state, dict):
+        return tuple((key, _frozen(value)) for key, value in sorted(state.items()))
+    if isinstance(state, np.ndarray):
+        return (state.dtype.str, state.shape, state.tobytes())
+    return state
+
+
+class _SharedNoise:
+    """The honest noise streams of one public executor call, each drawn
+    once per round for every cell that holds it.
+
+    The shareable workers are grouped by generator type and state, σ and
+    d at the start of the call: an equal state and an equal
+    :meth:`~repro.gradients.oracle.GaussianOracleEstimator.noise` call
+    give an equal draw, so each group's first worker (its leader) draws
+    for all of them.  :meth:`sync` then leaves every member's generator
+    where its own per-cell draws would: at the leader's state, or, for a
+    cell that a raising round stopped before its propose stage, at the
+    call's start state advanced by the rounds the cell did propose.
+    """
+
+    def __init__(self, scenarios: Sequence[_Scenario], dimension: int):
+        index: dict[tuple, int] = {}
+        self.leaders: list[tuple[GaussianOracleEstimator, np.random.Generator]] = []
+        self.start_states: list[dict] = []
+        self.members: list[list[tuple[int, np.random.Generator]]] = []
+        self.groups: list[np.ndarray] = []  # per cell: each shared worker's group
+        for slot, scenario in enumerate(scenarios):
+            groups = []
+            for worker in scenario.shared_workers:
+                estimator, rng = worker.estimator, worker.rng
+                state = rng.bit_generator.state
+                key = (type(rng), _frozen(state), estimator.sigma, estimator.dimension)
+                group = index.setdefault(key, len(self.leaders))
+                if group == len(self.leaders):
+                    self.leaders.append((estimator, rng))
+                    self.start_states.append(state)
+                    self.members.append([])
+                self.members[group].append((slot, rng))
+                groups.append(group)
+            self.groups.append(np.asarray(groups, dtype=np.int64))
+        self.values = np.empty((len(self.leaders), dimension))
+        self.drawn = 0  # rounds drawn in this call
+        self.consumed = [0] * len(scenarios)  # rounds each cell proposed
+
+    def draw(self) -> None:
+        """Draw the round's noise of every group into :attr:`values`."""
+        # Counted first: a cell never reads a half-drawn round, so an
+        # interrupted draw leaves every cell behind and sync replays it.
+        self.drawn += 1
+        for group, (estimator, rng) in enumerate(self.leaders):
+            self.values[group] = estimator.noise(rng)
+
+    def sync(self) -> None:
+        """Move every member's generator to where its own draws would
+        have left it after the rounds its cell proposed."""
+        if self.drawn == 0:
+            return
+        for group, (estimator, leader) in enumerate(self.leaders):
+            state = leader.bit_generator.state
+            for slot, rng in self.members[group]:
+                rounds = self.consumed[slot]
+                if rounds == self.drawn:
+                    if rng is not leader:
+                        rng.bit_generator.state = state
+                    continue
+                rng.bit_generator.state = self.start_states[group]
+                for _ in range(rounds):
+                    estimator.noise(rng)
 
 
 class _Group:
@@ -157,6 +249,9 @@ class BatchedSimulation:
         Host staging buffers allocate with the backend's float dtype so
         a reduced-precision backend is not silently up-cast.
     """
+
+    #: Whether Gaussian-oracle workers of different cells share draws.
+    _shares_noise = True
 
     def __init__(
         self,
@@ -236,18 +331,38 @@ class BatchedSimulation:
         self._params = np.empty(
             (self.batch_size, self.dimension), dtype=self._float_dtype
         )
+        # A generator held twice (by two workers, or by a worker and an
+        # attack) keeps per-worker draws: its holders' order matters.
+        holders = Counter(
+            id(rng)
+            for sim in sims
+            for rng in [sim.attack_rng] + [w.rng for w in sim.honest_workers]
+        )
         self._scenarios: list[_Scenario] = []
         for slot, original_index in enumerate(keyed):
             sim = sims[original_index]
             self._params[slot] = sim.params
+            gradient_fn = shared_gradient_fn(
+                [worker.estimator for worker in sim.honest_workers]
+            )
+            shared: list[HonestWorker] = []
+            own: list[HonestWorker] = []
+            for worker in sim.honest_workers:
+                shareable = (
+                    self._shares_noise
+                    and gradient_fn is not None
+                    and type(worker.estimator) is GaussianOracleEstimator
+                    and worker.estimator.sigma > 0.0
+                    and isinstance(worker.rng, np.random.Generator)
+                    and holders[id(worker.rng)] == 1
+                )
+                (shared if shareable else own).append(worker)
             self._scenarios.append(
                 _Scenario(
                     index=original_index,
                     simulation=sim,
                     params=self._params[slot],
-                    shared_gradient_fn=shared_gradient_fn(
-                        [worker.estimator for worker in sim.honest_workers]
-                    ),
+                    shared_gradient_fn=gradient_fn,
                     honest_ids=np.asarray(
                         [w.worker_id for w in sim.honest_workers],
                         dtype=np.int64,
@@ -256,6 +371,11 @@ class BatchedSimulation:
                         sim.byzantine_ids, dtype=np.int64
                     ),
                     byzantine_set=frozenset(sim.byzantine_ids),
+                    shared_workers=shared,
+                    shared_ids=np.asarray(
+                        [w.worker_id for w in shared], dtype=np.int64
+                    ),
+                    own_workers=own,
                     views=(
                         deque(maxlen=sim.max_staleness + 1)
                         if sim.server.tier_active
@@ -302,6 +422,8 @@ class BatchedSimulation:
         window = 1 + max(sim.max_staleness for sim in sims)
         self._history: deque[np.ndarray] = deque(maxlen=window)
         self._history.append(self._params)
+        # The shared noise streams of the public call in progress.
+        self._noise: _SharedNoise | None = None
         for sim in sims:
             sim._executor = self
 
@@ -437,28 +559,42 @@ class BatchedSimulation:
             else staleness_row.tolist()
         )
         row = self._proposals[slot]
-        if scenario.shared_gradient_fn is not None:
-            # One gradient evaluation per distinct staleness this round
-            # — bit-identical to per-worker evaluation because the
-            # oracle is deterministic in its parameters.
-            expected_at: dict[int, np.ndarray] = {}
+        if scenario.shared_gradient_fn is None:
             for worker in sim.honest_workers:
-                tau = taus[worker.worker_id]
-                expected = expected_at.get(tau)
-                if expected is None:
-                    expected = expected_at[tau] = np.asarray(
-                        scenario.shared_gradient_fn(params_at(tau)),
-                        dtype=self._float_dtype,
-                    )
-                row[worker.worker_id] = worker.estimator.sample_about(
-                    expected, worker.rng
+                row[worker.worker_id] = worker.estimator.estimate(
+                    params_at(taus[worker.worker_id]), worker.rng
                 )
-            return expected_at.get(0)
+            return None
+        # One gradient evaluation per distinct staleness this round —
+        # bit-identical to per-worker evaluation because the oracle is
+        # deterministic in its parameters.
+        expected_at: dict[int, np.ndarray] = {}
         for worker in sim.honest_workers:
-            row[worker.worker_id] = worker.estimator.estimate(
-                params_at(taus[worker.worker_id]), worker.rng
+            tau = taus[worker.worker_id]
+            if tau not in expected_at:
+                expected_at[tau] = np.asarray(
+                    scenario.shared_gradient_fn(params_at(tau)),
+                    dtype=self._float_dtype,
+                )
+        ids = scenario.shared_ids
+        if ids.size:
+            # The same sum sample_about takes, with the round's draw of
+            # each worker's stream.
+            noise = self._noise
+            expected = (
+                expected_at[0]
+                if staleness_row is None
+                else np.stack(
+                    [expected_at[tau] for tau in staleness_row[ids].tolist()]
+                )
             )
-        return None
+            row[ids] = expected + noise.values[noise.groups[slot]]
+            noise.consumed[slot] += 1
+        for worker in scenario.own_workers:
+            row[worker.worker_id] = worker.estimator.sample_about(
+                expected_at[taus[worker.worker_id]], worker.rng
+            )
+        return expected_at.get(0)
 
     def _craft_attack(
         self,
@@ -584,16 +720,37 @@ class BatchedSimulation:
             for (scenario, _), view in zip(cells, views):
                 scenario.views.append(view)
 
+    @contextmanager
+    def _call(self) -> Iterator[None]:
+        """One public call: its rounds draw from the shared noise streams
+        grouped at its start, and every stream is re-synced at its end,
+        also when a round raises.  ``run``'s own ``run_round`` calls are
+        part of its call."""
+        if self._noise is not None:
+            yield
+            return
+        self._noise = _SharedNoise(self._scenarios, self.dimension)
+        try:
+            yield
+        finally:
+            noise, self._noise = self._noise, None
+            noise.sync()
+
     def run_round(self) -> list[RoundRecord]:
         """Execute one round (synchronous or bounded-stale) for every
         scenario.
 
         Returns the per-scenario records in the caller's input order.
         """
+        with self._call():
+            return self._round()
+
+    def _round(self) -> list[RoundRecord]:
         t = self._round_index
         rates = np.empty(self.batch_size, dtype=self._float_dtype)
         rows: list[np.ndarray | None] = [None] * self.batch_size
         self._append_views(t)
+        self._noise.draw()
         for slot, scenario in enumerate(self._scenarios):
             rates[slot] = scenario.simulation.server.schedule(t)
             rows[slot] = self._staleness_row(slot, t)
@@ -669,22 +826,23 @@ class BatchedSimulation:
         eval_every = check_positive_int(eval_every, "eval_every")
         histories = [TrainingHistory() for _ in range(self.batch_size)]
         start = self._round_index
-        for t in range(num_rounds):
-            # Prefetch only rounds this call runs: no schedule is ever
-            # queried past the requested horizon.
-            if t % _STALENESS_CHUNK == 0:
-                self._prefetch_staleness(
-                    start + t, start + min(t + _STALENESS_CHUNK, num_rounds)
-                )
-            records = self.run_round()
-            evaluate_now = t % eval_every == 0 or t == num_rounds - 1
-            for scenario in self._scenarios:
-                record = records[scenario.index]
-                if evaluate_now:
-                    record = scenario.simulation.evaluate_record(
-                        record, params=scenario.params.copy()
+        with self._call():
+            for t in range(num_rounds):
+                # Prefetch only rounds this call runs: no schedule is
+                # ever queried past the requested horizon.
+                if t % _STALENESS_CHUNK == 0:
+                    self._prefetch_staleness(
+                        start + t, start + min(t + _STALENESS_CHUNK, num_rounds)
                     )
-                histories[scenario.index].append(record)
+                records = self.run_round()
+                evaluate_now = t % eval_every == 0 or t == num_rounds - 1
+                for scenario in self._scenarios:
+                    record = records[scenario.index]
+                    if evaluate_now:
+                        record = scenario.simulation.evaluate_record(
+                            record, params=scenario.params.copy()
+                        )
+                    histories[scenario.index].append(record)
         return histories
 
 
@@ -693,6 +851,10 @@ class LoopExecutor(BatchedSimulation):
     the cell's own rule instead of a native kernel.
     ``TrainingSimulation.run`` drives one, so loop/batched comparisons
     check the kernels against the rules."""
+
+    # Each worker draws its own noise through ``sample_about``: the
+    # per-cell reference the batched executor's shared draws match.
+    _shares_noise = False
 
     def _adapter(self, rules: list[Aggregator]) -> BatchedAggregator:
         return LoopBatchedAggregator(rules)

@@ -20,6 +20,14 @@ class GaussianOracleEstimator(GradientEstimator):
     condition ``η(n,f)·√d·σ < ‖g‖`` of Proposition 4.2 can be dialed
     precisely.
 
+    :meth:`noise` is the one call that consumes a worker's stream, so
+    two workers whose generators hold equal states draw equal noise.
+    The grid gives honest worker k of every cell of a seed the same
+    stream, and the batched executor draws each such shared stream once
+    per round for all the cells that hold it; at the end of each public
+    call it re-syncs the other holders' generators to the drawing one,
+    so every stream ends where per-cell draws would leave it.
+
     Setting :attr:`row_blocks` declares that ``gradient_fn`` also maps a
     ``(k, d)`` block of parameter rows to their ``k`` gradients, each
     bit for bit the one-row result (as
@@ -71,7 +79,11 @@ class GaussianOracleEstimator(GradientEstimator):
         """
         if self.sigma == 0.0:
             return expected.copy()
-        return expected + rng.normal(0.0, self.sigma, size=self._dimension)
+        return expected + self.noise(rng)
+
+    def noise(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw of ``ξ ~ N(0, σ² I_d)`` from ``rng`` (``σ > 0``)."""
+        return rng.normal(0.0, self.sigma, size=self._dimension)
 
     def expected(self, params: np.ndarray) -> np.ndarray:
         return np.asarray(self._gradient_fn(params), dtype=np.float64).copy()

@@ -12,6 +12,7 @@ from repro.baselines.medians import (
 from repro.exceptions import (
     ByzantineToleranceError,
     ConfigurationError,
+    ConvergenceError,
     DimensionMismatchError,
 )
 
@@ -177,6 +178,24 @@ class TestBatchedWeiszfeld:
             alone = batched_weiszfeld(easy[b : b + 1])[0]
             assert together[b].tobytes() == alone.tobytes()
         np.testing.assert_allclose(together[2], [1.0, 1.0, 1.0], atol=1e-8)
+
+    def test_out_of_steps_certifies_an_optimal_non_nearest_point(self, rng):
+        # (0, 0) is optimal: its residual 2.9994 is within its
+        # multiplicity 3.  The iterate crawls toward it along a nearly
+        # flat objective with (0, -2) as its nearest point, which is
+        # not optimal (residual 2.0015 > 2), so only the out-of-steps
+        # certification ends the solve.
+        crawl = np.array([[0, -2], [1, -24], [0, -2], [0, 0], [0, 0], [0, 0]], float)
+        np.testing.assert_array_equal(GeometricMedian().aggregate(crawl), [0.0, 0.0])
+        easy = rng.standard_normal((2, 6, 2))
+        together = batched_weiszfeld(np.concatenate([easy, crawl[None]]))
+        for b in range(2):
+            assert together[b].tobytes() == batched_weiszfeld(easy[b : b + 1])[0].tobytes()
+        np.testing.assert_array_equal(together[2], [0.0, 0.0])
+        poisoned = crawl.copy()
+        poisoned[1, 0] = np.nan
+        with pytest.raises(ConvergenceError, match="1 of 2 scenario"):
+            batched_weiszfeld(np.stack([crawl, poisoned]))
 
     def test_rejects_bad_shapes_and_parameters(self):
         with pytest.raises(DimensionMismatchError):
