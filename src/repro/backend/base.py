@@ -79,6 +79,12 @@ class ArrayBackend(ABC):
         a non-default backend precision is not silently up-cast."""
 
     @property
+    def eps(self) -> float:
+        """Machine epsilon of :attr:`float_dtype` — the unit the
+        Weiszfeld screen's floating-point error bounds are stated in."""
+        return float(np.finfo(self.numpy_float_dtype).eps)
+
+    @property
     @abstractmethod
     def device(self) -> str:
         """Human-readable device the backend computes on ("cpu", ...)."""

@@ -103,6 +103,15 @@ _DEFAULT_MAX_ITERATIONS = 1000
 # statistically meaningful difference.
 _VZ_SLACK = 1e-12
 
+# Relative suboptimality an out-of-steps iterate may carry and still be
+# returned.  By convexity f* >= f(x) − ‖g‖·‖x − x*‖ for any subgradient
+# g of f at x, and ‖x − x*‖ is at most maxᵢ‖x − Vᵢ‖ (the median lies in
+# the convex hull of the data points); the last iterate is returned when
+# that gap is within _GAP_RTOL·f(x).  Benign stacks that exhaust the step
+# budget on a flat objective carry relative gaps of 2.4e-6 to 7.4e-4 by
+# this bound at the iterate alone.
+_GAP_RTOL = 1e-3
+
 
 def _row_norms(vectors, xp: ArrayBackend):
     """Per-row euclidean norms along the last axis, NaN/Inf passed through."""
@@ -162,6 +171,142 @@ def _vardi_zhang_residual(
     return r_norm, multiplicity, others
 
 
+def _lane_gram(stacks, xp: ArrayBackend):
+    """Each lane's data-point Gram matrix ``(B, n, n)`` and the row norms
+    ``(B, n)`` read off its diagonal — the inputs of
+    :func:`_screen_rejects`, computed once per solve."""
+    diagonal = xp.arange(stacks.shape[1])
+    with xp.errstate():
+        gram = stacks @ xp.transpose(stacks, (0, 2, 1))
+        return gram, xp.sqrt(gram[:, diagonal, diagonal])
+
+
+def _screen_rejects(gram, norms, anchors, dimension: int, xp: ArrayBackend):
+    """Lanes whose anchor row the exact Vardi–Zhang test provably rejects.
+
+    ``anchors`` (A,) indexes each lane's anchor row j.  From the Gram
+    matrix, ``‖R_j‖² = Σ_{i,k≠j} P_ik / (D_i·D_k)`` with the offset Gram
+    ``P_ik = ⟨V_i − V_j, V_k − V_j⟩`` and ``D_i² = P_ii`` costs O(n²)
+    instead of the exact test's O(n·d).  A computed Gram entry is off by
+    at most ``γ·‖V_i‖‖V_k‖`` (γ from the working dtype's epsilon, doubled
+    to cover the norms read off the diagonal and the few additions), so
+    ``|P̂_ik − P_ik| <= γ·M_i·M_k`` with ``M_i = ‖V_i‖ + ‖V_j‖``.  With
+    ``t_i = γ·M_i² / P̂_ii <= 1/4`` every computed cosine is within
+    ``1.5·(t_i + t_k)`` of the true one, which bounds ``‖R_j‖²`` from
+    below.  A lane is rejected only when
+    - every row is finite,
+    - every other row is provably farther from the anchor than the exact
+      test's coincidence threshold, so its multiplicity is exactly 1, and
+    - that lower bound exceeds ``1 + _VZ_SLACK`` plus the exact test's own
+      rounding (n unit directions, each within γ of its true value).
+    Any other lane is left to :func:`_point_optimality`, which stays the
+    only path that can certify a data point.
+    """
+    lanes, n = norms.shape
+    rows = xp.arange(lanes)
+    cols = xp.arange(n)
+    unit = xp.eps / 2.0
+    terms = dimension + n + 8
+    gamma = 2.0 * terms * unit / (1.0 - terms * unit)
+    others_count = n - 1
+    pairs = others_count * others_count + 8
+    sum_rounding = 4.0 * others_count * others_count * pairs * unit / (
+        1.0 - pairs * unit
+    )
+    anchor_row = gram[rows, anchors]
+    with xp.errstate():
+        offset_gram = (
+            gram
+            - anchor_row[:, :, None]
+            - anchor_row[:, None, :]
+            + anchor_row[rows, anchors][:, None, None]
+        )
+        squares = offset_gram[:, cols, cols]
+        reach = norms + norms[rows, anchors][:, None]
+        error = gamma * reach * reach
+        others = cols[None, :] != anchors[:, None]
+        finite = xp.all(xp.isfinite(norms), axis=1)
+        accurate = xp.all(
+            ~others | (xp.isfinite(squares) & (squares > 4.0 * error)), axis=1
+        )
+        # Lower/upper bounds on the true offsets; the factor 2 covers the
+        # exact test's own distance rounding on both sides.
+        upper = xp.sqrt(squares + error)
+        lower = xp.sqrt(xp.fmax(squares - error, 0.0))
+        threshold = 2.0 * _COINCIDENCE_RTOL * xp.fmax(1.0, xp.max(upper, axis=1))
+        apart = xp.all(~others | (lower > threshold[:, None]), axis=1)
+        safe = xp.where(others, squares, 1.0)
+        lengths = xp.sqrt(safe)
+        pair = others[:, :, None] & others[:, None, :]
+        cosines = xp.where(
+            pair, offset_gram / (lengths[:, :, None] * lengths[:, None, :]), 0.0
+        )
+        relative_error = xp.sum(xp.where(others, error / safe, 0.0), axis=1)
+        floor = (
+            xp.sum(xp.sum(cosines, axis=2), axis=1)
+            - 3.0 * others_count * relative_error
+            - sum_rounding
+        )
+        target = (1.0 + _VZ_SLACK) * (1.0 + 2.0 * gamma) + 2.0 * n * gamma
+        return finite & accurate & apart & (floor > target * target)
+
+
+def _screened_optimality(lanes: _LaneState, candidates, nearest, points, xp):
+    """Vardi–Zhang verdicts of ``points`` on the ``candidates`` lanes (False
+    elsewhere): the Gram screen rejects what it can prove, and the exact
+    test decides the rest."""
+    open_lanes = candidates & ~_screen_rejects(
+        lanes.gram, lanes.norms, nearest, lanes.values.shape[2], xp
+    )
+    verdict = xp.zeros(open_lanes.shape, dtype=xp.bool_dtype)
+    if xp.any(open_lanes):
+        verdict[open_lanes] = _point_optimality(
+            lanes.values[open_lanes], points[open_lanes], xp
+        )
+    return verdict
+
+
+def _objective_floor(values, anchors, xp: ArrayBackend, *, offsets=None):
+    """Lower bounds on each lane's optimal objective f* from anchor points.
+
+    At an anchor y, by convexity f* >= f(y) − ‖g‖·‖y − x*‖ for any
+    subgradient g, and ‖y − x*‖ is at most maxᵢ‖y − Vᵢ‖ (the median lies
+    in the data's convex hull) and at most 2·f(y)/n (from n‖y − x*‖ −
+    f(y) <= f* <= f(y)).  Near a cluster of rows that bound is loose, so
+    it is also taken for the objective with the k rows nearest y moved
+    onto y, for every k: that moves f by at most their summed distance
+    D_k, its minimum-norm subgradient at y has norm max(‖R_k‖ − k, 0)
+    with R_k the unit-vector sum over the other rows, and the bound
+    becomes f(y) − 2·D_k − max(‖R_k‖ − k, 0)·radius.  The best k wins.
+    Rows at distance 0 contribute no direction.  ``offsets`` forwards
+    ``values - anchors``.
+    """
+    lanes, n = values.shape[0], values.shape[1]
+    ranks = xp.arange(n)
+    with xp.errstate():
+        if offsets is None:
+            offsets = values - anchors[:, None, :]
+        distances = _row_norms(offsets, xp)
+        order = xp.argsort(distances, axis=1, stable=True)
+        nearest_first = xp.take_along_axis(distances, order, axis=1)
+        units = offsets[xp.arange(lanes)[:, None], order] / xp.where(
+            nearest_first > 0.0, nearest_first, 1.0
+        )[:, :, None]
+        # kept[k, i]: row i (nearest first) still counts when k are moved.
+        kept = xp.astype(ranks[None, :] >= ranks[:, None], xp.float_dtype)
+        slopes = xp.fmax(
+            _row_norms(xp.einsum("ki,bid->bkd", kept, units), xp)
+            - xp.astype(ranks, xp.float_dtype),
+            0.0,
+        )
+        moved = xp.einsum("ki,bi->bk", 1.0 - kept, nearest_first)
+        objectives = xp.sum(distances, axis=1)[:, None]
+        radius = xp.minimum(
+            xp.max(distances, axis=1)[:, None], 2.0 * (objectives - moved) / n
+        )
+        return xp.max(objectives - 2.0 * moved - slopes * radius, axis=1)
+
+
 @dataclass
 class _LaneState:
     """Per-lane state of the lock-step Weiszfeld iteration.
@@ -175,6 +320,8 @@ class _LaneState:
 
     indices: np.ndarray  # output slots of the still-active lanes
     values: np.ndarray  # (A, n, d) data points
+    gram: np.ndarray  # (A, n, n) data-point Gram matrix (screen input)
+    norms: np.ndarray  # (A, n) data-point norms (screen input)
     estimates: np.ndarray  # (A, d) current iterates
     cached_nearest: np.ndarray  # (A,) nearest point of the cached verdict
     cached_optimal: np.ndarray  # (A,) cached Vardi–Zhang verdict
@@ -224,10 +371,29 @@ def batched_weiszfeld(
        estimate is positionally converged far below any statistically
        meaningful precision by then (the stall-strike rule).
 
+    The optimality test of step 1 runs behind a reject-only screen: the
+    solve computes each lane's ``(n, n)`` Gram matrix once, and
+    :func:`_screen_rejects` turns it into an O(n²) lower bound on the
+    Vardi–Zhang residual with an explicit floating-point error bound.
+    Only a lane the bound cannot reject pays the exact O(n·d) test, so
+    every verdict is the exact test's.  Each pass writes ``values −
+    estimates`` into one ``(B, n, d)`` workspace allocated per solve and
+    divides it into unit directions in place.  A pass where no iterate
+    sits within the coincidence threshold of a data point (the common
+    case) takes the plain step ``T = e + R / Σw`` and skips the cluster,
+    dampening and certification arrays, which give the same bits there.
+
     A scenario still running after ``max_iterations`` steps returns the
     data point nearest its last iterate that passes the optimality test.
-    Raises :class:`~repro.exceptions.ConvergenceError` when none does
-    (e.g. NaN proposals, which never satisfy any convergence predicate).
+    Failing that, it returns the last iterate ``x`` itself when its
+    suboptimality certificate holds: ``f(x) − L <= _GAP_RTOL·f(x)``, where
+    ``L`` is the best convexity lower bound on ``f*`` taken at ``x`` and at
+    every data point y, ``f(y) − ‖g‖·min(maxᵢ‖y − Vᵢ‖, 2·f(y)/n)`` with
+    ``g`` the minimum-norm subgradient at y, also with y's k nearest rows
+    moved onto it (see :func:`_objective_floor`).
+    Raises :class:`~repro.exceptions.ConvergenceError` when neither holds
+    (e.g. NaN or infinite proposals, which never satisfy any convergence
+    predicate).
     """
     xp = resolve_backend(backend)
     stacks = xp.asarray(stacks)
@@ -252,9 +418,12 @@ def batched_weiszfeld(
         results[:] = stacks[:, 0]
         return results
 
+    gram, norms = _lane_gram(stacks, xp)
     lanes = _LaneState(
         indices=xp.arange(batch),  # output slots of still-active lanes
         values=stacks,
+        gram=gram,
+        norms=norms,
         estimates=xp.mean(stacks, axis=1),
         # Lazy per-lane cache of the nearest point's optimality verdict:
         # the verdict is estimate-independent, and the nearest point
@@ -266,6 +435,7 @@ def batched_weiszfeld(
         strikes=xp.zeros((batch,), dtype=xp.int_dtype),
         shifts=xp.full((batch,), float("nan")),
     )
+    workspace = xp.empty((batch, n, dimension))
 
     # The loop runs max_iterations Weiszfeld steps; the shift/stall
     # verdict on step t is evaluated at the top of pass t + 1, where the
@@ -274,8 +444,10 @@ def batched_weiszfeld(
     # values and the check order (previous step's shift/stall, then the
     # optimality test, then cluster certification) are unchanged.
     for pass_index in range(max_iterations + 1):
+        diffs = workspace[: lanes.values.shape[0]]
         with xp.errstate():
-            diffs = lanes.values - lanes.estimates[:, None, :]
+            diffs[...] = lanes.values
+            diffs -= lanes.estimates[:, None, :]
         distances = _row_norms(diffs, xp)
         current_objectives = xp.sum(distances, axis=1)
 
@@ -314,23 +486,25 @@ def batched_weiszfeld(
         points = lanes.values[rows, nearest]
         stale = nearest != lanes.cached_nearest
         if xp.any(stale):
-            lanes.cached_optimal[stale] = _point_optimality(
-                lanes.values[stale], points[stale], xp
-            )
+            lanes.cached_optimal[stale] = _screened_optimality(
+                lanes, stale, nearest, points, xp
+            )[stale]
             lanes.cached_nearest[stale] = nearest[stale]
-        optimal = xp.copy(lanes.cached_optimal)
+        optimal = lanes.cached_optimal
+        results[lanes.indices[optimal]] = points[optimal]
+        done = xp.copy(optimal)
 
         # 2. Singularity handling at the current iterate.  Lanes whose
         #    iterate sits on a data-point cluster either stop (residual
         #    within the cluster multiplicity) or will take the dampened
         #    Vardi–Zhang step; clean lanes take the plain step.  The
-        #    residual reuses the already-computed ``diffs`` and doubles
-        #    as the step direction below.
+        #    residual divides ``diffs`` in place and doubles as the step
+        #    direction below.  When no lane sits on a cluster (``clean``),
+        #    the cluster arrays are all-false no-ops and are skipped.
         step_scale = xp.fmax(1.0, xp.max(distances, axis=1))
         at_point = distances <= _COINCIDENCE_RTOL * step_scale[:, None]
+        clean = not xp.any(at_point)
         step_others = ~at_point
-        at_cluster = xp.any(at_point, axis=1)
-        all_coincident = at_cluster & ~xp.any(step_others, axis=1)
         weights = masked_inverse_distance_weights(
             distances, step_others, backend=xp
         )
@@ -341,22 +515,23 @@ def batched_weiszfeld(
             distances,
             step_others,
             offsets=diffs,
+            overwrite_offsets=True,
             backend=xp,
         )
-        step_r_norm = _row_norms(step_r, xp)
-        step_mult = xp.astype(
-            xp.count_nonzero(at_point, axis=1), xp.float_dtype
-        )
-        certified = at_cluster & xp.any(step_others, axis=1) & (
-            step_r_norm <= step_mult * (1.0 + _VZ_SLACK)
-        )
-
-        # Commit lanes finishing before the step, in priority order.
-        done = xp.copy(optimal)
-        results[lanes.indices[optimal]] = points[optimal]
-        stop_current = (all_coincident | certified) & ~done
-        results[lanes.indices[stop_current]] = lanes.estimates[stop_current]
-        done |= stop_current
+        if not clean:
+            at_cluster = xp.any(at_point, axis=1)
+            has_others = xp.any(step_others, axis=1)
+            step_r_norm = _row_norms(step_r, xp)
+            step_mult = xp.astype(
+                xp.count_nonzero(at_point, axis=1), xp.float_dtype
+            )
+            certified = at_cluster & has_others & (
+                step_r_norm <= step_mult * (1.0 + _VZ_SLACK)
+            )
+            # Commit lanes finishing before the step, in priority order.
+            stop_current = ((at_cluster & ~has_others) | certified) & ~done
+            results[lanes.indices[stop_current]] = lanes.estimates[stop_current]
+            done |= stop_current
         if xp.any(done):
             keep = ~done
             if not xp.any(keep):
@@ -364,24 +539,28 @@ def batched_weiszfeld(
             lanes.compact(keep)
             step_r = step_r[keep]
             weight_sum = weight_sum[keep]
-            step_r_norm = step_r_norm[keep]
-            step_mult = step_mult[keep]
-            at_cluster = at_cluster[keep]
+            if not clean:
+                step_r_norm = step_r_norm[keep]
+                step_mult = step_mult[keep]
+                at_cluster = at_cluster[keep]
 
         # The Weiszfeld step itself: the fixed-point target is the
         # estimate displaced by the weighted residual,
         # ``T = e + R / Σw`` (one small correction instead of a second
         # full-size weighted sum).
         with xp.errstate():
-            tentative = lanes.estimates + step_r / weight_sum[:, None]
-            dampening = (step_r_norm - step_mult) / xp.where(
-                step_r_norm > 0.0, step_r_norm, 1.0
-            )
-            corrected = (
-                (1.0 - dampening)[:, None] * lanes.estimates
-                + dampening[:, None] * tentative
-            )
-            new_estimates = xp.where(at_cluster[:, None], corrected, tentative)
+            new_estimates = lanes.estimates + step_r / weight_sum[:, None]
+            if not clean:
+                dampening = (step_r_norm - step_mult) / xp.where(
+                    step_r_norm > 0.0, step_r_norm, 1.0
+                )
+                corrected = (
+                    (1.0 - dampening)[:, None] * lanes.estimates
+                    + dampening[:, None] * new_estimates
+                )
+                new_estimates = xp.where(
+                    at_cluster[:, None], corrected, new_estimates
+                )
             lanes.shifts = _row_norms(new_estimates - lanes.estimates, xp)
         lanes.estimates = new_estimates
 
@@ -394,9 +573,29 @@ def batched_weiszfeld(
     order = xp.argsort(distances, axis=1, stable=True)
     for nearest in xp.transpose(order, (1, 0)):
         points = lanes.values[rows, nearest]
-        certified = pending & _point_optimality(lanes.values, points, xp)
+        certified = _screened_optimality(lanes, pending, nearest, points, xp)
         results[lanes.indices[certified]] = points[certified]
         pending &= ~certified
+        if not xp.any(pending):
+            return results
+    # Failing that, the last iterate is returned when its suboptimality
+    # certificate holds: f(x) minus the best lower bound on f* from the
+    # iterate and from every data point is within _GAP_RTOL·f(x).  A
+    # non-finite row or iterate makes f(x) non-finite and never certifies.
+    objectives = xp.sum(distances, axis=1)
+    floor = _objective_floor(lanes.values, lanes.estimates, xp, offsets=diffs)
+    for row in range(n):
+        floor = xp.fmax(
+            floor, _objective_floor(lanes.values, lanes.values[:, row], xp)
+        )
+    with xp.errstate():
+        bounded = (
+            pending
+            & xp.isfinite(objectives)
+            & (objectives - floor <= _GAP_RTOL * objectives)
+        )
+    results[lanes.indices[bounded]] = lanes.estimates[bounded]
+    pending &= ~bounded
     if not xp.any(pending):
         return results
     raise ConvergenceError(

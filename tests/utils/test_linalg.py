@@ -288,6 +288,18 @@ class TestMaskedWeiszfeldPrimitives:
             values, anchors, distances, active, offsets=offsets
         )
         np.testing.assert_array_equal(plain, reused)
+        # In place, the offsets become the unit directions; same bits.
+        workspace = offsets.copy()
+        in_place = masked_unit_direction_sum(
+            values,
+            anchors,
+            distances,
+            active,
+            offsets=workspace,
+            overwrite_offsets=True,
+        )
+        assert in_place.tobytes() == plain.tobytes()
+        assert workspace.tobytes() == (offsets / distances[:, :, None]).tobytes()
 
     def test_shape_validation(self, rng):
         values = rng.standard_normal((2, 5, 3))
