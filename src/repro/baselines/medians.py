@@ -103,13 +103,10 @@ _DEFAULT_MAX_ITERATIONS = 1000
 # statistically meaningful difference.
 _VZ_SLACK = 1e-12
 
-# Relative suboptimality an out-of-steps iterate may carry and still be
-# returned.  By convexity f* >= f(x) − ‖g‖·‖x − x*‖ for any subgradient
-# g of f at x, and ‖x − x*‖ is at most maxᵢ‖x − Vᵢ‖ (the median lies in
-# the convex hull of the data points); the last iterate is returned when
-# that gap is within _GAP_RTOL·f(x).  Benign stacks that exhaust the step
-# budget on a flat objective carry relative gaps of 2.4e-6 to 7.4e-4 by
-# this bound at the iterate alone.
+# Relative suboptimality an out-of-steps iterate x may carry and still be
+# returned: f(x) minus the best lower bound on f* that
+# :func:`_objective_floor` takes at x and at every data point must be
+# within _GAP_RTOL·f(x).
 _GAP_RTOL = 1e-3
 
 
@@ -155,7 +152,8 @@ def _vardi_zhang_residual(
     Rows within ``_COINCIDENCE_RTOL`` of the anchor (relative to the
     scenario's distance spread) form the anchor's cluster; the residual
     ``R`` is the summed unit vector from the anchor to the *other* rows
-    (``offsets`` forwards a precomputed ``values - anchors`` tensor).
+    (``offsets`` forwards a precomputed ``values - anchors`` tensor, which
+    is divided in place into those unit vectors).
     Returns ``(r_norm (B,), multiplicity (B,), others (B, n))``.
     """
     scale = xp.fmax(1.0, xp.max(distances, axis=1))
@@ -515,7 +513,6 @@ def batched_weiszfeld(
             distances,
             step_others,
             offsets=diffs,
-            overwrite_offsets=True,
             backend=xp,
         )
         if not clean:

@@ -274,7 +274,6 @@ def masked_unit_direction_sum(
     active,
     *,
     offsets=None,
-    overwrite_offsets: bool = False,
     backend: ArrayBackend | str | None = None,
 ):
     """Sum of unit vectors from per-scenario anchors to the active rows.
@@ -296,10 +295,9 @@ def masked_unit_direction_sum(
 
     ``offsets`` lets callers that already materialized
     ``values - anchors[:, None, :]`` (e.g. to derive ``distances``) pass
-    it in instead of paying the subtraction a second time;
-    ``overwrite_offsets=True`` then divides it into unit directions in
-    place (same bits, no second ``(B, n, d)`` array), so the caller must
-    not read it afterwards.
+    it in instead of paying the subtraction a second time.  It is divided
+    in place into the unit directions (same bits as a fresh quotient, no
+    second ``(B, n, d)`` array), so pass a copy to keep the offsets.
     """
     xp = resolve_backend(backend)
     values, distances, active = _check_masked_distances(
@@ -316,13 +314,9 @@ def masked_unit_direction_sum(
     with xp.errstate():
         if offsets is None:
             offsets = values - anchors[:, None, :]
-        if overwrite_offsets:
-            offsets /= safe[:, :, None]
-            directions = offsets
-        else:
-            directions = offsets / safe[:, :, None]
+        offsets /= safe[:, :, None]
         return xp.einsum(
-            "bn,bnd->bd", xp.astype(active, xp.float_dtype), directions
+            "bn,bnd->bd", xp.astype(active, xp.float_dtype), offsets
         )
 
 

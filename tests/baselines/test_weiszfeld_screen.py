@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import repro.baselines.medians as medians
 from repro.backend import make_backend
+from tests.baselines.test_weiszfeld_reference import byzantine_stacks
 
 BACKENDS = {
     "float64": make_backend("numpy"),
@@ -111,20 +112,9 @@ def test_screen_rejects_a_marginally_non_optimal_anchor():
 
 
 def test_paper_grid_shaped_stack_never_runs_the_exact_test(monkeypatch):
-    # Eight (20, 1000) lanes: an honest cloud plus 3 or 4 Byzantine rows,
-    # either one duplicated omniscient vector or wide Gaussian noise.  A
-    # bound so loose that the screen stops rejecting would send every
+    # A bound so loose that the screen stops rejecting would send every
     # nearest-point verdict to the exact O(n·d) test.
-    rng = np.random.default_rng(0)
-    lanes = []
-    for lane in range(8):
-        f = 3 + lane % 2
-        honest = rng.standard_normal(1000) + 0.5 * rng.standard_normal((20 - f, 1000))
-        if lane % 4 < 2:
-            byzantine = np.tile(-10.0 * honest.mean(axis=0), (f, 1))
-        else:
-            byzantine = 200.0 * rng.standard_normal((f, 1000))
-        lanes.append(np.vstack([honest, byzantine]))
+    (stack,) = byzantine_stacks(np.random.default_rng(0))
     calls = []
     exact = medians._point_optimality
 
@@ -133,5 +123,5 @@ def test_paper_grid_shaped_stack_never_runs_the_exact_test(monkeypatch):
         return exact(values, anchors, xp)
 
     monkeypatch.setattr(medians, "_point_optimality", counted)
-    medians.batched_weiszfeld(np.stack(lanes))
+    medians.batched_weiszfeld(stack)
     assert calls == []

@@ -284,21 +284,12 @@ class TestMaskedWeiszfeldPrimitives:
         distances = np.linalg.norm(offsets, axis=2)
         active = np.ones((2, 6), dtype=bool)
         plain = masked_unit_direction_sum(values, anchors, distances, active)
-        reused = masked_unit_direction_sum(
-            values, anchors, distances, active, offsets=offsets
-        )
-        np.testing.assert_array_equal(plain, reused)
-        # In place, the offsets become the unit directions; same bits.
         workspace = offsets.copy()
-        in_place = masked_unit_direction_sum(
-            values,
-            anchors,
-            distances,
-            active,
-            offsets=workspace,
-            overwrite_offsets=True,
+        reused = masked_unit_direction_sum(
+            values, anchors, distances, active, offsets=workspace
         )
-        assert in_place.tobytes() == plain.tobytes()
+        assert reused.tobytes() == plain.tobytes()
+        # The passed offsets are divided in place into the unit directions.
         assert workspace.tobytes() == (offsets / distances[:, :, None]).tobytes()
 
     def test_shape_validation(self, rng):
