@@ -1,6 +1,6 @@
 """E10 — Ablation: Krum vs the robust-statistics family under every attack.
 
-DESIGN.md's design-choice question: Krum *selects* a proposed vector via
+The design-choice question: Krum *selects* a proposed vector via
 distance filtering; medians/trimmed means *synthesize* a new vector from
 coordinate statistics.  This bench measures all rules against all
 attacks in the static resilience harness and reports which survive where

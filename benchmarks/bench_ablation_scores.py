@@ -1,6 +1,6 @@
 """E11 — Ablation: score mechanics, tie-breaks and slot placement.
 
-Design-choice checks called out in DESIGN.md §5:
+Design-choice checks:
   * the deterministic smallest-id tie-break introduces no worker bias in
     benign operation (selection histogram ~ uniform over honest ids);
   * where the adversary's slots sit (first/last ids) does not change

@@ -4,7 +4,7 @@ The full paper (arXiv:1703.02757) trains an MLP on MNIST under the
 omniscient attack and a shallow model on spambase under the Gaussian
 attack, with 33 % Byzantine workers: averaging stalls or diverges, Krum
 converges close to the attack-free baseline.  This bench reproduces both
-panels on the substituted datasets (DESIGN.md §2).
+panels on the substituted datasets (README.md, "Workloads").
 
 Each panel's four arms run as ONE batched round loop through the
 scenario-grid engine (:class:`repro.engine.BatchedSimulation`): the

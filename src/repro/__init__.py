@@ -21,8 +21,9 @@ Quickstart::
     history = sim.run(300, eval_every=25)
     print(history.final_loss)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+See README.md for the system inventory ("The scenario-grid engine") and
+for the benchmark behind every reproduced figure ("Testing and
+benchmarks").
 """
 
 from repro.attacks import (

@@ -3,9 +3,9 @@
 The paper's experiments (full version) use MNIST and spambase.  Since
 this reproduction runs offline, :mod:`repro.data.mnist_like` and
 :mod:`repro.data.spambase_like` generate synthetic datasets with the same
-input dimensionality, class structure and difficulty profile — see
-DESIGN.md §2 for why this substitution preserves the behaviour the theory
-depends on (unbiased mini-batch gradients with controllable variance).
+input dimensionality, class structure and difficulty profile.  The
+substitution keeps what the theory depends on: unbiased mini-batch
+gradients with controllable variance (README.md, "Workloads").
 """
 
 from repro.data.dataset import Dataset, train_test_split

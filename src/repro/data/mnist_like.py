@@ -5,7 +5,7 @@ The full paper trains an MLP on MNIST.  This module synthesizes a
 stroke template which is upscaled, randomly translated, brightness-
 jittered and corrupted with pixel noise.  The resulting task is
 learnable-but-noisy, which is the only property the Byzantine-SGD
-experiments consume (see DESIGN.md §2).
+experiments consume (README.md, "Workloads").
 """
 
 from __future__ import annotations

@@ -43,11 +43,15 @@ What makes the batched executor faster than B loops:
   round raises) every other holder's generator is re-synced to the
   drawing one, so every stream ends where per-cell draws leave it.
 
-Every other workload (mini-batch workers among them) calls each honest
-worker's ``estimate`` on its own private stream, in worker order.  The
-loop executor draws every worker's noise through its own
-``sample_about``: at B = 1 there is no stream to share, so the
-loop/batched comparison checks the shared draws against per-cell ones.
+Mini-batch workers draw their batches in worker order, then a cell's
+workers reading one parameter snapshot share one ``stacked_gradient``
+call (per-slice GEMMs, so each row is the worker's ``estimate`` bit for
+bit; cells are never stacked together, as that changes the bits).
+Every other honest worker calls its ``estimate`` on its own private
+stream, in worker order.  The loop executor draws every
+worker's noise through its own ``sample_about``: at B = 1 there is no
+stream to share, so the loop/batched comparison checks the shared draws
+against per-cell ones.
 
 Asynchronous cells (``max_staleness``/``delay_schedule``) fill each
 stale worker's proposal from the history row its delay schedule
@@ -100,6 +104,7 @@ from repro.distributed.simulator import (
     selected_last_round,
 )
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.gradients.minibatch import MinibatchEstimator
 from repro.gradients.oracle import GaussianOracleEstimator, shared_gradient_fn
 from repro.servers.replication import replica_view
 from repro.utils.linalg import exact_row_norms
@@ -560,9 +565,25 @@ class BatchedSimulation:
         )
         row = self._proposals[slot]
         if scenario.shared_gradient_fn is None:
+            # Mini-batch workers draw their batches in worker order (the
+            # only stream use of an estimate); those reading one snapshot
+            # of one model and train set then share one stacked gradient
+            # call, whose row i is worker i's estimate bit for bit.
+            stacks: dict[tuple, tuple[MinibatchEstimator, list, list]] = {}
             for worker in sim.honest_workers:
-                row[worker.worker_id] = worker.estimator.estimate(
-                    params_at(taus[worker.worker_id]), worker.rng
+                wid, estimator = worker.worker_id, worker.estimator
+                if type(estimator) is not MinibatchEstimator:
+                    row[wid] = estimator.estimate(params_at(taus[wid]), worker.rng)
+                    continue
+                source = (estimator.model, estimator.inputs, estimator.targets)
+                key = (taus[wid], estimator.batch_size, *map(id, source))
+                _, ids, batches = stacks.setdefault(key, (estimator, [], []))
+                ids.append(wid)
+                batches.append(estimator.draw_rows(worker.rng))
+            for (tau, *_), (estimator, ids, batches) in stacks.items():
+                rows = np.stack(batches)
+                row[ids] = estimator.model.stacked_gradient(
+                    params_at(tau), estimator.inputs[rows], estimator.targets[rows]
                 )
             return None
         # One gradient evaluation per distinct staleness this round —

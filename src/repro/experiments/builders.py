@@ -98,12 +98,12 @@ def model_evaluator(model: Model, dataset: Dataset) -> Evaluator:
     """Evaluator reporting held-out loss (and accuracy for classifiers)."""
 
     def evaluate(params: np.ndarray) -> dict[str, float]:
-        metrics = {"loss": model.loss(params, dataset.inputs, dataset.targets)}
-        if isinstance(model, ClassifierMixin):
-            metrics["accuracy"] = model.accuracy(
-                params, dataset.inputs, dataset.targets
-            )
-        return metrics
+        if not isinstance(model, ClassifierMixin):
+            return {"loss": model.loss(params, dataset.inputs, dataset.targets)}
+        loss, accuracy = model.loss_and_accuracy(
+            params, dataset.inputs, dataset.targets
+        )
+        return {"loss": loss, "accuracy": accuracy}
 
     return evaluate
 

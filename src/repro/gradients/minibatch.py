@@ -88,6 +88,11 @@ class MinibatchEstimator(GradientEstimator):
         """
         return rng.integers(0, self.shard_size, size=self.batch_size)
 
+    def draw_rows(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw one mini-batch from ``rng`` as row ids into ``inputs``."""
+        indices = self.draw_indices(rng)
+        return indices if self.rows is None else self.rows[indices]
+
     def gradient_at(self, params: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """The model gradient on the mini-batch at shard ``indices``."""
         if self.rows is not None:

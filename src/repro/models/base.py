@@ -13,6 +13,9 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.exceptions import DimensionMismatchError
+from repro.utils.validation import check_class_labels
+
 __all__ = ["Model", "ClassifierMixin"]
 
 
@@ -47,9 +50,23 @@ class Model(ABC):
             self.gradient(params, inputs, targets),
         )
 
+    def stacked_gradient(
+        self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """``(k, d)`` gradients of k same-sized batches at one ``params``:
+        row ``i`` is ``gradient(params, inputs[i], targets[i])`` bit for
+        bit.  This default runs :meth:`gradient` per slice; a model whose
+        pass takes leading stack axes overrides it with one call."""
+        out = np.empty((len(inputs), self.dimension))
+        for i, (batch_inputs, batch_targets) in enumerate(zip(inputs, targets)):
+            out[i] = self.gradient(params, batch_inputs, batch_targets)
+        return out
+
 
 class ClassifierMixin:
     """Adds label prediction and accuracy to classification models."""
+
+    num_classes: int  # targets are integer labels in [0, num_classes)
 
     def predict(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Predicted integer labels for ``inputs``."""
@@ -59,8 +76,27 @@ class ClassifierMixin:
         self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
     ) -> float:
         """Fraction of correctly classified samples."""
-        predictions = self.predict(params, inputs)
-        targets = np.asarray(targets).astype(np.int64)
+        return self._accuracy_of(self.predict(params, inputs), targets)
+
+    def loss_and_accuracy(
+        self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, float]:
+        """Both loss and accuracy; override when one forward gives both."""
+        return (
+            self.loss(params, inputs, targets),
+            self.accuracy(params, inputs, targets),
+        )
+
+    def _accuracy_of(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+        """Fraction of ``predictions`` equal to ``targets``, validated the
+        way the classification losses validate their labels."""
+        targets = np.asarray(targets)
+        if targets.shape != predictions.shape:
+            raise DimensionMismatchError(
+                f"targets must be (B,) integer labels, got shape "
+                f"{targets.shape} for {predictions.shape} predictions"
+            )
+        targets = check_class_labels(targets, self.num_classes)
         return float(np.mean(predictions == targets))
 
     def error_rate(

@@ -27,6 +27,8 @@ class LogisticRegressionModel(ClassifierMixin, Model):
     experiments of the full paper.
     """
 
+    num_classes = 2
+
     def __init__(self, num_features: int, *, l2: float = 0.0, fit_bias: bool = True):
         if num_features < 1:
             raise ConfigurationError(f"num_features must be >= 1, got {num_features}")

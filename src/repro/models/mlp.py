@@ -47,6 +47,8 @@ class MLPClassifier(ClassifierMixin, Model):
     flat parameters before running, so the model object itself stays
     conceptually stateless (and can be shared across simulated workers
     within one process; it is not thread-safe).
+    ``loss``/``gradient`` also take a ``(k, B, features)`` stack with
+    ``(k, B)`` targets, one network pass for all slices.
     """
 
     def __init__(
@@ -99,6 +101,11 @@ class MLPClassifier(ClassifierMixin, Model):
         _loss, grad = self.loss_and_gradient(params, inputs, targets)
         return grad
 
+    def stacked_gradient(
+        self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        return self.gradient(params, inputs, targets)
+
     def loss_and_gradient(
         self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
     ) -> tuple[float, np.ndarray]:
@@ -106,6 +113,14 @@ class MLPClassifier(ClassifierMixin, Model):
         return self._network.loss_and_flat_gradient(
             np.asarray(inputs, dtype=np.float64), np.asarray(targets), self._loss
         )
+
+    def loss_and_accuracy(
+        self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, float]:
+        logits = self.logits(params, inputs)
+        loss = self._loss.forward(logits, np.asarray(targets))
+        predictions = np.argmax(logits, axis=1).astype(np.int64)
+        return loss, self._accuracy_of(predictions, targets)
 
     def logits(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         self._network.set_flat_parameters(params)

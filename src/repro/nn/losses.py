@@ -62,40 +62,45 @@ class SoftmaxCrossEntropy(Loss):
     """Softmax + cross-entropy on integer class labels, fused and stable.
 
     ``forward`` takes raw logits of shape ``(B, C)`` and integer targets of
-    shape ``(B,)``; the gradient is ``(softmax(logits) - onehot) / B``.
+    shape ``(B,)``; the gradient is ``(softmax(logits) - onehot) / B``.  A
+    ``(k, B, C)`` stack of logits with ``(k, B)`` targets gives the ``(k,)``
+    losses of its slices, each bit-identical to its own ``(B, C)`` call.
     """
 
     def __init__(self) -> None:
         self._probs: np.ndarray | None = None
         self._targets: np.ndarray | None = None
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> float | np.ndarray:
         logits = np.asarray(predictions, dtype=np.float64)
         targets = np.asarray(targets)
-        if logits.ndim != 2:
+        if logits.ndim < 2:
             raise DimensionMismatchError(f"logits must be (B, C), got {logits.shape}")
-        if targets.shape != (logits.shape[0],):
+        if targets.shape != logits.shape[:-1]:
             raise DimensionMismatchError(
-                f"targets must be (B,) integer labels, got shape {targets.shape}"
+                f"targets must be (B,) integer labels, got shape "
+                f"{targets.shape} for logits {logits.shape}"
             )
-        targets = check_class_labels(targets, logits.shape[1])
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        targets = check_class_labels(targets, logits.shape[-1])
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        self._probs = exp / exp.sum(axis=1, keepdims=True)
+        sums = exp.sum(axis=-1, keepdims=True)
+        self._probs = exp / sums
         self._targets = targets
-        batch = logits.shape[0]
-        log_likelihood = shifted[np.arange(batch), targets] - np.log(
-            exp.sum(axis=1)
-        )
-        return float(-log_likelihood.mean())
+        picked = np.take_along_axis(shifted, targets[..., None], axis=-1)
+        log_likelihood = picked[..., 0] - np.log(sums[..., 0])
+        value = -log_likelihood.mean(axis=-1)
+        return float(value) if value.ndim == 0 else value
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._targets is None:
             raise LifecycleError("backward called before forward")
-        batch = self._probs.shape[0]
         grad = self._probs.copy()
-        grad[np.arange(batch), self._targets] -= 1.0
-        return grad / batch
+        rows = grad.reshape(-1, grad.shape[-1])
+        rows[np.arange(len(rows)), self._targets.reshape(-1)] -= 1.0
+        return grad / grad.shape[-2]
 
     @property
     def last_probabilities(self) -> np.ndarray:

@@ -4,7 +4,7 @@ The parameter server of the paper works on single vectors in ``R^d``; a
 ``Sequential`` network exposes exactly that view: ``get_flat_parameters``
 / ``set_flat_parameters`` round-trip all layer parameters through one
 float64 vector, and ``loss_and_flat_gradient`` produces the gradient
-estimate a worker sends upstream.
+estimate a worker sends upstream (one row per batch of a stacked pass).
 """
 
 from __future__ import annotations
@@ -78,8 +78,18 @@ class Sequential:
             param.value = np.asarray(value, dtype=np.float64).reshape(param.shape)
 
     def get_flat_gradient(self) -> np.ndarray:
-        """Return all parameter gradients concatenated into one vector."""
-        flat, _shapes = flatten_arrays([p.grad for p in self.parameters])
+        """Return all parameter gradients concatenated into one vector —
+        one row per slice after a stacked backward pass."""
+        first = self.parameters[0]
+        lead = first.grad.shape[: first.grad.ndim - len(first.shape)]
+        flat = np.empty(lead + (self.num_parameters,))
+        offset = 0
+        for param in self.parameters:
+            stop = offset + param.size
+            # Splitting the contiguous last axis is always a view, so
+            # each gradient is written into its block once.
+            flat[..., offset:stop].reshape(lead + param.shape)[...] = param.grad
+            offset = stop
         return flat
 
     def loss_and_flat_gradient(
@@ -89,7 +99,7 @@ class Sequential:
         loss: Loss,
         *,
         training: bool = True,
-    ) -> tuple[float, np.ndarray]:
+    ) -> tuple[float | np.ndarray, np.ndarray]:
         """One forward/backward pass; returns (loss, flat gradient).
 
         This is the worker-side computation of the paper's model: given
@@ -97,6 +107,8 @@ class Sequential:
         on a mini-batch.  Only parameter gradients are needed, so the
         first layer runs :meth:`Layer.backward_parameters` and the
         gradient with respect to the network input is never computed.
+        A ``(k, B, features)`` stack through ``SoftmaxCrossEntropy`` gives
+        ``(k,)`` losses and ``(k, d)`` gradients.
         """
         self.zero_grad()
         predictions = self.forward(inputs, training=training)

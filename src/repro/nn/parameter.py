@@ -10,8 +10,9 @@ __all__ = ["Parameter"]
 class Parameter:
     """A trainable tensor together with the gradient of the current loss.
 
-    ``grad`` always has the same shape as ``value``; backward passes
-    overwrite it (one backward per forward), and ``zero_grad`` resets it.
+    ``grad`` has the shape of ``value``, behind the stack axes of a
+    stacked pass; backward passes overwrite it (one backward per
+    forward), and ``zero_grad`` resets it.
     """
 
     __slots__ = ("value", "grad", "name")

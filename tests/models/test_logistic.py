@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_logistic_data
+from repro.exceptions import DimensionMismatchError
 from repro.models.logistic import LogisticRegressionModel
 from tests.helpers import assert_gradients_close, numerical_gradient
 
@@ -57,6 +58,13 @@ class TestLogisticRegression:
         model = LogisticRegressionModel(1, fit_bias=False)
         preds = model.predict(np.array([1.0]), np.array([[5.0], [-5.0]]))
         np.testing.assert_array_equal(preds, [1, 0])
+
+    def test_accuracy_rejects_non_binary_labels(self, rng):
+        model = LogisticRegressionModel(2)
+        params = rng.standard_normal(3)
+        inputs = rng.standard_normal((3, 2))
+        with pytest.raises(DimensionMismatchError, match="labels"):
+            model.accuracy(params, inputs, np.array([0, 2, 1]))
 
     def test_error_rate_complements_accuracy(self, rng):
         model = LogisticRegressionModel(2)

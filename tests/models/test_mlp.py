@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_blobs
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.models.mlp import MLPClassifier
 from tests.helpers import assert_gradients_close, numerical_gradient
 
@@ -72,3 +72,42 @@ class TestMLPClassifier:
     def test_rejects_bad_hidden_sizes(self):
         with pytest.raises(ConfigurationError):
             MLPClassifier(3, 2, hidden_sizes=(0,))
+
+
+class TestAccuracyValidation:
+    """``accuracy`` validates targets the way ``loss`` does."""
+
+    @pytest.fixture
+    def batch(self, rng):
+        model = MLPClassifier(4, 3, hidden_sizes=(5,))
+        params = model.init_params(rng)
+        inputs = rng.standard_normal((6, 4))
+        return model, params, inputs, rng.integers(0, 3, size=6)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda t: t[:, None],  # (B, 1) would broadcast to (B, B)
+            lambda t: t[:-1],  # one label short
+            lambda t: np.where(t == 0, 3, t),  # label out of range
+            lambda t: np.where(t == 0, -1, t),  # negative label
+            lambda t: t + 0.5,  # fractional label
+        ],
+        ids=["column", "short", "too-large", "negative", "fractional"],
+    )
+    def test_rejects_what_loss_rejects(self, batch, bad):
+        model, params, inputs, targets = batch
+        targets = bad(targets)
+        with pytest.raises(DimensionMismatchError):
+            model.loss(params, inputs, targets)
+        with pytest.raises(DimensionMismatchError):
+            model.accuracy(params, inputs, targets)
+        with pytest.raises(DimensionMismatchError):
+            model.loss_and_accuracy(params, inputs, targets)
+
+    def test_loss_and_accuracy_is_one_pass_of_both(self, batch):
+        model, params, inputs, targets = batch
+        loss, accuracy = model.loss_and_accuracy(params, inputs, targets)
+        assert loss == model.loss(params, inputs, targets)
+        assert accuracy == model.accuracy(params, inputs, targets)
+        assert accuracy == np.mean(model.predict(params, inputs) == targets)

@@ -91,3 +91,17 @@ class TestSoftmaxRegressionLabels:
         assert model.loss(params, inputs, ints.astype(np.float64)) == model.loss(
             params, inputs, ints
         )
+
+
+def test_stacked_gradient_default_runs_gradient_per_slice(rng):
+    """A model without a stacked pass serves stacks slice by slice."""
+    model = SoftmaxRegressionModel(3, 4, l2=0.1)
+    params = rng.standard_normal(model.dimension)
+    inputs = rng.standard_normal((5, 6, 3))
+    targets = rng.integers(0, 4, size=(5, 6))
+    stacked = model.stacked_gradient(params, inputs, targets)
+    assert stacked.shape == (5, model.dimension)
+    for i in range(5):
+        assert np.array_equal(
+            stacked[i], model.gradient(params, inputs[i], targets[i])
+        )
