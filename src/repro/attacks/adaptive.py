@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack, AttackBatch, AttackContext
 from repro.core.staleness import DAMPENING_MODES, RateWindow
 from repro.exceptions import ConfigurationError
 from repro.utils.linalg import exact_row_dots, exact_row_norms
@@ -61,6 +61,8 @@ class StalenessGamingAttack(Attack):
 
     Stateless: the timing information lives in the context.
     """
+
+    reads = frozenset({"true_gradient", "honest_gradients", "byzantine_staleness"})
 
     def __init__(
         self, scale: float = 1.0, dampening: str = "inverse", gamma: float = 0.5
@@ -105,6 +107,23 @@ class StalenessGamingAttack(Attack):
         proposals = (-self.scale * amplification)[:, None] * gradient[None, :]
         return self._output(context, proposals)
 
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        gradients = (
+            batch.true_gradient
+            if batch.true_gradient is not None
+            else batch.honest_gradients.mean(axis=1)
+        )
+        gradients = np.asarray(gradients, dtype=np.float64)
+        if batch.byzantine_staleness is None:
+            staleness = np.zeros(
+                (batch.size, batch.num_byzantine), dtype=np.int64
+            )
+        else:
+            staleness = batch.byzantine_staleness
+        amplification = self._inverse_dampening(staleness)
+        proposals = (-self.scale * amplification)[:, :, None] * gradients[:, None]
+        return self._output_batch(batch, proposals)
+
 
 class LipschitzMimicryAttack(Attack):
     """Steer the mean while staying inside the Lipschitz quantile window.
@@ -125,6 +144,15 @@ class LipschitzMimicryAttack(Attack):
     """
 
     stateful = True
+    reads = frozenset(
+        {
+            "params",
+            "honest_gradients",
+            "honest_params",
+            "true_gradient",
+            "byzantine_staleness",
+        }
+    )
 
     #: How many of its own past parameter snapshots the adversary keeps
     #: for stale-parameter lookups; comfortably above any realistic
@@ -374,6 +402,7 @@ class DefenseProbingAttack(Attack):
         )
         self.min_scale = float(min_scale)
         self.max_scale = float(max_scale)
+        self.reads = inner.reads | {"selected_last_round", "honest_gradients"}
         self.name = f"probe({inner.name})"
         self.reset()
 
@@ -452,6 +481,7 @@ class BanditProbingAttack(Attack):
         self.inner = inner
         self.arms = arms
         self.exploration = float(exploration)
+        self.reads = inner.reads | {"selected_last_round", "honest_gradients"}
         self.name = f"probe-bandit({inner.name})"
         self.reset()
 

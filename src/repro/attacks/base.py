@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.core.aggregator import Aggregator
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 
-__all__ = ["AttackContext", "Attack", "BenignAttack"]
+__all__ = [
+    "AttackContext",
+    "AttackBatch",
+    "CONTEXT_READS",
+    "BATCH_READS",
+    "Attack",
+    "BenignAttack",
+]
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,20 @@ class AttackContext:
     # one shared proposal for every edge — the server-path semantics.
     byzantine_neighbors: tuple[np.ndarray, ...] | None = None
     receiver: int | None = None
+    # d; taken from an ``(n - f, d)`` ``honest_gradients`` when not
+    # given.  The executors pass it, so a context built without the
+    # honest rows still knows it.
+    dimension: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.dimension is None and np.ndim(self.honest_gradients) == 2:
+            object.__setattr__(
+                self, "dimension", int(self.honest_gradients.shape[1])
+            )
 
     @property
     def num_byzantine(self) -> int:
         return int(len(self.byzantine_indices))
-
-    @property
-    def dimension(self) -> int:
-        return int(self.honest_gradients.shape[1])
 
     @property
     def honest_mean(self) -> np.ndarray:
@@ -138,8 +151,69 @@ class AttackContext:
             )
 
 
+#: The context fields an attack declares in :attr:`Attack.reads`.  The
+#: rest — ``round_index``, the worker ids, ``num_workers``,
+#: ``dimension`` and ``receiver`` — cost nothing and are always set.
+CONTEXT_READS = frozenset(
+    field.name
+    for field in fields(AttackContext)
+    if field.name
+    not in {
+        "round_index",
+        "byzantine_indices",
+        "honest_indices",
+        "num_workers",
+        "dimension",
+        "receiver",
+    }
+)
+
+
+@dataclass(frozen=True)
+class AttackBatch:
+    """The contexts of B cells crafted by one attack configuration in
+    one round, stacked on a leading cell axis.
+
+    All B cells share ``num_workers``, ``num_byzantine`` and the round,
+    and either all or none of them run the asynchronous model or expose
+    the true gradient.  Slice ``b`` of each array field is cell ``b``'s
+    :class:`AttackContext` field; an executor fills only the fields the
+    attack declares in :attr:`Attack.reads` (:data:`BATCH_READS` are
+    the ones a batch carries) and leaves the others ``None``.
+    """
+
+    round_index: int
+    num_workers: int
+    num_byzantine: int
+    dimension: int
+    size: int  # B
+    rngs: tuple[np.random.Generator, ...] | None = None  # one per cell
+    honest_gradients: np.ndarray | None = None  # (B, n - f, d)
+    true_gradient: np.ndarray | None = None  # (B, d)
+    byzantine_staleness: np.ndarray | None = None  # (B, f) ints
+
+
+#: The context fields an :class:`AttackBatch` carries (``rng`` as the
+#: per-cell ``rngs``).
+BATCH_READS = frozenset(
+    {"rng", "honest_gradients", "true_gradient", "byzantine_staleness"}
+)
+
+
 class Attack(ABC):
-    """Strategy producing the f Byzantine proposals for one round."""
+    """Strategy producing the f Byzantine proposals for one round.
+
+    :attr:`reads` declares the :data:`CONTEXT_READS` fields
+    :meth:`craft` reads; the executors build only those and pass
+    ``None`` for the others.  The default is every field, and a
+    subclass that overrides :meth:`craft` without declaring its own
+    :attr:`reads` is back at the default.  A stateless
+    attack registered through
+    :func:`~repro.attacks.registry.register_batched_craft` also
+    implements ``craft_batch(batch: AttackBatch) -> (B, f, d)``, whose
+    slice ``b`` equals :meth:`craft` on cell ``b``'s context bit for
+    bit, each cell's generator drawn as its own craft would.
+    """
 
     name: str = "attack"
     #: True for attacks that carry mutable per-run state across rounds.
@@ -147,6 +221,14 @@ class Attack(ABC):
     #: be reused across sequential runs, and must not be shared between
     #: concurrently-executing scenarios.
     stateful: bool = False
+    #: The context fields :meth:`craft` reads.
+    reads: frozenset[str] = CONTEXT_READS
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A declaration describes the craft next to it, not an override.
+        if "craft" in vars(cls) and "reads" not in vars(cls):
+            cls.reads = CONTEXT_READS
 
     @abstractmethod
     def craft(self, context: AttackContext) -> np.ndarray:
@@ -174,6 +256,16 @@ class Attack(ABC):
             )
         return vectors
 
+    def _output_batch(self, batch: AttackBatch, vectors: np.ndarray) -> np.ndarray:
+        """:meth:`_output` for ``craft_batch``: a ``(B, f, d)`` block."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        expected = (batch.size, batch.num_byzantine, batch.dimension)
+        if vectors.shape != expected:
+            raise DimensionMismatchError(
+                f"{self.name} produced shape {vectors.shape}, expected {expected}"
+            )
+        return vectors
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -188,6 +280,7 @@ class BenignAttack(Attack):
     """
 
     name = "benign"
+    reads = frozenset({"honest_gradients", "rng"})
 
     def craft(self, context: AttackContext) -> np.ndarray:
         mean = context.honest_mean

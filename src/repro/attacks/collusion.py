@@ -45,6 +45,8 @@ class CollusionAttack(Attack):
         strongest form of the Figure 2 attack.
     """
 
+    reads = frozenset({"true_gradient", "honest_gradients"})
+
     def __init__(
         self,
         decoy_distance: float = 100.0,

@@ -15,6 +15,19 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["CompositeAttack"]
 
+_SHARED_FIELDS = frozenset(
+    {
+        "params",
+        "honest_gradients",
+        "rng",
+        "aggregator",
+        "true_gradient",
+        "honest_staleness",
+        "honest_params",
+    }
+)
+_PER_SLOT_FIELDS = frozenset({"byzantine_staleness", "selected_last_round"})
+
 
 class CompositeAttack(Attack):
     """Split the Byzantine slots among several attacks.
@@ -42,6 +55,7 @@ class CompositeAttack(Attack):
         ) + ")"
         self._total = total
         self.stateful = any(attack.stateful for attack, _count in parts)
+        self.reads = frozenset().union(*(attack.reads for attack, _ in parts))
 
     def reset(self) -> None:
         for attack, _count in self.parts:
@@ -54,33 +68,32 @@ class CompositeAttack(Attack):
                 f"has {context.num_byzantine} Byzantine slots"
             )
         proposals = np.empty((context.num_byzantine, context.dimension))
+        # Each part sees the declared fields, its own Byzantine slots and
+        # their per-slot fields; neighbor views and the receiver stay
+        # with the composite.
+        shared = {
+            name: getattr(context, name)
+            for name in self.reads & _SHARED_FIELDS
+        }
+        per_slot = {
+            name: getattr(context, name)
+            for name in self.reads & _PER_SLOT_FIELDS
+        }
         offset = 0
         for attack, count in self.parts:
+            part = slice(offset, offset + count)
+            declared = {"params": None, "honest_gradients": None, "rng": None}
+            declared.update(shared)
+            for name, value in per_slot.items():
+                declared[name] = None if value is None else value[part]
             sub_context = AttackContext(
                 round_index=context.round_index,
-                params=context.params,
-                honest_gradients=context.honest_gradients,
-                byzantine_indices=context.byzantine_indices[
-                    offset : offset + count
-                ],
+                byzantine_indices=context.byzantine_indices[part],
                 honest_indices=context.honest_indices,
                 num_workers=context.num_workers,
-                rng=context.rng,
-                aggregator=context.aggregator,
-                true_gradient=context.true_gradient,
-                honest_staleness=context.honest_staleness,
-                byzantine_staleness=(
-                    None
-                    if context.byzantine_staleness is None
-                    else context.byzantine_staleness[offset : offset + count]
-                ),
-                honest_params=context.honest_params,
-                selected_last_round=(
-                    None
-                    if context.selected_last_round is None
-                    else context.selected_last_round[offset : offset + count]
-                ),
+                dimension=context.dimension,
+                **declared,
             )
-            proposals[offset : offset + count] = attack.craft(sub_context)
+            proposals[part] = attack.craft(sub_context)
             offset += count
         return self._output(context, proposals)

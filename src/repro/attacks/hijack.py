@@ -35,6 +35,8 @@ class LinearHijackAttack(Attack):
         averaging, λ_i = 1/n.
     """
 
+    reads = frozenset({"honest_gradients"})
+
     def __init__(self, target: np.ndarray, weights: np.ndarray | None = None):
         self.target = np.asarray(target, dtype=np.float64)
         if self.target.ndim != 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack, AttackBatch, AttackContext
 from repro.exceptions import ConfigurationError
 
 __all__ = ["LittleIsEnoughAttack", "InnerProductAttack"]
@@ -32,6 +32,8 @@ class LittleIsEnoughAttack(Attack):
     supporters: ``z = Φ⁻¹((n − f − s) / (n − f))`` with
     ``s = ⌊n/2⌋ + 1 − f`` supporters needed.
     """
+
+    reads = frozenset({"honest_gradients"})
 
     def __init__(self, z: float | None = None):
         if z is not None and z <= 0:
@@ -66,6 +68,16 @@ class LittleIsEnoughAttack(Attack):
             context, np.tile(proposal, (context.num_byzantine, 1))
         )
 
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        honest = batch.honest_gradients
+        z = self.z if self.z is not None else self._auto_z(
+            batch.num_workers, batch.num_byzantine
+        )
+        proposals = honest.mean(axis=1) - z * honest.std(axis=1)
+        return self._output_batch(
+            batch, np.repeat(proposals[:, None], batch.num_byzantine, axis=1)
+        )
+
 
 class InnerProductAttack(Attack):
     """All Byzantine workers send ``−ε ×`` the honest mean (small ε).
@@ -74,6 +86,8 @@ class InnerProductAttack(Attack):
     omniscient attack) while making the aggregate's inner product with
     the true gradient negative whenever it is selected.
     """
+
+    reads = frozenset({"honest_gradients"})
 
     def __init__(self, epsilon: float = 0.5):
         if epsilon <= 0:
@@ -85,4 +99,10 @@ class InnerProductAttack(Attack):
         proposal = -self.epsilon * context.honest_mean
         return self._output(
             context, np.tile(proposal, (context.num_byzantine, 1))
+        )
+
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        proposals = -self.epsilon * batch.honest_gradients.mean(axis=1)
+        return self._output_batch(
+            batch, np.repeat(proposals[:, None], batch.num_byzantine, axis=1)
         )

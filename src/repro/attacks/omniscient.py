@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack, AttackBatch, AttackContext
 from repro.exceptions import ConfigurationError
 
 __all__ = ["OmniscientAttack"]
@@ -25,6 +25,8 @@ class OmniscientAttack(Attack):
     equals ``−scale × g`` exactly, i.e. the adversary cancels the honest
     workers' contribution and injects pure ascent.
     """
+
+    reads = frozenset({"true_gradient", "honest_gradients"})
 
     def __init__(self, scale: float = 10.0, *, compensate_average: bool = False):
         if scale <= 0:
@@ -49,3 +51,19 @@ class OmniscientAttack(Attack):
         honest_sum = context.honest_gradients.sum(axis=0)
         proposal = (-self.scale * gradient * n - honest_sum) / f
         return self._output(context, np.tile(proposal, (f, 1)))
+
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        gradients = (
+            batch.true_gradient
+            if batch.true_gradient is not None
+            else batch.honest_gradients.mean(axis=1)
+        )
+        gradients = np.asarray(gradients, dtype=np.float64)
+        f = batch.num_byzantine
+        if not self.compensate_average:
+            proposals = -self.scale * gradients
+        else:
+            n = batch.num_workers
+            honest_sums = batch.honest_gradients.sum(axis=1)
+            proposals = (-self.scale * gradients * n - honest_sums) / f
+        return self._output_batch(batch, np.repeat(proposals[:, None], f, axis=1))

@@ -41,6 +41,8 @@ class LabelFlipAttack(Attack):
     (their norm grows with the boost).
     """
 
+    reads = frozenset({"params", "rng"})
+
     def __init__(
         self,
         model: Model,

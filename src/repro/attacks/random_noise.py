@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack, AttackBatch, AttackContext
 from repro.exceptions import ConfigurationError
 
 __all__ = ["GaussianAttack"]
@@ -18,6 +18,8 @@ class GaussianAttack(Attack):
     the "loud" attack of the evaluation section.
     """
 
+    reads = frozenset({"rng"})
+
     def __init__(self, sigma: float = 200.0, mean: float = 0.0):
         if sigma < 0:
             raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
@@ -30,3 +32,11 @@ class GaussianAttack(Attack):
             self.mean, self.sigma, size=(context.num_byzantine, context.dimension)
         )
         return self._output(context, proposals)
+
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        proposals = np.empty((batch.size, batch.num_byzantine, batch.dimension))
+        for cell, rng in enumerate(batch.rngs):
+            proposals[cell] = rng.normal(
+                self.mean, self.sigma, size=(batch.num_byzantine, batch.dimension)
+            )
+        return self._output_batch(batch, proposals)

@@ -7,13 +7,19 @@ Only attacks expressible from plain data are registered — scalars, or
 for ``"composite"`` a sequence of ``(name, kwargs, count)`` triples
 resolved recursively — while strategies that need runtime objects
 (models, data shards) are built directly by the benches that use them.
+
+:func:`register_batched_craft` registers the stateless attacks whose
+``craft_batch`` the executors call once per round for all the cells of
+one attack configuration, like the aggregation kernels of
+:func:`~repro.core.batched.register_batched_kernel`; dispatch is by
+exact type, so a subclass that overrides ``craft`` crafts per cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.attacks.base import Attack
+from repro.attacks.base import BATCH_READS, Attack
 from repro.exceptions import ConfigurationError
 from repro.utils.registry import Registry
 
@@ -23,6 +29,9 @@ __all__ = [
     "available_attacks",
     "attack_factory",
     "make_attack",
+    "register_batched_craft",
+    "has_batched_craft",
+    "batched_craft_names",
 ]
 
 ATTACKS: Registry[Attack] = Registry("attack")
@@ -31,6 +40,41 @@ register_attack = ATTACKS.register
 available_attacks = ATTACKS.names
 attack_factory = ATTACKS.factory
 make_attack = ATTACKS.make_optional
+
+_BATCHED_CRAFTS: set[type] = set()
+
+
+def register_batched_craft(attack_type: type) -> None:
+    """Register ``attack_type``'s own ``craft_batch``: slice ``b`` of its
+    output must equal ``craft`` on cell ``b``'s context bit for bit, and
+    it may read only the :data:`~repro.attacks.base.BATCH_READS` fields
+    an :class:`~repro.attacks.base.AttackBatch` carries."""
+    if not (isinstance(attack_type, type) and issubclass(attack_type, Attack)):
+        raise ConfigurationError(
+            f"attack_type must be an Attack class, got {attack_type!r}"
+        )
+    if "craft_batch" not in vars(attack_type):
+        raise ConfigurationError(
+            f"{attack_type.__name__} does not define its own craft_batch"
+        )
+    extra = set(attack_type.reads) - BATCH_READS
+    if extra:
+        raise ConfigurationError(
+            f"{attack_type.__name__} reads {sorted(extra)}, which a batch "
+            f"does not carry"
+        )
+    _BATCHED_CRAFTS.add(attack_type)
+
+
+def has_batched_craft(attack: Attack) -> bool:
+    """Whether ``attack`` crafts through its registered ``craft_batch``:
+    its exact type is registered and it keeps no per-run state."""
+    return type(attack) in _BATCHED_CRAFTS and not attack.stateful
+
+
+def batched_craft_names() -> list[str]:
+    """Sorted class names of the attacks with a registered craft_batch."""
+    return sorted(cls.__name__ for cls in _BATCHED_CRAFTS)
 
 
 def _composite_attack(parts) -> Attack:
@@ -148,6 +192,18 @@ def _register_builtins() -> None:
     register_attack("lipschitz-mimicry", LipschitzMimicryAttack)
     register_attack("probe", _probe_attack)
     register_attack("probe-bandit", _probe_bandit_attack)
+
+    for attack_type in (
+        GaussianAttack,
+        SignFlipAttack,
+        OmniscientAttack,
+        CrashAttack,
+        NonFiniteAttack,
+        LittleIsEnoughAttack,
+        InnerProductAttack,
+        StalenessGamingAttack,
+    ):
+        register_batched_craft(attack_type)
 
 
 _register_builtins()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack, AttackBatch, AttackContext
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_positive_int
 
@@ -22,6 +22,8 @@ class SignFlipAttack(Attack):
     Uses the exact gradient when the context exposes it, otherwise the
     honest barycenter — the omniscient adversary's best estimator.
     """
+
+    reads = frozenset({"true_gradient", "honest_gradients"})
 
     def __init__(self, scale: float = 1.0):
         if scale <= 0:
@@ -40,6 +42,17 @@ class SignFlipAttack(Attack):
             context, np.tile(flipped, (context.num_byzantine, 1))
         )
 
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        gradients = (
+            batch.true_gradient
+            if batch.true_gradient is not None
+            else batch.honest_gradients.mean(axis=1)
+        )
+        flipped = -self.scale * np.asarray(gradients, dtype=np.float64)
+        return self._output_batch(
+            batch, np.repeat(flipped[:, None], batch.num_byzantine, axis=1)
+        )
+
 
 class CrashAttack(Attack):
     """Stalled process: the worker contributes an all-zero vector.
@@ -51,11 +64,18 @@ class CrashAttack(Attack):
     """
 
     name = "crash"
+    reads = frozenset()
 
     def craft(self, context: AttackContext) -> np.ndarray:
         return self._output(
             context,
             np.zeros((context.num_byzantine, context.dimension)),
+        )
+
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        return self._output_batch(
+            batch,
+            np.zeros((batch.size, batch.num_byzantine, batch.dimension)),
         )
 
 
@@ -67,6 +87,8 @@ class NonFiniteAttack(Attack):
     one NaN poisons the mean — while distance-filtering rules treat the
     proposal as infinitely far and ignore it.
     """
+
+    reads = frozenset()
 
     def __init__(self, value: float = float("nan")):
         if np.isfinite(value):
@@ -82,6 +104,14 @@ class NonFiniteAttack(Attack):
             np.full((context.num_byzantine, context.dimension), self.value),
         )
 
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        return self._output_batch(
+            batch,
+            np.full(
+                (batch.size, batch.num_byzantine, batch.dimension), self.value
+            ),
+        )
+
 
 class StragglerAttack(Attack):
     """Stale gradients: replay the honest barycenter from ``delay`` rounds ago.
@@ -92,6 +122,7 @@ class StragglerAttack(Attack):
     """
 
     stateful = True
+    reads = frozenset({"honest_gradients"})
 
     def __init__(self, delay: int = 5):
         self.delay = check_positive_int(delay, "delay")

@@ -1,13 +1,17 @@
 """The round stages, and the two executors that run them.
 
 A training round is one pipeline of stages over a ``(B, n, d)`` batch of
-B same-shaped cells: *view* (the server tier's worker view), *propose*
-(honest proposals, fresh or from the staleness window), *craft* (the
-attack), *aggregate*, *update* (one ``(B, d)`` SGD step plus the
-non-finite halt) and *record*.  The stage code owns each cell's state —
-its parameter row, history and view windows and last selection — and
-takes the :class:`~repro.distributed.simulator.TrainingSimulation` it
-runs: a consumed simulation refuses to run again.
+B same-shaped cells: *view* (what each cell's workers read: its
+canonical row, or the server tier's worker view), *propose* (honest
+proposals, fresh or stale), *craft* (the attack), *aggregate*, *update*
+(one ``(B, d)`` SGD step plus the non-finite halt) and *record*.  Each
+of view, propose and craft is one pass over the whole batch per round,
+not a per-cell pipeline: every cell reads its views before any cell
+proposes, and proposes before any cell crafts.  The stage code owns
+each cell's state — its parameter row, the read and gradient windows
+and its last selection — and takes the
+:class:`~repro.distributed.simulator.TrainingSimulation` it runs: a
+consumed simulation refuses to run again.
 
 The two executors differ only in the aggregate stage:
 
@@ -20,7 +24,8 @@ The two executors differ only in the aggregate stage:
 
 The native kernels are bit-for-bit equal to the per-cell rules, so every
 ``TrainingHistory`` matches across executors record for record, float
-for float.  ``tests/engine/test_differential.py`` enforces that, and
+for float.  ``tests/engine/test_differential.py`` and
+``tests/engine/test_stage_grid.py`` enforce that, and
 ``tests/distributed/server_reference.py`` pins the stages against a
 frozen message-passing round.
 
@@ -29,19 +34,40 @@ What makes the batched executor faster than B loops:
 * one batched aggregation kernel call per rule group per round instead
   of B Python dispatches (the O(n²·d) GEMM of Lemma 4.1 amortizes);
 * one parameter update for the whole batch;
-* gradient sharing: when a cell's honest workers all wrap the same
-  deterministic gradient function (the Gaussian-oracle workload), the
-  gradient is evaluated once per cell-round instead of once per
-  worker-round — bit-identical because the oracle adds its noise to the
-  same expected vector either way;
+* the read window: a ``(max_staleness + 1, B, d)`` ring whose row
+  ``t % window`` holds what every cell's workers read at round ``t``.
+  Stale proposals, the attack's parameter views and the used-parameter
+  blocks of staleness-aware rules are one indexed read of it;
+* the gradient window beside it: when a cell's honest workers all wrap
+  the same deterministic gradient function (the Gaussian-oracle
+  workload), ∇Q of the round's read is evaluated once per round — one
+  call over the ``(cells, d)`` block of every cell sharing an oracle
+  that declares ``row_blocks`` (one quadratic bowl serves a whole
+  grid), else one call per cell — and kept for as many rounds as the
+  read window.  A stale worker's expected gradient is the window row
+  its staleness selects, and the newest row is the attack's true
+  gradient: bit-identical, because the oracle is deterministic in its
+  parameters;
 * noise sharing: the grid gives honest worker k of every cell of a seed
   the same stream, so at the start of each public call the Gaussian-
   oracle workers of all cells are grouped by generator state, σ and d,
   and each group's stream is drawn once per round instead of once per
-  cell.  A cell's noisy rows are one indexed add of its expected
-  gradients and the round's draws.  At the end of the call (also when a
-  round raises) every other holder's generator is re-synced to the
-  drawing one, so every stream ends where per-cell draws leave it.
+  cell.  A cell's noisy rows are one indexed add of its window rows
+  and the round's draws.  At the end of the call (also when a round
+  raises) every other holder's generator is re-synced to the drawing
+  one, so every stream ends where per-cell draws leave it;
+* declared reads: each attack names the
+  :class:`~repro.attacks.base.AttackContext` fields its craft reads
+  (``Attack.reads``), and the craft stage builds only those;
+* batched crafts: the cells of one stateless attack configuration with
+  a registered ``craft_batch`` (equal f, synchrony and true-gradient
+  availability) craft in one call per round, each cell's generator
+  drawn in slot order; stateful attacks and attacks whose generator is
+  held twice craft one cell at a time, in slot order, after them;
+* batched views: the tier cells of one rng-free stateless server
+  attack configuration (``sign-flip-broadcast``) are corrupted in one
+  ``corrupt_batch`` call; the other server attacks corrupt one cell at
+  a time, in slot order, first.
 
 Mini-batch workers draw their batches in worker order, then a cell's
 workers reading one parameter snapshot share one ``stacked_gradient``
@@ -51,10 +77,13 @@ Every other honest worker calls its ``estimate`` on its own private
 stream, in worker order.  The loop executor draws every
 worker's noise through its own ``sample_about``: at B = 1 there is no
 stream to share, so the loop/batched comparison checks the shared draws
-against per-cell ones.
+against per-cell ones.  A cell whose oracle is a full-train-set pass
+(the dataset workloads) hands the ∇Q its evaluation took of the
+canonical row to the next round's craft, which reads that same row; a
+tier cell's craft reads the view and computes its own.
 
 Asynchronous cells (``max_staleness``/``delay_schedule``) fill each
-stale worker's proposal from the history row its delay schedule
+stale worker's proposal from the window row its delay schedule
 selects.  The effective staleness ``min(τ, t, max_staleness)`` is
 prefetched: each async cell keeps a table for a chunk of upcoming
 rounds, filled by one
@@ -68,25 +97,25 @@ split.
 
 Server-tier cells (``num_servers``/``byzantine_servers``) materialize
 the round's worker view — the coordinate median over replica
-broadcasts of the cell's canonical row — exactly once per round, and
-route every worker read (fresh and stale proposals, the attack's
-omniscient context, the used-parameter blocks) through a per-cell view
-window.  Each round first draws every tier cell's broadcasts in slot
-order (the server-attack RNG stream advances once per cell-round), then
-takes one stacked median per replica count.  The SGD update, records
-and evaluation stay on the canonical row.
+broadcasts of the cell's canonical row — exactly once per round into
+the read window, so every worker read (fresh and stale proposals, the
+attack's omniscient context, the used-parameter blocks) sees it.  The
+server-attack RNG stream of a cell advances once per round, and each
+replica count takes one stacked median.  The SGD update, records and
+evaluation stay on the canonical row.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.base import AttackContext
+from repro.attacks.base import Attack, AttackBatch, AttackContext
+from repro.attacks.registry import has_batched_craft
 from repro.backend import ArrayBackend, resolve_backend
 from repro.core.aggregator import Aggregator
 from repro.core.batched import (
@@ -99,6 +128,7 @@ from repro.distributed.metrics import RoundRecord, TrainingHistory
 from repro.distributed.simulator import (
     HonestWorker,
     TrainingSimulation,
+    evaluated_record,
     halt_if_nonfinite,
     round_record,
     selected_last_round,
@@ -106,6 +136,8 @@ from repro.distributed.simulator import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.gradients.minibatch import MinibatchEstimator
 from repro.gradients.oracle import GaussianOracleEstimator, shared_gradient_fn
+from repro.servers.attacks import ServerAttack
+from repro.servers.registry import has_batched_corrupt
 from repro.servers.replication import replica_view
 from repro.utils.linalg import exact_row_norms
 from repro.utils.validation import check_positive_int
@@ -116,6 +148,9 @@ __all__ = ["BatchedSimulation", "LoopExecutor"]
 #: query; bounds each cell's staleness table at O(chunk · n).
 _STALENESS_CHUNK = 64
 
+#: Bytes of honest rows a batched craft gathers per call.
+_CRAFT_CHUNK_BYTES = 1 << 19
+
 
 @dataclass
 class _Scenario:
@@ -124,7 +159,7 @@ class _Scenario:
     index: int  # position in the caller's input order
     simulation: TrainingSimulation
     params: np.ndarray  # (d,) current x_t — row view into the batch matrix
-    shared_gradient_fn: object | None  # fast path: one ∇Q call per round
+    shared_gradient_fn: object | None  # one ∇Q call per round (gradient window)
     honest_ids: np.ndarray  # ascending honest worker ids
     byzantine_ids: np.ndarray  # ascending Byzantine worker ids
     byzantine_set: frozenset[int]
@@ -134,13 +169,19 @@ class _Scenario:
     shared_workers: list[HonestWorker]
     shared_ids: np.ndarray
     own_workers: list[HonestWorker]
+    # Whether workers read the replica-median view of an active server
+    # tier (else the canonical row), and the dtype of what they read.
+    tier: bool
+    read_dtype: np.dtype
+    # Whether the gradient window's row is the attack's true gradient.
+    window_gradient: bool = False
+    # Whether the evaluation's true gradient is handed to the next craft.
+    hands_over: bool = False
+    # (round, ∇Q of the canonical row) from the last evaluation.
+    handover: tuple[int, np.ndarray] | None = None
     # Worker indices the scenario's rule selected in the previous round
     # (None before the first), feeding defense-probing attacks.
     last_selected: np.ndarray | None = None
-    # Worker-view window of an active server tier (None for the
-    # degenerate single reliable server): the last max_staleness + 1
-    # coordinate-median views, views[-1] being the current round's.
-    views: deque[np.ndarray] | None = None
     # Prefetched effective staleness of an async scenario: row r is
     # round staleness_start + r (see BatchedSimulation._prefetch_staleness).
     staleness_start: int = 0
@@ -227,6 +268,52 @@ class _Group:
         self.start = start
         self.stop = stop
         self.adapter = adapter
+
+
+def _index(slots: list[int]) -> slice | np.ndarray:
+    """Batch rows ``slots`` (ascending) as a slice when they are one
+    contiguous run, so reading them takes a view, not a gather."""
+    if slots == list(range(slots[0], slots[-1] + 1)):
+        return slice(slots[0], slots[-1] + 1)
+    return np.asarray(slots, dtype=np.int64)
+
+
+def _config_key(attack: object) -> object:
+    """Equal for two instances of one stateless configuration: the type
+    and every attribute (the instance itself when one is unhashable)."""
+    key = (type(attack), tuple(sorted(vars(attack).items())))
+    try:
+        hash(key)
+    except TypeError:
+        return attack
+    return key
+
+
+@dataclass
+class _CraftGroup:
+    """Cells of one stateless attack configuration with equal f, the
+    same synchrony and the same true-gradient availability: one
+    ``craft_batch`` call crafts them all."""
+
+    attack: Attack
+    slots: np.ndarray  # ascending
+    honest: np.ndarray  # (cells, n - f) honest ids per cell
+    byzantine: np.ndarray  # (cells, f) Byzantine ids per cell
+    is_async: bool
+    true_gradient: bool  # whether the cells' oracle exists
+    window: bool  # whether every cell's true gradient is its window row
+
+
+@dataclass
+class _Tier:
+    """The tier cells of one replica count: their broadcasts are stacked
+    into one ``(cells, servers, d)`` block and take one median."""
+
+    servers: int
+    slots: np.ndarray  # ascending
+    # (attack, Byzantine replica ids, positions in slots) per batched
+    # configuration
+    batched: list[tuple[ServerAttack, np.ndarray, np.ndarray]]
 
 
 class BatchedSimulation:
@@ -333,11 +420,27 @@ class BatchedSimulation:
             range(len(sims)),
             key=lambda i: (batch_group_key(sims[i].server.aggregator), i),
         )
-        self._params = np.empty(
-            (self.batch_size, self.dimension), dtype=self._float_dtype
+        # The read window: row t % window of the ring is what each
+        # cell's workers read at round t (the canonical row, or the tier
+        # view), for stale proposals, the attack's context and the
+        # used-parameter blocks of staleness-aware rules.  Without tier
+        # cells the workers read the canonical rows themselves, so the
+        # parameters live in it: row t % window is x_t.
+        self._window = 1 + max(sim.max_staleness for sim in sims)
+        any_tier = any(sim.server.tier_active for sim in sims)
+        self._history = np.empty(
+            (self._window, self.batch_size, self.dimension),
+            dtype=np.float64 if any_tier else self._float_dtype,
+        )
+        self._params_row: int | None = None if any_tier else 0
+        self._params = (
+            np.empty((self.batch_size, self.dimension), dtype=self._float_dtype)
+            if any_tier
+            else self._history[0]
         )
         # A generator held twice (by two workers, or by a worker and an
-        # attack) keeps per-worker draws: its holders' order matters.
+        # attack) keeps per-worker draws and per-cell crafts: its
+        # holders' order matters.
         holders = Counter(
             id(rng)
             for sim in sims
@@ -362,6 +465,10 @@ class BatchedSimulation:
                     and holders[id(worker.rng)] == 1
                 )
                 (shared if shareable else own).append(worker)
+            tier = sim.server.tier_active
+            window_gradient = (
+                gradient_fn is not None and gradient_fn == sim.true_gradient_fn
+            )
             self._scenarios.append(
                 _Scenario(
                     index=original_index,
@@ -381,10 +488,19 @@ class BatchedSimulation:
                         [w.worker_id for w in shared], dtype=np.int64
                     ),
                     own_workers=own,
-                    views=(
-                        deque(maxlen=sim.max_staleness + 1)
-                        if sim.server.tier_active
-                        else None
+                    tier=tier,
+                    # The tier view is a float64 median; a canonical row
+                    # keeps the backend's precision.
+                    read_dtype=np.dtype(np.float64 if tier else self._float_dtype),
+                    window_gradient=window_gradient,
+                    # The record stage's ∇Q of the canonical row is the
+                    # next round's craft input when nothing sits between.
+                    hands_over=(
+                        sim.num_byzantine > 0
+                        and sim.true_gradient_fn is not None
+                        and "true_gradient" in sim.attack.reads
+                        and not tier
+                        and not window_gradient
                     ),
                 )
             )
@@ -418,19 +534,123 @@ class BatchedSimulation:
             dtype=self._float_dtype,
         )
         self._round_index = 0
-        # Bounded parameter history for stale proposal filling (and the
-        # used-parameter blocks of staleness-aware rules): one (B, d)
-        # matrix per retained round, history[-1] being the current
-        # round's parameters — the executor's analogue of the server's
-        # window.  Each round *replaces* self._params, so appending the
-        # matrix itself snapshots it without a copy.
-        window = 1 + max(sim.max_staleness for sim in sims)
-        self._history: deque[np.ndarray] = deque(maxlen=window)
-        self._history.append(self._params)
+        # The canonical rows the view stage copies into the read window.
+        plain = [s for s, c in enumerate(self._scenarios) if not c.tier]
+        self._plain = _index(plain) if plain and any_tier else None
+        self._tiers, self._solo_views = self._tier_plan()
+        # The gradient window beside it: row t % window holds ∇Q at what
+        # each shared-oracle cell's workers read at round t, evaluated
+        # once per round — one call per oracle over the block of its
+        # cells when the oracle takes row blocks, else one per cell.
+        self._oracle_cells: list[int] = []
+        oracles: list[tuple[object, list[int]]] = []
+        for slot, scenario in enumerate(self._scenarios):
+            fn = scenario.shared_gradient_fn
+            if fn is None:
+                continue
+            if not all(
+                w.estimator.row_blocks for w in scenario.simulation.honest_workers
+            ):
+                self._oracle_cells.append(slot)
+                continue
+            for other, cells in oracles:
+                if other == fn:
+                    cells.append(slot)
+                    break
+            else:
+                oracles.append((fn, [slot]))
+        self._oracle_blocks = [(fn, _index(cells)) for fn, cells in oracles]
+        self._gradients = (
+            np.empty(
+                (self._window, self.batch_size, self.dimension),
+                dtype=self._float_dtype,
+            )
+            if oracles or self._oracle_cells
+            else None
+        )
+        self._craft_groups, self._solo_crafts = self._craft_plan(holders)
         # The shared noise streams of the public call in progress.
         self._noise: _SharedNoise | None = None
         for sim in sims:
             sim._executor = self
+
+    def _tier_plan(self) -> tuple[list[_Tier], list[tuple[int, int, int]]]:
+        """Group the tier cells by replica count, and within it the
+        cells whose rng-free stateless server attack corrupts in one
+        batched call per configuration.  The other attacked tier cells
+        corrupt one at a time: their ``(slot, tier, position)``, in slot
+        order."""
+        tiers: dict[int, list[int]] = {}
+        for slot, scenario in enumerate(self._scenarios):
+            if scenario.tier:
+                servers = scenario.simulation.server.num_servers
+                tiers.setdefault(servers, []).append(slot)
+        plans = []
+        solo: list[tuple[int, int, int]] = []
+        for index, (servers, slots) in enumerate(tiers.items()):
+            batched: dict[object, tuple[ServerAttack, np.ndarray, list[int]]] = {}
+            for position, slot in enumerate(slots):
+                server = self._scenarios[slot].simulation.server
+                attack = server.server_attack
+                if attack is None:
+                    continue
+                if not has_batched_corrupt(attack):
+                    solo.append((slot, index, position))
+                    continue
+                ids = server.byzantine_server_ids
+                key = (_config_key(attack), tuple(ids.tolist()))
+                batched.setdefault(key, (attack, ids, []))[2].append(position)
+            plans.append(
+                _Tier(
+                    servers=servers,
+                    slots=np.asarray(slots, dtype=np.int64),
+                    batched=[
+                        (attack, ids, np.asarray(positions, dtype=np.int64))
+                        for attack, ids, positions in batched.values()
+                    ],
+                )
+            )
+        return plans, sorted(solo)
+
+    def _craft_plan(
+        self, holders: Counter
+    ) -> tuple[list[_CraftGroup], list[int]]:
+        """Group the cells whose stateless attack has a registered
+        ``craft_batch``; the others (stateful attacks, unregistered ones
+        and attacks whose generator is held twice) craft one at a time,
+        in slot order."""
+        groups: dict[object, list[int]] = {}
+        solo: list[int] = []
+        for slot, scenario in enumerate(self._scenarios):
+            sim = scenario.simulation
+            if sim.num_byzantine == 0:
+                continue
+            if not has_batched_craft(sim.attack) or holders[id(sim.attack_rng)] > 1:
+                solo.append(slot)
+                continue
+            key = (
+                _config_key(sim.attack),
+                sim.num_byzantine,
+                sim.is_async,
+                sim.true_gradient_fn is not None,
+            )
+            groups.setdefault(key, []).append(slot)
+        plans = []
+        for slots in groups.values():
+            cells = [self._scenarios[slot] for slot in slots]
+            sim = cells[0].simulation
+            plans.append(
+                _CraftGroup(
+                    attack=sim.attack,
+                    slots=np.asarray(slots, dtype=np.int64),
+                    honest=np.stack([c.honest_ids for c in cells]),
+                    byzantine=np.stack([c.byzantine_ids for c in cells]),
+                    is_async=sim.is_async,
+                    true_gradient=sim.true_gradient_fn is not None,
+                    window=all(c.window_gradient for c in cells),
+                )
+            )
+        return plans, solo
 
     def _adapter(self, rules: list[Aggregator]) -> BatchedAggregator:
         """The aggregate stage of one rule group: its native kernel, or
@@ -461,9 +681,14 @@ class BatchedSimulation:
 
     # ------------------------------------------------------------------
 
-    def _params_at(self, slot: int, staleness: int) -> np.ndarray:
-        """One scenario's parameter row as of ``staleness`` rounds ago."""
-        return self._history[-1 - staleness][slot]
+    def _read(self, slot: int, staleness) -> np.ndarray:
+        """What cell ``slot``'s workers read ``staleness`` rounds ago — a
+        ``(d,)`` row for one int, ``(k, d)`` rows for ``k`` of them — as
+        a copy in the cell's read dtype."""
+        rows = self._history[(self._round_index - staleness) % self._window, slot]
+        # Many rows are a fancy gather, already a copy.
+        dtype = self._scenarios[slot].read_dtype
+        return rows.astype(dtype, copy=np.ndim(staleness) == 0)
 
     def _prefetch_staleness(self, start: int, stop: int) -> None:
         """Fill every async scenario's staleness table with rounds
@@ -526,37 +751,100 @@ class BatchedSimulation:
             )
         return row
 
-    def _fill_proposals(
-        self, slot: int, staleness_row: np.ndarray | None
-    ) -> np.ndarray | None:
-        """Compute one scenario's honest proposals into the batch tensor;
-        returns the *fresh* expected gradient when the shared-oracle fast
-        path evaluated it (for reuse as the attack's omniscient oracle).
+    # ------------------------------------------------------------------
+    # Round stages
 
-        ``staleness_row`` routes each worker to the parameter history
-        row its delay schedule selects; ``None`` (or an all-zero row)
-        reads the current parameters, exactly like the synchronous path.
-        """
-        scenario = self._scenarios[slot]
-        sim = scenario.simulation
+    def _view(self, t: int) -> None:
+        """Write round ``t``'s reads into the read window: the canonical
+        rows, and for the tier cells the coordinate median over their
+        replica broadcasts.  The cells corrupting one at a time draw
+        their broadcasts in slot order; each batched configuration
+        corrupts all its cells in one call; then each replica count
+        takes one stacked median."""
+        reads = self._history[t % self._window]
+        if self._params_row not in (None, t % self._window):
+            # A round raised after its update: x_t sits one row ahead.
+            reads[...] = self._params
+            self._bind_params(reads, t % self._window)
+        if self._plain is not None:
+            reads[self._plain] = self._params[self._plain]
+        canonical = [
+            np.asarray(self._params[tier.slots], dtype=np.float64)
+            for tier in self._tiers
+        ]
+        blocks = [
+            np.repeat(rows[:, None], tier.servers, axis=1)
+            for tier, rows in zip(self._tiers, canonical)
+        ]
+        for slot, index, position in self._solo_views:
+            scenario = self._scenarios[slot]
+            blocks[index][position] = scenario.simulation.server.replica_broadcasts(
+                scenario.params, t
+            )
+        for tier, rows, broadcasts in zip(self._tiers, canonical, blocks):
+            for attack, ids, positions in tier.batched:
+                broadcasts[positions[:, None], ids] = attack.corrupt_batch(
+                    rows[positions], ids.size
+                )
+            reads[tier.slots] = replica_view(broadcasts)
 
-        # One defensive copy per *distinct staleness* this round (one
-        # total in the synchronous case): workers sharing a staleness
-        # read the same snapshot, as they would share one broadcast.
-        params_cache: dict[int, np.ndarray] = {}
+    def _propose(self, t: int, rows: list[np.ndarray | None]) -> None:
+        """Evaluate the round's row of the gradient window, then fill
+        every cell's honest proposals into the batch tensor.
+
+        A shared-noise row is its window row (the one its staleness
+        selects) plus the round's draw of the worker's stream; an
+        oracle worker drawing on its own stream samples about the same
+        row.  Mini-batch workers draw their batches in worker order, and
+        those reading one snapshot of one model and train set share one
+        stacked gradient call, whose row i is worker i's estimate bit
+        for bit.  Every other honest worker calls its ``estimate``."""
+        ring = t % self._window
+        if self._gradients is not None:
+            reads = self._history[ring]
+            fresh = self._gradients[ring]
+            for fn, cells in self._oracle_blocks:
+                fresh[cells] = fn(reads[cells])
+            for slot in self._oracle_cells:
+                fresh[slot] = self._scenarios[slot].shared_gradient_fn(
+                    self._read(slot, 0)
+                )
+        noise = self._noise
+        for slot, scenario in enumerate(self._scenarios):
+            staleness_row = rows[slot]
+            row = self._proposals[slot]
+            if scenario.shared_gradient_fn is None:
+                self._fill_estimates(slot, scenario, staleness_row)
+                continue
+            lags = (
+                None if staleness_row is None else (t - staleness_row) % self._window
+            )
+            ids = scenario.shared_ids
+            if ids.size:
+                expected = (
+                    fresh[slot] if lags is None else self._gradients[lags[ids], slot]
+                )
+                row[ids] = expected + noise.values[noise.groups[slot]]
+                noise.consumed[slot] += 1
+            for worker in scenario.own_workers:
+                wid = worker.worker_id
+                worker_ring = ring if lags is None else lags[wid]
+                row[wid] = worker.estimator.sample_about(
+                    self._gradients[worker_ring, slot], worker.rng
+                )
+
+    def _fill_estimates(
+        self, slot: int, scenario: _Scenario, staleness_row: np.ndarray | None
+    ) -> None:
+        """The honest proposals of a cell without a shared oracle; each
+        worker reads the snapshot its staleness selects, one copy per
+        distinct staleness."""
+        snapshots: dict[int, np.ndarray] = {}
 
         def params_at(tau: int) -> np.ndarray:
-            if tau not in params_cache:
-                if scenario.views is not None:
-                    # Tier scenario: workers read the replica-median
-                    # view window, never the raw parameter rows.
-                    source = scenario.views[-1 - tau]
-                elif tau == 0:
-                    source = scenario.params
-                else:
-                    source = self._params_at(slot, tau)
-                params_cache[tau] = source.copy()
-            return params_cache[tau]
+            if tau not in snapshots:
+                snapshots[tau] = self._read(slot, tau)
+            return snapshots[tau]
 
         taus = (
             [0] * self.num_workers
@@ -564,120 +852,158 @@ class BatchedSimulation:
             else staleness_row.tolist()
         )
         row = self._proposals[slot]
-        if scenario.shared_gradient_fn is None:
-            # Mini-batch workers draw their batches in worker order (the
-            # only stream use of an estimate); those reading one snapshot
-            # of one model and train set then share one stacked gradient
-            # call, whose row i is worker i's estimate bit for bit.
-            stacks: dict[tuple, tuple[MinibatchEstimator, list, list]] = {}
-            for worker in sim.honest_workers:
-                wid, estimator = worker.worker_id, worker.estimator
-                if type(estimator) is not MinibatchEstimator:
-                    row[wid] = estimator.estimate(params_at(taus[wid]), worker.rng)
-                    continue
-                source = (estimator.model, estimator.inputs, estimator.targets)
-                key = (taus[wid], estimator.batch_size, *map(id, source))
-                _, ids, batches = stacks.setdefault(key, (estimator, [], []))
-                ids.append(wid)
-                batches.append(estimator.draw_rows(worker.rng))
-            for (tau, *_), (estimator, ids, batches) in stacks.items():
-                rows = np.stack(batches)
-                row[ids] = estimator.model.stacked_gradient(
-                    params_at(tau), estimator.inputs[rows], estimator.targets[rows]
-                )
-            return None
-        # One gradient evaluation per distinct staleness this round —
-        # bit-identical to per-worker evaluation because the oracle is
-        # deterministic in its parameters.
-        expected_at: dict[int, np.ndarray] = {}
-        for worker in sim.honest_workers:
-            tau = taus[worker.worker_id]
-            if tau not in expected_at:
-                expected_at[tau] = np.asarray(
-                    scenario.shared_gradient_fn(params_at(tau)),
-                    dtype=self._float_dtype,
-                )
-        ids = scenario.shared_ids
-        if ids.size:
-            # The same sum sample_about takes, with the round's draw of
-            # each worker's stream.
-            noise = self._noise
-            expected = (
-                expected_at[0]
-                if staleness_row is None
-                else np.stack(
-                    [expected_at[tau] for tau in staleness_row[ids].tolist()]
-                )
+        stacks: dict[tuple, tuple[MinibatchEstimator, list, list]] = {}
+        for worker in scenario.simulation.honest_workers:
+            wid, estimator = worker.worker_id, worker.estimator
+            if type(estimator) is not MinibatchEstimator:
+                row[wid] = estimator.estimate(params_at(taus[wid]), worker.rng)
+                continue
+            source = (estimator.model, estimator.inputs, estimator.targets)
+            key = (taus[wid], estimator.batch_size, *map(id, source))
+            _, ids, batches = stacks.setdefault(key, (estimator, [], []))
+            ids.append(wid)
+            batches.append(estimator.draw_rows(worker.rng))
+        for (tau, *_), (estimator, ids, batches) in stacks.items():
+            rows = np.stack(batches)
+            row[ids] = estimator.model.stacked_gradient(
+                params_at(tau), estimator.inputs[rows], estimator.targets[rows]
             )
-            row[ids] = expected + noise.values[noise.groups[slot]]
-            noise.consumed[slot] += 1
-        for worker in scenario.own_workers:
-            row[worker.worker_id] = worker.estimator.sample_about(
-                expected_at[taus[worker.worker_id]], worker.rng
-            )
-        return expected_at.get(0)
 
-    def _craft_attack(
-        self,
-        slot: int,
-        expected: np.ndarray | None,
-        staleness_row: np.ndarray | None,
+    def _true_gradient(self, slot: int) -> np.ndarray | None:
+        """∇Q at what cell ``slot``'s workers read this round: its window
+        row, the evaluation's handed-over gradient, or one oracle call."""
+        scenario = self._scenarios[slot]
+        fn = scenario.simulation.true_gradient_fn
+        if fn is None:
+            return None
+        t = self._round_index
+        if scenario.window_gradient:
+            return self._gradients[t % self._window, slot].copy()
+        handover, scenario.handover = scenario.handover, None
+        if handover is not None and handover[0] == t:
+            return handover[1]
+        return fn(self._read(slot, 0))
+
+    def _craft(self, rows: list[np.ndarray | None]) -> None:
+        """The craft stage: one ``craft_batch`` call per batched attack
+        configuration, then the other cells one at a time, in slot
+        order."""
+        for group in self._craft_groups:
+            self._craft_group(group, rows)
+        for slot in self._solo_crafts:
+            self._craft_cell(slot, rows[slot])
+
+    def _craft_group(
+        self, group: _CraftGroup, rows: list[np.ndarray | None]
     ) -> None:
+        attack, reads = group.attack, group.attack.reads
+        t = self._round_index
+        f = group.byzantine.shape[1]
+        count = group.slots.size
+        step = count
+        if "honest_gradients" in reads:
+            # Gather the honest rows a cache-sized chunk of cells at a
+            # time: a whole-group (cells, n − f, d) copy falls out of
+            # cache at large d.
+            cell_bytes = group.honest[0].size * self._proposals[0, 0].nbytes
+            step = max(1, _CRAFT_CHUNK_BYTES // cell_bytes)
+        for start in range(0, count, step):
+            part = slice(start, start + step)
+            slots = group.slots[part]
+            true_gradient = None
+            if "true_gradient" in reads and group.true_gradient:
+                if group.window:
+                    true_gradient = self._gradients[t % self._window, slots]
+                else:
+                    true_gradient = np.stack(
+                        [self._true_gradient(slot) for slot in slots.tolist()]
+                    )
+            batch = AttackBatch(
+                round_index=t,
+                num_workers=self.num_workers,
+                num_byzantine=f,
+                dimension=self.dimension,
+                size=slots.size,
+                rngs=(
+                    tuple(
+                        self._scenarios[slot].simulation.attack_rng
+                        for slot in slots.tolist()
+                    )
+                    if "rng" in reads
+                    else None
+                ),
+                honest_gradients=(
+                    self._proposals[slots[:, None], group.honest[part]]
+                    if "honest_gradients" in reads
+                    else None
+                ),
+                true_gradient=true_gradient,
+                byzantine_staleness=(
+                    np.stack(
+                        [
+                            rows[slot][byzantine]
+                            for slot, byzantine in zip(
+                                slots.tolist(), group.byzantine[part]
+                            )
+                        ]
+                    )
+                    if group.is_async and "byzantine_staleness" in reads
+                    else None
+                ),
+            )
+            self._proposals[slots[:, None], group.byzantine[part]] = (
+                attack.craft_batch(batch)
+            )
+
+    def _craft_cell(self, slot: int, staleness_row: np.ndarray | None) -> None:
+        """One cell's craft, from a context holding the fields its attack
+        declares (``None`` for the others)."""
         scenario = self._scenarios[slot]
         sim = scenario.simulation
-        if sim.num_byzantine == 0:
-            return
-        assert sim.attack is not None
-        # The omniscient attack sees what was broadcast — under an
-        # active tier that is the worker view, not the canonical row.
-        params = (
-            scenario.views[-1].copy()
-            if scenario.views is not None
-            else scenario.params.copy()
-        )
-        true_gradient = None
-        if sim.true_gradient_fn is not None:
-            if (
-                expected is not None
-                and scenario.shared_gradient_fn == sim.true_gradient_fn
-            ):
-                true_gradient = expected
-            else:
-                true_gradient = sim.true_gradient_fn(params)
-        honest_params = honest_staleness = None
-        if staleness_row is not None:
-            # Row τ of the window is the read τ rounds ago; the fancy
-            # index copies, so the rows need no defensive copy.
-            honest_staleness = staleness_row[scenario.honest_ids]
-            depth = range(int(honest_staleness.max()) + 1)
-            if scenario.views is not None:
-                window = [scenario.views[-1 - tau] for tau in depth]
-            else:
-                window = [self._params_at(slot, tau) for tau in depth]
-            honest_params = np.array(window)[honest_staleness]
+        reads = sim.attack.reads
+        honest_ids, byzantine_ids = scenario.honest_ids, scenario.byzantine_ids
+        stale = staleness_row is not None
         context = AttackContext(
             round_index=self._round_index,
-            params=params,
-            honest_gradients=self._proposals[slot][scenario.honest_ids],
-            byzantine_indices=scenario.byzantine_ids,
-            honest_indices=scenario.honest_ids,
+            # The omniscient attack sees what was broadcast — under an
+            # active tier that is the worker view, not the canonical row.
+            params=self._read(slot, 0) if "params" in reads else None,
+            honest_gradients=(
+                self._proposals[slot][honest_ids]
+                if "honest_gradients" in reads
+                else None
+            ),
+            byzantine_indices=byzantine_ids,
+            honest_indices=honest_ids,
             num_workers=sim.num_workers,
-            rng=sim.attack_rng,
-            aggregator=sim.server.aggregator,
-            true_gradient=true_gradient,
-            honest_staleness=honest_staleness,
+            rng=sim.attack_rng if "rng" in reads else None,
+            aggregator=sim.server.aggregator if "aggregator" in reads else None,
+            true_gradient=(
+                self._true_gradient(slot) if "true_gradient" in reads else None
+            ),
+            honest_staleness=(
+                staleness_row[honest_ids]
+                if stale and "honest_staleness" in reads
+                else None
+            ),
             byzantine_staleness=(
-                None
-                if staleness_row is None
-                else staleness_row[scenario.byzantine_ids]
+                staleness_row[byzantine_ids]
+                if stale and "byzantine_staleness" in reads
+                else None
             ),
-            honest_params=honest_params,
-            selected_last_round=selected_last_round(
-                scenario.byzantine_ids, scenario.last_selected
+            honest_params=(
+                self._read(slot, staleness_row[honest_ids])
+                if stale and "honest_params" in reads
+                else None
             ),
+            selected_last_round=(
+                selected_last_round(byzantine_ids, scenario.last_selected)
+                if "selected_last_round" in reads
+                else None
+            ),
+            dimension=self.dimension,
         )
-        crafted = sim.attack.craft(context)
-        self._proposals[slot][scenario.byzantine_ids] = crafted
+        self._proposals[slot][byzantine_ids] = sim.attack.craft(context)
 
     def _group_staleness(
         self, group: _Group, rows: list[np.ndarray | None]
@@ -704,42 +1030,13 @@ class BatchedSimulation:
         used = np.empty(
             (size, self.num_workers, self.dimension), dtype=self._float_dtype
         )
+        t = self._round_index
         for offset in range(size):
             slot = group.start + offset
             row = rows[slot]
-            views = self._scenarios[slot].views
-            if row is None:
-                used[offset] = (
-                    views[-1] if views is not None else self._history[-1][slot]
-                )
-                continue
-            for tau in np.unique(row).tolist():
-                used[offset, row == tau] = (
-                    views[-1 - tau]
-                    if views is not None
-                    else self._params_at(slot, tau)
-                )
+            lags = t % self._window if row is None else (t - row) % self._window
+            used[offset] = self._history[lags, slot]
         return used
-
-    def _append_views(self, round_index: int) -> None:
-        """Append the round's worker view to every tier scenario's
-        window: each cell draws its replica broadcasts once, in slot
-        order, then the cells sharing a replica count take one stacked
-        coordinate median."""
-        by_servers: dict[int, list[tuple[_Scenario, np.ndarray]]] = {}
-        for scenario in self._scenarios:
-            if scenario.views is None:
-                continue
-            broadcasts = scenario.simulation.server.replica_broadcasts(
-                scenario.params, round_index
-            )
-            by_servers.setdefault(broadcasts.shape[0], []).append(
-                (scenario, broadcasts)
-            )
-        for cells in by_servers.values():
-            views = replica_view(np.stack([b for _, b in cells]))
-            for (scenario, _), view in zip(cells, views):
-                scenario.views.append(view)
 
     @contextmanager
     def _call(self) -> Iterator[None]:
@@ -768,16 +1065,16 @@ class BatchedSimulation:
 
     def _round(self) -> list[RoundRecord]:
         t = self._round_index
-        rates = np.empty(self.batch_size, dtype=self._float_dtype)
-        rows: list[np.ndarray | None] = [None] * self.batch_size
-        self._append_views(t)
+        self._view(t)
+        rows = [self._staleness_row(slot, t) for slot in range(self.batch_size)]
         self._noise.draw()
-        for slot, scenario in enumerate(self._scenarios):
-            rates[slot] = scenario.simulation.server.schedule(t)
-            rows[slot] = self._staleness_row(slot, t)
-            expected = self._fill_proposals(slot, rows[slot])
-            self._craft_attack(slot, expected, rows[slot])
+        self._propose(t, rows)
+        self._craft(rows)
 
+        rates = np.asarray(
+            [scenario.simulation.server.schedule(t) for scenario in self._scenarios],
+            dtype=self._float_dtype,
+        )
         aggregate = np.empty(
             (self.batch_size, self.dimension), dtype=self._float_dtype
         )
@@ -807,16 +1104,20 @@ class BatchedSimulation:
                 selected[group.start + offset] = rows_selected
 
         # One batched SGD step: x_{t+1} = x_t − γ_t · F(...), elementwise
-        # identical to the per-scenario update.  The subtraction builds a
-        # fresh matrix, so the retained history rounds stay valid
-        # snapshots.
-        self._params = self._params - rates[:, None] * aggregate
-        self._history.append(self._params)
+        # identical to the per-scenario update.  It writes a fresh matrix
+        # (or the read window's next row), so no retained round changes.
+        step = rates[:, None] * aggregate
+        if self._params_row is None:
+            self._bind_params(self._params - step, None)
+        else:
+            row = (t + 1) % self._window
+            self._bind_params(
+                np.subtract(self._params, step, out=self._history[row]), row
+            )
         aggregate_norms = exact_row_norms(aggregate).tolist()
         params_norms = exact_row_norms(self._params).tolist()
         records: list[RoundRecord] = [None] * self.batch_size  # type: ignore[list-item]
         for slot, scenario in enumerate(self._scenarios):
-            scenario.params = self._params[slot]
             server = scenario.simulation.server
             if server.halt_on_nonfinite:
                 halt_if_nonfinite(scenario.params, t, server.aggregator)
@@ -833,6 +1134,30 @@ class BatchedSimulation:
             )
         self._round_index += 1
         return records
+
+    def _bind_params(self, params: np.ndarray, row: int | None) -> None:
+        """Make ``params`` (row ``row`` of the read window, or ``None``
+        for a matrix of its own) every cell's parameters."""
+        self._params, self._params_row = params, row
+        for slot, scenario in enumerate(self._scenarios):
+            scenario.params = params[slot]
+
+    def _evaluate(self, scenario: _Scenario, record: RoundRecord) -> RoundRecord:
+        """``record`` with the cell's evaluation attached.  A cell that
+        hands over keeps the ∇Q its evaluation took of the canonical row,
+        which the next round's craft reads unchanged."""
+        sim = scenario.simulation
+        gradient_fn = sim.true_gradient_fn
+        if scenario.hands_over:
+
+            def gradient_fn(params, fn=sim.true_gradient_fn):
+                gradient = fn(params)
+                scenario.handover = (self._round_index, gradient)
+                return gradient
+
+        return evaluated_record(
+            record, scenario.params.copy(), sim.evaluate, gradient_fn
+        )
 
     def run(
         self, num_rounds: int, *, eval_every: int = 10
@@ -860,9 +1185,7 @@ class BatchedSimulation:
                 for scenario in self._scenarios:
                     record = records[scenario.index]
                     if evaluate_now:
-                        record = scenario.simulation.evaluate_record(
-                            record, params=scenario.params.copy()
-                        )
+                        record = self._evaluate(scenario, record)
                     histories[scenario.index].append(record)
         return histories
 

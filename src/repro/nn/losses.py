@@ -34,23 +34,49 @@ class Loss(ABC):
         """Return ``dL/d(predictions)`` for the last ``forward`` call."""
 
 
+def _batch_size(predictions: np.ndarray) -> int:
+    """B of a ``(B,)`` batch of scalar outputs, a ``(B, C)`` batch or a
+    ``(k, B, C)`` stack of batches (1 for a lone scalar)."""
+    if predictions.ndim == 0:
+        return 1
+    return predictions.shape[-2] if predictions.ndim > 1 else predictions.shape[0]
+
+
+def _slice_sums(values: np.ndarray) -> np.ndarray:
+    """The sum over one batch, or the ``(k,)`` sums over the slices of a
+    ``(k, B, C)`` stack, each bit-identical to its own batch's sum."""
+    if values.ndim < 3:
+        return np.sum(values)
+    return np.sum(values, axis=(-2, -1))
+
+
+def _loss_value(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if value.ndim == 0 else value
+
+
 class MeanSquaredError(Loss):
-    """``L = (1/2B) Σ_b ||pred_b - target_b||²`` over a batch of size B."""
+    """``L = (1/2B) Σ_b ||pred_b - target_b||²`` over a batch of size B.
+
+    A ``(k, B, C)`` stack gives the ``(k,)`` losses of its slices, each
+    bit-identical to its own ``(B, C)`` call.
+    """
 
     def __init__(self) -> None:
         self._diff: np.ndarray | None = None
         self._batch: int = 0
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> float | np.ndarray:
         predictions = np.asarray(predictions, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         if predictions.shape != targets.shape:
             raise DimensionMismatchError(
                 f"predictions {predictions.shape} vs targets {targets.shape}"
             )
-        self._batch = predictions.shape[0] if predictions.ndim > 0 else 1
+        self._batch = _batch_size(predictions)
         self._diff = predictions - targets
-        return float(0.5 * np.sum(self._diff**2) / self._batch)
+        return _loss_value(0.5 * _slice_sums(self._diff**2) / self._batch)
 
     def backward(self) -> np.ndarray:
         if self._diff is None:
@@ -114,20 +140,24 @@ class BinaryCrossEntropyWithLogits(Loss):
     """Sigmoid + binary cross-entropy on {0,1} targets, fused and stable.
 
     Uses ``log(1 + e^z) = max(z, 0) + log(1 + e^{-|z|})`` to avoid
-    overflow; gradient is ``(sigmoid(z) - t) / B``.
+    overflow; gradient is ``(sigmoid(z) - t) / B``.  A ``(k, B, C)``
+    stack gives the ``(k,)`` losses of its slices, each bit-identical to
+    its own ``(B, C)`` call.
     """
 
     def __init__(self) -> None:
         self._grad: np.ndarray | None = None
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> float | np.ndarray:
         logits = np.asarray(predictions, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         if logits.shape != targets.shape:
             raise DimensionMismatchError(
                 f"logits {logits.shape} vs targets {targets.shape}"
             )
-        batch = logits.shape[0] if logits.ndim > 0 else 1
+        batch = _batch_size(logits)
         softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
         loss = softplus - targets * logits
         sigmoid = np.where(
@@ -136,7 +166,7 @@ class BinaryCrossEntropyWithLogits(Loss):
             np.exp(np.clip(logits, None, 500)) / (1.0 + np.exp(np.clip(logits, None, 500))),
         )
         self._grad = (sigmoid - targets) / batch
-        return float(loss.sum() / batch)
+        return _loss_value(_slice_sums(loss) / batch)
 
     def backward(self) -> np.ndarray:
         if self._grad is None:

@@ -89,7 +89,14 @@ class ServerAttackContext:
 
 
 class ServerAttack(ABC):
-    """Strategy producing the corrupted replica broadcasts for one round."""
+    """Strategy producing the corrupted replica broadcasts for one round.
+
+    A stateless attack that draws nothing may also define
+    ``corrupt_batch(params, num_byzantine)`` over a ``(B, d)`` block of
+    canonical rows and register it with
+    :func:`~repro.servers.registry.register_batched_corrupt`; the
+    executors then corrupt all its cells of a round in one call.
+    """
 
     name: str = "server-attack"
     #: True for attacks that carry mutable per-run state across rounds.
@@ -153,6 +160,12 @@ class SignFlipBroadcastAttack(ServerAttack):
             (-self.scale * context.params)[None], context.num_byzantine, axis=0
         )
         return self._output(context, corrupted)
+
+    def corrupt_batch(self, params: np.ndarray, num_byzantine: int) -> np.ndarray:
+        """The ``(B, num_byzantine, d)`` broadcasts of B cells whose
+        canonical rows are the ``(B, d)`` float64 ``params``: slice ``b``
+        is :meth:`corrupt` of row ``b`` bit for bit."""
+        return np.repeat((-self.scale * params)[:, None], num_byzantine, axis=1)
 
 
 class StaleReplayBroadcastAttack(ServerAttack):

@@ -419,32 +419,50 @@ class GossipSimulation:
                 messages[v] = estimator.estimate(params[v], rng)
         if b > 0:
             assert self.attack is not None
-            neighbors = tuple(
-                indices[indptr[v] : indptr[v + 1]] for v in self.byzantine_ids
+            reads = self.attack.reads
+            neighbors = (
+                tuple(
+                    indices[indptr[v] : indptr[v + 1]] for v in self.byzantine_ids
+                )
+                if self.equivocate or "byzantine_neighbors" in reads
+                else None
             )
-            ref_params = params[self.reference_node].copy()
+            ref_params = (
+                params[self.reference_node].copy()
+                if reads & {"params", "true_gradient"}
+                else None
+            )
             context = AttackContext(
                 round_index=t,
-                params=ref_params,
-                honest_gradients=messages[self._honest],
+                params=ref_params if "params" in reads else None,
+                honest_gradients=(
+                    messages[self._honest] if "honest_gradients" in reads else None
+                ),
                 byzantine_indices=self._byzantine.copy(),
                 honest_indices=self._honest.copy(),
                 num_workers=n,
-                rng=self.attack_rng,
-                aggregator=self._aggregator,
+                rng=self.attack_rng if "rng" in reads else None,
+                aggregator=self._aggregator if "aggregator" in reads else None,
                 true_gradient=(
                     self.true_gradient_fn(ref_params)
-                    if self.true_gradient_fn is not None
+                    if self.true_gradient_fn is not None and "true_gradient" in reads
                     else None
                 ),
                 # The neighbor view: each honest node's *local* parameters
                 # (on the complete zero-delay graph these coincide with
                 # ``params``, so server-path attacks behave identically).
-                honest_params=self.honest_params,
-                selected_last_round=selected_last_round(
-                    self._byzantine, self._selected_union
+                honest_params=(
+                    self.honest_params if "honest_params" in reads else None
                 ),
-                byzantine_neighbors=neighbors,
+                selected_last_round=(
+                    selected_last_round(self._byzantine, self._selected_union)
+                    if "selected_last_round" in reads
+                    else None
+                ),
+                byzantine_neighbors=(
+                    neighbors if "byzantine_neighbors" in reads else None
+                ),
+                dimension=self.dimension,
             )
             if not self.equivocate:
                 messages[self._byzantine] = self.attack.craft(context)
@@ -452,6 +470,7 @@ class GossipSimulation:
                 # One craft per honest receiver adjacent to a Byzantine
                 # node this round, in id order (the attack stream
                 # advances deterministically).
+                assert neighbors is not None
                 adjacent = np.unique(np.concatenate(neighbors))
                 crafted = messages[n:].reshape(n, b, self.dimension)
                 for u in adjacent[~self._is_byzantine[adjacent]].tolist():

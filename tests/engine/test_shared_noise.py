@@ -335,9 +335,9 @@ class TestRaisingRound:
         assert _states(sims) == _states(loop_sims)
 
     def test_round_raising_mid_propose(self):
-        """A cell whose attack raises in round 2 stops the round: the
-        cells before it and itself proposed three rounds, the cells after
-        it two, and every stream ends there."""
+        """A cell whose attack raises in round 2 stops the round after
+        its propose stage: every cell proposed three rounds, and every
+        stream ends there."""
         # One rule: the executor keeps the cells in input order.
         grid = _quadratic_grid(seeds=(0, 1, 2), f_values=(1,))
         sims, loop_sims = _simulations(grid), _simulations(grid)
@@ -345,7 +345,7 @@ class TestRaisingRound:
         with pytest.raises(SimulationError, match="attack failed"):
             BatchedSimulation(sims).run(5)
         loop_sims[1].attack = _RaisingAttack(2)
-        for sim, rounds in zip(loop_sims, (3, 3, 2)):
+        for sim, rounds in zip(loop_sims, (3, 3, 3)):
             for _ in range(rounds):
                 try:
                     sim.run_round()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionMismatchError
+from repro.nn.layers import Dense, Tanh
 from repro.nn.losses import (
     BinaryCrossEntropyWithLogits,
     MeanSquaredError,
     SoftmaxCrossEntropy,
 )
+from repro.nn.network import Sequential
 from tests.helpers import assert_gradients_close, numerical_gradient
 
 
@@ -130,3 +132,44 @@ class TestBinaryCrossEntropyWithLogits:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             BinaryCrossEntropyWithLogits().forward(np.ones(3), np.ones(4))
+
+
+def _targets(loss_type, rng, shape):
+    if loss_type is BinaryCrossEntropyWithLogits:
+        return rng.integers(0, 2, size=shape).astype(float)
+    return rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize(
+    "loss_type", [MeanSquaredError, BinaryCrossEntropyWithLogits]
+)
+class TestStackedSlices:
+    """A ``(k, B, C)`` stack is k independent batches: slice i's loss and
+    gradient equal the lone ``(B, C)`` pass bit for bit."""
+
+    def test_loss_and_backward(self, loss_type, k, rng):
+        predictions = rng.standard_normal((k, 4, 3))
+        targets = _targets(loss_type, rng, (k, 4, 3))
+        stacked = loss_type()
+        values = stacked.forward(predictions, targets)
+        gradients = stacked.backward()
+        assert values.shape == (k,)
+        for i in range(k):
+            lone = loss_type()
+            value = lone.forward(predictions[i], targets[i])
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == values[i].tobytes()
+            assert lone.backward().tobytes() == gradients[i].tobytes()
+
+    def test_through_a_network(self, loss_type, k, rng):
+        net = Sequential([Dense(3, 2, rng=rng), Tanh(), Dense(2, 2, rng=rng)])
+        inputs = rng.standard_normal((k, 4, 3))
+        targets = _targets(loss_type, rng, (k, 4, 2))
+        values, gradients = net.loss_and_flat_gradient(inputs, targets, loss_type())
+        for i in range(k):
+            value, gradient = net.loss_and_flat_gradient(
+                inputs[i], targets[i], loss_type()
+            )
+            assert np.float64(value).tobytes() == values[i].tobytes()
+            assert gradient.tobytes() == gradients[i].tobytes()

@@ -14,8 +14,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.servers.attacks import ServerAttackContext
-from repro.servers.registry import available_server_attacks, make_server_attack
+from repro.exceptions import ConfigurationError
+from repro.servers.attacks import (
+    RandomNoiseBroadcastAttack,
+    ServerAttackContext,
+    SignFlipBroadcastAttack,
+    StaleReplayBroadcastAttack,
+)
+from repro.servers.registry import (
+    available_server_attacks,
+    batched_corrupt_names,
+    has_batched_corrupt,
+    make_server_attack,
+    register_batched_corrupt,
+)
 
 DIMENSION = 5
 NUM_SERVERS = 4
@@ -111,3 +123,46 @@ class TestServerAttackContract:
     def test_name_is_a_nonempty_string(self, name):
         attack = build_attack(name)
         assert isinstance(attack.name, str) and attack.name
+
+
+#: The server attacks whose ``corrupt_batch`` is pinned below.
+BATCH_PINNED = {
+    SignFlipBroadcastAttack: [SignFlipBroadcastAttack(), SignFlipBroadcastAttack(2.5)]
+}
+
+
+@pytest.mark.parametrize("num_byzantine", [1, NUM_BYZANTINE, NUM_SERVERS])
+@pytest.mark.parametrize(
+    "attack",
+    [attack for configs in BATCH_PINNED.values() for attack in configs],
+    ids=lambda attack: attack.name,
+)
+def test_corrupt_batch_slices_equal_corrupt(attack, num_byzantine):
+    """Slice b of one ``corrupt_batch`` call is ``corrupt`` of row b bit
+    for bit, non-finite rows included."""
+    params = np.random.default_rng(3).normal(size=(6, DIMENSION))
+    params[1, 0], params[2, 1], params[3, 2] = np.nan, np.inf, -np.inf
+    batch = attack.corrupt_batch(params, num_byzantine)
+    assert batch.shape == (6, num_byzantine, DIMENSION)
+    for cell, row in enumerate(params):
+        context = ServerAttackContext(
+            round_index=0,
+            params=row.copy(),
+            num_servers=NUM_SERVERS,
+            byzantine_indices=np.arange(
+                NUM_SERVERS - num_byzantine, NUM_SERVERS, dtype=np.int64
+            ),
+            rng=np.random.default_rng(0),
+        )
+        assert batch[cell].tobytes() == attack.corrupt(context).tobytes()
+
+
+def test_every_batched_corrupt_has_a_per_slice_pin():
+    assert sorted(cls.__name__ for cls in BATCH_PINNED) == batched_corrupt_names()
+    assert not has_batched_corrupt(StaleReplayBroadcastAttack())
+    assert not has_batched_corrupt(RandomNoiseBroadcastAttack())
+    with pytest.raises(ConfigurationError, match="own corrupt_batch"):
+        register_batched_corrupt(RandomNoiseBroadcastAttack)
+    with pytest.raises(ConfigurationError, match="ServerAttack class"):
+        register_batched_corrupt(object)
+    assert batched_corrupt_names() == ["SignFlipBroadcastAttack"]
