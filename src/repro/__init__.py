@@ -46,13 +46,6 @@ from repro.attacks import (
     StalenessGamingAttack,
     StragglerAttack,
 )
-from repro.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    make_backend,
-    register_backend,
-)
 from repro.baselines import (
     Average,
     ClosestToAll,
@@ -161,12 +154,6 @@ __all__ = [
     "register_server_attack",
     "available_server_attacks",
     "make_server_attack",
-    # array backends
-    "ArrayBackend",
-    "NumpyBackend",
-    "register_backend",
-    "available_backends",
-    "make_backend",
     # exceptions
     "ReproError",
     "ConfigurationError",

@@ -217,7 +217,7 @@ class LipschitzMimicryAttack(Attack):
         their norms ``sqrt(v.dot(v))`` from one
         :func:`~repro.utils.linalg.exact_row_dots` call each, the dot in
         the input dtype and the root in float64 (as ``math.sqrt`` of the
-        dot, also under a float32 backend).
+        dot, also for float32 input).
         """
         ids = np.asarray(context.honest_indices, dtype=np.int64)
         if ids.size == 0:

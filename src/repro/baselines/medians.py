@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.core.aggregator import AggregationResult, Aggregator
 from repro.exceptions import (
     ByzantineToleranceError,
@@ -110,13 +109,13 @@ _VZ_SLACK = 1e-12
 _GAP_RTOL = 1e-3
 
 
-def _row_norms(vectors, xp: ArrayBackend):
+def _row_norms(vectors):
     """Per-row euclidean norms along the last axis, NaN/Inf passed through."""
-    with xp.errstate():
-        return xp.sqrt(xp.einsum("...d,...d->...", vectors, vectors))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return np.sqrt(np.einsum("...d,...d->...", vectors, vectors))
 
 
-def _point_optimality(values, anchors, xp: ArrayBackend):
+def _point_optimality(values, anchors):
     """Vardi–Zhang verdict for per-scenario anchor data points.
 
     ``optimal[b]`` certifies ``anchors[b]`` as scenario b's geometric
@@ -130,23 +129,16 @@ def _point_optimality(values, anchors, xp: ArrayBackend):
     GEMM expansion — its cancellation error at large offsets would
     corrupt the scale-relative coincidence test).
     """
-    with xp.errstate():
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         offsets = values - anchors[:, None, :]
-        point_distances = xp.sqrt(xp.einsum("bnd,bnd->bn", offsets, offsets))
+        point_distances = np.sqrt(np.einsum("bnd,bnd->bn", offsets, offsets))
     r_norm, multiplicity, others = _vardi_zhang_residual(
-        values, anchors, point_distances, xp, offsets=offsets
+        values, anchors, point_distances, offsets=offsets
     )
-    return ~xp.any(others, axis=1) | (r_norm <= multiplicity * (1.0 + _VZ_SLACK))
+    return ~np.any(others, axis=1) | (r_norm <= multiplicity * (1.0 + _VZ_SLACK))
 
 
-def _vardi_zhang_residual(
-    values,
-    anchors,
-    distances,
-    xp: ArrayBackend,
-    *,
-    offsets=None,
-):
+def _vardi_zhang_residual(values, anchors, distances, *, offsets=None):
     """Vardi–Zhang residual around per-scenario anchor points.
 
     Rows within ``_COINCIDENCE_RTOL`` of the anchor (relative to the
@@ -156,30 +148,28 @@ def _vardi_zhang_residual(
     is divided in place into those unit vectors).
     Returns ``(r_norm (B,), multiplicity (B,), others (B, n))``.
     """
-    scale = xp.fmax(1.0, xp.max(distances, axis=1))
+    scale = np.fmax(1.0, np.max(distances, axis=1))
     coincident = distances <= _COINCIDENCE_RTOL * scale[:, None]
     others = ~coincident
     residual = masked_unit_direction_sum(
-        values, anchors, distances, others, offsets=offsets, backend=xp
+        values, anchors, distances, others, offsets=offsets
     )
-    r_norm = _row_norms(residual, xp)
-    multiplicity = xp.astype(
-        xp.count_nonzero(coincident, axis=1), xp.float_dtype
-    )
+    r_norm = _row_norms(residual)
+    multiplicity = np.count_nonzero(coincident, axis=1).astype(np.float64)
     return r_norm, multiplicity, others
 
 
-def _lane_gram(stacks, xp: ArrayBackend):
+def _lane_gram(stacks):
     """Each lane's data-point Gram matrix ``(B, n, n)`` and the row norms
     ``(B, n)`` read off its diagonal — the inputs of
     :func:`_screen_rejects`, computed once per solve."""
-    diagonal = xp.arange(stacks.shape[1])
-    with xp.errstate():
-        gram = stacks @ xp.transpose(stacks, (0, 2, 1))
-        return gram, xp.sqrt(gram[:, diagonal, diagonal])
+    diagonal = np.arange(stacks.shape[1])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        gram = stacks @ np.transpose(stacks, (0, 2, 1))
+        return gram, np.sqrt(gram[:, diagonal, diagonal])
 
 
-def _screen_rejects(gram, norms, anchors, dimension: int, xp: ArrayBackend):
+def _screen_rejects(gram, norms, anchors, dimension: int):
     """Lanes whose anchor row the exact Vardi–Zhang test provably rejects.
 
     ``anchors`` (A,) indexes each lane's anchor row j.  From the Gram
@@ -201,9 +191,9 @@ def _screen_rejects(gram, norms, anchors, dimension: int, xp: ArrayBackend):
     only path that can certify a data point.
     """
     lanes, n = norms.shape
-    rows = xp.arange(lanes)
-    cols = xp.arange(n)
-    unit = xp.eps / 2.0
+    rows = np.arange(lanes)
+    cols = np.arange(n)
+    unit = np.finfo(np.float64).eps / 2.0
     terms = dimension + n + 8
     gamma = 2.0 * terms * unit / (1.0 - terms * unit)
     others_count = n - 1
@@ -212,7 +202,7 @@ def _screen_rejects(gram, norms, anchors, dimension: int, xp: ArrayBackend):
         1.0 - pairs * unit
     )
     anchor_row = gram[rows, anchors]
-    with xp.errstate():
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         offset_gram = (
             gram
             - anchor_row[:, :, None]
@@ -223,25 +213,25 @@ def _screen_rejects(gram, norms, anchors, dimension: int, xp: ArrayBackend):
         reach = norms + norms[rows, anchors][:, None]
         error = gamma * reach * reach
         others = cols[None, :] != anchors[:, None]
-        finite = xp.all(xp.isfinite(norms), axis=1)
-        accurate = xp.all(
-            ~others | (xp.isfinite(squares) & (squares > 4.0 * error)), axis=1
+        finite = np.all(np.isfinite(norms), axis=1)
+        accurate = np.all(
+            ~others | (np.isfinite(squares) & (squares > 4.0 * error)), axis=1
         )
         # Lower/upper bounds on the true offsets; the factor 2 covers the
         # exact test's own distance rounding on both sides.
-        upper = xp.sqrt(squares + error)
-        lower = xp.sqrt(xp.fmax(squares - error, 0.0))
-        threshold = 2.0 * _COINCIDENCE_RTOL * xp.fmax(1.0, xp.max(upper, axis=1))
-        apart = xp.all(~others | (lower > threshold[:, None]), axis=1)
-        safe = xp.where(others, squares, 1.0)
-        lengths = xp.sqrt(safe)
+        upper = np.sqrt(squares + error)
+        lower = np.sqrt(np.fmax(squares - error, 0.0))
+        threshold = 2.0 * _COINCIDENCE_RTOL * np.fmax(1.0, np.max(upper, axis=1))
+        apart = np.all(~others | (lower > threshold[:, None]), axis=1)
+        safe = np.where(others, squares, 1.0)
+        lengths = np.sqrt(safe)
         pair = others[:, :, None] & others[:, None, :]
-        cosines = xp.where(
+        cosines = np.where(
             pair, offset_gram / (lengths[:, :, None] * lengths[:, None, :]), 0.0
         )
-        relative_error = xp.sum(xp.where(others, error / safe, 0.0), axis=1)
+        relative_error = np.sum(np.where(others, error / safe, 0.0), axis=1)
         floor = (
-            xp.sum(xp.sum(cosines, axis=2), axis=1)
+            np.sum(np.sum(cosines, axis=2), axis=1)
             - 3.0 * others_count * relative_error
             - sum_rounding
         )
@@ -249,22 +239,22 @@ def _screen_rejects(gram, norms, anchors, dimension: int, xp: ArrayBackend):
         return finite & accurate & apart & (floor > target * target)
 
 
-def _screened_optimality(lanes: _LaneState, candidates, nearest, points, xp):
+def _screened_optimality(lanes: _LaneState, candidates, nearest, points):
     """Vardi–Zhang verdicts of ``points`` on the ``candidates`` lanes (False
     elsewhere): the Gram screen rejects what it can prove, and the exact
     test decides the rest."""
     open_lanes = candidates & ~_screen_rejects(
-        lanes.gram, lanes.norms, nearest, lanes.values.shape[2], xp
+        lanes.gram, lanes.norms, nearest, lanes.values.shape[2]
     )
-    verdict = xp.zeros(open_lanes.shape, dtype=xp.bool_dtype)
-    if xp.any(open_lanes):
+    verdict = np.zeros(open_lanes.shape, dtype=np.bool_)
+    if np.any(open_lanes):
         verdict[open_lanes] = _point_optimality(
-            lanes.values[open_lanes], points[open_lanes], xp
+            lanes.values[open_lanes], points[open_lanes]
         )
     return verdict
 
 
-def _objective_floor(values, anchors, xp: ArrayBackend, *, offsets=None):
+def _objective_floor(values, anchors, *, offsets=None):
     """Lower bounds on each lane's optimal objective f* from anchor points.
 
     At an anchor y, by convexity f* >= f(y) − ‖g‖·‖y − x*‖ for any
@@ -280,29 +270,29 @@ def _objective_floor(values, anchors, xp: ArrayBackend, *, offsets=None):
     ``values - anchors``.
     """
     lanes, n = values.shape[0], values.shape[1]
-    ranks = xp.arange(n)
-    with xp.errstate():
+    ranks = np.arange(n)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if offsets is None:
             offsets = values - anchors[:, None, :]
-        distances = _row_norms(offsets, xp)
-        order = xp.argsort(distances, axis=1, stable=True)
-        nearest_first = xp.take_along_axis(distances, order, axis=1)
-        units = offsets[xp.arange(lanes)[:, None], order] / xp.where(
+        distances = _row_norms(offsets)
+        order = np.argsort(distances, axis=1, kind="stable")
+        nearest_first = np.take_along_axis(distances, order, axis=1)
+        units = offsets[np.arange(lanes)[:, None], order] / np.where(
             nearest_first > 0.0, nearest_first, 1.0
         )[:, :, None]
         # kept[k, i]: row i (nearest first) still counts when k are moved.
-        kept = xp.astype(ranks[None, :] >= ranks[:, None], xp.float_dtype)
-        slopes = xp.fmax(
-            _row_norms(xp.einsum("ki,bid->bkd", kept, units), xp)
-            - xp.astype(ranks, xp.float_dtype),
+        kept = (ranks[None, :] >= ranks[:, None]).astype(np.float64)
+        slopes = np.fmax(
+            _row_norms(np.einsum("ki,bid->bkd", kept, units))
+            - ranks.astype(np.float64),
             0.0,
         )
-        moved = xp.einsum("ki,bi->bk", 1.0 - kept, nearest_first)
-        objectives = xp.sum(distances, axis=1)[:, None]
-        radius = xp.minimum(
-            xp.max(distances, axis=1)[:, None], 2.0 * (objectives - moved) / n
+        moved = np.einsum("ki,bi->bk", 1.0 - kept, nearest_first)
+        objectives = np.sum(distances, axis=1)[:, None]
+        radius = np.minimum(
+            np.max(distances, axis=1)[:, None], 2.0 * (objectives - moved) / n
         )
-        return xp.max(objectives - 2.0 * moved - slopes * radius, axis=1)
+        return np.max(objectives - 2.0 * moved - slopes * radius, axis=1)
 
 
 @dataclass
@@ -338,7 +328,6 @@ def batched_weiszfeld(
     *,
     tolerance: float = _DEFAULT_TOLERANCE,
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    backend: ArrayBackend | str | None = None,
 ):
     """Geometric medians of a ``(B, n, d)`` batch via Weiszfeld iteration.
 
@@ -348,10 +337,7 @@ def batched_weiszfeld(
     keep iterating.  Every arithmetic step is a per-scenario (lane-wise)
     tensor operation, so slice ``b`` of the result is bit-for-bit what a
     batch of the single scenario ``stacks[b]`` produces — which is
-    exactly how :class:`GeometricMedian` runs it (``B = 1``).  The
-    whole solve speaks the :class:`~repro.backend.ArrayBackend`
-    namespace (``backend=`` selects it; numpy by default, where results
-    are bit-for-bit what the pre-seam implementation produced).
+    exactly how :class:`GeometricMedian` runs it (``B = 1``).
 
     A scenario terminates when (in priority order per iteration):
 
@@ -393,8 +379,7 @@ def batched_weiszfeld(
     (e.g. NaN or infinite proposals, which never satisfy any convergence
     predicate).
     """
-    xp = resolve_backend(backend)
-    stacks = xp.asarray(stacks)
+    stacks = np.asarray(stacks, dtype=np.float64)
     if stacks.ndim != 3:
         raise DimensionMismatchError(
             f"batched Weiszfeld expects shape (B, n, d), "
@@ -411,29 +396,29 @@ def batched_weiszfeld(
             f"max_iterations must be >= 1, got {max_iterations}"
         )
     batch, n, dimension = stacks.shape
-    results = xp.empty((batch, dimension))
+    results = np.empty((batch, dimension))
     if n == 1:
         results[:] = stacks[:, 0]
         return results
 
-    gram, norms = _lane_gram(stacks, xp)
+    gram, norms = _lane_gram(stacks)
     lanes = _LaneState(
-        indices=xp.arange(batch),  # output slots of still-active lanes
+        indices=np.arange(batch),  # output slots of still-active lanes
         values=stacks,
         gram=gram,
         norms=norms,
-        estimates=xp.mean(stacks, axis=1),
+        estimates=np.mean(stacks, axis=1),
         # Lazy per-lane cache of the nearest point's optimality verdict:
         # the verdict is estimate-independent, and the nearest point
         # rarely changes once the iterate homes in, so most iterations
         # reuse it.
-        cached_nearest=xp.full((batch,), -1, dtype=xp.int_dtype),
-        cached_optimal=xp.zeros((batch,), dtype=xp.bool_dtype),
-        objectives=xp.empty((batch,)),
-        strikes=xp.zeros((batch,), dtype=xp.int_dtype),
-        shifts=xp.full((batch,), float("nan")),
+        cached_nearest=np.full((batch,), -1, dtype=np.int64),
+        cached_optimal=np.zeros((batch,), dtype=np.bool_),
+        objectives=np.empty((batch,)),
+        strikes=np.zeros((batch,), dtype=np.int64),
+        shifts=np.full((batch,), float("nan")),
     )
-    workspace = xp.empty((batch, n, dimension))
+    workspace = np.empty((batch, n, dimension))
 
     # The loop runs max_iterations Weiszfeld steps; the shift/stall
     # verdict on step t is evaluated at the top of pass t + 1, where the
@@ -443,29 +428,29 @@ def batched_weiszfeld(
     # optimality test, then cluster certification) are unchanged.
     for pass_index in range(max_iterations + 1):
         diffs = workspace[: lanes.values.shape[0]]
-        with xp.errstate():
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             diffs[...] = lanes.values
             diffs -= lanes.estimates[:, None, :]
-        distances = _row_norms(diffs, xp)
-        current_objectives = xp.sum(distances, axis=1)
+        distances = _row_norms(diffs)
+        current_objectives = np.sum(distances, axis=1)
 
         if pass_index > 0:
             # 3. Stall strikes and the shift tolerance for the previous
             #    step (``lanes.estimates`` is that step's result).
             stalled = (
                 current_objectives
-                >= lanes.objectives - _STALL_RTOL * xp.fmax(1.0, lanes.objectives)
+                >= lanes.objectives - _STALL_RTOL * np.fmax(1.0, lanes.objectives)
             )
-            lanes.strikes = xp.where(stalled, lanes.strikes + 1, 0)
-            converged = lanes.shifts <= tolerance * xp.fmax(
-                1.0, _row_norms(lanes.estimates, xp)
+            lanes.strikes = np.where(stalled, lanes.strikes + 1, 0)
+            converged = lanes.shifts <= tolerance * np.fmax(
+                1.0, _row_norms(lanes.estimates)
             )
             finished = converged | (lanes.strikes >= 3)
-            lanes.objectives = xp.minimum(lanes.objectives, current_objectives)
-            if xp.any(finished):
+            lanes.objectives = np.minimum(lanes.objectives, current_objectives)
+            if np.any(finished):
                 results[lanes.indices[finished]] = lanes.estimates[finished]
                 keep = ~finished
-                if not xp.any(keep):
+                if not np.any(keep):
                     return results
                 lanes.compact(keep)
                 diffs = diffs[keep]
@@ -476,21 +461,21 @@ def batched_weiszfeld(
         if pass_index == max_iterations:
             break  # final pass only settles the last step's verdict
 
-        rows = xp.arange(lanes.values.shape[0])
+        rows = np.arange(lanes.values.shape[0])
 
         # 1. Optimality test at the nearest data point, served from the
         #    per-lane cache and recomputed only where `nearest` moved.
-        nearest = xp.argmin(distances, axis=1)
+        nearest = np.argmin(distances, axis=1)
         points = lanes.values[rows, nearest]
         stale = nearest != lanes.cached_nearest
-        if xp.any(stale):
+        if np.any(stale):
             lanes.cached_optimal[stale] = _screened_optimality(
-                lanes, stale, nearest, points, xp
+                lanes, stale, nearest, points
             )[stale]
             lanes.cached_nearest[stale] = nearest[stale]
         optimal = lanes.cached_optimal
         results[lanes.indices[optimal]] = points[optimal]
-        done = xp.copy(optimal)
+        done = np.copy(optimal)
 
         # 2. Singularity handling at the current iterate.  Lanes whose
         #    iterate sits on a data-point cluster either stop (residual
@@ -499,29 +484,26 @@ def batched_weiszfeld(
         #    residual divides ``diffs`` in place and doubles as the step
         #    direction below.  When no lane sits on a cluster (``clean``),
         #    the cluster arrays are all-false no-ops and are skipped.
-        step_scale = xp.fmax(1.0, xp.max(distances, axis=1))
+        step_scale = np.fmax(1.0, np.max(distances, axis=1))
         at_point = distances <= _COINCIDENCE_RTOL * step_scale[:, None]
-        clean = not xp.any(at_point)
+        clean = not np.any(at_point)
         step_others = ~at_point
         weights = masked_inverse_distance_weights(
-            distances, step_others, backend=xp
+            distances, step_others
         )
-        weight_sum = xp.sum(weights, axis=1)
+        weight_sum = np.sum(weights, axis=1)
         step_r = masked_unit_direction_sum(
             lanes.values,
             lanes.estimates,
             distances,
             step_others,
             offsets=diffs,
-            backend=xp,
         )
         if not clean:
-            at_cluster = xp.any(at_point, axis=1)
-            has_others = xp.any(step_others, axis=1)
-            step_r_norm = _row_norms(step_r, xp)
-            step_mult = xp.astype(
-                xp.count_nonzero(at_point, axis=1), xp.float_dtype
-            )
+            at_cluster = np.any(at_point, axis=1)
+            has_others = np.any(step_others, axis=1)
+            step_r_norm = _row_norms(step_r)
+            step_mult = np.count_nonzero(at_point, axis=1).astype(np.float64)
             certified = at_cluster & has_others & (
                 step_r_norm <= step_mult * (1.0 + _VZ_SLACK)
             )
@@ -529,9 +511,9 @@ def batched_weiszfeld(
             stop_current = ((at_cluster & ~has_others) | certified) & ~done
             results[lanes.indices[stop_current]] = lanes.estimates[stop_current]
             done |= stop_current
-        if xp.any(done):
+        if np.any(done):
             keep = ~done
-            if not xp.any(keep):
+            if not np.any(keep):
                 return results
             lanes.compact(keep)
             step_r = step_r[keep]
@@ -545,60 +527,60 @@ def batched_weiszfeld(
         # estimate displaced by the weighted residual,
         # ``T = e + R / Σw`` (one small correction instead of a second
         # full-size weighted sum).
-        with xp.errstate():
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             new_estimates = lanes.estimates + step_r / weight_sum[:, None]
             if not clean:
-                dampening = (step_r_norm - step_mult) / xp.where(
+                dampening = (step_r_norm - step_mult) / np.where(
                     step_r_norm > 0.0, step_r_norm, 1.0
                 )
                 corrected = (
                     (1.0 - dampening)[:, None] * lanes.estimates
                     + dampening[:, None] * new_estimates
                 )
-                new_estimates = xp.where(
+                new_estimates = np.where(
                     at_cluster[:, None], corrected, new_estimates
                 )
-            lanes.shifts = _row_norms(new_estimates - lanes.estimates, xp)
+            lanes.shifts = _row_norms(new_estimates - lanes.estimates)
         lanes.estimates = new_estimates
 
     # Out of steps.  A lane can be crawling toward an optimal data point
     # other than its nearest one, along a nearly flat objective that the
     # nearest-point test cannot see across: certify its data points
     # from the nearest outward and commit the first that passes.
-    rows = xp.arange(lanes.values.shape[0])
-    pending = xp.full((len(lanes.indices),), True, dtype=xp.bool_dtype)
-    order = xp.argsort(distances, axis=1, stable=True)
-    for nearest in xp.transpose(order, (1, 0)):
+    rows = np.arange(lanes.values.shape[0])
+    pending = np.full((len(lanes.indices),), True, dtype=np.bool_)
+    order = np.argsort(distances, axis=1, kind="stable")
+    for nearest in np.transpose(order, (1, 0)):
         points = lanes.values[rows, nearest]
-        certified = _screened_optimality(lanes, pending, nearest, points, xp)
+        certified = _screened_optimality(lanes, pending, nearest, points)
         results[lanes.indices[certified]] = points[certified]
         pending &= ~certified
-        if not xp.any(pending):
+        if not np.any(pending):
             return results
     # Failing that, the last iterate is returned when its suboptimality
     # certificate holds: f(x) minus the best lower bound on f* from the
     # iterate and from every data point is within _GAP_RTOL·f(x).  A
     # non-finite row or iterate makes f(x) non-finite and never certifies.
-    objectives = xp.sum(distances, axis=1)
-    floor = _objective_floor(lanes.values, lanes.estimates, xp, offsets=diffs)
+    objectives = np.sum(distances, axis=1)
+    floor = _objective_floor(lanes.values, lanes.estimates, offsets=diffs)
     for row in range(n):
-        floor = xp.fmax(
-            floor, _objective_floor(lanes.values, lanes.values[:, row], xp)
+        floor = np.fmax(
+            floor, _objective_floor(lanes.values, lanes.values[:, row])
         )
-    with xp.errstate():
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         bounded = (
             pending
-            & xp.isfinite(objectives)
+            & np.isfinite(objectives)
             & (objectives - floor <= _GAP_RTOL * objectives)
         )
     results[lanes.indices[bounded]] = lanes.estimates[bounded]
     pending &= ~bounded
-    if not xp.any(pending):
+    if not np.any(pending):
         return results
     raise ConvergenceError(
         f"Weiszfeld iteration did not converge in {max_iterations} steps "
-        f"for {int(xp.count_nonzero(pending))} of {batch} scenario(s) "
-        f"(last shift {float(xp.max(lanes.shifts[pending])):.3g})"
+        f"for {int(np.count_nonzero(pending))} of {batch} scenario(s) "
+        f"(last shift {float(np.max(lanes.shifts[pending])):.3g})"
     )
 
 

@@ -10,25 +10,17 @@ Krum distance matrices, one batched sort for all trimmed means, one
 masked committee sweep for all Bulyan selections, one lock-step Weiszfeld
 iteration for all geometric medians, ...).
 
-The kernels are backend-parametric: they compute through an
-:class:`~repro.backend.ArrayBackend` namespace (numpy by default, torch
-when the optional dependency is installed) instead of calling ``np.*``
-directly — the kernel-author rule is *import the backend namespace,
-never numpy, inside kernels*.  On the default numpy backend every
-kernel is **bit-for-bit identical** to the per-scenario rule it
+Every kernel is **bit-for-bit identical** to the per-scenario rule it
 replaces: ``aggregate_batch(stacks)[b]`` equals
 ``aggregator.aggregate_detailed(stacks[b])`` down to the last float.
 That identity — enforced by ``tests/engine/test_differential.py`` — is
 what makes the engine a safe substitute for the per-scenario loop.
-Non-default backends are qualified by the parity suite in
-``tests/backend/`` instead (float64-tolerance agreement per kernel).
 
 Rules without a vectorized kernel still work through
 :func:`make_batched_aggregator`: the registry falls back to
 :class:`LoopBatchedAggregator`, which runs the ordinary per-scenario path
 (so a grid can mix, say, Krum with the exponential minimal-diameter rule
-and only the latter pays Python-loop cost).  The loop fallback is
-numpy-only by nature — it executes the per-scenario numpy rules.
+and only the latter pays Python-loop cost).
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.core.aggregator import Aggregator
 from repro.core.bulyan import batched_bulyan
 from repro.exceptions import (
@@ -47,7 +38,11 @@ from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
 )
-from repro.utils.linalg import batched_pairwise_sq_distances
+from repro.utils.linalg import (
+    batch_chunk_size,
+    batched_pairwise_sq_distances,
+    coordinate_median,
+)
 
 __all__ = [
     "BatchedAggregationResult",
@@ -70,8 +65,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def _as_batch(vectors, xp: ArrayBackend):
-    vectors = xp.asarray(vectors)
+def _as_batch(vectors):
+    vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 3:
         raise DimensionMismatchError(
             f"batched kernels expect shape (B, n, d), got {tuple(vectors.shape)}"
@@ -83,106 +78,76 @@ def _as_batch(vectors, xp: ArrayBackend):
     return vectors
 
 
-def _resolve_chunk_size(chunk_size: int | None, batch: int) -> int:
-    """Validate a batch-axis chunk size (``None`` means one whole-batch
-    chunk).  Mirrors ``batched_pairwise_sq_distances``: a non-positive
-    chunk is a shape-level configuration error, not something to leak as
-    a bare ``ValueError`` out of ``range()``."""
-    if chunk_size is None:
-        return max(batch, 1)
-    if chunk_size < 1:
-        raise DimensionMismatchError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
-    return chunk_size
-
-
-def _chunked_distance_scores(vectors, chunk_size, score_fn, xp: ArrayBackend):
+def _chunked_distance_scores(vectors, score_fn):
     """Reduce per-chunk ``(chunk, n, n)`` distance blocks to ``(B, n)``
     scores without ever materializing the full ``(B, n, n)`` tensor.
 
     ``score_fn`` maps one (writable) distance block to its per-row
     scores.  Chunking only partitions the batch axis, so the result is
-    invariant to ``chunk_size``.
+    invariant to :data:`~repro.utils.linalg.CHUNK_SIZE`.
     """
     batch, n, _d = vectors.shape
-    chunk_size = _resolve_chunk_size(chunk_size, batch)
-    scores = xp.empty((batch, n))
+    chunk_size = batch_chunk_size(batch)
+    scores = np.empty((batch, n))
     for start in range(0, batch, chunk_size):
         distances = batched_pairwise_sq_distances(
-            vectors[start : start + chunk_size],
-            nonfinite_as_inf=True,
-            backend=xp,
+            vectors[start : start + chunk_size], nonfinite_as_inf=True
         )
         scores[start : start + chunk_size] = score_fn(distances)
     return scores
 
 
-def batched_krum_scores(
-    vectors,
-    f: int,
-    *,
-    chunk_size: int | None = None,
-    backend: ArrayBackend | str | None = None,
-):
+def batched_krum_scores(vectors, f: int):
     """Krum scores for every scenario: ``(B, n, d) -> (B, n)``.
 
     Slice ``b`` of the result is bit-for-bit equal to
-    ``krum_scores(vectors[b], f)`` on the default numpy backend.
+    ``krum_scores(vectors[b], f)``.
 
-    ``chunk_size`` caps peak memory: the ``(chunk, n, n)`` distance
-    blocks (and their partition copies) are materialized one chunk at a
-    time and reduced to ``(chunk, n)`` scores before the next chunk —
-    the full ``(B, n, n)`` tensor never exists.  The scores are
-    invariant to the chunk size.
+    :data:`~repro.utils.linalg.CHUNK_SIZE` caps peak memory: the
+    ``(chunk, n, n)`` distance blocks (and their partition copies) are
+    materialized one chunk at a time and reduced to ``(chunk, n)``
+    scores before the next chunk — the full ``(B, n, n)`` tensor never
+    exists.  The scores are invariant to the chunk size.
     """
-    xp = resolve_backend(backend)
-    vectors = _as_batch(vectors, xp)
+    vectors = _as_batch(vectors)
     n = vectors.shape[1]
     num_neighbors = n - f - 2
     if num_neighbors < 1:
         raise ByzantineToleranceError(
             f"Krum needs n - f - 2 >= 1 neighbours, got n={n}, f={f}", n=n, f=f
         )
-    diagonal = xp.arange(n)
+    diagonal = np.arange(n)
 
     def krum_score(distances):
-        distances[:, diagonal, diagonal] = xp.inf
-        neighbor_part = xp.partition(distances, num_neighbors - 1, axis=2)
-        return xp.sum(neighbor_part[:, :, :num_neighbors], axis=2)
+        distances[:, diagonal, diagonal] = np.inf
+        neighbor_part = np.partition(distances, num_neighbors - 1, axis=2)
+        return np.sum(neighbor_part[:, :, :num_neighbors], axis=2)
 
-    return _chunked_distance_scores(vectors, chunk_size, krum_score, xp)
+    return _chunked_distance_scores(vectors, krum_score)
 
 
-def batched_average(vectors, *, backend: ArrayBackend | str | None = None):
+def batched_average(vectors):
     """Per-scenario unweighted mean: ``(B, n, d) -> (B, d)``."""
-    xp = resolve_backend(backend)
-    return xp.mean(_as_batch(vectors, xp), axis=1)
+    return np.mean(_as_batch(vectors), axis=1)
 
 
-def batched_coordinate_median(
-    vectors, *, backend: ArrayBackend | str | None = None
-):
+def batched_coordinate_median(vectors):
     """Per-scenario coordinate-wise median: ``(B, n, d) -> (B, d)``."""
-    xp = resolve_backend(backend)
-    return xp.median(_as_batch(vectors, xp), axis=1)
+    return coordinate_median(_as_batch(vectors), 1)
 
 
-def batched_trimmed_mean(
-    vectors, f: int, *, backend: ArrayBackend | str | None = None
-):
+def batched_trimmed_mean(vectors, f: int):
     """Per-scenario coordinate-wise trimmed mean: ``(B, n, d) -> (B, d)``."""
-    xp = resolve_backend(backend)
-    vectors = _as_batch(vectors, xp)
+    vectors = _as_batch(vectors)
     n = vectors.shape[1]
     if n <= 2 * f:
         raise ByzantineToleranceError(
             f"trimmed mean needs n > 2f, got n={n}, f={f}", n=n, f=f
         )
     if f == 0:
-        return xp.mean(vectors, axis=1)
-    ordered = xp.sort(vectors, axis=1)
-    return xp.mean(ordered[:, f:-f], axis=1)
+        return np.mean(vectors, axis=1)
+    ordered = np.sort(vectors, axis=1)
+    return np.mean(ordered[:, f:-f], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -197,12 +162,6 @@ class BatchedAggregationResult:
     ``vectors`` holds one aggregate per scenario; ``selected`` one index
     array per scenario (empty for statistical rules); ``scores`` the
     per-scenario per-worker scores when the rule computes them.
-    ``vectors``/``scores`` are native to the kernel's backend (numpy
-    arrays on the default backend, torch tensors on the torch backend) —
-    use the backend's ``to_numpy`` to materialize them host-side.
-    ``selected`` is always host-side numpy: index sets are per-round
-    bookkeeping the executor consumes element-by-element, and leaving
-    them on an accelerator would cost one device round-trip per lookup.
     """
 
     vectors: object  # (B, d)
@@ -215,17 +174,11 @@ class BatchedAggregator(ABC):
 
     Implementations must be *observationally identical* to running
     ``aggregator.aggregate_detailed`` on every slice: same vectors (bit
-    for bit on the default numpy backend), same selected indices, same
-    scores.  The resolved :class:`~repro.backend.ArrayBackend` is
-    exposed as :attr:`backend` so executors can stage inputs and read
-    results in the right array type.
+    for bit), same selected indices, same scores.
     """
 
     #: The per-scenario rule this kernel replicates.
     aggregator: Aggregator
-
-    #: The array backend this adapter computes through.
-    backend: ArrayBackend
 
     #: True when the batch runs through a vectorized kernel, False for
     #: the per-scenario loop fallback.
@@ -237,25 +190,22 @@ class BatchedAggregator(ABC):
     #: rules (``staleness`` and ``used_params`` keywords).
     supports_staleness: bool = False
 
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
+    def __init__(self, aggregator):
         self.aggregator = aggregator
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
 
     @abstractmethod
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         """Aggregate a ``(B, n, d)`` batch of proposal stacks."""
 
     def _validated(self, stacks):
-        stacks = _as_batch(stacks, self.backend)
+        stacks = _as_batch(stacks)
         self.aggregator.check_tolerance(stacks.shape[1])
         return stacks
 
     def __repr__(self) -> str:
         kind = "native" if self.is_native else "loop"
         return (
-            f"{type(self).__name__}({self.aggregator.name!r}, {kind}, "
-            f"{self.backend.describe()})"
+            f"{type(self).__name__}({self.aggregator.name!r}, {kind})"
         )
 
 
@@ -269,13 +219,9 @@ class LoopBatchedAggregator(BatchedAggregator):
     weighted-average, kardam with a dropping filter, and any externally
     registered rule; kernels are dispatched by exact type).  Keeping one
     instance per scenario preserves any per-instance configuration
-    exactly as the loop engine would see it.  A single instance adapts to any batch size (every slice runs
-    through the same rule — the Monte-Carlo trial batching case).
-
-    The per-scenario rules are numpy programs, so this adapter always
-    computes on the numpy backend regardless of what the caller
-    requested — ``is_native`` stays the executor's signal that these
-    scenarios did not reach the accelerator.
+    exactly as the loop engine would see it.  A single instance adapts
+    to any batch size (every slice runs through the same rule — the
+    Monte-Carlo trial batching case).
     """
 
     is_native = False
@@ -289,7 +235,6 @@ class LoopBatchedAggregator(BatchedAggregator):
             raise ConfigurationError("need at least one aggregator instance")
         self.aggregators = list(aggregators)
         self.aggregator = self.aggregators[0]
-        self.backend = resolve_backend(None)
         self.supports_staleness = all(
             isinstance(rule, StalenessAwareAggregator)
             for rule in self.aggregators
@@ -315,7 +260,7 @@ class LoopBatchedAggregator(BatchedAggregator):
         instance implements it (``aggregate_detailed_stale``), so the
         loop/batched differential identity extends to async cells.
         """
-        stacks = _as_batch(self.backend.to_numpy(stacks), self.backend)
+        stacks = _as_batch(stacks)
         if staleness is not None and not self.supports_staleness:
             raise ConfigurationError(
                 f"rule {self.aggregator.name!r} is not staleness-aware; "
@@ -346,14 +291,12 @@ class LoopBatchedAggregator(BatchedAggregator):
         )
 
 
-def _select_winners(stacks, scores, xp: ArrayBackend):
+def _select_winners(stacks, scores):
     """Per-scenario argmin selection: first minimal index per row — the
-    smallest-identifier tie-break of Krum's footnote 3.  The selected
-    sets are host-side numpy (one ``tolist`` sync, not one tiny device
-    tensor per scenario)."""
-    winners = xp.argmin(scores, axis=1)
-    batch_index = xp.arange(stacks.shape[0])
-    vectors = xp.copy(stacks[batch_index, winners])
+    smallest-identifier tie-break of Krum's footnote 3."""
+    winners = np.argmin(scores, axis=1)
+    batch_index = np.arange(stacks.shape[0])
+    vectors = np.copy(stacks[batch_index, winners])
     selected = tuple(
         np.array([w], dtype=np.int64) for w in winners.tolist()
     )
@@ -365,13 +308,8 @@ class _BatchedKrum(BatchedAggregator):
 
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
-        scores = batched_krum_scores(
-            stacks,
-            self.aggregator.f,
-            chunk_size=self.chunk_size,
-            backend=self.backend,
-        )
-        vectors, selected = _select_winners(stacks, scores, self.backend)
+        scores = batched_krum_scores(stacks, self.aggregator.f)
+        vectors, selected = _select_winners(stacks, scores)
         return BatchedAggregationResult(
             vectors=vectors, selected=selected, scores=scores
         )
@@ -381,24 +319,17 @@ class _BatchedMultiKrum(BatchedAggregator):
     """Vectorized Multi-Krum: stable argsort, gather, mean over the m best."""
 
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
-        xp = self.backend
         stacks = self._validated(stacks)
         rule = self.aggregator
-        scores = batched_krum_scores(
-            stacks, rule.f, chunk_size=self.chunk_size, backend=xp
-        )
-        order = xp.argsort(scores, axis=1, stable=True)[:, : rule.m]
-        # Selected sets are host bookkeeping: one device-to-host copy for
-        # the whole (B, m) order block instead of per-scenario tensors.
-        selected = tuple(
-            np.asarray(xp.to_numpy(order), dtype=np.int64)
-        )
+        scores = batched_krum_scores(stacks, rule.f)
+        order = np.argsort(scores, axis=1, kind="stable")[:, : rule.m]
+        selected = tuple(order)
         if rule.m == 1:
-            batch_index = xp.arange(stacks.shape[0])
-            vectors = xp.copy(stacks[batch_index, order[:, 0]])
+            batch_index = np.arange(stacks.shape[0])
+            vectors = np.copy(stacks[batch_index, order[:, 0]])
         else:
-            gathered = xp.take_along_axis(stacks, order[:, :, None], axis=1)
-            vectors = xp.mean(gathered, axis=1)
+            gathered = np.take_along_axis(stacks, order[:, :, None], axis=1)
+            vectors = np.mean(gathered, axis=1)
         return BatchedAggregationResult(
             vectors=vectors, selected=selected, scores=scores
         )
@@ -407,7 +338,7 @@ class _BatchedMultiKrum(BatchedAggregator):
 class _BatchedAverage(BatchedAggregator):
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
-        vectors = batched_average(stacks, backend=self.backend)
+        vectors = batched_average(stacks)
         return BatchedAggregationResult(
             vectors=vectors, selected=(_EMPTY_SELECTION,) * stacks.shape[0]
         )
@@ -416,7 +347,7 @@ class _BatchedAverage(BatchedAggregator):
 class _BatchedCoordinateMedian(BatchedAggregator):
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
-        vectors = batched_coordinate_median(stacks, backend=self.backend)
+        vectors = batched_coordinate_median(stacks)
         return BatchedAggregationResult(
             vectors=vectors, selected=(_EMPTY_SELECTION,) * stacks.shape[0]
         )
@@ -425,9 +356,7 @@ class _BatchedCoordinateMedian(BatchedAggregator):
 class _BatchedTrimmedMean(BatchedAggregator):
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
         stacks = self._validated(stacks)
-        vectors = batched_trimmed_mean(
-            stacks, self.aggregator.f, backend=self.backend
-        )
+        vectors = batched_trimmed_mean(stacks, self.aggregator.f)
         return BatchedAggregationResult(
             vectors=vectors, selected=(_EMPTY_SELECTION,) * stacks.shape[0]
         )
@@ -440,23 +369,19 @@ class _BatchedBulyan(BatchedAggregator):
     batch axis so the ``(chunk, n, n)`` distance blocks stay bounded."""
 
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
-        xp = self.backend
         stacks = self._validated(stacks)
         batch = stacks.shape[0]
-        chunk_size = _resolve_chunk_size(self.chunk_size, batch)
+        chunk_size = batch_chunk_size(batch)
         committee_size = stacks.shape[1] - 2 * self.aggregator.f
-        vectors = xp.empty((batch, stacks.shape[2]))
-        committees = xp.empty((batch, committee_size), dtype=xp.int_dtype)
+        vectors = np.empty((batch, stacks.shape[2]))
+        committees = np.empty((batch, committee_size), dtype=np.int64)
         for start in range(0, batch, chunk_size):
             stop = start + chunk_size
             vectors[start:stop], committees[start:stop] = batched_bulyan(
-                stacks[start:stop], self.aggregator.f, backend=xp
+                stacks[start:stop], self.aggregator.f
             )
-        # Committees are host bookkeeping: one device-to-host copy for
-        # the whole (B, θ) block instead of per-element syncs downstream.
         return BatchedAggregationResult(
-            vectors=vectors,
-            selected=tuple(np.asarray(xp.to_numpy(committees), dtype=np.int64)),
+            vectors=vectors, selected=tuple(committees)
         )
 
 
@@ -471,19 +396,17 @@ class _BatchedGeometricMedian(BatchedAggregator):
         # baselines import repro.core.aggregator).
         from repro.baselines.medians import batched_weiszfeld
 
-        xp = self.backend
         stacks = self._validated(stacks)
         batch = stacks.shape[0]
-        chunk_size = _resolve_chunk_size(self.chunk_size, batch)
+        chunk_size = batch_chunk_size(batch)
         rule = self.aggregator
-        vectors = xp.empty((batch, stacks.shape[2]))
+        vectors = np.empty((batch, stacks.shape[2]))
         for start in range(0, batch, chunk_size):
             stop = start + chunk_size
             vectors[start:stop] = batched_weiszfeld(
                 stacks[start:stop],
                 tolerance=rule.tolerance,
                 max_iterations=rule.max_iterations,
-                backend=xp,
             )
         return BatchedAggregationResult(
             vectors=vectors, selected=(_EMPTY_SELECTION,) * batch
@@ -492,15 +415,11 @@ class _BatchedGeometricMedian(BatchedAggregator):
 
 class _BatchedClosestToAll(BatchedAggregator):
     def aggregate_batch(self, stacks) -> BatchedAggregationResult:
-        xp = self.backend
         stacks = self._validated(stacks)
         scores = _chunked_distance_scores(
-            stacks,
-            self.chunk_size,
-            lambda distances: xp.sum(distances, axis=2),
-            xp,
+            stacks, lambda distances: np.sum(distances, axis=2)
         )
-        vectors, selected = _select_winners(stacks, scores, xp)
+        vectors, selected = _select_winners(stacks, scores)
         return BatchedAggregationResult(
             vectors=vectors, selected=selected, scores=scores
         )
@@ -527,11 +446,9 @@ class _BatchedKardam(BatchedAggregator):
             and has_batched_kernel(rule.inner)
         )
 
-    def __init__(self, aggregator, *, chunk_size=None, backend=None):
-        super().__init__(aggregator, chunk_size=chunk_size, backend=backend)
-        self.inner = make_batched_aggregator(
-            aggregator.inner, chunk_size=chunk_size, backend=self.backend
-        )
+    def __init__(self, aggregator):
+        super().__init__(aggregator)
+        self.inner = make_batched_aggregator(aggregator.inner)
 
     def aggregate_batch(
         self, stacks, *, staleness=None
@@ -539,7 +456,6 @@ class _BatchedKardam(BatchedAggregator):
         """Aggregate a ``(B, n, d)`` batch; ``staleness`` is the ``(B,
         n)`` host-side integer block (``None`` means every proposal is
         fresh)."""
-        xp = self.backend
         stacks = self._validated(stacks)
         if staleness is None:
             return self.inner.aggregate_batch(stacks)
@@ -557,11 +473,12 @@ class _BatchedKardam(BatchedAggregator):
             )
         stale = (staleness.max(axis=1) > 0).tolist()
         if any(stale):
-            stacks = xp.copy(stacks)
+            stacks = np.copy(stacks)
             for b, is_stale in enumerate(stale):
                 if is_stale:
                     factor = self.aggregator.dampening_factor(staleness[b])
-                    stacks[b] = stacks[b] * xp.asarray(factor)[:, None]
+                    factor = np.asarray(factor, dtype=np.float64)
+                    stacks[b] = stacks[b] * factor[:, None]
         return self.inner.aggregate_batch(stacks)
 
 
@@ -577,10 +494,8 @@ def register_batched_kernel(
 ) -> None:
     """Register a vectorized kernel for an :class:`Aggregator` subclass.
 
-    ``builder(aggregator, chunk_size=..., backend=...)`` must return a
-    :class:`BatchedAggregator` replicating that instance bit-for-bit on
-    the numpy backend (``backend`` is a resolved
-    :class:`~repro.backend.ArrayBackend` or ``None`` for the default).
+    ``builder(aggregator)`` must return a :class:`BatchedAggregator`
+    replicating that instance bit-for-bit.
     A builder with a ``supports(aggregator) -> bool`` attribute covers
     only the instances it accepts; the others take the loop fallback.
     Later registrations override.
@@ -618,9 +533,6 @@ def batch_group_key(aggregator: Aggregator) -> tuple[str, str]:
 
 def make_batched_aggregator(
     aggregators: Aggregator | Sequence[Aggregator],
-    *,
-    chunk_size: int | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> BatchedAggregator:
     """Adapt one rule (or a group of identically-configured instances) to
     the batched protocol.
@@ -628,12 +540,9 @@ def make_batched_aggregator(
     Returns the registered vectorized kernel when
     :func:`has_batched_kernel` accepts the rule, otherwise a
     :class:`LoopBatchedAggregator` running the ordinary per-scenario
-    path.  ``backend`` selects the array backend the vectorized kernel
-    computes through (name, instance, or ``None`` for the default numpy
-    backend); the loop fallback always runs the numpy per-scenario
-    rules.  When a sequence is given, all instances
-    must share the same :func:`batch_group_key`; the loop fallback then
-    keeps one instance per scenario (batch slice b uses instance b).
+    path.  When a sequence is given, all instances must share the same
+    :func:`batch_group_key`; the loop fallback then keeps one instance
+    per scenario (batch slice b uses instance b).
     """
     if isinstance(aggregators, Aggregator):
         instances = [aggregators]
@@ -646,12 +555,11 @@ def make_batched_aggregator(
         raise ConfigurationError(
             f"cannot batch differently-configured rules together: {sorted(keys)}"
         )
-    backend = resolve_backend(backend)
     representative = instances[0]
     if not has_batched_kernel(representative):
         return LoopBatchedAggregator(instances)
     builder = _BUILDERS[type(representative)]
-    return builder(representative, chunk_size=chunk_size, backend=backend)
+    return builder(representative)
 
 
 def _register_builtins() -> None:

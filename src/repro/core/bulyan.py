@@ -18,10 +18,7 @@ primitives (:func:`batched_bulyan_committees`,
 :func:`batched_bulyan_aggregate`, built on the masked helpers in
 :mod:`repro.utils.linalg`); the per-scenario rule simply passes a batch
 of one.  Sharing one implementation is what keeps the two paths
-bit-for-bit identical instead of drifting copies.  The primitives are
-kernel-layer code: they speak the
-:class:`~repro.backend.ArrayBackend` namespace (``backend=`` parameter,
-numpy by default) and never import numpy directly.
+bit-for-bit identical instead of drifting copies.
 
 Included as the paper's natural "future work" extension; the ablation
 benches contrast it with Krum under the post-2017 stealth attacks.
@@ -29,11 +26,13 @@ benches contrast it with Krum under the post-2017 stealth attacks.
 
 from __future__ import annotations
 
-from repro.backend import ArrayBackend, resolve_backend
+import numpy as np
+
 from repro.core.aggregator import AggregationResult, Aggregator
 from repro.exceptions import ByzantineToleranceError, DimensionMismatchError
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
+    coordinate_median,
     masked_coordinate_median,
     masked_krum_scores,
 )
@@ -47,8 +46,8 @@ __all__ = [
 ]
 
 
-def _check_bulyan_batch(stacks, f: int, xp: ArrayBackend):
-    stacks = xp.asarray(stacks)
+def _check_bulyan_batch(stacks, f: int):
+    stacks = np.asarray(stacks, dtype=np.float64)
     if stacks.ndim != 3:
         raise DimensionMismatchError(
             f"batched Bulyan expects shape (B, n, d), got {tuple(stacks.shape)}"
@@ -64,13 +63,7 @@ def _check_bulyan_batch(stacks, f: int, xp: ArrayBackend):
     return stacks
 
 
-def batched_bulyan_committees(
-    stacks,
-    f: int,
-    *,
-    distances=None,
-    backend: ArrayBackend | str | None = None,
-):
+def batched_bulyan_committees(stacks, f: int, *, distances=None):
     """Select every scenario's Bulyan committee: ``(B, n, d) -> (B, θ)``.
 
     The selection phase: ``θ = n − 2f`` rounds of picking the Krum winner
@@ -87,93 +80,73 @@ def batched_bulyan_committees(
     ``batched_pairwise_sq_distances(stacks, nonfinite_as_inf=True)``
     batch.
     """
-    xp = resolve_backend(backend)
-    stacks = _check_bulyan_batch(stacks, f, xp)
+    stacks = _check_bulyan_batch(stacks, f)
     batch, n, _d = stacks.shape
     if distances is None:
-        distances = batched_pairwise_sq_distances(
-            stacks, nonfinite_as_inf=True, backend=xp
-        )
+        distances = batched_pairwise_sq_distances(stacks, nonfinite_as_inf=True)
     committee_size = n - 2 * f
-    active = xp.full((batch, n), True, dtype=xp.bool_dtype)
-    committees = xp.empty((batch, committee_size), dtype=xp.int_dtype)
-    rows = xp.arange(batch)
+    active = np.full((batch, n), True, dtype=np.bool_)
+    committees = np.empty((batch, committee_size), dtype=np.int64)
+    rows = np.arange(batch)
     for step in range(committee_size):
         remaining = n - step
         if remaining - f - 2 >= 1:
-            scores = masked_krum_scores(
-                distances, active, remaining - f - 2, backend=xp
-            )
+            scores = masked_krum_scores(distances, active, remaining - f - 2)
         else:
-            medians = masked_coordinate_median(stacks, active, backend=xp)
-            with xp.errstate():
-                deviations = xp.norm(stacks - medians[:, None, :], axis=2)
-            scores = xp.where(active, deviations, xp.inf)
+            medians = masked_coordinate_median(stacks, active)
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                deviations = np.linalg.norm(stacks - medians[:, None, :], axis=2)
+            scores = np.where(active, deviations, np.inf)
         # First minimal index per scenario — the smallest-identifier
         # tie-break, matching argmin over the compacted candidate pool.
-        winners = xp.argmin(scores, axis=1)
+        winners = np.argmin(scores, axis=1)
         # Degenerate all-+inf rows (every remaining candidate non-finite)
         # make argmin fall on index 0 even when it is already selected;
         # redirect to the first still-active candidate.
         invalid = ~active[rows, winners]
-        if xp.any(invalid):
-            winners = xp.where(invalid, xp.argmax(active, axis=1), winners)
+        if np.any(invalid):
+            winners = np.where(invalid, np.argmax(active, axis=1), winners)
         committees[:, step] = winners
         active[rows, winners] = False
-    return xp.sort(committees, axis=1)
+    return np.sort(committees, axis=1)
 
 
-def batched_bulyan_aggregate(
-    stacks, committees, f: int, *, backend: ArrayBackend | str | None = None
-):
+def batched_bulyan_aggregate(stacks, committees, f: int):
     """Bulyan's aggregation phase: per coordinate, average the
     ``β = θ − 2f`` committee values closest to the committee median.
 
     ``stacks`` is ``(B, n, d)``, ``committees`` the ``(B, θ)`` index
     batch from :func:`batched_bulyan_committees`; returns ``(B, d)``.
     """
-    xp = resolve_backend(backend)
-    stacks = xp.asarray(stacks)
-    committees = xp.asarray(committees, dtype=xp.int_dtype)
+    stacks = np.asarray(stacks, dtype=np.float64)
+    committees = np.asarray(committees, dtype=np.int64)
     if committees.ndim != 2 or committees.shape[0] != stacks.shape[0]:
         raise DimensionMismatchError(
             f"committees must have shape (B, θ) with B={stacks.shape[0]}, "
             f"got {tuple(committees.shape)}"
         )
-    selected = xp.take_along_axis(stacks, committees[:, :, None], axis=1)
+    selected = np.take_along_axis(stacks, committees[:, :, None], axis=1)
     committee_size = committees.shape[1]
     beta = max(committee_size - 2 * f, 1)
-    medians = xp.median(selected, axis=1)
-    with xp.errstate():
-        deviation = xp.abs(selected - medians[:, None, :])
-    deviation_order = xp.argsort(deviation, axis=1, stable=True)
+    medians = coordinate_median(selected, 1)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        deviation = np.abs(selected - medians[:, None, :])
+    deviation_order = np.argsort(deviation, axis=1, kind="stable")
     closest = deviation_order[:, :beta]
-    gathered = xp.take_along_axis(selected, closest, axis=1)
-    return xp.mean(gathered, axis=1)
+    gathered = np.take_along_axis(selected, closest, axis=1)
+    return np.mean(gathered, axis=1)
 
 
-def batched_bulyan(
-    stacks,
-    f: int,
-    *,
-    distances=None,
-    backend: ArrayBackend | str | None = None,
-):
+def batched_bulyan(stacks, f: int, *, distances=None):
     """Full batched Bulyan: returns ``(vectors (B, d), committees (B, θ))``.
 
-    On the default numpy backend, slice ``b`` is bit-for-bit what
+    Slice ``b`` is bit-for-bit what
     ``Bulyan(f).aggregate_detailed`` produces for ``stacks[b]`` — the
     per-scenario rule runs this very function with a batch of one.
     """
-    xp = resolve_backend(backend)
-    stacks = _check_bulyan_batch(stacks, f, xp)
-    committees = batched_bulyan_committees(
-        stacks, f, distances=distances, backend=xp
-    )
-    return (
-        batched_bulyan_aggregate(stacks, committees, f, backend=xp),
-        committees,
-    )
+    stacks = _check_bulyan_batch(stacks, f)
+    committees = batched_bulyan_committees(stacks, f, distances=distances)
+    return batched_bulyan_aggregate(stacks, committees, f), committees
 
 
 class Bulyan(Aggregator):

@@ -41,11 +41,6 @@ Quickstart::
 at a time, each through its own rule — same histories, more wall time —
 which is what ``benchmarks/bench_engine_grid.py`` times against the
 batched mode.
-
-``run_grid(grid, backend="torch")`` routes the batched aggregation
-kernels through a registered array backend (:mod:`repro.backend`); the
-default numpy backend is the bit-for-bit reference, and ``GridResult``
-reports the resolved backend (e.g. ``"numpy[float64]"``).
 """
 
 from repro.engine.grid import ScenarioGrid, ScenarioSpec

@@ -26,8 +26,7 @@ times.
 
 A dataset experiment is a grid on a dataset workload: the aggregator
 axis compares rules on the same honest gradients (every cell of a seed
-shares them), ``eval_every`` sets the evaluation cadence and
-``backend`` the array library of the batched kernels.
+shares them) and ``eval_every`` sets the evaluation cadence.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.distributed.metrics import TrainingHistory
 from repro.distributed.simulator import TrainingSimulation
 from repro.engine.grid import ScenarioGrid, ScenarioSpec
@@ -66,10 +64,6 @@ class GridResult:
     kernels (``None`` in loop mode, where the question does not arise) —
     the engine tests and benchmark check it, so a rule silently
     regressing to the per-scenario fallback fails them.
-    ``backend`` reports the resolved array backend the aggregation
-    kernels computed through (e.g. ``"numpy[float64]"``,
-    ``"torch[float32,cuda:0]"``); loop mode always executes the numpy
-    per-scenario rules, so it reports the default.
     """
 
     mode: str
@@ -78,7 +72,6 @@ class GridResult:
     final_params: dict[str, np.ndarray]
     wall_time: float
     native_fraction: float | None = None
-    backend: str = "numpy[float64]"
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -105,36 +98,13 @@ def run_grid(
     *,
     mode: str = "batched",
     eval_every: int = 10,
-    chunk_size: int | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> GridResult:
-    """Execute every cell of ``grid``.
-
-    ``chunk_size`` (batched mode only) caps the distance-kernel batch
-    chunks; see
-    :func:`~repro.utils.linalg.batched_pairwise_sq_distances`.
-
-    ``backend`` (batched mode only) selects the array backend the
-    native aggregation kernels compute through — a registered name
-    ("numpy", "torch"), a configured
-    :class:`~repro.backend.ArrayBackend`, or ``None`` for the default
-    numpy backend.  The default keeps the bit-for-bit loop/batched
-    differential guarantee; non-default backends are parity-tested
-    drop-ins (see ``tests/backend/``).  Loop mode always runs the numpy
-    per-scenario rules, so combining it with an explicit backend is a
-    configuration error rather than a silent ignore.
-    """
+    """Execute every cell of ``grid``."""
     if mode not in ("batched", "loop"):
         raise ConfigurationError(
             f"mode must be 'batched' or 'loop', got {mode!r}"
         )
-    if mode == "loop" and backend is not None:
-        raise ConfigurationError(
-            "backend selection applies to mode='batched' only; "
-            "mode='loop' always executes the per-scenario numpy rules"
-        )
     check_positive_int(eval_every, "eval_every")
-    resolved_backend = resolve_backend(backend)
     # The grid built, validated and de-duplicated its cells at declaration.
     specs = grid.scenarios()
     labels = [spec.label for spec in specs]
@@ -189,11 +159,7 @@ def run_grid(
         native_cells = 0.0
         start = perf_counter()
         for indices in groups.values():
-            batched = BatchedSimulation(
-                [simulations[i] for i in indices],
-                chunk_size=chunk_size,
-                backend=resolved_backend,
-            )
+            batched = BatchedSimulation([simulations[i] for i in indices])
             native_cells += batched.native_fraction * len(indices)
             group_histories = batched.run(
                 grid.num_rounds, eval_every=eval_every
@@ -219,5 +185,4 @@ def run_grid(
         final_params=dict(zip(labels, finals)),
         wall_time=wall_time,
         native_fraction=native_fraction,
-        backend=resolved_backend.describe(),
     )

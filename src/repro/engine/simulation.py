@@ -116,7 +116,6 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackBatch, AttackContext
 from repro.attacks.registry import has_batched_craft
-from repro.backend import ArrayBackend, resolve_backend
 from repro.core.aggregator import Aggregator
 from repro.core.batched import (
     BatchedAggregator,
@@ -170,9 +169,8 @@ class _Scenario:
     shared_ids: np.ndarray
     own_workers: list[HonestWorker]
     # Whether workers read the replica-median view of an active server
-    # tier (else the canonical row), and the dtype of what they read.
+    # tier (else the canonical row).
     tier: bool
-    read_dtype: np.dtype
     # Whether the gradient window's row is the attack's true gradient.
     window_gradient: bool = False
     # Whether the evaluation's true gradient is handed to the next craft.
@@ -325,33 +323,12 @@ class BatchedSimulation:
         Freshly-constructed simulations sharing ``num_workers`` and
         parameter dimension.  Aggregators, attacks, schedules, Byzantine
         placement and seeds may all differ per scenario.
-    chunk_size:
-        Passed to the batched distance kernels to cap the ``(B, n, n)``
-        intermediate memory; ``None`` processes each rule group in one
-        chunk.
-    backend:
-        Array backend the native aggregation kernels compute through —
-        a registered name ("numpy", "torch"), a configured
-        :class:`~repro.backend.ArrayBackend` instance, or ``None`` for
-        the default numpy backend (the configuration whose trajectories
-        are bit-for-bit identical to the per-scenario loop).  Worker
-        gradient estimation, attacks and bookkeeping stay host-side
-        (numpy); the backend is handed the stacked ``(B, n, d)``
-        proposal tensor each round — the O(n²·d) part of the round.
-        Host staging buffers allocate with the backend's float dtype so
-        a reduced-precision backend is not silently up-cast.
     """
 
     #: Whether Gaussian-oracle workers of different cells share draws.
     _shares_noise = True
 
-    def __init__(
-        self,
-        simulations: Sequence[TrainingSimulation],
-        *,
-        chunk_size: int | None = None,
-        backend: ArrayBackend | str | None = None,
-    ):
+    def __init__(self, simulations: Sequence[TrainingSimulation]):
         sims = list(simulations)
         if not sims:
             raise ConfigurationError("need at least one simulation to batch")
@@ -406,12 +383,6 @@ class BatchedSimulation:
                     f"instance per scenario"
                 )
         self.batch_size = len(sims)
-        self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
-        # Host-side staging matches the backend's float precision so a
-        # float32 backend is not silently promoted back to float64
-        # between rounds.
-        self._float_dtype = self.backend.numpy_float_dtype
 
         # Reorder scenarios so each kernel group is a contiguous batch
         # slice (no gather copies in the round loop); remember the
@@ -428,13 +399,10 @@ class BatchedSimulation:
         # parameters live in it: row t % window is x_t.
         self._window = 1 + max(sim.max_staleness for sim in sims)
         any_tier = any(sim.server.tier_active for sim in sims)
-        self._history = np.empty(
-            (self._window, self.batch_size, self.dimension),
-            dtype=np.float64 if any_tier else self._float_dtype,
-        )
+        self._history = np.empty((self._window, self.batch_size, self.dimension))
         self._params_row: int | None = None if any_tier else 0
         self._params = (
-            np.empty((self.batch_size, self.dimension), dtype=self._float_dtype)
+            np.empty((self.batch_size, self.dimension))
             if any_tier
             else self._history[0]
         )
@@ -489,9 +457,6 @@ class BatchedSimulation:
                     ),
                     own_workers=own,
                     tier=tier,
-                    # The tier view is a float64 median; a canonical row
-                    # keeps the backend's precision.
-                    read_dtype=np.dtype(np.float64 if tier else self._float_dtype),
                     window_gradient=window_gradient,
                     # The record stage's ∇Q of the canonical row is the
                     # next round's craft input when nothing sits between.
@@ -530,8 +495,7 @@ class BatchedSimulation:
             start = stop
 
         self._proposals = np.empty(
-            (self.batch_size, self.num_workers, self.dimension),
-            dtype=self._float_dtype,
+            (self.batch_size, self.num_workers, self.dimension)
         )
         self._round_index = 0
         # The canonical rows the view stage copies into the read window.
@@ -561,10 +525,7 @@ class BatchedSimulation:
                 oracles.append((fn, [slot]))
         self._oracle_blocks = [(fn, _index(cells)) for fn, cells in oracles]
         self._gradients = (
-            np.empty(
-                (self._window, self.batch_size, self.dimension),
-                dtype=self._float_dtype,
-            )
+            np.empty((self._window, self.batch_size, self.dimension))
             if oracles or self._oracle_cells
             else None
         )
@@ -655,9 +616,7 @@ class BatchedSimulation:
     def _adapter(self, rules: list[Aggregator]) -> BatchedAggregator:
         """The aggregate stage of one rule group: its native kernel, or
         the loop fallback for a rule without one."""
-        return make_batched_aggregator(
-            rules, chunk_size=self.chunk_size, backend=self.backend
-        )
+        return make_batched_aggregator(rules)
 
     # ------------------------------------------------------------------
 
@@ -684,11 +643,10 @@ class BatchedSimulation:
     def _read(self, slot: int, staleness) -> np.ndarray:
         """What cell ``slot``'s workers read ``staleness`` rounds ago — a
         ``(d,)`` row for one int, ``(k, d)`` rows for ``k`` of them — as
-        a copy in the cell's read dtype."""
+        a copy."""
         rows = self._history[(self._round_index - staleness) % self._window, slot]
         # Many rows are a fancy gather, already a copy.
-        dtype = self._scenarios[slot].read_dtype
-        return rows.astype(dtype, copy=np.ndim(staleness) == 0)
+        return rows.copy() if np.ndim(staleness) == 0 else rows
 
     def _prefetch_staleness(self, start: int, stop: int) -> None:
         """Fill every async scenario's staleness table with rounds
@@ -1027,9 +985,7 @@ class BatchedSimulation:
         parameters (or tier view) each proposal was computed at, the
         current ones for synchronous scenarios."""
         size = group.stop - group.start
-        used = np.empty(
-            (size, self.num_workers, self.dimension), dtype=self._float_dtype
-        )
+        used = np.empty((size, self.num_workers, self.dimension))
         t = self._round_index
         for offset in range(size):
             slot = group.start + offset
@@ -1073,11 +1029,9 @@ class BatchedSimulation:
 
         rates = np.asarray(
             [scenario.simulation.server.schedule(t) for scenario in self._scenarios],
-            dtype=self._float_dtype,
+            dtype=np.float64,
         )
-        aggregate = np.empty(
-            (self.batch_size, self.dimension), dtype=self._float_dtype
-        )
+        aggregate = np.empty((self.batch_size, self.dimension))
         selected: list[np.ndarray] = [None] * self.batch_size  # type: ignore[list-item]
         for group in self._groups:
             adapter = group.adapter
@@ -1094,12 +1048,7 @@ class BatchedSimulation:
                     staleness=self._group_staleness(group, rows),
                     used_params=self._group_used_params(group, rows),
                 )
-            # Native kernels return backend-typed arrays (torch tensors
-            # on the torch backend); materialize them host-side once per
-            # round for the SGD update and record bookkeeping.
-            aggregate[group.start : group.stop] = self.backend.to_numpy(
-                result.vectors
-            )
+            aggregate[group.start : group.stop] = result.vectors
             for offset, rows_selected in enumerate(result.selected):
                 selected[group.start + offset] = rows_selected
 

@@ -29,7 +29,6 @@ import sys
 from collections.abc import Sequence
 
 from repro.attacks.registry import available_attacks
-from repro.backend import available_backends, resolve_backend
 from repro.core.registry import (
     AGGREGATORS,
     available_aggregators,
@@ -40,9 +39,8 @@ from repro.data.partition import PARTITION_PROTOCOLS
 from repro.data.synthetic import make_blobs
 from repro.distributed.delays import available_delay_schedules
 from repro.engine.grid import ScenarioSpec
-from repro.engine.simulation import BatchedSimulation
 from repro.engine.workloads import DatasetWorkload, Workload, make_workload
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ReproError
 from repro.experiments.reporting import (
     format_league_table,
     format_series,
@@ -202,14 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "production server guard)",
     )
     parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="array backend for the aggregation kernels; selecting one "
-        "routes the run through the batched executor (trajectory-"
-        "identical on numpy; torch needs the optional [torch] extra)",
-    )
-    parser.add_argument(
         "--tournament",
         action="store_true",
         help="run the attack x defense robustness league instead of a "
@@ -348,18 +338,11 @@ def _scenario(args: argparse.Namespace) -> tuple[ScenarioSpec, Workload]:
         edge_prob=args.edge_prob,
         rewire_period=args.rewire_period,
     )
-    if spec.is_gossip and args.backend is not None:
-        raise ConfigurationError(
-            "--backend routes through the batched server-path "
-            "executor; gossip runs are event-driven and always "
-            "execute on numpy"
-        )
     return spec, workload
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    backend_report = None
     try:
         if args.tournament:
             return _run_tournament(args)
@@ -372,26 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         simulation = workload.build(spec)
         aggregator = make_aggregator(spec.aggregator, **spec.aggregator_kwargs)
         attack = simulation.attack
-        if args.backend is not None:
-            # An explicit backend routes the run through the batched
-            # executor (a batch of one) so the aggregation kernels run
-            # on the chosen array library.  On the numpy backend this is
-            # trajectory-identical to simulation.run — the engine's
-            # differential guarantee.
-            backend = resolve_backend(args.backend)
-            batched = BatchedSimulation([simulation], backend=backend)
-            history = batched.run(args.rounds, eval_every=args.eval_every)[0]
-            # Rules without a vectorized kernel aggregate through the
-            # numpy per-scenario fallback no matter what was requested;
-            # say so rather than implying the run used the backend.
-            backend_report = (
-                backend.describe()
-                if batched.native_fraction == 1.0
-                else f"numpy loop fallback ({aggregator.name} has no "
-                f"native kernel; requested {backend.describe()})"
-            )
-        else:
-            history = simulation.run(args.rounds, eval_every=args.eval_every)
+        history = simulation.run(args.rounds, eval_every=args.eval_every)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -412,7 +376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     summary_rows = [
         ["final loss", history.final_loss],
         ["rounds", len(history)],
-        *([["backend", backend_report]] if backend_report is not None else []),
         ["byzantine selection rate",
          f"{100 * history.byzantine_selection_rate():.1f}%"],
     ]

@@ -1,7 +1,6 @@
 """repro-lint: AST-based enforcement of the library's code invariants.
 
-Four invariants of the codebase live in how each file is written —
-kernels speak the :class:`~repro.backend.ArrayBackend` namespace,
+Three invariants of the codebase live in how each file is written —
 randomness flows through seeded :mod:`repro.utils.rng` streams, errors
 use the :class:`~repro.exceptions.ReproError` taxonomy, stateful attacks
 declare themselves — and each was born from a real bug.  This package

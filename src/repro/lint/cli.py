@@ -27,8 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based linter enforcing the repro library's code "
-            "invariants (backend purity, RNG discipline, the error "
-            "taxonomy, stateful-attack declarations)."
+            "invariants (RNG discipline, the error taxonomy, "
+            "stateful-attack declarations)."
         ),
     )
     parser.add_argument(

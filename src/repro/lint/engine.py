@@ -38,9 +38,9 @@ def lint_source(
     """Lint one source string (also the fixture-test entry point).
 
     ``rules`` defaults to every registered rule.  ``path`` participates
-    in module-scoped rules (e.g. backend-purity only checks the kernel
-    modules), so fixture snippets fake the library path they pretend to
-    live at.
+    in module-scoped rules (e.g. rng-discipline exempts the sanctioned
+    RNG modules), so fixture snippets fake the library path they pretend
+    to live at.
     """
     if rules is None:
         rules = [make_rule(name) for name in available_rules()]

@@ -1,6 +1,6 @@
 """Name-based lint-rule factory.
 
-A caller names a rule ("backend-purity", "rng-discipline", ...) plus
+A caller names a rule ("rng-discipline", "error-taxonomy", ...) plus
 keyword arguments and gets a :class:`~repro.lint.base.LintRule`, with
 the shared :class:`~repro.utils.registry.Registry` contract.
 """

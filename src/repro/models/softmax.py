@@ -63,8 +63,8 @@ class SoftmaxRegressionModel(ClassifierMixin, Model):
 
     def _probabilities(self, logits: np.ndarray) -> np.ndarray:
         shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        exps = np.exp(shifted)
+        return exps / exps.sum(axis=1, keepdims=True)
 
     def loss(self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float:
         weights, _bias = self._split(params)

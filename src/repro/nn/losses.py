@@ -111,9 +111,9 @@ class SoftmaxCrossEntropy(Loss):
             )
         targets = check_class_labels(targets, logits.shape[-1])
         shifted = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        sums = exp.sum(axis=-1, keepdims=True)
-        self._probs = exp / sums
+        exps = np.exp(shifted)
+        sums = exps.sum(axis=-1, keepdims=True)
+        self._probs = exps / sums
         self._targets = targets
         picked = np.take_along_axis(shifted, targets[..., None], axis=-1)
         log_likelihood = picked[..., 0] - np.log(sums[..., 0])

@@ -5,18 +5,15 @@ O(n² · d) cost (Lemma 4.1 of the paper) is exactly the cost of this one
 matrix computation, so it is implemented with a single GEMM rather than a
 Python double loop.
 
-The batched/masked primitives in this module are *kernel layer*: they
-compute through an :class:`~repro.backend.ArrayBackend` namespace
-(``backend=`` parameter, numpy by default) rather than calling ``np.*``
-directly, so the same code runs unchanged on any registered backend.
-With the default numpy backend every operation delegates to the exact
-numpy call used before the seam existed — bit-for-bit identical results.
-The host-side plumbing at the bottom (:func:`stack_vectors`,
-:func:`flatten_arrays`, :func:`unflatten_array` — model-parameter
-marshalling, not aggregation arithmetic) stays plain numpy on purpose,
-as do :func:`coordinate_median`, the numpy backend's median itself, and
-:func:`exact_row_dots` and :func:`exact_row_norms`, the host-side norms
-of the round records and the Lipschitz rules.
+The batched/masked primitives in this module are the kernel layer the
+batched rules share with their per-scenario twins (which run them at
+batch size one), so both paths compute the same bits.  The batched
+kernels split the batch axis into chunks of :data:`CHUNK_SIZE`
+scenarios.  The bottom of the module holds :func:`coordinate_median`,
+the host-side norms of the round records and the Lipschitz rules
+(:func:`exact_row_dots`, :func:`exact_row_norms`) and model-parameter
+marshalling (:func:`stack_vectors`, :func:`flatten_arrays`,
+:func:`unflatten_array`).
 """
 
 from __future__ import annotations
@@ -25,10 +22,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.exceptions import DimensionMismatchError
 
 __all__ = [
+    "CHUNK_SIZE",
+    "batch_chunk_size",
     "pairwise_sq_distances",
     "batched_pairwise_sq_distances",
     "masked_krum_scores",
@@ -43,13 +41,22 @@ __all__ = [
     "unflatten_array",
 ]
 
+#: Scenarios per chunk of the batched distance, committee and Weiszfeld
+#: kernels; ``None`` is one chunk of the whole batch.  Chunking only
+#: partitions the independent batch axis, so no result depends on it:
+#: it bounds the ``(chunk, n, n)`` intermediates, and the tests set it
+#: to pin that invariance.
+CHUNK_SIZE: int | None = None
 
-def pairwise_sq_distances(
-    vectors,
-    *,
-    nonfinite_as_inf: bool = False,
-    backend: ArrayBackend | str | None = None,
-):
+
+def batch_chunk_size(batch: int) -> int:
+    """The chunk length the batched kernels use for a ``batch`` of
+    scenarios: :data:`CHUNK_SIZE`, or the whole batch when it is
+    ``None``."""
+    return max(batch, 1) if CHUNK_SIZE is None else CHUNK_SIZE
+
+
+def pairwise_sq_distances(vectors, *, nonfinite_as_inf: bool = False):
     """Return the ``(n, n)`` matrix of squared euclidean distances.
 
     Uses the expansion ``||a - b||² = ||a||² + ||b||² - 2⟨a, b⟩`` so the
@@ -63,34 +70,27 @@ def pairwise_sq_distances(
     as infinitely far from everyone (so distance-filtering rules discard
     it instead of propagating NaN through their scores).
     """
-    xp = resolve_backend(backend)
-    vectors = xp.asarray(vectors)
+    vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise DimensionMismatchError(
             f"vectors must have shape (n, d), got {tuple(vectors.shape)}"
         )
-    with xp.errstate():
-        sq_norms = xp.einsum("ij,ij->i", vectors, vectors)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
         distances = (
             sq_norms[:, None]
             + sq_norms[None, :]
-            - 2.0 * (vectors @ xp.transpose(vectors, (1, 0)))
+            - 2.0 * (vectors @ np.transpose(vectors, (1, 0)))
         )
-        distances = xp.maximum(distances, 0.0)
+        distances = np.maximum(distances, 0.0)
     if nonfinite_as_inf:
-        distances[~xp.isfinite(distances)] = xp.inf
-    diagonal = xp.arange(vectors.shape[0])
+        distances[~np.isfinite(distances)] = np.inf
+    diagonal = np.arange(vectors.shape[0])
     distances[diagonal, diagonal] = 0.0
     return distances
 
 
-def batched_pairwise_sq_distances(
-    vectors,
-    *,
-    nonfinite_as_inf: bool = False,
-    chunk_size: int | None = None,
-    backend: ArrayBackend | str | None = None,
-):
+def batched_pairwise_sq_distances(vectors, *, nonfinite_as_inf: bool = False):
     """``(B, n, n)`` squared-distance matrices for a ``(B, n, d)`` batch.
 
     The batched analogue of :func:`pairwise_sq_distances`: every scenario
@@ -100,51 +100,42 @@ def batched_pairwise_sq_distances(
     unbatched function returns for that slice — the engine's differential
     test harness relies on this.
 
-    ``chunk_size`` bounds how many scenarios are expanded at once, so
-    the *intermediates* (Gram-matrix GEMM workspace, non-finite masks)
-    stay at ``chunk_size × n²`` floats.  The returned array itself is
+    :data:`CHUNK_SIZE` bounds how many scenarios are expanded at once,
+    so the *intermediates* (Gram-matrix GEMM workspace, non-finite
+    masks) stay at ``chunk × n²`` floats.  The returned array itself is
     necessarily ``B × n²`` — consumers that only need a per-chunk view
     (e.g. :func:`repro.core.batched.batched_krum_scores`) should call
-    this per chunk instead of materializing the full result.  ``None``
-    processes the whole batch in one chunk.  The result is invariant to
-    the chunk size because chunking only partitions the independent
-    batch axis.
+    this per chunk instead of materializing the full result.
     """
-    xp = resolve_backend(backend)
-    vectors = xp.asarray(vectors)
+    vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 3:
         raise DimensionMismatchError(
             f"vectors must have shape (B, n, d), got {tuple(vectors.shape)}"
         )
     batch, n, _d = vectors.shape
-    if chunk_size is None:
-        chunk_size = max(batch, 1)
-    if chunk_size < 1:
-        raise DimensionMismatchError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
-    out = xp.empty((batch, n, n))
-    diagonal = xp.arange(n)
+    chunk_size = batch_chunk_size(batch)
+    out = np.empty((batch, n, n))
+    diagonal = np.arange(n)
     for start in range(0, batch, chunk_size):
         chunk = vectors[start : start + chunk_size]
-        with xp.errstate():
-            sq_norms = xp.einsum("bij,bij->bi", chunk, chunk)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            sq_norms = np.einsum("bij,bij->bi", chunk, chunk)
             distances = (
                 sq_norms[:, :, None]
                 + sq_norms[:, None, :]
-                - 2.0 * (chunk @ xp.transpose(chunk, (0, 2, 1)))
+                - 2.0 * (chunk @ np.transpose(chunk, (0, 2, 1)))
             )
-            distances = xp.maximum(distances, 0.0)
+            distances = np.maximum(distances, 0.0)
         if nonfinite_as_inf:
-            distances[~xp.isfinite(distances)] = xp.inf
+            distances[~np.isfinite(distances)] = np.inf
         distances[:, diagonal, diagonal] = 0.0
         out[start : start + chunk_size] = distances
     return out
 
 
-def _check_batched_mask(values, active, name: str, xp: ArrayBackend):
-    values = xp.asarray(values)
-    active = xp.asarray(active, dtype=xp.bool_dtype)
+def _check_batched_mask(values, active, name: str):
+    values = np.asarray(values, dtype=np.float64)
+    active = np.asarray(active, dtype=np.bool_)
     if values.ndim != 3:
         raise DimensionMismatchError(
             f"{name} expects values of shape (B, n, ...), "
@@ -158,13 +149,7 @@ def _check_batched_mask(values, active, name: str, xp: ArrayBackend):
     return values, active
 
 
-def masked_krum_scores(
-    distances,
-    active,
-    num_neighbors: int,
-    *,
-    backend: ArrayBackend | str | None = None,
-):
+def masked_krum_scores(distances, active, num_neighbors: int):
     """Krum scores restricted to an active candidate subset, per scenario.
 
     ``distances`` is a ``(B, n, n)`` squared-distance batch and ``active``
@@ -176,10 +161,7 @@ def masked_krum_scores(
     rule runs it with ``B = 1`` and the batched kernel with the whole
     batch, so both paths are bit-for-bit identical per scenario.
     """
-    xp = resolve_backend(backend)
-    distances, active = _check_batched_mask(
-        distances, active, "masked_krum_scores", xp
-    )
+    distances, active = _check_batched_mask(distances, active, "masked_krum_scores")
     n = distances.shape[1]
     if distances.shape[2] != n:
         raise DimensionMismatchError(
@@ -191,8 +173,8 @@ def masked_krum_scores(
             f"num_neighbors must be in [1, n - 1] = [1, {n - 1}], "
             f"got {num_neighbors}"
         )
-    counts = xp.count_nonzero(active, axis=1)
-    smallest_pool = int(xp.min(counts)) if counts.shape[0] else n
+    counts = np.count_nonzero(active, axis=1)
+    smallest_pool = int(np.min(counts)) if counts.shape[0] else n
     if num_neighbors > smallest_pool - 1:
         # Asking for more neighbours than any active row has would make
         # the partition sum masked +inf entries — garbage scores, not an
@@ -201,17 +183,15 @@ def masked_krum_scores(
             f"num_neighbors must be <= active_count - 1 = "
             f"{smallest_pool - 1}, got {num_neighbors}"
         )
-    masked = xp.where(active[:, None, :], distances, xp.inf)
-    diagonal = xp.arange(n)
-    masked[:, diagonal, diagonal] = xp.inf
-    neighbor_part = xp.partition(masked, num_neighbors - 1, axis=2)
-    scores = xp.sum(neighbor_part[:, :, :num_neighbors], axis=2)
-    return xp.where(active, scores, xp.inf)
+    masked = np.where(active[:, None, :], distances, np.inf)
+    diagonal = np.arange(n)
+    masked[:, diagonal, diagonal] = np.inf
+    neighbor_part = np.partition(masked, num_neighbors - 1, axis=2)
+    scores = np.sum(neighbor_part[:, :, :num_neighbors], axis=2)
+    return np.where(active, scores, np.inf)
 
 
-def masked_coordinate_median(
-    values, active, *, backend: ArrayBackend | str | None = None
-):
+def masked_coordinate_median(values, active):
     """Coordinate-wise median over the active rows of every scenario.
 
     ``values`` is ``(B, n, d)`` and ``active`` a ``(B, n)`` mask that must
@@ -223,42 +203,38 @@ def masked_coordinate_median(
     a plain median would — the shared semantics both the loop and batched
     Bulyan paths use.
     """
-    xp = resolve_backend(backend)
     values, active = _check_batched_mask(
-        values, active, "masked_coordinate_median", xp
+        values, active, "masked_coordinate_median"
     )
-    counts = xp.count_nonzero(active, axis=1)
-    if counts.shape[0] == 0 or not xp.all(counts == counts[0]):
+    counts = np.count_nonzero(active, axis=1)
+    if counts.shape[0] == 0 or not np.all(counts == counts[0]):
         raise DimensionMismatchError(
             "active mask must select the same number of rows in every "
-            f"scenario, got counts {sorted(set(xp.to_numpy(counts).tolist()))}"
+            f"scenario, got counts {sorted(set(counts.tolist()))}"
         )
     m = int(counts[0])
     if m < 1:
         raise DimensionMismatchError("active mask must select at least one row")
-    filled = xp.where(active[:, :, None], values, xp.inf)
-    ordered = xp.sort(filled, axis=1)
+    filled = np.where(active[:, :, None], values, np.inf)
+    ordered = np.sort(filled, axis=1)
     if m % 2 == 1:
-        return xp.copy(ordered[:, (m - 1) // 2])
+        return np.copy(ordered[:, (m - 1) // 2])
     return 0.5 * (ordered[:, m // 2 - 1] + ordered[:, m // 2])
 
 
-def masked_inverse_distance_weights(
-    distances, active, *, backend: ArrayBackend | str | None = None
-):
+def masked_inverse_distance_weights(distances, active):
     """``1 / distances`` over active rows, exactly zero elsewhere (zero
     distances among inactive rows never enter the division).  The weight
     vector of one Weiszfeld step; callers that need both the step target
     and the Vardi–Zhang residual reuse one weighted einsum over it."""
-    xp = resolve_backend(backend)
-    safe = xp.where(active, distances, 1.0)
-    with xp.errstate():
-        return xp.where(active, 1.0 / safe, 0.0)
+    safe = np.where(active, distances, 1.0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return np.where(active, 1.0 / safe, 0.0)
 
 
-def _check_masked_distances(values, distances, active, name: str, xp):
-    values, active = _check_batched_mask(values, active, name, xp)
-    distances = xp.asarray(distances)
+def _check_masked_distances(values, distances, active, name: str):
+    values, active = _check_batched_mask(values, active, name)
+    distances = np.asarray(distances, dtype=np.float64)
     if tuple(distances.shape) != tuple(active.shape):
         raise DimensionMismatchError(
             f"{name} expects distances of shape {tuple(active.shape)}, "
@@ -274,7 +250,6 @@ def masked_unit_direction_sum(
     active,
     *,
     offsets=None,
-    backend: ArrayBackend | str | None = None,
 ):
     """Sum of unit vectors from per-scenario anchors to the active rows.
 
@@ -299,25 +274,22 @@ def masked_unit_direction_sum(
     in place into the unit directions (same bits as a fresh quotient, no
     second ``(B, n, d)`` array), so pass a copy to keep the offsets.
     """
-    xp = resolve_backend(backend)
     values, distances, active = _check_masked_distances(
-        values, distances, active, "masked_unit_direction_sum", xp
+        values, distances, active, "masked_unit_direction_sum"
     )
-    anchors = xp.asarray(anchors)
+    anchors = np.asarray(anchors, dtype=np.float64)
     if tuple(anchors.shape) != (values.shape[0], values.shape[2]):
         raise DimensionMismatchError(
             f"anchors must have shape "
             f"{(int(values.shape[0]), int(values.shape[2]))}, "
             f"got {tuple(anchors.shape)}"
         )
-    safe = xp.where(active, distances, 1.0)
-    with xp.errstate():
+    safe = np.where(active, distances, 1.0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if offsets is None:
             offsets = values - anchors[:, None, :]
         offsets /= safe[:, :, None]
-        return xp.einsum(
-            "bn,bnd->bd", xp.astype(active, xp.float_dtype), offsets
-        )
+        return np.einsum("bn,bnd->bd", active.astype(np.float64), offsets)
 
 
 def coordinate_median(x, axis: int):

@@ -1,10 +1,10 @@
 """One name-based registry for every pluggable component family.
 
 A scenario names each of its components — the aggregation rule, the
-attack, the workload, the array backend, the delay schedule, the server
-attack, the topology, a lint rule — as a registry name plus keyword
-arguments, and a :class:`Registry` instance per family turns that pair
-into an object.  Every family shares one contract:
+attack, the workload, the delay schedule, the server attack, the
+topology, a lint rule — as a registry name plus keyword arguments, and
+a :class:`Registry` instance per family turns that pair into an object.
+Every family shares one contract:
 
 * names are non-empty strings and factories are callables; a later
   registration under the same name overrides the earlier one;

@@ -255,7 +255,7 @@ class TestMimicryObserverMatchesFrozenReference:
             )
 
     def test_float32_rates_take_the_root_in_float64(self):
-        # Under a float32 backend the dots stay float32 and the root is
+        # For float32 input the dots stay float32 and the root is
         # math.sqrt's, as in the per-worker loop the observer replaced
         # (np.linalg.norm, which the reference uses, roots in float32).
         rng = np.random.default_rng(4)

@@ -4,7 +4,7 @@
 ``_point_optimality`` answers the same.  The sweep checks that for every
 (lane, anchor) pair over stacks built to sit on the test's edges:
 duplicates, collinear rows, data-point medians, residuals of norm
-``1 ± 1e-9`` and large offsets, in float64 and float32.  A counter test
+``1 ± 1e-9`` and large offsets.  A counter test
 guards the other side: on a stack shaped like the paper grid's, the
 screen decides every verdict, so the exact test never runs.
 """
@@ -12,18 +12,11 @@ screen decides every verdict, so the exact test never runs.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro.baselines.medians as medians
-from repro.backend import make_backend
 from tests.baselines.test_weiszfeld_reference import byzantine_stacks
-
-BACKENDS = {
-    "float64": make_backend("numpy"),
-    "float32": make_backend("numpy", {"dtype": "float32"}),
-}
 
 
 def marginal_rows(draw, n: int, d: int) -> np.ndarray:
@@ -82,18 +75,15 @@ def screen_stacks(draw):
     return stacks + offset
 
 
-@pytest.mark.parametrize("dtype", sorted(BACKENDS))
 @given(stacks=screen_stacks())
 @settings(max_examples=200, deadline=None)
-def test_screen_reject_implies_exact_reject(dtype, stacks):
-    xp = BACKENDS[dtype]
-    values = xp.asarray(stacks)
-    lanes, n, d = values.shape
-    gram, norms = medians._lane_gram(values, xp)
+def test_screen_reject_implies_exact_reject(stacks):
+    lanes, n, d = stacks.shape
+    gram, norms = medians._lane_gram(stacks)
     for anchor in range(n):
         anchors = np.full(lanes, anchor)
-        rejected = medians._screen_rejects(gram, norms, anchors, d, xp)
-        optimal = medians._point_optimality(values, values[:, anchor], xp)
+        rejected = medians._screen_rejects(gram, norms, anchors, d)
+        optimal = medians._point_optimality(stacks, stacks[:, anchor])
         assert not np.any(rejected & optimal), (anchor, rejected, optimal)
 
 
@@ -105,10 +95,9 @@ def test_screen_rejects_a_marginally_non_optimal_anchor():
     stack = np.array(
         [[0.0, 0.0], [np.cos(half), np.sin(half)], [2 * np.cos(half), -2 * np.sin(half)]]
     )[None]
-    xp = BACKENDS["float64"]
-    gram, norms = medians._lane_gram(stack, xp)
-    assert medians._screen_rejects(gram, norms, np.zeros(1, int), 2, xp).all()
-    assert not medians._point_optimality(stack, stack[:, 0], xp).any()
+    gram, norms = medians._lane_gram(stack)
+    assert medians._screen_rejects(gram, norms, np.zeros(1, int), 2).all()
+    assert not medians._point_optimality(stack, stack[:, 0]).any()
 
 
 def test_paper_grid_shaped_stack_never_runs_the_exact_test(monkeypatch):
@@ -118,9 +107,9 @@ def test_paper_grid_shaped_stack_never_runs_the_exact_test(monkeypatch):
     calls = []
     exact = medians._point_optimality
 
-    def counted(values, anchors, xp):
+    def counted(values, anchors):
         calls.append(values.shape[0])
-        return exact(values, anchors, xp)
+        return exact(values, anchors)
 
     monkeypatch.setattr(medians, "_point_optimality", counted)
     medians.batched_weiszfeld(stack)

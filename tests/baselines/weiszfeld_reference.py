@@ -4,12 +4,14 @@
 :func:`_point_optimality` as they stood before the Gram screen, the
 reused workspace, the clean-lane fast path and the out-of-steps
 suboptimality certificate, copied verbatim (only the entry point is
-renamed).  The two masked primitives it calls are inlined in their
-original arithmetic.  ``tests/baselines/test_weiszfeld_reference.py``
-pins the library's solver against it: wherever this reference returns,
-the library returns the same bits, and on non-finite stacks both raise
-the same error.  Do not edit this file to follow the library: it is the
-fixed point later rewrites of the solver are checked against.
+renamed, and each call into the retired array-backend namespace is
+spelled as the numpy call it forwarded to).  The two masked primitives
+it calls are inlined in their original arithmetic.
+``tests/baselines/test_weiszfeld_reference.py`` pins the library's
+solver against it: wherever this reference returns, the library returns
+the same bits, and on non-finite stacks both raise the same error.  Do
+not edit this file to follow the library: it is the fixed point later
+rewrites of the solver are checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.exceptions import (
     ConfigurationError,
     ConvergenceError,
@@ -28,25 +29,19 @@ from repro.exceptions import (
 __all__ = ["reference_weiszfeld"]
 
 
-def masked_inverse_distance_weights(distances, active, *, backend):
-    xp = resolve_backend(backend)
-    safe = xp.where(active, distances, 1.0)
-    with xp.errstate():
-        return xp.where(active, 1.0 / safe, 0.0)
+def masked_inverse_distance_weights(distances, active):
+    safe = np.where(active, distances, 1.0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return np.where(active, 1.0 / safe, 0.0)
 
 
-def masked_unit_direction_sum(
-    values, anchors, distances, active, *, offsets=None, backend
-):
-    xp = resolve_backend(backend)
-    safe = xp.where(active, distances, 1.0)
-    with xp.errstate():
+def masked_unit_direction_sum(values, anchors, distances, active, *, offsets=None):
+    safe = np.where(active, distances, 1.0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if offsets is None:
             offsets = values - anchors[:, None, :]
         directions = offsets / safe[:, :, None]
-        return xp.einsum(
-            "bn,bnd->bd", xp.astype(active, xp.float_dtype), directions
-        )
+        return np.einsum("bn,bnd->bd", active.astype(np.float64), directions)
 
 
 # Coincidence threshold of the Weiszfeld singularity handling, relative
@@ -78,13 +73,13 @@ _DEFAULT_MAX_ITERATIONS = 1000
 _VZ_SLACK = 1e-12
 
 
-def _row_norms(vectors, xp: ArrayBackend):
+def _row_norms(vectors):
     """Per-row euclidean norms along the last axis, NaN/Inf passed through."""
-    with xp.errstate():
-        return xp.sqrt(xp.einsum("...d,...d->...", vectors, vectors))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return np.sqrt(np.einsum("...d,...d->...", vectors, vectors))
 
 
-def _point_optimality(values, anchors, xp: ArrayBackend):
+def _point_optimality(values, anchors):
     """Vardi–Zhang verdict for per-scenario anchor data points.
 
     ``optimal[b]`` certifies ``anchors[b]`` as scenario b's geometric
@@ -98,23 +93,16 @@ def _point_optimality(values, anchors, xp: ArrayBackend):
     GEMM expansion — its cancellation error at large offsets would
     corrupt the scale-relative coincidence test).
     """
-    with xp.errstate():
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         offsets = values - anchors[:, None, :]
-        point_distances = xp.sqrt(xp.einsum("bnd,bnd->bn", offsets, offsets))
+        point_distances = np.sqrt(np.einsum("bnd,bnd->bn", offsets, offsets))
     r_norm, multiplicity, others = _vardi_zhang_residual(
-        values, anchors, point_distances, xp, offsets=offsets
+        values, anchors, point_distances, offsets=offsets
     )
-    return ~xp.any(others, axis=1) | (r_norm <= multiplicity * (1.0 + _VZ_SLACK))
+    return ~np.any(others, axis=1) | (r_norm <= multiplicity * (1.0 + _VZ_SLACK))
 
 
-def _vardi_zhang_residual(
-    values,
-    anchors,
-    distances,
-    xp: ArrayBackend,
-    *,
-    offsets=None,
-):
+def _vardi_zhang_residual(values, anchors, distances, *, offsets=None):
     """Vardi–Zhang residual around per-scenario anchor points.
 
     Rows within ``_COINCIDENCE_RTOL`` of the anchor (relative to the
@@ -123,16 +111,14 @@ def _vardi_zhang_residual(
     (``offsets`` forwards a precomputed ``values - anchors`` tensor).
     Returns ``(r_norm (B,), multiplicity (B,), others (B, n))``.
     """
-    scale = xp.fmax(1.0, xp.max(distances, axis=1))
+    scale = np.fmax(1.0, np.max(distances, axis=1))
     coincident = distances <= _COINCIDENCE_RTOL * scale[:, None]
     others = ~coincident
     residual = masked_unit_direction_sum(
-        values, anchors, distances, others, offsets=offsets, backend=xp
+        values, anchors, distances, others, offsets=offsets
     )
-    r_norm = _row_norms(residual, xp)
-    multiplicity = xp.astype(
-        xp.count_nonzero(coincident, axis=1), xp.float_dtype
-    )
+    r_norm = _row_norms(residual)
+    multiplicity = np.count_nonzero(coincident, axis=1).astype(np.float64)
     return r_norm, multiplicity, others
 
 
@@ -167,7 +153,6 @@ def reference_weiszfeld(
     *,
     tolerance: float = _DEFAULT_TOLERANCE,
     max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    backend: ArrayBackend | str | None = None,
 ):
     """Geometric medians of a ``(B, n, d)`` batch via Weiszfeld iteration.
 
@@ -177,10 +162,7 @@ def reference_weiszfeld(
     keep iterating.  Every arithmetic step is a per-scenario (lane-wise)
     tensor operation, so slice ``b`` of the result is bit-for-bit what a
     batch of the single scenario ``stacks[b]`` produces — which is
-    exactly how :class:`GeometricMedian` runs it (``B = 1``).  The
-    whole solve speaks the :class:`~repro.backend.ArrayBackend`
-    namespace (``backend=`` selects it; numpy by default, where results
-    are bit-for-bit what the pre-seam implementation produced).
+    exactly how :class:`GeometricMedian` runs it (``B = 1``).
 
     A scenario terminates when (in priority order per iteration):
 
@@ -203,8 +185,7 @@ def reference_weiszfeld(
     Raises :class:`~repro.exceptions.ConvergenceError` when none does
     (e.g. NaN proposals, which never satisfy any convergence predicate).
     """
-    xp = resolve_backend(backend)
-    stacks = xp.asarray(stacks)
+    stacks = np.asarray(stacks, dtype=np.float64)
     if stacks.ndim != 3:
         raise DimensionMismatchError(
             f"batched Weiszfeld expects shape (B, n, d), "
@@ -221,24 +202,24 @@ def reference_weiszfeld(
             f"max_iterations must be >= 1, got {max_iterations}"
         )
     batch, n, dimension = stacks.shape
-    results = xp.empty((batch, dimension))
+    results = np.empty((batch, dimension))
     if n == 1:
         results[:] = stacks[:, 0]
         return results
 
     lanes = _LaneState(
-        indices=xp.arange(batch),  # output slots of still-active lanes
+        indices=np.arange(batch),  # output slots of still-active lanes
         values=stacks,
-        estimates=xp.mean(stacks, axis=1),
+        estimates=np.mean(stacks, axis=1),
         # Lazy per-lane cache of the nearest point's optimality verdict:
         # the verdict is estimate-independent, and the nearest point
         # rarely changes once the iterate homes in, so most iterations
         # reuse it.
-        cached_nearest=xp.full((batch,), -1, dtype=xp.int_dtype),
-        cached_optimal=xp.zeros((batch,), dtype=xp.bool_dtype),
-        objectives=xp.empty((batch,)),
-        strikes=xp.zeros((batch,), dtype=xp.int_dtype),
-        shifts=xp.full((batch,), float("nan")),
+        cached_nearest=np.full((batch,), -1, dtype=np.int64),
+        cached_optimal=np.zeros((batch,), dtype=np.bool_),
+        objectives=np.empty((batch,)),
+        strikes=np.zeros((batch,), dtype=np.int64),
+        shifts=np.full((batch,), float("nan")),
     )
 
     # The loop runs max_iterations Weiszfeld steps; the shift/stall
@@ -248,28 +229,28 @@ def reference_weiszfeld(
     # values and the check order (previous step's shift/stall, then the
     # optimality test, then cluster certification) are unchanged.
     for pass_index in range(max_iterations + 1):
-        with xp.errstate():
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             diffs = lanes.values - lanes.estimates[:, None, :]
-        distances = _row_norms(diffs, xp)
-        current_objectives = xp.sum(distances, axis=1)
+        distances = _row_norms(diffs)
+        current_objectives = np.sum(distances, axis=1)
 
         if pass_index > 0:
             # 3. Stall strikes and the shift tolerance for the previous
             #    step (``lanes.estimates`` is that step's result).
             stalled = (
                 current_objectives
-                >= lanes.objectives - _STALL_RTOL * xp.fmax(1.0, lanes.objectives)
+                >= lanes.objectives - _STALL_RTOL * np.fmax(1.0, lanes.objectives)
             )
-            lanes.strikes = xp.where(stalled, lanes.strikes + 1, 0)
-            converged = lanes.shifts <= tolerance * xp.fmax(
-                1.0, _row_norms(lanes.estimates, xp)
+            lanes.strikes = np.where(stalled, lanes.strikes + 1, 0)
+            converged = lanes.shifts <= tolerance * np.fmax(
+                1.0, _row_norms(lanes.estimates)
             )
             finished = converged | (lanes.strikes >= 3)
-            lanes.objectives = xp.minimum(lanes.objectives, current_objectives)
-            if xp.any(finished):
+            lanes.objectives = np.minimum(lanes.objectives, current_objectives)
+            if np.any(finished):
                 results[lanes.indices[finished]] = lanes.estimates[finished]
                 keep = ~finished
-                if not xp.any(keep):
+                if not np.any(keep):
                     return results
                 lanes.compact(keep)
                 diffs = diffs[keep]
@@ -280,19 +261,19 @@ def reference_weiszfeld(
         if pass_index == max_iterations:
             break  # final pass only settles the last step's verdict
 
-        rows = xp.arange(lanes.values.shape[0])
+        rows = np.arange(lanes.values.shape[0])
 
         # 1. Optimality test at the nearest data point, served from the
         #    per-lane cache and recomputed only where `nearest` moved.
-        nearest = xp.argmin(distances, axis=1)
+        nearest = np.argmin(distances, axis=1)
         points = lanes.values[rows, nearest]
         stale = nearest != lanes.cached_nearest
-        if xp.any(stale):
+        if np.any(stale):
             lanes.cached_optimal[stale] = _point_optimality(
-                lanes.values[stale], points[stale], xp
+                lanes.values[stale], points[stale]
             )
             lanes.cached_nearest[stale] = nearest[stale]
-        optimal = xp.copy(lanes.cached_optimal)
+        optimal = np.copy(lanes.cached_optimal)
 
         # 2. Singularity handling at the current iterate.  Lanes whose
         #    iterate sits on a data-point cluster either stop (residual
@@ -300,40 +281,37 @@ def reference_weiszfeld(
         #    Vardi–Zhang step; clean lanes take the plain step.  The
         #    residual reuses the already-computed ``diffs`` and doubles
         #    as the step direction below.
-        step_scale = xp.fmax(1.0, xp.max(distances, axis=1))
+        step_scale = np.fmax(1.0, np.max(distances, axis=1))
         at_point = distances <= _COINCIDENCE_RTOL * step_scale[:, None]
         step_others = ~at_point
-        at_cluster = xp.any(at_point, axis=1)
-        all_coincident = at_cluster & ~xp.any(step_others, axis=1)
+        at_cluster = np.any(at_point, axis=1)
+        all_coincident = at_cluster & ~np.any(step_others, axis=1)
         weights = masked_inverse_distance_weights(
-            distances, step_others, backend=xp
+            distances, step_others
         )
-        weight_sum = xp.sum(weights, axis=1)
+        weight_sum = np.sum(weights, axis=1)
         step_r = masked_unit_direction_sum(
             lanes.values,
             lanes.estimates,
             distances,
             step_others,
             offsets=diffs,
-            backend=xp,
         )
-        step_r_norm = _row_norms(step_r, xp)
-        step_mult = xp.astype(
-            xp.count_nonzero(at_point, axis=1), xp.float_dtype
-        )
-        certified = at_cluster & xp.any(step_others, axis=1) & (
+        step_r_norm = _row_norms(step_r)
+        step_mult = np.count_nonzero(at_point, axis=1).astype(np.float64)
+        certified = at_cluster & np.any(step_others, axis=1) & (
             step_r_norm <= step_mult * (1.0 + _VZ_SLACK)
         )
 
         # Commit lanes finishing before the step, in priority order.
-        done = xp.copy(optimal)
+        done = np.copy(optimal)
         results[lanes.indices[optimal]] = points[optimal]
         stop_current = (all_coincident | certified) & ~done
         results[lanes.indices[stop_current]] = lanes.estimates[stop_current]
         done |= stop_current
-        if xp.any(done):
+        if np.any(done):
             keep = ~done
-            if not xp.any(keep):
+            if not np.any(keep):
                 return results
             lanes.compact(keep)
             step_r = step_r[keep]
@@ -346,36 +324,36 @@ def reference_weiszfeld(
         # estimate displaced by the weighted residual,
         # ``T = e + R / Σw`` (one small correction instead of a second
         # full-size weighted sum).
-        with xp.errstate():
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             tentative = lanes.estimates + step_r / weight_sum[:, None]
-            dampening = (step_r_norm - step_mult) / xp.where(
+            dampening = (step_r_norm - step_mult) / np.where(
                 step_r_norm > 0.0, step_r_norm, 1.0
             )
             corrected = (
                 (1.0 - dampening)[:, None] * lanes.estimates
                 + dampening[:, None] * tentative
             )
-            new_estimates = xp.where(at_cluster[:, None], corrected, tentative)
-            lanes.shifts = _row_norms(new_estimates - lanes.estimates, xp)
+            new_estimates = np.where(at_cluster[:, None], corrected, tentative)
+            lanes.shifts = _row_norms(new_estimates - lanes.estimates)
         lanes.estimates = new_estimates
 
     # Out of steps.  A lane can be crawling toward an optimal data point
     # other than its nearest one, along a nearly flat objective that the
     # nearest-point test cannot see across: certify its data points
     # from the nearest outward and commit the first that passes.
-    rows = xp.arange(lanes.values.shape[0])
-    pending = xp.full((len(lanes.indices),), True, dtype=xp.bool_dtype)
-    order = xp.argsort(distances, axis=1, stable=True)
-    for nearest in xp.transpose(order, (1, 0)):
+    rows = np.arange(lanes.values.shape[0])
+    pending = np.full((len(lanes.indices),), True, dtype=np.bool_)
+    order = np.argsort(distances, axis=1, kind="stable")
+    for nearest in np.transpose(order, (1, 0)):
         points = lanes.values[rows, nearest]
-        certified = pending & _point_optimality(lanes.values, points, xp)
+        certified = pending & _point_optimality(lanes.values, points)
         results[lanes.indices[certified]] = points[certified]
         pending &= ~certified
-    if not xp.any(pending):
+    if not np.any(pending):
         return results
     raise ConvergenceError(
         f"Weiszfeld iteration did not converge in {max_iterations} steps "
-        f"for {int(xp.count_nonzero(pending))} of {batch} scenario(s) "
-        f"(last shift {float(xp.max(lanes.shifts[pending])):.3g})"
+        f"for {int(np.count_nonzero(pending))} of {batch} scenario(s) "
+        f"(last shift {float(np.max(lanes.shifts[pending])):.3g})"
     )
 

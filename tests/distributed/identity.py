@@ -77,13 +77,11 @@ def assert_identical(result_a, result_b, *, by_position=False) -> None:
         assert_cell_identical(result_a, label_a, result_b, label_b)
 
 
-def assert_loop_equals_batched(grid: ScenarioGrid, *, eval_every: int, **kwargs):
+def assert_loop_equals_batched(grid: ScenarioGrid, *, eval_every: int):
     """Run ``grid`` through both executors and assert they are identical.
-
-    ``kwargs`` go to the batched run (e.g. ``chunk_size``).  Returns the
-    ``(loop, batched)`` results.
+    Returns the ``(loop, batched)`` results.
     """
     loop = run_grid(grid, mode="loop", eval_every=eval_every)
-    batched = run_grid(grid, mode="batched", eval_every=eval_every, **kwargs)
+    batched = run_grid(grid, mode="batched", eval_every=eval_every)
     assert_identical(loop, batched)
     return loop, batched

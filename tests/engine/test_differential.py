@@ -36,6 +36,7 @@ from repro.exceptions import (
     ConvergenceError,
     DimensionMismatchError,
 )
+from repro.utils import linalg
 from repro.utils.linalg import (
     batched_pairwise_sq_distances,
     pairwise_sq_distances,
@@ -93,11 +94,12 @@ class TestBatchedDistanceKernel:
                     )
                     assert bitwise_equal(got[b], want)
 
-    def test_chunking_matches_unchunked(self):
+    def test_chunking_matches_unchunked(self, monkeypatch):
         batch = make_batches(3)[0]
         whole = batched_pairwise_sq_distances(batch)
         for chunk_size in (1, 2, 3, batch.shape[0], batch.shape[0] + 7):
-            chunked = batched_pairwise_sq_distances(batch, chunk_size=chunk_size)
+            monkeypatch.setattr(linalg, "CHUNK_SIZE", chunk_size)
+            chunked = batched_pairwise_sq_distances(batch)
             assert bitwise_equal(whole, chunked)
 
 
@@ -122,13 +124,12 @@ class TestBatchedKrumScores:
                             atol=1e-10 * scale * n,
                         )
 
-    def test_chunk_size_does_not_change_scores(self):
+    def test_chunk_size_does_not_change_scores(self, monkeypatch):
         batch = make_batches(4)[0]
         whole = batched_krum_scores(batch, 1)
         for chunk_size in (1, 2, 5):
-            assert bitwise_equal(
-                whole, batched_krum_scores(batch, 1, chunk_size=chunk_size)
-            )
+            monkeypatch.setattr(linalg, "CHUNK_SIZE", chunk_size)
+            assert bitwise_equal(whole, batched_krum_scores(batch, 1))
 
 
 def _rules_for(n: int) -> list:
@@ -216,13 +217,13 @@ class TestBatchedBulyan:
             assert committee.shape == (11 - 2 * 2,)
             assert np.all(np.diff(committee) > 0)  # sorted, no duplicates
 
-    def test_chunking_matches_unchunked(self, rng):
+    def test_chunking_matches_unchunked(self, rng, monkeypatch):
         batch = rng.standard_normal((7, 9, 4))
-        whole = make_batched_aggregator(Bulyan(f=1)).aggregate_batch(batch)
+        adapter = make_batched_aggregator(Bulyan(f=1))
+        whole = adapter.aggregate_batch(batch)
         for chunk_size in (1, 2, 3, 7, 19):
-            chunked = make_batched_aggregator(
-                Bulyan(f=1), chunk_size=chunk_size
-            ).aggregate_batch(batch)
+            monkeypatch.setattr(linalg, "CHUNK_SIZE", chunk_size)
+            chunked = adapter.aggregate_batch(batch)
             assert bitwise_equal(chunked.vectors, whole.vectors)
             for a, b in zip(chunked.selected, whole.selected):
                 np.testing.assert_array_equal(a, b)
@@ -280,14 +281,13 @@ class TestBatchedGeometricMedian:
             for i, b in enumerate(converging):
                 assert bitwise_equal(result.vectors[i], loop_outcomes[b])
 
-    def test_chunking_matches_unchunked(self, rng):
+    def test_chunking_matches_unchunked(self, rng, monkeypatch):
         batch = rng.standard_normal((6, 10, 3))
-        rule = GeometricMedian()
-        whole = make_batched_aggregator(rule).aggregate_batch(batch)
+        adapter = make_batched_aggregator(GeometricMedian())
+        whole = adapter.aggregate_batch(batch)
         for chunk_size in (1, 2, 4, 6, 11):
-            chunked = make_batched_aggregator(
-                rule, chunk_size=chunk_size
-            ).aggregate_batch(batch)
+            monkeypatch.setattr(linalg, "CHUNK_SIZE", chunk_size)
+            chunked = adapter.aggregate_batch(batch)
             assert bitwise_equal(chunked.vectors, whole.vectors)
 
 
@@ -405,14 +405,14 @@ class TestGridTrajectories:
     and both against the frozen reference round."""
 
     @staticmethod
-    def _assert_identical(grid: ScenarioGrid, **kwargs):
+    def _assert_identical(grid: ScenarioGrid):
         """Assert loop == batched == reference; return the batched run."""
-        loop, batched = assert_loop_equals_batched(grid, eval_every=5, **kwargs)
+        loop, batched = assert_loop_equals_batched(grid, eval_every=5)
         assert_matches_reference(loop, grid, eval_every=5)
         return batched
 
     @pytest.mark.parametrize("seed", [0, 17])
-    def test_randomized_grid(self, seed):
+    def test_randomized_grid(self, seed, monkeypatch):
         grid = ScenarioGrid(
             seeds=(seed, seed + 1),
             attacks=(
@@ -430,7 +430,8 @@ class TestGridTrajectories:
             workload_kwargs={"dimension": 9, "sigma": 0.4},
             num_rounds=12,
         )
-        self._assert_identical(grid, chunk_size=3)
+        monkeypatch.setattr(linalg, "CHUNK_SIZE", 3)
+        self._assert_identical(grid)
 
     def test_nonfinite_byzantine_inputs(self):
         """NaN proposals flow through both executors identically."""
@@ -458,7 +459,7 @@ class TestGridTrajectories:
         )
         self._assert_identical(grid)
 
-    def test_mixed_workload_grid(self):
+    def test_mixed_workload_grid(self, monkeypatch):
         """Acceptance criterion of the workload redesign: a grid mixing
         the quadratic bowl with two dataset-backed workloads stays
         bit-for-bit identical between the loop and batched executors
@@ -485,9 +486,10 @@ class TestGridTrajectories:
             lr_timescale=None,
         )
         assert len(grid) == 2 * 3 * 2 * 2
-        self._assert_identical(grid, chunk_size=2)
+        monkeypatch.setattr(linalg, "CHUNK_SIZE", 2)
+        self._assert_identical(grid)
 
-    def test_bulyan_and_geometric_median_kernels_in_grid(self):
+    def test_bulyan_and_geometric_median_kernels_in_grid(self, monkeypatch):
         """The two rules that used to take the loop fallback now run
         native — and must stay trajectory-identical through full runs."""
         grid = ScenarioGrid(
@@ -503,7 +505,8 @@ class TestGridTrajectories:
             workload_kwargs={"dimension": 6, "sigma": 0.3},
             num_rounds=10,
         )
-        self._assert_identical(grid, chunk_size=2)
+        monkeypatch.setattr(linalg, "CHUNK_SIZE", 2)
+        self._assert_identical(grid)
 
     def test_paper_grid_runs_every_rule_natively(self):
         """The paper's rule × attack × f grid: all eight rules aggregate
@@ -512,7 +515,7 @@ class TestGridTrajectories:
         batched = self._assert_identical(paper_grid("small"))
         assert batched.native_fraction == 1.0
 
-    def test_adaptive_attacks_in_grid(self):
+    def test_adaptive_attacks_in_grid(self, monkeypatch):
         """Acceptance criterion of the adaptive adversary suite: the
         stateful adaptive attacks — and the ``selected_last_round``
         feedback the probe consumes — thread identically through the
@@ -543,7 +546,8 @@ class TestGridTrajectories:
             workload_kwargs={"dimension": 6, "sigma": 0.3},
             num_rounds=10,
         )
-        self._assert_identical(grid, chunk_size=4)
+        monkeypatch.setattr(linalg, "CHUNK_SIZE", 4)
+        self._assert_identical(grid)
 
 
 class TestDatasetRuleComparison:

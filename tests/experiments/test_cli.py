@@ -222,17 +222,3 @@ class TestTopologyFlags:
         err = capsys.readouterr().err
         assert code == 2
         assert "exclusive" in err
-
-    def test_topology_excludes_backend(self, capsys):
-        code = main(
-            [
-                "--dataset", "blobs",
-                "--topology", "ring",
-                "--backend", "numpy",
-                "--rounds", "5",
-                "--train-size", "100",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "event-driven" in err

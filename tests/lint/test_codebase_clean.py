@@ -28,7 +28,6 @@ def test_gate_actually_scanned_the_library():
     # empty glob), the zero-findings assertion would pass vacuously.
     report = lint_paths([PACKAGE_ROOT])
     assert report.files_checked >= 90
-    assert "backend-purity" in report.rule_names
     assert "rng-discipline" in report.rule_names
     assert "error-taxonomy" in report.rule_names
     assert "stateful-attack-declaration" in report.rule_names

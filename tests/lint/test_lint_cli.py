@@ -57,7 +57,6 @@ def test_output_writes_json_report_in_text_mode(tmp_path, capsys):
     assert payload["version"] == 1
     assert payload["files_checked"] == 1
     assert payload["rules"] == [
-        "backend-purity",
         "error-taxonomy",
         "rng-discipline",
         "stateful-attack-declaration",

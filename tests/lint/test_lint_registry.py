@@ -21,7 +21,6 @@ from repro.lint.registry import RULES
 
 def test_builtin_rules_are_registered():
     assert available_rules() == [
-        "backend-purity",
         "error-taxonomy",
         "rng-discipline",
         "stateful-attack-declaration",

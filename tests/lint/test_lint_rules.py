@@ -2,8 +2,7 @@
 stays quiet on the matching good one.
 
 The bad fixtures reproduce the historical bug shapes the rules exist
-for: the PR 4 float64-literal/np-in-kernel shape (backend-purity), the
-unseeded ``default_rng`` shape (rng-discipline), the PR 2 bare
+for: the unseeded ``default_rng`` shape (rng-discipline), the PR 2 bare
 ``ValueError`` shape (error-taxonomy) and the stateful-attack reuse
 shape (stateful-attack-declaration).
 """
@@ -16,7 +15,6 @@ import pytest
 
 from repro.lint import lint_source, make_rule
 
-KERNEL_PATH = "src/repro/core/batched.py"
 LIBRARY_PATH = "src/repro/distributed/server.py"
 
 
@@ -24,153 +22,6 @@ def run_rule(name: str, code: str, path: str = LIBRARY_PATH):
     return lint_source(
         textwrap.dedent(code), path=path, rules=[make_rule(name)]
     )
-
-
-# ----------------------------------------------------------------------
-# backend-purity
-# ----------------------------------------------------------------------
-
-
-class TestBackendPurity:
-    def test_np_call_in_kernel_function_fires(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            def batched_mean(stacks, *, backend=None):
-                return np.mean(stacks, axis=1)
-            """,
-            path=KERNEL_PATH,
-        )
-        assert [f.rule for f in findings] == ["backend-purity"]
-        assert "np.mean" in findings[0].message
-
-    def test_float_dtype_literal_fires(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            def stage(stacks, xp):
-                out = xp.empty(stacks.shape, dtype=np.float64)
-                return out
-            """,
-            path=KERNEL_PATH,
-        )
-        assert len(findings) == 1
-        assert "float dtype literal" in findings[0].message
-
-    def test_float_dtype_string_fires(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            def stage(stacks, xp):
-                return stacks.astype("float32")
-            """,
-            path=KERNEL_PATH,
-        )
-        assert len(findings) == 1
-        assert "'float32'" in findings[0].message
-
-    def test_bare_np_empty_upcast_shape_fires(self):
-        # The PR 4 audit shape: np.empty defaults to float64, silently
-        # up-casting float32 kernel batches staged through it.
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            def stage(stacks, *, backend=None):
-                out = np.empty((2, 3))
-                return out
-            """,
-            path=KERNEL_PATH,
-        )
-        assert len(findings) == 1
-        assert "integer dtype" in findings[0].message
-
-    def test_kernel_class_method_fires(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            class _BatchedThing(BatchedAggregator):
-                def aggregate_batch(self, stacks):
-                    return np.median(stacks, axis=1)
-            """,
-            path=KERNEL_PATH,
-        )
-        assert len(findings) == 1
-
-    def test_loop_fallback_class_is_exempt(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            class LoopThing(BatchedAggregator):
-                is_native = False
-
-                def aggregate_batch(self, stacks):
-                    return np.median(stacks, axis=1)
-            """,
-            path=KERNEL_PATH,
-        )
-        assert findings == []
-
-    def test_host_side_int_bookkeeping_is_allowed(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            def select(stacks, xp):
-                order = xp.argsort(stacks)
-                return np.asarray(xp.to_numpy(order), dtype=np.int64)
-            """,
-            path=KERNEL_PATH,
-        )
-        assert findings == []
-
-    def test_backend_namespace_code_is_clean(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            def batched_mean(stacks, *, backend=None):
-                xp = resolve_backend(backend)
-                return xp.mean(xp.asarray(stacks), axis=1)
-            """,
-            path=KERNEL_PATH,
-        )
-        assert findings == []
-
-    def test_non_kernel_module_is_out_of_scope(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            def helper(stacks, *, backend=None):
-                return np.mean(stacks)
-            """,
-            path=LIBRARY_PATH,
-        )
-        assert findings == []
-
-    def test_module_level_numpy_is_out_of_scope(self):
-        findings = run_rule(
-            "backend-purity",
-            """
-            import numpy as np
-
-            _EMPTY = np.array([], dtype=np.int64)
-            TABLE = np.zeros(4)
-            """,
-            path=KERNEL_PATH,
-        )
-        assert findings == []
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.core.bulyan import Bulyan, batched_bulyan
 from repro.core.krum import Krum, MultiKrum
 from repro.engine import ScenarioGrid
 from repro.exceptions import ConvergenceError
+from repro.utils import linalg
 from repro.utils.linalg import batched_pairwise_sq_distances
 
 
@@ -140,53 +141,56 @@ class TestBatchPermutationEquivariance:
         assert bitwise_equal(shuffled, straight[perm])
 
 
+def chunked(kernel, chunk_size: int):
+    """``kernel()`` with the batched kernels' chunk size set to
+    ``chunk_size``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "CHUNK_SIZE", chunk_size)
+        return kernel()
+
+
 class TestChunkInvariance:
     @given(batches(), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_distances_invariant_to_chunk_size(self, case, chunk_size):
         batch, _f = case
         whole = batched_pairwise_sq_distances(batch)
-        chunked = batched_pairwise_sq_distances(batch, chunk_size=chunk_size)
-        assert bitwise_equal(whole, chunked)
+        parts = chunked(lambda: batched_pairwise_sq_distances(batch), chunk_size)
+        assert bitwise_equal(whole, parts)
 
     @given(batches(), st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
     def test_krum_scores_invariant_to_chunk_size(self, case, chunk_size):
         batch, f = case
         whole = batched_krum_scores(batch, f)
-        chunked = batched_krum_scores(batch, f, chunk_size=chunk_size)
-        assert bitwise_equal(whole, chunked)
+        parts = chunked(lambda: batched_krum_scores(batch, f), chunk_size)
+        assert bitwise_equal(whole, parts)
 
     @given(batches(min_n=7), st.integers(1, 8))
     @settings(max_examples=20, deadline=None)
     def test_bulyan_invariant_to_chunk_size(self, case, chunk_size):
         batch, _f = case
         f = (batch.shape[1] - 3) // 4
-        whole = make_batched_aggregator(Bulyan(f=f)).aggregate_batch(batch)
-        chunked = make_batched_aggregator(
-            Bulyan(f=f), chunk_size=chunk_size
-        ).aggregate_batch(batch)
-        assert bitwise_equal(whole.vectors, chunked.vectors)
-        for a, b in zip(whole.selected, chunked.selected):
+        adapter = make_batched_aggregator(Bulyan(f=f))
+        whole = adapter.aggregate_batch(batch)
+        parts = chunked(lambda: adapter.aggregate_batch(batch), chunk_size)
+        assert bitwise_equal(whole.vectors, parts.vectors)
+        for a, b in zip(whole.selected, parts.selected):
             assert bitwise_equal(a, b)
 
     @given(batches(), st.integers(1, 8))
     @settings(max_examples=15, deadline=None)
     def test_geometric_median_invariant_to_chunk_size(self, case, chunk_size):
         batch, _f = case
-        rule = GeometricMedian()
+        adapter = make_batched_aggregator(GeometricMedian())
         try:
-            whole = make_batched_aggregator(rule).aggregate_batch(batch)
+            whole = adapter.aggregate_batch(batch)
         except ConvergenceError:
             with pytest.raises(ConvergenceError):
-                make_batched_aggregator(
-                    rule, chunk_size=chunk_size
-                ).aggregate_batch(batch)
+                chunked(lambda: adapter.aggregate_batch(batch), chunk_size)
             return
-        chunked = make_batched_aggregator(
-            rule, chunk_size=chunk_size
-        ).aggregate_batch(batch)
-        assert bitwise_equal(whole.vectors, chunked.vectors)
+        parts = chunked(lambda: adapter.aggregate_batch(batch), chunk_size)
+        assert bitwise_equal(whole.vectors, parts.vectors)
 
 
 # The nine singular/plural knob pairs of ScenarioGrid, as (singular,

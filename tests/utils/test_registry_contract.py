@@ -7,7 +7,7 @@ the kind, the entry and its accepted parameters, names are non-empty
 strings, factories are callables, later registrations override, and the
 optional families have a ``None`` arm — is checked once here against
 all of them.  Family-specific behaviour (composite/probe parts, kardam's
-``f`` forwarding, the torch backend, ...) stays in each family's tests.
+``f`` forwarding, ...) stays in each family's tests.
 
 The registries' consumers are checked here too, against registries
 found by walking every ``repro`` module rather than from a list: the
@@ -36,13 +36,6 @@ from repro.attacks.registry import (
     available_attacks,
     make_attack,
     register_attack,
-)
-from repro.backend.registry import (
-    BACKENDS,
-    available_backends,
-    backend_factory,
-    make_backend,
-    register_backend,
 )
 from repro.core.registry import (
     AGGREGATORS,
@@ -123,10 +116,6 @@ FAMILIES = {
     "workload": Family(
         WORKLOADS, register_workload, available_workloads, workload_factory,
         make_workload, "quadratic", "dimension", False,
-    ),
-    "backend": Family(
-        BACKENDS, register_backend, available_backends, backend_factory,
-        make_backend, "numpy", "dtype", False,
     ),
     "delay schedule": Family(
         DELAY_SCHEDULES, register_delay_schedule, available_delay_schedules,
@@ -282,20 +271,11 @@ class TestUnintrospectableFactories:
 
 
 README = Path(__file__).resolve().parents[2] / "README.md"
-#: Optional extras: a module that imports one may be absent without it.
-OPTIONAL_DEPENDENCIES = {"torch"}
-
-
 def discovered_registries() -> dict[str, Registry]:
     """Every module-level :class:`Registry` in ``repro``, by kind."""
     found: dict[str, Registry] = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        try:
-            module = importlib.import_module(info.name)
-        except ModuleNotFoundError as error:
-            if error.name in OPTIONAL_DEPENDENCIES:
-                continue
-            raise
+        module = importlib.import_module(info.name)
         for value in vars(module).values():
             if isinstance(value, Registry):
                 found[value.kind] = value
@@ -325,7 +305,6 @@ def readme_tables(first_header: str) -> list[list[str]]:
 CLI_REGISTRIES = (
     "aggregator",
     "attack",
-    "backend",
     "delay schedule",
     "server attack",
     "topology",
