@@ -16,6 +16,8 @@ faster.
 
 from __future__ import annotations
 
+import pytest
+
 from benchmarks.conftest import emit, run_once
 from repro.attacks.omniscient import OmniscientAttack
 from repro.attacks.random_noise import GaussianAttack
@@ -136,6 +138,9 @@ def _emit_panel(title, arms):
     )
 
 
+# The averaging arm must diverge (the figure's point), and the MLP's loss
+# overflows (then turns NaN) on the way there.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def bench_fig4_mnist_mlp_omniscient(benchmark):
     arms = run_once(benchmark, _mnist_panel)
     _emit_panel("Fig 4 (mnist-like panel) — test error vs round", arms)

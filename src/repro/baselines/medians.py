@@ -402,12 +402,14 @@ def batched_weiszfeld(
         return results
 
     gram, norms = _lane_gram(stacks)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        estimates = np.mean(stacks, axis=1)
     lanes = _LaneState(
         indices=np.arange(batch),  # output slots of still-active lanes
         values=stacks,
         gram=gram,
         norms=norms,
-        estimates=np.mean(stacks, axis=1),
+        estimates=estimates,
         # Lazy per-lane cache of the nearest point's optimality verdict:
         # the verdict is estimate-independent, and the nearest point
         # rarely changes once the iterate homes in, so most iterations

@@ -305,7 +305,8 @@ def coordinate_median(x, axis: int):
     n = ordered.shape[axis]
     middle = [slice(None)] * ordered.ndim
     middle[axis] = slice((n - 1) // 2, n // 2 + 1)
-    result = np.mean(ordered[tuple(middle)], axis=axis)
+    with np.errstate(invalid="ignore"):  # -inf and +inf in the middle
+        result = np.mean(ordered[tuple(middle)], axis=axis)
     last = ordered.take(-1, axis=axis)
     nans = np.isnan(last)
     if nans.any():

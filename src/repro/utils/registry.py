@@ -1,8 +1,8 @@
 """One name-based registry for every pluggable component family.
 
 A scenario names each of its components — the aggregation rule, the
-attack, the workload, the delay schedule, the server attack, the
-topology, a lint rule — as a registry name plus keyword arguments, and
+attack, the workload, the delay schedule, the server attack and the
+topology — as a registry name plus keyword arguments, and
 a :class:`Registry` instance per family turns that pair into an object.
 Every family shares one contract:
 

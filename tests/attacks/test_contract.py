@@ -3,19 +3,34 @@
 Every name in ``available_attacks()`` must honour the craft contract:
 an ``(f, d)`` float64 output, no mutation of the context's arrays,
 determinism under a fixed RNG (with ``reset()`` restoring stateful
-attacks to a fresh run), and an empty block at ``f = 0`` for attacks
-whose adversary model permits an empty coalition.  The sweep is
-registry-driven, so a newly registered attack is contract-tested by
-construction — forgetting to extend this file is impossible.
+attacks to a fresh run), an honest ``stateful`` flag, and an empty block
+at ``f = 0`` for attacks whose adversary model permits an empty
+coalition.  The sweep is registry-driven, so a newly registered attack
+is contract-tested by construction; the concrete attacks no registry
+lists (they need a model or a target) join it through
+:data:`UNREGISTERED`, and a guard fails on any concrete attack class
+that is neither.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pickle
+import pkgutil
+
 import numpy as np
 import pytest
 
-from repro.attacks.base import AttackContext
+import repro
+from repro.attacks.base import Attack, AttackContext
+from repro.attacks.hijack import LinearHijackAttack
+from repro.attacks.poisoning import LabelFlipAttack
 from repro.attacks.registry import available_attacks, make_attack
+from repro.data.synthetic import make_blobs
+from repro.models.logistic import LogisticRegressionModel
+from repro.servers.attacks import ServerAttack
+from repro.servers.registry import available_server_attacks, make_server_attack
 
 DIMENSION = 5
 NUM_HONEST = 6
@@ -25,10 +40,27 @@ DEFAULT_KWARGS: dict[str, dict] = {
     "composite": {"parts": (("crash", {}, 1), ("sign-flip", {}, 2))},
 }
 
+
+def _label_flip() -> LabelFlipAttack:
+    blobs = make_blobs(40, num_classes=2, num_features=DIMENSION - 1, seed=0)
+    model = LogisticRegressionModel(DIMENSION - 1)
+    shards = [(blobs.inputs[:20], blobs.targets[:20])]
+    return LabelFlipAttack(model, shards, num_classes=2, batch_size=8)
+
+
+#: Concrete attacks no registry lists, by sweep name.
+UNREGISTERED = {
+    "label-flip": _label_flip,
+    "linear-hijack": lambda: LinearHijackAttack(np.full(DIMENSION, 2.0)),
+}
+
+SWEPT = available_attacks() + sorted(UNREGISTERED)
+
 #: Minimum coalition size an attack's adversary model requires.
 MIN_F: dict[str, int] = {
     "collusion": 2,  # needs a colluding majority of >= 2
     "composite": 3,  # the DEFAULT_KWARGS parts sum to exactly 3
+    "linear-hijack": 1,  # one designated worker compensates
 }
 
 #: Attacks whose f is pinned by construction (cannot craft other sizes).
@@ -36,6 +68,8 @@ FIXED_F = {"composite"}
 
 
 def build_attack(name: str):
+    if name in UNREGISTERED:
+        return UNREGISTERED[name]()
     return make_attack(name, DEFAULT_KWARGS.get(name, {}))
 
 
@@ -99,7 +133,7 @@ def craft_rounds(attack, *, rounds: int = 3, seed: int = 0, **kwargs):
     ]
 
 
-@pytest.mark.parametrize("name", available_attacks())
+@pytest.mark.parametrize("name", SWEPT)
 class TestAttackContract:
     def test_output_shape_and_dtype(self, name):
         attack = build_attack(name)
@@ -159,15 +193,19 @@ class TestAttackContract:
             assert a.tobytes() == b.tobytes()
 
     def test_stateful_flag_is_honest(self, name):
-        """Attacks declaring themselves stateless must craft identically
-        without a reset; this catches hidden state behind
-        ``stateful = False`` (which would silently break the batched
-        engine's sharing assumptions)."""
+        """Crafting leaves a stateless attack's instance state as built,
+        and ``reset()`` brings a stateful one's back to it, on contexts
+        that carry every field an adaptive attack may learn from.
+        Hidden state behind ``stateful = False`` would break the batched
+        engine's sharing of one instance across cells, and a stateful
+        attack that ``reset()`` does not clear leaks into the next run."""
         attack = build_attack(name)
+        built = pickle.dumps(vars(attack))
+        first = craft_rounds(attack, seed=5, with_async=True, with_selection=True)
         if attack.stateful:
-            pytest.skip("stateful attacks are covered by the reset test")
-        first = craft_rounds(attack, seed=5)
-        second = craft_rounds(attack, seed=5)
+            attack.reset()
+        assert pickle.dumps(vars(attack)) == built
+        second = craft_rounds(attack, seed=5, with_async=True, with_selection=True)
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
@@ -187,3 +225,31 @@ class TestAttackContract:
         attack = build_attack(name)
         out = attack.craft(make_context(num_byzantine=f))
         assert out.shape == (f, DIMENSION)
+
+
+def concrete_attack_classes() -> set[type]:
+    """Every concrete ``Attack``/``ServerAttack`` class defined in a
+    ``repro`` module."""
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if (
+                inspect.isclass(value)
+                and issubclass(value, (Attack, ServerAttack))
+                and value.__module__ == info.name
+                and not inspect.isabstract(value)
+            ):
+                found.add(value)
+    return found
+
+
+def test_every_concrete_attack_is_swept():
+    """A concrete attack class outside both contract sweeps (this one
+    and ``tests/servers/test_server_attack_contract.py``, which sweeps
+    the server-attack registry) would escape the stateful-flag and
+    reset checks."""
+    swept = {type(build_attack(name)) for name in SWEPT}
+    swept |= {type(make_server_attack(name)) for name in available_server_attacks()}
+    missing = sorted(cls.__qualname__ for cls in concrete_attack_classes() - swept)
+    assert missing == []

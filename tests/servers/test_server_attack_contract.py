@@ -5,11 +5,15 @@ contract — the server-side mirror of ``tests/attacks/test_contract.py``:
 a ``(byzantine_servers, d)`` float64 output, no mutation of the
 context's arrays, determinism under a fixed RNG (with ``reset()``
 restoring stateful attacks to a fresh run), and an honest ``stateful``
-flag.  The sweep is registry-driven, so a newly registered server attack
-is contract-tested by construction.
+flag: corrupting leaves a stateless attack's instance state as built,
+and ``reset()`` brings a stateful one's back to it.  The sweep is
+registry-driven, so a newly registered server attack is contract-tested
+by construction.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -102,14 +106,16 @@ class TestServerAttackContract:
             assert a.tobytes() == b.tobytes()
 
     def test_stateful_flag_is_honest(self, name):
-        """Attacks declaring themselves stateless must corrupt
-        identically without a reset; hidden state behind
-        ``stateful = False`` would break the batched engine's sharing
-        guard."""
+        """Corrupting leaves a stateless attack's instance state as
+        built, and ``reset()`` brings a stateful one's back to it.
+        Hidden state behind ``stateful = False`` would break the batched
+        engine's sharing guard."""
         attack = build_attack(name)
-        if attack.stateful:
-            pytest.skip("stateful attacks are covered by the reset test")
+        built = pickle.dumps(vars(attack))
         first = corrupt_rounds(attack, seed=5)
+        if attack.stateful:
+            attack.reset()
+        assert pickle.dumps(vars(attack)) == built
         second = corrupt_rounds(attack, seed=5)
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()

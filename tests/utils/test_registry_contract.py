@@ -60,13 +60,6 @@ from repro.engine.workloads import (
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments.cli import _CLI_ATTACK_EXCLUDES, build_parser
-from repro.lint.registry import (
-    RULES,
-    available_rules,
-    make_rule,
-    register_rule,
-    rule_factory,
-)
 from repro.servers.registry import (
     SERVER_ATTACKS,
     available_server_attacks,
@@ -129,10 +122,6 @@ FAMILIES = {
     "topology": Family(
         TOPOLOGIES, register_topology, available_topologies,
         topology_factory, make_topology, "ring", "degree", False,
-    ),
-    "lint rule": Family(
-        RULES, register_rule, available_rules, rule_factory, make_rule,
-        "rng-discipline", "sanctioned_modules", False,
     ),
 }
 
@@ -346,18 +335,12 @@ class TestConsumersTrackRegistries:
 
     def test_readme_has_one_table_per_registry(self):
         claimed = readme_registry_tables()
-        assert sorted(claimed) == sorted(set(FAMILIES) - {"lint rule"})
+        assert sorted(claimed) == sorted(FAMILIES)
         for kind, tables in claimed.items():
             assert len(tables) == 1, f"{len(tables)} README tables for {kind}"
 
     def test_readme_tables_match_names(self, kind, family):
-        if kind == "lint rule":
-            (rule_table,) = readme_tables("Rule")
-            assert sorted(rule_table) == RULES.names()
-        else:
-            assert readme_registry_tables().get(kind) == [
-                family.registry.names()
-            ]
+        assert readme_registry_tables().get(kind) == [family.registry.names()]
 
     def test_cli_offers_every_cli_registry(self):
         assert sorted(cli_actions()) == sorted(CLI_REGISTRIES)
