@@ -375,9 +375,14 @@ def batched_weiszfeld(
     every data point y, ``f(y) − ‖g‖·min(maxᵢ‖y − Vᵢ‖, 2·f(y)/n)`` with
     ``g`` the minimum-norm subgradient at y, also with y's k nearest rows
     moved onto it (see :func:`_objective_floor`).
-    Raises :class:`~repro.exceptions.ConvergenceError` when neither holds
-    (e.g. NaN or infinite proposals, which never satisfy any convergence
-    predicate).
+    Raises :class:`~repro.exceptions.ConvergenceError` when neither holds.
+
+    Non-finite rows: a NaN anywhere in a scenario makes it raise
+    :class:`~repro.exceptions.ConvergenceError`, since NaN satisfies no
+    convergence predicate.  A row with a ±inf entry is out-voted as long
+    as one row is finite: the scenario returns one of its finite rows,
+    not the median of the finite rows alone.  A scenario whose every row
+    carries a ±inf entry raises.
     """
     stacks = np.asarray(stacks, dtype=np.float64)
     if stacks.ndim != 3:

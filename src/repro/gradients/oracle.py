@@ -81,9 +81,15 @@ class GaussianOracleEstimator(GradientEstimator):
             return expected.copy()
         return expected + self.noise(rng)
 
-    def noise(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw of ``ξ ~ N(0, σ² I_d)`` from ``rng`` (``σ > 0``)."""
-        return rng.normal(0.0, self.sigma, size=self._dimension)
+    def noise(
+        self, rng: np.random.Generator, rounds: int | None = None
+    ) -> np.ndarray:
+        """One draw of ``ξ ~ N(0, σ² I_d)`` from ``rng`` (``σ > 0``), or
+        with ``rounds=k`` a ``(k, d)`` block of k successive draws.
+        ``Generator.normal`` fills its values in order, so the block has
+        the values and leaves ``rng`` in the state of k one-draw calls."""
+        size = self._dimension if rounds is None else (rounds, self._dimension)
+        return rng.normal(0.0, self.sigma, size=size)
 
     def expected(self, params: np.ndarray) -> np.ndarray:
         return np.asarray(self._gradient_fn(params), dtype=np.float64).copy()

@@ -88,9 +88,11 @@ class Dense(Layer):
                 f"shape {inputs.shape}"
             )
         self._inputs = inputs
-        out = inputs @ self.weight.value
-        if self.bias is not None:
-            out += self.bias.value
+        # Diverged weights overflow to inf on purpose (see the loss).
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = inputs @ self.weight.value
+            if self.bias is not None:
+                out += self.bias.value
         return out
 
     def backward_parameters(self, grad_output: np.ndarray) -> None:

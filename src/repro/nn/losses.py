@@ -110,14 +110,17 @@ class SoftmaxCrossEntropy(Loss):
                 f"{targets.shape} for logits {logits.shape}"
             )
         targets = check_class_labels(targets, logits.shape[-1])
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        sums = exps.sum(axis=-1, keepdims=True)
-        self._probs = exps / sums
-        self._targets = targets
-        picked = np.take_along_axis(shifted, targets[..., None], axis=-1)
-        log_likelihood = picked[..., 0] - np.log(sums[..., 0])
-        value = -log_likelihood.mean(axis=-1)
+        # Diverged logits overflow to inf and then NaN on purpose: the
+        # loss reads non-finite, and the non-finite halt handles it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            exps = np.exp(shifted)
+            sums = exps.sum(axis=-1, keepdims=True)
+            self._probs = exps / sums
+            self._targets = targets
+            picked = np.take_along_axis(shifted, targets[..., None], axis=-1)
+            log_likelihood = picked[..., 0] - np.log(sums[..., 0])
+            value = -log_likelihood.mean(axis=-1)
         return float(value) if value.ndim == 0 else value
 
     def backward(self) -> np.ndarray:

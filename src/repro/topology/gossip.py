@@ -13,7 +13,12 @@ message per receiving edge).
 A round is a fixed sequence of array stages over one CSR neighborhood
 block (:meth:`~repro.topology.base.Topology.neighbors_block`).  Honest
 nodes train into an ``(n, d)`` message matrix and the adversary writes
-its crafted rows into it.  Per directed edge into an honest node, the
+its crafted rows into it.  Under a shared oracle that evaluates row
+blocks, every node's expected gradient is one call, and each node whose
+noise is its own Gaussian stream draws it ahead in blocks of rounds
+(:class:`_NoiseBlocks`), so a round adds all their noise in one array
+add.  The streams still end where per-round draws leave them, also
+after a run that raises.  Per directed edge into an honest node, the
 executor keeps the computed round of the freshest message heard; lagged
 messages (one ``staleness_block`` query per round) wait in int arrays,
 and delivery keeps the freshest round, so due messages apply in any
@@ -25,14 +30,17 @@ Honest nodes aggregate their members (self plus the heard neighbors) in
 groups keyed by rule :func:`~repro.core.batched.batch_group_key` and
 member count: each :mod:`repro.core.batched` kernel call gathers its
 ``(G, m, d)`` stack in one fancy index, staging at most
-``_STAGING_BYTES``.  Staleness-aware rules and rules without a native
+``_STAGING_BYTES``; the calls and their adapters are planned once per
+neighborhood shape.  Staleness-aware rules and rules without a native
 kernel run one node per call, so per-node state advances as before.
 Honest rows then update with one subtraction into a fresh parameter
 matrix; errors and the non-finite halt keep node-id order (the nodes
 before the failing node are updated first), so every trajectory, record
 and error is the node-by-node one
 (``tests/topology/test_gossip_oracle.py`` pins it against a frozen
-per-node reference).
+per-node reference).  The evaluated rounds' ``disagreement`` is the
+exact all-pairs maximum behind a Gram screen
+(:func:`~repro.utils.linalg.max_pairwise_distance`).
 
 Degenerate identity: on the ``complete`` graph with no edge delays,
 every node hears every proposal fresh, the local ``f`` equals the
@@ -44,6 +52,7 @@ path's — ``tests/topology/test_gossip_differential.py`` pins this against
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 
@@ -72,7 +81,7 @@ from repro.gradients.base import GradientEstimator
 from repro.gradients.oracle import GaussianOracleEstimator, shared_gradient_fn
 from repro.topology.base import Topology
 from repro.topology.registry import make_topology
-from repro.utils.linalg import exact_row_norms
+from repro.utils.linalg import exact_row_norms, max_pairwise_distance
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_positive_int
 
@@ -86,19 +95,83 @@ Evaluator = Callable[[np.ndarray], dict[str, float]]
 # and at MLP scale (d ≈ 25k) the cap degrades to one node per call.
 _STAGING_BYTES = 1 << 18
 
+# Most noise bytes one block draws ahead, over all block-drawn nodes (see
+# _NoiseBlocks): a 200-node ring at d = 100 draws 2 rounds per block.
+# Larger blocks save little more time, since the draws themselves
+# dominate, and raise peak RSS: on that ring's benchmark run, peak RSS
+# read 1.1 MB above per-round draws with 2-round blocks, 1.6 MB with 3.
+_NOISE_BYTES = 5 << 16
 
-def _max_pairwise_distance(stack: np.ndarray) -> float:
-    """Largest pairwise euclidean distance between rows (chunked, so a
-    thousand-node stack never materializes an (n, n, d) tensor).  A NaN
-    distance propagates, so diverged nodes never read as consensus."""
-    worst = 0.0
-    for i in range(stack.shape[0] - 1):
-        d = float(np.linalg.norm(stack[i + 1 :] - stack[i], axis=1).max())
-        if np.isnan(d):
-            return d
-        if d > worst:
-            worst = d
-    return worst
+
+class _NoiseBlocks:
+    """The Gaussian noise of one ``run``'s block-drawn honest nodes.
+
+    Each node draws up to k rounds at once with one
+    :meth:`~repro.gradients.oracle.GaussianOracleEstimator.noise` call,
+    which leaves its stream where k per-round draws would; k is bounded
+    by ``_NOISE_BYTES`` over all nodes, and a round reads one ``(nodes,
+    d)`` slice.  :meth:`release` leaves every stream where per-round
+    draws would, as ``_SharedNoise.sync`` does on the server path: a
+    stream whose node did not propose every round drawn (a round raised)
+    goes back to its state at the start of the run and draws again only
+    the rounds it proposed.
+    """
+
+    def __init__(
+        self,
+        positions: np.ndarray,
+        sampled: list[int],
+        estimators: list,
+        rngs: list,
+        dimension: int,
+        rounds: int,
+    ):
+        self.positions = positions  # the nodes' positions in honest order
+        self.sampled = sampled  # the other honest positions (sample_about)
+        self.estimators = estimators
+        self.rngs = rngs
+        self.dimension = dimension
+        self.rounds_left = rounds  # not drawn yet
+        self.start_states = [rng.bit_generator.state for rng in rngs]
+        self.drawn = 0  # rounds drawn in this run
+        self.used = np.zeros(positions.size, dtype=np.int64)  # rounds proposed
+        self.values: np.ndarray | None = None  # the current (k, nodes, d) block
+        self.next = 0  # the block's next round
+
+    def take(self) -> np.ndarray:
+        """The next round's ``(nodes, d)`` noise; every node counts it
+        as proposed until :meth:`unuse` says otherwise."""
+        if self.values is None or self.next == len(self.values):
+            nodes, d = self.positions.size, self.dimension
+            k = min(self.rounds_left, max(1, _NOISE_BYTES // (8 * nodes * d)))
+            # Counted first: a draw cut short leaves every node behind,
+            # and release replays it.
+            self.rounds_left -= k
+            self.drawn += k
+            self.values, self.next = None, 0  # freed before the next block
+            self.values = np.empty((k, nodes, d))
+            for i, (estimator, rng) in enumerate(zip(self.estimators, self.rngs)):
+                self.values[:, i] = estimator.noise(rng, k)
+        self.used += 1
+        self.next += 1
+        return self.values[self.next - 1]
+
+    def unuse(self, after: int) -> None:
+        """Node-id order: the nodes after honest position ``after`` had
+        not drawn the last round when that node's estimate raised."""
+        self.used[self.positions > after] -= 1
+
+    def release(self) -> None:
+        """Drop the block and move every stream that did not propose all
+        the rounds drawn to where per-round draws would leave it."""
+        self.values = None
+        per_call = max(1, _NOISE_BYTES // (8 * self.dimension))
+        for i, (estimator, rng) in enumerate(zip(self.estimators, self.rngs)):
+            rounds = int(self.used[i])
+            if rounds != self.drawn:
+                rng.bit_generator.state = self.start_states[i]
+                for done in range(0, rounds, per_call):
+                    estimator.noise(rng, min(per_call, rounds - done))
 
 
 class GossipSimulation:
@@ -288,6 +361,7 @@ class GossipSimulation:
         self._param_rows[self._honest] = self._honest
         self._edges: tuple | None = None  # see _edge_layout
         self._plan: tuple | None = None  # see _group_nodes
+        self._noise: _NoiseBlocks | None = None  # during run (see _noise_blocks)
         # Union of every honest node's selected member ids last round
         # (None before the first round) — feeds the attack context's
         # selected_last_round exactly as the server's last_selected does.
@@ -320,8 +394,8 @@ class GossipSimulation:
 
         ``consensus_error`` is the mean distance to the honest
         barycenter; ``disagreement`` the largest honest pairwise
-        distance (both 0 exactly on the complete zero-delay graph, where
-        all honest trajectories coincide).
+        distance, exact (both 0 exactly on the complete zero-delay
+        graph, where all honest trajectories coincide).
         """
         stack = self.honest_params
         center = stack.mean(axis=0)
@@ -329,7 +403,7 @@ class GossipSimulation:
             "consensus_error": float(
                 np.mean(np.linalg.norm(stack - center, axis=1))
             ),
-            "disagreement": _max_pairwise_distance(stack),
+            "disagreement": max_pairwise_distance(stack),
         }
 
     def _rule_for(self, node: int, f_local: int) -> Aggregator:
@@ -405,14 +479,31 @@ class GossipSimulation:
         messages = np.empty((n + n * b if self.equivocate else n, self.dimension))
         if self._block_gradient is not None:
             # Each row equals the node's own gradient call, and each node
-            # still draws its noise from its own stream in id order.
+            # still draws its noise from its own stream: the block-drawn
+            # nodes in one add, the others through sample_about.
             expected = np.asarray(
                 self._block_gradient(params[self._honest]), dtype=np.float64
             )
-            for v, row in zip(self.honest_ids, expected):
-                messages[v] = self._estimators[v].sample_about(
-                    row, self._node_rng[v]
+            noise = self._noise
+            assert noise is not None
+            if noise.positions.size:
+                # The round's block slice is used once, so it takes the sum.
+                noisy = noise.take()
+                np.add(
+                    expected[noise.positions] if noise.sampled else expected,
+                    noisy,
+                    out=noisy,
                 )
+                messages[self._honest[noise.positions]] = noisy
+            for i in noise.sampled:
+                v = self.honest_ids[i]
+                try:
+                    messages[v] = self._estimators[v].sample_about(
+                        expected[i], self._node_rng[v]
+                    )
+                except BaseException:
+                    noise.unuse(after=i)
+                    raise
         else:
             for v in self.honest_ids:
                 estimator, rng = self._estimators[v], self._node_rng[v]
@@ -567,9 +658,7 @@ class GossipSimulation:
         errors = [] if failure is None else [(len(rules), failure)]
         vectors = np.empty((len(rules), self.dimension))
         picked = [np.empty(0, dtype=np.int64)]  # selected member positions
-        for chunk, index in chunks:
-            chunk_rules = [rules[i] for i in chunk]
-            adapter = make_batched_aggregator(chunk_rules)
+        for chunk, index, chunk_rules, adapter in chunks:
             kwargs: dict[str, np.ndarray] = {}
             if adapter.supports_staleness:
                 kwargs["staleness"] = t - computed[index]
@@ -623,9 +712,10 @@ class GossipSimulation:
 
     def _group_nodes(self, f_local: np.ndarray, sizes: np.ndarray) -> tuple:
         """Each honest node's rule and the kernel calls as ``(nodes,
-        member positions)`` pairs, up to the first node whose rule fails
-        to build or rejects its member count (that error is returned
-        too).  Pure in (node, f, m), so equal rounds reuse the plan."""
+        member positions, rules, batched adapter)``, up to the first node
+        whose rule fails to build or rejects its member count (that error
+        is returned too).  Pure in (node, f, m), so equal rounds reuse the
+        plan and its adapters."""
         rules: list[Aggregator] = []
         groups: dict[object, list[int]] = {}
         failure = None
@@ -650,7 +740,15 @@ class GossipSimulation:
             per_call = max(1, _STAGING_BYTES // (8 * self.dimension * m))
             for lo in range(0, len(group), per_call):
                 chunk = np.asarray(group[lo : lo + per_call])
-                chunks.append((chunk, starts[chunk][:, None] + np.arange(m)))
+                chunk_rules = [rules[i] for i in chunk]
+                chunks.append(
+                    (
+                        chunk,
+                        starts[chunk][:, None] + np.arange(m),
+                        chunk_rules,
+                        make_batched_aggregator(chunk_rules),
+                    )
+                )
         return rules, chunks, failure
 
     @staticmethod
@@ -691,21 +789,53 @@ class GossipSimulation:
         history = TrainingHistory()
         start = self._round
         stop = start + num_rounds
-        for t in range(start, stop):
-            # One topology query per round, shared by every stage.
-            # Crafting follows training so the omniscient adversary sees
-            # this round's honest proposals, and sending precedes
-            # aggregation so zero-delay edges deliver within the round.
-            indptr, indices = self.topology.neighbors_block(t)
-            edges = self._edge_layout(indptr, indices)
-            self._propose(t, indptr, indices)
-            self._send(t, edges)
-            record = self._aggregate(t, edges)
-            if (t - start) % eval_every == 0 or t == stop - 1:
-                record = evaluated_record(
-                    record, self.params, self.evaluate, self.true_gradient_fn,
-                    extras=self.consensus_metrics(),
-                )
-            history.append(record)
-            self._round = t + 1
+        if self._block_gradient is not None:
+            self._noise = self._noise_blocks(num_rounds)
+        try:
+            for t in range(start, stop):
+                # One topology query per round, shared by every stage.
+                # Crafting follows training so the omniscient adversary
+                # sees this round's honest proposals, and sending precedes
+                # aggregation so zero-delay edges deliver within the round.
+                indptr, indices = self.topology.neighbors_block(t)
+                edges = self._edge_layout(indptr, indices)
+                self._propose(t, indptr, indices)
+                self._send(t, edges)
+                record = self._aggregate(t, edges)
+                if (t - start) % eval_every == 0 or t == stop - 1:
+                    record = evaluated_record(
+                        record, self.params, self.evaluate, self.true_gradient_fn,
+                        extras=self.consensus_metrics(),
+                    )
+                history.append(record)
+                self._round = t + 1
+        finally:
+            if self._noise is not None:
+                self._noise.release()
+                self._noise = None
         return history
+
+    def _noise_blocks(self, rounds: int) -> _NoiseBlocks:
+        """The noise blocks of a run of ``rounds`` rounds.  A node draws
+        blocks under the test the server path applies to shared noise: an
+        exact :class:`GaussianOracleEstimator` with ``σ > 0`` and a
+        generator no other node holds.  The other honest nodes keep
+        ``sample_about``."""
+        rngs = [self._node_rng[v] for v in self.honest_ids]
+        holders = Counter(id(rng) for rng in rngs + [self.attack_rng])
+        blocked = [
+            type(self._estimators[v]) is GaussianOracleEstimator
+            and self._estimators[v].sigma > 0.0
+            and isinstance(rng, np.random.Generator)
+            and holders[id(rng)] == 1
+            for v, rng in zip(self.honest_ids, rngs)
+        ]
+        positions = np.flatnonzero(blocked)
+        return _NoiseBlocks(
+            positions,
+            np.flatnonzero(np.logical_not(blocked)).tolist(),
+            [self._estimators[self.honest_ids[i]] for i in positions],
+            [rngs[i] for i in positions],
+            self.dimension,
+            rounds,
+        )

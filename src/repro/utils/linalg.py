@@ -11,7 +11,8 @@ batch size one), so both paths compute the same bits.  The batched
 kernels split the batch axis into chunks of :data:`CHUNK_SIZE`
 scenarios.  The bottom of the module holds :func:`coordinate_median`,
 the host-side norms of the round records and the Lipschitz rules
-(:func:`exact_row_dots`, :func:`exact_row_norms`) and model-parameter
+(:func:`exact_row_dots`, :func:`exact_row_norms`), the gossip
+disagreement (:func:`max_pairwise_distance`) and model-parameter
 marshalling (:func:`stack_vectors`, :func:`flatten_arrays`,
 :func:`unflatten_array`).
 """
@@ -36,6 +37,7 @@ __all__ = [
     "coordinate_median",
     "exact_row_dots",
     "exact_row_norms",
+    "max_pairwise_distance",
     "stack_vectors",
     "flatten_arrays",
     "unflatten_array",
@@ -328,7 +330,8 @@ def exact_row_dots(matrix: np.ndarray) -> np.ndarray:
     differently and is not bit-identical.
     """
     rows = np.ascontiguousarray(matrix)
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # diverged rows read inf
+        return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 def exact_row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -337,6 +340,118 @@ def exact_row_norms(matrix: np.ndarray) -> np.ndarray:
     root in the input dtype, and :func:`exact_row_dots` gives the dots.
     """
     return np.sqrt(exact_row_dots(matrix))
+
+
+#: Bytes of one ``(rows, n)`` block of :func:`max_pairwise_distance`'s
+#: Gram screen, and of one batch of its exactly evaluated pairs.  Bounds
+#: the screen's temporaries: whole ``(n, n)`` ones raise a 200-node gossip
+#: run's peak memory.
+_SCREEN_BYTES = 1 << 15
+
+
+def _brute_max_pairwise_distance(stack: np.ndarray) -> float:
+    """Largest pairwise euclidean distance between rows, one row against
+    all later rows at a time.  A NaN distance propagates."""
+    worst = 0.0
+    for i in range(stack.shape[0] - 1):
+        d = float(np.linalg.norm(stack[i + 1 :] - stack[i], axis=1).max())
+        if np.isnan(d):
+            return d
+        if d > worst:
+            worst = d
+    return worst
+
+
+def max_pairwise_distance(stack: np.ndarray) -> float:
+    """Largest euclidean distance between two rows of an ``(n, d)``
+    ``stack``, bit for bit the brute force that takes
+    ``np.linalg.norm(stack[i + 1:] - stack[i], axis=1)`` for every row i
+    (0.0 when ``n < 2``; a NaN distance propagates).
+
+    A stack that is finite and C-contiguous goes behind a Gram screen.
+    The rows are centred (``y = fl(s − c)``), so every pair gets an upper
+    bound from one Gram product, built in row blocks of about
+    ``_SCREEN_BYTES``.  Only the pairs whose bound reaches the best exact
+    distance found so far are evaluated, and each evaluation is the brute
+    force's own expression on those rows.  The first best is the exact row
+    of the row farthest from the centre.
+
+    The bound, with unit roundoff u and ``tol = 2(d + 16)·u``, which
+    dominates ``2γ_{d+16}``:
+    - Centring moves each pair by at most ``u/(1 − u)·(‖y_i‖ + ‖y_j‖)``.
+    - The computed squares ``N̂_i`` and Gram entries ``P̂_ij`` are within
+      ``γ_d·N_i`` and ``γ_d·‖y_i‖‖y_j‖``.  Forming
+      ``q̂ = N̂_i + N̂_j − 2P̂_ij`` adds at most ``2u·(r_i + r_j)²``.  So
+      ``‖y_i − y_j‖² <= max(q̂, 0) + tol·(r_i + r_j)²`` with reach
+      ``r_i = sqrt((N̂_i + φ)(1 + tol)) >= ‖y_i‖``.
+    - ``φ = (d + 16)·tiny`` covers underflow in every product, which
+      adds an absolute error of at most half the smallest subnormal.
+    - The brute force's own rounding (difference, squares, sum, root) is
+      within ``γ_{d+6}`` relative plus ``sqrt(φ)`` absolute.  The
+      factor ``1 + tol`` covers it, and so does the rounding of the
+      bound's own dozen operations (tol is twice the γ it replaces).
+    A bound that overflows or turns NaN is evaluated, never skipped.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    n, d = stack.shape
+    tol = (d + 16) * np.finfo(np.float64).eps
+    floor = (d + 16) * np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate
+        if n < 2 or not stack.flags.c_contiguous or not np.isfinite(stack).all():
+            return _brute_max_pairwise_distance(stack)
+        centred = stack - stack.mean(axis=0)
+        squares = np.einsum("ij,ij->i", centred, centred)
+        reach = np.sqrt((squares + floor) * (1.0 + tol))
+        far = int(np.argmax(squares))
+        others = np.delete(np.arange(n), far)
+        best = _best_distance(
+            stack,
+            np.minimum(others, far),
+            np.maximum(others, far),
+            np.full(n - 1, np.inf),
+            0.0,
+        )
+        # Candidate pairs (i < j) whose bound reaches the first best.
+        firsts, seconds, bounds = [], [], []
+        rows = max(1, _SCREEN_BYTES // (8 * n))
+        for lo in range(0, n - 1, rows):
+            hi = min(lo + rows, n - 1)
+            gram = centred[lo:hi] @ centred[lo:].T
+            q = squares[lo:hi, None] + squares[None, lo:] - 2.0 * gram
+            r = reach[lo:hi, None] + reach[None, lo:]
+            bound = (
+                np.sqrt(np.maximum(q, 0.0) + tol * r * r + 4.0 * floor)
+                + tol * r
+                + np.sqrt(floor)
+            ) * (1.0 + tol)
+            later = np.arange(n - lo)[None, :] > np.arange(hi - lo)[:, None]
+            i, j = np.nonzero(later & ~(bound < best))
+            firsts.append(i + lo)
+            seconds.append(j + lo)
+            bounds.append(bound[i, j])
+        return _best_distance(
+            stack,
+            np.concatenate(firsts),
+            np.concatenate(seconds),
+            np.concatenate(bounds),
+            best,
+        )
+
+
+def _best_distance(stack, first, second, bound, best: float) -> float:
+    """The largest of ``best`` and the exact distances of the pairs
+    ``(first[k] < second[k])`` whose ``bound`` reaches it.  Pairs go in
+    batches of about ``_SCREEN_BYTES``, highest bound first, so the best
+    rises early and prunes the rest."""
+    pending = np.argsort(-bound, kind="stable")
+    per_batch = max(1, _SCREEN_BYTES // (8 * stack.shape[1]))
+    while pending.size:
+        pending = pending[~(bound[pending] < best)]
+        batch, pending = pending[:per_batch], pending[per_batch:]
+        if batch.size:
+            gaps = stack[second[batch]] - stack[first[batch]]
+            best = max(best, float(np.linalg.norm(gaps, axis=1).max()))
+    return best
 
 
 def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:

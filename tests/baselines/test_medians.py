@@ -197,6 +197,29 @@ class TestBatchedWeiszfeld:
         with pytest.raises(ConvergenceError, match="1 of 2 scenario"):
             batched_weiszfeld(np.stack([crawl, poisoned]))
 
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_any_nan_raises(self, rng, row):
+        stack = rng.standard_normal((1, 5, 2))
+        stack[0, row, 1] = np.nan
+        with pytest.raises(ConvergenceError):
+            batched_weiszfeld(stack)
+
+    @pytest.mark.parametrize("infinite", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_rows_are_out_voted(self, rng, infinite, sign):
+        """1 to 4 of 5 rows with a ±inf entry: the solver returns one of
+        the finite rows."""
+        stack = rng.standard_normal((1, 5, 2))
+        stack[0, :infinite, 0] = sign * np.inf
+        out = batched_weiszfeld(stack)[0]
+        assert any(np.array_equal(out, row) for row in stack[0, infinite:])
+
+    def test_all_rows_infinite_raises(self, rng):
+        stack = rng.standard_normal((1, 5, 2))
+        stack[0, :, 0] = [np.inf, -np.inf, np.inf, np.inf, -np.inf]
+        with pytest.raises(ConvergenceError):
+            batched_weiszfeld(stack)
+
     def test_rejects_bad_shapes_and_parameters(self):
         with pytest.raises(DimensionMismatchError):
             batched_weiszfeld(np.ones((3, 4)))

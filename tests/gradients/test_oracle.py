@@ -48,6 +48,18 @@ class TestGaussianOracleEstimator:
         measured = est.empirical_sigma(np.zeros(12), rng, num_samples=1500)
         assert measured == pytest.approx(0.4, rel=0.1)
 
+    @pytest.mark.parametrize("rounds", [0, 1, 5])
+    def test_noise_block_is_successive_draws(self, rounds):
+        """A (k, d) block holds the k one-draw values and leaves the
+        stream where those k calls do."""
+        est = GaussianOracleEstimator(quadratic_gradient, 7, sigma=0.3)
+        one, block = np.random.default_rng(4), np.random.default_rng(4)
+        draws = [est.noise(one) for _ in range(rounds)]
+        values = est.noise(block, rounds)
+        assert values.shape == (rounds, 7)
+        assert values.tobytes() == np.reshape(draws, (rounds, 7)).tobytes()
+        assert one.bit_generator.state == block.bit_generator.state
+
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             GaussianOracleEstimator(quadratic_gradient, 0, sigma=1.0)

@@ -6,9 +6,11 @@ design of :class:`~repro.topology.GossipSimulation`: a heap of
 gossip and the aggregate phase, one ``rule.aggregate_detailed`` call
 per honest node per round, a per-node parameter list, and a dict inbox
 plus a pending list per node.  It reuses only the engine's constructor
-validation, rule cache and consensus metrics; its message state,
-delivery, edge lags and record are its own copies, so the executor's
-array stages are all compared against independent code.
+validation and rule cache; its message state, delivery, edge lags,
+record and consensus metrics are its own copies (the disagreement is
+the original all-pairs brute force, :func:`max_pairwise_distance_brute`),
+so the executor's array stages are all compared against independent
+code.
 
 Do not optimize this module: it is the reference the executor is pinned
 to, bit for bit.
@@ -29,9 +31,23 @@ from repro.exceptions import SimulationError
 from repro.topology import GossipSimulation
 from repro.utils.linalg import stack_vectors
 
-__all__ = ["ReferenceGossipSimulation"]
+__all__ = ["ReferenceGossipSimulation", "max_pairwise_distance_brute"]
 
 _TRAIN, _CRAFT, _GOSSIP, _AGGREGATE, _RECORD = range(5)
+
+
+def max_pairwise_distance_brute(stack: np.ndarray) -> float:
+    """Largest pairwise euclidean distance between rows (chunked, so a
+    thousand-node stack never materializes an (n, n, d) tensor).  A NaN
+    distance propagates, so diverged nodes never read as consensus."""
+    worst = 0.0
+    for i in range(stack.shape[0] - 1):
+        d = float(np.linalg.norm(stack[i + 1 :] - stack[i], axis=1).max())
+        if np.isnan(d):
+            return d
+        if d > worst:
+            worst = d
+    return worst
 
 
 class ReferenceGossipSimulation(GossipSimulation):
@@ -64,6 +80,16 @@ class ReferenceGossipSimulation(GossipSimulation):
 
     def node_params(self, node: int) -> np.ndarray:
         return self._node_params[int(node)].copy()
+
+    def consensus_metrics(self) -> dict[str, float]:
+        stack = self.honest_params
+        center = stack.mean(axis=0)
+        return {
+            "consensus_error": float(
+                np.mean(np.linalg.norm(stack - center, axis=1))
+            ),
+            "disagreement": max_pairwise_distance_brute(stack),
+        }
 
     def _edge_staleness(self, sender: int, receiver: int, t: int) -> int:
         if self.edge_delay is None:

@@ -206,6 +206,19 @@ def test_matrix_covers_runs_and_tolerance_errors():
     assert error is not None and "Krum requires" in error[1]
 
 
+def record_kernel_calls(monkeypatch) -> list[int]:
+    """The node count of every kernel call the executor makes."""
+    sizes = []
+    real = GossipSimulation._run_kernel
+
+    def recording(adapter, rules, stack, kwargs):
+        sizes.append(len(rules))
+        return real(adapter, rules, stack, kwargs)
+
+    monkeypatch.setattr(GossipSimulation, "_run_kernel", staticmethod(recording))
+    return sizes
+
+
 @pytest.mark.parametrize(
     "rule, per_call",
     [(RULES[2], [NUM_HONEST] * 2), (RULES[8], [1] * (2 * NUM_HONEST))],
@@ -213,12 +226,14 @@ def test_matrix_covers_runs_and_tolerance_errors():
 )
 def test_nodes_per_kernel_call(monkeypatch, rule, per_call):
     """Same-size neighborhoods under a native rule share one kernel call
-    per round; a rule without a native kernel runs one node per call."""
-    sizes = []
+    per round; a rule without a native kernel runs one node per call.
+    The plan builds each call's adapter once, not once per round."""
+    sizes = record_kernel_calls(monkeypatch)
+    built = []
     real = gossip_module.make_batched_aggregator
 
     def recording(rules):
-        sizes.append(len(rules))
+        built.append(len(rules))
         return real(rules)
 
     monkeypatch.setattr(gossip_module, "make_batched_aggregator", recording)
@@ -230,6 +245,7 @@ def test_nodes_per_kernel_call(monkeypatch, rule, per_call):
     )
     sim.run(2)
     assert sizes == per_call
+    assert built == per_call[: len(per_call) // 2]
 
 
 @pytest.mark.parametrize(
@@ -334,14 +350,7 @@ def test_sixty_nodes_with_lags_equivocation_and_chunks(monkeypatch, rule, topolo
     time-varying graph member counts differ too, and edges come and go
     while messages are in flight)."""
     monkeypatch.setattr(gossip_module, "_STAGING_BYTES", 8 * DIMENSION * 7 * 5)
-    calls = []
-    real = gossip_module.make_batched_aggregator
-
-    def recording(rules):
-        calls.append(len(rules))
-        return real(rules)
-
-    monkeypatch.setattr(gossip_module, "make_batched_aggregator", recording)
+    calls = record_kernel_calls(monkeypatch)
     kwargs = dict(
         rule=rule,
         topology=topology,
