@@ -28,8 +28,6 @@ adapt back.  Three strategies, each keyed to one defensive mechanism:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.attacks.base import Attack, AttackBatch, AttackContext
@@ -63,6 +61,7 @@ class StalenessGamingAttack(Attack):
     """
 
     reads = frozenset({"true_gradient", "honest_gradients", "byzantine_staleness"})
+    fallback_reads = frozenset({"honest_gradients"})
 
     def __init__(
         self, scale: float = 1.0, dampening: str = "inverse", gamma: float = 0.5
@@ -125,6 +124,174 @@ class StalenessGamingAttack(Attack):
         return self._output_batch(batch, proposals)
 
 
+class _MimicryState:
+    """The state of the B mimicry cells crafted in one call: row ``b`` is
+    cell ``b``'s, and each cell's instance holds the state and its row.
+
+    Per honest worker id: the previous gradient and parameters observed,
+    and whether the worker was observed yet.  Per cell: its previous
+    shared proposal (once ``has_vector``), the Byzantine ids it was sent
+    from and the parameters each of them was judged at.  Per round
+    index: the parameters every cell read, and which cells read them.
+    """
+
+    def __init__(self, size: int, dimension: int):
+        self.size = size
+        self.gradients = np.zeros((size, 0, dimension))
+        self.params = np.zeros((size, 0, dimension))
+        self.seen = np.zeros((size, 0), dtype=bool)
+        self.vector = np.zeros((size, dimension))
+        self.has_vector = np.zeros(size, dtype=bool)
+        self.judged = np.zeros((size, 0, dimension))
+        self.judged_ids = np.zeros((size, 0), dtype=np.int64)
+        self.memory: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._everyone = np.ones(size, dtype=bool)
+
+    @classmethod
+    def stack(
+        cls, rows: list[tuple[_MimicryState | None, int]], dimension: int
+    ) -> _MimicryState:
+        """A state whose row ``b`` is row ``rows[b][1]`` of the state
+        ``rows[b][0]`` (a fresh cell's for ``None``)."""
+        state = cls(len(rows), dimension)
+        held = [
+            (b, old, row) for b, (old, row) in enumerate(rows) if old is not None
+        ]
+        if not held:
+            return state
+        width = max(old.seen.shape[1] for _, old, _ in held)
+        slots = max(old.judged_ids.shape[1] for _, old, _ in held)
+        state.gradients = np.zeros(
+            (state.size, width, dimension),
+            dtype=np.result_type(*(old.gradients for _, old, _ in held)),
+        )
+        state.params = np.zeros(
+            (state.size, width, dimension),
+            dtype=np.result_type(*(old.params for _, old, _ in held)),
+        )
+        state.seen = np.zeros((state.size, width), dtype=bool)
+        state.judged = np.zeros((state.size, slots, dimension))
+        state.judged_ids = np.full((state.size, slots), -1, dtype=np.int64)
+        for b, old, row in held:
+            kept, judged = old.seen.shape[1], old.judged_ids.shape[1]
+            state.gradients[b, :kept] = old.gradients[row]
+            state.params[b, :kept] = old.params[row]
+            state.seen[b, :kept] = old.seen[row]
+            state.vector[b] = old.vector[row]
+            state.has_vector[b] = old.has_vector[row]
+            state.judged[b, :judged] = old.judged[row]
+            state.judged_ids[b, :judged] = old.judged_ids[row]
+            for r, (values, valid) in old.memory.items():
+                if valid[row]:
+                    into, read = state.memory.setdefault(
+                        r,
+                        (
+                            np.zeros((state.size, dimension)),
+                            np.zeros(state.size, dtype=bool),
+                        ),
+                    )
+                    into[b], read[b] = values[row], True
+        return state
+
+    def remember(self, t: int, params: np.ndarray, rounds: int) -> None:
+        """Keep round ``t``'s parameters, and forget the rounds more than
+        ``rounds`` before it."""
+        self.memory[t] = (np.array(params, dtype=np.float64), self._everyone)
+        for old in [r for r in self.memory if r < t - rounds]:
+            del self.memory[old]
+
+    def judged_at(self, rounds: np.ndarray, params: np.ndarray) -> np.ndarray:
+        """The ``(B, f, d)`` parameters of the ``(B, f)`` ``rounds``: the
+        remembered ones, else the cell's current ``params``."""
+        if rounds.size == 0:
+            return np.empty(rounds.shape + params.shape[-1:])
+        keys = sorted(set(rounds.ravel().tolist()))
+        blocks = []
+        for r in keys:
+            entry = self.memory.get(r)
+            if entry is None:
+                blocks.append(params)
+            elif entry[1] is self._everyone:
+                blocks.append(entry[0])
+            else:
+                blocks.append(np.where(entry[1][:, None], entry[0], params))
+        cells = np.arange(self.size)[:, None]
+        return np.stack(blocks)[np.searchsorted(keys, rounds), cells]
+
+    def observe(self, batch: AttackBatch, windows: list[RateWindow]) -> None:
+        """Append each cell's honest growth rates to its window, in worker
+        order, and remember the honest gradients and parameters.
+
+        The rates of all cells come from one subtraction per table and
+        one :func:`~repro.utils.linalg.exact_row_dots` call each, the
+        dot in the input dtype and the root in float64 (as ``math.sqrt``
+        of the dot, also for float32 input)."""
+        ids = np.asarray(batch.honest_indices, dtype=np.int64)
+        if ids.size == 0:
+            return
+        gradients = batch.honest_gradients
+        params = (
+            np.asarray(batch.params)[:, None]
+            if batch.honest_params is None
+            else batch.honest_params
+        )
+        if self.seen.shape[1] <= ids.max():
+            self._grow(
+                max(batch.num_workers, int(ids.max()) + 1),
+                gradients.dtype,
+                params.dtype,
+            )
+        cells = np.arange(self.size)[:, None]
+        seen = self.seen[cells, ids]
+        if seen.any():
+            rows = (cells * self.seen.shape[1] + ids).ravel()
+            displacements = self._distances(self.params, rows, params)
+            changes = self._distances(self.gradients, rows, gradients)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rates = changes / displacements
+            kept = seen.ravel() & (displacements > 0.0) & np.isfinite(rates)
+            rates = rates[kept].tolist()
+            counts = kept.reshape(seen.shape).sum(axis=1).tolist()
+            start = 0
+            for window, count in zip(windows, counts):
+                if count:
+                    window.extend(rates[start : start + count])
+                    start += count
+        self.gradients[cells, ids] = gradients
+        self.params[cells, ids] = params
+        self.seen[cells, ids] = True
+
+    def _distances(
+        self, table: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """``sqrt(v.dot(v))`` of every ``v = values − table row``, pairing
+        the ``(B, m, d)`` ``values`` (or ``(B, 1, d)``, one row per cell)
+        with the flat table ``rows``.  The rows are gathered and
+        subtracted in place in one ``(B·m, d)`` block, the only
+        temporary of that size."""
+        dimension = table.shape[-1]
+        work = np.asarray(
+            table.reshape(-1, dimension)[rows],
+            dtype=np.result_type(values, table),
+        )
+        stacked = work.reshape(self.size, -1, dimension)
+        np.subtract(values, stacked, out=stacked)
+        return np.sqrt(exact_row_dots(work), dtype=np.float64)
+
+    def _grow(self, width: int, gradient_dtype, params_dtype) -> None:
+        """Extend the per-worker tables to ``width`` worker ids, keeping
+        the observations already made."""
+        kept = self.seen.shape[1]
+        shape = (self.size, width, self.vector.shape[1])
+        gradients = np.zeros(shape, dtype=gradient_dtype)
+        params = np.zeros(shape, dtype=params_dtype)
+        gradients[:, :kept] = self.gradients
+        params[:, :kept] = self.params
+        seen = np.zeros((self.size, width), dtype=bool)
+        seen[:, :kept] = self.seen
+        self.gradients, self.params, self.seen = gradients, params, seen
+
+
 class LipschitzMimicryAttack(Attack):
     """Steer the mean while staying inside the Lipschitz quantile window.
 
@@ -140,7 +307,11 @@ class LipschitzMimicryAttack(Attack):
 
     The first round sends the honest barycenter (perfect mimicry, and
     the anchor the drift starts from).  Stateful across rounds — one
-    instance per simulation cell.
+    instance per simulation cell.  :meth:`craft_batch` crafts the cells
+    of one configuration in one call, each from its own instance in
+    ``batch.attacks``; :meth:`craft` is its ``B = 1`` case.  The cells'
+    state is stacked into one :class:`_MimicryState`, re-stacked only
+    when a call's instances differ from the previous call's.
     """
 
     stateful = True
@@ -186,155 +357,137 @@ class LipschitzMimicryAttack(Attack):
         self.reset()
 
     def reset(self) -> None:
-        # x_t by round index, for reconstructing the stale parameters a
-        # lagging Byzantine slot is judged at.
-        self._params_by_round: dict[int, np.ndarray] = {}
-        # Per honest worker id (one row each): the previous gradient and
-        # parameters observed, and whether the worker was observed yet.
-        self._prev_gradients = np.empty((0, 0))
-        self._prev_params = np.empty((0, 0))
-        self._seen = np.zeros(0, dtype=bool)
         # Observed honest growth rates (the filter's window, mimicked).
         self._rates = RateWindow(maxlen=self.window)
-        # Our previous shared proposal, and per Byzantine slot the
-        # parameters that proposal was judged against.
-        self._prev_vector: np.ndarray | None = None
-        self._prev_judged: dict[int, np.ndarray] = {}
+        # The stacked state this cell's row lives in (none yet).
+        self._state: _MimicryState | None = None
+        self._row = 0
 
-    def _judged_params(
-        self, context: AttackContext, slot: int, tau: int
-    ) -> np.ndarray:
-        """The parameters slot ``slot``'s proposal is filtered at:
-        ``x_{t−τ}`` when retained, else the freshest known vector."""
-        stored = self._params_by_round.get(context.round_index - tau)
-        return context.params if stored is None else stored
-
-    def _observe_honest(self, context: AttackContext) -> None:
-        """Append the honest workers' growth rates, in worker order, and
-        remember their gradients and parameters.
-
-        All row differences come from one subtraction per table, and
-        their norms ``sqrt(v.dot(v))`` from one
-        :func:`~repro.utils.linalg.exact_row_dots` call each, the dot in
-        the input dtype and the root in float64 (as ``math.sqrt`` of the
-        dot, also for float32 input).
-        """
-        ids = np.asarray(context.honest_indices, dtype=np.int64)
-        if ids.size == 0:
-            return
-        gradients = context.honest_gradients
-        params = (
-            context.params
-            if context.honest_params is None
-            else context.honest_params
-        )
-        if self._seen.size <= ids.max():
-            self._grow_tables(
-                max(context.num_workers, int(ids.max()) + 1),
-                gradients,
-                params,
+    def _state_of(
+        self, attacks: tuple[LipschitzMimicryAttack, ...], dimension: int
+    ) -> _MimicryState:
+        """The state of ``attacks``' cells, row ``b`` cell ``b``'s: the
+        previous call's when it crafted the same instances in the same
+        order, else a new stack of their rows."""
+        state = attacks[0]._state
+        if (
+            state is not None
+            and state.size == len(attacks)
+            and all(
+                a._state is state and a._row == b for b, a in enumerate(attacks)
             )
-        seen = self._seen[ids]
-        if seen.any():
-            rows, at, old = gradients, params, ids
-            if not seen.all():
-                rows, old = gradients[seen], ids[seen]
-                at = params if params.ndim == 1 else params[seen]
-            moved = at - self._prev_params[old]
-            changed = rows - self._prev_gradients[old]
-            for displacement, change in zip(
-                np.sqrt(exact_row_dots(moved), dtype=np.float64).tolist(),
-                np.sqrt(exact_row_dots(changed), dtype=np.float64).tolist(),
-            ):
-                if displacement > 0.0:
-                    rate = change / displacement
-                    if math.isfinite(rate):
-                        self._rates.append(rate)
-        self._prev_gradients[ids] = gradients
-        self._prev_params[ids] = params
-        self._seen[ids] = True
-
-    def _grow_tables(self, rows: int, gradients, params) -> None:
-        """Extend the per-worker tables to ``rows`` worker ids, keeping
-        the observations already made."""
-        kept = self._seen.size
-        prev_gradients = np.empty(
-            (rows, gradients.shape[-1]), dtype=gradients.dtype
+        ):
+            return state
+        if len({id(a) for a in attacks}) < len(attacks):
+            raise ConfigurationError(
+                f"one {self.name} instance crafts for two cells of a batch; "
+                f"build one instance per cell"
+            )
+        state = _MimicryState.stack(
+            [(a._state, a._row) for a in attacks], dimension
         )
-        prev_params = np.empty((rows, params.shape[-1]), dtype=params.dtype)
-        if kept:
-            prev_gradients[:kept] = self._prev_gradients
-            prev_params[:kept] = self._prev_params
-        self._prev_gradients = prev_gradients
-        self._prev_params = prev_params
-        self._seen = np.concatenate([self._seen, np.zeros(rows - kept, bool)])
+        for b, attack in enumerate(attacks):
+            attack._state, attack._row = state, b
+        return state
 
     def craft(self, context: AttackContext) -> np.ndarray:
-        t = context.round_index
-        self._params_by_round[t] = np.asarray(
-            context.params, dtype=np.float64
-        ).copy()
-        for old in [
-            r for r in self._params_by_round if r < t - self._PARAMS_MEMORY
-        ]:
-            del self._params_by_round[old]
-        self._observe_honest(context)
+        def one(value):
+            return None if value is None else np.asarray(value)[None]
 
-        gradient = (
-            context.true_gradient
-            if context.true_gradient is not None
-            else context.honest_mean
+        batch = AttackBatch(
+            round_index=context.round_index,
+            num_workers=context.num_workers,
+            num_byzantine=context.num_byzantine,
+            dimension=context.dimension,
+            size=1,
+            honest_gradients=one(context.honest_gradients),
+            true_gradient=one(context.true_gradient),
+            byzantine_staleness=one(context.byzantine_staleness),
+            params=one(context.params),
+            honest_params=one(context.honest_params),
+            honest_indices=one(context.honest_indices),
+            byzantine_indices=one(context.byzantine_indices),
+            attacks=(self,),
         )
-        target = -self.scale * np.asarray(gradient, dtype=np.float64)
+        return self._output(context, self.craft_batch(batch)[0])
 
-        if context.byzantine_staleness is None:
-            staleness = np.zeros(context.num_byzantine, dtype=np.int64)
+    def craft_batch(self, batch: AttackBatch) -> np.ndarray:
+        if batch.attacks is None and batch.size != 1:
+            raise ConfigurationError(
+                f"a batch of {batch.size} {self.name} cells must carry each "
+                f"cell's instance"
+            )
+        attacks = (self,) if batch.attacks is None else tuple(batch.attacks)
+        state = self._state_of(attacks, batch.dimension)
+        t = batch.round_index
+        params = np.asarray(batch.params)
+        state.remember(t, params, self._PARAMS_MEMORY)
+        state.observe(batch, [attack._rates for attack in attacks])
+
+        gradients = (
+            batch.true_gradient
+            if batch.true_gradient is not None
+            else batch.honest_gradients.mean(axis=1)
+        )
+        target = -self.scale * np.asarray(gradients, dtype=np.float64)
+
+        f = batch.num_byzantine
+        if batch.byzantine_staleness is None:
+            staleness = np.zeros((batch.size, f), dtype=np.int64)
         else:
-            staleness = context.byzantine_staleness
-        judged = {
-            int(slot): self._judged_params(context, int(slot), int(tau))
-            for slot, tau in zip(context.byzantine_indices, staleness)
-        }
+            staleness = np.asarray(batch.byzantine_staleness, dtype=np.int64)
+        judged = state.judged_at(t - staleness, params)
+        ids = np.asarray(batch.byzantine_indices, dtype=np.int64)
+        # The filter measures each slot's rate against how far *its*
+        # judged parameters moved; the tightest slot constrains the
+        # shared proposal.
+        matches = ids[:, :, None] == state.judged_ids[:, None, :]
+        present = matches.any(axis=2)
+        moved = np.full(present.shape, np.nan)
+        if present.any():
+            cells, slots = np.nonzero(present)
+            previous = state.judged[cells, matches.argmax(axis=2)[cells, slots]]
+            moved[cells, slots] = exact_row_norms(
+                judged[cells, slots] - previous
+            )
+        positive = moved > 0.0
+        has_positive = positive.any(axis=1).tolist()
+        tightest = np.where(positive, moved, np.inf).min(axis=1, initial=np.inf)
 
-        if self._prev_vector is None:
+        first = ~state.has_vector
+        step = target - state.vector
+        step_norms = exact_row_norms(step).tolist()
+        vectors = target
+        clamped: list[int] = []
+        fractions: list[float] = []
+        for b, (attack, limit, fresh, measured) in enumerate(
+            zip(attacks, tightest.tolist(), first.tolist(), has_positive)
+        ):
+            if fresh or not measured or not attack._rates:
+                # The first round, or no measurable rate this round
+                # (parameters static, or no honest observations yet):
+                # the filter has nothing to reject, jump to the target.
+                continue
+            threshold = attack._rates.quantile(self.quantile)
+            allowed = self.margin * threshold * limit
+            step_norm = step_norms[b]
+            if not (step_norm <= allowed or step_norm == 0.0):
+                clamped.append(b)
+                fractions.append(allowed / step_norm)
+        if clamped:
+            vectors[clamped] = (
+                state.vector[clamped]
+                + np.array(fractions)[:, None] * step[clamped]
+            )
+        if first.any():
             # Perfect mimicry on the first round: indistinguishable from
             # a correct worker, and the anchor the drift starts from.
-            vector = context.honest_mean.copy()
-        else:
-            # The filter measures each slot's rate against how far *its*
-            # judged parameters moved; the tightest slot constrains the
-            # shared proposal.
-            moved = [
-                judged[slot] - self._prev_judged[slot]
-                for slot in judged
-                if slot in self._prev_judged
-            ]
-            displacements = (
-                exact_row_norms(np.array(moved)).tolist() if moved else []
-            )
-            positive = [d for d in displacements if d > 0.0]
-            step = target - self._prev_vector
-            step_norm = float(np.linalg.norm(step))
-            if not positive or not self._rates:
-                # No measurable rate this round (parameters static, or
-                # no honest observations yet): the filter has nothing to
-                # reject, jump straight to the target.
-                vector = target
-            else:
-                threshold = self._rates.quantile(self.quantile)
-                allowed = self.margin * threshold * min(positive)
-                if step_norm <= allowed or step_norm == 0.0:
-                    vector = target
-                else:
-                    vector = self._prev_vector + (allowed / step_norm) * step
+            vectors[first] = batch.honest_gradients[first].mean(axis=1)
 
-        self._prev_vector = vector.copy()
-        self._prev_judged = {
-            slot: params.copy() for slot, params in judged.items()
-        }
-        return self._output(
-            context, np.repeat(vector[None], context.num_byzantine, axis=0)
-        )
+        state.vector = vectors
+        state.has_vector[:] = True
+        state.judged, state.judged_ids = judged, ids.copy()
+        return self._output_batch(batch, np.repeat(vectors[:, None], f, axis=1))
 
 
 class DefenseProbingAttack(Attack):

@@ -179,7 +179,11 @@ class AttackBatch:
     the true gradient.  Slice ``b`` of each array field is cell ``b``'s
     :class:`AttackContext` field; an executor fills only the fields the
     attack declares in :attr:`Attack.reads` (:data:`BATCH_READS` are
-    the ones a batch carries) and leaves the others ``None``.
+    the ones a batch carries) and leaves the others ``None``.  The
+    executors always set the worker ids, and for a stateful attack
+    ``attacks``: cell ``b``'s own instance, which holds its state.  The
+    arrays stay the executor's: it may reuse them after the call, so a
+    craft that keeps one keeps a copy.
     """
 
     round_index: int
@@ -191,12 +195,24 @@ class AttackBatch:
     honest_gradients: np.ndarray | None = None  # (B, n - f, d)
     true_gradient: np.ndarray | None = None  # (B, d)
     byzantine_staleness: np.ndarray | None = None  # (B, f) ints
+    params: np.ndarray | None = None  # (B, d) what the workers read
+    honest_params: np.ndarray | None = None  # (B, n - f, d); None if sync
+    honest_indices: np.ndarray | None = None  # (B, n - f) ids per cell
+    byzantine_indices: np.ndarray | None = None  # (B, f) ids per cell
+    attacks: tuple[Attack, ...] | None = None  # one per cell, if stateful
 
 
 #: The context fields an :class:`AttackBatch` carries (``rng`` as the
 #: per-cell ``rngs``).
 BATCH_READS = frozenset(
-    {"rng", "honest_gradients", "true_gradient", "byzantine_staleness"}
+    {
+        "rng",
+        "honest_gradients",
+        "true_gradient",
+        "byzantine_staleness",
+        "params",
+        "honest_params",
+    }
 )
 
 
@@ -207,12 +223,16 @@ class Attack(ABC):
     :meth:`craft` reads; the executors build only those and pass
     ``None`` for the others.  The default is every field, and a
     subclass that overrides :meth:`craft` without declaring its own
-    :attr:`reads` is back at the default.  A stateless
-    attack registered through
+    :attr:`reads` is back at the default.  :attr:`fallback_reads` are
+    the fields :meth:`craft` reads only when ``true_gradient`` is
+    ``None``; an executor that passes the true gradient leaves them
+    ``None`` too.  An attack registered through
     :func:`~repro.attacks.registry.register_batched_craft` also
     implements ``craft_batch(batch: AttackBatch) -> (B, f, d)``, whose
     slice ``b`` equals :meth:`craft` on cell ``b``'s context bit for
-    bit, each cell's generator drawn as its own craft would.
+    bit, each cell's generator drawn as its own craft would, and a
+    stateful one's state advanced in ``batch.attacks[b]`` as its own
+    craft would.
     """
 
     name: str = "attack"
@@ -223,12 +243,26 @@ class Attack(ABC):
     stateful: bool = False
     #: The context fields :meth:`craft` reads.
     reads: frozenset[str] = CONTEXT_READS
+    #: The fields of :attr:`reads` that :meth:`craft` reads only when
+    #: the true gradient is hidden.
+    fallback_reads: frozenset[str] = frozenset()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # A declaration describes the craft next to it, not an override.
-        if "craft" in vars(cls) and "reads" not in vars(cls):
-            cls.reads = CONTEXT_READS
+        if "craft" in vars(cls):
+            if "reads" not in vars(cls):
+                cls.reads = CONTEXT_READS
+            if "fallback_reads" not in vars(cls):
+                cls.fallback_reads = frozenset()
+
+    def context_reads(self, true_gradient: bool) -> frozenset[str]:
+        """The fields an executor builds for :meth:`craft`: the declared
+        reads, less the fallback-only ones when it passes the true
+        gradient (``true_gradient``, which :attr:`reads` must name)."""
+        if true_gradient and "true_gradient" in self.reads:
+            return self.reads - self.fallback_reads
+        return self.reads
 
     @abstractmethod
     def craft(self, context: AttackContext) -> np.ndarray:

@@ -33,6 +33,8 @@ class OmniscientAttack(Attack):
             raise ConfigurationError(f"scale must be positive, got {scale}")
         self.scale = float(scale)
         self.compensate_average = bool(compensate_average)
+        if not self.compensate_average:
+            self.fallback_reads = frozenset({"honest_gradients"})
         self.name = f"omniscient(scale={self.scale:g})"
 
     def craft(self, context: AttackContext) -> np.ndarray:

@@ -8,11 +8,12 @@ for ``"composite"`` a sequence of ``(name, kwargs, count)`` triples
 resolved recursively — while strategies that need runtime objects
 (models, data shards) are built directly by the benches that use them.
 
-:func:`register_batched_craft` registers the stateless attacks whose
+:func:`register_batched_craft` registers the attacks whose
 ``craft_batch`` the executors call once per round for all the cells of
 one attack configuration, like the aggregation kernels of
 :func:`~repro.core.batched.register_batched_kernel`; dispatch is by
-exact type, so a subclass that overrides ``craft`` crafts per cell.
+exact type, so a subclass that overrides ``craft`` crafts per cell.  A
+stateful one receives each cell's own instance in ``batch.attacks``.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def register_batched_craft(attack_type: type) -> None:
 
 def has_batched_craft(attack: Attack) -> bool:
     """Whether ``attack`` crafts through its registered ``craft_batch``:
-    its exact type is registered and it keeps no per-run state."""
-    return type(attack) in _BATCHED_CRAFTS and not attack.stateful
+    its exact type is registered."""
+    return type(attack) in _BATCHED_CRAFTS
 
 
 def batched_craft_names() -> list[str]:
@@ -202,6 +203,7 @@ def _register_builtins() -> None:
         LittleIsEnoughAttack,
         InnerProductAttack,
         StalenessGamingAttack,
+        LipschitzMimicryAttack,
     ):
         register_batched_craft(attack_type)
 

@@ -24,6 +24,7 @@ class SignFlipAttack(Attack):
     """
 
     reads = frozenset({"true_gradient", "honest_gradients"})
+    fallback_reads = frozenset({"honest_gradients"})
 
     def __init__(self, scale: float = 1.0):
         if scale <= 0:

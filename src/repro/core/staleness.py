@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -82,10 +82,10 @@ class RateWindow:
     sorted shadow for :meth:`quantile`.
 
     It has the interface the rules used of a ``deque(maxlen=...)``:
-    ``append``, ``maxlen``, ``len``, iteration in arrival order and
-    ``np.asarray``.  It holds the deque rather than subclassing it, so
-    no inherited mutator (``popleft``, ``extend``, ``+``) can bypass
-    the shadow.  A rate is a quotient of norms, so ``append`` rejects
+    ``append``, ``extend``, ``maxlen``, ``len``, iteration in arrival
+    order and ``np.asarray``.  It holds the deque rather than
+    subclassing it, so no inherited mutator (``popleft``, ``+``) can
+    bypass the shadow.  A rate is a quotient of norms, so ``append`` rejects
     NaN and anything negative, −0.0 included: a sorted order has no
     place for NaN, and numpy's partition does not order signed zeros.
     """
@@ -109,16 +109,21 @@ class RateWindow:
 
     def append(self, value: float) -> None:
         """Append ``value``, evicting the oldest rate from a full window."""
-        value = float(value)
-        if not value >= 0.0 or math.copysign(1.0, value) < 0.0:
-            raise InvalidVectorError(
-                f"a rate window holds non-negative rates, got {value!r}"
-            )
-        values, ordered = self._values, self._sorted
-        if len(ordered) == values.maxlen:
-            del ordered[bisect_left(ordered, values[0])]
-        values.append(value)
-        insort(ordered, value)
+        self.extend((value,))
+
+    def extend(self, values: Iterable[float]) -> None:
+        """:meth:`append` each of ``values`` in order."""
+        window, ordered = self._values, self._sorted
+        for value in values:
+            value = float(value)
+            if not value >= 0.0 or math.copysign(1.0, value) < 0.0:
+                raise InvalidVectorError(
+                    f"a rate window holds non-negative rates, got {value!r}"
+                )
+            if len(ordered) == window.maxlen:
+                del ordered[bisect_left(ordered, window[0])]
+            window.append(value)
+            insort(ordered, value)
 
     def quantile(self, q: float) -> float:
         """``np.quantile(np.asarray(window), q)`` bit for bit.

@@ -58,12 +58,17 @@ What makes the batched executor faster than B loops:
   one, so every stream ends where per-cell draws leave it;
 * declared reads: each attack names the
   :class:`~repro.attacks.base.AttackContext` fields its craft reads
-  (``Attack.reads``), and the craft stage builds only those;
-* batched crafts: the cells of one stateless attack configuration with
-  a registered ``craft_batch`` (equal f, synchrony and true-gradient
+  (``Attack.reads``), and the craft stage builds only those, without
+  the fallback-only ones (``Attack.fallback_reads``) when it passes the
+  true gradient;
+* batched crafts: the cells of one attack configuration with a
+  registered ``craft_batch`` (equal f, synchrony and true-gradient
   availability) craft in one call per round, each cell's generator
-  drawn in slot order; stateful attacks and attacks whose generator is
-  held twice craft one cell at a time, in slot order, after them;
+  drawn in slot order and a stateful attack's state kept in each cell's
+  own instance; their honest rows and stale parameters are gathered
+  into blocks kept across rounds.  Unregistered attacks and attacks
+  whose generator is held twice craft one cell at a time, in slot
+  order, after them;
 * batched views: the tier cells of one rng-free stateless server
   attack configuration (``sign-flip-broadcast``) are corrupted in one
   ``corrupt_batch`` call; the other server attacks corrupt one cell at
@@ -277,9 +282,13 @@ def _index(slots: list[int]) -> slice | np.ndarray:
 
 
 def _config_key(attack: object) -> object:
-    """Equal for two instances of one stateless configuration: the type
-    and every attribute (the instance itself when one is unhashable)."""
-    key = (type(attack), tuple(sorted(vars(attack).items())))
+    """Equal for two instances of one configuration: the type and every
+    public attribute (the instance itself when one is unhashable).  A
+    stateful attack keeps its per-run state in private attributes."""
+    key = (
+        type(attack),
+        tuple(sorted(i for i in vars(attack).items() if not i[0].startswith("_"))),
+    )
     try:
         hash(key)
     except TypeError:
@@ -289,17 +298,24 @@ def _config_key(attack: object) -> object:
 
 @dataclass
 class _CraftGroup:
-    """Cells of one stateless attack configuration with equal f, the
-    same synchrony and the same true-gradient availability: one
+    """Cells of one attack configuration with equal f, the same
+    synchrony and the same true-gradient availability: one
     ``craft_batch`` call crafts them all."""
 
     attack: Attack
+    attacks: tuple[Attack, ...] | None  # each cell's own, if stateful
+    reads: frozenset[str]  # the fields the craft stage builds
     slots: np.ndarray  # ascending
     honest: np.ndarray  # (cells, n - f) honest ids per cell
     byzantine: np.ndarray  # (cells, f) Byzantine ids per cell
     is_async: bool
     true_gradient: bool  # whether the cells' oracle exists
     window: bool  # whether every cell's true gradient is its window row
+    step: int  # cells per ``craft_batch`` call
+    # (step, n − f, d) blocks the honest rows and their parameters are
+    # gathered into every round, or None when the craft reads neither.
+    honest_rows: np.ndarray | None
+    honest_params: np.ndarray | None
 
 
 @dataclass
@@ -576,10 +592,9 @@ class BatchedSimulation:
     def _craft_plan(
         self, holders: Counter
     ) -> tuple[list[_CraftGroup], list[int]]:
-        """Group the cells whose stateless attack has a registered
-        ``craft_batch``; the others (stateful attacks, unregistered ones
-        and attacks whose generator is held twice) craft one at a time,
-        in slot order."""
+        """Group the cells whose attack has a registered ``craft_batch``;
+        the others (unregistered attacks and attacks whose generator is
+        held twice) craft one at a time, in slot order."""
         groups: dict[object, list[int]] = {}
         solo: list[int] = []
         for slot, scenario in enumerate(self._scenarios):
@@ -600,15 +615,39 @@ class BatchedSimulation:
         for slots in groups.values():
             cells = [self._scenarios[slot] for slot in slots]
             sim = cells[0].simulation
+            reads = sim.attack.context_reads(sim.true_gradient_fn is not None)
+            honest = np.stack([c.honest_ids for c in cells])
+            gathers = (
+                "honest_gradients" in reads,
+                sim.is_async and "honest_params" in reads,
+            )
+            # Gather the honest rows a cache-sized chunk of cells at a
+            # time: a whole-group (cells, n − f, d) copy falls out of
+            # cache at large d.  The blocks are kept across rounds, so
+            # no round allocates (and page-faults) them anew.
+            cell_bytes = sum(gathers) * honest.shape[1] * self.dimension * 8
+            step = len(slots)
+            if cell_bytes:
+                step = max(1, min(step, _CRAFT_CHUNK_BYTES // cell_bytes))
+            block = (step, honest.shape[1], self.dimension)
             plans.append(
                 _CraftGroup(
                     attack=sim.attack,
+                    attacks=(
+                        tuple(c.simulation.attack for c in cells)
+                        if sim.attack.stateful
+                        else None
+                    ),
+                    reads=reads,
                     slots=np.asarray(slots, dtype=np.int64),
-                    honest=np.stack([c.honest_ids for c in cells]),
+                    honest=honest,
                     byzantine=np.stack([c.byzantine_ids for c in cells]),
                     is_async=sim.is_async,
                     true_gradient=sim.true_gradient_fn is not None,
                     window=all(c.window_gradient for c in cells),
+                    step=step,
+                    honest_rows=np.empty(block) if gathers[0] else None,
+                    honest_params=np.empty(block) if gathers[1] else None,
                 )
             )
         return plans, solo
@@ -854,20 +893,19 @@ class BatchedSimulation:
     def _craft_group(
         self, group: _CraftGroup, rows: list[np.ndarray | None]
     ) -> None:
-        attack, reads = group.attack, group.attack.reads
+        """One ``craft_batch`` call per chunk of ``group.step`` cells.
+        The honest rows and their parameters are gathered into the
+        group's blocks (``take``'s ``clip`` mode never clips these
+        in-range rows; it fills ``out`` without a buffered copy)."""
+        attack, reads = group.attack, group.reads
         t = self._round_index
         f = group.byzantine.shape[1]
-        count = group.slots.size
-        step = count
-        if "honest_gradients" in reads:
-            # Gather the honest rows a cache-sized chunk of cells at a
-            # time: a whole-group (cells, n − f, d) copy falls out of
-            # cache at large d.
-            cell_bytes = group.honest[0].size * self._proposals[0, 0].nbytes
-            step = max(1, _CRAFT_CHUNK_BYTES // cell_bytes)
-        for start in range(0, count, step):
-            part = slice(start, start + step)
+        proposals = self._proposals.reshape(-1, self.dimension)
+        history = self._history.reshape(-1, self.dimension)
+        for start in range(0, group.slots.size, group.step):
+            part = slice(start, start + group.step)
             slots = group.slots[part]
+            honest = group.honest[part]
             true_gradient = None
             if "true_gradient" in reads and group.true_gradient:
                 if group.window:
@@ -876,6 +914,29 @@ class BatchedSimulation:
                     true_gradient = np.stack(
                         [self._true_gradient(slot) for slot in slots.tolist()]
                     )
+            stale = None
+            if group.is_async and reads & {"byzantine_staleness", "honest_params"}:
+                stale = np.stack([rows[slot] for slot in slots.tolist()])
+                cells = np.arange(slots.size)[:, None]
+            honest_gradients = None
+            if group.honest_rows is not None:
+                honest_gradients = np.take(
+                    proposals,
+                    slots[:, None] * self.num_workers + honest,
+                    axis=0,
+                    out=group.honest_rows[: slots.size],
+                    mode="clip",
+                )
+            honest_params = None
+            if group.honest_params is not None:
+                lags = (t - stale[cells, honest]) % self._window
+                honest_params = np.take(
+                    history,
+                    lags * self.batch_size + slots[:, None],
+                    axis=0,
+                    out=group.honest_params[: slots.size],
+                    mode="clip",
+                )
             batch = AttackBatch(
                 round_index=t,
                 num_workers=self.num_workers,
@@ -890,24 +951,24 @@ class BatchedSimulation:
                     if "rng" in reads
                     else None
                 ),
-                honest_gradients=(
-                    self._proposals[slots[:, None], group.honest[part]]
-                    if "honest_gradients" in reads
-                    else None
-                ),
+                honest_gradients=honest_gradients,
                 true_gradient=true_gradient,
                 byzantine_staleness=(
-                    np.stack(
-                        [
-                            rows[slot][byzantine]
-                            for slot, byzantine in zip(
-                                slots.tolist(), group.byzantine[part]
-                            )
-                        ]
-                    )
-                    if group.is_async and "byzantine_staleness" in reads
+                    stale[cells, group.byzantine[part]]
+                    if stale is not None and "byzantine_staleness" in reads
                     else None
                 ),
+                # What the workers read: under an active tier that is
+                # the worker view, not the canonical row.
+                params=(
+                    self._history[t % self._window, slots]
+                    if "params" in reads
+                    else None
+                ),
+                honest_params=honest_params,
+                honest_indices=honest,
+                byzantine_indices=group.byzantine[part],
+                attacks=None if group.attacks is None else group.attacks[part],
             )
             self._proposals[slots[:, None], group.byzantine[part]] = (
                 attack.craft_batch(batch)
@@ -918,7 +979,7 @@ class BatchedSimulation:
         declares (``None`` for the others)."""
         scenario = self._scenarios[slot]
         sim = scenario.simulation
-        reads = sim.attack.reads
+        reads = sim.attack.context_reads(sim.true_gradient_fn is not None)
         honest_ids, byzantine_ids = scenario.honest_ids, scenario.byzantine_ids
         stale = staleness_row is not None
         context = AttackContext(

@@ -510,7 +510,7 @@ class GossipSimulation:
                 messages[v] = estimator.estimate(params[v], rng)
         if b > 0:
             assert self.attack is not None
-            reads = self.attack.reads
+            reads = self.attack.context_reads(self.true_gradient_fn is not None)
             neighbors = (
                 tuple(
                     indices[indptr[v] : indptr[v + 1]] for v in self.byzantine_ids

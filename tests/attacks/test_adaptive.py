@@ -143,7 +143,7 @@ class TestLipschitzMimicry:
                     rng, round_index=t, params=np.full(4, float(t))
                 )
             )
-        assert len(attack._params_by_round) <= attack._PARAMS_MEMORY + 1
+        assert len(attack._state.memory) <= attack._PARAMS_MEMORY + 1
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):

@@ -5,18 +5,23 @@ cells of one configuration in one ``craft_batch`` call, and slice ``b``
 must equal ``craft`` on cell ``b``'s own context bit for bit — over
 ties, NaN and ±inf honest rows, ``f = 0``, with and without the true
 gradient and for every staleness pattern — with each cell's generator
-left where its own craft leaves it.  ``PINNED`` lists the attack types
-this file pins, and a registered craft without a pin fails here.
+left where its own craft leaves it.  The stateful Lipschitz-mimicry
+craft is pinned over whole runs against the frozen per-cell reference
+of ``tests/attacks/mimicry_reference.py``, its rate windows included.
+``PINNED`` lists the attack types this file pins, and a registered
+craft without a pin fails here.
 
 Every attack declares the context fields its ``craft`` reads
-(``Attack.reads``); the executors build only those.  The sentinel test
-crafts with every registered attack from a context whose undeclared
-fields raise when read, and checks the result equals the craft from
-the full context.
+(``Attack.reads``), and the ones it reads only when the true gradient
+is hidden (``Attack.fallback_reads``); the executors build only those.
+The sentinel test crafts with every registered attack from a context
+whose undeclared fields raise when read, and checks the result equals
+the craft from the full context.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +32,7 @@ from repro.attacks import (
     GaussianAttack,
     InnerProductAttack,
     LinearHijackAttack,
+    LipschitzMimicryAttack,
     LittleIsEnoughAttack,
     NonFiniteAttack,
     OmniscientAttack,
@@ -43,6 +49,7 @@ from repro.attacks.registry import (
 )
 from repro.core.registry import make_aggregator
 from repro.exceptions import ConfigurationError
+from tests.attacks.mimicry_reference import ReferenceLipschitzMimicry
 
 NUM_WORKERS = 9
 
@@ -70,6 +77,10 @@ PINNED = {
         StalenessGamingAttack(),
         StalenessGamingAttack(scale=2.0, dampening="none"),
         StalenessGamingAttack(dampening="exponential", gamma=0.7),
+    ],
+    LipschitzMimicryAttack: [
+        LipschitzMimicryAttack(),
+        LipschitzMimicryAttack(scale=3.0, quantile=0.5, window=7, margin=0.5),
     ],
 }
 
@@ -122,7 +133,12 @@ def _context(batch: AttackBatch, cell: int, rng) -> AttackContext:
 @pytest.mark.parametrize("staleness", ["sync", "fresh", "equal", "mixed"])
 @pytest.mark.parametrize(
     "attack",
-    [attack for configs in PINNED.values() for attack in configs],
+    [
+        attack
+        for configs in PINNED.values()
+        for attack in configs
+        if not attack.stateful
+    ],
     ids=lambda attack: attack.name,
 )
 def test_craft_batch_slices_equal_crafts(
@@ -163,6 +179,185 @@ def test_craft_batch_slices_equal_crafts(
         assert (
             streams[cell].bit_generator.state == replay[cell].bit_generator.state
         )
+
+
+#: Round indices and Byzantine staleness values per pattern of the
+#: mimicry pin.  ``beyond-memory`` jumps 64 rounds ahead, so a slot
+#: judged 64 rounds back finds its parameters and one judged 65 or 66
+#: rounds back falls back to the current ones.
+MIMICRY_STALENESS = {
+    "sync": (range(7), None),
+    "stale": (range(7), (0, 1, 2, 3, 4)),
+    "beyond-memory": ((0, 1, 2, 66, 67, 68, 133), (0, 1, 64, 65, 66)),
+}
+
+
+def _mimicry_rounds(seed, cells, kind, staleness, true_gradient):
+    """Per round: the ``(B, …)`` inputs of a mimicry batch.
+
+    Each round draws every cell's honest ids anew (so seen sets are
+    partial and the Byzantine ids move), parameters from a two-vector
+    pool (``static`` repeats them, for zero displacements, and holds
+    the gradients, so the step reaches zero), and NaN and ±inf honest
+    entries and parameters for ``nonfinite``."""
+    data = np.random.default_rng(seed)
+    n, f, d = 7, 2, 5
+    indices, lags = MIMICRY_STALENESS[staleness]
+    pool = data.normal(size=(2, d))
+    honest_rows = data.normal(size=(cells, n - f, d))
+    gradient = data.normal(size=(cells, d))
+    out = []
+    for t, round_index in enumerate(indices):
+        ids = np.stack([data.permutation(n) for _ in range(cells)])
+        if kind == "static":
+            params = pool[np.full(cells, (t // 2) % 2)]
+            gradients = honest_rows.copy()
+            true = gradient
+        else:
+            params = pool[data.integers(0, 2, size=cells)] + t * data.normal(
+                size=(cells, d)
+            )
+            gradients = honest_rows + data.normal(size=honest_rows.shape)
+            true = data.normal(size=(cells, d))
+        if kind == "nonfinite" and t % 3 == 1:
+            gradients[0, 0, 0] = np.nan
+            gradients[-1, -1, 1] = np.inf
+            gradients[cells // 2, 1, -1] = -np.inf
+        if kind == "nonfinite" and t % 3 == 2:
+            params[1, 0] = np.inf
+            params[2, 1] = np.nan
+        honest_params = None
+        if lags is not None:
+            honest_params = params[:, None] + data.normal(size=(cells, n - f, d))
+        out.append(
+            dict(
+                round_index=round_index,
+                num_workers=n,
+                num_byzantine=f,
+                dimension=d,
+                size=cells,
+                honest_gradients=gradients,
+                true_gradient=true if true_gradient else None,
+                byzantine_staleness=(
+                    None
+                    if lags is None
+                    else data.choice(lags, size=(cells, f))
+                ),
+                params=params,
+                honest_params=honest_params,
+                honest_indices=np.sort(ids[:, f:], axis=1),
+                byzantine_indices=np.sort(ids[:, :f], axis=1),
+            )
+        )
+    return out
+
+
+def _cell_context(inputs: dict, cell: int) -> AttackContext:
+    def row(name):
+        value = inputs[name]
+        return None if value is None else value[cell].copy()
+
+    return AttackContext(
+        round_index=inputs["round_index"],
+        params=row("params"),
+        honest_gradients=row("honest_gradients"),
+        byzantine_indices=row("byzantine_indices"),
+        honest_indices=row("honest_indices"),
+        num_workers=inputs["num_workers"],
+        rng=None,
+        true_gradient=row("true_gradient"),
+        byzantine_staleness=row("byzantine_staleness"),
+        honest_params=row("honest_params"),
+        dimension=inputs["dimension"],
+    )
+
+
+def _assert_cells_equal_reference(attacks, references, inputs, crafted):
+    for cell, (attack, reference) in enumerate(zip(attacks, references)):
+        want = reference.craft(_cell_context(inputs, cell))
+        assert crafted[cell].tobytes() == want.tobytes(), cell
+        assert (
+            np.asarray(attack._rates).tobytes()
+            == np.asarray(reference._rates).tobytes()
+        ), cell
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["gaussian", "static", "nonfinite"])
+@pytest.mark.parametrize("true_gradient", [True, False], ids=["oracle", "hidden"])
+@pytest.mark.parametrize("staleness", list(MIMICRY_STALENESS))
+@pytest.mark.parametrize(
+    "config", PINNED[LipschitzMimicryAttack], ids=lambda attack: attack.name
+)
+def test_mimicry_batch_slices_equal_frozen_reference(
+    config, staleness, true_gradient, kind, seed
+):
+    """Every round's slice ``b`` and cell ``b``'s rate window equal the
+    frozen per-cell craft, over a run, after ``reset()`` and when a
+    cell leaves the batch for a round and comes back."""
+    cells = 4
+    rounds = _mimicry_rounds(seed, cells, kind, staleness, true_gradient)
+    attacks = tuple(copy.deepcopy(config) for _ in range(cells))
+    for _ in range(2):
+        references = [
+            ReferenceLipschitzMimicry(
+                scale=config.scale,
+                quantile=config.quantile,
+                window=config.window,
+                margin=config.margin,
+            )
+            for _ in range(cells)
+        ]
+        for t, inputs in enumerate(rounds):
+            if t == 4:
+                # One cell crafts on its own (its B = 1 case), then
+                # rejoins the others.
+                alone = attacks[1].craft(_cell_context(inputs, 1))
+                want = references[1].craft(_cell_context(inputs, 1))
+                assert alone.tobytes() == want.tobytes()
+                continue
+            crafted = attacks[0].craft_batch(AttackBatch(**inputs, attacks=attacks))
+            assert crafted.shape == (cells, 2, 5) and crafted.dtype == np.float64
+            _assert_cells_equal_reference(attacks, references, inputs, crafted)
+        for attack in attacks:
+            attack.reset()
+
+
+def test_mimicry_zero_step_under_a_nan_budget():
+    """Zero honest rates and an infinite judged displacement make the
+    budget ``margin · 0 · inf`` NaN; a zero step still goes to the
+    target instead of dividing by its zero norm."""
+    cells, n, f, d = 2, 5, 2, 3
+    attacks = tuple(LipschitzMimicryAttack() for _ in range(cells))
+    references = [ReferenceLipschitzMimicry() for _ in range(cells)]
+    for t, params in enumerate([np.zeros((cells, d)), np.full((cells, d), np.inf)]):
+        inputs = dict(
+            round_index=t,
+            num_workers=n,
+            num_byzantine=f,
+            dimension=d,
+            size=cells,
+            honest_gradients=np.zeros((cells, n - f, d)),
+            true_gradient=None,
+            byzantine_staleness=None,
+            params=params,
+            honest_params=None,
+            honest_indices=np.tile(np.arange(n - f), (cells, 1)),
+            byzantine_indices=np.tile(np.arange(n - f, n), (cells, 1)),
+        )
+        crafted = attacks[0].craft_batch(AttackBatch(**inputs, attacks=attacks))
+        _assert_cells_equal_reference(attacks, references, inputs, crafted)
+    assert list(attacks[0]._rates) == [0.0] * (n - f)
+    assert crafted.tobytes() == np.full((cells, f, d), -0.0).tobytes()
+
+
+def test_mimicry_batch_rejects_a_shared_instance():
+    inputs = _mimicry_rounds(0, 2, "gaussian", "sync", True)[0]
+    attack = LipschitzMimicryAttack()
+    with pytest.raises(ConfigurationError, match="one instance per cell"):
+        attack.craft_batch(AttackBatch(**inputs, attacks=(attack, attack)))
+    with pytest.raises(ConfigurationError, match="instance"):
+        attack.craft_batch(AttackBatch(**inputs))
 
 
 def test_every_batched_craft_has_a_per_slice_pin():
@@ -212,17 +407,17 @@ def test_registration_checks_the_class():
     with pytest.raises(ConfigurationError, match="own craft_batch"):
         register_batched_craft(NoBatch)
 
-    class ReadsParams(NoBatch):
-        reads = frozenset({"params"})
+    class ReadsAggregator(NoBatch):
+        reads = frozenset({"aggregator"})
 
         def craft_batch(self, batch):
             raise AssertionError
 
-    with pytest.raises(ConfigurationError, match="params"):
-        register_batched_craft(ReadsParams)
+    with pytest.raises(ConfigurationError, match="aggregator"):
+        register_batched_craft(ReadsAggregator)
     with pytest.raises(ConfigurationError, match="Attack class"):
         register_batched_craft(object)
-    assert "ReadsParams" not in batched_craft_names()
+    assert "ReadsAggregator" not in batched_craft_names()
 
 
 # ----------------------------------------------------------------------
@@ -270,13 +465,17 @@ def _attacks():
     yield "linear-hijack", lambda: LinearHijackAttack(np.arange(4.0))
 
 
+@pytest.mark.parametrize("true_gradient", [True, False], ids=["oracle", "hidden"])
 @pytest.mark.parametrize("is_async", [False, True], ids=["sync", "async"])
 @pytest.mark.parametrize(
     "name,build", list(_attacks()), ids=[name for name, _ in _attacks()]
 )
-def test_craft_reads_only_declared_fields(name, build, is_async):
+def test_craft_reads_only_declared_fields(name, build, is_async, true_gradient):
+    """Given the true gradient, the fallback-only fields raise too."""
     guarded_attack, full_attack = build(), build()
     assert guarded_attack.reads <= CONTEXT_READS
+    assert guarded_attack.fallback_reads <= guarded_attack.reads
+    allowed = guarded_attack.context_reads(true_gradient)
     data = np.random.default_rng(5)
     f, dimension = 3, 4
     honest_ids = np.arange(NUM_WORKERS - f)
@@ -294,7 +493,7 @@ def test_craft_reads_only_declared_fields(name, build, is_async):
             num_workers=NUM_WORKERS,
             rng=streams[0],
             aggregator=make_aggregator("krum", f=f),
-            true_gradient=params * 0.5,
+            true_gradient=params * 0.5 if true_gradient else None,
             honest_staleness=None if lags is None else lags[honest_ids],
             byzantine_staleness=None if lags is None else lags[byzantine_ids],
             honest_params=(
@@ -305,8 +504,48 @@ def test_craft_reads_only_declared_fields(name, build, is_async):
             selected_last_round=None if t == 0 else np.array([True, False, t % 2 == 0]),
             dimension=dimension,
         )
-        got = guarded_attack.craft(_guarded(context, guarded_attack.reads))
+        got = guarded_attack.craft(_guarded(context, allowed))
         want = full_attack.craft(replace(context, rng=streams[1]))
         assert got.tobytes() == want.tobytes(), t
         params = params - 0.1 * want.mean(axis=0)
     assert streams[0].bit_generator.state == streams[1].bit_generator.state
+
+
+def test_a_fallback_read_with_the_true_gradient_fails_the_guard():
+    """An attack that declares a field fallback-only but reads it with
+    the true gradient present fails the sentinel above."""
+
+    class Misdeclared(SignFlipAttack):
+        fallback_reads = frozenset({"honest_gradients"})
+
+        def craft(self, context):
+            context.honest_mean
+            return super().craft(context)
+
+    attack = Misdeclared()
+    assert attack.reads == CONTEXT_READS and attack.context_reads(True) == (
+        CONTEXT_READS - {"honest_gradients"}
+    )
+    context = AttackContext(
+        round_index=0,
+        params=np.zeros(4),
+        honest_gradients=np.ones((3, 4)),
+        byzantine_indices=np.array([3]),
+        honest_indices=np.arange(3),
+        num_workers=4,
+        rng=None,
+        true_gradient=np.ones(4),
+    )
+    with pytest.raises(AssertionError, match="honest_gradients"):
+        attack.craft(_guarded(context, attack.context_reads(True)))
+
+
+def test_an_overriding_craft_forgets_the_fallback_reads():
+    class Overriding(SignFlipAttack):
+        def craft(self, context):
+            return super().craft(context)
+
+    assert SignFlipAttack.fallback_reads == {"honest_gradients"}
+    assert Overriding.fallback_reads == frozenset()
+    assert OmniscientAttack().fallback_reads == {"honest_gradients"}
+    assert OmniscientAttack(compensate_average=True).fallback_reads == frozenset()
