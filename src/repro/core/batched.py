@@ -160,12 +160,14 @@ class BatchedAggregationResult:
     """Outcome of one batched aggregation over B scenario stacks.
 
     ``vectors`` holds one aggregate per scenario; ``selected`` one index
-    array per scenario (empty for statistical rules); ``scores`` the
-    per-scenario per-worker scores when the rule computes them.
+    array per scenario: row b of a ``(B, k)`` int64 block from a native
+    kernel (k = 0 for statistical rules), or item b of a tuple from the
+    loop fallback, whose rules may select different counts; ``scores``
+    the per-scenario per-worker scores when the rule computes them.
     """
 
     vectors: object  # (B, d)
-    selected: tuple
+    selected: np.ndarray | tuple  # (B, k) int64, or B index arrays
     scores: object | None = None  # (B, n) when present
 
 
@@ -209,7 +211,9 @@ class BatchedAggregator(ABC):
         )
 
 
-_EMPTY_SELECTION = np.array([], dtype=np.int64)
+def _no_selection(batch: int) -> np.ndarray:
+    """The ``(B, 0)`` selection block of a statistical rule."""
+    return np.empty((batch, 0), dtype=np.int64)
 
 
 class LoopBatchedAggregator(BatchedAggregator):
@@ -293,14 +297,11 @@ class LoopBatchedAggregator(BatchedAggregator):
 
 def _select_winners(stacks, scores):
     """Per-scenario argmin selection: first minimal index per row — the
-    smallest-identifier tie-break of Krum's footnote 3."""
-    winners = np.argmin(scores, axis=1)
-    batch_index = np.arange(stacks.shape[0])
-    vectors = np.copy(stacks[batch_index, winners])
-    selected = tuple(
-        np.array([w], dtype=np.int64) for w in winners.tolist()
-    )
-    return vectors, selected
+    smallest-identifier tie-break of Krum's footnote 3.  The winners
+    come back as one ``(B, 1)`` selection block."""
+    winners = np.argmin(scores, axis=1).astype(np.int64)
+    vectors = stacks[np.arange(stacks.shape[0]), winners]
+    return vectors, winners[:, None]
 
 
 class _BatchedKrum(BatchedAggregator):
@@ -323,10 +324,9 @@ class _BatchedMultiKrum(BatchedAggregator):
         rule = self.aggregator
         scores = batched_krum_scores(stacks, rule.f)
         order = np.argsort(scores, axis=1, kind="stable")[:, : rule.m]
-        selected = tuple(order)
+        selected = order.astype(np.int64, copy=False)
         if rule.m == 1:
-            batch_index = np.arange(stacks.shape[0])
-            vectors = np.copy(stacks[batch_index, order[:, 0]])
+            vectors = stacks[np.arange(stacks.shape[0]), order[:, 0]]
         else:
             gathered = np.take_along_axis(stacks, order[:, :, None], axis=1)
             vectors = np.mean(gathered, axis=1)
@@ -340,7 +340,7 @@ class _BatchedAverage(BatchedAggregator):
         stacks = self._validated(stacks)
         vectors = batched_average(stacks)
         return BatchedAggregationResult(
-            vectors=vectors, selected=(_EMPTY_SELECTION,) * stacks.shape[0]
+            vectors=vectors, selected=_no_selection(stacks.shape[0])
         )
 
 
@@ -349,7 +349,7 @@ class _BatchedCoordinateMedian(BatchedAggregator):
         stacks = self._validated(stacks)
         vectors = batched_coordinate_median(stacks)
         return BatchedAggregationResult(
-            vectors=vectors, selected=(_EMPTY_SELECTION,) * stacks.shape[0]
+            vectors=vectors, selected=_no_selection(stacks.shape[0])
         )
 
 
@@ -358,7 +358,7 @@ class _BatchedTrimmedMean(BatchedAggregator):
         stacks = self._validated(stacks)
         vectors = batched_trimmed_mean(stacks, self.aggregator.f)
         return BatchedAggregationResult(
-            vectors=vectors, selected=(_EMPTY_SELECTION,) * stacks.shape[0]
+            vectors=vectors, selected=_no_selection(stacks.shape[0])
         )
 
 
@@ -381,7 +381,7 @@ class _BatchedBulyan(BatchedAggregator):
                 stacks[start:stop], self.aggregator.f
             )
         return BatchedAggregationResult(
-            vectors=vectors, selected=tuple(committees)
+            vectors=vectors, selected=committees
         )
 
 
@@ -409,7 +409,7 @@ class _BatchedGeometricMedian(BatchedAggregator):
                 max_iterations=rule.max_iterations,
             )
         return BatchedAggregationResult(
-            vectors=vectors, selected=(_EMPTY_SELECTION,) * batch
+            vectors=vectors, selected=_no_selection(batch)
         )
 
 

@@ -328,6 +328,9 @@ class _Tier:
     # (attack, Byzantine replica ids, positions in slots) per batched
     # configuration
     batched: list[tuple[ServerAttack, np.ndarray, np.ndarray]]
+    # The broadcast block, kept across rounds so no round allocates (and
+    # page-faults) it anew.
+    broadcasts: np.ndarray
 
 
 class BatchedSimulation:
@@ -585,6 +588,7 @@ class BatchedSimulation:
                         (attack, ids, np.asarray(positions, dtype=np.int64))
                         for attack, ids, positions in batched.values()
                     ],
+                    broadcasts=np.empty((len(slots), servers, self.dimension)),
                 )
             )
         return plans, sorted(solo)
@@ -769,21 +773,19 @@ class BatchedSimulation:
             np.asarray(self._params[tier.slots], dtype=np.float64)
             for tier in self._tiers
         ]
-        blocks = [
-            np.repeat(rows[:, None], tier.servers, axis=1)
-            for tier, rows in zip(self._tiers, canonical)
-        ]
+        for tier, rows in zip(self._tiers, canonical):
+            tier.broadcasts[...] = rows[:, None]
         for slot, index, position in self._solo_views:
             scenario = self._scenarios[slot]
-            blocks[index][position] = scenario.simulation.server.replica_broadcasts(
-                scenario.params, t
+            self._tiers[index].broadcasts[position] = (
+                scenario.simulation.server.replica_broadcasts(scenario.params, t)
             )
-        for tier, rows, broadcasts in zip(self._tiers, canonical, blocks):
+        for tier, rows in zip(self._tiers, canonical):
             for attack, ids, positions in tier.batched:
-                broadcasts[positions[:, None], ids] = attack.corrupt_batch(
+                tier.broadcasts[positions[:, None], ids] = attack.corrupt_batch(
                     rows[positions], ids.size
                 )
-            reads[tier.slots] = replica_view(broadcasts)
+            reads[tier.slots] = replica_view(tier.broadcasts)
 
     def _propose(self, t: int, rows: list[np.ndarray | None]) -> None:
         """Evaluate the round's row of the gradient window, then fill

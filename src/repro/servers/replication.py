@@ -62,6 +62,10 @@ def replica_view(broadcasts: np.ndarray) -> np.ndarray:
     Permutation-invariant in replica order.  When all rows agree it
     returns the common row, except that a common −0.0 reads +0.0 (the
     median is a mean of order statistics, as in ``numpy.median``).
+    Tiers of 2 to 7 replicas take
+    :func:`~repro.utils.linalg.coordinate_median`'s selection network
+    (3 replicas: 3 comparators over whole ``(cells, d)`` lines, no
+    sorted copy of the block); larger tiers sort.
     """
     broadcasts = np.asarray(broadcasts, dtype=np.float64)
     if broadcasts.ndim < 2 or broadcasts.shape[-2] < 1:

@@ -669,10 +669,7 @@ class GossipSimulation:
                 adapter, chunk_rules, stack, kwargs
             )
             vectors[chunk[: len(done)]] = np.reshape(done, (-1, self.dimension))
-            picked.append(
-                np.repeat(index[: len(selected), 0], [len(s) for s in selected])
-                + np.concatenate([picked[0], *selected]).astype(np.int64)
-            )
+            picked.append(self._picked(index, selected))
             if error is not None:
                 errors.append((int(chunk[len(done)]), error))
 
@@ -709,6 +706,18 @@ class GossipSimulation:
             member[own],
             set(self.byzantine_ids),
         )
+
+    @staticmethod
+    def _picked(index: np.ndarray, selected) -> np.ndarray:
+        """The flat member positions a chunk's nodes selected, node after
+        node: each node's first position plus its selected rows.  A
+        native kernel's ``(B, k)`` block takes one repeat and one add."""
+        if isinstance(selected, np.ndarray):
+            rows, k = selected.shape
+            return np.repeat(index[:rows, 0], k) + selected.ravel()
+        counts = [len(s) for s in selected]
+        flat = np.concatenate([np.empty(0, dtype=np.int64), *selected])
+        return np.repeat(index[: len(selected), 0], counts) + flat.astype(np.int64)
 
     def _group_nodes(self, f_local: np.ndarray, sizes: np.ndarray) -> tuple:
         """Each honest node's rule and the kernel calls as ``(nodes,
@@ -772,7 +781,7 @@ class GossipSimulation:
                 vectors.append(single.vector)
                 selected.append(single.selected)
             return vectors, selected, None
-        return np.asarray(result.vectors), list(result.selected), None
+        return np.asarray(result.vectors), result.selected, None
 
     # ------------------------------------------------------------------
     # Driver

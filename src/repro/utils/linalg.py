@@ -294,14 +294,133 @@ def masked_unit_direction_sum(
         return np.einsum("bn,bnd->bd", active.astype(np.float64), offsets)
 
 
+#: Batcher's odd–even merge sort of 8 inputs as ``(low, high)`` wire
+#: pairs.  Its first 4 comparators sort each pair of wires and its first
+#: 10 each quadruple, so the comparators of the shortest such prefix on
+#: the wires below n sort n inputs: read the missing wires as +inf,
+#: which no comparator moves.
+_ODD_EVEN_MERGE_8 = (
+    (0, 1), (2, 3), (4, 5), (6, 7),
+    (0, 2), (1, 3), (4, 6), (5, 7),
+    (1, 2), (5, 6),
+    (0, 4), (1, 5), (2, 6), (3, 7),
+    (2, 4), (3, 5),
+    (1, 2), (3, 4), (5, 6),
+)
+
+
+def _median_network(n: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The merge network of ``n <= 8`` inputs pruned to its middle
+    wire(s), as ``(low, high, wants_min, wants_max)`` steps.
+
+    A step stays when a later step or the result reads one of its
+    outputs, and computes only the outputs read.  For even n the two
+    middle wires are only summed, so a last comparator between them,
+    which just orders the pair, goes too.
+    """
+    middle = {(n - 1) // 2, n // 2}
+    live, steps = set(middle), []
+    prefix = _ODD_EVEN_MERGE_8[: 4 if n <= 2 else 10 if n <= 4 else 19]
+    for low, high in reversed([c for c in prefix if c[1] < n]):
+        if not live & {low, high}:
+            continue
+        if {low, high} == middle and len(middle) == 2 and not steps:
+            continue
+        steps.append((low, high, low in live, high in live))
+        live |= {low, high}
+    return tuple(reversed(steps))
+
+
+#: Row counts up to this many take a selection network.  Past it, the
+#: network's comparators outnumber what one sort costs on the stacks
+#: the rules see (a generic network slowed 12–20-row stacks down).
+_NETWORK_MAX_ROWS = 7
+
+#: ``n -> steps`` of the pruned networks (n = 2 has no step: its two
+#: rows are the middle pair).
+_MEDIAN_NETWORKS = {n: _median_network(n) for n in range(2, _NETWORK_MAX_ROWS + 1)}
+
+
 def coordinate_median(x, axis: int):
-    """``numpy.median(x, axis=axis)`` bit for bit, from one ``np.sort``
-    rather than its partition that also probes ``-1`` for NaN lanes.
+    """``numpy.median(x, axis=axis)`` bit for bit.  Needs
+    ``x.shape[axis] >= 1``.
+
+    A float32/float64 array of ndim >= 2 with 2 to 7 rows along ``axis``
+    goes through a selection network: the odd–even merge sort pruned to
+    its middle wire(s) (:data:`_MEDIAN_NETWORKS`), run as
+    ``np.minimum``/``np.maximum`` over whole lines of the stack, with
+    even n averaging the middle pair as ``np.mean`` does.  For values
+    that are neither NaN nor zero it returns exactly the sort's order
+    statistics.  Every lane whose result reads 0 or NaN is recomputed by
+    the sort path, so a signed zero and a NaN payload come out as the
+    sort leaves them.  Every other input, and 8 or more rows, takes the
+    sort path (:func:`_sorted_median`).
+    """
+    if not (
+        type(x) is np.ndarray
+        and x.ndim >= 2
+        and -x.ndim <= axis < x.ndim
+        and x.dtype in (np.float32, np.float64)
+        and 1 < x.shape[axis] <= _NETWORK_MAX_ROWS
+    ):
+        return _sorted_median(x, axis)
+    result = _network_median(x, axis, _MEDIAN_NETWORKS[x.shape[axis]])
+    suspect = np.isnan(result) | (result == 0)
+    if suspect.any():
+        lanes = np.moveaxis(x, axis, 0)[:, suspect]
+        result[suspect] = _sorted_median(lanes, 0)
+    return result
+
+
+def _network_median(x: np.ndarray, axis: int, steps) -> np.ndarray:
+    """Run the pruned network ``steps`` over the lines of ``x`` along
+    ``axis``.  The lines start as views of ``x``; each output goes to a
+    buffer owned here (an input's buffer once it is read for the last
+    time), so the input is never written."""
+    n = x.shape[axis]
+    index = [slice(None)] * x.ndim
+    wires = []
+    for i in range(n):
+        index[axis] = i
+        wires.append(x[tuple(index)])
+    template = wires[0]
+    owned = [False] * n
+    spare: list[np.ndarray] = []
+
+    def buffer(reusable: list[np.ndarray]) -> np.ndarray:
+        if reusable:
+            return reusable.pop()
+        return spare.pop() if spare else np.empty_like(template)
+
+    def owned_of(low: int, high: int) -> list[np.ndarray]:
+        return [wires[i] for i in (low, high) if owned[i]]
+
+    for low, high, wants_min, wants_max in steps:
+        a, b = wires[low], wires[high]
+        inputs = owned_of(low, high)
+        if wants_min:
+            # A first output cannot overwrite an input the second reads.
+            wires[low] = np.minimum(a, b, out=buffer([] if wants_max else inputs))
+            owned[low] = True
+        if wants_max:
+            wires[high] = np.maximum(a, b, out=buffer(inputs))
+            owned[high] = True
+        spare.extend(inputs)
+    if n % 2:
+        return wires[n // 2]
+    out = buffer(owned_of(n // 2 - 1, n // 2))
+    with np.errstate(invalid="ignore"):  # -inf and +inf in the middle
+        total = np.add(wires[n // 2 - 1], wires[n // 2], out=out)
+        return np.true_divide(total, 2, out=total)
+
+
+def _sorted_median(x, axis: int):
+    """The median from one ``np.sort`` rather than ``numpy.median``'s
+    partition that also probes ``-1`` for NaN lanes.
 
     ``np.mean`` of the middle order statistics is the reduction
     ``numpy.median`` applies (it reads a −0.0 median as +0.0); a lane
-    whose last sorted entry is NaN takes that entry.  Needs
-    ``x.shape[axis] >= 1``.
+    whose last sorted entry is NaN takes that entry.
     """
     ordered = np.sort(x, axis=axis)
     n = ordered.shape[axis]

@@ -169,6 +169,19 @@ class TestBatchedAdapters:
                     if want.scores is not None:
                         assert bitwise_equal(result.scores[b], want.scores)
 
+    def test_native_selections_are_one_int64_block(self, rng):
+        """A native kernel returns its selections as one ``(B, k)`` int64
+        block (k = 0 for a statistical rule), row b the slice's own."""
+        batch = rng.standard_normal((4, 9, 3))
+        for rule in _rules_for(9):
+            result = make_batched_aggregator(rule).aggregate_batch(batch)
+            want = [rule.aggregate_detailed(batch[b]).selected for b in range(4)]
+            assert isinstance(result.selected, np.ndarray), rule.name
+            assert result.selected.dtype == np.int64
+            assert result.selected.shape == (4, len(want[0]))
+            for got, expected in zip(result.selected, want):
+                np.testing.assert_array_equal(got, expected)
+
     def test_loop_fallback_bitwise(self, rng):
         batch = rng.standard_normal((5, 11, 4))
         rule = MinimalDiameterSubset(f=2)
